@@ -1,0 +1,290 @@
+"""Golden determinism fingerprint of five small end-to-end runs.
+
+Modeled results are the repo's contract: work on the simulator's own
+speed must leave every modeled charge, event sequence number, RNG draw and
+wire byte where it was.  The benchmark's bounds (6-12 %) would let a
+regrouped float sum or a reordered random draw through; this test does
+not.  Each configuration below runs a short closed loop and records
+
+* the sorted client completion times, as exact floats,
+* ``NetworkStats.wire_totals()``,
+* ``Scheduler.dispatched``,
+* every replica node's ``cpu_busy_total``, and
+* every replica's final service state digest,
+
+and ``GOLDEN`` holds the values captured from the commit *before* the
+per-message fast path (parent of PR 12).  They must match to the bit.  MAC
+tag bytes are not part of the fingerprint (their size is, through the wire
+totals), so swapping the MAC primitive leaves it unchanged.
+
+A change that means to move modeled results regenerates the literals with
+``PYTHONPATH=src python tests/test_determinism_fingerprint.py`` and says
+why in its PR.
+"""
+
+from __future__ import annotations
+
+import pprint
+from typing import Any, Callable, Dict, Tuple
+
+import pytest
+
+from repro.bench.workloads import run_closed_loop
+from repro.core.config import ProtocolOptions
+from repro.library import BFTCluster
+from repro.net.conditions import NetworkConditions
+from repro.services.kvstore import KeyValueStore
+from repro.sim.faults import FaultSpec, FaultType
+
+#: Simulated µs of quiet after the loop, so status traffic, retransmissions
+#: and trailing checkpoints are part of the fingerprint too.
+SETTLE_US = 300_000.0
+
+
+def _null_op(client: int, index: int) -> Tuple[bytes, bool]:
+    return b"null:0:0:" + b"x" * ((client + index) % 5), False
+
+
+def _kv_op(client: int, index: int) -> Tuple[bytes, bool]:
+    key = b"key%03d" % ((client * 7 + index * 3) % 12)
+    if index % 3 == 2:
+        return b"GET " + key, True
+    return b"SET " + key + b" " + bytes([65 + (client + index) % 26]) * 200, False
+
+
+def _null_f1() -> BFTCluster:
+    return BFTCluster.create(f=1, seed=11)
+
+
+def _kv_f2_checkpoints() -> BFTCluster:
+    return BFTCluster.create(
+        f=2, service_factory=KeyValueStore, seed=12, checkpoint_interval=4
+    )
+
+
+def _send_faults_f1() -> BFTCluster:
+    cluster = BFTCluster.create(f=1, seed=13)
+    cluster.inject_fault(
+        FaultSpec(node="replica2", fault=FaultType.DROP_MESSAGES, probability=0.1)
+    )
+    cluster.inject_fault(
+        FaultSpec(node="replica2", fault=FaultType.DELAY_MESSAGES, delay=300.0)
+    )
+    return cluster
+
+
+def _lossy_f1() -> BFTCluster:
+    return BFTCluster.create(
+        f=1, seed=14, conditions=NetworkConditions(drop_probability=0.05)
+    )
+
+
+def _tree_f2() -> BFTCluster:
+    return BFTCluster.create(
+        f=2, seed=15, options=ProtocolOptions().with_tree_dissemination()
+    )
+
+
+#: name -> (cluster factory, operation factory, clients, operations per client)
+CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] = {
+    "null_f1": (_null_f1, _null_op, 5, 6),
+    "kv_f2_checkpoints": (_kv_f2_checkpoints, _kv_op, 6, 9),
+    "send_faults_f1": (_send_faults_f1, _null_op, 4, 6),
+    "lossy_f1": (_lossy_f1, _null_op, 4, 6),
+    "tree_f2": (_tree_f2, _null_op, 4, 5),
+}
+
+
+def fingerprint(name: str) -> Dict[str, Any]:
+    build, make_op, clients, ops_per_client = CONFIGURATIONS[name]
+    cluster = build()
+    result = run_closed_loop(cluster, clients, ops_per_client, make_op)
+    assert result.per_client == [ops_per_client] * clients
+    cluster.run(duration=SETTLE_US)
+    return {
+        "completion_times": sorted(c.completed_at for c in cluster.completed),
+        "wire_totals": cluster.network.stats.wire_totals(),
+        "dispatched": cluster.scheduler.dispatched,
+        "cpu_busy_total": {
+            rid: node.cpu_busy_total for rid, node in cluster.replica_nodes.items()
+        },
+        "state_digests": {
+            rid: service.state_digest().hex()
+            for rid, service in cluster.services.items()
+        },
+    }
+
+
+GOLDEN: Dict[str, Dict[str, Any]] = {}
+GOLDEN["null_f1"] = \
+{'completion_times': [526.9569999999999, 901.0070000000002, 1139.7260000000003,
+                      1446.1300000000003, 1723.1910000000005, 2058.8730000000005,
+                      2335.9480000000017, 2671.6640000000025, 2919.437000000003,
+                      3200.2340000000036, 3532.3210000000036, 3813.1810000000037,
+                      4145.266000000003, 4409.563000000003, 4758.193000000002,
+                      5009.7530000000015, 5382.627999999997, 5606.651000000002,
+                      5943.545, 6250.015999999999, 6556.520999999998, 6846.997999999997,
+                      7170.539999999995, 7497.391999999988, 7802.557999999985,
+                      8126.082999999984, 8462.976999999977, 8813.465999999979,
+                      9136.815999999968, 9473.760999999962],
+ 'cpu_busy_total': {'replica0': 10605.833999999986,
+                    'replica1': 9689.033999999987,
+                    'replica2': 9689.033999999987,
+                    'replica3': 9689.033999999987},
+ 'dispatched': 918,
+ 'state_digests': {'replica0': 'd37d6f9b076d9f0b3014d28f98ca1ef0',
+                   'replica1': 'd37d6f9b076d9f0b3014d28f98ca1ef0',
+                   'replica2': 'd37d6f9b076d9f0b3014d28f98ca1ef0',
+                   'replica3': 'd37d6f9b076d9f0b3014d28f98ca1ef0'},
+ 'wire_totals': {'auth_bytes': 21024,
+                 'messages_sent': 906,
+                 'payload_bytes': 78312,
+                 'per_type': {'Commit': 360,
+                              'PrePrepare': 90,
+                              'Prepare': 270,
+                              'Reply': 120,
+                              'Request': 30,
+                              'StatusActive': 36}}}
+GOLDEN["kv_f2_checkpoints"] = \
+{'completion_times': [798.4010000000004, 1507.1420000000012, 2247.967000000001,
+                      2651.420000000002, 3162.814000000003, 3178.702000000003,
+                      4093.959000000004, 4750.356, 5001.393999999997, 5339.482999999994,
+                      5765.036999999992, 6013.7259999999915, 6297.639999999988,
+                      6789.6779999999835, 6805.565999999983, 6964.627999999983,
+                      7537.9569999999785, 7557.166999999979, 7641.188999999979,
+                      8193.221999999976, 8868.846999999972, 9643.331999999966,
+                      10384.996999999958, 10877.630999999952, 10893.518999999953,
+                      11193.604999999952, 11623.52999999995, 12368.414999999943,
+                      12527.488999999941, 13065.679999999937, 13149.651999999936,
+                      13717.574999999932, 13801.546999999931, 14471.144999999926,
+                      14487.032999999927, 14616.506999999925, 15136.952999999923,
+                      15340.73799999992, 15967.702999999914, 16579.455999999966,
+                      17402.480999999945, 17999.965999999935, 18099.827999999936,
+                      18691.285999999924, 18707.173999999923, 19155.163999999913,
+                      19358.948999999913, 19803.242999999897, 20295.58399999989,
+                      20714.09399999988, 20917.87899999988, 21365.98899999987,
+                      21569.77399999987, 21917.971999999856],
+ 'cpu_busy_total': {'replica0': 24259.907999999807,
+                    'replica1': 22478.483999999764,
+                    'replica2': 22478.483999999764,
+                    'replica3': 22478.483999999764,
+                    'replica4': 22478.483999999764,
+                    'replica5': 22478.483999999768,
+                    'replica6': 22478.483999999768},
+ 'dispatched': 3585,
+ 'state_digests': {'replica0': '09fcc58d70571dad79b3fee055acf80c',
+                   'replica1': '09fcc58d70571dad79b3fee055acf80c',
+                   'replica2': '09fcc58d70571dad79b3fee055acf80c',
+                   'replica3': '09fcc58d70571dad79b3fee055acf80c',
+                   'replica4': '09fcc58d70571dad79b3fee055acf80c',
+                   'replica5': '09fcc58d70571dad79b3fee055acf80c',
+                   'replica6': '09fcc58d70571dad79b3fee055acf80c'},
+ 'wire_totals': {'auth_bytes': 160272,
+                 'messages_sent': 3564,
+                 'payload_bytes': 440532,
+                 'per_type': {'Checkpoint': 294,
+                              'Commit': 1302,
+                              'PrePrepare': 186,
+                              'Prepare': 1116,
+                              'Reply': 378,
+                              'Request': 162,
+                              'StatusActive': 126}}}
+GOLDEN["send_faults_f1"] = \
+{'completion_times': [592.653, 858.9430000000001, 1051.8020000000004,
+                      1373.8700000000001, 1796.3239999999998, 2104.067,
+                      2355.5430000000006, 2692.5000000000014, 3036.2070000000026,
+                      3385.2590000000027, 3691.752000000003, 3998.189000000003,
+                      4288.717000000002, 4800.098, 4988.119, 5278.6129999999985,
+                      5781.813999999995, 6010.985999999994, 6317.439999999993,
+                      6578.638999999992, 6976.621999999991, 7313.665999999989,
+                      7689.0499999999865, 7833.568999999988],
+ 'cpu_busy_total': {'replica0': 8422.281999999988,
+                    'replica1': 7600.989999999994,
+                    'replica2': 7500.613999999988,
+                    'replica3': 7688.913999999994},
+ 'dispatched': 723,
+ 'state_digests': {'replica0': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica1': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica2': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica3': 'cf498596ff89a16278ba0f83a00201db'},
+ 'wire_totals': {'auth_bytes': 16512,
+                 'messages_sent': 711,
+                 'payload_bytes': 61504,
+                 'per_type': {'Commit': 277,
+                              'PrePrepare': 72,
+                              'Prepare': 209,
+                              'Reply': 93,
+                              'Request': 24,
+                              'StatusActive': 36}}}
+GOLDEN["lossy_f1"] = \
+{'completion_times': [526.9569999999999, 901.0070000000002, 1123.1660000000004,
+                      1328.7700000000002, 1635.1160000000004, 2133.355,
+                      2470.3070000000007, 2721.7760000000017, 100475.05900000002,
+                      100618.95200000002, 100634.81600000002, 101181.75700000006,
+                      101403.99000000008, 101801.5790000001, 102078.72100000014,
+                      102444.70700000013, 153176.601, 250930.59499999994,
+                      251458.48799999987, 251985.43299999982, 252551.20400000009,
+                      303342.0450000001, 303827.3160000002, 304354.3600000003],
+ 'cpu_busy_total': {'replica0': 8929.261999999995,
+                    'replica1': 8610.581999999997,
+                    'replica2': 8597.822000000002,
+                    'replica3': 8351.673999999992},
+ 'dispatched': 798,
+ 'state_digests': {'replica0': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica1': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica2': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica3': 'cf498596ff89a16278ba0f83a00201db'},
+ 'wire_totals': {'auth_bytes': 18848,
+                 'messages_sent': 814,
+                 'payload_bytes': 70706,
+                 'per_type': {'Commit': 303,
+                              'PrePrepare': 75,
+                              'Prepare': 224,
+                              'Reply': 100,
+                              'Request': 40,
+                              'StatusActive': 72}}}
+GOLDEN["tree_f2"] = \
+{'completion_times': [1788.5370000000003, 2971.7450000000003, 2987.6090000000004,
+                      3003.4730000000004, 3792.1330000000007, 4705.520999999997,
+                      5669.609999999999, 5685.473999999998, 5701.337999999998,
+                      6619.990000000002, 7551.147000000001, 8205.216, 8239.993,
+                      8255.857, 9052.025, 10178.337, 10215.938, 10778.875, 10794.739,
+                      11829.438999999997],
+ 'cpu_busy_total': {'replica0': 10253.739999999985,
+                    'replica1': 7098.108000000002,
+                    'replica2': 6449.403999999997,
+                    'replica3': 5401.291999999997,
+                    'replica4': 5000.195999999999,
+                    'replica5': 5000.195999999999,
+                    'replica6': 5000.195999999999},
+ 'dispatched': 989,
+ 'state_digests': {'replica0': '488fb1eb2493805ff2b343e106786047',
+                   'replica1': '488fb1eb2493805ff2b343e106786047',
+                   'replica2': '488fb1eb2493805ff2b343e106786047',
+                   'replica3': '488fb1eb2493805ff2b343e106786047',
+                   'replica4': '488fb1eb2493805ff2b343e106786047',
+                   'replica5': '488fb1eb2493805ff2b343e106786047',
+                   'replica6': '488fb1eb2493805ff2b343e106786047'},
+ 'wire_totals': {'auth_bytes': 52608,
+                 'messages_sent': 817,
+                 'payload_bytes': 201500,
+                 'per_type': {'PrePrepare': 120,
+                              'Relay': 411,
+                              'Reply': 140,
+                              'Request': 20,
+                              'StatusActive': 126}}}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
+def test_fingerprint_matches_golden(name):
+    actual = fingerprint(name)
+    golden = GOLDEN[name]
+    for key in golden:
+        assert actual[key] == golden[key], f"{name}: {key} moved"
+    assert actual.keys() == golden.keys()
+
+
+if __name__ == "__main__":
+    for config_name in CONFIGURATIONS:
+        print(f'GOLDEN["{config_name}"] = \\')
+        pprint.pprint(fingerprint(config_name), width=88, compact=True)
