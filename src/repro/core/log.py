@@ -130,11 +130,13 @@ class MessageLog:
         self.unexecuted_batches = 0
         self.checkpoints: Dict[int, CheckpointRecord] = {}
         #: Requests known to this replica, keyed by request digest.  Used to
-        #: execute batches whose requests travelled separately.
+        #: execute batches whose requests travelled separately.  Entries
+        #: leave with the batch that carried them (:meth:`collect_garbage`).
         self.requests: Dict[bytes, Request] = {}
         #: Batch contents keyed by batch digest.  Used to re-propose requests
         #: across view changes (condition A3 of the decision procedure needs
-        #: the primary to hold the batch for the digest it selects).
+        #: the primary to hold the batch for the digest it selects).  Pruned
+        #: at the low water mark like the slots.
         self.batches: Dict[bytes, PrePrepare] = {}
 
     # ------------------------------------------------------------ water marks
@@ -229,6 +231,28 @@ class MessageLog:
             for seq, record in self.checkpoints.items()
             if seq >= stable_seq
         }
+        self._forget_batches(stable_seq)
+
+    def _forget_batches(self, stable_seq: int) -> None:
+        """Drop the batches ordered at or below ``stable_seq`` and the
+        request bodies only they carried.  A view change re-proposes
+        sequence numbers above the stable checkpoint only, so nothing can
+        ask for these again; a request a surviving batch also names (the
+        primary ordered a retransmission twice) stays."""
+        dropped = [
+            batch_digest
+            for batch_digest, batch in self.batches.items()
+            if batch.seq <= stable_seq
+        ]
+        if not dropped:
+            return
+        carried = set()
+        for batch_digest in dropped:
+            carried.update(self.batches.pop(batch_digest).all_request_digests())
+        for batch in self.batches.values():
+            carried.difference_update(batch.all_request_digests())
+        for request_digest in carried:
+            self.requests.pop(request_digest, None)
 
     # -------------------------------------------------------------- summaries
     def prepared_seqs(self) -> Tuple[int, ...]:

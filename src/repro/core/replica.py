@@ -338,12 +338,11 @@ class Replica:
             self._send_reply_message(self.last_reply[client])
             return
 
-        self.log.remember_request(request)
-
         if request.read_only and self.options.read_only_optimization:
             self._execute_read_only(request)
             return
 
+        self.log.remember_request(request)
         if self.is_primary and self.active_view:
             self.request_queue.append(request)
             self._try_send_pre_prepare()
@@ -362,6 +361,7 @@ class Replica:
         if not self.service.is_read_only(request.operation):
             # A faulty client marked a mutating operation read-only; fall
             # back to the normal protocol path.
+            self.log.remember_request(request)
             if self.is_primary and self.active_view:
                 self.request_queue.append(request)
                 self._try_send_pre_prepare()

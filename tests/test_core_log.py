@@ -91,6 +91,29 @@ def test_collect_garbage_discards_old_slots_and_checkpoints():
     assert sorted(log.checkpoints) == [4]
 
 
+def test_collect_garbage_discards_old_batches_and_their_requests():
+    log = MessageLog(log_size=8)
+    batches = {seq: make_pre_prepare(seq=seq, op=b"op%d" % seq) for seq in (3, 4, 5)}
+    for batch in batches.values():
+        log.remember_batch(batch)
+        log.remember_request(batch.requests[0])
+    # A retransmission the primary ordered twice: carried below and above.
+    shared = batches[3].requests[0]
+    again = PrePrepare(view=0, seq=6, requests=(shared,), nondet=b"n", sender="replica0")
+    log.remember_batch(again)
+    unbatched = Request(operation=b"queued", timestamp=9, client="c", sender="c")
+    log.remember_request(unbatched)
+
+    log.collect_garbage(4)
+
+    assert set(log.batches) == {batches[5].batch_digest(), again.batch_digest()}
+    assert set(log.requests) == {
+        shared.request_digest(),
+        batches[5].requests[0].request_digest(),
+        unbatched.request_digest(),
+    }
+
+
 def test_request_and_batch_lookup():
     log = MessageLog(log_size=8)
     request = Request(operation=b"op", timestamp=3, client="c", sender="c")

@@ -262,6 +262,8 @@ def test_read_only_request_executes_immediately(config, registry):
     replies = env.messages_of_type(Reply)
     assert replies and replies[0].result == b"42"
     assert replica.metrics.read_only_executed == 1
+    # Answered on the spot: nothing will look the body up again.
+    assert replica.log.request_by_digest(read.request_digest()) is None
 
 
 def test_mutating_request_marked_read_only_falls_back(primary_and_env):
@@ -272,6 +274,7 @@ def test_mutating_request_marked_read_only_falls_back(primary_and_env):
     # The service rejects it as read-only, so it goes through the protocol.
     assert env.messages_of_type(PrePrepare)
     assert env.messages_of_type(Reply) == []
+    assert primary.log.request_by_digest(bogus.request_digest()) is bogus
 
 
 # ---------------------------------------------------------------- batching

@@ -61,6 +61,9 @@ def test_checkpoints_become_stable_and_garbage_collect_log():
         assert replica.log.low_water_mark >= 8
         assert all(seq > 8 for seq in replica.log.slots)
         assert replica.metrics.checkpoints_taken >= 2
+        # The side tables are bounded by the window too, not by history.
+        assert all(batch.seq > 8 for batch in replica.log.batches.values())
+        assert len(replica.log.requests) <= 1
 
 
 def test_multiple_clients_interleave_correctly():
