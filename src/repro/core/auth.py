@@ -9,23 +9,28 @@ simulated CPU cost of each operation through the environment, which is what
 makes BFT-PK slow in the reproduced benchmarks.
 
 MACs and signatures are computed over the message digest (Section 3.2.1),
-and MAC work is cached per (peer, key, digest): signing the same payload
-for the same receiver again (status retransmissions, client retransmits)
-and verifying the expected tag for a payload already seen reuse the
-computed tag instead of re-running HMAC.  The charged simulated cost is
-unaffected —
-every operation is charged as if it were computed — so the caches change
-only the wall-clock cost of the simulation, never the modeled results.
-Tampering stays detectable: the cache stores the *expected* tag derived
-from the local key, and the received tag is still compared against it.
+which the message memoizes, so authenticating a multicast costs one
+encoding, one digest and one keyed-hash call per receiver.  Tags are not
+cached: measured over the benchmark workloads a per-node tag cache hit on
+0.5-6.8 % of lookups (only retransmissions repeat a (peer, key, digest)
+triple) and cost about what it saved.
+
+Every sign or verify is on the path of every delivered message, so what
+is constant per node — the environment's ``charge``, the cost-model
+constants — is resolved once in :meth:`Authentication.bind_env`, and each
+operation makes exactly one call into ``Message.payload_bytes``, one into
+``Message.payload_digest`` and one ``compute_mac`` per tag.  The charges are
+issued as the same additions in the same order whatever the route (digest
+cost first, then the MAC or signature cost): the node's pending charge is a
+float sum, and regrouping it would move modeled times in their last bits.
 """
 
 from __future__ import annotations
 
 import copy
-import hmac
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from hmac import compare_digest
+from typing import Callable, Iterable, Optional
 
 from repro import hotpath
 from repro.core.config import AuthMode
@@ -34,12 +39,13 @@ from repro.core.messages import Message
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.digests import digest
 from repro.crypto.keys import SessionKeyTable
-from repro.crypto.mac import MACKey, compute_mac
+from repro.crypto.mac import compute_mac
 from repro.crypto.signatures import KeyPair, Signature, SignatureRegistry
 from repro.perfmodel.params import CryptoCosts
 
-#: Bound on the per-node MAC tag cache; cleared wholesale when exceeded.
-_TAG_CACHE_LIMIT = 8192
+
+def _charge_nothing(micros: float) -> None:
+    """Stands in for ``Env.charge`` while no environment is bound."""
 
 
 @dataclass
@@ -74,35 +80,19 @@ class Authentication:
         self.registry = registry
         self.keypair = keypair or registry.generate(owner)
         self.costs = crypto_costs or CryptoCosts()
-        self.env = env
         self.real_crypto = real_crypto
-        #: (peer, key id, key material, payload) -> MAC tag.  Holds tags this
-        #: node computed, for sending (outbound keys) and for checking
-        #: received messages (expected tags under inbound keys).
-        self._tag_cache: Dict[Tuple[str, int, bytes, bytes], bytes] = {}
+        self._digest_fixed = self.costs.digest_fixed
+        self._digest_per_byte = self.costs.digest_per_byte
+        self._mac_cost = self.costs.mac
+        self.bind_env(env)
 
     # -------------------------------------------------------------- internals
-    def _charge(self, micros: float) -> None:
-        if self.env is not None:
-            self.env.charge(micros)
-
-    def bind_env(self, env: Env) -> None:
+    def bind_env(self, env: Optional[Env]) -> None:
+        """Charge simulated CPU time to ``env`` from now on.  Always through
+        ``Env.charge`` — tests and the sharded tier bind environments that
+        are not backed by a simulator node."""
         self.env = env
-
-    def _mac_tag(self, peer: str, key: MACKey, payload: bytes) -> bytes:
-        """The MAC tag of ``payload`` under ``key``, cached per (peer, key,
-        payload).  ``payload`` is usually the interned object returned by
-        ``Message.payload_bytes``, so the dictionary lookup is cheap."""
-        if not hotpath.CACHES_ENABLED:
-            return compute_mac(key, payload)
-        cache_key = (peer, key.key_id, key.material, payload)
-        tag = self._tag_cache.get(cache_key)
-        if tag is None:
-            tag = compute_mac(key, payload)
-            if len(self._tag_cache) >= _TAG_CACHE_LIMIT:
-                self._tag_cache.clear()
-            self._tag_cache[cache_key] = tag
-        return tag
+        self._charge = env.charge if env is not None else _charge_nothing
 
     def _auth_digest(self, message: Message) -> bytes:
         """The digest MACs and signatures are computed over.
@@ -115,7 +105,7 @@ class Authentication:
         sign/verify, exactly as before.
         """
         payload = message.payload_bytes()
-        self._charge(self.costs.digest_cost(len(payload)))
+        self._charge(self._digest_fixed + self._digest_per_byte * len(payload))
         if hotpath.CACHES_ENABLED:
             return message.payload_digest()
         return digest(payload)
@@ -126,9 +116,7 @@ class Authentication:
         in-flight envelope) still references.  Overwriting ``auth`` in
         place would corrupt the authenticator every other receiver sees,
         so re-signing operates on a shallow copy; callers must send the
-        returned message."""
-        if message.auth is None:
-            return message
+        returned message.  Called only when ``message.auth`` is set."""
         return copy.copy(message)
 
     # ---------------------------------------------------------------- signing
@@ -139,30 +127,31 @@ class Authentication:
         copy when re-signing one that was already signed (see
         :meth:`_resign_copy`) — retransmission paths must send the return
         value, not the original."""
-        message = self._resign_copy(message)
-        receivers = [r for r in receivers if r != self.owner]
+        if message.auth is not None:
+            message = self._resign_copy(message)
+        owner = self.owner
+        receivers = [r for r in receivers if r != owner]
         signed = self._auth_digest(message)
         if self.mode is AuthMode.SIGNATURE:
             self._charge(self.costs.signature_sign)
             if self.real_crypto:
                 message.auth = self.keypair.sign(signed)
             else:
-                message.auth = Signature(self.owner, self.keypair.public_key, b"")
+                message.auth = Signature(owner, self.keypair.public_key, b"")
             return message
-        self._charge(self.costs.mac * len(receivers))
+        self._charge(self._mac_cost * len(receivers))
         if self.real_crypto:
             # One payload serialization and digest (memoized on the message)
-            # and one HMAC context family per key; retransmitted payloads
-            # reuse the cached tags outright.
+            # and one keyed-hash call per receiver.
             outbound = self.keys.outbound
             tags = {
-                r: self._mac_tag(r, outbound[r], signed)
+                r: compute_mac(outbound[r], signed)
                 for r in receivers
                 if r in outbound
             }
-            message.auth = Authenticator(sender=self.owner, tags=tags)
+            message.auth = Authenticator(sender=owner, tags=tags)
         else:
-            message.auth = Authenticator(sender=self.owner, tags={r: b"" for r in receivers})
+            message.auth = Authenticator(sender=owner, tags={r: b"" for r in receivers})
         return message
 
     def sign_with_private_key(self, message: Message) -> Message:
@@ -179,7 +168,8 @@ class Authentication:
         return message
 
     def sign_point_to_point(self, message: Message, receiver: str) -> Message:
-        message = self._resign_copy(message)
+        if message.auth is not None:
+            message = self._resign_copy(message)
         signed = self._auth_digest(message)
         if self.mode is AuthMode.SIGNATURE:
             self._charge(self.costs.signature_sign)
@@ -188,12 +178,10 @@ class Authentication:
             else:
                 message.auth = Signature(self.owner, self.keypair.public_key, b"")
             return message
-        self._charge(self.costs.mac)
-        if self.real_crypto and receiver in self.keys.outbound:
-            key = self.keys.key_for_sending_to(receiver)
-            message.auth = MACAuth(
-                self.owner, receiver, self._mac_tag(receiver, key, signed)
-            )
+        self._charge(self._mac_cost)
+        key = self.keys.outbound.get(receiver) if self.real_crypto else None
+        if key is not None:
+            message.auth = MACAuth(self.owner, receiver, compute_mac(key, signed))
         else:
             message.auth = MACAuth(self.owner, receiver, b"")
         return message
@@ -203,23 +191,20 @@ class Authentication:
 
         ``signer(message, receiver)`` behaves exactly like
         :meth:`sign_point_to_point` — same charges, in the same order, with
-        the same values, and the same MAC tags out of the same pre-keyed
-        HMAC context family — but the per-call mode dispatch, attribute
-        lookups and cost-model indirection are hoisted out of the loop.
-        This is what lets the replica's batch pipeline sign a 64-reply
-        fan-out without re-resolving the signing configuration 64 times.
-        Falls back to the plain method outside the batchable configuration
+        the same values, and the same MAC tags — but the per-call mode
+        dispatch and attribute lookups are hoisted out of the loop.  This
+        is what lets the replica's batch pipeline sign a 64-reply fan-out
+        without re-resolving the signing configuration 64 times.  Falls
+        back to the plain method outside the batchable configuration
         (signature mode, or no environment bound to charge against).
         """
         if self.mode is AuthMode.SIGNATURE or self.env is None:
             return self.sign_point_to_point
-        costs = self.costs
-        digest_fixed = costs.digest_fixed
-        digest_per_byte = costs.digest_per_byte
-        mac_cost = costs.mac
-        charge = self.env.charge
+        digest_fixed = self._digest_fixed
+        digest_per_byte = self._digest_per_byte
+        mac_cost = self._mac_cost
+        charge = self._charge
         outbound = self.keys.outbound
-        key_for = self.keys.key_for_sending_to
         owner = self.owner
         real_crypto = self.real_crypto
 
@@ -231,15 +216,9 @@ class Authentication:
             else:
                 signed = digest(payload)
             charge(mac_cost)
-            if real_crypto and receiver in outbound:
-                # Fresh per-reply payloads never repeat, so the per-(peer,
-                # key, digest) tag cache would only pay insertion cost here;
-                # compute the tag straight from the pre-keyed HMAC context
-                # family instead (a later re-sign of the same cached reply
-                # simply recomputes — same tag, wall-clock only).
-                message.auth = MACAuth(
-                    owner, receiver, compute_mac(key_for(receiver), signed)
-                )
+            key = outbound.get(receiver) if real_crypto else None
+            if key is not None:
+                message.auth = MACAuth(owner, receiver, compute_mac(key, signed))
             else:
                 message.auth = MACAuth(owner, receiver, b"")
             return message
@@ -255,38 +234,36 @@ class Authentication:
         principal).
         """
         auth = message.auth
+        charge = self._charge
+        payload = message.payload_bytes()
+        charge(self._digest_fixed + self._digest_per_byte * len(payload))
         if auth is None:
-            self._charge(self.costs.digest_cost(len(message.payload_bytes())))
             return False
-        signed = self._auth_digest(message)
-        if isinstance(auth, Signature):
-            self._charge(self.costs.signature_verify)
+        signed = message.payload_digest() if hotpath.CACHES_ENABLED else digest(payload)
+        kind = type(auth)
+        if kind is Authenticator:
+            charge(self._mac_cost)
+            owner = self.owner
+            if not self.real_crypto:
+                return owner not in auth.corrupt_for
+            key = self.keys.inbound.get(auth.sender)
+            tag = auth.tags.get(owner)
+            if key is None or tag is None or owner in auth.corrupt_for:
+                return False
+            return compare_digest(compute_mac(key, signed), tag)
+        if kind is MACAuth:
+            charge(self._mac_cost)
+            if not self.real_crypto:
+                return True
+            key = self.keys.inbound.get(auth.sender)
+            if key is None:
+                return False
+            return compare_digest(compute_mac(key, signed), auth.tag)
+        if kind is Signature:
+            charge(self.costs.signature_verify)
             if not self.real_crypto:
                 return True
             return self.registry.verify(signed, auth)
-        if isinstance(auth, Authenticator):
-            self._charge(self.costs.mac)
-            if not self.real_crypto:
-                return self.owner not in auth.corrupt_for
-            if auth.sender not in self.keys.inbound:
-                return False
-            if self.owner in auth.corrupt_for:
-                return False
-            tag = auth.tags.get(self.owner)
-            if tag is None:
-                return False
-            key = self.keys.key_for_receiving_from(auth.sender)
-            expected = self._mac_tag(auth.sender, key, signed)
-            return hmac.compare_digest(expected, tag)
-        if isinstance(auth, MACAuth):
-            self._charge(self.costs.mac)
-            if not self.real_crypto:
-                return True
-            if auth.sender not in self.keys.inbound:
-                return False
-            key = self.keys.key_for_receiving_from(auth.sender)
-            expected = self._mac_tag(auth.sender, key, signed)
-            return hmac.compare_digest(expected, auth.tag)
         return False
 
     # -------------------------------------------------------------- execution

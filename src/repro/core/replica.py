@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.auth import Authentication
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig, DEFAULT_OPTIONS
@@ -155,6 +155,7 @@ class Replica:
         self.last_tentative = 0
         self.log = MessageLog(config.log_size)
         self.metrics = ReplicaMetrics()
+        self._handlers = self._handler_table()
 
         self.last_reply_timestamp: Dict[str, int] = {}
         self.last_reply: Dict[str, Reply] = {}
@@ -264,42 +265,41 @@ class Replica:
     # Message entry point
     # =====================================================================
     def receive(self, message: Message) -> None:
-        """Entry point for every protocol message delivered to this replica."""
-        if not self._authenticate(message):
+        """Entry point for every protocol message delivered to this replica.
+
+        Replies never reach replicas; everything else must carry valid
+        authentication from a known principal (Section 5.5).  Types without
+        a handler are dropped.
+        """
+        if message.auth is None or not self.auth.verify(message):
             self.metrics.messages_rejected += 1
             return
+        handler = self._handlers.get(type(message))
+        if handler is not None:
+            handler(message)
 
-        if isinstance(message, Request):
-            self.handle_request(message)
-        elif isinstance(message, PrePrepare):
-            self.handle_pre_prepare(message)
-        elif isinstance(message, Prepare):
-            self.handle_prepare(message)
-        elif isinstance(message, Commit):
-            self.handle_commit(message)
-        elif isinstance(message, Checkpoint):
-            self.handle_checkpoint(message)
-        elif isinstance(message, ViewChange):
-            self.handle_view_change(message)
-        elif isinstance(message, ViewChangeAck):
-            self.handle_view_change_ack(message)
-        elif isinstance(message, NewView):
-            self.handle_new_view(message)
-        elif isinstance(message, StatusActive):
-            self.handle_status_active(message)
-        elif isinstance(message, StatusPending):
-            self.handle_status_pending(message)
-        elif isinstance(message, (QueryStable, ReplyStable, NewKey)):
-            self._handle_recovery_message(message)
-        elif isinstance(message, (Fetch, MetaData, Data)):
-            self._handle_state_transfer_message(message)
-
-    def _authenticate(self, message: Message) -> bool:
-        # Replies never reach replicas; everything else must carry valid
-        # authentication from a known principal (Section 5.5).
-        if message.auth is None:
-            return False
-        return self.auth.verify(message)
+    def _handler_table(self) -> Dict[type, Callable[[Message], None]]:
+        """Message type -> bound handler.  Built per instance, from bound
+        methods, so a handler replaced on the class before the replica is
+        constructed (a tracer, a test double) is the one deliveries reach."""
+        return {
+            Request: self.handle_request,
+            PrePrepare: self.handle_pre_prepare,
+            Prepare: self.handle_prepare,
+            Commit: self.handle_commit,
+            Checkpoint: self.handle_checkpoint,
+            ViewChange: self.handle_view_change,
+            ViewChangeAck: self.handle_view_change_ack,
+            NewView: self.handle_new_view,
+            StatusActive: self.handle_status_active,
+            StatusPending: self.handle_status_pending,
+            QueryStable: self._handle_recovery_message,
+            ReplyStable: self._handle_recovery_message,
+            NewKey: self._handle_recovery_message,
+            Fetch: self._handle_state_transfer_message,
+            MetaData: self._handle_state_transfer_message,
+            Data: self._handle_state_transfer_message,
+        }
 
     def _handle_recovery_message(self, message: Message) -> None:
         if self.recovery is not None:

@@ -94,6 +94,9 @@ class ProtocolNode(Node):
         self.network = network
         self.params = params
         self.fault_injector = fault_injector
+        #: The injector's live spec table: falsy while no fault is registered.
+        self._fault_specs = fault_injector.specs
+        self._receive_cpu = params.communication.receive_cpu
         self.rng = rng
         self.protocol: Any = None
         #: Tree-mode dissemination logic (``net/overlay.py``); ``None`` in
@@ -110,13 +113,18 @@ class ProtocolNode(Node):
 
     # ----------------------------------------------------------------- events
     def on_message(self, payload: Any, arrival_time: float) -> None:
-        if self._is_crashed():
+        """Handle one delivery.  On the path of every protocol message, so
+        :meth:`_begin_handling`/:meth:`_finish_handling` are written out
+        here, the crash check consults the injector only when it holds a
+        fault, and an empty outbox skips the flush."""
+        if self.crashed or (self._fault_specs and self._is_crashed()):
             return
         envelope: Envelope = payload
-        busy_start = max(arrival_time, self.cpu_available_at)
-        self._begin_handling(
-            self.params.communication.receive_cpu(envelope.size_bytes)
-        )
+        available = self.cpu_available_at
+        busy_start = arrival_time if arrival_time > available else available
+        self.pending_charge = self._receive_cpu(envelope.size_bytes)
+        self._outbox = []
+        self._in_handler = True
         message = envelope.message
         disseminator = self.disseminator
         if disseminator is not None and type(message) in (Relay, RelayComplaint):
@@ -125,7 +133,15 @@ class ProtocolNode(Node):
             disseminator.on_wire(message)
         else:
             self.protocol.receive(message)
-        self._finish_handling(busy_start)
+        self._in_handler = False
+        charged = self.pending_charge
+        self.cpu_available_at = busy_start + charged
+        self.cpu_busy_total += charged
+        self.pending_charge = 0.0
+        outbox = self._outbox
+        if outbox:
+            self._outbox = []
+            self._flush(outbox)
 
     def on_timer(self, label: str) -> None:
         if self._is_crashed():
@@ -167,6 +183,9 @@ class ProtocolNode(Node):
         self.cpu_busy_total += self.pending_charge
         self.pending_charge = 0.0
         outbox, self._outbox = self._outbox, []
+        self._flush(outbox)
+
+    def _flush(self, outbox: List[Tuple[str, Any]]) -> None:
         if len(outbox) > 1 and hotpath.BATCH_EXECUTION_ENABLED:
             self._transmit_many(outbox)
         else:
@@ -197,9 +216,8 @@ class ProtocolNode(Node):
         if disseminator is not None and disseminator.handles(message, destinations):
             disseminator.disseminate(message, destinations)
             return
-        for destination in destinations:
-            if destination != self.name:
-                self.queue_send(destination, message)
+        name = self.name
+        self.queue_send_many([(d, message) for d in destinations if d != name])
 
     def _transmit(self, destination: str, message: Any) -> None:
         message = self._apply_send_faults(destination, message)
@@ -219,22 +237,34 @@ class ProtocolNode(Node):
         """Batch form of :meth:`_transmit`: the per-message CPU accounting
         and fault checks run in the identical order with identical values,
         but the network receives the whole flush in one call and builds a
-        single delivery train for it (``Network.send_many``)."""
+        single delivery train for it (``Network.send_many``).
+
+        A multicast sits in the outbox as consecutive entries carrying one
+        message object, so the size and send cost are worked out once per
+        run of equal messages; the busy-time sums still take one addition
+        per destination, in outbox order."""
         injector = self.fault_injector
         faulty = not injector.empty()
         send_cpu_of = self.params.communication.send_cpu
         name = self.name
+        available = self.cpu_available_at
+        busy = self.cpu_busy_total
+        previous = None
+        size = 0
+        send_cpu = 0.0
         deliveries: List[Tuple[str, Any, int, float]] = []
         for destination, message in outbox:
             if faulty:
                 message = self._apply_send_faults(destination, message)
                 if message is None:
                     continue
-            size = message.wire_size() if hasattr(message, "wire_size") else 64
-            send_cpu = send_cpu_of(size)
-            self.cpu_available_at += send_cpu
-            self.cpu_busy_total += send_cpu
-            not_before = self.cpu_available_at
+            if message is not previous:
+                previous = message
+                size = message.wire_size() if hasattr(message, "wire_size") else 64
+                send_cpu = send_cpu_of(size)
+            available += send_cpu
+            busy += send_cpu
+            not_before = available
             if faulty:
                 delay_fault = injector.get(
                     name, FaultType.DELAY_MESSAGES, self.now
@@ -242,6 +272,8 @@ class ProtocolNode(Node):
                 if delay_fault is not None:
                     not_before += delay_fault.delay
             deliveries.append((destination, message, size, not_before))
+        self.cpu_available_at = available
+        self.cpu_busy_total = busy
         self.network.send_many(name, deliveries)
 
     def _apply_send_faults(self, destination: str, message: Any) -> Optional[Any]:

@@ -64,18 +64,21 @@ class NetworkStats:
         size_bytes: int,
         source: Optional[str] = None,
         auth_bytes: int = 0,
+        copies: int = 1,
     ) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        self.auth_bytes_sent += auth_bytes
-        self.per_type[type_name] = self.per_type.get(type_name, 0) + 1
+        """Count ``copies`` sends of one message (a multicast is ``copies``
+        equal messages, counted in one update)."""
+        self.messages_sent += copies
+        self.bytes_sent += size_bytes * copies
+        self.auth_bytes_sent += auth_bytes * copies
+        self.per_type[type_name] = self.per_type.get(type_name, 0) + copies
         if source is not None:
             node = self.per_node.get(source)
             if node is None:
                 node = self.per_node[source] = NodeWireStats()
-            node.messages_sent += 1
-            node.bytes_sent += size_bytes
-            node.auth_bytes_sent += auth_bytes
+            node.messages_sent += copies
+            node.bytes_sent += size_bytes * copies
+            node.auth_bytes_sent += auth_bytes * copies
 
     def wire_totals(self) -> Dict[str, Any]:
         """The wire-accounting snapshot benchmarks read: uniform totals
@@ -246,9 +249,10 @@ class Network:
         now = scheduler.clock.now
         endpoints = self._endpoints
         stats = self.stats
-        record = stats.record
         fixed = conditions.fixed_delay
         per_byte = conditions.per_byte_delay
+        make_event = Event.make
+        deliver = EventKind.DELIVER
         tail = self._train_tail
         extendable = (
             tail is not None
@@ -257,27 +261,38 @@ class Network:
             and scheduler.dispatched == self._train_dispatched
         )
         touched = False
+        # A multicast arrives as consecutive deliveries of one message
+        # object: what depends only on the message (type name, auth bytes,
+        # transit time) is worked out once per such run, and the counters
+        # are updated once per run with the number of copies that left.
+        run_message: Any = None
+        run_size = -1
+        run_copies = 0
+        type_name = ""
+        auth_bytes = 0
+        transit = 0.0
         for destination, message, size_bytes, not_before in deliveries:
+            if message is not run_message or size_bytes != run_size:
+                if run_copies:
+                    stats.record(type_name, run_size, source, auth_bytes, run_copies)
+                    run_copies = 0
+                run_message = message
+                run_size = size_bytes
+                type_name = type(message).__name__
+                auth_bytes = _auth_bytes(message)
+                transit = fixed + per_byte * max(0, size_bytes)
             if destination not in endpoints:
                 stats.messages_dropped += 1
                 continue
             depart = (
-                max(now, not_before) if not_before is not None else now
+                not_before if not_before is not None and not_before > now else now
             )
-            record(type(message).__name__, size_bytes, source,
-                   _auth_bytes(message))
-            transit = fixed + per_byte * max(0, size_bytes)
-            event = Event.make(
+            run_copies += 1
+            event = make_event(
                 depart + transit,
-                EventKind.DELIVER,
+                deliver,
                 destination,
-                payload=Envelope(
-                    source=source,
-                    destination=destination,
-                    message=message,
-                    size_bytes=size_bytes,
-                    sent_at=depart,
-                ),
+                Envelope(source, destination, message, size_bytes, depart),
             )
             touched = True
             if extendable and event.time >= tail.time:
@@ -288,6 +303,8 @@ class Network:
                 scheduler.schedule(event)
                 tail = event
                 extendable = True
+        if run_copies:
+            stats.record(type_name, run_size, source, auth_bytes, run_copies)
         if touched:
             # Equivalent to the per-send bookkeeping: extensions never
             # change the recorded counters (no push happens), and a new

@@ -32,11 +32,12 @@ class SimClock:
         guarantees events are dispatched in timestamp order, so a move
         backwards indicates a scheduling bug.
         """
-        if when + 1e-9 < self._now:
+        if when > self._now:
+            self._now = when if type(when) is float else float(when)
+        elif when + 1e-9 < self._now:
             raise ValueError(
                 f"cannot move clock backwards: now={self._now}, requested={when}"
             )
-        self._now = max(self._now, float(when))
 
     def advance_by(self, delta: float) -> None:
         """Advance the clock by a non-negative ``delta`` microseconds."""

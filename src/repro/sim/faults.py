@@ -79,32 +79,35 @@ class FaultInjector:
     """
 
     def __init__(self, specs: Optional[Iterable[FaultSpec]] = None) -> None:
-        self._specs: Dict[str, List[FaultSpec]] = {}
+        #: node -> its fault specs.  Only ever mutated in place, so callers
+        #: on the per-message path hold a reference and test its truth
+        #: instead of calling :meth:`empty` (falsy until a fault is added).
+        self.specs: Dict[str, List[FaultSpec]] = {}
         for spec in specs or []:
             self.add(spec)
 
     def add(self, spec: FaultSpec) -> None:
-        self._specs.setdefault(spec.node, []).append(spec)
+        self.specs.setdefault(spec.node, []).append(spec)
 
     def empty(self) -> bool:
         """True when no fault has ever been registered (the common case on
         the simulator's hot path)."""
-        return not self._specs
+        return not self.specs
 
     def faults_for(self, node: str, now: float) -> List[FaultSpec]:
-        specs = self._specs.get(node)
+        specs = self.specs.get(node)
         if not specs:
             return []
         return [s for s in specs if s.active_at(now)]
 
     def has_fault(self, node: str, fault: FaultType, now: float) -> bool:
-        specs = self._specs.get(node)
+        specs = self.specs.get(node)
         if not specs:
             return False
         return any(s.fault is fault and s.active_at(now) for s in specs)
 
     def get(self, node: str, fault: FaultType, now: float) -> Optional[FaultSpec]:
-        specs = self._specs.get(node)
+        specs = self.specs.get(node)
         if not specs:
             return None
         for spec in specs:
@@ -114,10 +117,10 @@ class FaultInjector:
 
     def faulty_nodes(self, now: float) -> List[str]:
         """Names of all nodes with at least one active fault."""
-        return [node for node in self._specs if self.faults_for(node, now)]
+        return [node for node in self.specs if self.faults_for(node, now)]
 
     def clear(self, node: Optional[str] = None) -> None:
         if node is None:
-            self._specs.clear()
+            self.specs.clear()
         else:
-            self._specs.pop(node, None)
+            self.specs.pop(node, None)

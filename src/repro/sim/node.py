@@ -72,11 +72,12 @@ class Node:
     def handle_event(self, event: Event) -> None:
         if self.crashed:
             return
-        if event.kind is EventKind.DELIVER:
+        kind = event.kind
+        if kind is EventKind.DELIVER:
             self.on_message(event.payload, event.time)
-        elif event.kind is EventKind.TIMER:
+        elif kind is EventKind.TIMER:
             self.on_timer(event.payload)
-        elif event.kind is EventKind.INTERNAL:
+        elif kind is EventKind.INTERNAL:
             self.on_internal(event.payload)
 
     # -------------------------------------------------------------- utilities

@@ -162,6 +162,7 @@ class Scheduler:
         """
         dispatched = 0
         queue = self._queue
+        nodes = self._nodes
         advance_to = self.clock.advance_to
         pop = heapq.heappop
         push = heapq.heappush
@@ -193,11 +194,19 @@ class Scheduler:
             # the successor is compared against the current heap top under
             # the exact (time, sequence) order, and anything an event
             # handler schedules lands in the heap before the comparison.
+            # Both dispatch sites below are :meth:`_dispatch` written out:
+            # one Python call less on the path of every delivered message.
             successor = event.after
             event.after = None
             advance_to(when)
+            self._dispatched += 1
             try:
-                self._dispatch(event)
+                if event.callback is not None:
+                    event.callback()
+                else:
+                    node = nodes.get(event.target)
+                    if node is not None:
+                        node.handle_event(event)
             except BaseException:
                 # A raising handler must not lose the train: return the
                 # pending successor to the heap (the non-fast path pushed
@@ -239,8 +248,14 @@ class Scheduler:
                 nxt = successor.after
                 successor.after = None
                 advance_to(successor.time)
+                self._dispatched += 1
                 try:
-                    self._dispatch(successor)
+                    if successor.callback is not None:
+                        successor.callback()
+                    else:
+                        node = nodes.get(successor.target)
+                        if node is not None:
+                            node.handle_event(successor)
                 except BaseException:
                     if nxt is not None:
                         push(queue, (nxt.time, nxt.sequence, nxt))

@@ -48,6 +48,39 @@ def test_mac_differs_per_key():
     assert compute_mac(key1, b"m") != compute_mac(key2, b"m")
 
 
+def test_mac_is_eight_bytes_for_any_byte_like_and_any_key_length():
+    data = b"sixteen byte dig"
+    for material in (b"k", b"k" * 32, b"k" * 64, b"k" * 65, b"k" * 1000):
+        key = MACKey(key_id=1, material=material)
+        tag = compute_mac(key, data)
+        assert len(tag) == 8
+        assert compute_mac(key, bytearray(data)) == tag
+        assert compute_mac(key, memoryview(data)) == tag
+        assert verify_mac(key, data, tag)
+    # Keys past the primitive's 64-byte limit are hashed down, not truncated.
+    assert compute_mac(MACKey(1, b"k" * 65), data) != compute_mac(MACKey(1, b"k" * 64), data)
+    assert compute_mac(MACKey(1, b"k" * 65), data) != compute_mac(MACKey(1, b"k" * 66), data)
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+def test_mac_rejects_a_flipped_bit_in_payload_tag_or_key():
+    material, data = b"m" * 32, b"payload digest.."
+    key = MACKey(key_id=1, material=material)
+    tag = compute_mac(key, data)
+    for bit in range(0, len(data) * 8, 7):
+        assert not verify_mac(key, _flip(data, bit), tag)
+    for bit in range(len(tag) * 8):
+        assert not verify_mac(key, data, _flip(tag, bit))
+    for bit in range(0, len(material) * 8, 5):
+        assert not verify_mac(MACKey(1, _flip(material, bit)), data, tag)
+    assert not verify_mac(key, data, tag[:-1])
+
+
 def test_mac_key_requires_material():
     with pytest.raises(ValueError):
         MACKey(key_id=1, material=b"")

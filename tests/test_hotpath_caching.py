@@ -256,7 +256,7 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
                       sender="replica0")
     sender.sign_multicast(message, ("replica1", "replica2", "replica3"))
 
-    # Verification succeeds repeatedly (second call hits the tag cache).
+    # Verification succeeds repeatedly (each call recomputes the tag).
     assert receiver.verify(message)
     assert receiver.verify(message)
 
@@ -269,7 +269,7 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
         )
     assert reference.auth.tags == message.auth.tags
 
-    # Tampering with the payload invalidates the cached-tag verification.
+    # Tampering with the payload invalidates the verification.
     forged = dataclasses.replace(message, seq=4)
     forged.auth = message.auth
     assert not receiver.verify(forged)
@@ -298,15 +298,16 @@ def test_point_to_point_mac_rejects_wrong_receiver_key():
     assert not make_auth("replica2").verify(message)
 
 
-def test_retransmission_reuses_cached_tag_with_same_result():
+def test_resigning_for_retransmission_gives_the_same_tag():
     sender = make_auth("replica0")
     message = Checkpoint(seq=8, state_digest=b"s" * 16, replica="replica0",
                          sender="replica0")
     sender.sign_point_to_point(message, "replica1")
     first_tag = message.auth.tag
-    sender.sign_point_to_point(message, "replica1")
-    assert message.auth.tag == first_tag
-    assert make_auth("replica1").verify(message)
+    resigned = sender.sign_point_to_point(message, "replica1")
+    assert resigned is not message  # the first copy may still be in flight
+    assert resigned.auth.tag == first_tag
+    assert make_auth("replica1").verify(resigned)
 
 
 def test_wire_size_tracks_auth_reassignment():
