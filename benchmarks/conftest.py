@@ -1,11 +1,13 @@
 """Shared helpers for the benchmark suite.
 
 Each benchmark regenerates one table or figure from the paper's evaluation
-(Chapter 8); the per-experiment index lives in DESIGN.md and the recorded
-outcomes in EXPERIMENTS.md.  The pytest-benchmark timings measure the cost
-of running the simulation itself; the reproduced results are the
-``ExperimentTable`` rows each benchmark prints and saves under
-``results/``.
+(Chapter 8); each module's docstring says which, and the recorded outcomes
+are the committed ``results/E*.json`` and ``BENCH_*.json``.  The
+pytest-benchmark timings measure the cost of running the simulation
+itself; the reproduced results are the ``ExperimentTable`` rows each
+benchmark prints and saves.  A plain run writes them to a scratch
+directory; ``BENCH_RECORD=1`` updates the committed files (see
+``output_paths.py``).
 
 Smoke mode: setting ``BENCH_SMOKE=1`` in the environment shrinks the
 workload sizes of benchmarks wired to the ``bench_scale`` fixture so the
@@ -26,13 +28,7 @@ if _SRC not in sys.path:
 
 import pytest
 
-#: Where ExperimentTable rows land; ``RESULTS_OUTPUT_DIR`` redirects them
-#: (check_regression.py points it at a scratch dir so a verification run
-#: can't clobber the committed results/E*.json).
-RESULTS_DIR = os.environ.get(
-    "RESULTS_OUTPUT_DIR",
-    os.path.join(os.path.dirname(os.path.dirname(__file__)), "results"),
-)
+from output_paths import BENCH_DIR, RESULTS_DIR
 
 #: True when the suite runs in smoke mode (BENCH_SMOKE=1).
 BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "").strip().lower() not in (
@@ -42,7 +38,11 @@ BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "").strip().lower() not in (
 
 @pytest.fixture
 def results_dir() -> str:
+    """Where ``ExperimentTable`` rows land.  Every benchmark that writes a
+    ``BENCH_*.json`` record takes this fixture too, so both output
+    directories exist by the time a test body runs."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
+    os.makedirs(BENCH_DIR, exist_ok=True)
     return RESULTS_DIR
 
 

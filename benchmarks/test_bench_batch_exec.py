@@ -18,20 +18,22 @@ measured three ways in one process:
 * **optimized** — every hot-path switch on;
 * **baseline**  — every hot-path switch off (``caches_disabled`` +
   ``batch_execution_disabled``): the per-request execution stack the
-  E13/E14 records also baseline against.  The headline gates this
-  load-invariant speedup ratio;
+  E13/E14 records also baseline against.  The headline is this ratio;
 * **pipeline-off** — only ``batch_execution_disabled``: isolates this
   PR's pipeline from the PR-1/2 caches; recorded per row as
-  ``pipeline_speedup`` (and gated much more loosely — the commit-side
-  path is ~a third of the whole simulator, so Amdahl bounds it well
-  below the headline).
+  ``pipeline_speedup`` (the commit-side path is ~a third of the whole
+  simulator, so Amdahl bounds it well below the headline).
 
-Modeled results (completions, ops/sec, latency) must be bit-identical
-across every toggle combination — the pipeline only changes how fast the
-simulator runs.  Results go to ``BENCH_batchexec.json`` at the repo root
-(full-scale runs only) and a summary table to ``results/E18.json``;
-``benchmarks/check_regression.py`` validates the record in ``--smoke``
-and gates the speedup ratios on full runs.
+Modeled results (completions, ops/sec, latency, batch sizes, views) must
+be bit-identical across every toggle combination — the pipeline only
+changes how fast the simulator runs — and that identity is what the test
+asserts.  Both speedups are *reported, not gated*: they compare the
+current code with twins kept in the tree, so work that speeds up every
+side moves them for reasons unrelated to correctness (absolute numbers
+live in ``perf/``).  A record run (``BENCH_RECORD=1``, full scale) writes
+``BENCH_batchexec.json`` at the repo root and ``results/E18.json``;
+``benchmarks/check_regression.py`` validates the record's shape in
+``--smoke``.
 """
 
 from __future__ import annotations
@@ -54,21 +56,9 @@ from repro.core.config import DEFAULT_OPTIONS
 from repro.library import BFTCluster
 from repro.services.kvstore import KeyValueStore
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(
-    os.environ.get("BENCH_OUTPUT_DIR", REPO_ROOT), "BENCH_batchexec.json"
-)
+from output_paths import BENCH_DIR
 
-#: Required optimized-vs-baseline wall-clock speedup on the headline
-#: (f=1 KV churn, max_batch_size=64) at full scale.
-FULL_SPEEDUP_FLOOR = 1.5
-SMOKE_SPEEDUP_FLOOR = 1.0
-#: Catastrophe guard on the pipeline-only ratio (batch toggle alone,
-#: caches on).  Standalone it measures ~1.1-1.2x, but it compares two
-#: near-equal wall times, so a background-load spike on either side can
-#: push a single sample well below 1.0 — the gate is deliberately loose
-#: and gets the same one-retry treatment as the headline.
-FULL_PIPELINE_FLOOR = 0.8
+BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_batchexec.json")
 
 
 def _run_once(generator: str, f: int, clients: int, ops_per_client: int,
@@ -197,19 +187,6 @@ def run_experiment(smoke: bool, scale) -> dict:
     workloads = _workloads(scale)
     macro = [_measure_row(workload, repeats) for workload in workloads]
     headline = macro[0]
-    if not smoke and (
-        headline["speedup"] < FULL_SPEEDUP_FLOOR
-        or headline["pipeline_speedup"] < FULL_PIPELINE_FLOOR
-    ):
-        # One re-measure before declaring a floor missed (noisy-host
-        # guard, same policy as E13/E14).
-        retried = _measure_row(workloads[0], repeats)
-        if (
-            retried["speedup"] >= FULL_SPEEDUP_FLOOR
-            and retried["pipeline_speedup"] >= FULL_PIPELINE_FLOOR
-        ) or retried["speedup"] > headline["speedup"]:
-            macro[0] = retried
-            headline = retried
     return {
         "experiment": "batch-execution",
         "smoke": smoke,
@@ -249,14 +226,3 @@ def test_batch_execution_speedup(benchmark, results_dir, bench_smoke, bench_scal
     for row in report["macro"]:
         assert _modeled(row["baseline"]) == _modeled(row["optimized"]), row["workload"]
         assert _modeled(row["pipeline_off"]) == _modeled(row["optimized"]), row["workload"]
-
-    floor = SMOKE_SPEEDUP_FLOOR if bench_smoke else FULL_SPEEDUP_FLOOR
-    assert report["headline_speedup"] >= floor, (
-        f"batch-execution speedup {report['headline_speedup']}x below "
-        f"{floor}x (see {BENCH_PATH})"
-    )
-    if not bench_smoke:
-        assert report["headline_pipeline_speedup"] >= FULL_PIPELINE_FLOOR, (
-            f"the batch pipeline slowed the simulator down: "
-            f"{report['headline_pipeline_speedup']}x"
-        )

@@ -13,9 +13,12 @@ cost the paper's Section 5.3 copy-on-write partitions eliminate.
 Optimized and baseline (``repro.hotpath.caches_disabled()``) runs execute
 identical operation streams in the same process; their modeled ops/sec and
 latencies must be bit-identical — the pipeline only changes how fast the
-simulator itself runs.  Results go to ``BENCH_checkpoint.json`` at the
-repository root (full-scale runs only) and a summary table to
-``results/E14.json``.
+simulator itself runs.  That identity is what the test asserts.  The
+wall-clock speedup is *reported, not gated*: it compares the current code
+with a twin kept in the tree, so work that speeds up both sides moves it
+for reasons unrelated to correctness (absolute numbers live in ``perf/``).
+A record run (``BENCH_RECORD=1``, full scale) writes
+``BENCH_checkpoint.json`` at the repository root and ``results/E14.json``.
 """
 
 from __future__ import annotations
@@ -34,15 +37,9 @@ from repro.bench import (
 from repro.library import BFTCluster
 from repro.services.kvstore import KeyValueStore
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(
-    os.environ.get("BENCH_OUTPUT_DIR", REPO_ROOT), "BENCH_checkpoint.json"
-)
+from output_paths import BENCH_DIR
 
-#: Required wall-clock speedup on the headline workload at full scale.
-FULL_SPEEDUP_FLOOR = 2.0
-#: Smoke runs only check the wiring (tiny workloads, noisy timing).
-SMOKE_SPEEDUP_FLOOR = 1.0
+BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_checkpoint.json")
 
 
 def _churn_run(
@@ -207,15 +204,6 @@ def run_experiment(smoke: bool, scale) -> dict:
         macro.append(_measure_macro_row(workload, repeats))
     micro = _micro_benchmarks(scale(2_000, 200))
     headline = macro[0]
-    if not smoke and headline["speedup"] < FULL_SPEEDUP_FLOOR:
-        # One re-measure before declaring the floor missed: standalone runs
-        # sit comfortably above it, and sub-floor readings track background
-        # load spikes — an intermittently failing tier-1 gate costs more
-        # than the extra seconds.
-        retried = _measure_macro_row(workloads[0], repeats)
-        if retried["speedup"] > headline["speedup"]:
-            macro[0] = retried
-            headline = retried
     return {
         "experiment": "checkpoint-pipeline",
         "smoke": smoke,
@@ -259,9 +247,3 @@ def test_checkpoint_pipeline_speedup(benchmark, results_dir, bench_smoke, bench_
             row["baseline"]["modeled_mean_latency_us"]
             == row["optimized"]["modeled_mean_latency_us"]
         )
-
-    floor = SMOKE_SPEEDUP_FLOOR if bench_smoke else FULL_SPEEDUP_FLOOR
-    assert report["headline_speedup"] >= floor, (
-        f"checkpoint-pipeline speedup {report['headline_speedup']}x below "
-        f"{floor}x (see {BENCH_PATH})"
-    )

@@ -4,16 +4,19 @@ Every other benchmark reports *modeled* metrics (simulated microseconds);
 this one measures the real wall-clock cost of running the simulator
 itself, which is what bounds the scenario scale the reproduction can
 reach.  It compares the optimized hot path (memoized encodings/digests,
-digest-based MACs with a pre-keyed HMAC context family, per-peer tag
-caches) against the pre-optimization baseline re-created by
-``repro.hotpath.caches_disabled()`` — both measured in the same process,
-on identical workloads, with identical modeled results.
+coalesced delivery trains) against the pre-optimization baseline
+re-created by ``repro.hotpath.caches_disabled()`` — both measured in the
+same process, on identical workloads, with identical modeled results.
 
 The headline number is the wall-clock ops/sec speedup on the f=2
-throughput workload (larger groups amplify the multicast fan-out that the
-caches collapse to one computation per message).  Results are written to
-``BENCH_hotpath.json`` at the repository root so the perf trajectory is
-tracked across PRs, and a summary table goes to ``results/E13.json``.
+throughput workload.  It is *reported, not gated*: the ratio compares the
+current code with a twin kept in the tree, so work that speeds up both
+sides (the MAC kernel, the per-message fast path) moves it for reasons
+that have nothing to do with correctness, and the absolute yardstick is
+``perf/`` (``BENCHMARK.json``).  What this test asserts is exact: equal
+completions, modeled throughput and latency, and wire counters on both
+sides of the toggle.  A record run (``BENCH_RECORD=1``) writes
+``BENCH_hotpath.json`` at the repository root and ``results/E13.json``.
 """
 
 from __future__ import annotations
@@ -38,18 +41,14 @@ from repro.services import NullService
 from repro.sim.events import EventKind
 from repro.sim.scheduler import Scheduler
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: ``check_regression.py`` points fresh runs at a scratch directory through
-#: this variable; committed records live at the repository root.
-BENCH_PATH = os.path.join(
-    os.environ.get("BENCH_OUTPUT_DIR", REPO_ROOT), "BENCH_hotpath.json"
-)
+from output_paths import BENCH_DIR
 
-#: Required wall-clock speedup on the headline workload at full scale.
-FULL_SPEEDUP_FLOOR = 2.0
-#: Smoke runs are for wiring checks, not perf records; noise tolerance is
-#: wider and the workload much smaller.
-SMOKE_SPEEDUP_FLOOR = 1.3
+BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_hotpath.json")
+
+#: What must be identical with the caches on and off: modeled results and
+#: the exact work counters of the run.
+EXACT_KEYS = ("completed", "modeled_ops_per_second", "modeled_mean_latency_us",
+              "messages_sent", "payload_bytes")
 
 
 # ---------------------------------------------------------------------- macro
@@ -227,19 +226,6 @@ def run_experiment(smoke: bool, scale) -> dict:
     headline = next(
         (row for row in macro if "headline" in row["workload"]), macro[-1]
     )
-    if not smoke and headline["speedup"] < FULL_SPEEDUP_FLOOR:
-        # One re-measure before declaring the floor missed: standalone runs
-        # sit comfortably above it, and sub-floor readings track background
-        # load spikes — an intermittently failing tier-1 gate costs more
-        # than the extra seconds.
-        workload = next(w for w in _macro_workloads(scale, smoke)
-                        if w["name"] == headline["workload"])
-        retried = _measure_macro_row(
-            workload, workload.get("repeats", default_repeats)
-        )
-        if retried["speedup"] > headline["speedup"]:
-            macro[macro.index(headline)] = retried
-            headline = retried
     return {
         "experiment": "hotpath",
         "smoke": smoke,
@@ -272,16 +258,8 @@ def test_hotpath_speedup(benchmark, results_dir, bench_smoke, bench_scale):
         with open(BENCH_PATH, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
 
-    # The caches must never change the modeled protocol results.
+    # The caches must never change the modeled protocol results or the
+    # work done on the wire.  (The speedup itself is reported, not gated.)
     for row in report["macro"]:
-        assert row["baseline"]["completed"] == row["optimized"]["completed"]
-        assert (
-            row["baseline"]["modeled_mean_latency_us"]
-            == row["optimized"]["modeled_mean_latency_us"]
-        )
-
-    floor = SMOKE_SPEEDUP_FLOOR if bench_smoke else FULL_SPEEDUP_FLOOR
-    assert report["headline_speedup"] >= floor, (
-        f"hot-path speedup {report['headline_speedup']}x below {floor}x "
-        f"(see {BENCH_PATH})"
-    )
+        for key in EXACT_KEYS:
+            assert row["baseline"][key] == row["optimized"][key], (row["workload"], key)

@@ -50,10 +50,9 @@ from repro.sharding import (
     load_imbalance,
 )
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(
-    os.environ.get("BENCH_OUTPUT_DIR", REPO_ROOT), "BENCH_rebalancing.json"
-)
+from output_paths import BENCH_DIR
+
+BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_rebalancing.json")
 
 #: The auto-rebalanced measured phase must reach this fraction of the
 #: uniform (no-skew) throughput curve.

@@ -41,10 +41,9 @@ from repro.bench import (
 from repro.sharding import ShardedKVCluster, load_imbalance
 from repro.sharding.router import ShardRouter
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(
-    os.environ.get("BENCH_OUTPUT_DIR", REPO_ROOT), "BENCH_sharding.json"
-)
+from output_paths import BENCH_DIR
+
+BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_sharding.json")
 
 #: Required whole-store / migration modeled-bytes ratio on the headline
 #: migration workload (the moved range is ~1/10 of the source group's

@@ -32,10 +32,9 @@ from repro.bench import ExperimentTable, StopWatch, preload_kv_state, run_kv_mix
 from repro.library import BFTCluster
 from repro.services.kvstore import KeyValueStore
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(
-    os.environ.get("BENCH_OUTPUT_DIR", REPO_ROOT), "BENCH_statetransfer.json"
-)
+from output_paths import BENCH_DIR
+
+BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_statetransfer.json")
 
 #: Required bytes ratio (whole-snapshot / page-level) on the headline
 #: workload, where at most ~10% of the pages are dirty.
