@@ -3,7 +3,7 @@
 Each benchmark regenerates one table or figure from the evaluation chapter.
 ``ExperimentTable`` collects rows, prints them in an aligned text table
 (the form the pytest-benchmark output is accompanied by), and can persist
-them under ``results/`` so EXPERIMENTS.md can reference concrete numbers.
+them as ``E<n>.json`` (the committed copies live under ``results/``).
 ``StopWatch`` is the shared wall-clock + CPU-time measurement every
 benchmark row that reports real time uses, so ``wall_seconds`` always
 travels with a ``cpu_seconds`` reading (process CPU time, which separates

@@ -143,7 +143,7 @@ class ProtocolOptions:
     #: multicast by the client and only their digests ride in pre-prepares.
     separate_request_transmission: bool = True
     separate_request_threshold: int = 255
-    #: Perform real (HMAC/SHA) cryptography on every message.  Disabling it
+    #: Perform real (keyed-hash/SHA) cryptography on every message.  Disabling it
     #: keeps the charged costs identical but speeds up large simulations.
     real_crypto: bool = True
     #: Proactive recovery (BFT-PR, Chapter 4).

@@ -9,7 +9,7 @@ The BFT algorithms need three primitives (Section 2.1 / 3.2.1):
   every message and by BFT only for key-exchange and recovery requests.
 
 This package provides functionally-equivalent constructions: SHA-256
-digests, HMAC-based MACs, and a simulated signature scheme backed by a key
+digests, keyed-BLAKE2b MACs, and a simulated signature scheme backed by a key
 registry.  The *cost* of each primitive (which drives the performance
 results) is charged separately via :mod:`repro.perfmodel.params`.
 """

@@ -1,12 +1,12 @@
 """Runtime switch for the simulator's hot-path optimizations.
 
-The hot path of the simulation — canonical message encodings, digests, and
-MAC tags — is memoized so each value is computed once per message instead
-of once per call site, and the primitives underneath (the canonical
-encoder, SHA-256 input handling, HMAC keying) run optimized
-implementations (see :mod:`repro.core.messages`,
-:mod:`repro.crypto.digests`, :mod:`repro.crypto.mac` and
-:mod:`repro.core.auth`).
+The hot path of the simulation — canonical message encodings and digests —
+is memoized so each value is computed once per message instead of once per
+call site, and the primitives underneath (the canonical encoder, SHA-256
+input handling) run optimized implementations (see
+:mod:`repro.core.messages` and :mod:`repro.crypto.digests`).  MAC tags are
+not part of the switch: :mod:`repro.crypto.mac` is one keyed-hash call on
+either side of it, and :mod:`repro.core.auth` keeps no tag cache.
 
 The same switch gates the incremental checkpointing pipeline:
 
@@ -30,7 +30,7 @@ closed-loop benchmark workloads, so it does not skew the measured
 baselines.
 
 ``caches_disabled`` restores the pre-optimization code paths — recompute
-every encoding/digest/MAC at every call site, naive checkpointing,
+every encoding and digest at every call site, naive checkpointing,
 per-message scheduling — so the benchmarks can measure the baseline in
 the same process and report the speedup honestly
 (``benchmarks/test_bench_hotpath.py`` and
@@ -92,7 +92,7 @@ def caches_enabled() -> bool:
 
 @contextmanager
 def caches_disabled() -> Iterator[None]:
-    """Temporarily recompute every encoding/digest/MAC from scratch.
+    """Temporarily recompute every encoding and digest from scratch.
 
     Used by benchmarks to measure the uncached baseline.  Nesting is safe;
     the previous state is restored on exit.

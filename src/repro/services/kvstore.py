@@ -29,7 +29,7 @@ from repro import hotpath
 from repro.services.interface import BatchOp, ExecutionResult, PagedService
 
 #: Bound on the memoized operation-parse cache; cleared wholesale when
-#: exceeded (same policy as the MAC tag cache in ``core.auth``).
+#: exceeded.
 _PARSE_CACHE_LIMIT = 8192
 
 
