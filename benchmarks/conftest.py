@@ -28,12 +28,10 @@ if _SRC not in sys.path:
 
 import pytest
 
-from output_paths import BENCH_DIR, RESULTS_DIR
+from output_paths import BENCH_DIR, RESULTS_DIR, env_flag
 
 #: True when the suite runs in smoke mode (BENCH_SMOKE=1).
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "").strip().lower() not in (
-    "", "0", "false", "no",
-)
+BENCH_SMOKE = env_flag("BENCH_SMOKE")
 
 
 @pytest.fixture

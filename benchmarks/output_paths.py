@@ -17,10 +17,13 @@ import os
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRATCH_DIR = os.path.join(REPO_ROOT, ".bench_scratch")
 
+def env_flag(variable: str) -> bool:
+    """Whether an on/off environment variable is set to something truthy."""
+    return os.environ.get(variable, "").strip().lower() not in ("", "0", "false", "no")
+
+
 #: True when this run is meant to update the committed records.
-BENCH_RECORD = os.environ.get("BENCH_RECORD", "").strip().lower() not in (
-    "", "0", "false", "no",
-)
+BENCH_RECORD = env_flag("BENCH_RECORD")
 
 
 def _output_dir(variable: str, committed: str) -> str:

@@ -110,25 +110,18 @@ class Authentication:
             return message.payload_digest()
         return digest(payload)
 
-    def _resign_copy(self, message: Message) -> Message:
-        """A message that already carries authentication is being signed
-        *again* — a retransmission of an object the log (and possibly an
-        in-flight envelope) still references.  Overwriting ``auth`` in
-        place would corrupt the authenticator every other receiver sees,
-        so re-signing operates on a shallow copy; callers must send the
-        returned message.  Called only when ``message.auth`` is set."""
-        return copy.copy(message)
-
     # ---------------------------------------------------------------- signing
     def sign_multicast(self, message: Message, receivers: Iterable[str]) -> Message:
         """Attach an authenticator (MAC mode) or a signature (PK mode).
 
         Returns the signed message: ``message`` itself on first signing, a
-        copy when re-signing one that was already signed (see
-        :meth:`_resign_copy`) — retransmission paths must send the return
-        value, not the original."""
+        shallow copy when it already carries authentication.  That is a
+        retransmission of an object the log (and possibly an in-flight
+        envelope) still references, and overwriting ``auth`` in place would
+        corrupt the authenticator every other receiver sees — so
+        retransmission paths must send the return value, not the original."""
         if message.auth is not None:
-            message = self._resign_copy(message)
+            message = copy.copy(message)
         owner = self.owner
         receivers = [r for r in receivers if r != owner]
         signed = self._auth_digest(message)
@@ -168,8 +161,10 @@ class Authentication:
         return message
 
     def sign_point_to_point(self, message: Message, receiver: str) -> Message:
+        """Attach a single MAC (or a signature in PK mode).  Like
+        :meth:`sign_multicast`, re-signing returns a copy to send."""
         if message.auth is not None:
-            message = self._resign_copy(message)
+            message = copy.copy(message)
         signed = self._auth_digest(message)
         if self.mode is AuthMode.SIGNATURE:
             self._charge(self.costs.signature_sign)

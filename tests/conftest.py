@@ -8,6 +8,7 @@ from repro.core.auth import Authentication, build_session_keys
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
 from repro.core.replica import Replica
+from repro.crypto.authenticator import Authenticator
 from repro.crypto.signatures import SignatureRegistry
 from repro.services.kvstore import KeyValueStore
 from repro.services.null_service import NullService
@@ -22,6 +23,12 @@ def config() -> ReplicaSetConfig:
 @pytest.fixture
 def registry() -> SignatureRegistry:
     return SignatureRegistry()
+
+
+def authed(message):
+    """Attach a (structurally valid) authenticator so receive() accepts it."""
+    message.auth = Authenticator(sender=message.sender, tags={})
+    return message
 
 
 def make_replica(

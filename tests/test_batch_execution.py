@@ -37,19 +37,13 @@ from repro.core.messages import (
     StatusActive,
     pack,
 )
-from repro.crypto.authenticator import Authenticator
 from repro.crypto.signatures import SignatureRegistry
 from repro.services.counter import CounterService
 from repro.services.kvstore import KeyValueStore, _parse_operation
 from repro.services.null_service import NullService, encode_null_op
 from repro.statetransfer.partition_tree import ADHASH_MODULUS
 
-from tests.conftest import make_replica
-
-
-def authed(message):
-    message.auth = Authenticator(sender=message.sender, tags={})
-    return message
+from tests.conftest import authed, make_replica
 
 
 # ======================================================================

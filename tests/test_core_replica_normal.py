@@ -11,14 +11,7 @@ import pytest
 
 from repro.core.config import ProtocolOptions
 from repro.core.messages import Commit, PrePrepare, Prepare, Reply, Request
-from repro.crypto.authenticator import Authenticator
-from tests.conftest import make_replica
-
-
-def authed(message):
-    """Attach a (structurally valid) authenticator so receive() accepts it."""
-    message.auth = Authenticator(sender=message.sender, tags={})
-    return message
+from tests.conftest import authed, make_replica
 
 
 def client_request(op=b"SET key value", timestamp=1, client="client0"):

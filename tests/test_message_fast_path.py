@@ -10,15 +10,9 @@ from typing import Any, List, Tuple
 from repro.core import messages as messages_module
 from repro.core.messages import Commit, Message, Prepare, Reply
 from repro.core.replica import Replica
-from repro.crypto.authenticator import Authenticator
 from repro.library import BFTCluster
 from repro.services import KeyValueStore
-from tests.conftest import make_replica
-
-
-def authed(message):
-    message.auth = Authenticator(sender=message.sender, tags={})
-    return message
+from tests.conftest import authed, make_replica
 
 
 # ------------------------------------------------------------ dispatch table
