@@ -103,7 +103,7 @@ class ReplicaSetConfig:
         """The primary of ``view`` is replica ``view mod n``."""
         if view < 0:
             raise ValueError("view numbers are non-negative")
-        return f"{self.replica_prefix}{view % self.n}"
+        return self.replica_ids[view % self.n]
 
     def is_primary(self, replica_id: str, view: int) -> bool:
         return self.primary_of(view) == replica_id

@@ -34,7 +34,7 @@ class Env:
         Semantically identical to calling :meth:`send` per pair; simulator
         environments override it to hand the whole batch to the network in
         one call so a batch of replies becomes one delivery train instead
-        of per-message coalescing checks (Section 5.1.4 batch pipeline).
+        of one scheduled event each (Section 5.1.4 batch pipeline).
         """
         for destination, message in pairs:
             self.send(destination, message)

@@ -146,7 +146,8 @@ class MessageLog:
 
     def in_window(self, seq: int) -> bool:
         """True when ``h < seq <= H`` (Section 2.3.3)."""
-        return self.low_water_mark < seq <= self.high_water_mark
+        low = self.low_water_mark
+        return low < seq <= low + self.log_size
 
     # ----------------------------------------------------------------- slots
     def slot(self, seq: int, view: Optional[int] = None) -> Slot:

@@ -43,9 +43,10 @@ throughput argument applied to the replica's commit side).  With it on,
 and ``state_version`` bookkeeping pass), accumulates the reply-table
 AdHash delta with a single modular reduction, signs the reply fan-out
 through a per-batch point-to-point signer with the per-call lookups
-hoisted, and hands the whole batch of replies to ``Env.send_many`` so the
-network builds one delivery train instead of evaluating its coalescing
-conditions per reply.  Off, the pre-PR per-request loop runs.  Like the
+hoisted, and hands the whole batch of replies to ``Env.send_many``; the
+node then flushes everything a handler sent to the network as runs, which
+become one delivery train.  Off, the pre-PR per-request loop runs and every
+copy is transmitted and scheduled on its own.  Like the
 caches, the pipeline only changes the simulator's wall-clock cost: every
 modeled charge is issued in the identical order with identical values,
 every message keeps its content, creation order and scheduler sequence

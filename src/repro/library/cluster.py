@@ -22,7 +22,7 @@ from repro.core.messages import Message, PrePrepare, Reply, Request
 from repro.core.replica import Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.net.conditions import NetworkConditions
-from repro.net.network import Envelope, Network
+from repro.net.network import Network, Run
 from repro.net.overlay import OverlayDisseminator, Relay, RelayComplaint
 from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
 from repro.recovery.manager import RecoveryManager
@@ -105,27 +105,27 @@ class ProtocolNode(Node):
         self.pending_charge = 0.0
         self.cpu_available_at = 0.0
         self.cpu_busy_total = 0.0
-        self._outbox: List[Tuple[str, Any]] = []
+        #: What the running handler has sent so far: ``(destinations,
+        #: message)`` entries, a multicast being one entry.
+        self._outbox: List[Tuple[Tuple[str, ...], Any]] = []
         self._in_handler = False
         self._timers: Dict[str, Timer] = {}
         self.record_events = record_events
         self.events: List[Tuple[float, str, Dict[str, Any]]] = []
 
     # ----------------------------------------------------------------- events
-    def on_message(self, payload: Any, arrival_time: float) -> None:
+    def on_message(self, message: Any, arrival_time: float, size_bytes: int) -> None:
         """Handle one delivery.  On the path of every protocol message, so
         :meth:`_begin_handling`/:meth:`_finish_handling` are written out
         here, the crash check consults the injector only when it holds a
         fault, and an empty outbox skips the flush."""
         if self.crashed or (self._fault_specs and self._is_crashed()):
             return
-        envelope: Envelope = payload
         available = self.cpu_available_at
         busy_start = arrival_time if arrival_time > available else available
-        self.pending_charge = self._receive_cpu(envelope.size_bytes)
+        self.pending_charge = self._receive_cpu(size_bytes)
         self._outbox = []
         self._in_handler = True
-        message = envelope.message
         disseminator = self.disseminator
         if disseminator is not None and type(message) in (Relay, RelayComplaint):
             # Overlay traffic: unbundle, forward down the tree, and deliver
@@ -183,19 +183,29 @@ class ProtocolNode(Node):
         self.cpu_busy_total += self.pending_charge
         self.pending_charge = 0.0
         outbox, self._outbox = self._outbox, []
-        self._flush(outbox)
+        if outbox:
+            self._flush(outbox)
 
-    def _flush(self, outbox: List[Tuple[str, Any]]) -> None:
-        if len(outbox) > 1 and hotpath.BATCH_EXECUTION_ENABLED:
+    def _flush(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
+        """Transmit what a handler sent.  A flush of several copies goes to
+        the network as runs; a lone message, a node with a fault registered
+        (whose checks and random draws are per destination) and the
+        batch-toggle-off baseline transmit copy by copy."""
+        if (
+            (len(outbox) > 1 or len(outbox[0][0]) > 1)
+            and self.name not in self._fault_specs
+            and hotpath.BATCH_EXECUTION_ENABLED
+        ):
             self._transmit_many(outbox)
         else:
-            for destination, message in outbox:
-                self._transmit(destination, message)
+            for destinations, message in outbox:
+                for destination in destinations:
+                    self._transmit(destination, message)
 
     # ------------------------------------------------------------------ sends
     def queue_send(self, destination: str, message: Any) -> None:
         if self._in_handler:
-            self._outbox.append((destination, message))
+            self._outbox.append(((destination,), message))
         else:
             # Called from outside any handler (e.g. protocol set-up code):
             # transmit immediately.
@@ -203,21 +213,33 @@ class ProtocolNode(Node):
 
     def queue_send_many(self, pairs: List[Tuple[str, Any]]) -> None:
         if self._in_handler:
-            self._outbox.extend(pairs)
+            self._outbox.extend(
+                [((destination,), message) for destination, message in pairs]
+            )
         else:
             for destination, message in pairs:
                 self._transmit(destination, message)
 
     def queue_broadcast(self, destinations: Tuple[str, ...], message: Any) -> None:
         """Multicast ``message`` to ``destinations``: flat fan-out by
-        default, or over this node's relay tree when the tree mode claims
-        the message type (``OverlayDisseminator.handles``)."""
+        default — one outbox entry, whatever the number of destinations —
+        or over this node's relay tree when the tree mode claims the
+        message type (``OverlayDisseminator.handles``)."""
         disseminator = self.disseminator
         if disseminator is not None and disseminator.handles(message, destinations):
             disseminator.disseminate(message, destinations)
             return
         name = self.name
-        self.queue_send_many([(d, message) for d in destinations if d != name])
+        others = destinations
+        if name in others:
+            others = tuple([d for d in destinations if d != name])
+        if not others:
+            return
+        if self._in_handler:
+            self._outbox.append((others, message))
+        else:
+            for destination in others:
+                self._transmit(destination, message)
 
     def _transmit(self, destination: str, message: Any) -> None:
         message = self._apply_send_faults(destination, message)
@@ -233,48 +255,29 @@ class ProtocolNode(Node):
             not_before += delay_fault.delay
         self.network.send(self.name, destination, message, size, not_before=not_before)
 
-    def _transmit_many(self, outbox: List[Tuple[str, Any]]) -> None:
-        """Batch form of :meth:`_transmit`: the per-message CPU accounting
-        and fault checks run in the identical order with identical values,
-        but the network receives the whole flush in one call and builds a
-        single delivery train for it (``Network.send_many``).
-
-        A multicast sits in the outbox as consecutive entries carrying one
-        message object, so the size and send cost are worked out once per
-        run of equal messages; the busy-time sums still take one addition
-        per destination, in outbox order."""
-        injector = self.fault_injector
-        faulty = not injector.empty()
+    def _transmit_many(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
+        """:meth:`_transmit` for a whole flush of a fault-free node: each
+        outbox entry becomes one run — wire size and send cost once, then
+        the busy-time chain, one addition per destination in outbox order
+        exactly as :meth:`_transmit` makes them, whose running values are
+        the copies' departure times — and the network gets every run in one
+        call (``Network.send_many``)."""
         send_cpu_of = self.params.communication.send_cpu
-        name = self.name
         available = self.cpu_available_at
         busy = self.cpu_busy_total
-        previous = None
-        size = 0
-        send_cpu = 0.0
-        deliveries: List[Tuple[str, Any, int, float]] = []
-        for destination, message in outbox:
-            if faulty:
-                message = self._apply_send_faults(destination, message)
-                if message is None:
-                    continue
-            if message is not previous:
-                previous = message
-                size = message.wire_size() if hasattr(message, "wire_size") else 64
-                send_cpu = send_cpu_of(size)
-            available += send_cpu
-            busy += send_cpu
-            not_before = available
-            if faulty:
-                delay_fault = injector.get(
-                    name, FaultType.DELAY_MESSAGES, self.now
-                )
-                if delay_fault is not None:
-                    not_before += delay_fault.delay
-            deliveries.append((destination, message, size, not_before))
+        runs: List[Run] = []
+        for destinations, message in outbox:
+            size = message.wire_size() if hasattr(message, "wire_size") else 64
+            send_cpu = send_cpu_of(size)
+            departures = []
+            for _ in destinations:
+                available += send_cpu
+                busy += send_cpu
+                departures.append(available)
+            runs.append((destinations, message, size, departures))
         self.cpu_available_at = available
         self.cpu_busy_total = busy
-        self.network.send_many(name, deliveries)
+        self.network.send_many(self.name, runs)
 
     def _apply_send_faults(self, destination: str, message: Any) -> Optional[Any]:
         injector = self.fault_injector

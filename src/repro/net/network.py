@@ -4,29 +4,38 @@ Delivers messages between registered endpoints through the scheduler,
 applying the configured :class:`NetworkConditions`.  The network keeps
 simple counters (messages and bytes sent/dropped) that the benchmark
 harness reports alongside latency and throughput.
+
+Two ways in.  :meth:`Network.send` is one message to one destination: it
+draws loss, duplication and jitter for that copy and schedules one
+:class:`Event` carrying an :class:`Envelope`.  :meth:`Network.send_many`
+takes everything a node flushes at the end of a handler as *runs* — one
+message, its destinations, one departure time per destination — and, on a
+loss-free, jitter-free network, turns the whole flush into one
+:class:`DeliveryTrain`: type name, authentication bytes, transit time and
+the counters are worked out once per run, arrival times in one pass per
+run, and the scheduler gets one heap slot.  Every delivery keeps its own
+arrival time and its place in the global ``(time, sequence)`` order, so
+dispatch order (and therefore every modeled result) is the one
+:meth:`send` per copy would give.  Any configured impairment, or the
+caches-off baseline of :mod:`repro.hotpath`, makes ``send_many`` call
+:meth:`send` per copy, so random draws keep their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import hotpath
 from repro.net.conditions import NetworkConditions
-from repro.sim.events import Event, EventKind
+from repro.sim.events import DeliveryTrain, Envelope, Event, EventKind
 from repro.sim.rng import SimRandom
 from repro.sim.scheduler import Scheduler
 
-
-@dataclass(slots=True)
-class Envelope:
-    """What the network delivers to a node: a message plus its provenance."""
-
-    source: str
-    destination: str
-    message: Any
-    size_bytes: int
-    sent_at: float
+#: One message on its way to one or more destinations:
+#: ``(destinations, message, size_bytes, departures)``, one departure time
+#: (the earliest the copy may enter the wire) per destination.
+Run = Tuple[Sequence[str], Any, int, Sequence[float]]
 
 
 @dataclass(slots=True)
@@ -52,8 +61,8 @@ class NetworkStats:
     #: ``bytes_sent`` — the overlay benchmarks track them separately
     #: because authenticator stripping only shrinks this component.
     auth_bytes_sent: int = 0
-    #: Deliveries coalesced onto an existing train instead of getting their
-    #: own scheduler heap slot.
+    #: Deliveries that never took a scheduler heap slot of their own at
+    #: send time: all but one of each delivery train's.
     messages_coalesced: int = 0
     per_type: Dict[str, int] = field(default_factory=dict)
     per_node: Dict[str, NodeWireStats] = field(default_factory=dict)
@@ -100,21 +109,7 @@ def _auth_bytes(message: Any) -> int:
 
 
 class Network:
-    """Unreliable point-to-point and multicast message transport.
-
-    Consecutive deliveries from the same sender (the all-to-all
-    prepare/commit storms, where one handler flushes a whole multicast
-    outbox back-to-back) are coalesced into a *delivery train*: the events
-    are linked through ``Event.after`` and only one of them occupies a
-    scheduler heap slot at any moment — when it fires, the next is pushed.
-    Every delivery keeps its own timestamp and globally-ordered sequence
-    number, so dispatch order (and therefore every modeled result) is
-    bit-identical to scheduling each delivery individually; only the heap
-    stays much smaller.  A train is only extended while nothing else has
-    been scheduled or dispatched in between, and never with a delivery
-    that would sort before its tail.  Disabled together with the other
-    hot-path optimizations (:mod:`repro.hotpath`) for baseline runs.
-    """
+    """Unreliable point-to-point and multicast message transport."""
 
     def __init__(
         self,
@@ -127,13 +122,6 @@ class Network:
         self.rng = rng or SimRandom(0)
         self.stats = NetworkStats()
         self._endpoints: set[str] = set()
-        #: Tail event of the train currently being built, plus the sender
-        #: it belongs to and the scheduler activity counters at link time
-        #: (any foreign push or dispatch invalidates the train).
-        self._train_tail: Optional[Event] = None
-        self._train_source: Optional[str] = None
-        self._train_pushes = -1
-        self._train_dispatched = -1
 
     # -------------------------------------------------------------- endpoints
     def register(self, name: str) -> None:
@@ -180,59 +168,23 @@ class Network:
             copies += conditions.duplicate_copies
             self.stats.messages_duplicated += copies - 1
 
-        scheduler = self.scheduler
         for _ in range(copies):
-            transit = self.conditions.transit_time(size_bytes, self.rng)
-            envelope = Envelope(
-                source=source,
-                destination=destination,
-                message=message,
-                size_bytes=size_bytes,
-                sent_at=depart,
+            transit = conditions.transit_time(size_bytes, self.rng)
+            self.scheduler.schedule(
+                Event.make(
+                    depart + transit,
+                    EventKind.DELIVER,
+                    destination,
+                    Envelope(source, destination, message, size_bytes, depart),
+                )
             )
-            event = Event.make(
-                depart + transit, EventKind.DELIVER, destination, payload=envelope
-            )
-            tail = self._train_tail
-            if (
-                tail is not None
-                and hotpath.CACHES_ENABLED
-                and self._train_source == source
-                and scheduler.push_count == self._train_pushes
-                and scheduler.dispatched == self._train_dispatched
-                and event.time >= tail.time
-            ):
-                # Same sender, nothing else scheduled or dispatched since
-                # the tail, and no timestamp inversion: extend the train.
-                tail.after = event
-                self._train_tail = event
-                self.stats.messages_coalesced += 1
-            else:
-                scheduler.schedule(event)
-                self._train_tail = event
-                self._train_source = source
-                self._train_pushes = scheduler.push_count
-                self._train_dispatched = scheduler.dispatched
 
-    def send_many(
-        self,
-        source: str,
-        deliveries: Iterable[tuple],
-    ) -> None:
-        """Send a batch of ``(destination, message, size_bytes, not_before)``
-        deliveries from one source.
+    def send_many(self, source: str, runs: Iterable[Run]) -> None:
+        """Send every run of one flush from ``source``; the module docstring
+        says what is worked out per flush, per run and per copy.
 
-        Dispatch order is provably identical to calling :meth:`send` once
-        per delivery: events are created in the same order (same global
-        sequence numbers, same timestamps) and train linking never changes
-        when an event leaves the scheduler heap.  The batch form extends
-        the PR-2 coalescing by evaluating the train-extension conditions
-        once per batch instead of once per message — one delivery train is
-        built for the whole reply fan-out of a committed batch — and by
-        hoisting the per-message condition checks that a loss-free,
-        jitter-free network never takes.  Any configured impairment (or
-        the caches-off baseline) falls back to the per-message path so
-        random draws keep their exact order.
+        An unknown destination inside a run is dropped and counted as
+        :meth:`send` would; the other copies of the run still leave.
         """
         conditions = self.conditions
         if (
@@ -242,77 +194,48 @@ class Network:
             or conditions.duplicate_probability
             or conditions.jitter > 0.0
         ):
-            for destination, message, size_bytes, not_before in deliveries:
-                self.send(source, destination, message, size_bytes, not_before)
+            for destinations, message, size_bytes, departures in runs:
+                for destination, not_before in zip(destinations, departures):
+                    self.send(source, destination, message, size_bytes, not_before)
             return
-        scheduler = self.scheduler
-        now = scheduler.clock.now
+        now = self.scheduler.clock.now
         endpoints = self._endpoints
         stats = self.stats
         fixed = conditions.fixed_delay
         per_byte = conditions.per_byte_delay
-        make_event = Event.make
-        deliver = EventKind.DELIVER
-        tail = self._train_tail
-        extendable = (
-            tail is not None
-            and self._train_source == source
-            and scheduler.push_count == self._train_pushes
-            and scheduler.dispatched == self._train_dispatched
-        )
-        touched = False
-        # A multicast arrives as consecutive deliveries of one message
-        # object: what depends only on the message (type name, auth bytes,
-        # transit time) is worked out once per such run, and the counters
-        # are updated once per run with the number of copies that left.
-        run_message: Any = None
-        run_size = -1
-        run_copies = 0
-        type_name = ""
-        auth_bytes = 0
-        transit = 0.0
-        for destination, message, size_bytes, not_before in deliveries:
-            if message is not run_message or size_bytes != run_size:
-                if run_copies:
-                    stats.record(type_name, run_size, source, auth_bytes, run_copies)
-                    run_copies = 0
-                run_message = message
-                run_size = size_bytes
-                type_name = type(message).__name__
-                auth_bytes = _auth_bytes(message)
-                transit = fixed + per_byte * max(0, size_bytes)
-            if destination not in endpoints:
-                stats.messages_dropped += 1
-                continue
-            depart = (
-                not_before if not_before is not None and not_before > now else now
+        times: List[float] = []
+        targets: List[str] = []
+        messages: List[Any] = []
+        sizes: List[int] = []
+        sent_at: List[float] = []
+        for destinations, message, size_bytes, departures in runs:
+            if not endpoints.issuperset(destinations):
+                known = [
+                    (destination, depart)
+                    for destination, depart in zip(destinations, departures)
+                    if destination in endpoints
+                ]
+                stats.messages_dropped += len(destinations) - len(known)
+                if not known:
+                    continue
+                destinations, departures = zip(*known)
+            if min(departures) < now:
+                departures = [max(now, depart) for depart in departures]
+            copies = len(destinations)
+            transit = fixed + per_byte * max(0, size_bytes)
+            times += [depart + transit for depart in departures]
+            targets += destinations
+            messages += [message] * copies
+            sizes += [size_bytes] * copies
+            sent_at += departures
+            stats.record(
+                type(message).__name__, size_bytes, source, _auth_bytes(message), copies
             )
-            run_copies += 1
-            event = make_event(
-                depart + transit,
-                deliver,
-                destination,
-                Envelope(source, destination, message, size_bytes, depart),
+        if times:
+            stats.messages_coalesced += len(times) - 1
+            self.scheduler.schedule_train(
+                DeliveryTrain(source, times, targets, messages, sizes, sent_at)
             )
-            touched = True
-            if extendable and event.time >= tail.time:
-                tail.after = event
-                tail = event
-                stats.messages_coalesced += 1
-            else:
-                scheduler.schedule(event)
-                tail = event
-                extendable = True
-        if run_copies:
-            stats.record(type_name, run_size, source, auth_bytes, run_copies)
-        if touched:
-            # Equivalent to the per-send bookkeeping: extensions never
-            # change the recorded counters (no push happens), and a new
-            # head records the counters right after its own push.
-            self._train_tail = tail
-            self._train_source = source
-            self._train_pushes = scheduler.push_count
-            self._train_dispatched = scheduler.dispatched
 
     def multicast(
         self,

@@ -12,7 +12,9 @@ class SimClock:
 
     The scheduler advances the clock to the timestamp of each event it
     dispatches.  Nodes read the clock to timestamp requests and to compute
-    timeouts; they never advance it directly.
+    timeouts; they never advance it directly.  The scheduler's train walk,
+    whose arrival times are already in order, stores ``_now`` itself instead
+    of paying for :meth:`advance_to` on every delivered copy.
     """
 
     def __init__(self, start: float = 0.0) -> None:

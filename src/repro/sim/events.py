@@ -3,14 +3,29 @@
 An event is something that happens at a node at a point in simulated time:
 the delivery of a message, the expiration of a timer, or an internal action
 scheduled by the node itself (e.g. the start of a proactive recovery).
+
+Two things can sit in the scheduler's heap.  An :class:`Event` is one
+occurrence: a timer, an internal action, a single message delivery.  A
+:class:`DeliveryTrain` is every delivery one sender handed to the network in
+one flush, held as parallel arrays — one row per delivered copy, one heap
+slot for the lot — because at n = 31 a multicast is thirty deliveries that
+differ only in target and arrival time.
+
+Both are ordered by ``(time, sequence)``.  Sequence numbers come from one
+global counter, one per :class:`Event` and one *block* per train
+(:func:`reserve_sequences`): a train's rows hold consecutive numbers, so
+every other event's number is below the whole block or above it, and the
+block's first number orders each row against everything outside the train
+exactly as the row's own number would.  Inside the train the rows are kept
+sorted by time, which for numbers handed out in row order *is*
+``(time, sequence)`` order.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 
 class EventKind(enum.Enum):
@@ -21,7 +36,26 @@ class EventKind(enum.Enum):
     INTERNAL = "internal"
 
 
-_event_counter = itertools.count()
+_next_sequence = 0
+
+
+def reserve_sequences(count: int) -> int:
+    """Take ``count`` consecutive global sequence numbers; returns the first."""
+    global _next_sequence
+    first = _next_sequence
+    _next_sequence = first + count
+    return first
+
+
+@dataclass(slots=True)
+class Envelope:
+    """What the network delivers to a node: a message plus its provenance."""
+
+    source: str
+    destination: str
+    message: Any
+    size_bytes: int
+    sent_at: float
 
 
 @dataclass(order=True, slots=True)
@@ -40,11 +74,6 @@ class Event:
     payload: Any = field(compare=False, default=None)
     callback: Optional[Callable[[], None]] = field(compare=False, default=None)
     cancelled: bool = field(compare=False, default=False)
-    #: Next event of a coalesced delivery train (see ``Network``): it enters
-    #: the scheduler's heap only when this event leaves it, so a train of n
-    #: deliveries occupies one heap slot at a time instead of n.  The linked
-    #: event must not sort before this one.
-    after: Optional["Event"] = field(compare=False, default=None)
 
     @classmethod
     def make(
@@ -55,9 +84,13 @@ class Event:
         payload: Any = None,
         callback: Optional[Callable[[], None]] = None,
     ) -> "Event":
+        # reserve_sequences(1), written out: one call less per event.
+        global _next_sequence
+        sequence = _next_sequence
+        _next_sequence = sequence + 1
         return cls(
             time=time,
-            sequence=next(_event_counter),
+            sequence=sequence,
             kind=kind,
             target=target,
             payload=payload,
@@ -67,3 +100,65 @@ class Event:
     def cancel(self) -> None:
         """Mark this event as cancelled; the scheduler will skip it."""
         self.cancelled = True
+
+
+class DeliveryTrain:
+    """The deliveries of one flush of one sender, as parallel arrays.
+
+    Row ``i`` says: ``messages[i]`` (``sizes[i]`` bytes on the wire, sent at
+    ``sent_at[i]``) arrives at node ``targets[i]`` at ``times[i]``.  Rows are
+    sorted by arrival time, ties in creation order.  ``cursor`` is the first
+    row not yet delivered; the scheduler keeps the train in its heap under
+    ``(times[cursor], sequence)`` and advances the cursor as it delivers.
+    A delivery cannot be cancelled, so a train never is.
+    """
+
+    __slots__ = (
+        "source", "times", "targets", "messages", "sizes", "sent_at",
+        "sequence", "cursor",
+    )
+
+    #: Read by the scheduler on whatever is at the top of its heap.
+    cancelled = False
+
+    def __init__(
+        self,
+        source: str,
+        times: List[float],
+        targets: List[str],
+        messages: List[Any],
+        sizes: List[int],
+        sent_at: List[float],
+    ) -> None:
+        if times != sorted(times):
+            # A small message overtook a larger one sent before it.  The
+            # sort is stable, so equal arrivals stay in creation order.
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times, targets, messages, sizes, sent_at = (
+                [column[row] for row in order]
+                for column in (times, targets, messages, sizes, sent_at)
+            )
+        self.source = source
+        self.times = times
+        self.targets = targets
+        self.messages = messages
+        self.sizes = sizes
+        self.sent_at = sent_at
+        self.sequence = reserve_sequences(len(times))
+        self.cursor = 0
+
+    def event(self, row: int) -> Event:
+        """Row ``row`` as a stand-alone DELIVER event carrying an
+        :class:`Envelope` — what a node that only implements
+        ``handle_event`` is handed."""
+        target = self.targets[row]
+        return Event(
+            self.times[row],
+            self.sequence + row,
+            EventKind.DELIVER,
+            target,
+            Envelope(
+                self.source, target, self.messages[row], self.sizes[row],
+                self.sent_at[row],
+            ),
+        )

@@ -59,7 +59,10 @@ class Node:
         self.crashed = False
 
     # ------------------------------------------------------------------ hooks
-    def on_message(self, message: Any, arrival_time: float) -> None:
+    def on_message(self, message: Any, arrival_time: float, size_bytes: int) -> None:
+        """Handle a delivered message.  The scheduler calls this directly
+        for the rows of a delivery train — not through :meth:`handle_event`
+        — so an implementation checks ``self.crashed`` itself."""
         raise NotImplementedError
 
     def on_timer(self, label: str) -> None:
@@ -74,7 +77,8 @@ class Node:
             return
         kind = event.kind
         if kind is EventKind.DELIVER:
-            self.on_message(event.payload, event.time)
+            envelope = event.payload
+            self.on_message(envelope.message, event.time, envelope.size_bytes)
         elif kind is EventKind.TIMER:
             self.on_timer(event.payload)
         elif kind is EventKind.INTERNAL:

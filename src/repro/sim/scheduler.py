@@ -4,26 +4,35 @@ The scheduler owns the virtual clock and a priority queue of events.  It
 dispatches events in timestamp order to registered nodes until the queue is
 empty, a time limit is reached, or a stop condition becomes true.
 
-The queue stores ``(time, sequence, event)`` slots rather than bare
+The queue stores ``(time, sequence, item)`` slots rather than bare
 :class:`Event` objects: heap sifting then compares a float and, only for
 ties, an int — never the dataclass-generated ``Event.__lt__`` — and
 same-time events break ties on the global insertion sequence, keeping
-dispatch deterministic.  The run loop pops slots directly instead of
-peeking and re-popping, so each dispatched event touches the heap once.
+dispatch deterministic.
+
+An item is an :class:`Event` or a :class:`DeliveryTrain` — every delivery of
+one network flush in one slot (see :mod:`repro.sim.events` for why its block
+of sequence numbers orders it exactly).  A train is walked *in place*: while
+it is the heap's minimum the run loop delivers its next row straight to the
+node's ``on_message`` — no ``Event``, no ``Envelope``, no ``handle_event``
+hop, no clock call — and then re-keys the slot to the following row with one
+``heapreplace``.  The heap does the comparison of that row against
+everything else pending, so the dispatch order is the one a heap slot per
+delivery would give, and ``stop_when`` / ``max_events`` / ``until`` apply
+between any two rows because every row is one turn of the same loop.
 """
 
 from __future__ import annotations
 
 import heapq
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro import hotpath
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventKind
+from repro.sim.events import DeliveryTrain, Event, EventKind
 
-#: A heap slot: (time, sequence, event).
-_Slot = Tuple[float, int, Event]
+#: A heap slot: (time, sequence, event or train).
+_Slot = Tuple[float, int, Union[Event, DeliveryTrain]]
 
 
 class Scheduler:
@@ -33,7 +42,11 @@ class Scheduler:
     wants work done later (the network delivering a message, a node setting
     a timer) schedules an :class:`Event`; the scheduler advances the clock
     and hands each event to its target node's ``handle_event`` method, or to
-    the event's callback when one is attached.
+    the event's callback when one is attached.  Message deliveries that
+    arrive as a :class:`DeliveryTrain` go to the node's
+    ``on_message(message, arrival_time, size_bytes)`` directly; a node
+    without that method gets the same delivery as an :class:`Event` through
+    ``handle_event``.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
@@ -41,17 +54,21 @@ class Scheduler:
         self._queue: List[_Slot] = []
         self._nodes: Dict[str, "NodeLike"] = {}
         self._nodes_view: Mapping[str, "NodeLike"] = MappingProxyType(self._nodes)
+        #: The registered nodes that take train rows through ``on_message``.
+        self._receivers: Dict[str, "NodeLike"] = {}
         self._dispatched = 0
-        self._pushes = 0
 
     # ------------------------------------------------------------------ nodes
     def register(self, name: str, node: "NodeLike") -> None:
         if name in self._nodes:
             raise ValueError(f"node {name!r} already registered")
         self._nodes[name] = node
+        if hasattr(node, "on_message"):
+            self._receivers[name] = node
 
     def unregister(self, name: str) -> None:
         self._nodes.pop(name, None)
+        self._receivers.pop(name, None)
 
     def node(self, name: str) -> "NodeLike":
         return self._nodes[name]
@@ -62,15 +79,24 @@ class Scheduler:
         return self._nodes_view
 
     # ----------------------------------------------------------------- events
+    def _in_the_past(self, when: float) -> ValueError:
+        return ValueError(
+            f"cannot schedule event in the past: now={self.clock.now}, "
+            f"event time={when}"
+        )
+
     def schedule(self, event: Event) -> Event:
         if event.time + 1e-9 < self.clock.now:
-            raise ValueError(
-                f"cannot schedule event in the past: now={self.clock.now}, "
-                f"event time={event.time}"
-            )
+            raise self._in_the_past(event.time)
         heapq.heappush(self._queue, (event.time, event.sequence, event))
-        self._pushes += 1
         return event
+
+    def schedule_train(self, train: DeliveryTrain) -> None:
+        """Put a train's undelivered rows (at least one) in the queue."""
+        when = train.times[train.cursor]
+        if when + 1e-9 < self.clock.now:
+            raise self._in_the_past(when)
+        heapq.heappush(self._queue, (when, train.sequence, train))
 
     def schedule_at(
         self,
@@ -95,57 +121,21 @@ class Scheduler:
 
     @property
     def pending(self) -> int:
-        """Uncancelled events currently in the heap.  Trailing members of a
-        coalesced delivery train are not counted until their predecessor
-        fires (each train occupies one heap slot at a time)."""
-        return sum(1 for _t, _s, event in self._queue if not event.cancelled)
+        """Uncancelled events and undelivered train rows in the queue."""
+        return sum(
+            len(item.times) - item.cursor if type(item) is DeliveryTrain
+            else not item.cancelled
+            for _time, _sequence, item in self._queue
+        )
 
     @property
     def dispatched(self) -> int:
         return self._dispatched
 
-    @property
-    def push_count(self) -> int:
-        """Total number of heap pushes (used by the network to decide when a
-        delivery train can be extended without reordering dispatch)."""
-        return self._pushes
-
     # -------------------------------------------------------------------- run
-    def _push_successor(self, event: Event) -> None:
-        """Move the next member of a delivery train into the heap.
-
-        Called when ``event`` leaves the heap (dispatch or cancellation
-        skip) — before its handler runs, so dispatch order is identical to
-        scheduling every member up front."""
-        successor = event.after
-        if successor is not None:
-            event.after = None
-            heapq.heappush(
-                self._queue, (successor.time, successor.sequence, successor)
-            )
-            self._pushes += 1
-
-    def _dispatch(self, event: Event) -> None:
-        self._dispatched += 1
-        if event.callback is not None:
-            event.callback()
-        else:
-            node = self._nodes.get(event.target)
-            if node is not None:
-                node.handle_event(event)
-
     def step(self) -> bool:
         """Dispatch the next event.  Returns False if the queue is empty."""
-        queue = self._queue
-        while queue:
-            when, _seq, event = heapq.heappop(queue)
-            self._push_successor(event)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(when)
-            self._dispatch(event)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -158,122 +148,86 @@ class Scheduler:
         Stops when the event queue drains, when the clock would pass
         ``until``, after ``max_events`` dispatches, or when ``stop_when``
         returns True (checked between events).  Returns the number of events
-        dispatched by this call.
+        dispatched by this call; a train row counts as one.
         """
         dispatched = 0
         queue = self._queue
         nodes = self._nodes
-        advance_to = self.clock.advance_to
+        receivers = self._receivers
+        clock = self.clock
+        advance_to = clock.advance_to
         pop = heapq.heappop
-        push = heapq.heappush
+        replace = heapq.heapreplace
         while queue:
             if stop_when is not None and stop_when():
                 break
             if max_events is not None and dispatched >= max_events:
                 break
-            event = queue[0][2]
-            if event.cancelled:
+            when, sequence, item = queue[0]
+            if item.cancelled:
                 pop(queue)
-                self._push_successor(event)
                 continue
-            when = queue[0][0]
             if until is not None and when > until:
                 advance_to(until)
                 break
-            pop(queue)
-            if not hotpath.BATCH_EXECUTION_ENABLED:
-                self._push_successor(event)
+            if type(item) is Event:
+                pop(queue)
                 advance_to(when)
-                self._dispatch(event)
+                self._dispatched += 1
+                if item.callback is not None:
+                    item.callback()
+                else:
+                    node = nodes.get(item.target)
+                    if node is not None:
+                        node.handle_event(item)
                 dispatched += 1
                 continue
-            # Batch-pipeline train fast path: a dispatched train member's
-            # successor is dispatched directly — without a heap push/pop
-            # round trip — whenever nothing in the heap precedes it.  The
-            # dispatch sequence is provably the one the heap would produce:
-            # the successor is compared against the current heap top under
-            # the exact (time, sequence) order, and anything an event
-            # handler schedules lands in the heap before the comparison.
-            # Both dispatch sites below are :meth:`_dispatch` written out:
-            # one Python call less on the path of every delivered message.
-            successor = event.after
-            event.after = None
-            advance_to(when)
+            # The next row of a delivery train.  The slot moves on to the
+            # following row *before* the handler runs, so whatever the
+            # handler does — schedule, raise, stop the run — the queue
+            # already holds exactly what is still to be delivered.
+            row = item.cursor
+            item.cursor = following = row + 1
+            times = item.times
+            if following < len(times):
+                replace(queue, (times[following], sequence, item))
+            else:
+                pop(queue)
+            # advance_to(when), written out: the call is only made for
+            # its error, when the clock was moved past a pending row.
+            if when < clock._now:
+                advance_to(when)
+            else:
+                clock._now = when
             self._dispatched += 1
-            try:
-                if event.callback is not None:
-                    event.callback()
-                else:
-                    node = nodes.get(event.target)
-                    if node is not None:
-                        node.handle_event(event)
-            except BaseException:
-                # A raising handler must not lose the train: return the
-                # pending successor to the heap (the non-fast path pushed
-                # it before dispatching) so a resumed run stays complete.
-                if successor is not None:
-                    push(queue, (successor.time, successor.sequence, successor))
-                    self._pushes += 1
-                raise
+            target = item.targets[row]
+            node = receivers.get(target)
+            if node is not None:
+                node.on_message(item.messages[row], when, item.sizes[row])
+            elif target in nodes:
+                nodes[target].handle_event(item.event(row))
             dispatched += 1
-            while successor is not None:
-                if successor.cancelled:
-                    # A cancelled member leaves the train exactly as a
-                    # cancelled heap slot would: no dispatch, no clock
-                    # advance, its own successor takes its place.
-                    nxt = successor.after
-                    successor.after = None
-                    successor = nxt
-                    continue
-                if (
-                    (stop_when is not None and stop_when())
-                    or (max_events is not None and dispatched >= max_events)
-                    or (until is not None and successor.time > until)
-                    or (
-                        queue
-                        and (
-                            queue[0][0] < successor.time
-                            or (
-                                queue[0][0] == successor.time
-                                and queue[0][1] < successor.sequence
-                            )
-                        )
-                    )
-                ):
-                    # Not (or not provably) the next event: return it to
-                    # the heap and let the outer loop decide.
-                    push(queue, (successor.time, successor.sequence, successor))
-                    self._pushes += 1
-                    break
-                nxt = successor.after
-                successor.after = None
-                advance_to(successor.time)
-                self._dispatched += 1
-                try:
-                    if successor.callback is not None:
-                        successor.callback()
-                    else:
-                        node = nodes.get(successor.target)
-                        if node is not None:
-                            node.handle_event(successor)
-                except BaseException:
-                    if nxt is not None:
-                        push(queue, (nxt.time, nxt.sequence, nxt))
-                        self._pushes += 1
-                    raise
-                dispatched += 1
-                successor = nxt
         return dispatched
 
     def _peek(self) -> Optional[Event]:
-        while self._queue and self._queue[0][2].cancelled:
-            event = heapq.heappop(self._queue)[2]
-            self._push_successor(event)
-        return self._queue[0][2] if self._queue else None
+        """The event :meth:`step` would dispatch (a train's next row as an
+        :class:`Event`), without dispatching it."""
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        if not queue:
+            return None
+        item = queue[0][2]
+        return item.event(item.cursor) if type(item) is DeliveryTrain else item
 
 
 class NodeLike:
-    """Structural interface the scheduler expects of registered nodes."""
+    """Structural interface the scheduler expects of registered nodes.
+
+    ``handle_event`` is required.  A node may also define
+    ``on_message(message, arrival_time, size_bytes)`` — :class:`repro.sim.node.Node`
+    does — to take train deliveries without the ``Event`` wrapper.
+    """
 
     def handle_event(self, event: Event) -> None:  # pragma: no cover - interface
         raise NotImplementedError

@@ -318,8 +318,15 @@ class PartitionTree:
         del self._checkpoint_order[position]
         if position < len(self._checkpoint_order):
             successor = self._checkpoints[self._checkpoint_order[position]]
-            for index, record in copy.pages.items():
-                successor.pages.setdefault(index, record)
+            if len(copy.pages) > len(successor.pages):
+                # Fold the smaller map into the larger one: the oldest copy
+                # holds every page ever loaded, its successor a few dirty
+                # ones.  The successor's records still win.
+                copy.pages.update(successor.pages)
+                successor.pages = copy.pages
+            else:
+                for index, record in copy.pages.items():
+                    successor.pages.setdefault(index, record)
         else:
             self._dirty.update(copy.pages)
         del self._checkpoints[seq]

@@ -1,4 +1,4 @@
-"""Golden determinism fingerprint of five small end-to-end runs.
+"""Golden determinism fingerprint of six small end-to-end runs.
 
 Modeled results are the repo's contract: work on the simulator's own
 speed must leave every modeled charge, event sequence number, RNG draw and
@@ -13,7 +13,9 @@ not.  Each configuration below runs a short closed loop and records
 * every replica's final service state digest,
 
 and ``GOLDEN`` holds the values captured from the commit *before* the
-per-message fast path (parent of PR 12).  They must match to the bit.  MAC
+per-message fast path (parent of PR 12) — for ``null_f10``, the n = 31
+configuration delivery trains were built for, from the commit before those
+(parent of PR 13).  They must match to the bit.  MAC
 tag bytes are not part of the fingerprint (their size is, through the wire
 totals), so swapping the MAC primitive leaves it unchanged.
 
@@ -79,6 +81,10 @@ def _lossy_f1() -> BFTCluster:
     )
 
 
+def _null_f10() -> BFTCluster:
+    return BFTCluster.create(f=10, seed=16)
+
+
 def _tree_f2() -> BFTCluster:
     return BFTCluster.create(
         f=2, seed=15, options=ProtocolOptions().with_tree_dissemination()
@@ -92,6 +98,7 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] =
     "send_faults_f1": (_send_faults_f1, _null_op, 4, 6),
     "lossy_f1": (_lossy_f1, _null_op, 4, 6),
     "tree_f2": (_tree_f2, _null_op, 4, 5),
+    "null_f10": (_null_f10, _null_op, 3, 3),
 }
 
 
@@ -273,6 +280,82 @@ GOLDEN["tree_f2"] = \
                               'Reply': 140,
                               'Request': 20,
                               'StatusActive': 126}}}
+GOLDEN["null_f10"] = \
+{'completion_times': [2592.629000000003, 6334.155000000004, 8880.353999999987,
+                      12024.027999999946, 15771.970999999901, 18928.682999999895,
+                      21455.4779999999, 24599.305999999888, 27724.010999999875],
+ 'cpu_busy_total': {'replica0': 33566.40299999976,
+                    'replica1': 33119.31899999981,
+                    'replica10': 33119.534999999785,
+                    'replica11': 33119.534999999785,
+                    'replica12': 33119.534999999785,
+                    'replica13': 33119.534999999785,
+                    'replica14': 33119.534999999785,
+                    'replica15': 33119.534999999785,
+                    'replica16': 33119.534999999785,
+                    'replica17': 33119.534999999785,
+                    'replica18': 33119.534999999785,
+                    'replica19': 33119.534999999785,
+                    'replica2': 33119.31899999981,
+                    'replica20': 33119.534999999785,
+                    'replica21': 33119.534999999785,
+                    'replica22': 33119.534999999785,
+                    'replica23': 33119.534999999785,
+                    'replica24': 33119.534999999785,
+                    'replica25': 33119.534999999785,
+                    'replica26': 33119.534999999785,
+                    'replica27': 33119.534999999785,
+                    'replica28': 33119.534999999785,
+                    'replica29': 33119.534999999785,
+                    'replica3': 33119.31899999981,
+                    'replica30': 33119.534999999785,
+                    'replica4': 33119.31899999981,
+                    'replica5': 33119.31899999981,
+                    'replica6': 33119.31899999981,
+                    'replica7': 33119.31899999981,
+                    'replica8': 33119.31899999981,
+                    'replica9': 33119.31899999981},
+ 'dispatched': 19911,
+ 'state_digests': {'replica0': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica1': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica10': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica11': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica12': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica13': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica14': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica15': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica16': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica17': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica18': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica19': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica2': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica20': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica21': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica22': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica23': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica24': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica25': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica26': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica27': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica28': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica29': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica3': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica30': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica4': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica5': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica6': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica7': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica8': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
+                   'replica9': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a'},
+ 'wire_totals': {'auth_bytes': 4693896,
+                 'messages_sent': 19818,
+                 'payload_bytes': 5845401,
+                 'per_type': {'Commit': 8370,
+                              'PrePrepare': 270,
+                              'Prepare': 8100,
+                              'Reply': 279,
+                              'Request': 9,
+                              'StatusActive': 2790}}}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))

@@ -11,6 +11,8 @@ what the properties compare against.
 from __future__ import annotations
 
 import dataclasses
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,3 +349,13 @@ def test_pack_matches_baseline_encoder():
     with hotpath.caches_disabled():
         baseline = pack(*values)
     assert fast == baseline
+
+
+# ---------------------------------------------------------------- ratchet
+def test_hotpath_toggle_reads_only_go_down():
+    """Every ``hotpath.<TOGGLE>`` read under ``src/repro`` is a second code
+    path kept alive (ROADMAP, "Retire the legacy twins").  A change that
+    removes reads lowers the number; none may raise it."""
+    sources = pathlib.Path(hotpath.__file__).parent.rglob("*.py")
+    reads = sum(len(re.findall(r"hotpath\.[A-Z_]+", path.read_text())) for path in sources)
+    assert reads <= 23

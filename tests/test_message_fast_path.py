@@ -78,7 +78,9 @@ def test_handlers_patched_on_the_class_before_assembly_are_the_ones_reached(monk
 
 
 # ---------------------------------------------------- multicast-aware flush
-def _mixed_outbox(cluster: BFTCluster) -> Tuple[Any, List[Tuple[str, Any]]]:
+def _mixed_outbox(
+    cluster: BFTCluster,
+) -> Tuple[Any, List[Tuple[Tuple[str, ...], Any]]]:
     """Two multicasts interleaved with point-to-point replies, one
     destination that is not an endpoint, sent by replica1."""
     node = cluster.replica_nodes["replica1"]
@@ -100,11 +102,10 @@ def _mixed_outbox(cluster: BFTCluster) -> Tuple[Any, List[Tuple[str, Any]]]:
         )
         for client, size in (("client0", 3), ("client1", 300), ("nobody", 5))
     ]
-    outbox = [(other, prepare) for other in others]
-    outbox.append(("client0", replies[0]))
-    outbox.extend((other, commit) for other in others + ("nobody",))
-    outbox.extend((reply.client, reply) for reply in replies[1:])
-    outbox.append(("replica0", prepare))
+    outbox = [(others, prepare), (("client0",), replies[0])]
+    outbox.append((others + ("nobody",), commit))
+    outbox.extend(((reply.client,), reply) for reply in replies[1:])
+    outbox.append((("replica0",), prepare))
     return node, outbox
 
 
@@ -114,8 +115,9 @@ def _send(per_pair: bool):
         cluster.new_client(name)
     node, outbox = _mixed_outbox(cluster)
     if per_pair:
-        for destination, message in outbox:
-            node._transmit(destination, message)
+        for destinations, message in outbox:
+            for destination in destinations:
+                node._transmit(destination, message)
     else:
         node._transmit_many(outbox)
     cluster.run(duration=5_000.0)  # deliver everything; no timer is due yet

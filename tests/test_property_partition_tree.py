@@ -68,3 +68,84 @@ def test_unmodified_pages_are_never_transferred(ops):
     plan = follower.plan_transfer(source, 1)
     assert plan.pages_transferred == 0
     assert plan.bytes_transferred == 0
+
+
+class _FoldIntoSuccessor(PartitionTree):
+    """``discard_checkpoint`` as it was before the fold direction depended
+    on the sizes: always copy the discarded copy's pages into its successor."""
+
+    def discard_checkpoint(self, seq: int) -> None:
+        copy = self._checkpoints.get(seq)
+        if copy is None:
+            return
+        self._metadata_cache.clear()
+        position = self._checkpoint_order.index(seq)
+        del self._checkpoint_order[position]
+        if position < len(self._checkpoint_order):
+            successor = self._checkpoints[self._checkpoint_order[position]]
+            for index, record in copy.pages.items():
+                successor.pages.setdefault(index, record)
+        else:
+            self._dirty.update(copy.pages)
+        del self._checkpoints[seq]
+
+
+PAGES = 12
+
+actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, PAGES - 1), st.binary(max_size=8)),
+        st.tuples(st.just("snapshot")),
+        # Release the k-th live snapshot (modulo how many are live).
+        st.tuples(st.just("release"), st.integers(0, 7)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=actions, content_digests=st.booleans(), preload=st.integers(0, PAGES))
+def test_release_order_never_changes_what_a_snapshot_holds(
+    script, content_digests, preload
+):
+    """Whatever order snapshots are taken, written under and released in,
+    every live snapshot keeps answering ``page_at_checkpoint`` with the
+    values a full copy taken at snapshot time holds, and the tree agrees
+    record for record and root for root with one that folds a released copy
+    into its successor the old way."""
+    tree = PartitionTree(content_digests=content_digests)
+    reference = _FoldIntoSuccessor(content_digests=content_digests)
+    # A big first copy and small later ones is the case the fold now turns
+    # around; a small first copy keeps the other direction covered.
+    for index in range(preload):
+        tree.write_page(index, b"preloaded")
+        reference.write_page(index, b"preloaded")
+    full_copies = {}
+    seq = 0
+
+    def check():
+        assert tree.checkpoint_seqs() == reference.checkpoint_seqs()
+        assert tree.root_digest() == reference.root_digest()
+        for live, full_copy in full_copies.items():
+            assert tree.root_digest(live) == reference.root_digest(live)
+            for index in range(PAGES):
+                record = tree.page_at_checkpoint(index, live)
+                assert record == reference.page_at_checkpoint(index, live)
+                assert (record.value if record else None) == full_copy.get(index)
+
+    for action in script:
+        if action[0] == "write":
+            tree.write_page(action[1], action[2])
+            reference.write_page(action[1], action[2])
+        elif action[0] == "snapshot":
+            seq += 1
+            tree.take_checkpoint(seq)
+            reference.take_checkpoint(seq)
+            full_copies[seq] = dict(tree.page_items())
+        elif full_copies:
+            released = sorted(full_copies)[action[1] % len(full_copies)]
+            tree.discard_checkpoint(released)
+            reference.discard_checkpoint(released)
+            del full_copies[released]
+        check()
