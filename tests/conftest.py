@@ -37,9 +37,11 @@ def make_replica(
     replica_id: str = "replica1",
     options: ProtocolOptions | None = None,
     service=None,
+    env: RecordingEnv | None = None,
 ) -> tuple[Replica, RecordingEnv]:
     """A replica wired to a RecordingEnv, for message-level unit tests."""
-    env = RecordingEnv()
+    if env is None:
+        env = RecordingEnv()
     options = options or ProtocolOptions()
     keys = build_session_keys(replica_id, config.replica_ids + ("client0",))
     auth = Authentication(

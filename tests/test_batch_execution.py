@@ -13,6 +13,12 @@ byte-identical to the per-request path, in both hot-path cache modes:
 * the reply table, its incremental AdHash digest, and the tentative
   rollback that unwinds it.
 
+The oracle for the replica-level properties is a Section 3.1 *sequential
+reference model* (``SequentialModel`` below): one request at a time on a
+shadow store, sharing no code with either execution path.  It predicts the
+reply trace, the ordered list of modeled charges, the reply table, the
+store and every digest.
+
 Also covered: the bulk reply encoder produces exactly ``pack(...)``'s
 bytes, the operation-parse cache returns what a fresh parse would, and
 the two liveness repairs that heavy batching load surfaced (status
@@ -23,10 +29,14 @@ mark — or in an inactive view — triggers state transfer).
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Dict, List, Optional, Tuple
+
 from hypothesis import given, settings, strategies as st
 
 from repro import hotpath
-from repro.core.config import ProtocolOptions, ReplicaSetConfig
+from repro.core.config import DEFAULT_OPTIONS, ReplicaSetConfig
+from repro.core.env import RecordingEnv
 from repro.core.messages import (
     Checkpoint,
     Commit,
@@ -37,11 +47,15 @@ from repro.core.messages import (
     StatusActive,
     pack,
 )
+from repro.core.replica import Replica
+from repro.crypto.digests import digest
 from repro.crypto.signatures import SignatureRegistry
+from repro.perfmodel.params import PAPER_PARAMETERS, CryptoCosts
 from repro.services.counter import CounterService
 from repro.services.kvstore import KeyValueStore, _parse_operation
 from repro.services.null_service import NullService, encode_null_op
 from repro.statetransfer.partition_tree import ADHASH_MODULUS
+from repro.statetransfer.transfer import combined_state_digest, reply_entry_digest
 
 from tests.conftest import authed, make_replica
 
@@ -173,15 +187,27 @@ def test_null_service_execute_batch_matches_per_op():
 # ======================================================================
 # Replica level: the batch pipeline is observably identical
 # ======================================================================
-#: One request spec: (client index, timestamp, operation index, separate?).
+OPS = [b"SET a 1", b"SET b 2", b"DEL a", b"CAS a 1 2", b"GET a",
+       b"SET a " + b"w" * 40]
+
+
+def _store_with_large_value() -> KeyValueStore:
+    """``GET a`` starts out past ``digest_replies_threshold`` (32 bytes), so
+    replicas other than the designated replier answer it with a digest."""
+    store = KeyValueStore()
+    store.execute(b"SET a " + b"v" * 48, "seeder")
+    return store
+
+
+#: One request spec: (client index, timestamp, operation index, separate?,
+#: designated replier).  The replica under test is ``replica1``.
 request_spec = st.tuples(
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=len(OPS) - 1),
     st.booleans(),
+    st.sampled_from([None, "replica1", "replica2"]),
 )
-
-OPS = [b"SET a 1", b"SET b 2", b"DEL a", b"CAS a 1 2", b"GET a"]
 
 batches_spec = st.lists(
     st.lists(
@@ -193,27 +219,206 @@ batches_spec = st.lists(
 
 
 def _build_request(spec):
-    client_index, timestamp, op_index, separate = spec
+    client_index, timestamp, op_index, separate, designated = spec
     client = f"client{client_index}"
     return (
         Request(
             operation=OPS[op_index],
             timestamp=timestamp,
             client=client,
+            designated_replier=designated,
             sender=client,
         ),
         separate,
     )
 
 
-def _drive_batches(batches, tentative_commit=True):
-    """Feed a backup replica the given committed batches; return the
+class SequentialModel:
+    """The paper's execution rule, one request at a time on a shadow store.
+
+    A replica executes a request at most once and answers a retransmission
+    of the last one from its reply cache (Section 3.1); only the designated
+    replier sends a large result in full, the others its digest (5.1.1); a
+    tentative execution can be undone until the batch commits (5.1.2); a
+    batch is its requests in order (5.1.4).  Shares with the replica only
+    the message classes, the service and the AdHash entry formula —
+    ``Replica._recompute_reply_digest`` stays the independent check of that
+    sum."""
+
+    def __init__(self, replica_id: str) -> None:
+        # ``make_replica``'s defaults; every batch here executes in view 0.
+        self.id, self.view = replica_id, 0
+        self.options, self.params, self.crypto = (
+            DEFAULT_OPTIONS, PAPER_PARAMETERS, CryptoCosts()
+        )
+        self.store = _store_with_large_value()
+        self.executed: List[Tuple[bytes, str, bytes]] = []  # replayed by abort()
+        self.requests_executed = 0
+        self.last_reply_timestamp: Dict[str, int] = {}
+        self.last_reply: Dict[str, Reply] = {}
+        self.reply_digest = 0
+        self.undo: List[Tuple[str, Optional[int], Optional[Reply]]] = []
+
+    def execute(self, requests, nondet: bytes, tentative: bool):
+        """One batch -> ([(destination, type, payload, result)], [charges])."""
+        sent, charges = [], []
+
+        def send(reply: Reply) -> None:
+            payload = reply.payload_bytes()
+            charges.extend([self.crypto.digest_cost(len(payload)), self.crypto.mac])
+            sent.append((reply.client, "Reply", payload, reply.result))
+
+        # A batch executes only once every earlier one has committed.
+        self.undo.clear()
+        for request in requests:
+            if request.is_null:
+                continue
+            client, timestamp = request.client, request.timestamp
+            previous = self.last_reply_timestamp.get(client)
+            if timestamp <= (previous or 0):
+                if timestamp == previous:
+                    send(self.last_reply[client])  # the cached *full* reply
+                continue
+            result = self.store.execute(request.operation, client, nondet=nondet).result
+            charges.append(
+                self.params.execution_cost(len(request.operation), len(result))
+            )
+            self.executed.append((request.operation, client, nondet))
+            self.requests_executed += 1
+            if tentative:
+                self.undo.append((client, previous, self.last_reply.get(client)))
+            self.last_reply_timestamp[client] = timestamp
+            self.reply_digest += reply_entry_digest(client, timestamp)
+            if previous is not None:
+                self.reply_digest -= reply_entry_digest(client, previous)
+            self.reply_digest %= ADHASH_MODULUS
+            full = Reply(
+                view=self.view, timestamp=timestamp, client=client, replica=self.id,
+                result=result, result_digest=digest(result), tentative=tentative,
+                sender=self.id,
+            )
+            self.last_reply[client] = full
+            stripped = (
+                self.options.digest_replies
+                and len(result) >= self.options.digest_replies_threshold
+                and request.designated_replier not in (None, self.id)
+            )
+            send(dataclasses.replace(full, result=None) if stripped else full)
+        return sent, charges
+
+    def abort(self) -> None:
+        """A view change undoes the tentative batch: replay the committed
+        prefix on a fresh store, put the reply table back."""
+        for client, timestamp, reply in reversed(self.undo):
+            for table, value in ((self.last_reply_timestamp, timestamp),
+                                 (self.last_reply, reply)):
+                if value is None:
+                    table.pop(client, None)
+                else:
+                    table[client] = value
+        del self.executed[len(self.executed) - len(self.undo):]
+        self.undo.clear()
+        self.store = _store_with_large_value()
+        for operation, client, nondet in self.executed:
+            self.store.execute(operation, client, nondet=nondet)
+        self.reply_digest = sum(
+            reply_entry_digest(client, timestamp)
+            for client, timestamp in self.last_reply_timestamp.items()
+        ) % ADHASH_MODULUS
+
+    def state(self) -> dict:
+        return {
+            "last_reply_timestamp": self.last_reply_timestamp,
+            "reply_digest": self.reply_digest,
+            "state": self.store._export_state(),
+            "state_digest": combined_state_digest(
+                self.store.state_digest(), self.reply_digest
+            ),
+            "executed": self.requests_executed,
+            "replies": _reply_table(self.last_reply),
+        }
+
+
+def _reply_table(last_reply: Dict[str, Reply]) -> dict:
+    return {
+        client: (reply.timestamp, reply.result, reply.result_digest, reply.tentative)
+        for client, reply in last_reply.items()
+    }
+
+
+def _replica_state(replica: Replica) -> dict:
+    """What ``SequentialModel.state`` predicts, read off the replica."""
+    return {
+        "last_reply_timestamp": dict(replica.last_reply_timestamp),
+        "reply_digest": replica._reply_digest % ADHASH_MODULUS,
+        "state": replica.service._export_state(),
+        "state_digest": replica._state_digest(),
+        "executed": replica.metrics.requests_executed,
+        "replies": _reply_table(replica.last_reply),
+    }
+
+
+@dataclasses.dataclass
+class ChargeLogEnv(RecordingEnv):
+    """Logs each charge, not just the total: the model predicts the order."""
+
+    charges: List[float] = dataclasses.field(default_factory=list)
+
+    def charge(self, micros: float) -> None:
+        super().charge(micros)
+        self.charges.append(micros)
+
+
+def _record_executions(replica: Replica, env: ChargeLogEnv) -> list:
+    """Log, per executed slot, the batch it was given and what executing it
+    sent and charged: ``(requests, nondet, tentative, sent, charges)``."""
+    executions = []
+    execute_slot = replica._execute_slot
+
+    def recording(slot, tentative):
+        pre_prepare = slot.pre_prepare
+        requests = list(pre_prepare.requests) + [
+            replica.log.request_by_digest(request_digest)
+            for request_digest in pre_prepare.separate_digests
+        ]
+        sent, charges = len(env.sent), len(env.charges)
+        execute_slot(slot, tentative)
+        executions.append((
+            requests, pre_prepare.nondet, tentative,
+            [(s.destination, type(s.message).__name__, s.message.payload_bytes(),
+              s.message.result) for s in env.sent[sent:]],
+            env.charges[charges:],
+        ))
+
+    replica._execute_slot = recording
+    return executions
+
+
+def _assert_matches_model(replica: Replica, executions: list, aborted=False) -> None:
+    model = SequentialModel(replica.id)
+    for requests, nondet, tentative, sent, charges in executions:
+        assert (sent, charges) == model.execute(requests, nondet, tentative)
+    if aborted:
+        model.abort()
+    assert _replica_state(replica) == model.state()
+    assert replica._reply_digest % ADHASH_MODULUS == replica._recompute_reply_digest()
+
+
+def _model_replica():
+    """A backup (``replica1``) whose executions are logged for the model."""
+    config = ReplicaSetConfig(n=4, checkpoint_interval=64)
+    env = ChargeLogEnv()
+    replica, _ = make_replica(config, SignatureRegistry(), "replica1",
+                              service=_store_with_large_value(), env=env)
+    return replica, env, _record_executions(replica, env)
+
+
+def _drive_batches(batches):
+    """Feed a backup replica the given committed batches, check every
+    execution and the final state against the model, and return the
     observable trace: every sent message's (destination, type, canonical
     payload), plus the final reply table, digests and service state."""
-    config = ReplicaSetConfig(n=4, checkpoint_interval=64)
-    registry = SignatureRegistry()
-    replica, env = make_replica(config, registry, "replica1",
-                                service=KeyValueStore())
+    replica, env, executions = _model_replica()
     for seq, batch in enumerate(batches, start=1):
         inline = []
         separate = []
@@ -223,11 +428,7 @@ def _drive_batches(batches, tentative_commit=True):
                 continue
             request, is_separate = _build_request(spec)
             if is_separate:
-                replica.receive(authed(
-                    Request(operation=request.operation,
-                            timestamp=request.timestamp,
-                            client=request.client, sender=request.client)
-                ))
+                replica.receive(authed(dataclasses.replace(request)))
                 separate.append(request.request_digest())
             else:
                 inline.append(request)
@@ -242,56 +443,41 @@ def _drive_batches(batches, tentative_commit=True):
                 view=0, seq=seq, digest=digest_value, replica=other,
                 sender=other,
             )))
-        if tentative_commit:
-            for other in ("replica0", "replica2"):
-                replica.receive(authed(Commit(
-                    view=0, seq=seq, digest=digest_value, replica=other,
-                    sender=other,
-                )))
+        for other in ("replica0", "replica2"):
+            replica.receive(authed(Commit(
+                view=0, seq=seq, digest=digest_value, replica=other,
+                sender=other,
+            )))
+    _assert_matches_model(replica, executions)
     trace = [
         (sent.destination, type(sent.message).__name__,
          sent.message.payload_bytes())
         for sent in env.sent
     ]
-    return {
-        "trace": trace,
-        "last_reply_timestamp": dict(replica.last_reply_timestamp),
-        "reply_digest": replica._reply_digest % ADHASH_MODULUS,
-        "recomputed_reply_digest": replica._recompute_reply_digest(),
-        "state": replica.service._export_state(),
-        "state_digest": replica._state_digest(),
-        "executed": replica.metrics.requests_executed,
-        "last_executed": replica.last_executed,
-        "replies": {
-            client: (reply.timestamp, reply.result, reply.result_digest,
-                     reply.tentative)
-            for client, reply in replica.last_reply.items()
-        },
-    }
+    return {"trace": trace, "charges": env.charges,
+            "last_executed": replica.last_executed, **_replica_state(replica)}
 
 
-def _all_mode_traces(batches, tentative_commit=True):
-    results = {}
+def _switch_modes():
+    """Every ``batch execution x caches`` setting, entered in turn."""
     for batch_exec in (True, False):
         for caches in (True, False):
             batch_ctx = (_null_ctx() if batch_exec
                          else hotpath.batch_execution_disabled())
             cache_ctx = _null_ctx() if caches else hotpath.caches_disabled()
             with batch_ctx, cache_ctx:
-                results[(batch_exec, caches)] = _drive_batches(
-                    batches, tentative_commit=tentative_commit
-                )
-    return results
+                yield batch_exec, caches
 
 
 @settings(max_examples=40, deadline=None)
 @given(batches=batches_spec)
 def test_batch_pipeline_is_bit_identical_across_all_toggles(batches):
-    results = _all_mode_traces(batches)
-    reference = results[(False, True)]
-    assert reference["reply_digest"] == reference["recomputed_reply_digest"]
+    """Every switch setting matches the model, execution by execution, and
+    the settings match each other on the whole trace (agreement messages
+    and request-path re-sends included) and on every charge."""
+    results = {mode: _drive_batches(batches) for mode in _switch_modes()}
     for mode, observed in results.items():
-        assert observed == reference, mode
+        assert observed == results[(True, True)], mode
 
 
 @settings(max_examples=25, deadline=None)
@@ -299,56 +485,42 @@ def test_batch_pipeline_is_bit_identical_across_all_toggles(batches):
 def test_tentative_rollback_is_bit_identical_across_toggles(batches):
     """Prepared-but-uncommitted batches execute tentatively; a view change
     aborts them.  The rollback (state restore + reply-table undo log) must
-    leave identical state on the batch and per-op paths."""
+    leave the state the model reaches by replaying the committed prefix."""
 
-    def run(batch_exec, caches):
-        batch_ctx = (_null_ctx() if batch_exec
-                     else hotpath.batch_execution_disabled())
-        cache_ctx = _null_ctx() if caches else hotpath.caches_disabled()
-        with batch_ctx, cache_ctx:
-            config = ReplicaSetConfig(n=4, checkpoint_interval=64)
-            registry = SignatureRegistry()
-            replica, env = make_replica(config, registry, "replica1",
-                                        service=KeyValueStore())
-            # Commit the first batch so there is a pre-abort reply table.
-            seq = 0
-            for index, batch in enumerate(batches):
-                seq += 1
-                inline = [
-                    _build_request(spec)[0] for spec in batch
-                    if spec != "null"
-                ] or [Request.null_request()]
-                pre_prepare = authed(PrePrepare(
-                    view=0, seq=seq, requests=tuple(inline), sender="replica0",
-                ))
-                replica.receive(pre_prepare)
-                digest_value = pre_prepare.batch_digest()
-                for other in ("replica2", "replica3"):
-                    replica.receive(authed(Prepare(
-                        view=0, seq=seq, digest=digest_value, replica=other,
-                        sender=other,
+    def run():
+        replica, env, executions = _model_replica()
+        for seq, batch in enumerate(batches, start=1):
+            inline = [
+                _build_request(spec)[0] for spec in batch
+                if spec != "null"
+            ] or [Request.null_request()]
+            pre_prepare = authed(PrePrepare(
+                view=0, seq=seq, requests=tuple(inline), sender="replica0",
+            ))
+            replica.receive(pre_prepare)
+            digest_value = pre_prepare.batch_digest()
+            for other in ("replica2", "replica3"):
+                replica.receive(authed(Prepare(
+                    view=0, seq=seq, digest=digest_value, replica=other,
+                    sender=other,
+                )))
+            # All but the last batch commit, so there is a pre-abort
+            # reply table; the last is tentative only.
+            if seq < len(batches):
+                for other in ("replica0", "replica2"):
+                    replica.receive(authed(Commit(
+                        view=0, seq=seq, digest=digest_value,
+                        replica=other, sender=other,
                     )))
-                if index < len(batches) - 1:
-                    for other in ("replica0", "replica2"):
-                        replica.receive(authed(Commit(
-                            view=0, seq=seq, digest=digest_value,
-                            replica=other, sender=other,
-                        )))
-            # The last batch is tentative only; abort it.
-            replica.start_view_change(1)
-            return {
-                "last_reply_timestamp": dict(replica.last_reply_timestamp),
-                "reply_digest": replica._reply_digest % ADHASH_MODULUS,
-                "recomputed": replica._recompute_reply_digest(),
-                "state": replica.service._export_state(),
-                "state_digest": replica._state_digest(),
-                "last_tentative": replica.last_tentative,
-            }
+        assert executions[-1][2], "the last batch must have run tentatively"
+        replica.start_view_change(1)
+        _assert_matches_model(replica, executions, aborted=True)
+        assert replica.last_tentative == replica.last_executed == len(batches) - 1
+        return _replica_state(replica)
 
-    reference = run(False, True)
-    assert reference["reply_digest"] == reference["recomputed"]
-    for mode in ((True, True), (True, False), (False, False)):
-        assert run(*mode) == reference, mode
+    results = {mode: run() for mode in _switch_modes()}
+    for mode, observed in results.items():
+        assert observed == results[(True, True)], mode
 
 
 # ======================================================================
@@ -357,7 +529,8 @@ def test_tentative_rollback_is_bit_identical_across_toggles(batches):
 def test_bulk_reply_encoding_matches_pack():
     """The batch pipeline's hand-assembled reply payloads (and prefilled
     caches) are exactly what ``pack`` produces."""
-    batches = [[(0, 1, 0, False), (1, 1, 1, False)], [(2, 2, 3, True)]]
+    batches = [[(0, 1, 0, False, None), (1, 1, 1, False, "replica2")],
+               [(2, 2, 3, True, None)]]
     with _null_ctx():
         config = ReplicaSetConfig(n=4, checkpoint_interval=64)
         registry = SignatureRegistry()
@@ -368,11 +541,7 @@ def test_bulk_reply_encoding_matches_pack():
             for spec in batch:
                 request, separate = _build_request(spec)
                 if separate:
-                    replica.receive(authed(Request(
-                        operation=request.operation,
-                        timestamp=request.timestamp,
-                        client=request.client, sender=request.client,
-                    )))
+                    replica.receive(authed(dataclasses.replace(request)))
                 inline.append(request)
             pre_prepare = authed(PrePrepare(
                 view=0, seq=seq, requests=tuple(inline), sender="replica0",
@@ -418,13 +587,11 @@ def _committed_batch(replica, seq, requests):
         )))
 
 
-def _retransmission_replies(batch_exec):
-    ctx = _null_ctx() if batch_exec else hotpath.batch_execution_disabled()
-    with ctx:
-        config = ReplicaSetConfig(n=4, checkpoint_interval=64)
-        registry = SignatureRegistry()
-        replica, env = make_replica(config, registry, "replica1",
-                                    service=KeyValueStore())
+def _retransmission_replies(batch_exec, caches):
+    batch_ctx = _null_ctx() if batch_exec else hotpath.batch_execution_disabled()
+    cache_ctx = _null_ctx() if caches else hotpath.caches_disabled()
+    with batch_ctx, cache_ctx:
+        replica, env, executions = _model_replica()
         original = Request(operation=b"SET a 1", timestamp=1,
                            client="client0", sender="client0")
         _committed_batch(replica, 1, [original])
@@ -436,6 +603,7 @@ def _retransmission_replies(batch_exec):
         fresh = Request(operation=b"SET b 2", timestamp=1,
                         client="client1", sender="client1")
         _committed_batch(replica, 2, [retransmission, fresh])
+        _assert_matches_model(replica, executions)
         return (
             [m for m in env.messages_of_type(Reply) if m.client == "client0"],
             replica,
@@ -443,23 +611,25 @@ def _retransmission_replies(batch_exec):
 
 
 def test_ordered_retransmission_resends_cached_reply_per_op_path():
-    replies, replica = _retransmission_replies(batch_exec=False)
-    assert replies, (
-        "a retransmitted request ordered into a batch must re-send the "
-        "cached reply (Section 3.1), not be dropped silently"
-    )
-    assert replies[0].timestamp == 1
-    assert replies[0].result == b"OK"
-    # The re-execution was skipped: the store holds the first write only.
-    assert replica.metrics.requests_executed == 2  # a=1 and b=2
+    for caches in (True, False):
+        replies, replica = _retransmission_replies(batch_exec=False, caches=caches)
+        assert replies, (
+            "a retransmitted request ordered into a batch must re-send the "
+            "cached reply (Section 3.1), not be dropped silently"
+        )
+        assert replies[0].timestamp == 1
+        assert replies[0].result == b"OK"
+        # The re-execution was skipped: the store holds the first write only.
+        assert replica.metrics.requests_executed == 2  # a=1 and b=2
 
 
 def test_ordered_retransmission_resends_cached_reply_batch_path():
-    replies, replica = _retransmission_replies(batch_exec=True)
-    assert replies
-    assert replies[0].timestamp == 1
-    assert replies[0].result == b"OK"
-    assert replica.metrics.requests_executed == 2
+    for caches in (True, False):
+        replies, replica = _retransmission_replies(batch_exec=True, caches=caches)
+        assert replies
+        assert replies[0].timestamp == 1
+        assert replies[0].result == b"OK"
+        assert replica.metrics.requests_executed == 2
 
 
 def test_stale_request_in_batch_is_still_dropped():
@@ -468,10 +638,7 @@ def test_stale_request_in_batch_is_still_dropped():
     for batch_exec in (True, False):
         ctx = _null_ctx() if batch_exec else hotpath.batch_execution_disabled()
         with ctx:
-            config = ReplicaSetConfig(n=4, checkpoint_interval=64)
-            registry = SignatureRegistry()
-            replica, env = make_replica(config, registry, "replica1",
-                                        service=KeyValueStore())
+            replica, env, executions = _model_replica()
             fresh = Request(operation=b"SET a 2", timestamp=2,
                             client="client0", sender="client0")
             _committed_batch(replica, 1, [fresh])
@@ -479,6 +646,7 @@ def test_stale_request_in_batch_is_still_dropped():
             stale = Request(operation=b"SET a 1", timestamp=1,
                             client="client0", sender="client0")
             _committed_batch(replica, 2, [stale])
+            _assert_matches_model(replica, executions)
             assert [m for m in env.messages_of_type(Reply)
                     if m.client == "client0"] == []
 

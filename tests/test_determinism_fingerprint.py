@@ -1,4 +1,4 @@
-"""Golden determinism fingerprint of six small end-to-end runs.
+"""Golden determinism fingerprint of seven small end-to-end runs.
 
 Modeled results are the repo's contract: work on the simulator's own
 speed must leave every modeled charge, event sequence number, RNG draw and
@@ -15,7 +15,10 @@ not.  Each configuration below runs a short closed loop and records
 and ``GOLDEN`` holds the values captured from the commit *before* the
 per-message fast path (parent of PR 12) — for ``null_f10``, the n = 31
 configuration delivery trains were built for, from the commit before those
-(parent of PR 13).  They must match to the bit.  MAC
+(parent of PR 13), and for ``kv_f1_dropping_primary`` from the commit before
+the per-request execution twin was deleted (parent of PR 21), where it was
+identical under all four ``batch execution x caches`` switch settings.  They
+must match to the bit.  MAC
 tag bytes are not part of the fingerprint (their size is, through the wire
 totals), so swapping the MAC primitive leaves it unchanged.
 
@@ -26,14 +29,18 @@ why in its PR.
 
 from __future__ import annotations
 
+import contextlib
 import pprint
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
 from repro.bench.workloads import run_closed_loop
 from repro.core.config import ProtocolOptions
+from repro.core.messages import Reply
+from repro.core.replica import Replica
 from repro.library import BFTCluster
+from repro.library.cluster import SimEnv
 from repro.net.conditions import NetworkConditions
 from repro.services.kvstore import KeyValueStore
 from repro.sim.faults import FaultSpec, FaultType
@@ -52,6 +59,12 @@ def _kv_op(client: int, index: int) -> Tuple[bytes, bool]:
     if index % 3 == 2:
         return b"GET " + key, True
     return b"SET " + key + b" " + bytes([65 + (client + index) % 26]) * 200, False
+
+
+def _kv_ordered_op(client: int, index: int) -> Tuple[bytes, bool]:
+    """``_kv_op`` with the GETs ordered too: their 200-byte results go
+    through ``_execute_batch`` and are stripped by non-designated repliers."""
+    return _kv_op(client, index)[0], False
 
 
 def _null_f1() -> BFTCluster:
@@ -91,6 +104,105 @@ def _tree_f2() -> BFTCluster:
     )
 
 
+#: When the dropping primary crashes, and the bound on the run: it finishes
+#: at ~36 ms, but two thirds of the neighbouring (seed, probability) pairs
+#: never do (ROADMAP: the view-change x tentative-execution wedge), so the
+#: loop must not be ``run_closed_loop``'s simulated hour.  The PR that fixes
+#: the wedge regenerates this configuration's literal and says why.
+DROPPING_PRIMARY_CRASH_US = 6_000.0
+DROPPING_PRIMARY_BOUND_US = 1_000_000.0
+
+
+def _kv_f1_dropping_primary() -> BFTCluster:
+    cluster = BFTCluster.create(
+        f=1, service_factory=KeyValueStore, seed=25, checkpoint_interval=4,
+        client_retransmission_timeout=1_500.0, view_change_timeout=20_000.0,
+    )
+    cluster.inject_fault(
+        FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES, probability=0.2,
+                  end=DROPPING_PRIMARY_CRASH_US)
+    )
+    cluster.inject_fault(
+        FaultSpec(node="replica0", fault=FaultType.CRASH,
+                  start=DROPPING_PRIMARY_CRASH_US)
+    )
+    return cluster
+
+
+@contextlib.contextmanager
+def _count_execution_branches(counts: Dict[str, int]) -> Iterator[None]:
+    """Count, from outside the replica, the branches of the execution rule
+    a run takes: digest replies (5.1.1), cached-reply re-sends (3.1) and
+    tentative aborts (5.1.2)."""
+    send_many = SimEnv.send_many
+    execute_batch = Replica._execute_batch
+    abort = Replica._abort_tentative_execution
+
+    def counting_send_many(self, pairs):
+        counts["stripped_replies"] += sum(
+            1 for _, message in pairs
+            if type(message) is Reply and message.result is None
+        )
+        send_many(self, pairs)
+
+    def counting_execute_batch(self, requests, nondet, tentative):
+        last = self.last_reply_timestamp
+        counts["cached_resends"] += sum(
+            1 for request in requests
+            if not request.is_null and request.timestamp == last.get(request.client)
+        )
+        counts["multi_request_batches"] += len(requests) > 1
+        execute_batch(self, requests, nondet, tentative)
+
+    def counting_abort(self):
+        counts["tentative_aborts"] += self.last_tentative > self.last_executed
+        abort(self)
+
+    SimEnv.send_many = counting_send_many
+    Replica._execute_batch = counting_execute_batch
+    Replica._abort_tentative_execution = counting_abort
+    try:
+        yield
+    finally:
+        SimEnv.send_many = send_many
+        Replica._execute_batch = execute_batch
+        Replica._abort_tentative_execution = abort
+
+
+def _drive_dropping_primary(
+    cluster: BFTCluster, clients: int, ops_per_client: int, make_op: Callable
+) -> List[int]:
+    """``run_closed_loop`` with a bounded run, asserting that the run took
+    every branch of the execution rule it is here to pin."""
+    per_client = [0] * clients
+    syncs = []
+
+    def on_complete(index: int) -> Callable:
+        def callback(_completed) -> None:
+            per_client[index] += 1
+            if per_client[index] < ops_per_client:
+                operation, read_only = make_op(index, per_client[index])
+                syncs[index].protocol.invoke(operation, read_only=read_only)
+        return callback
+
+    counts = dict.fromkeys(
+        ("stripped_replies", "cached_resends", "multi_request_batches",
+         "tentative_aborts"), 0
+    )
+    with _count_execution_branches(counts):
+        for index in range(clients):
+            syncs.append(cluster.new_client(on_complete=on_complete(index)))
+            operation, read_only = make_op(index, 0)
+            syncs[index].invoke_async(operation, read_only=read_only)
+        cluster.run(
+            stop_when=lambda: sum(per_client) >= clients * ops_per_client,
+            duration=DROPPING_PRIMARY_BOUND_US,
+        )
+    # 14 / 6 / 3 / 2 when the literal was captured.
+    assert all(counts.values()), counts
+    return per_client
+
+
 #: name -> (cluster factory, operation factory, clients, operations per client)
 CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] = {
     "null_f1": (_null_f1, _null_op, 5, 6),
@@ -99,14 +211,20 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] =
     "lossy_f1": (_lossy_f1, _null_op, 4, 6),
     "tree_f2": (_tree_f2, _null_op, 4, 5),
     "null_f10": (_null_f10, _null_op, 3, 3),
+    "kv_f1_dropping_primary": (_kv_f1_dropping_primary, _kv_ordered_op, 5, 8),
 }
 
 
 def fingerprint(name: str) -> Dict[str, Any]:
     build, make_op, clients, ops_per_client = CONFIGURATIONS[name]
     cluster = build()
-    result = run_closed_loop(cluster, clients, ops_per_client, make_op)
-    assert result.per_client == [ops_per_client] * clients
+    if name == "kv_f1_dropping_primary":
+        per_client = _drive_dropping_primary(cluster, clients, ops_per_client, make_op)
+    else:
+        per_client = run_closed_loop(
+            cluster, clients, ops_per_client, make_op
+        ).per_client
+    assert per_client == [ops_per_client] * clients
     cluster.run(duration=SETTLE_US)
     return {
         "completion_times": sorted(c.completed_at for c in cluster.completed),
@@ -356,6 +474,44 @@ GOLDEN["null_f10"] = \
                               'Reply': 279,
                               'Request': 9,
                               'StatusActive': 2790}}}
+
+GOLDEN["kv_f1_dropping_primary"] = \
+{'completion_times': [572.8689999999999, 921.0220000000002, 1209.0790000000004,
+                      1502.3080000000007, 1980.1249999999993, 24328.714999999946,
+                      24502.49999999994, 24660.285999999953, 24791.565999999966,
+                      25376.52699999998, 25673.669999999944, 26066.034999999993,
+                      26196.749, 26424.799000000003, 26936.65700000002,
+                      27430.714000000033, 27686.193000000003, 28076.67200000004,
+                      28368.101000000042, 28874.010000000053, 29321.299000000065,
+                      29568.772000000066, 29913.721000000074, 30215.114000000078,
+                      30633.41900000009, 31128.309000000103, 31378.143000000102,
+                      31764.86500000011, 32012.251000000113, 32512.973000000125,
+                      32988.18200000014, 33236.05500000014, 33581.00400000013,
+                      33828.47700000012, 34329.286000000124, 34825.631000000125,
+                      35075.93500000012, 35476.437000000114, 35723.910000000105,
+                      36078.8230000001],
+ 'cpu_busy_total': {'replica0': 3417.022000000001,
+                    'replica1': 16837.166999999907,
+                    'replica2': 15653.846999999878,
+                    'replica3': 15637.053999999884},
+ 'dispatched': 1524,
+ 'state_digests': {'replica0': 'e8b01324a8e52cbffe07e92d24ddbaed',
+                   'replica1': '9a985520f9c69528496910988706a725',
+                   'replica2': '9a985520f9c69528496910988706a725',
+                   'replica3': '9a985520f9c69528496910988706a725'},
+ 'wire_totals': {'auth_bytes': 35088,
+                 'messages_sent': 1460,
+                 'payload_bytes': 195264,
+                 'per_type': {'Checkpoint': 93,
+                              'Commit': 427,
+                              'NewView': 3,
+                              'PrePrepare': 119,
+                              'Prepare': 300,
+                              'Reply': 234,
+                              'Request': 244,
+                              'StatusActive': 27,
+                              'ViewChange': 9,
+                              'ViewChangeAck': 4}}}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))

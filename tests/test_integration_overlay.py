@@ -166,3 +166,33 @@ def test_batched_send_path_applies_relay_faults_in_flat_order():
     assert (batched_cluster.network.stats.messages_dropped
             == unbatched_cluster.network.stats.messages_dropped)
     assert _state_of(batched_cluster) == _state_of(unbatched_cluster)
+
+    # The same run as literals, captured where both send paths agree on it
+    # (parent of PR 21), for when the per-message twin is gone.
+    assert batched.per_client == [8, 8, 8]
+    assert batched.latencies == PER_MESSAGE_PATH_LATENCIES
+    assert batched_cluster.network.stats.messages_dropped == 0
+    # (The run ends with the replicas spread over three states.)
+    assert {
+        rid: state.hex() for rid, state in _state_of(batched_cluster).items()
+    } == {
+        "replica0": "075a7e3d73d8ffe3612a5b50499e441e",
+        "replica1": "78968ce33a482bf21e9507861aca91e5",
+        "replica2": "a01f550c6dd61f13d463bbf6eeb03dd6",
+        "replica3": "075a7e3d73d8ffe3612a5b50499e441e",
+        "replica4": "78968ce33a482bf21e9507861aca91e5",
+        "replica5": "075a7e3d73d8ffe3612a5b50499e441e",
+        "replica6": "075a7e3d73d8ffe3612a5b50499e441e",
+    }
+
+
+PER_MESSAGE_PATH_LATENCIES = [
+    101188.53000000006, 200525.554, 200541.442, 199570.50700000013,
+    200132.03200000018, 200371.88500000015, 100721.83700000017,
+    1696.7470000004978, 99870.44499999977, 100477.41800000024,
+    298338.6619999998, 199357.56400000036, 199334.02600000013,
+    300603.6649999998, 450189.98400000005, 599350.5979999985,
+    449796.0549999983, 1050207.7989999983, 199995.91200000024,
+    199995.91200000024, 150025.5910000007, 299879.812000002,
+    450172.75199999986, 299896.17700000014,
+]
