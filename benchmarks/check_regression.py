@@ -14,7 +14,7 @@ Two modes:
   per-round messages, skew recovery) any relative drop larger than
   ``--threshold`` (default 20%) fails: those repeat exactly, so one fresh
   run suffices and a drop is a real regression.  The wall-clock
-  experiments (hotpath, checkpoint, batchexec) compare the current code
+  experiments (hotpath, checkpoint) compare the current code
   with a legacy twin kept in the tree; work that speeds up both sides moves
   that ratio for reasons unrelated to correctness, so their fresh run must
   pass (it asserts bit-identical modeled results and work counters across
@@ -77,13 +77,6 @@ EXPERIMENTS = {
         "headline_key": "headline_bytes_ratio",
         "ratio_key": "bytes_ratio",
         "side_metric": "bytes_fetched",
-    },
-    "batchexec": {
-        "record": "BENCH_batchexec.json",
-        "module": "benchmarks/test_bench_batch_exec.py",
-        "required_workload_fragments": [
-            "headline", "max_batch_size=16", "mixed", "Zipfian",
-        ],
     },
     "sharding": {
         "record": "BENCH_sharding.json",

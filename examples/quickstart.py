@@ -57,10 +57,7 @@ def batched() -> None:
     latency, less amortization).  The replica executes each committed
     batch through one ``Service.execute_batch`` call — memoized operation
     parsing, one dirty-page bookkeeping pass, bulk-built and batch-signed
-    replies, one delivery train for the whole reply fan-out — toggleable
-    via ``repro.hotpath.batch_execution_disabled()`` for baseline
-    measurement; modeled results are bit-identical either way (E18,
-    ``benchmarks/test_bench_batch_exec.py``).
+    replies, one delivery train for the whole reply fan-out.
     """
     import dataclasses
 

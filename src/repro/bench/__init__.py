@@ -11,7 +11,6 @@ from repro.bench.workloads import (
     run_closed_loop,
     run_kv_mixed,
     run_kv_value_churn,
-    run_kv_zipfian,
     run_sharded_closed_loop,
     run_sharded_kv_churn,
     zipf_cdf,
@@ -33,7 +32,6 @@ __all__ = [
     "run_closed_loop",
     "run_kv_mixed",
     "run_kv_value_churn",
-    "run_kv_zipfian",
     "run_sharded_closed_loop",
     "run_sharded_kv_churn",
     "zipf_cdf",

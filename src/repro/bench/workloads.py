@@ -317,42 +317,6 @@ def zipf_key_sequences(
     ]
 
 
-def run_kv_zipfian(
-    cluster,
-    num_clients: int,
-    operations_per_client: int,
-    key_space: int = 256,
-    value_size: int = 1024,
-    skew: float = 0.99,
-    seed: int = 0,
-) -> ThroughputResult:
-    """Closed-loop KV churn with Zipfian (skewed) key popularity — the
-    ROADMAP's open workload item.
-
-    ``skew`` ~0.99 approximates the YCSB-style hot-key distribution: a
-    handful of keys absorb most writes, which concentrates dirty pages,
-    stresses per-bucket contention, and (through the CRC-32 bucket
-    partitioning) loads a sharded deployment's groups unevenly — the
-    per-group load-imbalance statistic E16 reports.  Works with both a
-    plain :class:`~repro.library.cluster.BFTCluster` and a sharded
-    cluster.  Deterministic via :class:`~repro.sim.rng.SimRandom`.
-    """
-    sequences = zipf_key_sequences(
-        num_clients, operations_per_client, key_space=key_space,
-        skew=skew, seed=seed,
-    )
-
-    def factory(client_index: int, op_index: int) -> Tuple[bytes, bool]:
-        rank = sequences[client_index][op_index]
-        key = b"zipf%05d" % rank
-        value = bytes([65 + (client_index + op_index) % 26]) * value_size
-        return (b"SET " + key + b" " + value, False)
-
-    return run_closed_loop(
-        cluster, num_clients, operations_per_client, factory
-    )
-
-
 def zipf_group_load(
     sequences: Sequence[Sequence[int]], group_of_key: Callable[[bytes], int],
     groups: int,

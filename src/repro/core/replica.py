@@ -374,7 +374,7 @@ class Replica:
         )
         self.metrics.read_only_executed += 1
         reply = self._build_reply(request, outcome.result, tentative=False)
-        self._send_reply_message(reply, cache=False)
+        self._send_reply_message(reply)
 
     # =====================================================================
     # Pre-prepare (primary side)
@@ -598,26 +598,29 @@ class Replica:
             request = self.log.request_by_digest(request_digest)
             if request is not None:
                 requests.append(request)
-        if hotpath.BATCH_EXECUTION_ENABLED:
-            self._execute_batch(requests, pre_prepare.nondet, tentative)
-        else:
-            for request in requests:
-                self._execute_request(request, pre_prepare.nondet, tentative)
+        self._execute_batch(requests, pre_prepare.nondet, tentative)
         self.env.record("batch-executed", seq=slot.seq, tentative=tentative)
 
     def _execute_batch(
         self, requests: List[Request], nondet: bytes, tentative: bool
     ) -> None:
-        """Commit-side batch pipeline (Section 5.1.4's throughput case).
+        """Execute one batch of requests, in order (Section 5.1.4).
 
-        Byte- and charge-identical to running :meth:`_execute_request` per
-        request — the same replies, state, digests, modeled costs (issued
-        in the same order with the same values) and send order — but the
-        per-request overheads are amortized across the batch:
+        The rule, per request: a null request does nothing; a request older
+        than the client's last executed one is dropped; a retransmission of
+        the last one re-sends the cached reply, at its position in the
+        batch (exactly-once, Section 3.1); anything newer executes, is
+        charged ``execution_cost(len(operation), len(result))``, replaces
+        the client's reply-table entry and cached reply — the full one, so
+        a retransmission gets the result whoever is designated then — and
+        is answered, with the result digest alone when digest replies apply
+        and another replica is the designated replier (Section 5.1.1).
+        Under ``tentative`` every executed request logs what it overwrote,
+        so a view change can undo the batch (Section 5.1.2).
 
-        * timestamps are deduplicated in one pass (retransmissions ordered
-          into the batch re-send the cached reply at their position, as
-          the per-request path does since the Section 3.1 fix);
+        The per-request overheads are amortized across the batch:
+
+        * timestamps are deduplicated in one pass;
         * the service executes the whole batch through one
           :meth:`~repro.services.interface.Service.execute_batch` call
           (memoized operation parsing, one dirty-set pass);
@@ -799,49 +802,6 @@ class Replica:
         self._reply_digest = (self._reply_digest + reply_delta) % ADHASH_MODULUS
         env.send_many(sends)
 
-    def _execute_request(
-        self, request: Request, nondet: bytes, tentative: bool
-    ) -> None:
-        if request.is_null:
-            return
-        client = request.client
-        last_timestamp = self.last_reply_timestamp.get(client, 0)
-        if request.timestamp <= last_timestamp:
-            # A retransmission of an already-executed request that the
-            # primary ordered into a batch: Section 3.1 says the replica
-            # re-sends the cached reply whenever it receives a request it
-            # has already executed — dropping it here silently (as this
-            # path once did) left clients whose replies were lost waiting
-            # for their retransmission timer even though the request went
-            # through the protocol again.
-            if request.timestamp == last_timestamp:
-                cached = self.last_reply.get(client)
-                if cached is not None:
-                    self._send_reply_message(cached, cache=False)
-            return
-        outcome = self.service.execute(request.operation, client, nondet=nondet)
-        self.env.charge(
-            self.params.execution_cost(len(request.operation), len(outcome.result))
-        )
-        self.metrics.requests_executed += 1
-        self._executed_since_checkpoint += 1
-        previous = self.last_reply_timestamp.get(client)
-        if tentative:
-            self._tentative_undo.append(
-                (client, previous, self.last_reply.get(client))
-            )
-        delta = _reply_entry_digest(client, request.timestamp)
-        if previous is not None:
-            delta -= _reply_entry_digest(client, previous)
-        self._reply_digest = (self._reply_digest + delta) % ADHASH_MODULUS
-        self.last_reply_timestamp[client] = request.timestamp
-        full_reply = self._build_reply(request, outcome.result, tentative=tentative)
-        # Cache the full reply so retransmissions can always be answered with
-        # the complete result, even if the designated replier changes.
-        self.last_reply[client] = full_reply
-        self._send_reply_message(self._maybe_strip_result(request, full_reply),
-                                 cache=False)
-
     def _build_reply(
         self, request: Request, result: bytes, tentative: bool
     ) -> Reply:
@@ -856,31 +816,7 @@ class Replica:
             sender=self.id,
         )
 
-    def _maybe_strip_result(self, request: Request, reply: Reply) -> Reply:
-        """Digest replies (Section 5.1.1): replicas other than the designated
-        replier return only the result digest for large results."""
-        result = reply.result or b""
-        if (
-            self.options.digest_replies
-            and len(result) >= self.options.digest_replies_threshold
-            and request.designated_replier is not None
-            and request.designated_replier != self.id
-        ):
-            return Reply(
-                view=reply.view,
-                timestamp=reply.timestamp,
-                client=reply.client,
-                replica=reply.replica,
-                result=None,
-                result_digest=reply.result_digest,
-                tentative=reply.tentative,
-                sender=reply.sender,
-            )
-        return reply
-
-    def _send_reply_message(self, reply: Reply, cache: bool = True) -> None:
-        if cache:
-            self.last_reply[reply.client] = reply
+    def _send_reply_message(self, reply: Reply) -> None:
         self.auth.sign_point_to_point(reply, reply.client)
         self.env.send(reply.client, reply)
 

@@ -36,24 +36,6 @@ the same process and report the speedup honestly
 (``benchmarks/test_bench_hotpath.py`` and
 ``benchmarks/test_bench_checkpoint_pipeline.py``).
 
-A third switch gates the *batch-execution pipeline* (Section 5.1.4's
-throughput argument applied to the replica's commit side).  With it on,
-``Replica._execute_slot`` executes a committed batch through one
-``Service.execute_batch`` call (memoized operation parsing, one dirty-set
-and ``state_version`` bookkeeping pass), accumulates the reply-table
-AdHash delta with a single modular reduction, signs the reply fan-out
-through a per-batch point-to-point signer with the per-call lookups
-hoisted, and hands the whole batch of replies to ``Env.send_many``; the
-node then flushes everything a handler sent to the network as runs, which
-become one delivery train.  Off, the pre-PR per-request loop runs and every
-copy is transmitted and scheduled on its own.  Like the
-caches, the pipeline only changes the simulator's wall-clock cost: every
-modeled charge is issued in the identical order with identical values,
-every message keeps its content, creation order and scheduler sequence
-number, so modeled results are bit-identical across the toggle
-(``benchmarks/test_bench_batch_exec.py`` measures the wall-clock speedup
-and asserts exactly that).
-
 A further, independent switch gates the *hierarchical page-level state
 transfer* (Section 5.3.2, :mod:`repro.statetransfer.transfer`).  Unlike
 the caches, page-level transfer is a protocol-level optimization: it
@@ -80,16 +62,6 @@ CACHES_ENABLED = True
 #: normal operation; off, replicas fall back to whole-snapshot transfer.
 PAGE_TRANSFER_ENABLED = True
 
-#: Global switch for the replica's batch-execution pipeline.  True in
-#: normal operation; off, committed batches execute through the pre-PR
-#: per-request loop (the baseline the E18 benchmark measures against).
-BATCH_EXECUTION_ENABLED = True
-
-
-def caches_enabled() -> bool:
-    """Whether the hot-path caches are currently active."""
-    return CACHES_ENABLED
-
 
 @contextmanager
 def caches_disabled() -> Iterator[None]:
@@ -105,34 +77,6 @@ def caches_disabled() -> Iterator[None]:
         yield
     finally:
         CACHES_ENABLED = previous
-
-
-def batch_execution_enabled() -> bool:
-    """Whether the replica-side batch-execution pipeline is active."""
-    return BATCH_EXECUTION_ENABLED
-
-
-@contextmanager
-def batch_execution_disabled() -> Iterator[None]:
-    """Temporarily execute committed batches through the per-request loop.
-
-    Used by ``benchmarks/test_bench_batch_exec.py`` to measure the
-    pre-pipeline baseline.  Modeled results are bit-identical either way;
-    only the simulator's wall clock changes.  Nesting is safe and the
-    previous state is restored on exit.
-    """
-    global BATCH_EXECUTION_ENABLED
-    previous = BATCH_EXECUTION_ENABLED
-    BATCH_EXECUTION_ENABLED = False
-    try:
-        yield
-    finally:
-        BATCH_EXECUTION_ENABLED = previous
-
-
-def page_transfer_enabled() -> bool:
-    """Whether hierarchical page-level state transfer is active."""
-    return PAGE_TRANSFER_ENABLED
 
 
 @contextmanager

@@ -13,7 +13,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import hotpath
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.client import Client, CompletedRequest
 from repro.core.config import DEFAULT_OPTIONS, ProtocolOptions, ReplicaSetConfig
@@ -188,14 +187,12 @@ class ProtocolNode(Node):
 
     def _flush(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
         """Transmit what a handler sent.  A flush of several copies goes to
-        the network as runs; a lone message, a node with a fault registered
-        (whose checks and random draws are per destination) and the
-        batch-toggle-off baseline transmit copy by copy."""
+        the network as runs; a lone message and a node with a fault
+        registered (whose checks and random draws are per destination)
+        transmit copy by copy."""
         if (
-            (len(outbox) > 1 or len(outbox[0][0]) > 1)
-            and self.name not in self._fault_specs
-            and hotpath.BATCH_EXECUTION_ENABLED
-        ):
+            len(outbox) > 1 or len(outbox[0][0]) > 1
+        ) and self.name not in self._fault_specs:
             self._transmit_many(outbox)
         else:
             for destinations, message in outbox:

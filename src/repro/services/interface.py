@@ -142,9 +142,9 @@ class Service:
         """Execute one committed batch of operations in order.
 
         Must behave exactly like calling :meth:`execute` once per entry
-        (same results, same final state, same ``state_version`` total) —
-        the batch-execution pipeline (Section 5.1.4) relies on the two
-        paths being byte-identical and only differing in wall-clock cost.
+        (same results, same final state, same ``state_version`` total):
+        replicas execute every committed batch through this method, and
+        read-only requests through :meth:`execute`.
         Subclasses override to amortize per-operation work: parsing
         (memoized on ``cache_key``), dirty-set and mutation-counter
         bookkeeping.  The default is the per-op fallback.

@@ -1,23 +1,20 @@
-"""Property tests for the batch-execution pipeline.
+"""Property tests for batch execution.
 
-The contract under test: with ``hotpath.BATCH_EXECUTION_ENABLED`` on, a
-replica executes a committed batch through ``Service.execute_batch`` plus
-bulk reply construction/signing/sending — and everything observable is
-byte-identical to the per-request path, in both hot-path cache modes:
+A replica executes a committed batch through ``Service.execute_batch`` plus
+bulk reply construction/signing/sending.  The contract under test, in both
+hot-path cache modes:
 
-* the service results, final state, state digests and ``state_version``;
-* every message the replica sends (payloads compared canonically, in
-  send order), including cached-reply re-sends for retransmissions that
-  were ordered into a batch (the Section 3.1 fix, regression-tested here
-  for both paths);
-* the reply table, its incremental AdHash digest, and the tentative
-  rollback that unwinds it.
-
-The oracle for the replica-level properties is a Section 3.1 *sequential
-reference model* (``SequentialModel`` below): one request at a time on a
-shadow store, sharing no code with either execution path.  It predicts the
-reply trace, the ordered list of modeled charges, the reply table, the
-store and every digest.
+* ``Service.execute_batch`` equals ``Service.execute`` per entry: results,
+  final state, state digests and ``state_version``;
+* ``Replica._execute_batch`` does what a Section 3.1 *sequential reference
+  model* (``SequentialModel`` below) does one request at a time on a shadow
+  store: the reply trace (including cached-reply re-sends for
+  retransmissions that were ordered into a batch, and digest replies), the
+  ordered list of modeled charges, the reply table with its incremental
+  AdHash digest, the store, every digest, and the tentative rollback that
+  unwinds it all.  The model shares no code with the replica;
+* everything else a replica sends while batches commit is byte-identical
+  with caches on and off.
 
 Also covered: the bulk reply encoder produces exactly ``pack(...)``'s
 bytes, the operation-parse cache returns what a fresh parse would, and
@@ -185,7 +182,7 @@ def test_null_service_execute_batch_matches_per_op():
 
 
 # ======================================================================
-# Replica level: the batch pipeline is observably identical
+# Replica level: _execute_batch against the sequential model
 # ======================================================================
 OPS = [b"SET a 1", b"SET b 2", b"DEL a", b"CAS a 1 2", b"GET a",
        b"SET a " + b"w" * 40]
@@ -370,27 +367,22 @@ class ChargeLogEnv(RecordingEnv):
 
 
 def _record_executions(replica: Replica, env: ChargeLogEnv) -> list:
-    """Log, per executed slot, the batch it was given and what executing it
-    sent and charged: ``(requests, nondet, tentative, sent, charges)``."""
+    """Log every batch the replica executes and what executing it sent and
+    charged: ``(requests, nondet, tentative, sent, charges)``."""
     executions = []
-    execute_slot = replica._execute_slot
+    execute_batch = replica._execute_batch
 
-    def recording(slot, tentative):
-        pre_prepare = slot.pre_prepare
-        requests = list(pre_prepare.requests) + [
-            replica.log.request_by_digest(request_digest)
-            for request_digest in pre_prepare.separate_digests
-        ]
+    def recording(requests, nondet, tentative):
         sent, charges = len(env.sent), len(env.charges)
-        execute_slot(slot, tentative)
+        execute_batch(requests, nondet, tentative)
         executions.append((
-            requests, pre_prepare.nondet, tentative,
+            list(requests), nondet, tentative,
             [(s.destination, type(s.message).__name__, s.message.payload_bytes(),
               s.message.result) for s in env.sent[sent:]],
             env.charges[charges:],
         ))
 
-    replica._execute_slot = recording
+    replica._execute_batch = recording
     return executions
 
 
@@ -458,26 +450,16 @@ def _drive_batches(batches):
             "last_executed": replica.last_executed, **_replica_state(replica)}
 
 
-def _switch_modes():
-    """Every ``batch execution x caches`` setting, entered in turn."""
-    for batch_exec in (True, False):
-        for caches in (True, False):
-            batch_ctx = (_null_ctx() if batch_exec
-                         else hotpath.batch_execution_disabled())
-            cache_ctx = _null_ctx() if caches else hotpath.caches_disabled()
-            with batch_ctx, cache_ctx:
-                yield batch_exec, caches
-
-
 @settings(max_examples=40, deadline=None)
 @given(batches=batches_spec)
 def test_batch_pipeline_is_bit_identical_across_all_toggles(batches):
-    """Every switch setting matches the model, execution by execution, and
-    the settings match each other on the whole trace (agreement messages
-    and request-path re-sends included) and on every charge."""
-    results = {mode: _drive_batches(batches) for mode in _switch_modes()}
-    for mode, observed in results.items():
-        assert observed == results[(True, True)], mode
+    """Both cache modes match the model, execution by execution, and each
+    other on the whole trace (agreement messages and request-path re-sends
+    included) and on every charge."""
+    cached = _drive_batches(batches)
+    with hotpath.caches_disabled():
+        uncached = _drive_batches(batches)
+    assert cached == uncached
 
 
 @settings(max_examples=25, deadline=None)
@@ -518,9 +500,10 @@ def test_tentative_rollback_is_bit_identical_across_toggles(batches):
         assert replica.last_tentative == replica.last_executed == len(batches) - 1
         return _replica_state(replica)
 
-    results = {mode: run() for mode in _switch_modes()}
-    for mode, observed in results.items():
-        assert observed == results[(True, True)], mode
+    cached = run()
+    with hotpath.caches_disabled():
+        uncached = run()
+    assert cached == uncached
 
 
 # ======================================================================
@@ -587,68 +570,56 @@ def _committed_batch(replica, seq, requests):
         )))
 
 
-def _retransmission_replies(batch_exec, caches):
-    batch_ctx = _null_ctx() if batch_exec else hotpath.batch_execution_disabled()
-    cache_ctx = _null_ctx() if caches else hotpath.caches_disabled()
-    with batch_ctx, cache_ctx:
-        replica, env, executions = _model_replica()
-        original = Request(operation=b"SET a 1", timestamp=1,
-                           client="client0", sender="client0")
-        _committed_batch(replica, 1, [original])
-        env.clear()
-        # The client's retransmission got ordered into the next batch
-        # (e.g. its replies were lost and the primary re-proposed it).
-        retransmission = Request(operation=b"SET a 1", timestamp=1,
-                                 client="client0", sender="client0")
-        fresh = Request(operation=b"SET b 2", timestamp=1,
-                        client="client1", sender="client1")
-        _committed_batch(replica, 2, [retransmission, fresh])
-        _assert_matches_model(replica, executions)
-        return (
-            [m for m in env.messages_of_type(Reply) if m.client == "client0"],
-            replica,
-        )
+def _retransmission_replies():
+    replica, env, executions = _model_replica()
+    original = Request(operation=b"SET a 1", timestamp=1,
+                       client="client0", sender="client0")
+    _committed_batch(replica, 1, [original])
+    env.clear()
+    # The client's retransmission got ordered into the next batch
+    # (e.g. its replies were lost and the primary re-proposed it).
+    retransmission = Request(operation=b"SET a 1", timestamp=1,
+                             client="client0", sender="client0")
+    fresh = Request(operation=b"SET b 2", timestamp=1,
+                    client="client1", sender="client1")
+    _committed_batch(replica, 2, [retransmission, fresh])
+    _assert_matches_model(replica, executions)
+    replies = [m for m in env.messages_of_type(Reply) if m.client == "client0"]
+    assert replies, (
+        "a retransmitted request ordered into a batch must re-send the "
+        "cached reply (Section 3.1), not be dropped silently"
+    )
+    assert replies[0].timestamp == 1
+    assert replies[0].result == b"OK"
+    # The re-execution was skipped: the store holds the first write only.
+    assert replica.metrics.requests_executed == 2  # a=1 and b=2
 
 
 def test_ordered_retransmission_resends_cached_reply_per_op_path():
-    for caches in (True, False):
-        replies, replica = _retransmission_replies(batch_exec=False, caches=caches)
-        assert replies, (
-            "a retransmitted request ordered into a batch must re-send the "
-            "cached reply (Section 3.1), not be dropped silently"
-        )
-        assert replies[0].timestamp == 1
-        assert replies[0].result == b"OK"
-        # The re-execution was skipped: the store holds the first write only.
-        assert replica.metrics.requests_executed == 2  # a=1 and b=2
+    """With the from-scratch encoders (the id dates from a per-request
+    execution twin; the sequential model is that reference now)."""
+    with hotpath.caches_disabled():
+        _retransmission_replies()
 
 
 def test_ordered_retransmission_resends_cached_reply_batch_path():
-    for caches in (True, False):
-        replies, replica = _retransmission_replies(batch_exec=True, caches=caches)
-        assert replies
-        assert replies[0].timestamp == 1
-        assert replies[0].result == b"OK"
-        assert replica.metrics.requests_executed == 2
+    _retransmission_replies()
 
 
 def test_stale_request_in_batch_is_still_dropped():
     """Only an exact retransmission re-sends; an older timestamp stays
     silent (the client has already moved on)."""
-    for batch_exec in (True, False):
-        ctx = _null_ctx() if batch_exec else hotpath.batch_execution_disabled()
-        with ctx:
-            replica, env, executions = _model_replica()
-            fresh = Request(operation=b"SET a 2", timestamp=2,
-                            client="client0", sender="client0")
-            _committed_batch(replica, 1, [fresh])
-            env.clear()
-            stale = Request(operation=b"SET a 1", timestamp=1,
-                            client="client0", sender="client0")
-            _committed_batch(replica, 2, [stale])
-            _assert_matches_model(replica, executions)
-            assert [m for m in env.messages_of_type(Reply)
-                    if m.client == "client0"] == []
+    replica, env, executions = _model_replica()
+    fresh = Request(operation=b"SET a 2", timestamp=2,
+                    client="client0", sender="client0")
+    _committed_batch(replica, 1, [fresh])
+    env.clear()
+    stale = Request(operation=b"SET a 1", timestamp=1,
+                    client="client0", sender="client0")
+    _committed_batch(replica, 2, [stale])
+    _assert_matches_model(replica, executions)
+    assert [m for m in env.messages_of_type(Reply)
+            if m.client == "client0"] == []
 
 
 # ======================================================================

@@ -170,7 +170,7 @@ def _executing_replica():
 def _execute(replica, timestamp: int, operation: bytes) -> None:
     request = Request(operation=operation, timestamp=timestamp,
                       client="client0", sender="client0")
-    replica._execute_request(request, b"", tentative=False)
+    replica._execute_batch([request], b"", tentative=False)
 
 
 def test_checkpoint_skips_work_when_nothing_executed():
@@ -213,7 +213,7 @@ def test_reused_checkpoint_digest_equals_recompute():
 
 
 def test_checkpoint_not_reused_after_out_of_band_mutation():
-    """State mutated outside ``_execute_request`` (fault injection, bench
+    """State mutated outside ``_execute_batch`` (fault injection, bench
     preloading) marks pages dirty, which must veto checkpoint reuse — a
     reused pre-mutation digest would mask the corruption from the
     ``_maybe_make_stable`` divergence check until the next execution."""
@@ -265,7 +265,7 @@ def test_abort_tentative_execution_rolls_back_reply_table():
     replica._pre_tentative_snapshot = replica.service.snapshot()
     request = Request(operation=b"SET b 2", timestamp=2,
                       client="client0", sender="client0")
-    replica._execute_request(request, b"", tentative=True)
+    replica._execute_batch([request], b"", tentative=True)
     replica.last_tentative = replica.last_executed + 1
     assert replica.last_reply_timestamp["client0"] == 2
 

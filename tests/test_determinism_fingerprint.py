@@ -18,9 +18,9 @@ configuration delivery trains were built for, from the commit before those
 (parent of PR 13), and for ``kv_f1_dropping_primary`` from the commit before
 the per-request execution twin was deleted (parent of PR 21), where it was
 identical under all four ``batch execution x caches`` switch settings.  They
-must match to the bit.  MAC
-tag bytes are not part of the fingerprint (their size is, through the wire
-totals), so swapping the MAC primitive leaves it unchanged.
+must match to the bit.  MAC tag bytes are not part of the fingerprint (their
+size is, through the wire totals), so swapping the MAC primitive leaves it
+unchanged.
 
 A change that means to move modeled results regenerates the literals with
 ``PYTHONPATH=src python tests/test_determinism_fingerprint.py`` and says

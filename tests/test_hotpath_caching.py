@@ -355,7 +355,16 @@ def test_pack_matches_baseline_encoder():
 def test_hotpath_toggle_reads_only_go_down():
     """Every ``hotpath.<TOGGLE>`` read under ``src/repro`` is a second code
     path kept alive (ROADMAP, "Retire the legacy twins").  A change that
-    removes reads lowers the number; none may raise it."""
+    removes reads lowers the number; none may raise it — and a retired
+    switch stays retired, down to its name."""
     sources = pathlib.Path(hotpath.__file__).parent.rglob("*.py")
     reads = sum(len(re.findall(r"hotpath\.[A-Z_]+", path.read_text())) for path in sources)
-    assert reads <= 23
+    assert reads <= 21
+    assert {name for name in vars(hotpath) if name.endswith("_ENABLED")} == {
+        "CACHES_ENABLED", "PAGE_TRANSFER_ENABLED",
+    }
+    retired = "BATCH_" + "EXECUTION"
+    root = pathlib.Path(__file__).parent.parent
+    for directory in ("src", "tests", "benchmarks", "examples"):
+        for path in (root / directory).rglob("*.py"):
+            assert retired not in path.read_text(), path

@@ -154,27 +154,21 @@ def test_batched_send_path_applies_relay_faults_in_flat_order():
     draws) as the per-message ``_transmit`` path, including when the sender
     is a relay flushing bundles.  A probabilistic drop fault on the
     view-0 interior forwarder makes any ordering divergence visible as a
-    different drop pattern, hence different modeled results."""
+    different drop pattern, hence different modeled results.
+
+    The literals are the run as every handler flush went out copy by copy
+    through ``_transmit`` (captured at the parent of PR 21, where that was
+    still selectable and this test showed the two agree)."""
     drop = FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
                      probability=0.4, start=0.0)
-    batched_cluster, batched = _run(TREE, (drop,), clients=3, ops=8)
-    with hotpath.batch_execution_disabled():
-        unbatched_cluster, unbatched = _run(TREE, (drop,), clients=3, ops=8)
+    cluster, result = _run(TREE, (drop,), clients=3, ops=8)
 
-    assert batched.per_client == unbatched.per_client
-    assert batched.latencies == unbatched.latencies
-    assert (batched_cluster.network.stats.messages_dropped
-            == unbatched_cluster.network.stats.messages_dropped)
-    assert _state_of(batched_cluster) == _state_of(unbatched_cluster)
-
-    # The same run as literals, captured where both send paths agree on it
-    # (parent of PR 21), for when the per-message twin is gone.
-    assert batched.per_client == [8, 8, 8]
-    assert batched.latencies == PER_MESSAGE_PATH_LATENCIES
-    assert batched_cluster.network.stats.messages_dropped == 0
+    assert result.per_client == [8, 8, 8]
+    assert result.latencies == PER_MESSAGE_PATH_LATENCIES
+    assert cluster.network.stats.messages_dropped == 0
     # (The run ends with the replicas spread over three states.)
     assert {
-        rid: state.hex() for rid, state in _state_of(batched_cluster).items()
+        rid: state.hex() for rid, state in _state_of(cluster).items()
     } == {
         "replica0": "075a7e3d73d8ffe3612a5b50499e441e",
         "replica1": "78968ce33a482bf21e9507861aca91e5",
