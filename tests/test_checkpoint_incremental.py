@@ -10,7 +10,11 @@ Covers the dirty-page ``Service`` contract of this PR:
 * the replica-level ``_state_digest`` (service digest + incremental
   reply-table digest) matches the baseline from-scratch recompute;
 * ``_take_checkpoint`` skips digest/snapshot work when nothing executed
-  since the previous checkpoint, and never skips when something did.
+  since the previous checkpoint, and never skips when something did;
+* every byte the paged store hands out — digests, page encodings, snapshot
+  pages and the META-DATA / DATA messages served from a checkpoint — equals
+  a from-scratch encoding of a shadow dict, whatever mix of mutation,
+  snapshot, release, restore and page install came before.
 """
 
 from __future__ import annotations
@@ -22,11 +26,17 @@ from repro.core.auth import Authentication, build_session_keys
 from repro.core.config import ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
 from repro.core.messages import Request
-from repro.core.replica import Replica
+from repro.core.replica import CheckpointSnapshot, Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.library import BFTCluster
 from repro.services.counter import CounterService
 from repro.services.kvstore import KeyValueStore
+from repro.statetransfer.partition_tree import (
+    ADHASH_MODULUS,
+    content_page_digest,
+    group_level_digests,
+)
+from repro.statetransfer.transfer import StateTransferManager, service_root_digest
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta", b"epsilon", b"zeta"]
 
@@ -296,3 +306,137 @@ def test_snapshot_survives_newest_checkpoint_discard():
     store.execute(b"SET k new", "c")
     store.snapshot()          # pins the overwrite into a newer copy
     assert store.export_snapshot(kept) == {b"k": b"old"}
+
+
+# ------------------------------------------------------------ byte identity
+_VALUES = st.binary(min_size=1, max_size=48).filter(lambda v: b" " not in v)
+_KEY = st.sampled_from(KEYS)
+
+paged_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("SET"), _KEY, _VALUES),
+        st.tuples(st.just("DEL"), _KEY),
+        st.tuples(st.just("CAS"), _KEY, st.booleans(), _VALUES),
+        st.tuples(st.just("SNAPSHOT")),
+        st.tuples(st.just("RELEASE"), st.integers(0, 5)),
+        st.tuples(st.just("RESTORE"), st.integers(0, 5), st.booleans()),
+        st.tuples(st.just("INSTALL"), st.dictionaries(_KEY, _VALUES), st.sets(_KEY)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _reference_pages(shadow: dict) -> dict:
+    """Bucket pages encoded from scratch: length-prefixed records in key
+    order — the definition the store's encodings must equal."""
+    pages: dict = {}
+    for key in sorted(shadow):
+        value = shadow[key]
+        record = (len(key).to_bytes(4, "big") + key
+                  + len(value).to_bytes(4, "big") + value)
+        bucket = KeyValueStore.bucket_of(key)
+        pages[bucket] = pages.get(bucket, b"") + record
+    return pages
+
+
+def _reference_digests(pages: dict) -> dict:
+    return {index: content_page_digest(index, page) for index, page in pages.items()}
+
+
+def _check_byte_identity(replica, shadow: dict, held: dict) -> None:
+    store = replica.service
+    pages = _reference_pages(shadow)
+    digests = _reference_digests(pages)
+    root = sum(digests.values()) % ADHASH_MODULUS
+    assert store.pages() == pages
+    assert store.page_digests() == digests
+    assert store.state_digest() == service_root_digest(root)
+    assert {i: store._encode_page(i) for i in store._page_indexes()} == pages
+    assert store._scratch_root() == root
+    fanout, levels = store.tree_fanout, store.tree_levels
+    for seq, (handle, then) in held.items():
+        pages = _reference_pages(then)
+        digests = _reference_digests(pages)
+        assert store.export_snapshot(handle) == then
+        assert store.snapshot_pages(handle) == pages
+        some = sorted(pages)[::2] + [KeyValueStore.num_buckets - 1]
+        assert store.snapshot_page_subset(handle, some) == {
+            index: pages[index] for index in some if index in pages
+        }
+        # A fresh manager, so nothing it serves was computed before the
+        # mutations that followed the snapshot.
+        server = StateTransferManager(replica)
+        partitions = group_level_digests(digests, 1, fanout, levels)
+        assert server.build_metadata(seq, 0, 0).entries == tuple(
+            (index, 0, partitions[index].to_bytes(16, "big"))
+            for index in sorted(partitions)
+        )
+        for partition in partitions:
+            assert server.build_metadata(seq, 1, partition).entries == tuple(
+                (index, seq, digests[index].to_bytes(16, "big"))
+                for index in sorted(digests) if index // fanout == partition
+            )
+        for index, page in pages.items():
+            assert server.build_data(seq, index).page == page
+        assert server.build_data(seq, KeyValueStore.num_buckets - 1) is None
+
+
+def _run_paged_ops(ops) -> None:
+    replica, _env = _executing_replica()
+    store = replica.service
+    shadow: dict = {}
+    held: dict = {}  # checkpoint seq -> (snapshot, shadow copy at that time)
+    for op in ops:
+        kind = op[0]
+        picked = sorted(held)[op[1] % len(held)] if held and kind in (
+            "RELEASE", "RESTORE") else None
+        if kind == "SET":
+            store.execute(b"SET " + op[1] + b" " + op[2], "client")
+            shadow[op[1]] = op[2]
+        elif kind == "DEL":
+            store.execute(b"DEL " + op[1], "client")
+            shadow.pop(op[1], None)
+        elif kind == "CAS":
+            expected = shadow.get(op[1], b"-") if op[2] else b"stale"
+            store.execute(b"CAS " + op[1] + b" " + expected + b" " + op[3], "client")
+            if op[2]:
+                shadow[op[1]] = op[3]
+        elif kind == "SNAPSHOT":
+            seq = 4 * (max(held, default=0) // 4 + 1)
+            held[seq] = (store.snapshot(), dict(shadow))
+            replica.checkpoints[seq] = CheckpointSnapshot(
+                seq=seq, state_digest=b"", service_snapshot=held[seq][0],
+                last_reply_timestamp={}, last_reply={},
+            )
+        elif kind == "RELEASE" and picked is not None:
+            store.release_snapshot(held.pop(picked)[0])
+            del replica.checkpoints[picked]
+        elif kind == "RESTORE" and picked is not None:
+            handle, then = held[picked]
+            store.restore(store.export_snapshot(handle) if op[2] else handle)
+            shadow = dict(then)
+        elif kind == "INSTALL":
+            target, touched = op[1], {KeyValueStore.bucket_of(k) for k in op[2]}
+            target_pages = _reference_pages(target)
+            store.install_pages(
+                {i: page for i, page in target_pages.items() if i in touched},
+                touched - set(target_pages),
+            )
+            for key in KEYS:
+                if KeyValueStore.bucket_of(key) in touched:
+                    shadow.pop(key, None)
+                    if key in target:
+                        shadow[key] = target[key]
+        _check_byte_identity(replica, shadow, held)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ops=paged_ops)
+def test_paged_store_bytes_equal_scratch_reference(ops):
+    """Digests, page encodings, snapshot pages and served META-DATA / DATA
+    are byte-identical to a from-scratch encoding of the shadow state after
+    every step, with the partition tree and with the from-scratch arms."""
+    _run_paged_ops(ops)
+    with hotpath.caches_disabled():
+        _run_paged_ops(ops)

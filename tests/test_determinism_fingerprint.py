@@ -1,4 +1,4 @@
-"""Golden determinism fingerprint of seven small end-to-end runs.
+"""Golden determinism fingerprint of eight small end-to-end runs.
 
 Modeled results are the repo's contract: work on the simulator's own
 speed must leave every modeled charge, event sequence number, RNG draw and
@@ -17,7 +17,10 @@ per-message fast path (parent of PR 12) — for ``null_f10``, the n = 31
 configuration delivery trains were built for, from the commit before those
 (parent of PR 13), and for ``kv_f1_dropping_primary`` from the commit before
 the per-request execution twin was deleted (parent of PR 21), where it was
-identical under all four ``batch execution x caches`` switch settings.  They
+identical under all four ``batch execution x caches`` switch settings, and for
+``kv_f1_page_transfer`` from the commit before tree pages became payloads
+(parent of PR 22); that one also records the lagging replica's transfer
+counters, so the bytes of every META-DATA and DATA message are pinned.  They
 must match to the bit.  MAC tag bytes are not part of the fingerprint (their
 size is, through the wire totals), so swapping the MAC primitive leaves it
 unchanged.
@@ -35,6 +38,7 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
+from repro import hotpath
 from repro.bench.workloads import run_closed_loop
 from repro.core.config import ProtocolOptions
 from repro.core.messages import Reply
@@ -203,6 +207,58 @@ def _drive_dropping_primary(
     return per_client
 
 
+def _kv_f1_page_transfer() -> BFTCluster:
+    return BFTCluster.create(
+        f=1, service_factory=KeyValueStore, seed=26, checkpoint_interval=4
+    )
+
+
+def _page_transfer_op(_client: int, index: int) -> Tuple[bytes, bool]:
+    """Ordered 1 KB SETs, every ninth operation a DEL: twelve keys written
+    once each, then only the first seven over and over, so a replica that
+    saw the first twelve operations already holds five of the pages."""
+    key = b"page%02d" % (index if index < 12 else index * 5 % 7)
+    if index % 9 == 8:
+        return b"DEL " + key, False
+    return b"SET " + key + b" " + bytes([97 + index % 26]) * 1024, False
+
+
+#: Operations before replica3 is cut off, while it is, and after the heal.
+PAGE_TRANSFER_PHASES = (12, 24, 6)
+PAGE_TRANSFER_BOUND_US = 30_000_000.0
+
+
+def _drive_page_transfer(cluster: BFTCluster, make_op: Callable) -> List[int]:
+    """One client, one operation at a time; replica3 misses the middle
+    phase behind a partition and catches up by page-level state transfer.
+    Asserts the run fetched some pages and proved others identical."""
+    client = cluster.new_client()
+    shared, missed, after = PAGE_TRANSFER_PHASES
+    issued = 0
+    for phase, count in enumerate(PAGE_TRANSFER_PHASES):
+        if phase == 1:
+            for other in ("replica0", "replica1", "replica2", client.id):
+                cluster.conditions.partition("replica3", other)
+        elif phase == 2:
+            cluster.conditions.heal_all()
+        for _ in range(count):
+            client.invoke(make_op(0, issued)[0])
+            issued += 1
+    lagging, healthy = cluster.replicas["replica3"], cluster.replicas["replica0"]
+    cluster.run(
+        stop_when=lambda: (
+            lagging.stable_checkpoint_seq == healthy.stable_checkpoint_seq
+            and not lagging.state_transfer.in_progress
+        ),
+        duration=PAGE_TRANSFER_BOUND_US,
+    )
+    metrics = lagging.state_transfer.metrics
+    assert lagging.stable_checkpoint_seq == healthy.stable_checkpoint_seq
+    assert metrics.transfers_completed and metrics.pages_fetched
+    assert metrics.pages_skipped_local
+    return [issued]
+
+
 #: name -> (cluster factory, operation factory, clients, operations per client)
 CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] = {
     "null_f1": (_null_f1, _null_op, 5, 6),
@@ -212,6 +268,9 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] =
     "tree_f2": (_tree_f2, _null_op, 4, 5),
     "null_f10": (_null_f10, _null_op, 3, 3),
     "kv_f1_dropping_primary": (_kv_f1_dropping_primary, _kv_ordered_op, 5, 8),
+    "kv_f1_page_transfer": (
+        _kv_f1_page_transfer, _page_transfer_op, 1, sum(PAGE_TRANSFER_PHASES)
+    ),
 }
 
 
@@ -220,13 +279,15 @@ def fingerprint(name: str) -> Dict[str, Any]:
     cluster = build()
     if name == "kv_f1_dropping_primary":
         per_client = _drive_dropping_primary(cluster, clients, ops_per_client, make_op)
+    elif name == "kv_f1_page_transfer":
+        per_client = _drive_page_transfer(cluster, make_op)
     else:
         per_client = run_closed_loop(
             cluster, clients, ops_per_client, make_op
         ).per_client
     assert per_client == [ops_per_client] * clients
     cluster.run(duration=SETTLE_US)
-    return {
+    result = {
         "completion_times": sorted(c.completed_at for c in cluster.completed),
         "wire_totals": cluster.network.stats.wire_totals(),
         "dispatched": cluster.scheduler.dispatched,
@@ -238,6 +299,14 @@ def fingerprint(name: str) -> Dict[str, Any]:
             for rid, service in cluster.services.items()
         },
     }
+    if name == "kv_f1_page_transfer":
+        metrics = cluster.replicas["replica3"].state_transfer.metrics
+        result["transfer"] = {
+            field: getattr(metrics, field)
+            for field in ("bytes_fetched", "pages_fetched", "pages_skipped_local",
+                          "metadata_messages", "fetch_messages")
+        }
+    return result
 
 
 GOLDEN: Dict[str, Dict[str, Any]] = {}
@@ -513,6 +582,49 @@ GOLDEN["kv_f1_dropping_primary"] = \
                               'ViewChange': 9,
                               'ViewChangeAck': 4}}}
 
+GOLDEN["kv_f1_page_transfer"] = \
+{'completion_times': [587.9849999999999, 1248.1620000000003, 1908.3390000000009,
+                      2568.5160000000014, 3228.693000000002, 3888.8700000000026,
+                      4549.047000000002, 5209.224000000002, 5804.0250000000015,
+                      6464.478000000002, 7124.787, 7785.095999999999, 8445.596999999994,
+                      9105.905999999994, 9766.214999999993, 10426.523999999992,
+                      11086.832999999991, 11614.76099999999, 12274.66199999999,
+                      12934.970999999989, 13595.279999999988, 14255.588999999987,
+                      14915.897999999986, 15576.206999999986, 16236.515999999985,
+                      16896.824999999975, 17424.75299999998, 18084.653999999973,
+                      18744.96299999997, 19405.271999999968, 20065.580999999966,
+                      20725.889999999963, 21386.19899999996, 22046.507999999958,
+                      22706.816999999955, 23234.74499999996, 23894.645999999953,
+                      24554.95499999995, 25215.26399999995, 25875.572999999946,
+                      26549.297999999948, 27322.90699999994],
+ 'cpu_busy_total': {'replica0': 15609.838999999949,
+                    'replica1': 15423.650999999914,
+                    'replica2': 15425.294999999915,
+                    'replica3': 8056.597999999993},
+ 'dispatched': 1138,
+ 'state_digests': {'replica0': 'da69c0a84f10a3ab6452ff299e47913c',
+                   'replica1': 'da69c0a84f10a3ab6452ff299e47913c',
+                   'replica2': 'da69c0a84f10a3ab6452ff299e47913c',
+                   'replica3': 'da69c0a84f10a3ab6452ff299e47913c'},
+ 'transfer': {'bytes_fetched': 7204,
+              'fetch_messages': 11,
+              'metadata_messages': 5,
+              'pages_fetched': 6,
+              'pages_skipped_local': 4},
+ 'wire_totals': {'auth_bytes': 31264,
+                 'messages_sent': 1309,
+                 'payload_bytes': 269076,
+                 'per_type': {'Checkpoint': 99,
+                              'Commit': 426,
+                              'Data': 6,
+                              'Fetch': 13,
+                              'MetaData': 7,
+                              'PrePrepare': 128,
+                              'Prepare': 298,
+                              'Reply': 140,
+                              'Request': 156,
+                              'StatusActive': 36}}}
+
 
 @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
 def test_fingerprint_matches_golden(name):
@@ -521,6 +633,13 @@ def test_fingerprint_matches_golden(name):
     for key in golden:
         assert actual[key] == golden[key], f"{name}: {key} moved"
     assert actual.keys() == golden.keys()
+
+
+def test_page_transfer_fingerprint_matches_with_caches_off():
+    """Senders running the from-scratch encoders put the same META-DATA and
+    DATA bytes on the wire as the ones serving from the partition tree."""
+    with hotpath.caches_disabled():
+        assert fingerprint("kv_f1_page_transfer") == GOLDEN["kv_f1_page_transfer"]
 
 
 if __name__ == "__main__":
