@@ -623,7 +623,7 @@ class Replica:
         * timestamps are deduplicated in one pass;
         * the service executes the whole batch through one
           :meth:`~repro.services.interface.Service.execute_batch` call
-          (memoized operation parsing, one dirty-set pass);
+          (one dirty-set pass);
         * the reply-table AdHash delta accumulates as a plain integer and
           is reduced modulo once per batch;
         * replies are built in bulk with memoized result digests and
@@ -637,7 +637,7 @@ class Replica:
         #: Execution plan, in request order: a Request executes; a plain
         #: ``str`` (the client) re-sends that client's cached reply.
         plan: List[object] = []
-        ops: List[Tuple[bytes, str, Optional[bytes]]] = []
+        ops: List[Tuple[bytes, str]] = []
         batch_ts: Dict[str, int] = {}
         for request in requests:
             if request.is_null:
@@ -653,13 +653,7 @@ class Replica:
                 continue
             batch_ts[client] = timestamp
             plan.append(request)
-            ops.append(
-                (
-                    request.operation,
-                    client,
-                    request.request_digest() if caches_on else None,
-                )
-            )
+            ops.append((request.operation, client))
         if not plan:
             return
         outcomes = (

@@ -70,7 +70,7 @@ class CounterService(PagedService):
         results: List[ExecutionResult] = []
         mutations = 0
         allowed = self._allowed
-        for operation, client, _cache_key in ops:
+        for operation, client in ops:
             parts = operation.split(b" ")
             verb = parts[0].upper() if parts else b""
             if verb == b"READ":

@@ -91,11 +91,8 @@ class ExecutionResult:
 
 
 #: One operation of a batch handed to :meth:`Service.execute_batch`:
-#: ``(operation, client, cache_key)``.  ``cache_key`` is a stable identity
-#: for the operation — the replica passes the request digest — that
-#: services may use to memoize parsing across retransmissions; ``None``
-#: means "do not memoize" (the baseline path passes ``None``).
-BatchOp = Tuple[bytes, str, Optional[bytes]]
+#: ``(operation, client)``.
+BatchOp = Tuple[bytes, str]
 
 
 class Service:
@@ -145,13 +142,12 @@ class Service:
         (same results, same final state, same ``state_version`` total):
         replicas execute every committed batch through this method, and
         read-only requests through :meth:`execute`.
-        Subclasses override to amortize per-operation work: parsing
-        (memoized on ``cache_key``), dirty-set and mutation-counter
-        bookkeeping.  The default is the per-op fallback.
+        Subclasses override to amortize per-operation work: dirty-set and
+        mutation-counter bookkeeping.  The default is the per-op fallback.
         """
         return [
             self.execute(operation, client, nondet=nondet)
-            for operation, client, _cache_key in ops
+            for operation, client in ops
         ]
 
     def is_read_only(self, operation: bytes) -> bool:

@@ -25,21 +25,14 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro import hotpath
 from repro.services.interface import BatchOp, ExecutionResult, PagedService
-
-#: Bound on the memoized operation-parse cache; cleared wholesale when
-#: exceeded.
-_PARSE_CACHE_LIMIT = 8192
 
 
 def _parse_operation(operation: bytes) -> Tuple[bytes, ...]:
     """Resolve one operation encoding to its canonical parsed form.
 
-    The result depends only on the operation bytes (never on store state),
-    so it can be memoized per request digest: today every replica re-splits
-    ``SET k v`` on every execution *and* every retransmission.  The parse
-    mirrors :meth:`KeyValueStore.execute` exactly, including the
+    The result depends only on the operation bytes (never on store state).
+    The parse mirrors :meth:`KeyValueStore.execute` exactly, including the
     case-insensitive verb and the argument-count fallthroughs: a mutating
     verb with too few arguments parses to ``(b"",)`` (bad operation), just
     as ``execute`` falls through its arity-guarded branches.
@@ -106,8 +99,6 @@ class KeyValueStore(PagedService):
         self._buckets: Dict[int, Set[bytes]] = {}
         #: Clients allowed to mutate state; ``None`` means everyone.
         self._writers = writers
-        #: Request digest -> parsed operation (see ``_parse_operation``).
-        self._parse_cache: Dict[bytes, Tuple[bytes, ...]] = {}
 
     # ------------------------------------------------------------- buckets
     @classmethod
@@ -176,31 +167,21 @@ class KeyValueStore(PagedService):
         """Vectorized execution of one committed batch (Section 5.1.4).
 
         Byte-identical to calling :meth:`execute` per operation; the
-        amortizations are wall-clock only: operation parses are memoized
-        per request digest (with the hot-path caches on), the store's
-        dicts are bound once per batch, and the dirty-set/``state_version``
-        bookkeeping is applied in a single pass at the end instead of one
-        ``_touch`` per mutation.
+        amortizations are wall-clock only: the store's dicts are bound
+        once per batch, and the dirty-set/``state_version`` bookkeeping is
+        applied in a single pass at the end instead of one ``_touch`` per
+        mutation.
         """
         data = self._data
         buckets = self._buckets
         writers = self._writers
         bucket_of = self.bucket_of
-        parse_cache = self._parse_cache if hotpath.CACHES_ENABLED else None
         dirty: Set[int] = set()
         mutations = 0
         results: List[ExecutionResult] = []
         append = results.append
-        for operation, client, cache_key in ops:
-            parsed = None
-            if parse_cache is not None and cache_key is not None:
-                parsed = parse_cache.get(cache_key)
-            if parsed is None:
-                parsed = _parse_operation(operation)
-                if parse_cache is not None and cache_key is not None:
-                    if len(parse_cache) >= _PARSE_CACHE_LIMIT:
-                        parse_cache.clear()
-                    parse_cache[cache_key] = parsed
+        for operation, client in ops:
+            parsed = _parse_operation(operation)
             verb = parsed[0]
             if verb == b"GET":
                 value = data.get(parsed[1], b"") if len(parsed) > 1 else b""

@@ -53,7 +53,7 @@ class NullService(PagedService):
         result_size = self._result_size
         results = [
             ExecutionResult(result=b"r" * result_size(operation))
-            for operation, _client, _cache_key in ops
+            for operation, _client in ops
         ]
         count = len(results)
         self.operations_executed += count

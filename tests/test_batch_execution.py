@@ -95,16 +95,13 @@ def _seed_store(writers):
 @given(batch=kv_batch, restrict=st.booleans())
 def test_kvstore_execute_batch_matches_per_op(batch, restrict):
     writers = {"alice", "bob"} if restrict else None
-    ops = [
-        (b" ".join(parts), client, b"key:%d" % index)
-        for index, (parts, client) in enumerate(batch)
-    ]
+    ops = [(b" ".join(parts), client) for parts, client in batch]
     for caches in (True, False):
         with (hotpath.caches_disabled() if not caches else _null_ctx()):
             reference = _seed_store(writers)
             expected = [
                 reference.execute(operation, client)
-                for operation, client, _key in ops
+                for operation, client in ops
             ]
             batched = _seed_store(writers)
             got = batched.execute_batch(ops)
@@ -112,12 +109,11 @@ def test_kvstore_execute_batch_matches_per_op(batch, restrict):
             assert batched._export_state() == reference._export_state()
             assert batched.state_version == reference.state_version
             assert batched.state_digest() == reference.state_digest()
-            # A second pass over the same cache keys (the retransmission /
-            # re-execution case the parse cache exists for) stays identical.
+            # A second pass over the same operations stays identical.
             rerun = batched.execute_batch(ops)
             rerun_reference = [
                 reference.execute(operation, client)
-                for operation, client, _k in ops
+                for operation, client in ops
             ]
             assert rerun == rerun_reference
             assert batched._export_state() == reference._export_state()
@@ -131,11 +127,11 @@ class _null_ctx:
         return False
 
 
-def test_parse_operation_cache_key_reuse_is_pure():
+def test_parse_operation_reuse_is_pure():
     store = KeyValueStore()
-    ops = [(b"SET a 1", "c", b"digest-a"), (b"GET a", "c", b"digest-b")]
+    ops = [(b"SET a 1", "c"), (b"GET a", "c")]
     first = store.execute_batch(ops)
-    second = store.execute_batch(ops)  # parse-cache hits
+    second = store.execute_batch(ops)
     assert [r.result for r in first] == [b"OK", b"1"]
     assert [r.result for r in second] == [b"OK", b"1"]
     assert _parse_operation(b"set  double-space v") == _parse_operation(
@@ -155,12 +151,12 @@ def test_parse_operation_cache_key_reuse_is_pure():
     )
 )
 def test_counter_execute_batch_matches_per_op(batch):
-    ops = [(operation, client, None) for operation, client in batch]
+    ops = list(batch)
     reference = CounterService(allowed_clients={"alice"})
     reference.execute(b"INC 10", "alice")
     batched = CounterService(allowed_clients={"alice"})
     batched.execute(b"INC 10", "alice")
-    expected = [reference.execute(op, client) for op, client, _ in ops]
+    expected = [reference.execute(op, client) for op, client in ops]
     assert batched.execute_batch(ops) == expected
     assert batched.value == reference.value
     assert batched.state_version == reference.state_version
@@ -169,12 +165,12 @@ def test_counter_execute_batch_matches_per_op(batch):
 
 def test_null_service_execute_batch_matches_per_op():
     ops = [
-        (encode_null_op(result_size=size, arg_size=8), "c", None)
+        (encode_null_op(result_size=size, arg_size=8), "c")
         for size in (0, 4, 64)
     ]
     reference = NullService()
     batched = NullService()
-    expected = [reference.execute(op, client) for op, client, _ in ops]
+    expected = [reference.execute(op, client) for op, client in ops]
     assert batched.execute_batch(ops) == expected
     assert batched.operations_executed == reference.operations_executed
     assert batched.state_version == reference.state_version
