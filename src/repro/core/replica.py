@@ -60,7 +60,7 @@ from repro.core.messages import pack
 from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, digest
 from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
 from repro.services.interface import Service
-from repro.statetransfer.partition_tree import ADHASH_MODULUS, content_page_digest
+from repro.statetransfer.partition_tree import ADHASH_MODULUS
 from repro.statetransfer.transfer import (
     combined_state_digest,
     reply_entry_digest as _reply_entry_digest,
@@ -958,11 +958,9 @@ class Replica:
         a later reply from an honest sender can still install).
         """
         if getattr(self.service, "supports_page_transfer", False):
-            pages = self.service._pages_from_portable(service_snapshot)
-            root = 0
-            for index, value in pages.items():
-                if value:
-                    root = (root + content_page_digest(index, value)) % ADHASH_MODULUS
+            root = sum(
+                self.service.snapshot_page_digests(service_snapshot).values()
+            ) % ADHASH_MODULUS
             reply_sum = 0
             for client, timestamp in last_reply_timestamp.items():
                 reply_sum = (

@@ -114,16 +114,16 @@ class CounterService(PagedService):
         return operation.split(b" ", 1)[0].upper() == b"READ"
 
     # ----------------------------------------------------- dirty-page hooks
-    def _encode_page(self, index: int) -> bytes:
+    def _page_payload(self, index: int) -> bytes:
         return str(self.value).encode()
 
     def _page_indexes(self) -> Iterable[int]:
         return (0,)
 
-    def _state_from_pages(self, pages: Dict[int, bytes]) -> object:
-        return int(pages.get(0, b"0"))
+    def _state_from_payloads(self, payloads: Dict[int, bytes]) -> object:
+        return int(payloads.get(0, b"0"))
 
-    def _pages_from_portable(self, state: object) -> Dict[int, bytes]:
+    def _payloads_from_portable(self, state: object, wanted=None) -> Dict[int, bytes]:
         return {0: str(int(state)).encode()}  # type: ignore[arg-type]
 
     def _export_state(self) -> object:
@@ -132,8 +132,8 @@ class CounterService(PagedService):
     def _import_state(self, state: object) -> None:
         self.value = int(state)  # type: ignore[arg-type]
 
-    def _import_page(self, index: int, value: bytes) -> None:
-        self.value = int(value or b"0")
+    def _import_payload(self, index: int, payload: bytes) -> None:
+        self.value = int(payload or b"0")
 
     def corrupt(self) -> None:
         self.value = -999

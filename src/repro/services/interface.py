@@ -25,7 +25,10 @@ The contract is:
 * ``state_digest()`` then only re-encodes and re-hashes the pages touched
   since the last digest/snapshot — the digests of clean pages live in a
   persistent :class:`~repro.statetransfer.partition_tree.PartitionTree`
-  (content-digest mode) whose root is maintained incrementally;
+  (content-digest mode) whose root is maintained incrementally.  The tree
+  keeps a page as an immutable *payload* sharing the service's own objects
+  (the KV store: a bucket's sorted ``(key, value)`` pairs); its encoding
+  exists only while it is hashed or a DATA message / migrated bucket is built;
 * ``snapshot()`` is a copy-on-write partition-tree checkpoint: only dirty
   pages are captured, and the returned :class:`PageSnapshot` handle is
   immune to later mutation of the service;
@@ -37,9 +40,12 @@ The contract is:
   shared and garbage-collected, which lets the tree fold dead
   copy-on-write copies away.
 
-Subclasses provide five small hooks — ``_encode_page``, ``_page_indexes``,
-``_state_from_pages``, ``_export_state`` and ``_import_state`` — and the
-base class supplies digesting, snapshots, restore and ``pages()``.  With
+Subclasses provide the hooks ``_page_payload``, ``_page_indexes``,
+``_state_from_payloads``, ``_payloads_from_portable``, ``_import_payload``,
+``_export_state`` and ``_import_state`` — plus ``_encode_payload`` /
+``_decode_payload`` unless payloads are bytes (``NullService`` and
+``CounterService`` inherit the identity defaults) — and the base class
+supplies digesting, snapshots, restore and ``pages()``.  With
 the hot-path switch off (:mod:`repro.hotpath`), every operation falls back
 to the naive from-scratch implementation (full re-encode + deep copy) so
 benchmarks can measure the incremental pipeline against the pre-PR
@@ -53,27 +59,30 @@ hierarchical transfer protocol can move only the pages that differ:
 
 * :meth:`PagedService.page_digests` — the current per-page content digests
   (what the fetcher diffs proven META-DATA entries against);
-* :meth:`PagedService.snapshot_pages` — the page encodings of a checkpoint
-  snapshot (what a replica serves FETCH requests from), read straight from
-  the content-digest partition tree when the snapshot is a live
-  copy-on-write handle and re-encoded from the portable state otherwise —
+* :meth:`PagedService.snapshot_pages` / ``snapshot_page_subset`` /
+  ``snapshot_page_digests`` — the page encodings and content digests of a
+  checkpoint snapshot (what a replica serves FETCH requests from), read
+  from the partition tree's records when the snapshot is a live
+  copy-on-write handle and rebuilt from the portable state otherwise —
   both forms are byte-identical, so senders running with caches disabled
   put the same messages on the wire;
-* :meth:`PagedService.import_page` / :meth:`PagedService.install_pages` —
-  install fetched pages *individually* (two extra subclass hooks,
-  ``_import_page`` and ``_pages_from_portable``), so a transfer replaces
-  only out-of-date pages instead of rebuilding the whole state.
+* :meth:`PagedService.install_pages` — install fetched pages
+  *individually*, so a transfer replaces only out-of-date pages instead
+  of rebuilding the whole state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 from repro import hotpath
 from repro.crypto.digests import digest
 from repro.statetransfer.partition_tree import (
     ADHASH_MODULUS,
+    PageRecord,
     PartitionTree,
     content_page_digest,
 )
@@ -253,7 +262,7 @@ class PagedService(Service):
     """A service whose checkpoint machinery is incremental and page-based.
 
     See the module docstring for the dirty-page contract.  Subclasses call
-    :meth:`_touch` on every mutation and implement the five ``_``-hooks;
+    :meth:`_touch` on every mutation and implement the ``_``-hooks below;
     everything else — incremental digests, copy-on-write snapshots,
     refcounted handles, portable export and ``pages()`` — is inherited.
     """
@@ -293,19 +302,31 @@ class PagedService(Service):
             fanout=self.tree_fanout,
             levels=self.tree_levels,
             content_digests=True,
+            encode=self._encode_payload,
         )
 
     # ----------------------------------------------------- subclass contract
-    def _encode_page(self, index: int) -> bytes:
-        """Canonical encoding of one page (``b""`` when it holds nothing)."""
+    def _page_payload(self, index: int) -> Any:
+        """The content of one page as an immutable value that shares the
+        service's own objects; falsy when the page holds nothing."""
         raise NotImplementedError
+
+    def _encode_payload(self, payload: Any) -> bytes:
+        """Canonical encoding of a payload — the bytes hashed and shipped
+        (``b""`` for an empty page).  Identity: payloads that are bytes."""
+        return payload
+
+    def _decode_payload(self, value: bytes) -> Any:
+        """Inverse of :meth:`_encode_payload` for bytes from another
+        replica; a malformed page is a ``ValueError``."""
+        return value
 
     def _page_indexes(self) -> Iterable[int]:
         """Indexes of every page that currently holds content."""
         raise NotImplementedError
 
-    def _state_from_pages(self, pages: Dict[int, bytes]) -> object:
-        """Decode page encodings back into portable state."""
+    def _state_from_payloads(self, payloads: Dict[int, Any]) -> object:
+        """Assemble page payloads into portable state."""
         raise NotImplementedError
 
     def _export_state(self) -> object:
@@ -316,18 +337,28 @@ class PagedService(Service):
         """Replace the native state with a portable copy."""
         raise NotImplementedError
 
-    def _import_page(self, index: int, value: bytes) -> None:
-        """Replace the native content of one page with the decoded form of
-        ``value``; ``b""`` empties the page.  Must not call ``_touch`` —
-        the :meth:`import_page` wrapper does."""
+    def _import_payload(self, index: int, payload: Any) -> None:
+        """Replace the native content of one page; a falsy payload empties
+        it.  Must not call ``_touch`` — :meth:`install_pages` does."""
         raise NotImplementedError
 
-    def _pages_from_portable(self, state: object) -> Dict[int, bytes]:
-        """Encode a portable state copy (what ``export_snapshot`` returns)
-        into pages.  Must produce exactly the bytes ``_encode_page`` would
-        produce after importing ``state`` — state transfer relies on the
-        two encodings being identical."""
+    def _payloads_from_portable(
+        self, state: Any, wanted: Optional[Set[int]] = None
+    ) -> Dict[int, Any]:
+        """The non-empty page payloads of a portable state copy (what
+        ``export_snapshot`` returns); ``wanted`` lets a service skip the
+        pages nobody asked for.  Must equal what ``_page_payload`` yields
+        after importing ``state`` — state transfer relies on it."""
         raise NotImplementedError
+
+    def _encode_page(self, index: int) -> bytes:
+        """One current page encoded from scratch (the baseline arms and
+        the tests' reference)."""
+        return self._encode_payload(self._page_payload(index))
+
+    def _encoded(self, payloads: Mapping[int, Any]) -> Dict[int, bytes]:
+        encode = self._encode_payload
+        return {index: encode(payload) for index, payload in payloads.items()}
 
     # --------------------------------------------------------- dirty tracking
     def _touch(self, index: int) -> None:
@@ -349,7 +380,8 @@ class PagedService(Service):
         return frozenset(self._dirty)
 
     def _flush(self) -> None:
-        """Re-encode the dirty pages into the tree (incremental rehash)."""
+        """Write the dirty pages' payloads into the tree, which encodes
+        each just long enough to hash it (incremental rehash)."""
         if not self._dirty_seeded:
             self._dirty.update(self._page_indexes())
             self._dirty_seeded = True
@@ -357,7 +389,7 @@ class PagedService(Service):
             return
         tree = self._tree
         for index in self._dirty:
-            tree.write_page(index, self._encode_page(index))
+            tree.write_page(index, self._page_payload(index))
         self._dirty.clear()
 
     # ---------------------------------------------------------------- digest
@@ -413,26 +445,26 @@ class PagedService(Service):
         return snapshot
 
     def restore(self, snapshot: object) -> None:
-        if isinstance(snapshot, PageSnapshot):
-            portable = snapshot.materialize()
-        else:
-            portable = snapshot
-        self._import_state(portable)
+        self._import_state(self.export_snapshot(snapshot))
         self._reset_tree()
 
-    def _checkpoint_page_map(self, snap_id: int) -> Dict[int, bytes]:
-        """The non-empty page encodings of a tree checkpoint (copy-on-write
-        walk); shared by snapshot materialization and page serving."""
-        pages: Dict[int, bytes] = {}
-        for index in self._tree.known_page_indexes():
-            record = self._tree.page_at_checkpoint(index, snap_id)
+    def _checkpoint_records(
+        self, snap_id: int, indexes: Optional[Iterable[int]] = None
+    ) -> Iterator[PageRecord]:
+        """The non-empty page records of a tree checkpoint (copy-on-write
+        walk), all of them or only ``indexes``; shared by snapshot
+        materialization and page serving."""
+        tree = self._tree
+        for index in tree.known_page_indexes() if indexes is None else indexes:
+            record = tree.page_at_checkpoint(index, snap_id)
             if record is not None and record.value:
-                pages[index] = record.value
-        return pages
+                yield record
 
     def _materialize_snapshot(self, snap_id: int) -> object:
         """Resolve a tree checkpoint to portable state (copy-on-write walk)."""
-        return self._state_from_pages(self._checkpoint_page_map(snap_id))
+        return self._state_from_payloads(
+            {r.index: r.value for r in self._checkpoint_records(snap_id)}
+        )
 
     def _reset_tree(self) -> None:
         """Discard the tree after a wholesale state replacement.
@@ -453,18 +485,17 @@ class PagedService(Service):
     def pages(self) -> Dict[int, bytes]:
         if hotpath.CACHES_ENABLED:
             self._flush()
-            return {
-                index: value for index, value in self._tree.page_items() if value
-            }
-        result: Dict[int, bytes] = {}
-        for index in self._page_indexes():
-            encoded = self._encode_page(index)
-            if encoded:
-                result[index] = encoded
-        return result
+            return self._encoded({i: v for i, v in self._tree.page_items() if v})
+        return {
+            index: page
+            for index in self._page_indexes() if (page := self._encode_page(index))
+        }
 
     def load_pages(self, pages: Dict[int, bytes]) -> None:
-        self._import_state(self._state_from_pages(dict(pages)))
+        decode = self._decode_payload
+        self._import_state(self._state_from_payloads(
+            {index: decode(value) for index, value in pages.items()}
+        ))
         self._reset_tree()
 
     # ------------------------------------------------- page-level transfer
@@ -476,88 +507,75 @@ class PagedService(Service):
         if hotpath.CACHES_ENABLED:
             self._flush()
             return self._tree.digest_items()
-        digests: Dict[int, int] = {}
-        for index in self._page_indexes():
-            encoded = self._encode_page(index)
-            if encoded:
-                digests[index] = content_page_digest(index, encoded)
-        return digests
+        return _digests_of(self.pages())
 
-    def snapshot_pages(self, snapshot: object) -> Dict[int, bytes]:
-        """The page encodings captured by a snapshot (what FETCH requests
-        are served from).
-
-        A live copy-on-write handle resolves through the partition tree
-        (the records hold the ``_encode_page`` bytes verbatim); a portable
-        snapshot — the baseline form, or a handle detached by a tree reset
-        — re-encodes through ``_pages_from_portable``.  Both forms yield
-        identical bytes.
-        """
+    def _live_snap_id(self, snapshot: object) -> Optional[int]:
+        """The tree checkpoint behind a snapshot handle this service still
+        holds; ``None`` for a portable snapshot (the baseline form) or a
+        handle detached by a tree reset."""
         if (
             isinstance(snapshot, PageSnapshot)
             and snapshot.owner is self
             and self._snapshots.get(snapshot.snap_id) is snapshot
         ):
-            return self._checkpoint_page_map(snapshot.snap_id)
-        return self._pages_from_portable(self.export_snapshot(snapshot))
+            return snapshot.snap_id
+        return None
+
+    def _snapshot_payloads(
+        self, snapshot: object, wanted: Optional[Set[int]] = None
+    ) -> Dict[int, Any]:
+        """The non-empty page payloads a snapshot captured, all or only
+        ``wanted``: the tree's records for a live handle (O(wanted), not
+        O(store)), regrouped from the portable state otherwise — equal."""
+        snap_id = self._live_snap_id(snapshot)
+        if snap_id is not None:
+            return {r.index: r.value for r in self._checkpoint_records(snap_id, wanted)}
+        payloads = self._payloads_from_portable(self.export_snapshot(snapshot), wanted)
+        if wanted is None:
+            return payloads
+        return {index: payloads[index] for index in wanted.intersection(payloads)}
+
+    def snapshot_pages(self, snapshot: object) -> Dict[int, bytes]:
+        """The page encodings captured by a snapshot, encoded on demand."""
+        return self._encoded(self._snapshot_payloads(snapshot))
 
     def snapshot_page_subset(
         self, snapshot: object, indexes: Iterable[int]
     ) -> Dict[int, bytes]:
         """The page encodings of just ``indexes`` captured by a snapshot —
-        what bucket-range migration serves, where the moved range is a
-        small fraction of the store.
+        what one DATA reply and bucket-range migration serve.  Byte-identical
+        to filtering :meth:`snapshot_pages`."""
+        return self._encoded(self._snapshot_payloads(snapshot, set(indexes)))
 
-        A live copy-on-write handle resolves each wanted page directly
-        through the partition tree (O(range), not O(store)); a portable
-        snapshot goes through :meth:`_subset_from_portable`, which
-        subclasses specialize to avoid re-encoding the whole state.
-        Byte-identical to filtering :meth:`snapshot_pages`.
-        """
-        wanted = set(indexes)
-        if (
-            isinstance(snapshot, PageSnapshot)
-            and snapshot.owner is self
-            and self._snapshots.get(snapshot.snap_id) is snapshot
-        ):
-            pages: Dict[int, bytes] = {}
-            for index in wanted:
-                record = self._tree.page_at_checkpoint(index, snapshot.snap_id)
-                if record is not None and record.value:
-                    pages[index] = record.value
-            return pages
-        return self._subset_from_portable(self.export_snapshot(snapshot), wanted)
-
-    def _subset_from_portable(
-        self, state: object, wanted: set
-    ) -> Dict[int, bytes]:
-        """Encode only the wanted pages of a portable state copy.  The
-        default encodes everything and filters; subclasses whose encoding
-        is separable per page (the KV store's key buckets) override it."""
-        return {
-            index: value
-            for index, value in self._pages_from_portable(state).items()
-            if index in wanted
-        }
-
-    def import_page(self, index: int, value: bytes) -> None:
-        """Install one fetched page into the current state (``b""``
-        removes the page).  Counts as a mutation: the page is marked dirty
-        and ``state_version`` advances, so digests stay incremental and
-        checkpoint reuse can never mask the install."""
-        self._import_page(index, value)
-        self._touch(index)
+    def snapshot_page_digests(self, snapshot: object) -> Dict[int, int]:
+        """Page index -> content digest as of a snapshot (what META-DATA
+        replies are built from).  A live handle reads the digests the tree's
+        records already hold at that checkpoint and hashes nothing; a
+        portable snapshot is encoded and hashed from scratch — same values."""
+        snap_id = self._live_snap_id(snapshot)
+        if snap_id is not None:
+            return {r.index: r.digest for r in self._checkpoint_records(snap_id)}
+        return _digests_of(self.snapshot_pages(snapshot))
 
     def install_pages(
         self, updates: Mapping[int, bytes], removals: Iterable[int] = ()
     ) -> None:
         """Install a fetched page delta: drop ``removals``, then import
         ``updates``.  Pages not named are left untouched — the caller has
-        already proven they match the target state."""
-        for index in sorted(removals):
-            self.import_page(index, b"")
-        for index in sorted(updates):
-            self.import_page(index, updates[index])
+        already proven they match the target state.  All are decoded before
+        any is installed (a malformed one leaves the state as it was); each
+        install marks the page dirty and advances ``state_version``, so
+        digests stay incremental and checkpoint reuse can never mask it."""
+        decode = self._decode_payload
+        installs = [(index, decode(b"")) for index in sorted(removals)]
+        installs += [(index, decode(updates[index])) for index in sorted(updates)]
+        for index, payload in installs:
+            self._import_payload(index, payload)
+            self._touch(index)
+
+
+def _digests_of(pages: Mapping[int, bytes]) -> Dict[int, int]:
+    return {index: content_page_digest(index, page) for index, page in pages.items()}
 
 
 def bytes_digest(data: bytes) -> bytes:

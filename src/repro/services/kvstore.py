@@ -23,7 +23,7 @@ deterministic across processes, which keeps digests replica-independent.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.services.interface import BatchOp, ExecutionResult, PagedService
 
@@ -63,19 +63,21 @@ def _encode_records(items: Iterable[tuple[bytes, bytes]]) -> bytes:
     return bytes(out)
 
 
-def _decode_records(blob: bytes) -> Iterable[tuple[bytes, bytes]]:
+def _decode_records(blob: bytes) -> Tuple[Tuple[bytes, bytes], ...]:
+    """Inverse of :func:`_encode_records`.  A length prefix that is cut short
+    or overruns the blob is a ``ValueError``, never a shortened record."""
+    fields = []
     position = 0
     total = len(blob)
     while position < total:
-        key_len = int.from_bytes(blob[position : position + 4], "big")
-        position += 4
-        key = blob[position : position + key_len]
-        position += key_len
-        value_len = int.from_bytes(blob[position : position + 4], "big")
-        position += 4
-        value = blob[position : position + value_len]
-        position += value_len
-        yield key, value
+        start = position + 4
+        position = start + int.from_bytes(blob[position:start], "big")
+        if position > total or start > total:
+            raise ValueError("record runs past the end of the page")
+        fields.append(blob[start:position])
+    if len(fields) % 2:
+        raise ValueError("page ends after a key")
+    return tuple(zip(fields[::2], fields[1::2]))
 
 
 class KeyValueStore(PagedService):
@@ -287,60 +289,48 @@ class KeyValueStore(PagedService):
         """
         return self.snapshot_page_subset(snapshot, buckets)
 
-    def _subset_from_portable(self, state: object, wanted: set) -> Dict[int, bytes]:
-        # Group only the keys whose bucket is wanted, then encode those
-        # buckets — identical bytes to encoding everything and filtering.
-        buckets: Dict[int, Dict[bytes, bytes]] = {}
-        for key, value in state.items():  # type: ignore[attr-defined]
-            bucket = self.bucket_of(key)
-            if bucket in wanted:
-                buckets.setdefault(bucket, {})[key] = value
-        return {
-            index: _encode_records(
-                (key, records[key]) for key in sorted(records)
-            )
-            for index, records in buckets.items()
-        }
-
     # ----------------------------------------------------- dirty-page hooks
-    def _encode_page(self, index: int) -> bytes:
+    def _page_payload(self, index: int) -> Tuple[Tuple[bytes, bytes], ...]:
+        """A bucket's records in key order, sharing ``_data``'s objects."""
         keys = self._buckets.get(index)
         if not keys:
-            return b""
-        return _encode_records((key, self._data[key]) for key in sorted(keys))
+            return ()
+        data = self._data
+        return tuple((key, data[key]) for key in sorted(keys))
+
+    _encode_payload = staticmethod(_encode_records)
+    _decode_payload = staticmethod(_decode_records)
 
     def _page_indexes(self) -> Iterable[int]:
         return tuple(self._buckets)
 
-    def _state_from_pages(self, pages: Dict[int, bytes]) -> object:
+    def _state_from_payloads(self, payloads: Dict[int, Any]) -> object:
         data: Dict[bytes, bytes] = {}
-        for blob in pages.values():
-            data.update(_decode_records(blob))
+        for records in payloads.values():
+            data.update(records)
         return data
 
-    def _pages_from_portable(self, state: object) -> Dict[int, bytes]:
-        buckets: Dict[int, Dict[bytes, bytes]] = {}
-        for key, value in state.items():  # type: ignore[attr-defined]
-            buckets.setdefault(self.bucket_of(key), {})[key] = value
+    def _payloads_from_portable(
+        self, state: Any, wanted: Optional[Set[int]] = None
+    ) -> Dict[int, Any]:
+        buckets: Dict[int, List[bytes]] = {}
+        for key in state:
+            bucket = self.bucket_of(key)
+            if wanted is None or bucket in wanted:
+                buckets.setdefault(bucket, []).append(key)
         return {
-            index: _encode_records(
-                (key, records[key]) for key in sorted(records)
-            )
-            for index, records in buckets.items()
+            index: tuple((key, state[key]) for key in sorted(keys))
+            for index, keys in buckets.items()
         }
 
-    def _import_page(self, index: int, value: bytes) -> None:
+    def _import_payload(self, index: int, payload: Any) -> None:
         # A page is one whole bucket: drop whatever the bucket holds now,
-        # then decode the fetched records into it.
+        # then adopt the fetched records.
         for key in self._buckets.pop(index, ()):
             self._data.pop(key, None)
-        if not value:
-            return
-        keys = set()
-        for key, record in _decode_records(value):
-            self._data[key] = record
-            keys.add(key)
-        self._buckets[index] = keys
+        if payload:
+            self._data.update(payload)
+            self._buckets[index] = {key for key, _value in payload}
 
     def _export_state(self) -> object:
         return dict(self._data)

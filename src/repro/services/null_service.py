@@ -74,16 +74,16 @@ class NullService(PagedService):
             return 0
 
     # ----------------------------------------------------- dirty-page hooks
-    def _encode_page(self, index: int) -> bytes:
+    def _page_payload(self, index: int) -> bytes:
         return str(self.operations_executed).encode()
 
     def _page_indexes(self) -> Iterable[int]:
         return (0,)
 
-    def _state_from_pages(self, pages: Dict[int, bytes]) -> object:
-        return int(pages.get(0, b"0"))
+    def _state_from_payloads(self, payloads: Dict[int, bytes]) -> object:
+        return int(payloads.get(0, b"0"))
 
-    def _pages_from_portable(self, state: object) -> Dict[int, bytes]:
+    def _payloads_from_portable(self, state: object, wanted=None) -> Dict[int, bytes]:
         return {0: str(int(state)).encode()}  # type: ignore[arg-type]
 
     def _export_state(self) -> object:
@@ -92,5 +92,5 @@ class NullService(PagedService):
     def _import_state(self, state: object) -> None:
         self.operations_executed = int(state)  # type: ignore[arg-type]
 
-    def _import_page(self, index: int, value: bytes) -> None:
-        self.operations_executed = int(value or b"0")
+    def _import_payload(self, index: int, payload: bytes) -> None:
+        self.operations_executed = int(payload or b"0")

@@ -23,7 +23,10 @@ Two digest modes are supported:
   deletes a page for digest purposes), and :meth:`take_checkpoint` only has
   to record copy-on-write snapshots of the dirty pages.  This mode backs
   the incremental ``state_digest``/``snapshot`` implementation of
-  :class:`repro.services.interface.PagedService`.
+  :class:`repro.services.interface.PagedService`, which stores each page
+  as an opaque immutable *payload* (truthy unless the page is empty) and
+  supplies the ``encode`` function that turns one into the bytes its digest
+  hashes; the tree holds the payload and the digest, never the encoding.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Modulus used by the AdHash combination of child digests.  Public so the
 #: replica's incremental reply-table digest can reuse the same group.
@@ -102,7 +105,7 @@ class PageRecord:
 
     index: int
     last_modified: int
-    value: bytes
+    value: Any  # bytes, or the payload ``encode`` turns into them
     digest: int
 
 
@@ -136,6 +139,7 @@ class PartitionTree:
         fanout: int = 256,
         levels: int = 3,
         content_digests: bool = False,
+        encode: Optional[Callable[[Any], bytes]] = None,
     ) -> None:
         if fanout < 2:
             raise ValueError("fanout must be at least 2")
@@ -147,6 +151,8 @@ class PartitionTree:
         self.fanout = fanout
         self.levels = levels
         self.content_digests = content_digests
+        #: Content mode: page value -> the bytes hashed (``None``: identity).
+        self._encode = encode
         self._pages: Dict[int, PageRecord] = {}
         self._dirty: set[int] = set()
         self._checkpoints: Dict[int, CheckpointCopy] = {}
@@ -165,7 +171,7 @@ class PartitionTree:
         """Maximum number of pages addressable by the tree."""
         return self.fanout ** (self.levels - 1)
 
-    def write_page(self, index: int, value: bytes) -> None:
+    def write_page(self, index: int, value: Any) -> None:
         if index < 0 or index >= self.capacity_pages:
             raise IndexError(f"page index {index} out of range")
         if self.page_size is not None and len(value) > self.page_size:
@@ -178,7 +184,9 @@ class PartitionTree:
             # Content mode: digests depend only on (index, value), so the
             # page digest and the root can be maintained right here and
             # ``take_checkpoint`` never has to rehash anything.
-            new_digest = content_page_digest(index, value)
+            new_digest = content_page_digest(
+                index, value if self._encode is None else self._encode(value)
+            )
             if record is None:
                 self._pages[index] = PageRecord(
                     index=index, last_modified=-1, value=value, digest=new_digest
@@ -200,14 +208,14 @@ class PartitionTree:
             # incremental root update can subtract it.
             record.value = value
 
-    def read_page(self, index: int) -> Optional[bytes]:
+    def read_page(self, index: int) -> Any:
         record = self._pages.get(index)
         return record.value if record is not None else None
 
     def page_count(self) -> int:
         return len(self._pages)
 
-    def page_items(self) -> Iterable[Tuple[int, bytes]]:
+    def page_items(self) -> Iterable[Tuple[int, Any]]:
         """Iterate over ``(index, value)`` for every page currently stored."""
         for index, record in self._pages.items():
             yield index, record.value

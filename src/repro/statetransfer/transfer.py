@@ -160,11 +160,9 @@ class TransferMetrics:
 
 @dataclass
 class _ServedCheckpoint:
-    """Server-side tables for one checkpoint: page encodings, their content
-    digests, and the per-level partition digest sums."""
+    """Server-side table for one checkpoint: the partition digest sums of
+    every level below the root (the leaf level is the page digests)."""
 
-    pages: Dict[int, bytes]
-    page_digests: Dict[int, int]
     level_sums: Dict[int, Dict[int, int]]
 
 
@@ -441,19 +439,14 @@ class StateTransferManager:
         cached = self._serve_cache.get(seq)
         if cached is None:
             service = replica.service
-            pages = service.snapshot_pages(snapshot.service_snapshot)
-            page_digests = {
-                index: content_page_digest(index, value)
-                for index, value in pages.items()
-                if value
-            }
+            page_digests = service.snapshot_page_digests(snapshot.service_snapshot)
             level_sums = {
                 level: group_level_digests(
                     page_digests, level, service.tree_fanout, service.tree_levels
                 )
                 for level in range(1, service.tree_levels)
             }
-            cached = _ServedCheckpoint(pages, page_digests, level_sums)
+            cached = _ServedCheckpoint(level_sums)
             for old in [s for s in self._serve_cache if s not in replica.checkpoints]:
                 del self._serve_cache[old]
             self._serve_cache[seq] = cached
@@ -502,11 +495,14 @@ class StateTransferManager:
         )
 
     def build_data(self, seq: int, index: int) -> Optional[Data]:
-        """The DATA reply carrying one page of the checkpoint at ``seq``."""
-        tables = self._served_tables(seq)
-        if tables is None:
+        """The DATA reply carrying one page of the checkpoint at ``seq``,
+        encoded for this message alone."""
+        snapshot = self.replica.checkpoints.get(seq)
+        if snapshot is None:
             return None
-        value = tables.pages.get(index)
+        value = self.replica.service.snapshot_page_subset(
+            snapshot.service_snapshot, (index,)
+        ).get(index)
         if not value:
             return None
         return Data(
