@@ -930,6 +930,8 @@ class Replica:
         for old_seq in [s for s in self.checkpoints if s < seq]:
             self.service.release_snapshot(self.checkpoints[old_seq].service_snapshot)
             del self.checkpoints[old_seq]
+            if self.state_transfer is not None:
+                self.state_transfer.discard_checkpoint(old_seq)
         self.env.record("checkpoint-stable", seq=seq)
         if self.is_primary:
             self._try_send_pre_prepare()
@@ -1027,6 +1029,8 @@ class Replica:
             # Re-fetch of a checkpoint we already held (recovery replacing
             # a corrupt copy): release the stale snapshot handle.
             self.service.release_snapshot(existing.service_snapshot)
+            if self.state_transfer is not None:
+                self.state_transfer.discard_checkpoint(seq)
         snapshot = CheckpointSnapshot(
             seq=seq,
             state_digest=state_digest,

@@ -43,6 +43,7 @@ match the proven digest.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -156,6 +157,14 @@ class TransferMetrics:
     #: Simulated duration of the most recent completed transfer.
     last_transfer_duration: float = 0.0
     total_transfer_time: float = 0.0
+
+
+class _PlainUnpickler(pickle.Unpickler):
+    """Whole-snapshot blobs hold only builtin containers, bytes, strings and
+    numbers: a pickle that names any class or function is refused unrun."""
+
+    def find_class(self, module: str, name: str) -> object:
+        raise pickle.UnpicklingError(f"snapshot blob names {module}.{name}")
 
 
 @dataclass
@@ -434,7 +443,6 @@ class StateTransferManager:
         replica = self.replica
         snapshot = replica.checkpoints.get(seq)
         if snapshot is None:
-            self._serve_cache.pop(seq, None)
             return None
         cached = self._serve_cache.get(seq)
         if cached is None:
@@ -446,11 +454,13 @@ class StateTransferManager:
                 )
                 for level in range(1, service.tree_levels)
             }
-            cached = _ServedCheckpoint(level_sums)
-            for old in [s for s in self._serve_cache if s not in replica.checkpoints]:
-                del self._serve_cache[old]
-            self._serve_cache[seq] = cached
+            cached = self._serve_cache[seq] = _ServedCheckpoint(level_sums)
         return cached
+
+    def discard_checkpoint(self, seq: int) -> None:
+        """The replica dropped or replaced its record for ``seq``: forget the
+        tables served from it (the cache never outgrows ``replica.checkpoints``)."""
+        self._serve_cache.pop(seq, None)
 
     def build_metadata(self, seq: int, level: int, index: int) -> Optional[MetaData]:
         """The META-DATA reply for partition ``(level, index)`` at ``seq``:
@@ -634,11 +644,16 @@ class StateTransferManager:
 
     def _handle_snapshot_data(self, message: Data) -> None:
         try:
-            payload = pickle.loads(message.page)
-        except Exception:  # noqa: BLE001 - malformed data from a faulty replica
+            payload = _PlainUnpickler(io.BytesIO(message.page)).load()
+            seq = payload["seq"]
+            state_digest = payload["state_digest"]
+            service_snapshot = payload["service_snapshot"]
+            reply_table = dict(payload["last_reply_timestamp"])
+            if type(seq) is not int or type(state_digest) is not bytes:
+                raise TypeError("malformed snapshot header")
+        except Exception:  # noqa: BLE001 - bytes chosen by a faulty replica
+            self.metrics.pages_rejected += 1
             return
-        seq = payload.get("seq", -1)
-        state_digest = payload.get("state_digest", b"")
         if seq < self.target_seq:
             return
         if self.target_seq < self.replica.stable_checkpoint_seq:
@@ -655,10 +670,7 @@ class StateTransferManager:
             return
         duration = self.replica.env.now() - self._started_at
         installed = self.replica.install_fetched_state(
-            seq,
-            state_digest,
-            payload["service_snapshot"],
-            payload["last_reply_timestamp"],
+            seq, state_digest, service_snapshot, reply_table
         )
         if not installed:
             # The snapshot's *content* does not hash to the certified

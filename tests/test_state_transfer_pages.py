@@ -17,18 +17,25 @@ Covers the page-transfer contract of this PR:
 * a transfer interrupted by a newer stable checkpoint *resumes*: pages
   already fetched and still valid are installed without being re-fetched;
 * the whole-snapshot path only installs state newer than its target when
-  a matching stable certificate is held (the ``seq > target_seq`` bugfix).
+  a matching stable certificate is held (the ``seq > target_seq`` bugfix),
+  and unpickles nothing that names a class or function;
+* the tables a replica serves META-DATA from are dropped with the
+  checkpoint record they were computed from.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import hotpath
 from repro.bench import preload_kv_state
 from repro.core.messages import Checkpoint, Data, MetaData
+from repro.core.replica import Replica
 from repro.library import BFTCluster
 from repro.services.kvstore import KeyValueStore
 from repro.statetransfer.partition_tree import (
@@ -36,6 +43,7 @@ from repro.statetransfer.partition_tree import (
     content_page_digest,
     group_level_digests,
 )
+from repro.statetransfer.transfer import _ServedCheckpoint
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta", b"epsilon", b"zeta",
         b"eta", b"theta"]
@@ -426,3 +434,86 @@ def test_whole_snapshot_newer_state_requires_certificate():
         assert not manager.in_progress
         assert lagging.last_executed == newer_seq
         assert lagging.service.state_digest() == replica0.service.state_digest()
+
+
+class _TouchesFilesystem:
+    """Unpickling this with ``pickle.loads`` creates a directory."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def test_whole_snapshot_blob_from_a_faulty_replica_runs_nothing(tmp_path):
+    """A Data message on the whole-snapshot path carries bytes a Byzantine
+    peer chose: a pickle that names a callable, one that is not a dict and
+    one that lacks a field are each rejected and counted — nothing runs,
+    nothing escapes ``handle``, and the transfer keeps waiting."""
+    with hotpath.page_transfer_disabled():
+        cluster, _client = _driven_cluster()
+        replica0 = cluster.replicas["replica0"]
+        lagging = cluster.replicas["replica3"]
+        manager = lagging.state_transfer
+        seq = replica0.stable_checkpoint_seq
+        digest = replica0.checkpoints[seq].state_digest
+        manager.start(seq, digest)
+        marker = tmp_path / "created-by-unpickling"
+        envelope = {"seq": seq, "state_digest": digest, "last_reply_timestamp": {}}
+        hostile = [
+            {**envelope, "service_snapshot": _TouchesFilesystem(str(marker))},
+            [seq, digest, {}, {}],
+            envelope,
+            {**envelope, "service_snapshot": {}, "seq": "8"},
+        ]
+        for count, payload in enumerate(hostile, start=1):
+            manager.handle(Data(index=seq, last_modified=seq, seq=seq,
+                                page=pickle.dumps(payload), sender="replica2"))
+            assert manager.metrics.pages_rejected == count
+        manager.handle(Data(index=seq, last_modified=seq, seq=seq,
+                            page=b"\x80\x04not a pickle", sender="replica2"))
+        assert manager.metrics.pages_rejected == len(hostile) + 1
+        assert not marker.exists()
+        assert manager.in_progress
+        assert lagging.last_executed == 0
+
+
+def test_kv_page_decoder_rejects_overrunning_length_prefix():
+    """A page whose last length prefix overruns the blob (or is cut short)
+    is refused whole: no short slice is installed, the store is unchanged."""
+    store = KeyValueStore()
+    store.execute(b"SET kept value", "client")
+    before = store.state_digest()
+    good = KeyValueStore()
+    good.execute(b"SET k v", "client")
+    (index, page), = good.pages().items()
+    overrun = page[:-5] + (9).to_bytes(4, "big") + b"v"
+    for bad in (overrun, page[:-1], page + b"\x00\x00", page[: 4 + 1]):
+        with pytest.raises(ValueError):
+            store.install_pages({index: bad}, removals=store.pages())
+    assert store.state_digest() == before
+    assert store.get(b"kept") == b"value"
+
+
+def test_serve_cache_never_outlives_checkpoint_records(monkeypatch):
+    """The served tables for a checkpoint go when the replica discards the
+    checkpoint record, not when some later fetch happens to miss."""
+    make_stable = Replica._make_checkpoint_stable
+    dropped = []
+
+    def checked(self, seq):
+        before = set(self.state_transfer._serve_cache)
+        make_stable(self, seq)
+        after = set(self.state_transfer._serve_cache)
+        assert after <= set(self.checkpoints)
+        dropped.extend(before - after)
+
+    assert [f.name for f in dataclasses.fields(_ServedCheckpoint)] == ["level_sums"]
+    monkeypatch.setattr(Replica, "_make_checkpoint_stable", checked)
+    cluster = _partition_scenario()
+    assert cluster.replicas["replica3"].state_transfer.metrics.transfers_completed
+    # Somebody served the lagging replica, and those tables are gone again.
+    assert dropped
+    for replica in cluster.replicas.values():
+        assert set(replica.state_transfer._serve_cache) <= set(replica.checkpoints)
