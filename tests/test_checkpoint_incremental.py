@@ -19,6 +19,8 @@ Covers the dirty-page ``Service`` contract of this PR:
 
 from __future__ import annotations
 
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 
 from repro import hotpath
@@ -440,3 +442,63 @@ def test_paged_store_bytes_equal_scratch_reference(ops):
     _run_paged_ops(ops)
     with hotpath.caches_disabled():
         _run_paged_ops(ops)
+
+
+# ------------------------------------------------------------ memory bounds
+def _traced_bytes(scenario) -> int:
+    """Bytes still allocated by ``repro/services`` and ``repro/statetransfer``
+    code once ``scenario`` has run and while what it returns is alive.  One
+    untraced run comes first: CPython parks freed tuples on free lists, and a
+    parked block keeps the traceback of whoever first allocated it."""
+    scenario()
+    tracemalloc.start()
+    try:
+        alive = scenario()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del alive
+    kept = snapshot.filter_traces([
+        tracemalloc.Filter(True, "*/repro/services/*"),
+        tracemalloc.Filter(True, "*/repro/statetransfer/*"),
+    ])
+    return sum(stat.size for stat in kept.statistics("filename"))
+
+
+def test_held_snapshots_cost_only_the_superseded_values():
+    """Two snapshots held across one overwrite of every key keep alive the
+    live values and the superseded ones, once each: with N keys of V bytes
+    the services and state-transfer layers hold at most 1.5 x (N*V live +
+    N*V superseded).  An encoded copy of each page beside the store's own
+    values would make that 2 x."""
+    keys, size = 256, 2048
+
+    def scenario():
+        store = KeyValueStore()
+        for key in range(keys):
+            store.execute(b"SET key%03d " % key + b"a" * size, "client")
+        first = store.snapshot()
+        for key in range(keys):
+            store.execute(b"SET key%03d " % key + b"b" * size, "client")
+        return store, first, store.snapshot()
+
+    assert _traced_bytes(scenario) <= 1.5 * (2 * keys * size)
+
+
+def test_executed_batches_leave_only_the_live_store_behind():
+    """After 2 000 distinct SETs over N = 64 keys of V = 2 048 bytes, with no
+    snapshot held, the services and state-transfer layers hold at most
+    1.25 x N*V: nothing keeps an executed operation's value alive once a
+    later SET replaced it."""
+    keys, size, batch = 64, 2048, 50
+
+    def scenario():
+        store = KeyValueStore()
+        for first in range(0, 2000, batch):
+            store.execute_batch([
+                (b"SET key%02d " % (n % keys) + (b"%04d" % n) * (size // 4), "client")
+                for n in range(first, first + batch)
+            ])
+        return store
+
+    assert _traced_bytes(scenario) <= 1.25 * (keys * size)

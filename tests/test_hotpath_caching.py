@@ -363,8 +363,10 @@ def test_hotpath_toggle_reads_only_go_down():
     assert {name for name in vars(hotpath) if name.endswith("_ENABLED")} == {
         "CACHES_ENABLED", "PAGE_TRANSFER_ENABLED",
     }
-    retired = "BATCH_" + "EXECUTION"
+    retired = ("BATCH_" + "EXECUTION", "_parse" + "_cache", "_PARSE" + "_CACHE",
+               "cache" + "_key")
     root = pathlib.Path(__file__).parent.parent
     for directory in ("src", "tests", "benchmarks", "examples"):
         for path in (root / directory).rglob("*.py"):
-            assert retired not in path.read_text(), path
+            text = path.read_text()
+            assert not [name for name in retired if name in text], path
