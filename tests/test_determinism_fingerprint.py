@@ -233,7 +233,6 @@ def _drive_page_transfer(cluster: BFTCluster, make_op: Callable) -> List[int]:
     phase behind a partition and catches up by page-level state transfer.
     Asserts the run fetched some pages and proved others identical."""
     client = cluster.new_client()
-    shared, missed, after = PAGE_TRANSFER_PHASES
     issued = 0
     for phase, count in enumerate(PAGE_TRANSFER_PHASES):
         if phase == 1:
