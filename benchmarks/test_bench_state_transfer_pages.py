@@ -45,6 +45,12 @@ SMOKE_BYTES_RATIO_FLOOR = 2.0
 LAGGING = "replica3"
 
 
+class WholeSnapshotKV(KeyValueStore):
+    """The baseline side: a KV store that offers no page-level export (as
+    ``NFSService`` does not), so its replicas fetch one whole-snapshot blob."""
+    supports_page_transfer = False
+
+
 def _recovery_run(
     preload_keys: int,
     value_size: int,
@@ -53,11 +59,12 @@ def _recovery_run(
     churn_key_space: int,
     read_fraction: float,
     checkpoint_interval: int,
+    service_factory=KeyValueStore,
 ) -> dict:
     """One deterministic partition/churn/heal/recover scenario."""
     cluster = BFTCluster.create(
         f=1,
-        service_factory=KeyValueStore,
+        service_factory=service_factory,
         checkpoint_interval=checkpoint_interval,
     )
     client = cluster.new_client()
@@ -162,8 +169,10 @@ def _workloads(scale, smoke: bool):
 def _measure_row(workload: dict, check_cache_modes: bool) -> dict:
     workload = dict(workload)
     name = workload.pop("name")
+    baseline = _recovery_run(**workload, service_factory=WholeSnapshotKV)
     with hotpath.page_transfer_disabled():
-        baseline = _recovery_run(**workload)
+        toggled = _recovery_run(**workload)
+    assert _modeled_view(toggled) == _modeled_view(baseline)
     optimized = _recovery_run(**workload)
     identical = None
     if check_cache_modes:

@@ -42,6 +42,7 @@ from repro.core.messages import (
     Reply,
     Request,
     StatusActive,
+    _pack_one_baseline,
     pack,
 )
 from repro.core.replica import Replica
@@ -332,6 +333,10 @@ class SequentialModel:
         }
 
 
+def _general_encoding(*fields) -> bytes:
+    return b"".join(_pack_one_baseline(value) for value in fields)
+
+
 def _reply_table(last_reply: Dict[str, Reply]) -> dict:
     return {
         client: (reply.timestamp, reply.result, reply.result_digest, reply.tentative)
@@ -442,6 +447,13 @@ def _drive_batches(batches):
          sent.message.payload_bytes())
         for sent in env.sent
     ]
+    # Whatever route built them (bulk reply encoder, prefilled memos), the
+    # bytes on the wire are the general encoding of the payload fields.
+    assert [payload for _, _, payload in trace] == [
+        _general_encoding(type(s.message).__name__, s.message.sender,
+                          *s.message.payload_fields())
+        for s in env.sent
+    ]
     return {"trace": trace, "charges": env.charges,
             "last_executed": replica.last_executed, **_replica_state(replica)}
 
@@ -536,8 +548,13 @@ def test_bulk_reply_encoding_matches_pack():
     assert replies
     for reply in replies:
         cached = reply.__dict__.get("_payload_bytes_cache")
+        expected = _general_encoding(
+            "Reply", reply.sender, reply.view, reply.timestamp,
+            reply.client, reply.replica, reply.result_digest,
+            reply.tentative,
+        )
         with hotpath.caches_disabled():
-            expected = pack(
+            assert expected == pack(
                 "Reply", reply.sender, reply.view, reply.timestamp,
                 reply.client, reply.replica, reply.result_digest,
                 reply.tentative,

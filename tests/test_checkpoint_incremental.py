@@ -38,7 +38,11 @@ from repro.statetransfer.partition_tree import (
     content_page_digest,
     group_level_digests,
 )
-from repro.statetransfer.transfer import StateTransferManager, service_root_digest
+from repro.statetransfer.transfer import (
+    StateTransferManager,
+    combined_state_digest,
+    service_root_digest,
+)
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta", b"epsilon", b"zeta"]
 
@@ -92,6 +96,7 @@ def test_incremental_digest_matches_scratch_recompute(ops):
     for op in ops:
         shadow = _apply(store, op, snapshots, shadows, shadow)
         incremental = store.state_digest()
+        assert incremental == service_root_digest(store._scratch_root())
         with hotpath.caches_disabled():
             scratch = store.state_digest()
         assert incremental == scratch
@@ -136,6 +141,7 @@ def test_counter_portable_restore_roundtrip(values):
     other.restore(portable)
     assert other.value == sum(values)
     assert other.state_digest() == digest_at_snapshot
+    assert service_root_digest(other._scratch_root()) == digest_at_snapshot
     with hotpath.caches_disabled():
         assert other.state_digest() == digest_at_snapshot
 
@@ -152,11 +158,21 @@ def test_replica_state_digest_matches_baseline_recompute():
         client.invoke(b"SET key%d value%d" % (index % 3, index))
     for replica in cluster.replicas.values():
         optimized = replica._state_digest()
+        assert optimized == _scratch_state_digest(replica)
         with hotpath.caches_disabled():
             scratch = replica._state_digest()
         assert optimized == scratch
     digests = {r._state_digest() for r in cluster.replicas.values()}
     assert len(digests) == 1
+
+
+def _scratch_state_digest(replica) -> bytes:
+    """The checkpoint digest from the two from-scratch references: every
+    page re-encoded and re-hashed, every reply-table entry re-summed."""
+    return combined_state_digest(
+        service_root_digest(replica.service._scratch_root()),
+        replica._recompute_reply_digest(),
+    )
 
 
 def _executing_replica():
@@ -284,6 +300,7 @@ def test_abort_tentative_execution_rolls_back_reply_table():
     replica._abort_tentative_execution()
     assert replica.last_reply_timestamp == before_timestamps
     assert replica._state_digest() == before_digest
+    assert _scratch_state_digest(replica) == before_digest
     with hotpath.caches_disabled():
         assert replica._state_digest() == before_digest
 

@@ -11,6 +11,7 @@ what the properties compare against.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pathlib
 import re
 
@@ -25,6 +26,7 @@ from repro.core.messages import (
     Commit,
     Data,
     Fetch,
+    GENERIC_HEADER_SIZE,
     Message,
     MetaData,
     NewKey,
@@ -41,9 +43,10 @@ from repro.core.messages import (
     ViewChangeAck,
     PSetEntry,
     QSetEntry,
+    _pack_one_baseline,
     pack,
 )
-from repro.crypto.digests import DIGEST_SIZE, digest
+from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, digest
 from repro.crypto.mac import MACKey, compute_mac, verify_mac
 from repro.crypto.signatures import SignatureRegistry
 
@@ -144,19 +147,45 @@ all_messages = st.one_of(requests, pre_prepares, replies, view_changes,
                          simple_messages)
 
 
+def encode(*fields) -> bytes:
+    """The canonical encoding, one value at a time through the general
+    encoder — no shared buffer, no exact-type dispatch."""
+    return b"".join(_pack_one_baseline(value) for value in fields)
+
+
+def _fresh_request_digest(request: Request) -> bytes:
+    if request.is_null:
+        return NULL_DIGEST
+    return digest(encode(request.client, request.timestamp, request.operation))
+
+
 def fresh_values(message: Message) -> dict:
-    """Recompute every derived value with the caches off."""
+    """Every derived value from its definition, reading no memo."""
+    payload = encode(type(message).__name__, message.sender, *message.payload_fields())
+    values = {
+        "payload_bytes": payload,
+        "payload_digest": digest(payload),
+        "wire_size": GENERIC_HEADER_SIZE + message.body_size() + message.auth_size(),
+    }
+    if isinstance(message, Request):
+        values["request_digest"] = _fresh_request_digest(message)
+    if isinstance(message, PrePrepare):
+        inline = tuple(_fresh_request_digest(r) for r in message.requests)
+        separate = tuple(message.separate_digests)
+        values["batch_digest"] = digest(encode(inline, separate, message.nondet))
+        values["all_request_digests"] = inline + separate
     with hotpath.caches_disabled():
-        values = {
+        toggled = {
             "payload_bytes": message.payload_bytes(),
             "payload_digest": message.payload_digest(),
             "wire_size": message.wire_size(),
         }
         if isinstance(message, Request):
-            values["request_digest"] = message.request_digest()
+            toggled["request_digest"] = message.request_digest()
         if isinstance(message, PrePrepare):
-            values["batch_digest"] = message.batch_digest()
-            values["all_request_digests"] = message.all_request_digests()
+            toggled["batch_digest"] = message.batch_digest()
+            toggled["all_request_digests"] = message.all_request_digests()
+    assert values == toggled
     return values
 
 
@@ -217,6 +246,7 @@ def test_replace_never_inherits_stale_batch_cache(pre_prepare, new_nondet):
 # ------------------------------------------------------------------ digests
 def test_digest_accepts_bytes_like_without_copy():
     data = b"the quick brown fox"
+    assert digest(data) == hashlib.sha256(data).digest()[:DIGEST_SIZE]
     assert digest(bytearray(data)) == digest(data)
     assert digest(memoryview(data)) == digest(data)
     with hotpath.caches_disabled():
@@ -262,6 +292,13 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
     assert receiver.verify(message)
     assert receiver.verify(message)
 
+    # Each tag is the MAC, under that receiver's session key, of the digest
+    # of the canonical payload (Section 3.2.1).
+    signed = fresh_values(message)["payload_digest"]
+    assert message.auth.tags == {
+        peer: compute_mac(sender.keys.outbound[peer], signed)
+        for peer in ("replica1", "replica2", "replica3")
+    }
     # The same payload signed with caches off produces identical tags.
     reference = Prepare(view=0, seq=3, digest=b"d" * 16, replica="replica0",
                         sender="replica0")
@@ -327,6 +364,8 @@ def test_wire_size_tracks_auth_reassignment():
     p2p_size = resigned.wire_size()
     assert multicast_size != p2p_size
     assert message.wire_size() == multicast_size
+    assert p2p_size == fresh_values(resigned)["wire_size"]
+    assert multicast_size == fresh_values(message)["wire_size"]
     with hotpath.caches_disabled():
         assert resigned.wire_size() == p2p_size
 
@@ -346,6 +385,15 @@ def test_pack_matches_baseline_encoder():
     values = ("PrePrepare", "replica0", 7, True, None, (b"\x01" * 16, 3),
               b"bytes", ("nested", (1, 2)))
     fast = pack(*values)
+    assert fast == encode(*values)
+    assert fast == (
+        b"S\x00\x00\x00\x0aPrePrepare" b"S\x00\x00\x00\x08replica0"
+        b"I\x00\x00\x00\x017" b"B1" b"N"
+        b"T\x00\x00\x00\x02" b"Y\x00\x00\x00\x10" + b"\x01" * 16 + b"I\x00\x00\x00\x013"
+        + b"Y\x00\x00\x00\x05bytes"
+        b"T\x00\x00\x00\x02" b"S\x00\x00\x00\x06nested"
+        b"T\x00\x00\x00\x02" b"I\x00\x00\x00\x011" b"I\x00\x00\x00\x012"
+    )
     with hotpath.caches_disabled():
         baseline = pack(*values)
     assert fast == baseline

@@ -77,10 +77,36 @@ def test_tree_matches_flat_across_fault_matrix(label, faults, exclude):
     assert flat_state == tree_state
 
 
+#: ``_run(TREE)``: 4 clients x 10 ops, f = 2 — completion latencies in
+#: simulated microseconds, to the bit, and the one state digest all seven
+#: replicas end on.
+TREE_RUN_LATENCIES = [
+    1789.181, 2972.3990000000003, 2988.2870000000003, 3004.175,
+    2003.4440000000027, 1733.9309999999969, 2692.9529999999986,
+    2692.9529999999986, 1920.390999999996, 2017.2799999999943,
+    1853.2539999999963, 3118.8449999999957, 3118.8449999999966,
+    2124.1390000000047, 2197.340000000013, 1945.8100000000086,
+    2595.5760000000064, 2602.968000000006, 1734.7709999999952,
+    1951.8350000000028, 1739.9180000000051, 2212.6040000000085,
+    2212.6040000000085, 1868.6500000000124, 2094.0090000000146,
+    1613.9310000000114, 2857.5990000000074, 1970.4279999999999,
+    1842.2450000000008, 2250.274999999994, 1726.6239999999998,
+    2933.579999999998, 2398.554999999993, 2737.483000000004,
+    2017.4660000000003, 1404.3950000000077, 2477.983000000011,
+    2314.569000000003, 2857.678999999993, 2263.793999999987,
+]
+TREE_RUN_STATE_DIGEST = "0385da20aecc05d4ce0ad1ffbc13ec70"
+
+
 def test_tree_mode_is_bit_identical_across_cache_toggles():
     """Within a dissemination mode, the hot-path cache toggles must not
     change any modeled result (the standing PR-1 convention)."""
     baseline_cluster, baseline = _run(TREE)
+    assert baseline.per_client == [10, 10, 10, 10]
+    assert baseline.latencies == TREE_RUN_LATENCIES
+    assert {rid: d.hex() for rid, d in _state_of(baseline_cluster).items()} == {
+        f"replica{i}": TREE_RUN_STATE_DIGEST for i in range(7)
+    }
     with hotpath.caches_disabled():
         toggled_cluster, toggled = _run(TREE)
     assert baseline.per_client == toggled.per_client

@@ -15,6 +15,8 @@ The routing layer's core invariants (ISSUE satellite):
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +148,15 @@ def _run_schedule(seed: int) -> dict:
     }
 
 
+#: SHA-256 of ``repr(_run_schedule(seed))``: the whole scenario — state
+#: union, modeled migration costs, routing epoch and ownership — pinned.
+SCHEDULE_SHA256 = {
+    1: "a7b47570a90b4165a03ece996cf0602d35edc217344b76ad3b52582dee212dc2",
+    7: "d8c89a4045747feec0f3acce9fae2e9e12ac8abdd7e9e7fcead844d9f4b11851",
+    23: "1dd057823ea58433c5613ba2dc62c0639cf3b1552fc4b8807a0844456155bc75",
+}
+
+
 @pytest.mark.parametrize("seed", [1, 7, 23])
 def test_randomized_migration_schedule_preserves_state_union(seed):
     """The union of the groups' KV state after a randomized migration
@@ -154,6 +165,7 @@ def test_randomized_migration_schedule_preserves_state_union(seed):
     (state, routing tables, modeled migration costs) is bit-identical
     between the optimized and caches-disabled simulator."""
     optimized = _run_schedule(seed)
+    assert hashlib.sha256(repr(optimized).encode()).hexdigest() == SCHEDULE_SHA256[seed]
     with hotpath.caches_disabled():
         baseline = _run_schedule(seed)
     assert optimized == baseline

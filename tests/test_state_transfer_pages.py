@@ -59,6 +59,12 @@ kv_ops = st.lists(
 )
 
 
+class WholeSnapshotKV(KeyValueStore):
+    """A KV store that, like ``NFSService``, offers no page-level export,
+    so its replicas fetch one whole-snapshot blob."""
+    supports_page_transfer = False
+
+
 def _apply(store: KeyValueStore, ops) -> None:
     for op in ops:
         if op[0] == b"SET":
@@ -78,6 +84,22 @@ def test_page_exports_identical_across_modes(ops):
     optimized = KeyValueStore()
     _apply(optimized, ops)
     handle = optimized.snapshot()
+    # From scratch: every populated page re-encoded, then hashed.
+    scratch_pages = {
+        index: page for index in optimized._page_indexes()
+        if (page := optimized._encode_page(index))
+    }
+    scratch_digests = {
+        index: content_page_digest(index, page)
+        for index, page in scratch_pages.items()
+    }
+    assert optimized.page_digests() == scratch_digests
+    assert optimized.snapshot_pages(handle) == scratch_pages
+    assert optimized.snapshot_page_digests(handle) == scratch_digests
+    # A live copy-on-write handle and its portable form export the same.
+    portable = optimized.export_snapshot(handle)
+    assert optimized.snapshot_pages(portable) == scratch_pages
+    assert optimized.snapshot_page_digests(portable) == scratch_digests
     with hotpath.caches_disabled():
         baseline = KeyValueStore()
         _apply(baseline, ops)
@@ -124,9 +146,9 @@ def test_install_pages_converges_to_source_state(source_ops, follower_ops):
 
 
 # ---------------------------------------------------- protocol end to end
-def _partition_scenario():
+def _partition_scenario(service_factory=KeyValueStore):
     cluster = BFTCluster.create(
-        f=1, service_factory=KeyValueStore, checkpoint_interval=4
+        f=1, service_factory=service_factory, checkpoint_interval=4
     )
     client = cluster.new_client()
     # A heavy identical warm state on every replica (installed directly,
@@ -153,8 +175,17 @@ def _partition_scenario():
 
 def test_page_transfer_converges_like_whole_snapshot_with_fewer_bytes():
     page_run = _partition_scenario()
+    blob_run = _partition_scenario(WholeSnapshotKV)
     with hotpath.page_transfer_disabled():
-        blob_run = _partition_scenario()
+        toggled_run = _partition_scenario()
+    # The capability alone selects the whole-snapshot protocol: the same
+    # transfer, message for message, as switching page transfer off.
+    assert (
+        blob_run.replicas["replica3"].state_transfer.metrics
+        == toggled_run.replicas["replica3"].state_transfer.metrics
+    )
+    assert blob_run.network.stats == toggled_run.network.stats
+    assert blob_run.replicas["replica3"].state_transfer.metrics.pages_fetched == 0
 
     results = {}
     for name, cluster in (("page", page_run), ("blob", blob_run)):
@@ -182,13 +213,13 @@ def test_page_transfer_converges_like_whole_snapshot_with_fewer_bytes():
 
 
 # ------------------------------------------------------- driven harness
-def _driven_cluster(first_ops=8, prefix=b"a"):
+def _driven_cluster(first_ops=8, prefix=b"a", service_factory=KeyValueStore):
     """A cluster whose replica3 is partitioned away while the healthy side
     advances; the tests then drive replica3's transfer manager directly
     with replies built by replica0's server side (deterministic, no
     network timing involved)."""
     cluster = BFTCluster.create(
-        f=1, service_factory=KeyValueStore, checkpoint_interval=4
+        f=1, service_factory=service_factory, checkpoint_interval=4
     )
     client = cluster.new_client()
     for other in ("replica0", "replica1", "replica2", client.id):
@@ -373,67 +404,68 @@ def test_whole_snapshot_newer_state_requires_certificate():
     """The legacy path's bugfix: a Data message carrying state *newer* than
     the transfer target installs only once a matching stable certificate
     for that sequence number is held."""
-    with hotpath.page_transfer_disabled():
-        cluster, client = _driven_cluster(first_ops=8, prefix=b"a")
-        replica0 = cluster.replicas["replica0"]
-        lagging = cluster.replicas["replica3"]
-        manager = lagging.state_transfer
+    cluster, client = _driven_cluster(
+        first_ops=8, prefix=b"a", service_factory=WholeSnapshotKV
+    )
+    replica0 = cluster.replicas["replica0"]
+    lagging = cluster.replicas["replica3"]
+    manager = lagging.state_transfer
 
-        first_seq = replica0.stable_checkpoint_seq
-        first_digest = replica0.checkpoints[first_seq].state_digest
-        manager.start(first_seq, first_digest)
+    first_seq = replica0.stable_checkpoint_seq
+    first_digest = replica0.checkpoints[first_seq].state_digest
+    manager.start(first_seq, first_digest)
 
-        # The healthy side moves on; the old checkpoint is garbage
-        # collected, so only newer state can be served.
-        for index in range(4):
-            client.invoke(b"SET b%03d w%03d" % (index, index))
-        cluster.run(duration=2_000_000)
-        newer_seq = replica0.stable_checkpoint_seq
-        assert newer_seq > first_seq
-        snapshot = replica0.checkpoints[newer_seq]
-        blob = pickle.dumps(
-            {
-                "seq": newer_seq,
-                "state_digest": snapshot.state_digest,
-                "service_snapshot": replica0.service.export_snapshot(
-                    snapshot.service_snapshot
-                ),
-                "last_reply_timestamp": snapshot.last_reply_timestamp,
-            }
+    # The healthy side moves on; the old checkpoint is garbage
+    # collected, so only newer state can be served.
+    for index in range(4):
+        client.invoke(b"SET b%03d w%03d" % (index, index))
+    cluster.run(duration=2_000_000)
+    newer_seq = replica0.stable_checkpoint_seq
+    assert newer_seq > first_seq
+    snapshot = replica0.checkpoints[newer_seq]
+    blob = pickle.dumps(
+        {
+            "seq": newer_seq,
+            "state_digest": snapshot.state_digest,
+            "service_snapshot": replica0.service.export_snapshot(
+                snapshot.service_snapshot
+            ),
+            "last_reply_timestamp": snapshot.last_reply_timestamp,
+        }
+    )
+    data = Data(index=newer_seq, last_modified=newer_seq, page=blob,
+                seq=newer_seq, sender="replica0")
+
+    # Without a certificate for newer_seq the state must be refused.
+    manager.handle(data)
+    assert manager.in_progress
+    assert lagging.last_executed == 0
+
+    # With a stable certificate (2f+1 matching checkpoint messages in
+    # the log) the digest field is accepted — but a forged blob whose
+    # *content* does not hash to it must still be refused.
+    for sender in ("replica0", "replica1", "replica2"):
+        lagging.log.checkpoint_record(newer_seq).add(
+            Checkpoint(seq=newer_seq, state_digest=snapshot.state_digest,
+                       replica=sender, sender=sender)
         )
-        data = Data(index=newer_seq, last_modified=newer_seq, page=blob,
-                    seq=newer_seq, sender="replica0")
+    forged = pickle.dumps(
+        {
+            "seq": newer_seq,
+            "state_digest": snapshot.state_digest,
+            "service_snapshot": {b"evil": b"state"},
+            "last_reply_timestamp": {},
+        }
+    )
+    manager.handle(Data(index=newer_seq, last_modified=newer_seq,
+                        page=forged, seq=newer_seq, sender="replica2"))
+    assert manager.in_progress
+    assert lagging.last_executed == 0
 
-        # Without a certificate for newer_seq the state must be refused.
-        manager.handle(data)
-        assert manager.in_progress
-        assert lagging.last_executed == 0
-
-        # With a stable certificate (2f+1 matching checkpoint messages in
-        # the log) the digest field is accepted — but a forged blob whose
-        # *content* does not hash to it must still be refused.
-        for sender in ("replica0", "replica1", "replica2"):
-            lagging.log.checkpoint_record(newer_seq).add(
-                Checkpoint(seq=newer_seq, state_digest=snapshot.state_digest,
-                           replica=sender, sender=sender)
-            )
-        forged = pickle.dumps(
-            {
-                "seq": newer_seq,
-                "state_digest": snapshot.state_digest,
-                "service_snapshot": {b"evil": b"state"},
-                "last_reply_timestamp": {},
-            }
-        )
-        manager.handle(Data(index=newer_seq, last_modified=newer_seq,
-                            page=forged, seq=newer_seq, sender="replica2"))
-        assert manager.in_progress
-        assert lagging.last_executed == 0
-
-        manager.handle(data)
-        assert not manager.in_progress
-        assert lagging.last_executed == newer_seq
-        assert lagging.service.state_digest() == replica0.service.state_digest()
+    manager.handle(data)
+    assert not manager.in_progress
+    assert lagging.last_executed == newer_seq
+    assert lagging.service.state_digest() == replica0.service.state_digest()
 
 
 class _TouchesFilesystem:
@@ -451,32 +483,31 @@ def test_whole_snapshot_blob_from_a_faulty_replica_runs_nothing(tmp_path):
     peer chose: a pickle that names a callable, one that is not a dict and
     one that lacks a field are each rejected and counted — nothing runs,
     nothing escapes ``handle``, and the transfer keeps waiting."""
-    with hotpath.page_transfer_disabled():
-        cluster, _client = _driven_cluster()
-        replica0 = cluster.replicas["replica0"]
-        lagging = cluster.replicas["replica3"]
-        manager = lagging.state_transfer
-        seq = replica0.stable_checkpoint_seq
-        digest = replica0.checkpoints[seq].state_digest
-        manager.start(seq, digest)
-        marker = tmp_path / "created-by-unpickling"
-        envelope = {"seq": seq, "state_digest": digest, "last_reply_timestamp": {}}
-        hostile = [
-            {**envelope, "service_snapshot": _TouchesFilesystem(str(marker))},
-            [seq, digest, {}, {}],
-            envelope,
-            {**envelope, "service_snapshot": {}, "seq": "8"},
-        ]
-        for count, payload in enumerate(hostile, start=1):
-            manager.handle(Data(index=seq, last_modified=seq, seq=seq,
-                                page=pickle.dumps(payload), sender="replica2"))
-            assert manager.metrics.pages_rejected == count
+    cluster, _client = _driven_cluster(service_factory=WholeSnapshotKV)
+    replica0 = cluster.replicas["replica0"]
+    lagging = cluster.replicas["replica3"]
+    manager = lagging.state_transfer
+    seq = replica0.stable_checkpoint_seq
+    digest = replica0.checkpoints[seq].state_digest
+    manager.start(seq, digest)
+    marker = tmp_path / "created-by-unpickling"
+    envelope = {"seq": seq, "state_digest": digest, "last_reply_timestamp": {}}
+    hostile = [
+        {**envelope, "service_snapshot": _TouchesFilesystem(str(marker))},
+        [seq, digest, {}, {}],
+        envelope,
+        {**envelope, "service_snapshot": {}, "seq": "8"},
+    ]
+    for count, payload in enumerate(hostile, start=1):
         manager.handle(Data(index=seq, last_modified=seq, seq=seq,
-                            page=b"\x80\x04not a pickle", sender="replica2"))
-        assert manager.metrics.pages_rejected == len(hostile) + 1
-        assert not marker.exists()
-        assert manager.in_progress
-        assert lagging.last_executed == 0
+                            page=pickle.dumps(payload), sender="replica2"))
+        assert manager.metrics.pages_rejected == count
+    manager.handle(Data(index=seq, last_modified=seq, seq=seq,
+                        page=b"\x80\x04not a pickle", sender="replica2"))
+    assert manager.metrics.pages_rejected == len(hostile) + 1
+    assert not marker.exists()
+    assert manager.in_progress
+    assert lagging.last_executed == 0
 
 
 def test_kv_page_decoder_rejects_overrunning_length_prefix():
