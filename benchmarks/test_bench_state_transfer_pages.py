@@ -6,8 +6,8 @@ state, so only a bounded fraction of the pages is dirty when the partition
 heals.  The healed replica learns of a stable checkpoint beyond its water
 mark and fetches state; the experiment measures what that recovery costs —
 bytes fetched, fetch/metadata messages, and simulated recovery time — with
-the hierarchical page-level protocol (this PR) against the whole-snapshot
-baseline (``repro.hotpath.page_transfer_disabled()``).
+the hierarchical page-level protocol against the whole-snapshot protocol
+that a service without page support gets (``WholeSnapshotKV``).
 
 Both protocols run the *identical* deterministic workload, so the ratios
 are modeled, machine-independent quantities: ``check_regression.py`` gates
@@ -170,9 +170,6 @@ def _measure_row(workload: dict, check_cache_modes: bool) -> dict:
     workload = dict(workload)
     name = workload.pop("name")
     baseline = _recovery_run(**workload, service_factory=WholeSnapshotKV)
-    with hotpath.page_transfer_disabled():
-        toggled = _recovery_run(**workload)
-    assert _modeled_view(toggled) == _modeled_view(baseline)
     optimized = _recovery_run(**workload)
     identical = None
     if check_cache_modes:

@@ -959,7 +959,7 @@ class Replica:
         the fact (watermarks and checkpoints stay untouched either way, so
         a later reply from an honest sender can still install).
         """
-        if getattr(self.service, "supports_page_transfer", False):
+        if self.service.supports_page_transfer:
             root = sum(
                 self.service.snapshot_page_digests(service_snapshot).values()
             ) % ADHASH_MODULUS

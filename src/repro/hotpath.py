@@ -35,19 +35,6 @@ per-message scheduling — so the benchmarks can measure the baseline in
 the same process and report the speedup honestly
 (``benchmarks/test_bench_hotpath.py`` and
 ``benchmarks/test_bench_checkpoint_pipeline.py``).
-
-A further, independent switch gates the *hierarchical page-level state
-transfer* (Section 5.3.2, :mod:`repro.statetransfer.transfer`).  Unlike
-the caches, page-level transfer is a protocol-level optimization: it
-changes which messages cross the simulated network (META-DATA walks and
-per-page DATA instead of one whole-snapshot blob), so it is modeled —
-fewer bytes on the wire is precisely the measured win.  It therefore has
-its own toggle, ``page_transfer_disabled``, and is deliberately *not*
-flipped by ``caches_disabled``: with caches off the page protocol still
-runs identically, which is what keeps modeled results bit-identical
-between cache modes (``benchmarks/test_bench_state_transfer_pages.py``
-asserts exactly that).  Disabling page transfer restores the pre-PR
-whole-snapshot transfer so its bandwidth baseline stays measurable.
 """
 
 from __future__ import annotations
@@ -57,10 +44,6 @@ from typing import Iterator
 
 #: Global switch read by the cached code paths.  True in normal operation.
 CACHES_ENABLED = True
-
-#: Global switch for hierarchical page-level state transfer.  True in
-#: normal operation; off, replicas fall back to whole-snapshot transfer.
-PAGE_TRANSFER_ENABLED = True
 
 
 @contextmanager
@@ -77,20 +60,3 @@ def caches_disabled() -> Iterator[None]:
         yield
     finally:
         CACHES_ENABLED = previous
-
-
-@contextmanager
-def page_transfer_disabled() -> Iterator[None]:
-    """Temporarily fall back to whole-snapshot state transfer.
-
-    Used by the recovery-bandwidth benchmarks to measure the pre-PR
-    baseline.  Only affects transfers *started* while disabled; nesting is
-    safe and the previous state is restored on exit.
-    """
-    global PAGE_TRANSFER_ENABLED
-    previous = PAGE_TRANSFER_ENABLED
-    PAGE_TRANSFER_ENABLED = False
-    try:
-        yield
-    finally:
-        PAGE_TRANSFER_ENABLED = previous

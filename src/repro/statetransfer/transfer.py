@@ -8,9 +8,8 @@ trusting any single sender.
 
 Two wire protocols share this manager:
 
-* **Hierarchical page-level transfer** (the default, gated by
-  :data:`repro.hotpath.PAGE_TRANSFER_ENABLED` and the service's
-  ``supports_page_transfer`` capability).  The fetcher walks the partition
+* **Hierarchical page-level transfer**, for every service that declares
+  ``supports_page_transfer``.  The fetcher walks the partition
   tree top-down: a root FETCH returns META-DATA whose sub-partition
   digests — combined with the checkpoint's reply table — must recombine to
   the certified checkpoint digest; each interior META-DATA reply must
@@ -26,9 +25,8 @@ Two wire protocols share this manager:
   check, is dropped without touching the cursor, and is re-requested from
   the next replica.
 
-* **Whole-snapshot transfer** (the pre-page-protocol baseline, used for
-  services without page support and when page transfer is toggled off for
-  measurement).  One Data message carries the entire pickled snapshot,
+* **Whole-snapshot transfer**, for services without page support
+  (``NFSService``).  One Data message carries the entire pickled snapshot,
   validated against the certified digest for its sequence number — for the
   exact target that is the certificate the transfer started from, and for
   a *newer* checkpoint the fetcher requires a matching stable certificate
@@ -48,7 +46,6 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import hotpath
 from repro.core.messages import Data, Fetch, Message, MetaData, pack
 from repro.crypto.digests import DIGEST_SIZE, digest
 from repro.statetransfer.partition_tree import (
@@ -242,10 +239,7 @@ class StateTransferManager:
         self.target_digest = state_digest
         self.metrics.transfers_started += 1
         self._started_at = replica.env.now()
-        self._hierarchical = bool(
-            hotpath.PAGE_TRANSFER_ENABLED
-            and getattr(replica.service, "supports_page_transfer", False)
-        )
+        self._hierarchical = replica.service.supports_page_transfer
         self._reset_walk()
         self._fetched.clear()
         self._fetched_digests.clear()
@@ -417,7 +411,7 @@ class StateTransferManager:
     def _serve_hierarchical(self, message: Fetch) -> None:
         replica = self.replica
         service = replica.service
-        if not getattr(service, "supports_page_transfer", False):
+        if not service.supports_page_transfer:
             return
         levels = service.tree_levels
         if message.level < 0 or message.level >= levels:

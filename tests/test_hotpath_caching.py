@@ -407,12 +407,13 @@ def test_hotpath_toggle_reads_only_go_down():
     switch stays retired, down to its name."""
     sources = pathlib.Path(hotpath.__file__).parent.rglob("*.py")
     reads = sum(len(re.findall(r"hotpath\.[A-Z_]+", path.read_text())) for path in sources)
-    assert reads <= 20
+    assert reads <= 18
     assert {name for name in vars(hotpath) if name.endswith("_ENABLED")} == {
-        "CACHES_ENABLED", "PAGE_TRANSFER_ENABLED",
+        "CACHES_ENABLED",
     }
     retired = ("BATCH_" + "EXECUTION", "_parse" + "_cache", "_PARSE" + "_CACHE",
-               "cache" + "_key")
+               "cache" + "_key", "page_transfer" + "_disabled",
+               "PAGE_TRANSFER" + "_ENABLED")
     root = pathlib.Path(__file__).parent.parent
     for directory in ("src", "tests", "benchmarks", "examples"):
         for path in (root / directory).rglob("*.py"):

@@ -176,16 +176,9 @@ def _partition_scenario(service_factory=KeyValueStore):
 def test_page_transfer_converges_like_whole_snapshot_with_fewer_bytes():
     page_run = _partition_scenario()
     blob_run = _partition_scenario(WholeSnapshotKV)
-    with hotpath.page_transfer_disabled():
-        toggled_run = _partition_scenario()
-    # The capability alone selects the whole-snapshot protocol: the same
-    # transfer, message for message, as switching page transfer off.
-    assert (
-        blob_run.replicas["replica3"].state_transfer.metrics
-        == toggled_run.replicas["replica3"].state_transfer.metrics
-    )
-    assert blob_run.network.stats == toggled_run.network.stats
-    assert blob_run.replicas["replica3"].state_transfer.metrics.pages_fetched == 0
+    # The capability alone selects the protocol: no META-DATA walk, no pages.
+    blob_metrics = blob_run.replicas["replica3"].state_transfer.metrics
+    assert blob_metrics.pages_fetched == blob_metrics.metadata_messages == 0
 
     results = {}
     for name, cluster in (("page", page_run), ("blob", blob_run)):
