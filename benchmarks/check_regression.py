@@ -9,17 +9,13 @@ Two modes:
   run.
 * full (default): re-run the full-scale benchmarks into a scratch
   directory (via ``BENCH_OUTPUT_DIR``/``RESULTS_OUTPUT_DIR``) and compare
-  each workload's ratio against the committed record.  For the experiments
-  whose ratio is a *modeled* quantity (recovery bytes, migration bytes,
-  per-round messages, skew recovery) any relative drop larger than
-  ``--threshold`` (default 20%) fails: those repeat exactly, so one fresh
-  run suffices and a drop is a real regression.  The wall-clock
-  experiments (hotpath, checkpoint) compare the current code
-  with a legacy twin kept in the tree; work that speeds up both sides moves
-  that ratio for reasons unrelated to correctness, so their fresh run must
-  pass (it asserts bit-identical modeled results and work counters across
-  the toggles) and the ratios are printed, not gated.  Absolute cost per
-  operation is tracked by ``perf/`` (``BENCHMARK.json``), not here.
+  each workload's ratio against the committed record.  Every ratio here is
+  a *modeled* quantity (recovery bytes, migration bytes, per-round
+  messages, skew recovery): it repeats exactly, so one fresh run suffices
+  and any relative drop larger than ``--threshold`` (default 20%) is a
+  real regression.  Wall-clock cost per operation is tracked by ``perf/``
+  (``BENCHMARK.json``), not here; the wall-clock ratios against code since
+  deleted (E13, E14) are frozen in ``BASELINES.md``.
 
 Exit status 0 means no regression; 1 means regression or a malformed
 record; 2 means the benchmark run itself failed.
@@ -27,7 +23,7 @@ record; 2 means the benchmark run itself failed.
 Examples::
 
     python benchmarks/check_regression.py --smoke
-    python benchmarks/check_regression.py --experiment hotpath
+    python benchmarks/check_regression.py --experiment statetransfer
 """
 
 from __future__ import annotations
@@ -51,24 +47,12 @@ import test_bench_rebalancing as _bench_rebalancing
 import test_bench_sharding as _bench_sharding
 import test_bench_state_transfer_pages as _bench_statetransfer
 
-# Per-experiment spec.  Optional keys (with defaults) describe the record
-# shape: ``headline_key``/``ratio_key`` name the optimized/baseline ratio
-# ("headline_speedup"/"speedup" for the wall-clock experiments) and
-# ``side_metric`` the per-side number every macro row must carry.  A spec
-# with a ``speedup_floor`` is gated on its ratio, which is then a modeled
-# quantity — identical on every run, so one fresh measurement decides.  A
-# spec without one (the wall-clock experiments) only reports its ratio.
+# Per-experiment spec.  ``headline_key``/``ratio_key`` name the
+# optimized/baseline ratio and ``side_metric`` the per-side number every
+# macro row must carry; ``speedup_floor`` is the least the headline ratio
+# may be.  Every ratio is a modeled quantity — identical on every run, so
+# one fresh measurement decides.
 EXPERIMENTS = {
-    "hotpath": {
-        "record": "BENCH_hotpath.json",
-        "module": "benchmarks/test_bench_hotpath.py",
-        "required_workload_fragments": ["headline", "f=4", "f=6", "f=10"],
-    },
-    "checkpoint": {
-        "record": "BENCH_checkpoint.json",
-        "module": "benchmarks/test_bench_checkpoint_pipeline.py",
-        "required_workload_fragments": ["headline"],
-    },
     "statetransfer": {
         "record": "BENCH_statetransfer.json",
         "module": "benchmarks/test_bench_state_transfer_pages.py",
@@ -133,19 +117,30 @@ def load_record(name: str, spec: dict, base_dir: str) -> dict:
         return json.load(handle)
 
 
+def committed_record_problems(name: str) -> list:
+    """What ``--smoke`` checks for one experiment: its committed record
+    exists and passes :func:`check_schema`.  Returns a list of problems."""
+    spec = EXPERIMENTS[name]
+    try:
+        record = load_record(name, spec, REPO_ROOT)
+    except SystemExit as missing:
+        return [str(missing)]
+    return check_schema(name, spec, record)
+
+
 def check_schema(name: str, spec: dict, record: dict) -> list:
     """Structural validation of one record; returns a list of problems."""
-    headline_key = spec.get("headline_key", "headline_speedup")
-    ratio_key = spec.get("ratio_key", "speedup")
-    side_metric = spec.get("side_metric", "wall_ops_per_second")
+    headline_key = spec["headline_key"]
+    ratio_key = spec["ratio_key"]
+    side_metric = spec["side_metric"]
     problems = []
     for key in ("experiment", headline_key, "macro", "generated_at"):
         if key not in record:
             problems.append(f"missing key {key!r}")
     if record.get("smoke"):
         problems.append("record was produced by a smoke run, not full scale")
-    floor = spec.get("speedup_floor")
-    if floor is not None and record.get(headline_key, 0) < floor:
+    floor = spec["speedup_floor"]
+    if record.get(headline_key, 0) < floor:
         problems.append(
             f"{headline_key} {record.get(headline_key)}x below the {floor}x floor"
         )
@@ -184,12 +179,11 @@ def check_schema(name: str, spec: dict, record: dict) -> list:
 
 
 def compare(name: str, spec: dict, committed: dict, fresh: dict,
-            threshold: float, gated: bool) -> list:
+            threshold: float) -> list:
     """Print fresh optimized/baseline ratios next to the committed record's;
-    return the rows of a ``gated`` experiment that dropped beyond
-    ``threshold`` (an ungated one only reports)."""
-    ratio_key = spec.get("ratio_key", "speedup")
-    side_metric = spec.get("side_metric", "wall_ops_per_second")
+    return the rows that dropped beyond ``threshold``."""
+    ratio_key = spec["ratio_key"]
+    side_metric = spec["side_metric"]
     regressions = []
     committed_rows = {row["workload"]: row for row in committed.get("macro", [])}
     for row in fresh.get("macro", []):
@@ -202,8 +196,8 @@ def compare(name: str, spec: dict, committed: dict, fresh: dict,
         if old <= 0:
             continue
         change = (new - old) / old
-        dropped = gated and change < -threshold
-        status = "REG" if dropped else "OK " if gated else "   "
+        dropped = change < -threshold
+        status = "REG" if dropped else "OK "
         old_side = reference["optimized"][side_metric]
         new_side = row["optimized"][side_metric]
         print(f"  {status} [{name}] {workload}: {ratio_key} {old:.2f}x -> "
@@ -225,9 +219,7 @@ def run_fresh(spec: dict, out_dir: str) -> None:
         p for p in [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")] if p
     )
     # No --benchmark-disable-gc: the committed records come from plain
-    # pytest runs, and disabling GC alone changes allocation-heavy
-    # workloads (the f=2 KV churn row drops ~40%) — fresh runs must match
-    # the conditions the records were produced under.
+    # pytest runs, and fresh ones must match those conditions.
     command = [sys.executable, "-m", "pytest", spec["module"], "-q"]
     result = subprocess.run(command, cwd=REPO_ROOT, env=env)
     if result.returncode != 0:
@@ -253,22 +245,20 @@ def main() -> int:
         for problem in problems:
             print(f"FAIL [{name}]: {problem}")
             failed = True
-        headline_key = spec.get("headline_key", "headline_speedup")
+        headline_key = spec["headline_key"]
         if args.smoke or problems:
             if not problems:
                 print(f"OK   [{name}]: committed record is well-formed "
                       f"({headline_key} {committed[headline_key]}x)")
             continue
-        # One fresh run: it must pass (the benchmarks assert bit-identical
-        # modeled results across their toggles), and a gated — modeled,
-        # exactly repeatable — ratio must not have dropped.
+        # One fresh run: it must pass, and its modeled — exactly
+        # repeatable — ratio must not have dropped.
         with tempfile.TemporaryDirectory() as out_dir:
             run_fresh(spec, out_dir)
             fresh = load_record(name, spec, out_dir)
-        gated = "speedup_floor" in spec
-        regressed = compare(name, spec, committed, fresh, args.threshold, gated)
+        regressed = compare(name, spec, committed, fresh, args.threshold)
         if regressed:
-            print(f"FAIL [{name}]: {spec.get('ratio_key', 'speedup')} "
+            print(f"FAIL [{name}]: {spec['ratio_key']} "
                   f"regression beyond {args.threshold:.0%}: "
                   f"{sorted(workload for workload, *_ in regressed)}")
             failed = True

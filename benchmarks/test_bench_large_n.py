@@ -1,7 +1,7 @@
 """E20 — large-n communication mode: flat fan-out vs dissemination trees.
 
 The paper's agreement phases are all-to-all, so one protocol round costs
-O(n²) wire messages — the reason the f=10 (n=31) hotpath row crawls.  The
+O(n²) wire messages — the reason an f=10 (n=31) run crawls.  The
 tree mode (``ProtocolOptions.dissemination="tree"``, ``net/overlay.py``)
 routes PREPARE/COMMIT/CHECKPOINT over deterministic per-(view, sender)
 relay trees and bundles entries per next hop, with the sender's

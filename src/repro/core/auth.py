@@ -32,12 +32,14 @@ from dataclasses import dataclass
 from hmac import compare_digest
 from typing import Callable, Iterable, Optional
 
-from repro import hotpath
 from repro.core.config import AuthMode
 from repro.core.env import Env
 from repro.core.messages import Message
 from repro.crypto.authenticator import Authenticator
-from repro.crypto.digests import digest
+# Unused here since signing reads ``Message.payload_digest``; kept because
+# ``perf/test_perf_smoke.py`` asserts ``repro.core.auth.digest`` is the one
+# ``digest`` (its check that tracing was unwound), and ``perf/`` is frozen.
+from repro.crypto.digests import digest  # noqa: F401
 from repro.crypto.keys import SessionKeyTable
 from repro.crypto.mac import compute_mac
 from repro.crypto.signatures import KeyPair, Signature, SignatureRegistry
@@ -99,16 +101,12 @@ class Authentication:
 
         The paper authenticates the *digest* of a message, not its full
         encoding (Section 3.2.1) — that is what keeps authenticator entries
-        cheap.  The digest value is independent of the hot-path caches, so
-        tags produced with caching on verify with caching off and vice
-        versa.  The cost of digesting the payload is charged here, once per
-        sign/verify, exactly as before.
+        cheap.  The cost of digesting the payload is charged here, once per
+        sign/verify, whether or not the message already holds the digest.
         """
         payload = message.payload_bytes()
         self._charge(self._digest_fixed + self._digest_per_byte * len(payload))
-        if hotpath.CACHES_ENABLED:
-            return message.payload_digest()
-        return digest(payload)
+        return message.payload_digest()
 
     # ---------------------------------------------------------------- signing
     def sign_multicast(self, message: Message, receivers: Iterable[str]) -> Message:
@@ -206,10 +204,7 @@ class Authentication:
         def signer(message: Message, receiver: str) -> Message:
             payload = message.payload_bytes()
             charge(digest_fixed + digest_per_byte * len(payload))
-            if hotpath.CACHES_ENABLED:
-                signed = message.payload_digest()
-            else:
-                signed = digest(payload)
+            signed = message.payload_digest()
             charge(mac_cost)
             key = outbound.get(receiver) if real_crypto else None
             if key is not None:
@@ -234,7 +229,7 @@ class Authentication:
         charge(self._digest_fixed + self._digest_per_byte * len(payload))
         if auth is None:
             return False
-        signed = message.payload_digest() if hotpath.CACHES_ENABLED else digest(payload)
+        signed = message.payload_digest()
         kind = type(auth)
         if kind is Authenticator:
             charge(self._mac_cost)

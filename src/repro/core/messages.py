@@ -17,9 +17,7 @@ with ``dataclasses.replace``, which builds a fresh instance and therefore a
 fresh cache), so ``payload_bytes``/``payload_digest``/``request_digest``/
 ``batch_digest`` each compute once and then serve the cached value.  The
 cache lives in the instance ``__dict__`` under non-field keys, so it is
-invisible to ``==``, ``repr`` and ``dataclasses.replace``.  The global
-switch in :mod:`repro.hotpath` turns memoization off for baseline
-benchmarking.
+invisible to ``==``, ``repr`` and ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
-from repro import hotpath
 from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, digest
 
 # Size, in bytes, of the generic message header (Figure 6-1).
@@ -52,24 +49,19 @@ def pack(*fields: Any) -> bytes:
     ``int``, ``bool``, ``None``, and (nested) tuples.  The encoding is
     length-prefixed so it is unambiguous.  The encoder appends into one
     shared buffer (no per-value intermediate bytes) and dispatches on exact
-    type for the common cases, falling back to the general path for
-    subclasses and the rarer container types.  With hot-path optimizations
-    disabled the pre-optimization per-value encoder runs instead (same
-    output, used for baseline benchmarking).
+    type for the common cases, falling back to the general encoder for
+    subclasses and the rarer container types.
     """
-    if not hotpath.CACHES_ENABLED:
-        out = bytearray()
-        for value in fields:
-            out.extend(_pack_one_baseline(value))
-        return bytes(out)
     out = bytearray()
     for value in fields:
         _append_one(out, value)
     return bytes(out)
 
 
-def _pack_one_baseline(value: Any) -> bytes:
-    """The pre-optimization encoder: one intermediate ``bytes`` per value."""
+def _pack_general(value: Any) -> bytes:
+    """The general encoder: any packable value, by ``isinstance``, one
+    ``bytes`` per value.  ``_append_one`` falls back to it, and the tests
+    use it as the definition of the format."""
     if value is None:
         return b"N"
     if isinstance(value, bool):
@@ -87,7 +79,7 @@ def _pack_one_baseline(value: Any) -> bytes:
         items = list(value)
         if isinstance(value, frozenset):
             items = sorted(items, key=repr)
-        body = b"".join(_pack_one_baseline(item) for item in items)
+        body = b"".join(_pack_general(item) for item in items)
         return b"T" + len(items).to_bytes(4, "big") + body
     raise TypeError(f"cannot pack value of type {type(value).__name__}")
 
@@ -123,10 +115,9 @@ def _append_one(out: bytearray, value: Any) -> None:
         for item in value:
             _append_one(out, item)
         return
-    # General path: subclasses of the primitives and the rarer containers
-    # share the baseline encoder, so the format lives in two places only
-    # (exact-type fast path above, general encoder below).
-    out += _pack_one_baseline(value)
+    # Subclasses of the primitives and the rarer containers: the format
+    # lives in two places only, the exact-type cases above and this.
+    out += _pack_general(value)
 
 
 @dataclass
@@ -146,8 +137,6 @@ class Message:
         raise NotImplementedError
 
     def payload_bytes(self) -> bytes:
-        if not hotpath.CACHES_ENABLED:
-            return pack(type(self).__name__, self.sender, *self.payload_fields())
         cached = self.__dict__.get("_payload_bytes_cache")
         if cached is None:
             cached = pack(type(self).__name__, self.sender, *self.payload_fields())
@@ -155,8 +144,6 @@ class Message:
         return cached
 
     def payload_digest(self) -> bytes:
-        if not hotpath.CACHES_ENABLED:
-            return digest(self.payload_bytes())
         cached = self.__dict__.get("_payload_digest_cache")
         if cached is None:
             cached = digest(self.payload_bytes())
@@ -171,8 +158,6 @@ class Message:
         return MAC_FIELD_SIZE
 
     def wire_size(self) -> int:
-        if not hotpath.CACHES_ENABLED:
-            return GENERIC_HEADER_SIZE + self.body_size() + self.auth_size()
         # The size depends on ``auth``, which is reassigned when a stored
         # message is re-signed for retransmission — guard the memo on the
         # identity of the auth object it was computed under.
@@ -228,8 +213,6 @@ class Request(Message):
         """The digest that identifies this request in the protocol."""
         if self.is_null:
             return NULL_DIGEST
-        if not hotpath.CACHES_ENABLED:
-            return digest(pack(self.client, self.timestamp, self.operation))
         cached = self.__dict__.get("_request_digest_cache")
         if cached is None:
             cached = digest(pack(self.client, self.timestamp, self.operation))
@@ -304,8 +287,6 @@ class PrePrepare(Message):
     def _inline_request_digests(self) -> Tuple[bytes, ...]:
         """Digests of the inlined requests, shared by ``payload_fields``,
         ``batch_digest`` and ``all_request_digests``."""
-        if not hotpath.CACHES_ENABLED:
-            return tuple(r.request_digest() for r in self.requests)
         cached = self.__dict__.get("_inline_digests_cache")
         if cached is None:
             cached = tuple(r.request_digest() for r in self.requests)
@@ -323,14 +304,6 @@ class PrePrepare(Message):
 
     def batch_digest(self) -> bytes:
         """Digest identifying the ordered batch (request digests + nondet)."""
-        if not hotpath.CACHES_ENABLED:
-            return digest(
-                pack(
-                    self._inline_request_digests(),
-                    tuple(self.separate_digests),
-                    self.nondet,
-                )
-            )
         cached = self.__dict__.get("_batch_digest_cache")
         if cached is None:
             cached = digest(

@@ -55,7 +55,6 @@ from repro.core.viewchange import (
     compute_view_change_sets,
     verify_new_view,
 )
-from repro import hotpath
 from repro.core.messages import pack
 from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, digest
 from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
@@ -244,18 +243,14 @@ class Replica:
     def _state_digest(self) -> bytes:
         """Digest of service state plus the reply table.
 
-        The reply-table contribution is a commutative AdHash sum, so it can
-        be maintained incrementally as replies are produced; the baseline
-        path recomputes the identical value from scratch (same formula), so
-        optimized and baseline runs produce bit-identical digests.
+        The reply-table contribution is a commutative AdHash sum, so it is
+        maintained incrementally as replies are produced.
         """
-        if hotpath.CACHES_ENABLED:
-            reply_sum = self._reply_digest
-        else:
-            reply_sum = self._recompute_reply_digest()
-        return combined_state_digest(self.service.state_digest(), reply_sum)
+        return combined_state_digest(self.service.state_digest(), self._reply_digest)
 
     def _recompute_reply_digest(self) -> int:
+        """The reply-table sum from scratch: what ``_reply_digest`` is reset
+        to after a wholesale table replacement, and the tests' reference."""
         total = 0
         for client, timestamp in self.last_reply_timestamp.items():
             total += _reply_entry_digest(client, timestamp)
@@ -633,7 +628,6 @@ class Replica:
         """
         last_ts = self.last_reply_timestamp
         last_reply = self.last_reply
-        caches_on = hotpath.CACHES_ENABLED
         #: Execution plan, in request order: a Request executes; a plain
         #: ``str`` (the client) re-sends that client's cached reply.
         plan: List[object] = []
@@ -678,21 +672,20 @@ class Replica:
         reply_delta = 0
         executed = 0
         outcome_index = 0
-        if caches_on:
-            # Bulk reply encoder: the canonical ``payload_bytes`` of every
-            # reply in the batch shares the constant pieces — type tag,
-            # sender, view, replica, tentative flag — so they are encoded
-            # once per batch and each reply's payload is a 6-piece join of
-            # memoized fragments.  Byte-identical to ``pack(...)`` (the
-            # property tests assert it); the per-instance payload caches
-            # are prefilled so signing and downstream verification reuse
-            # the bytes without re-encoding.
-            reply_prefix = pack("Reply", own_id, view)
-            replica_enc = pack(own_id)
-            tent_enc = b"B1" if tentative else b"B0"
-            rd_prefix = b"Y" + DIGEST_SIZE.to_bytes(4, "big")
-            client_encs = self._client_enc_memo
-            join = b"".join
+        # Bulk reply encoder: the canonical ``payload_bytes`` of every
+        # reply in the batch shares the constant pieces — type tag,
+        # sender, view, replica, tentative flag — so they are encoded
+        # once per batch and each reply's payload is a 6-piece join of
+        # memoized fragments.  Byte-identical to ``pack(...)`` (the
+        # property tests assert it); the per-instance payload caches
+        # are prefilled so signing and downstream verification reuse
+        # the bytes without re-encoding.
+        reply_prefix = pack("Reply", own_id, view)
+        replica_enc = pack(own_id)
+        tent_enc = b"B1" if tentative else b"B0"
+        rd_prefix = b"Y" + DIGEST_SIZE.to_bytes(4, "big")
+        client_encs = self._client_enc_memo
+        join = b"".join
         for entry in plan:
             if type(entry) is str:
                 # Retransmission ordered into the batch: re-send the cached
@@ -743,28 +736,27 @@ class Replica:
                 sender=own_id,
             )
             last_reply[client] = reply
-            if caches_on:
-                client_enc = client_encs.get(client)
-                if client_enc is None:
-                    client_enc = pack(client)
-                    client_encs[client] = client_enc
-                ts_enc = str(timestamp).encode()
-                payload = join(
-                    (
-                        reply_prefix,
-                        b"I",
-                        len(ts_enc).to_bytes(4, "big"),
-                        ts_enc,
-                        client_enc,
-                        replica_enc,
-                        rd_prefix,
-                        result_digest,
-                        tent_enc,
-                    )
+            client_enc = client_encs.get(client)
+            if client_enc is None:
+                client_enc = pack(client)
+                client_encs[client] = client_enc
+            ts_enc = str(timestamp).encode()
+            payload = join(
+                (
+                    reply_prefix,
+                    b"I",
+                    len(ts_enc).to_bytes(4, "big"),
+                    ts_enc,
+                    client_enc,
+                    replica_enc,
+                    rd_prefix,
+                    result_digest,
+                    tent_enc,
                 )
-                cache = reply.__dict__
-                cache["_payload_bytes_cache"] = payload
-                cache["_payload_digest_cache"] = digest(payload)
+            )
+            cache = reply.__dict__
+            cache["_payload_bytes_cache"] = payload
+            cache["_payload_digest_cache"] = digest(payload)
             if (
                 digest_replies
                 and len(result) >= digest_threshold
@@ -781,13 +773,12 @@ class Replica:
                     tentative=tentative,
                     sender=own_id,
                 )
-                if caches_on:
-                    # ``result`` is excluded from the canonical payload, so
-                    # the stripped variant shares the full reply's bytes.
-                    stripped.__dict__["_payload_bytes_cache"] = payload
-                    stripped.__dict__["_payload_digest_cache"] = (
-                        reply.__dict__["_payload_digest_cache"]
-                    )
+                # ``result`` is excluded from the canonical payload, so
+                # the stripped variant shares the full reply's bytes.
+                stripped.__dict__["_payload_bytes_cache"] = payload
+                stripped.__dict__["_payload_digest_cache"] = (
+                    reply.__dict__["_payload_digest_cache"]
+                )
                 reply = stripped
             sign(reply, client)
             sends.append((client, reply))

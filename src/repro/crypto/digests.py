@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Union
 
-from repro import hotpath
-
 #: Length, in bytes, of every digest in the system.
 DIGEST_SIZE = 16
 
@@ -28,13 +26,10 @@ def digest(data: BytesLike) -> bytes:
 
     ``bytes``, ``bytearray`` and ``memoryview`` inputs are hashed directly —
     hashlib reads them through the buffer protocol, so no intermediate copy
-    is made.  With the hot-path optimizations disabled (baseline
-    benchmarking) the pre-optimization ``bytes(data)`` copy is restored.
+    is made.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError(f"digest expects bytes, got {type(data).__name__}")
-    if not hotpath.CACHES_ENABLED:
-        data = bytes(data)
     return hashlib.sha256(data).digest()[:DIGEST_SIZE]
 
 

@@ -16,9 +16,8 @@ the counters are worked out once per run, arrival times in one pass per
 run, and the scheduler gets one heap slot.  Every delivery keeps its own
 arrival time and its place in the global ``(time, sequence)`` order, so
 dispatch order (and therefore every modeled result) is the one
-:meth:`send` per copy would give.  Any configured impairment, or the
-caches-off baseline of :mod:`repro.hotpath`, makes ``send_many`` call
-:meth:`send` per copy, so random draws keep their order.
+:meth:`send` per copy would give.  Any configured impairment makes
+``send_many`` call :meth:`send` per copy, so random draws keep their order.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import hotpath
 from repro.net.conditions import NetworkConditions
 from repro.sim.events import DeliveryTrain, Envelope, Event, EventKind
 from repro.sim.rng import SimRandom
@@ -41,8 +39,8 @@ Run = Tuple[Sequence[str], Any, int, Sequence[float]]
 @dataclass(slots=True)
 class NodeWireStats:
     """Per-sender traffic counters (one accounting definition for every
-    benchmark: E13's f-scaling rows, E16's migration rows and E20's
-    flat-vs-tree sweep all read these instead of ad-hoc tallies)."""
+    benchmark: E16's migration rows and E20's flat-vs-tree sweep read
+    these instead of ad-hoc tallies)."""
 
     messages_sent: int = 0
     bytes_sent: int = 0
@@ -188,8 +186,7 @@ class Network:
         """
         conditions = self.conditions
         if (
-            not hotpath.CACHES_ENABLED
-            or conditions.partitions
+            conditions.partitions
             or conditions.drop_probability
             or conditions.duplicate_probability
             or conditions.jitter > 0.0

@@ -45,11 +45,7 @@ Subclasses provide the hooks ``_page_payload``, ``_page_indexes``,
 ``_export_state`` and ``_import_state`` — plus ``_encode_payload`` /
 ``_decode_payload`` unless payloads are bytes (``NullService`` and
 ``CounterService`` inherit the identity defaults) — and the base class
-supplies digesting, snapshots, restore and ``pages()``.  With
-the hot-path switch off (:mod:`repro.hotpath`), every operation falls back
-to the naive from-scratch implementation (full re-encode + deep copy) so
-benchmarks can measure the incremental pipeline against the pre-PR
-baseline; both paths produce bit-identical digests.
+supplies digesting, snapshots, restore and ``pages()``.
 
 Page-level state transfer (Section 5.3.2)
 -----------------------------------------
@@ -63,9 +59,9 @@ hierarchical transfer protocol can move only the pages that differ:
   ``snapshot_page_digests`` — the page encodings and content digests of a
   checkpoint snapshot (what a replica serves FETCH requests from), read
   from the partition tree's records when the snapshot is a live
-  copy-on-write handle and rebuilt from the portable state otherwise —
-  both forms are byte-identical, so senders running with caches disabled
-  put the same messages on the wire;
+  copy-on-write handle and rebuilt from the portable state otherwise
+  (a handle detached by a restore, a fetched blob) — both forms are
+  byte-identical;
 * :meth:`PagedService.install_pages` — install fetched pages
   *individually*, so a transfer replaces only out-of-date pages instead
   of rebuilding the whole state.
@@ -78,7 +74,6 @@ from typing import (
     Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 )
 
-from repro import hotpath
 from repro.crypto.digests import digest
 from repro.statetransfer.partition_tree import (
     ADHASH_MODULUS,
@@ -352,8 +347,8 @@ class PagedService(Service):
         raise NotImplementedError
 
     def _encode_page(self, index: int) -> bytes:
-        """One current page encoded from scratch (the baseline arms and
-        the tests' reference)."""
+        """One current page encoded from scratch, past the tree (the tests'
+        reference)."""
         return self._encode_payload(self._page_payload(index))
 
     def _encoded(self, payloads: Mapping[int, Any]) -> Dict[int, bytes]:
@@ -394,16 +389,12 @@ class PagedService(Service):
 
     # ---------------------------------------------------------------- digest
     def state_digest(self) -> bytes:
-        if hotpath.CACHES_ENABLED:
-            self._flush()
-            root = self._tree.root_digest()
-        else:
-            root = self._scratch_root()
-        return service_root_digest(root)
+        self._flush()
+        return service_root_digest(self._tree.root_digest())
 
     def _scratch_root(self) -> int:
-        """From-scratch recompute of the root digest (baseline path; also
-        what the property tests compare the incremental value against)."""
+        """From-scratch recompute of the root digest: what the property
+        tests compare the incremental value against."""
         total = 0
         for index in self._page_indexes():
             total = (total + content_page_digest(index, self._encode_page(index)))
@@ -411,9 +402,6 @@ class PagedService(Service):
 
     # ------------------------------------------------------------- snapshots
     def snapshot(self) -> object:
-        if not hotpath.CACHES_ENABLED:
-            # Baseline: the naive pre-pipeline deep copy.
-            return self._export_state()
         self._flush()
         self._snap_counter += 1
         snap_id = self._snap_counter
@@ -483,13 +471,8 @@ class PagedService(Service):
 
     # ------------------------------------------------------------------ pages
     def pages(self) -> Dict[int, bytes]:
-        if hotpath.CACHES_ENABLED:
-            self._flush()
-            return self._encoded({i: v for i, v in self._tree.page_items() if v})
-        return {
-            index: page
-            for index in self._page_indexes() if (page := self._encode_page(index))
-        }
+        self._flush()
+        return self._encoded({i: v for i, v in self._tree.page_items() if v})
 
     def load_pages(self, pages: Dict[int, bytes]) -> None:
         decode = self._decode_payload
@@ -501,18 +484,14 @@ class PagedService(Service):
     # ------------------------------------------------- page-level transfer
     def page_digests(self) -> Dict[int, int]:
         """Sparse map of page index -> content digest of the *current*
-        state.  Optimized runs read the eagerly-maintained digests out of
-        the partition tree; the baseline recomputes them from scratch —
-        identical values either way."""
-        if hotpath.CACHES_ENABLED:
-            self._flush()
-            return self._tree.digest_items()
-        return _digests_of(self.pages())
+        state, read out of the partition tree."""
+        self._flush()
+        return self._tree.digest_items()
 
     def _live_snap_id(self, snapshot: object) -> Optional[int]:
         """The tree checkpoint behind a snapshot handle this service still
-        holds; ``None`` for a portable snapshot (the baseline form) or a
-        handle detached by a tree reset."""
+        holds; ``None`` for a portable snapshot or a handle detached by a
+        tree reset."""
         if (
             isinstance(snapshot, PageSnapshot)
             and snapshot.owner is self
@@ -555,7 +534,10 @@ class PagedService(Service):
         snap_id = self._live_snap_id(snapshot)
         if snap_id is not None:
             return {r.index: r.digest for r in self._checkpoint_records(snap_id)}
-        return _digests_of(self.snapshot_pages(snapshot))
+        return {
+            index: content_page_digest(index, page)
+            for index, page in self.snapshot_pages(snapshot).items()
+        }
 
     def install_pages(
         self, updates: Mapping[int, bytes], removals: Iterable[int] = ()
@@ -572,10 +554,6 @@ class PagedService(Service):
         for index, payload in installs:
             self._import_payload(index, payload)
             self._touch(index)
-
-
-def _digests_of(pages: Mapping[int, bytes]) -> Dict[int, int]:
-    return {index: content_page_digest(index, page) for index, page in pages.items()}
 
 
 def bytes_digest(data: bytes) -> bytes:

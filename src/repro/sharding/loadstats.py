@@ -5,8 +5,7 @@ reads: per-group and per-bucket operation counters sampled on the
 ``ShardRouter`` hot path (one counter bump per routed operation) and
 aggregated over a *decayed fixed-window ring* keyed on **scheduler
 time** — never a wall clock, so the accounting is deterministic under
-``SimRandom``-driven simulation and bit-identical across the
-``hotpath`` cache toggles.
+``SimRandom``-driven simulation.
 
 Two views of the same counters:
 

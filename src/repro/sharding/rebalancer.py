@@ -25,9 +25,9 @@ adds the *policy loop* that decides when and what to move:
   while the load statistics catch up with the new ownership.
 
 Everything the controller does is a pure function of scheduler time and
-the recorded counters, so a rebalancing scenario is bit-identical across
-the ``hotpath`` cache toggles (:meth:`ShardRebalancer.modeled_view` is
-the comparison form the tests and the E19 benchmark assert on).
+the recorded counters, so a rebalancing scenario repeats bit for bit
+(:meth:`ShardRebalancer.modeled_view` is the comparison form the tests
+and the E19 benchmark assert on).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Property tests for batch execution.
 
 A replica executes a committed batch through ``Service.execute_batch`` plus
-bulk reply construction/signing/sending.  The contract under test, in both
-hot-path cache modes:
+bulk reply construction/signing/sending.  The contract under test:
 
 * ``Service.execute_batch`` equals ``Service.execute`` per entry: results,
   final state, state digests and ``state_version``;
@@ -13,8 +12,8 @@ hot-path cache modes:
   ordered list of modeled charges, the reply table with its incremental
   AdHash digest, the store, every digest, and the tentative rollback that
   unwinds it all.  The model shares no code with the replica;
-* everything else a replica sends while batches commit is byte-identical
-  with caches on and off.
+* everything a replica sends while batches commit carries the general
+  encoding of its payload fields, whatever route built the bytes.
 
 Also covered: the bulk reply encoder produces exactly ``pack(...)``'s
 bytes, the operation-parse cache returns what a fresh parse would, and
@@ -31,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro import hotpath
 from repro.core.config import DEFAULT_OPTIONS, ReplicaSetConfig
 from repro.core.env import RecordingEnv
 from repro.core.messages import (
@@ -42,7 +40,7 @@ from repro.core.messages import (
     Reply,
     Request,
     StatusActive,
-    _pack_one_baseline,
+    _pack_general,
     pack,
 )
 from repro.core.replica import Replica
@@ -97,35 +95,25 @@ def _seed_store(writers):
 def test_kvstore_execute_batch_matches_per_op(batch, restrict):
     writers = {"alice", "bob"} if restrict else None
     ops = [(b" ".join(parts), client) for parts, client in batch]
-    for caches in (True, False):
-        with (hotpath.caches_disabled() if not caches else _null_ctx()):
-            reference = _seed_store(writers)
-            expected = [
-                reference.execute(operation, client)
-                for operation, client in ops
-            ]
-            batched = _seed_store(writers)
-            got = batched.execute_batch(ops)
-            assert got == expected
-            assert batched._export_state() == reference._export_state()
-            assert batched.state_version == reference.state_version
-            assert batched.state_digest() == reference.state_digest()
-            # A second pass over the same operations stays identical.
-            rerun = batched.execute_batch(ops)
-            rerun_reference = [
-                reference.execute(operation, client)
-                for operation, client in ops
-            ]
-            assert rerun == rerun_reference
-            assert batched._export_state() == reference._export_state()
-
-
-class _null_ctx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    reference = _seed_store(writers)
+    expected = [
+        reference.execute(operation, client)
+        for operation, client in ops
+    ]
+    batched = _seed_store(writers)
+    got = batched.execute_batch(ops)
+    assert got == expected
+    assert batched._export_state() == reference._export_state()
+    assert batched.state_version == reference.state_version
+    assert batched.state_digest() == reference.state_digest()
+    # A second pass over the same operations stays identical.
+    rerun = batched.execute_batch(ops)
+    rerun_reference = [
+        reference.execute(operation, client)
+        for operation, client in ops
+    ]
+    assert rerun == rerun_reference
+    assert batched._export_state() == reference._export_state()
 
 
 def test_parse_operation_reuse_is_pure():
@@ -334,7 +322,7 @@ class SequentialModel:
 
 
 def _general_encoding(*fields) -> bytes:
-    return b"".join(_pack_one_baseline(value) for value in fields)
+    return b"".join(_pack_general(value) for value in fields)
 
 
 def _reply_table(last_reply: Dict[str, Reply]) -> dict:
@@ -408,9 +396,8 @@ def _model_replica():
 
 def _drive_batches(batches):
     """Feed a backup replica the given committed batches, check every
-    execution and the final state against the model, and return the
-    observable trace: every sent message's (destination, type, canonical
-    payload), plus the final reply table, digests and service state."""
+    execution and the final state against the model and every sent
+    message's payload against the general encoder."""
     replica, env, executions = _model_replica()
     for seq, batch in enumerate(batches, start=1):
         inline = []
@@ -442,32 +429,23 @@ def _drive_batches(batches):
                 sender=other,
             )))
     _assert_matches_model(replica, executions)
-    trace = [
-        (sent.destination, type(sent.message).__name__,
-         sent.message.payload_bytes())
-        for sent in env.sent
-    ]
     # Whatever route built them (bulk reply encoder, prefilled memos), the
     # bytes on the wire are the general encoding of the payload fields.
-    assert [payload for _, _, payload in trace] == [
-        _general_encoding(type(s.message).__name__, s.message.sender,
-                          *s.message.payload_fields())
-        for s in env.sent
-    ]
-    return {"trace": trace, "charges": env.charges,
-            "last_executed": replica.last_executed, **_replica_state(replica)}
+    for sent in env.sent:
+        message = sent.message
+        assert message.payload_bytes() == _general_encoding(
+            type(message).__name__, message.sender, *message.payload_fields()
+        )
 
 
 @settings(max_examples=40, deadline=None)
 @given(batches=batches_spec)
 def test_batch_pipeline_is_bit_identical_across_all_toggles(batches):
-    """Both cache modes match the model, execution by execution, and each
-    other on the whole trace (agreement messages and request-path re-sends
-    included) and on every charge."""
-    cached = _drive_batches(batches)
-    with hotpath.caches_disabled():
-        uncached = _drive_batches(batches)
-    assert cached == uncached
+    """The replica matches the model, execution by execution and on every
+    charge, and the whole trace (agreement messages and request-path
+    re-sends included) is the general encoding of what was sent — all
+    checked inside ``_drive_batches``."""
+    _drive_batches(batches)
 
 
 @settings(max_examples=25, deadline=None)
@@ -476,42 +454,34 @@ def test_tentative_rollback_is_bit_identical_across_toggles(batches):
     """Prepared-but-uncommitted batches execute tentatively; a view change
     aborts them.  The rollback (state restore + reply-table undo log) must
     leave the state the model reaches by replaying the committed prefix."""
-
-    def run():
-        replica, env, executions = _model_replica()
-        for seq, batch in enumerate(batches, start=1):
-            inline = [
-                _build_request(spec)[0] for spec in batch
-                if spec != "null"
-            ] or [Request.null_request()]
-            pre_prepare = authed(PrePrepare(
-                view=0, seq=seq, requests=tuple(inline), sender="replica0",
-            ))
-            replica.receive(pre_prepare)
-            digest_value = pre_prepare.batch_digest()
-            for other in ("replica2", "replica3"):
-                replica.receive(authed(Prepare(
-                    view=0, seq=seq, digest=digest_value, replica=other,
-                    sender=other,
+    replica, env, executions = _model_replica()
+    for seq, batch in enumerate(batches, start=1):
+        inline = [
+            _build_request(spec)[0] for spec in batch
+            if spec != "null"
+        ] or [Request.null_request()]
+        pre_prepare = authed(PrePrepare(
+            view=0, seq=seq, requests=tuple(inline), sender="replica0",
+        ))
+        replica.receive(pre_prepare)
+        digest_value = pre_prepare.batch_digest()
+        for other in ("replica2", "replica3"):
+            replica.receive(authed(Prepare(
+                view=0, seq=seq, digest=digest_value, replica=other,
+                sender=other,
+            )))
+        # All but the last batch commit, so there is a pre-abort
+        # reply table; the last is tentative only.
+        if seq < len(batches):
+            for other in ("replica0", "replica2"):
+                replica.receive(authed(Commit(
+                    view=0, seq=seq, digest=digest_value,
+                    replica=other, sender=other,
                 )))
-            # All but the last batch commit, so there is a pre-abort
-            # reply table; the last is tentative only.
-            if seq < len(batches):
-                for other in ("replica0", "replica2"):
-                    replica.receive(authed(Commit(
-                        view=0, seq=seq, digest=digest_value,
-                        replica=other, sender=other,
-                    )))
-        assert executions[-1][2], "the last batch must have run tentatively"
-        replica.start_view_change(1)
-        _assert_matches_model(replica, executions, aborted=True)
-        assert replica.last_tentative == replica.last_executed == len(batches) - 1
-        return _replica_state(replica)
-
-    cached = run()
-    with hotpath.caches_disabled():
-        uncached = run()
-    assert cached == uncached
+    assert executions[-1][2], "the last batch must have run tentatively"
+    replica.start_view_change(1)
+    _assert_matches_model(replica, executions, aborted=True)
+    assert replica.last_tentative == replica.last_executed == len(batches) - 1
 
 
 # ======================================================================
@@ -522,28 +492,27 @@ def test_bulk_reply_encoding_matches_pack():
     caches) are exactly what ``pack`` produces."""
     batches = [[(0, 1, 0, False, None), (1, 1, 1, False, "replica2")],
                [(2, 2, 3, True, None)]]
-    with _null_ctx():
-        config = ReplicaSetConfig(n=4, checkpoint_interval=64)
-        registry = SignatureRegistry()
-        replica, env = make_replica(config, registry, "replica1",
-                                    service=KeyValueStore())
-        for seq, batch in enumerate(batches, start=1):
-            inline = []
-            for spec in batch:
-                request, separate = _build_request(spec)
-                if separate:
-                    replica.receive(authed(dataclasses.replace(request)))
-                inline.append(request)
-            pre_prepare = authed(PrePrepare(
-                view=0, seq=seq, requests=tuple(inline), sender="replica0",
-            ))
-            replica.receive(pre_prepare)
-            digest_value = pre_prepare.batch_digest()
-            for other in ("replica2", "replica3"):
-                replica.receive(authed(Prepare(
-                    view=0, seq=seq, digest=digest_value, replica=other,
-                    sender=other,
-                )))
+    config = ReplicaSetConfig(n=4, checkpoint_interval=64)
+    registry = SignatureRegistry()
+    replica, env = make_replica(config, registry, "replica1",
+                                service=KeyValueStore())
+    for seq, batch in enumerate(batches, start=1):
+        inline = []
+        for spec in batch:
+            request, separate = _build_request(spec)
+            if separate:
+                replica.receive(authed(dataclasses.replace(request)))
+            inline.append(request)
+        pre_prepare = authed(PrePrepare(
+            view=0, seq=seq, requests=tuple(inline), sender="replica0",
+        ))
+        replica.receive(pre_prepare)
+        digest_value = pre_prepare.batch_digest()
+        for other in ("replica2", "replica3"):
+            replica.receive(authed(Prepare(
+                view=0, seq=seq, digest=digest_value, replica=other,
+                sender=other,
+            )))
     replies = env.messages_of_type(Reply)
     assert replies
     for reply in replies:
@@ -553,12 +522,6 @@ def test_bulk_reply_encoding_matches_pack():
             reply.client, reply.replica, reply.result_digest,
             reply.tentative,
         )
-        with hotpath.caches_disabled():
-            assert expected == pack(
-                "Reply", reply.sender, reply.view, reply.timestamp,
-                reply.client, reply.replica, reply.result_digest,
-                reply.tentative,
-            )
         assert reply.payload_bytes() == expected
         if cached is not None:
             assert cached == expected
@@ -583,7 +546,7 @@ def _committed_batch(replica, seq, requests):
         )))
 
 
-def _retransmission_replies():
+def _retransmission_replies(alone: bool):
     replica, env, executions = _model_replica()
     original = Request(operation=b"SET a 1", timestamp=1,
                        client="client0", sender="client0")
@@ -595,7 +558,11 @@ def _retransmission_replies():
                              client="client0", sender="client0")
     fresh = Request(operation=b"SET b 2", timestamp=1,
                     client="client1", sender="client1")
-    _committed_batch(replica, 2, [retransmission, fresh])
+    if alone:
+        _committed_batch(replica, 2, [retransmission])
+        _committed_batch(replica, 3, [fresh])
+    else:
+        _committed_batch(replica, 2, [retransmission, fresh])
     _assert_matches_model(replica, executions)
     replies = [m for m in env.messages_of_type(Reply) if m.client == "client0"]
     assert replies, (
@@ -609,14 +576,13 @@ def _retransmission_replies():
 
 
 def test_ordered_retransmission_resends_cached_reply_per_op_path():
-    """With the from-scratch encoders (the id dates from a per-request
-    execution twin; the sequential model is that reference now)."""
-    with hotpath.caches_disabled():
-        _retransmission_replies()
+    """The retransmission is a batch of its own (the id dates from a
+    per-request execution twin; the sequential model is that reference)."""
+    _retransmission_replies(alone=True)
 
 
 def test_ordered_retransmission_resends_cached_reply_batch_path():
-    _retransmission_replies()
+    _retransmission_replies(alone=False)
 
 
 def test_stale_request_in_batch_is_still_dropped():

@@ -8,7 +8,7 @@ Covers the dirty-page ``Service`` contract of this PR:
   rollback via ``restore()``, and state-transfer-style portable restores;
 * copy-on-write snapshots are immune to later service mutation;
 * the replica-level ``_state_digest`` (service digest + incremental
-  reply-table digest) matches the baseline from-scratch recompute;
+  reply-table digest) matches the from-scratch recompute;
 * ``_take_checkpoint`` skips digest/snapshot work when nothing executed
   since the previous checkpoint, and never skips when something did;
 * every byte the paged store hands out — digests, page encodings, snapshot
@@ -23,7 +23,6 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
-from repro import hotpath
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.config import ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
@@ -89,17 +88,14 @@ def _fresh_digest(shadow: dict) -> bytes:
 @given(ops=kv_ops)
 def test_incremental_digest_matches_scratch_recompute(ops):
     """After any operation sequence — including snapshots and rollbacks —
-    the incremental digest equals both the baseline from-scratch recompute
-    and the digest of a fresh service holding the same logical state."""
+    the incremental digest equals both the from-scratch recompute and the
+    digest of a fresh service holding the same logical state."""
     store = KeyValueStore()
     snapshots, shadows, shadow = [], [], {}
     for op in ops:
         shadow = _apply(store, op, snapshots, shadows, shadow)
         incremental = store.state_digest()
         assert incremental == service_root_digest(store._scratch_root())
-        with hotpath.caches_disabled():
-            scratch = store.state_digest()
-        assert incremental == scratch
     assert store.state_digest() == _fresh_digest(shadow)
     assert {k: store.get(k) for k in shadow} == shadow
 
@@ -142,15 +138,13 @@ def test_counter_portable_restore_roundtrip(values):
     assert other.value == sum(values)
     assert other.state_digest() == digest_at_snapshot
     assert service_root_digest(other._scratch_root()) == digest_at_snapshot
-    with hotpath.caches_disabled():
-        assert other.state_digest() == digest_at_snapshot
 
 
 # ---------------------------------------------------------------- replica
 def test_replica_state_digest_matches_baseline_recompute():
     """The replica's incremental reply-table digest produces the same
-    ``_state_digest`` as the baseline full recompute, on every replica of a
-    live cluster."""
+    ``_state_digest`` as the full recompute of pages and reply table, on
+    every replica of a live cluster."""
     cluster = BFTCluster.create(f=1, service_factory=KeyValueStore,
                                 checkpoint_interval=4)
     client = cluster.new_client()
@@ -159,9 +153,6 @@ def test_replica_state_digest_matches_baseline_recompute():
     for replica in cluster.replicas.values():
         optimized = replica._state_digest()
         assert optimized == _scratch_state_digest(replica)
-        with hotpath.caches_disabled():
-            scratch = replica._state_digest()
-        assert optimized == scratch
     digests = {r._state_digest() for r in cluster.replicas.values()}
     assert len(digests) == 1
 
@@ -301,8 +292,6 @@ def test_abort_tentative_execution_rolls_back_reply_table():
     assert replica.last_reply_timestamp == before_timestamps
     assert replica._state_digest() == before_digest
     assert _scratch_state_digest(replica) == before_digest
-    with hotpath.caches_disabled():
-        assert replica._state_digest() == before_digest
 
     # The rolled-back operation is no longer mistaken for a retransmission.
     _execute(replica, 2, b"SET b 2")
@@ -316,7 +305,7 @@ def test_snapshot_survives_newest_checkpoint_discard():
     back into for pages untouched in between; dropping them silently made
     a later snapshot lose the pre-overwrite value of such a page (seen as
     state transfer shipping an incomplete materialized snapshot, which
-    made optimized and baseline modeled results diverge)."""
+    made modeled results depend on how a snapshot was held)."""
     store = KeyValueStore()
     store.execute(b"SET k old", "c")
     young = store.snapshot()  # newest copy captures k=old
@@ -455,10 +444,8 @@ def _run_paged_ops(ops) -> None:
 def test_paged_store_bytes_equal_scratch_reference(ops):
     """Digests, page encodings, snapshot pages and served META-DATA / DATA
     are byte-identical to a from-scratch encoding of the shadow state after
-    every step, with the partition tree and with the from-scratch arms."""
+    every step."""
     _run_paged_ops(ops)
-    with hotpath.caches_disabled():
-        _run_paged_ops(ops)
 
 
 # ------------------------------------------------------------ memory bounds

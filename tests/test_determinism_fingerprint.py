@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
-from repro import hotpath
 from repro.bench.workloads import run_closed_loop
 from repro.core.config import ProtocolOptions
 from repro.core.messages import Reply
@@ -632,13 +631,6 @@ def test_fingerprint_matches_golden(name):
     for key in golden:
         assert actual[key] == golden[key], f"{name}: {key} moved"
     assert actual.keys() == golden.keys()
-
-
-def test_page_transfer_fingerprint_matches_with_caches_off():
-    """Senders running the from-scratch encoders put the same META-DATA and
-    DATA bytes on the wire as the ones serving from the partition tree."""
-    with hotpath.caches_disabled():
-        assert fingerprint("kv_f1_page_transfer") == GOLDEN["kv_f1_page_transfer"]
 
 
 if __name__ == "__main__":

@@ -1,24 +1,24 @@
-"""Correctness of the hot-path caches (memoized encodings, digests, MACs).
+"""Correctness of the memoized encodings and digests, and of authentication
+over them.
 
-The caches in :mod:`repro.core.messages`, :mod:`repro.crypto.mac` and
-:mod:`repro.core.auth` must be pure wall-clock optimizations: every cached
-value equals the freshly recomputed one, ``dataclasses.replace``-derived
-messages never inherit a stale cache, and authentication still rejects
-tampering.  ``hotpath.caches_disabled()`` recomputes from scratch, which is
-what the properties compare against.
+The memos in :mod:`repro.core.messages` must be invisible: every memoized
+value equals the one computed from its definition (``fresh_values`` below,
+through the general encoder), ``dataclasses.replace``-derived messages
+never inherit a stale memo, and authentication still rejects tampering.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import pathlib
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import hotpath
+import repro
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.messages import (
@@ -43,7 +43,7 @@ from repro.core.messages import (
     ViewChangeAck,
     PSetEntry,
     QSetEntry,
-    _pack_one_baseline,
+    _pack_general,
     pack,
 )
 from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, digest
@@ -150,7 +150,7 @@ all_messages = st.one_of(requests, pre_prepares, replies, view_changes,
 def encode(*fields) -> bytes:
     """The canonical encoding, one value at a time through the general
     encoder — no shared buffer, no exact-type dispatch."""
-    return b"".join(_pack_one_baseline(value) for value in fields)
+    return b"".join(_pack_general(value) for value in fields)
 
 
 def _fresh_request_digest(request: Request) -> bytes:
@@ -174,18 +174,6 @@ def fresh_values(message: Message) -> dict:
         separate = tuple(message.separate_digests)
         values["batch_digest"] = digest(encode(inline, separate, message.nondet))
         values["all_request_digests"] = inline + separate
-    with hotpath.caches_disabled():
-        toggled = {
-            "payload_bytes": message.payload_bytes(),
-            "payload_digest": message.payload_digest(),
-            "wire_size": message.wire_size(),
-        }
-        if isinstance(message, Request):
-            toggled["request_digest"] = message.request_digest()
-        if isinstance(message, PrePrepare):
-            toggled["batch_digest"] = message.batch_digest()
-            toggled["all_request_digests"] = message.all_request_digests()
-    assert values == toggled
     return values
 
 
@@ -194,8 +182,8 @@ def fresh_values(message: Message) -> dict:
 @given(message=all_messages)
 def test_cached_values_equal_fresh_recomputation(message: Message):
     fresh = fresh_values(message)
-    # First call populates the cache, second serves it; both must agree
-    # with the uncached recomputation.
+    # First call populates the memo, second serves it; both must agree
+    # with the definition.
     for _ in range(2):
         assert message.payload_bytes() == fresh["payload_bytes"]
         assert message.payload_digest() == fresh["payload_digest"]
@@ -249,8 +237,6 @@ def test_digest_accepts_bytes_like_without_copy():
     assert digest(data) == hashlib.sha256(data).digest()[:DIGEST_SIZE]
     assert digest(bytearray(data)) == digest(data)
     assert digest(memoryview(data)) == digest(data)
-    with hotpath.caches_disabled():
-        assert digest(memoryview(data)) == digest(data)
     with pytest.raises(TypeError):
         digest("not bytes")
 
@@ -262,9 +248,6 @@ def test_mac_accepts_memoryview_and_matches_modes():
     assert compute_mac(key, memoryview(data)) == tag
     assert compute_mac(key, bytearray(data)) == tag
     assert verify_mac(key, memoryview(data), tag)
-    with hotpath.caches_disabled():
-        assert compute_mac(key, data) == tag
-        assert verify_mac(key, data, tag)
     assert not verify_mac(key, b"other", tag)
 
 
@@ -299,14 +282,6 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
         peer: compute_mac(sender.keys.outbound[peer], signed)
         for peer in ("replica1", "replica2", "replica3")
     }
-    # The same payload signed with caches off produces identical tags.
-    reference = Prepare(view=0, seq=3, digest=b"d" * 16, replica="replica0",
-                        sender="replica0")
-    with hotpath.caches_disabled():
-        make_auth("replica0").sign_multicast(
-            reference, ("replica1", "replica2", "replica3")
-        )
-    assert reference.auth.tags == message.auth.tags
 
     # Tampering with the payload invalidates the verification.
     forged = dataclasses.replace(message, seq=4)
@@ -366,21 +341,9 @@ def test_wire_size_tracks_auth_reassignment():
     assert message.wire_size() == multicast_size
     assert p2p_size == fresh_values(resigned)["wire_size"]
     assert multicast_size == fresh_values(message)["wire_size"]
-    with hotpath.caches_disabled():
-        assert resigned.wire_size() == p2p_size
 
 
-# ------------------------------------------------------------------- toggle
-def test_caches_disabled_is_reentrant_and_restores_state():
-    assert hotpath.CACHES_ENABLED
-    with hotpath.caches_disabled():
-        assert not hotpath.CACHES_ENABLED
-        with hotpath.caches_disabled():
-            assert not hotpath.CACHES_ENABLED
-        assert not hotpath.CACHES_ENABLED
-    assert hotpath.CACHES_ENABLED
-
-
+# ------------------------------------------------------------------ encoder
 def test_pack_matches_baseline_encoder():
     values = ("PrePrepare", "replica0", 7, True, None, (b"\x01" * 16, 3),
               b"bytes", ("nested", (1, 2)))
@@ -394,28 +357,27 @@ def test_pack_matches_baseline_encoder():
         b"T\x00\x00\x00\x02" b"S\x00\x00\x00\x06nested"
         b"T\x00\x00\x00\x02" b"I\x00\x00\x00\x011" b"I\x00\x00\x00\x012"
     )
-    with hotpath.caches_disabled():
-        baseline = pack(*values)
-    assert fast == baseline
 
 
-# ---------------------------------------------------------------- ratchet
+# -------------------------------------------------------------- end state
 def test_hotpath_toggle_reads_only_go_down():
-    """Every ``hotpath.<TOGGLE>`` read under ``src/repro`` is a second code
-    path kept alive (ROADMAP, "Retire the legacy twins").  A change that
-    removes reads lowers the number; none may raise it — and a retired
-    switch stays retired, down to its name."""
-    sources = pathlib.Path(hotpath.__file__).parent.rglob("*.py")
-    reads = sum(len(re.findall(r"hotpath\.[A-Z_]+", path.read_text())) for path in sources)
-    assert reads <= 18
-    assert {name for name in vars(hotpath) if name.endswith("_ENABLED")} == {
-        "CACHES_ENABLED",
-    }
+    """The count reached zero: no module selects between two code paths
+    (ROADMAP, "Retire the legacy twins").  ``repro.hotpath`` is gone, no
+    module under ``src/repro`` defines a module-level ``*_ENABLED`` name or
+    a ``*_disabled`` context manager, and a retired switch stays retired,
+    down to its name."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro." + "hotpath")
     retired = ("BATCH_" + "EXECUTION", "_parse" + "_cache", "_PARSE" + "_CACHE",
-               "cache" + "_key", "page_transfer" + "_disabled",
-               "PAGE_TRANSFER" + "_ENABLED")
+               "cache" + "_key", "caches" + "_disabled", "page_transfer" + "_disabled",
+               "CACHES" + "_ENABLED", "PAGE_TRANSFER" + "_ENABLED")
     root = pathlib.Path(__file__).parent.parent
     for directory in ("src", "tests", "benchmarks", "examples"):
         for path in (root / directory).rglob("*.py"):
             text = path.read_text()
             assert not [name for name in retired if name in text], path
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        switches = re.findall(
+            r"^(\w+_ENABLED\b|def \w+_disabled\b)", path.read_text(), re.MULTILINE
+        )
+        assert not switches, (path, switches)
