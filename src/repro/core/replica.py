@@ -946,13 +946,16 @@ class Replica:
         digest, not a digest field the sender controls.  For paged
         services the combined digest is computable from the portable form
         alone, so a forged blob is refused before it can touch live state;
-        for other services the state is restored first and rejected after
-        the fact (watermarks and checkpoints stay untouched either way, so
-        a later reply from an honest sender can still install).
+        other services can only be digested once restored, so their state
+        and reply tables are put back when the digest does not match.  A
+        refused blob leaves nothing behind either way, so a later reply
+        from an honest sender can still install.
         """
-        if self.service.supports_page_transfer:
+        service = self.service
+        before = None
+        if service.supports_page_transfer:
             root = sum(
-                self.service.snapshot_page_digests(service_snapshot).values()
+                service.snapshot_page_digests(service_snapshot).values()
             ) % ADHASH_MODULUS
             reply_sum = 0
             for client, timestamp in last_reply_timestamp.items():
@@ -962,14 +965,23 @@ class Replica:
             if combined_state_digest(service_root_digest(root), reply_sum) != state_digest:
                 self.env.record("state-transfer-digest-mismatch", seq=seq)
                 return False
-        self._drop_pre_tentative_snapshot()
-        self.service.restore(service_snapshot)
+        else:
+            before = service.snapshot()
+        tables = (self.last_reply_timestamp, self.last_reply, self._reply_digest)
+        service.restore(service_snapshot)
         self.last_reply_timestamp = dict(last_reply_timestamp)
         self.last_reply = {}
         self._reply_digest = self._recompute_reply_digest()
-        if self._state_digest() != state_digest:
+        matches = self._state_digest() == state_digest
+        if before is not None:
+            if not matches:
+                service.restore(before)
+                self.last_reply_timestamp, self.last_reply, self._reply_digest = tables
+            service.release_snapshot(before)
+        if not matches:
             self.env.record("state-transfer-digest-mismatch", seq=seq)
             return False
+        self._drop_pre_tentative_snapshot()
         self.last_executed = seq
         self.last_tentative = seq
         self.seqno = max(self.seqno, seq)

@@ -33,8 +33,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import preload_kv_state
-from repro.core.messages import Checkpoint, Data, MetaData
+from repro.core.config import ReplicaSetConfig
+from repro.core.messages import Checkpoint, Data, MetaData, Request
 from repro.core.replica import Replica
+from repro.crypto.signatures import SignatureRegistry
+from repro.fs.nfs import NFSClientOps, NFSService
 from repro.library import BFTCluster
 from repro.services.kvstore import KeyValueStore
 from repro.statetransfer.partition_tree import (
@@ -42,7 +45,13 @@ from repro.statetransfer.partition_tree import (
     content_page_digest,
     group_level_digests,
 )
-from repro.statetransfer.transfer import _ServedCheckpoint
+from repro.statetransfer.transfer import (
+    _ServedCheckpoint,
+    combined_state_digest,
+    reply_entry_digest,
+)
+
+from tests.conftest import make_replica
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta", b"epsilon", b"zeta",
         b"eta", b"theta"]
@@ -440,15 +449,84 @@ def test_whole_snapshot_newer_state_requires_certificate():
             "last_reply_timestamp": {},
         }
     )
+    before = lagging._state_digest()
     manager.handle(Data(index=newer_seq, last_modified=newer_seq,
                         page=forged, seq=newer_seq, sender="replica2"))
     assert manager.in_progress
     assert lagging.last_executed == 0
+    assert lagging._state_digest() == before
+    assert lagging.service.get(b"evil") is None
 
     manager.handle(data)
     assert not manager.in_progress
     assert lagging.last_executed == newer_seq
     assert lagging.service.state_digest() == replica0.service.state_digest()
+
+
+def _nfs_with(*paths: bytes) -> NFSService:
+    service = NFSService()
+    for path in paths:
+        service.execute(NFSClientOps.create(path), "client0")
+    return service
+
+
+def _kv_with(*keys: bytes, kind=WholeSnapshotKV) -> KeyValueStore:
+    store = kind()
+    for key in keys:
+        store.execute(b"SET " + key + b" value", "client0")
+    return store
+
+
+def _paged_kv_with(*keys: bytes) -> KeyValueStore:
+    return _kv_with(*keys, kind=KeyValueStore)
+
+
+@pytest.mark.parametrize("build,probe", [
+    (_nfs_with, NFSClientOps.readdir(b"/")),
+    (_kv_with, b"KEYS"),
+    (_paged_kv_with, b"KEYS"),
+], ids=["NFSService", "WholeSnapshotKV", "KeyValueStore"])
+def test_refused_whole_snapshot_leaves_nothing_behind(build, probe):
+    """A service without page export can only be digested once restored.
+    When the restored blob does not hash to the certified digest, the
+    state, the reply tables and their digest are put back, and the honest
+    blob that follows still installs.  (A paged service is digested from
+    the blob and refuses before anything is touched: same outcome.)"""
+    replica, _env = make_replica(
+        ReplicaSetConfig(n=4, checkpoint_interval=4), SignatureRegistry(),
+        service=build(b"/mine", b"/also-mine"),
+    )
+    replica._execute_batch(
+        [Request(operation=probe, timestamp=3, client="client0", sender="client0")],
+        b"", tentative=False,
+    )
+    target = build(b"/theirs")
+    honest_table = {"client0": 7, "client1": 2}
+    certified = combined_state_digest(
+        target.state_digest(),
+        sum(reply_entry_digest(c, t) for c, t in honest_table.items()) % ADHASH_MODULUS,
+    )
+    digest_before = replica._state_digest()
+    timestamps_before = dict(replica.last_reply_timestamp)
+    replies_before = dict(replica.last_reply)
+    probe_before = replica.service.execute(probe, "probe", read_only=True).result
+
+    forged = build(b"/evil").snapshot()
+    assert not replica.install_fetched_state(8, certified, forged, {"mallory": 5})
+    assert replica._state_digest() == digest_before
+    assert replica._reply_digest == replica._recompute_reply_digest()
+    assert replica.last_reply_timestamp == timestamps_before == {"client0": 3}
+    assert replica.last_reply == replies_before and replies_before
+    assert replica.service.execute(probe, "probe", read_only=True).result == probe_before
+    assert replica.last_executed == 0 and 8 not in replica.checkpoints
+
+    assert replica.install_fetched_state(8, certified, target.snapshot(), honest_table)
+    assert replica._state_digest() == certified
+    assert replica.last_reply_timestamp == honest_table
+    assert replica.last_executed == replica.stable_checkpoint_seq == 8
+    assert replica.service.execute(probe, "probe", read_only=True).result == (
+        target.execute(probe, "probe", read_only=True).result
+    )
 
 
 class _TouchesFilesystem:
