@@ -101,10 +101,10 @@ def test_tree_mode_is_bit_identical_across_cache_toggles():
     """A tree-mode run is pinned to the bit: how the simulator computes an
     encoding or a digest must not change any modeled result (the id dates
     from a switch between two such ways; the literal is the reference now)."""
-    baseline_cluster, baseline = _run(TREE)
-    assert baseline.per_client == [10, 10, 10, 10]
-    assert baseline.latencies == TREE_RUN_LATENCIES
-    assert {rid: d.hex() for rid, d in _state_of(baseline_cluster).items()} == {
+    cluster, result = _run(TREE)
+    assert result.per_client == [10, 10, 10, 10]
+    assert result.latencies == TREE_RUN_LATENCIES
+    assert {rid: d.hex() for rid, d in _state_of(cluster).items()} == {
         f"replica{i}": TREE_RUN_STATE_DIGEST for i in range(7)
     }
 
