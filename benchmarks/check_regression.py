@@ -117,17 +117,6 @@ def load_record(name: str, spec: dict, base_dir: str) -> dict:
         return json.load(handle)
 
 
-def committed_record_problems(name: str) -> list:
-    """What ``--smoke`` checks for one experiment: its committed record
-    exists and passes :func:`check_schema`.  Returns a list of problems."""
-    spec = EXPERIMENTS[name]
-    try:
-        record = load_record(name, spec, REPO_ROOT)
-    except SystemExit as missing:
-        return [str(missing)]
-    return check_schema(name, spec, record)
-
-
 def check_schema(name: str, spec: dict, record: dict) -> list:
     """Structural validation of one record; returns a list of problems."""
     headline_key = spec["headline_key"]

@@ -16,7 +16,9 @@ import check_regression
 
 @pytest.mark.parametrize("name", sorted(check_regression.EXPERIMENTS))
 def test_committed_record_is_valid(name):
-    assert check_regression.committed_record_problems(name) == []
+    spec = check_regression.EXPERIMENTS[name]
+    record = check_regression.load_record(name, spec, check_regression.REPO_ROOT)
+    assert check_regression.check_schema(name, spec, record) == []
 
 
 def test_every_committed_record_has_an_entry():
