@@ -7,6 +7,7 @@ import pytest
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
+from repro.core.messages import _pack_general
 from repro.core.replica import Replica
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.signatures import SignatureRegistry
@@ -29,6 +30,13 @@ def authed(message):
     """Attach a (structurally valid) authenticator so receive() accepts it."""
     message.auth = Authenticator(sender=message.sender, tags={})
     return message
+
+
+def general_encoding(*fields) -> bytes:
+    """The canonical encoding, one value at a time through the general
+    encoder — no shared buffer, no exact-type dispatch.  The tests'
+    definition of what ``pack`` and every memoized payload must equal."""
+    return b"".join(_pack_general(value) for value in fields)
 
 
 def make_replica(

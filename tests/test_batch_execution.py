@@ -40,8 +40,6 @@ from repro.core.messages import (
     Reply,
     Request,
     StatusActive,
-    _pack_general,
-    pack,
 )
 from repro.core.replica import Replica
 from repro.crypto.digests import digest
@@ -53,7 +51,7 @@ from repro.services.null_service import NullService, encode_null_op
 from repro.statetransfer.partition_tree import ADHASH_MODULUS
 from repro.statetransfer.transfer import combined_state_digest, reply_entry_digest
 
-from tests.conftest import authed, make_replica
+from tests.conftest import authed, general_encoding, make_replica
 
 
 # ======================================================================
@@ -321,10 +319,6 @@ class SequentialModel:
         }
 
 
-def _general_encoding(*fields) -> bytes:
-    return b"".join(_pack_general(value) for value in fields)
-
-
 def _reply_table(last_reply: Dict[str, Reply]) -> dict:
     return {
         client: (reply.timestamp, reply.result, reply.result_digest, reply.tentative)
@@ -433,7 +427,7 @@ def _drive_batches(batches):
     # bytes on the wire are the general encoding of the payload fields.
     for sent in env.sent:
         message = sent.message
-        assert message.payload_bytes() == _general_encoding(
+        assert message.payload_bytes() == general_encoding(
             type(message).__name__, message.sender, *message.payload_fields()
         )
 
@@ -517,7 +511,7 @@ def test_bulk_reply_encoding_matches_pack():
     assert replies
     for reply in replies:
         cached = reply.__dict__.get("_payload_bytes_cache")
-        expected = _general_encoding(
+        expected = general_encoding(
             "Reply", reply.sender, reply.view, reply.timestamp,
             reply.client, reply.replica, reply.result_digest,
             reply.tentative,

@@ -43,12 +43,13 @@ from repro.core.messages import (
     ViewChangeAck,
     PSetEntry,
     QSetEntry,
-    _pack_general,
     pack,
 )
 from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, digest
 from repro.crypto.mac import MACKey, compute_mac, verify_mac
 from repro.crypto.signatures import SignatureRegistry
+
+from tests.conftest import general_encoding
 
 # --------------------------------------------------------------- strategies
 names = st.sampled_from(["replica0", "replica1", "replica2", "client0", "client1"])
@@ -147,21 +148,17 @@ all_messages = st.one_of(requests, pre_prepares, replies, view_changes,
                          simple_messages)
 
 
-def encode(*fields) -> bytes:
-    """The canonical encoding, one value at a time through the general
-    encoder — no shared buffer, no exact-type dispatch."""
-    return b"".join(_pack_general(value) for value in fields)
-
-
 def _fresh_request_digest(request: Request) -> bytes:
     if request.is_null:
         return NULL_DIGEST
-    return digest(encode(request.client, request.timestamp, request.operation))
+    return digest(general_encoding(request.client, request.timestamp, request.operation))
 
 
 def fresh_values(message: Message) -> dict:
     """Every derived value from its definition, reading no memo."""
-    payload = encode(type(message).__name__, message.sender, *message.payload_fields())
+    payload = general_encoding(
+        type(message).__name__, message.sender, *message.payload_fields()
+    )
     values = {
         "payload_bytes": payload,
         "payload_digest": digest(payload),
@@ -172,7 +169,7 @@ def fresh_values(message: Message) -> dict:
     if isinstance(message, PrePrepare):
         inline = tuple(_fresh_request_digest(r) for r in message.requests)
         separate = tuple(message.separate_digests)
-        values["batch_digest"] = digest(encode(inline, separate, message.nondet))
+        values["batch_digest"] = digest(general_encoding(inline, separate, message.nondet))
         values["all_request_digests"] = inline + separate
     return values
 
@@ -348,7 +345,7 @@ def test_pack_matches_baseline_encoder():
     values = ("PrePrepare", "replica0", 7, True, None, (b"\x01" * 16, 3),
               b"bytes", ("nested", (1, 2)))
     fast = pack(*values)
-    assert fast == encode(*values)
+    assert fast == general_encoding(*values)
     assert fast == (
         b"S\x00\x00\x00\x0aPrePrepare" b"S\x00\x00\x00\x08replica0"
         b"I\x00\x00\x00\x017" b"B1" b"N"
