@@ -75,10 +75,14 @@ class Slot:
         return True
 
     def prepare_count(self) -> int:
-        return len(self.prepares)
+        """Prepares matching the attached pre-prepare.  Votes that arrived
+        before it may name another batch; they never count for this one."""
+        expected = self.digest()
+        return sum(1 for p in self.prepares.values() if p.digest == expected)
 
     def commit_count(self) -> int:
-        return len(self.commits)
+        expected = self.digest()
+        return sum(1 for c in self.commits.values() if c.digest == expected)
 
 
 @dataclass

@@ -8,7 +8,6 @@ primary honestly send — must never count towards this one.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ReplicaSetConfig
@@ -27,7 +26,6 @@ def vote(kind, digest: bytes, replica: str, seq: int = 1):
     return authed(kind(view=0, seq=seq, digest=digest, replica=replica, sender=replica))
 
 
-@pytest.mark.xfail(strict=True, reason="a slot counts votes for any digest")
 def test_votes_for_another_batch_do_not_certify_this_one(replica_and_env):
     """f = 1, only the primary faulty: it proposes B to replica2 / replica3
     and A to replica1.  Their (honest) PREPAREs and COMMITs for B reach
@@ -75,7 +73,6 @@ STEPS = st.lists(
 )
 
 
-@pytest.mark.xfail(strict=True, reason="a slot counts votes for any digest")
 @settings(max_examples=300, deadline=None)
 @given(f=st.sampled_from([1, 2]), steps=STEPS)
 def test_certificates_count_only_matching_votes(f, steps):
