@@ -30,12 +30,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from hmac import compare_digest
-from typing import Callable, Iterable, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.config import AuthMode
 from repro.core.env import Env
 from repro.core.messages import Message
-from repro.crypto.authenticator import Authenticator
+from repro.crypto.authenticator import Authenticator, positions_of
 # Unused here since signing reads ``Message.payload_digest``; kept because
 # ``perf/test_perf_smoke.py`` asserts ``repro.core.auth.digest`` is the one
 # ``digest`` (its check that tracing was unwound), and ``perf/`` is frozen.
@@ -86,6 +86,9 @@ class Authentication:
         self._digest_fixed = self.costs.digest_fixed
         self._digest_per_byte = self.costs.digest_per_byte
         self._mac_cost = self.costs.mac
+        self._receiver_sets: Dict[
+            Tuple[str, ...], Tuple[Tuple[str, ...], Mapping[str, int]]
+        ] = {}
         self.bind_env(env)
 
     # -------------------------------------------------------------- internals
@@ -95,6 +98,20 @@ class Authentication:
         are not backed by a simulator node."""
         self.env = env
         self._charge = env.charge if env is not None else _charge_nothing
+
+    def _receiver_set(
+        self, receivers: Iterable[str]
+    ) -> Tuple[Tuple[str, ...], Mapping[str, int]]:
+        """``receivers`` without this node, and the position table every
+        authenticator to that set shares.  A node multicasts to a handful
+        of sets (the other replicas; a client's group), so each is worked
+        out once."""
+        key = receivers if type(receivers) is tuple else tuple(receivers)
+        known = self._receiver_sets.get(key)
+        if known is None:
+            others = tuple(r for r in key if r != self.owner)
+            known = self._receiver_sets[key] = (others, positions_of(others))
+        return known
 
     def _auth_digest(self, message: Message) -> bytes:
         """The digest MACs and signatures are computed over.
@@ -121,7 +138,7 @@ class Authentication:
         if message.auth is not None:
             message = copy.copy(message)
         owner = self.owner
-        receivers = [r for r in receivers if r != owner]
+        receivers, positions = self._receiver_set(receivers)
         signed = self._auth_digest(message)
         if self.mode is AuthMode.SIGNATURE:
             self._charge(self.costs.signature_sign)
@@ -131,18 +148,20 @@ class Authentication:
                 message.auth = Signature(owner, self.keypair.public_key, b"")
             return message
         self._charge(self._mac_cost * len(receivers))
+        vector = b""
         if self.real_crypto:
             # One payload serialization and digest (memoized on the message)
-            # and one keyed-hash call per receiver.
+            # and one keyed-hash call per receiver, joined into the vector
+            # in one pass.
             outbound = self.keys.outbound
-            tags = {
-                r: compute_mac(outbound[r], signed)
-                for r in receivers
-                if r in outbound
-            }
-            message.auth = Authenticator(sender=owner, tags=tags)
-        else:
-            message.auth = Authenticator(sender=owner, tags={r: b"" for r in receivers})
+            if not positions.keys() <= outbound.keys():
+                # No key for some receiver: it gets no entry (and was still
+                # charged for), so the vector is laid out over the rest.
+                receivers, positions = self._receiver_set(
+                    tuple(r for r in receivers if r in outbound)
+                )
+            vector = b"".join([compute_mac(outbound[r], signed) for r in receivers])
+        message.auth = Authenticator(owner, vector, positions)
         return message
 
     def sign_with_private_key(self, message: Message) -> Message:
@@ -237,10 +256,10 @@ class Authentication:
             if not self.real_crypto:
                 return owner not in auth.corrupt_for
             key = self.keys.inbound.get(auth.sender)
-            tag = auth.tags.get(owner)
-            if key is None or tag is None or owner in auth.corrupt_for:
+            entry = auth.entry(owner)
+            if key is None or entry is None or owner in auth.corrupt_for:
                 return False
-            return compare_digest(compute_mac(key, signed), tag)
+            return compare_digest(compute_mac(key, signed), entry)
         if kind is MACAuth:
             charge(self._mac_cost)
             if not self.real_crypto:

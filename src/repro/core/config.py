@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Tuple
+from typing import Mapping, Tuple
 
 from repro.core.quorum import max_faulty, quorum_size, replicas_for, weak_size
 
@@ -91,12 +91,15 @@ class ReplicaSetConfig:
         # goes stale.
         return tuple(f"{self.replica_prefix}{i}" for i in range(self.n))
 
+    @cached_property
+    def replica_indexes(self) -> Mapping[str, int]:
+        """Replica id -> index; the bit a replica's vote sets in a slot."""
+        return {replica_id: i for i, replica_id in enumerate(self.replica_ids)}
+
     def replica_index(self, replica_id: str) -> int:
-        if not replica_id.startswith(self.replica_prefix):
+        index = self.replica_indexes.get(replica_id)
+        if index is None:
             raise ValueError(f"not a replica id: {replica_id!r}")
-        index = int(replica_id[len(self.replica_prefix):])
-        if not 0 <= index < self.n:
-            raise ValueError(f"replica index out of range: {replica_id!r}")
         return index
 
     def primary_of(self, view: int) -> str:

@@ -21,22 +21,42 @@ from repro.core.messages import Checkpoint, Commit, PrePrepare, Prepare, Request
 from repro.crypto.digests import NULL_DIGEST
 
 
-@dataclass
+def _cast(votes: Dict[bytes, int], digest: bytes, voter: int) -> bool:
+    """Record replica number ``voter``'s vote for ``digest``.  One vote per
+    replica, the first one wins: whatever a replica sends afterwards, it
+    holds one bit in one entry."""
+    bit = 1 << voter
+    for mask in votes.values():
+        if mask & bit:
+            return False
+    votes[digest] = votes.get(digest, 0) | bit
+    return True
+
+
+@dataclass(slots=True)
 class Slot:
     """Protocol state for one (view, sequence-number) assignment.
 
     A slot is keyed by sequence number; messages for older views are
     discarded when the replica moves to a new view, so at any time the slot
     holds messages for at most one view.
+
+    The certificates only *count* matching messages from distinct replicas,
+    so a slot keeps votes, not messages: per phase, batch digest -> bitmask
+    of the replicas (bit = replica index) that sent a PREPARE / COMMIT for
+    it.  Votes that arrive before the pre-prepare may name any digest (at
+    most one per replica); the counts read only the entry of the attached
+    pre-prepare's digest.  The only messages kept are the replica's own,
+    which status retransmission re-sends (Section 5.2).
     """
 
     seq: int
     view: int = 0
     pre_prepare: Optional[PrePrepare] = None
-    #: Prepares by replica id (only those matching the pre-prepare digest).
-    prepares: Dict[str, Prepare] = field(default_factory=dict)
-    #: Commits by replica id (matching digest).
-    commits: Dict[str, Commit] = field(default_factory=dict)
+    prepare_votes: Dict[bytes, int] = field(default_factory=dict)
+    commit_votes: Dict[bytes, int] = field(default_factory=dict)
+    own_prepare: Optional[Prepare] = None
+    own_commit: Optional[Commit] = None
     #: Set when this replica sent a pre-prepare or prepare for the digest.
     pre_prepared_locally: bool = False
     prepared: bool = False
@@ -49,40 +69,35 @@ class Slot:
             return None
         return self.pre_prepare.batch_digest()
 
-    def add_prepare(self, prepare: Prepare) -> bool:
-        """Record a prepare; returns True if it was new and matching."""
-        if prepare.seq != self.seq:
-            return False
-        if prepare.view != self.view:
+    def add_prepare(self, prepare: Prepare, voter: int) -> bool:
+        """Record the prepare of replica number ``voter``; returns True if
+        it was that replica's first and does not contradict the pre-prepare."""
+        if prepare.seq != self.seq or prepare.view != self.view:
             return False
         expected = self.digest()
         if expected is not None and prepare.digest != expected:
             return False
-        if prepare.replica in self.prepares:
-            return False
-        self.prepares[prepare.replica] = prepare
-        return True
+        return _cast(self.prepare_votes, prepare.digest, voter)
 
-    def add_commit(self, commit: Commit) -> bool:
-        if commit.seq != self.seq:
-            return False
-        if commit.replica in self.commits:
+    def add_commit(self, commit: Commit, voter: int) -> bool:
+        if commit.seq != self.seq or commit.view != self.view:
             return False
         expected = self.digest()
         if expected is not None and commit.digest != expected:
             return False
-        self.commits[commit.replica] = commit
-        return True
+        return _cast(self.commit_votes, commit.digest, voter)
+
+    def prepares_for(self, batch_digest: Optional[bytes]) -> int:
+        """Distinct replicas whose prepare names ``batch_digest``."""
+        return self.prepare_votes.get(batch_digest, 0).bit_count()
 
     def prepare_count(self) -> int:
         """Prepares matching the attached pre-prepare.  Votes that arrived
         before it may name another batch; they never count for this one."""
-        expected = self.digest()
-        return sum(1 for p in self.prepares.values() if p.digest == expected)
+        return self.prepares_for(self.digest())
 
     def commit_count(self) -> int:
-        expected = self.digest()
-        return sum(1 for c in self.commits.values() if c.digest == expected)
+        return self.commit_votes.get(self.digest(), 0).bit_count()
 
 
 @dataclass

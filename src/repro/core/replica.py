@@ -146,6 +146,9 @@ class Replica:
         self.params = params
 
         self._others = config.others(replica_id)
+        #: Replica id -> index: the bit a replica's vote sets in a slot.
+        self._replica_indexes = config.replica_indexes
+        self._index = config.replica_index(replica_id)
         self.view = 0
         self.status = ReplicaStatus.NORMAL
         self.active_view = True
@@ -476,7 +479,8 @@ class Replica:
             replica=self.id,
             sender=self.id,
         )
-        slot.add_prepare(prepare)
+        slot.add_prepare(prepare, self._index)
+        slot.own_prepare = prepare
         self.auth.sign_multicast(prepare, self.others())
         self.env.broadcast(self.others(), prepare)
         self._check_prepared(slot)
@@ -490,8 +494,11 @@ class Replica:
             return
         if message.view != self.view or not self.log.in_window(message.seq):
             return
+        voter = self._replica_indexes.get(message.replica)
+        if voter is None:
+            return
         slot = self.log.slot(message.seq, self.view)
-        if slot.add_prepare(message):
+        if slot.add_prepare(message, voter):
             self._check_prepared(slot)
             # A buffered pre-prepare may become acceptable once f prepares
             # vouch for the batch digest (condition 2 of Section 3.2.2).
@@ -503,10 +510,7 @@ class Replica:
         if pending is None:
             return
         slot = self.log.slot(prepare.seq, prepare.view)
-        pending_digest = pending.batch_digest()
-        matching = sum(
-            1 for p in slot.prepares.values() if p.digest == pending_digest
-        )
+        matching = slot.prepares_for(pending.batch_digest())
         if matching >= self.config.f and self._have_all_requests(pending):
             del self.pending_pre_prepares[key]
             self._accept_pre_prepare(pending, slot)
@@ -524,7 +528,8 @@ class Replica:
             replica=self.id,
             sender=self.id,
         )
-        slot.add_commit(commit)
+        slot.add_commit(commit, self._index)
+        slot.own_commit = commit
         self.auth.sign_multicast(commit, self.others())
         self.env.broadcast(self.others(), commit)
         if self.options.tentative_execution:
@@ -534,8 +539,11 @@ class Replica:
     def handle_commit(self, message: Commit) -> None:
         if message.view != self.view or not self.log.in_window(message.seq):
             return
+        voter = self._replica_indexes.get(message.replica)
+        if voter is None:
+            return
         slot = self.log.slot(message.seq, self.view)
-        if slot.add_commit(message):
+        if slot.add_commit(message, voter):
             self._check_committed(slot)
 
     def _check_committed(self, slot: Slot) -> None:
@@ -1373,7 +1381,8 @@ class Replica:
                     replica=self.id,
                     sender=self.id,
                 )
-                slot.add_prepare(prepare)
+                slot.add_prepare(prepare, self._index)
+                slot.own_prepare = prepare
                 prepares_to_send.append(prepare)
 
         for prepare in prepares_to_send:
@@ -1472,15 +1481,12 @@ class Replica:
                 if self.is_primary:
                     resigned = self.auth.sign_point_to_point(slot.pre_prepare, peer)
                     self.env.send(peer, resigned)
-                own_prepare = slot.prepares.get(self.id)
-                if own_prepare is not None:
-                    resigned = self.auth.sign_point_to_point(own_prepare, peer)
+                if slot.own_prepare is not None:
+                    resigned = self.auth.sign_point_to_point(slot.own_prepare, peer)
                     self.env.send(peer, resigned)
-            if slot.seq not in committed:
-                own_commit = slot.commits.get(self.id)
-                if own_commit is not None:
-                    resigned = self.auth.sign_point_to_point(own_commit, peer)
-                    self.env.send(peer, resigned)
+            if slot.seq not in committed and slot.own_commit is not None:
+                resigned = self.auth.sign_point_to_point(slot.own_commit, peer)
+                self.env.send(peer, resigned)
 
     def handle_status_pending(self, message: StatusPending) -> None:
         peer = message.replica

@@ -50,7 +50,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.messages import (
     GENERIC_HEADER_SIZE,
@@ -59,7 +59,7 @@ from repro.core.messages import (
     Message,
     Prepare,
 )
-from repro.crypto.authenticator import Authenticator
+from repro.crypto.authenticator import Authenticator, positions_of
 from repro.sim.events import EventKind
 
 #: Fixed overhead of a relay envelope and of each bundled entry (routing
@@ -119,7 +119,7 @@ class TreePlan:
     """
 
     __slots__ = ("view", "root_index", "n", "fanout", "order", "_position",
-                 "_subtree_ids")
+                 "_subtree_positions")
 
     def __init__(self, view: int, root_index: int, n: int, fanout: int) -> None:
         self.view = view
@@ -128,7 +128,7 @@ class TreePlan:
         self.fanout = fanout
         self.order = tree_order(view, root_index, n)
         self._position = {index: pos for pos, index in enumerate(self.order)}
-        self._subtree_ids: Dict[int, Tuple[str, ...]] = {}
+        self._subtree_positions: Dict[int, Mapping[str, int]] = {}
 
     def children_of(self, member_index: int) -> List[int]:
         """Replica indices of ``member_index``'s children in this tree."""
@@ -155,13 +155,18 @@ class TreePlan:
             stack.extend(range(start, min(start + fanout, self.n)))
         return out
 
-    def subtree_ids(self, member_index: int, replica_ids: Tuple[str, ...]) -> Tuple[str, ...]:
-        cached = self._subtree_ids.get(member_index)
+    def subtree_positions(
+        self, member_index: int, replica_ids: Tuple[str, ...]
+    ) -> Mapping[str, int]:
+        """The authenticator position table (receiver -> position) of the
+        subtree under ``member_index``; one per subtree, shared by every
+        vector stripped down to it."""
+        cached = self._subtree_positions.get(member_index)
         if cached is None:
-            cached = tuple(
+            cached = positions_of(
                 replica_ids[i] for i in self.subtree_indices(member_index)
             )
-            self._subtree_ids[member_index] = cached
+            self._subtree_positions[member_index] = cached
         return cached
 
     def depth_of(self, member_index: int) -> int:
@@ -342,22 +347,21 @@ class OverlayDisseminator:
 
     def _strip_for(self, message: Message, plan: TreePlan, child_index: int) -> Message:
         """A copy of ``message`` whose authenticator vector keeps only the
-        tags the subtree under ``child_index`` needs.  Stripping removes
-        MAC entries; it can never fabricate one, so end-to-end verification
-        is untouched.  Signature-mode auth (one object for everyone) and
-        already-minimal vectors pass through unchanged."""
+        entries the subtree under ``child_index`` needs.  Stripping slices
+        MAC entries out; it can never fabricate one, so end-to-end
+        verification is untouched.  Signature-mode auth (one object for
+        everyone) and already-minimal vectors pass through unchanged."""
         auth = message.auth
         if not self.strip_auth or not isinstance(auth, Authenticator):
             return message
-        needed = plan.subtree_ids(child_index, self.config.replica_ids)
-        tags = auth.tags
-        kept = {r: tags[r] for r in needed if r in tags}
-        if len(kept) == len(tags):
+        needed = plan.subtree_positions(child_index, self.config.replica_ids)
+        if not needed.keys() <= auth.positions.keys():
+            # The sender had no key for someone down there: no entry to keep.
+            needed = positions_of(r for r in needed if r in auth.positions)
+        if len(needed) == len(auth.positions):
             return message
         stripped = copy.copy(message)
-        stripped.auth = Authenticator(
-            sender=auth.sender, tags=kept, corrupt_for=auth.corrupt_for
-        )
+        stripped.auth = auth.restricted_to(needed)
         return stripped
 
     def _enqueue(self, destination: str, entry: RelayEntry) -> None:

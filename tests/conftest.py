@@ -28,7 +28,7 @@ def registry() -> SignatureRegistry:
 
 def authed(message):
     """Attach a (structurally valid) authenticator so receive() accepts it."""
-    message.auth = Authenticator(sender=message.sender, tags={})
+    message.auth = Authenticator(sender=message.sender)
     return message
 
 

@@ -8,11 +8,16 @@ primary honestly send — must never count towards this one.
 
 from __future__ import annotations
 
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 
+from repro.core.auth import MACAuth
 from repro.core.config import ReplicaSetConfig
-from repro.core.messages import Commit, PrePrepare, Prepare, Request
+from repro.core.messages import Commit, PrePrepare, Prepare, Request, StatusActive
 from repro.crypto.signatures import SignatureRegistry
+from repro.library import BFTCluster
+from repro.services.null_service import NullService
 from tests.conftest import authed, make_replica
 
 
@@ -112,3 +117,93 @@ def test_certificates_count_only_matching_votes(f, steps):
             assert len(committed_by[slot.digest()]) >= 2 * f + 1
         if replica.last_executed:
             assert slot.committed
+
+
+# ------------------------------------------------------------- what a slot holds
+def test_one_vote_per_replica_whatever_it_sprays(replica_and_env):
+    """A replica sending 1 000 distinct digests at one slot leaves one entry
+    and one bit per phase; n replicas doing it leave at most n."""
+    replica, _ = replica_and_env
+    for n in range(1000):
+        junk = b"%016d" % n
+        replica.receive(vote(Prepare, junk, "replica3"))
+        replica.receive(vote(Commit, junk, "replica3"))
+    slot = replica.log.existing_slot(1)
+    assert slot.prepare_votes == {b"%016d" % 0: 1 << 3}
+    assert slot.commit_votes == {b"%016d" % 0: 1 << 3}
+    replica.receive(vote(Prepare, b"x" * 16, "replica2"))
+    replica.receive(vote(Prepare, b"y" * 16, "not-a-replica"))
+    assert sorted(slot.prepare_votes.values()) == [1 << 2, 1 << 3]
+    assert slot.prepare_count() == slot.commit_count() == 0
+    assert slot.own_prepare is None and slot.own_commit is None
+
+
+def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_env):
+    """The slot keeps only this replica's own PREPARE / COMMIT; a peer whose
+    status shows the batch missing gets each as a re-signed copy — the
+    originals may still sit in an undelivered multicast."""
+    replica, env = replica_and_env
+    batch_a = batch(b"A")
+    replica.receive(authed(batch_a))
+    replica.receive(vote(Prepare, batch_a.batch_digest(), "replica2"))
+    slot = replica.log.existing_slot(1)
+    own_prepare, own_commit = slot.own_prepare, slot.own_commit
+    assert own_prepare is env.messages_of_type(Prepare)[0]
+    assert own_commit is env.messages_of_type(Commit)[0]
+    multicast_auth = own_prepare.auth
+    env.clear()
+    replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3")))
+    resent = env.messages_to("replica3")
+    assert [type(m) for m in resent] == [Prepare, Commit]
+    for copy, original in zip(resent, (own_prepare, own_commit)):
+        assert copy is not original and copy.payload_bytes() == original.payload_bytes()
+        assert type(copy.auth) is MACAuth and copy.auth.receiver == "replica3"
+    assert own_prepare.auth is multicast_auth
+    # A peer that has the batch prepared and committed is sent nothing.
+    env.clear()
+    replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3",
+                                        prepared_seqs=(1,), committed_seqs=(1,))))
+    assert env.messages_to("replica3") == []
+
+
+def _retained(rounds: int):
+    """Bytes ``repro/core`` and ``repro/crypto`` code still holds after an
+    f = 10 group served 3 clients x ``rounds`` operations, and the number of
+    (replica, slot) pairs alive.  One untraced run first, as in
+    ``test_checkpoint_incremental._traced_bytes``."""
+    def scenario():
+        cluster = BFTCluster.create(f=10, service_factory=NullService, seed=5)
+        clients = [cluster.new_client() for _ in range(3)]
+        for _ in range(rounds):
+            for client in clients:
+                client.invoke(b"op")
+        return cluster
+
+    scenario()
+    tracemalloc.start()
+    try:
+        alive = scenario()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = snapshot.filter_traces([
+        tracemalloc.Filter(True, "*/repro/core/*"),
+        tracemalloc.Filter(True, "*/repro/crypto/*"),
+    ])
+    slots = sum(len(r.log.slots) for r in alive.replicas.values())
+    return sum(stat.size for stat in kept.statistics("filename")), slots
+
+
+def test_a_committed_slot_retains_bytes_not_messages():
+    """n = 31: what one more committed batch leaves behind at one replica.
+    With every PREPARE / COMMIT stored whole and a dict of tag objects per
+    authenticator this was 7 078 bytes per (replica, slot) (two ~2.4 KB
+    authenticators, two ~0.8 KB vote dicts, 60 retained messages); with
+    flat vectors and vote bitmaps it measures 2 191 — the replica's own
+    PREPARE and COMMIT with their 240-byte vectors, the pre-prepare, two
+    one-entry maps.  The bound is 40 % of the old figure."""
+    base_bytes, base_slots = _retained(1)
+    more_bytes, more_slots = _retained(3)
+    assert more_slots - base_slots == 31 * 6
+    per_slot = (more_bytes - base_bytes) / (more_slots - base_slots)
+    assert per_slot <= 2750 <= 0.4 * 7078

@@ -48,7 +48,7 @@ def reply(replica, timestamp=1, result=b"ok", tentative=True, view=0,
     # Attach a structurally valid authentication object; real crypto is off.
     from repro.crypto.authenticator import Authenticator
 
-    message.auth = Authenticator(sender=replica, tags={})
+    message.auth = Authenticator(sender=replica)
     return message
 
 

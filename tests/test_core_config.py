@@ -87,6 +87,13 @@ def test_config_replica_index_validation():
         config.replica_index("replica9")
     with pytest.raises(ValueError):
         config.replica_index("client0")
+    # One cached id -> index map, also for a prefixed group.
+    assert config.replica_indexes is config.replica_indexes
+    group = ReplicaSetConfig(n=4, replica_prefix="g1:replica")
+    assert group.replica_index("g1:replica2") == 2
+    assert list(group.replica_indexes) == list(group.replica_ids)
+    with pytest.raises(ValueError):
+        group.replica_index("replica2")
 
 
 def test_config_rejects_small_groups_and_bad_views():

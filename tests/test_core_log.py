@@ -32,9 +32,10 @@ def test_slot_prepare_requires_matching_digest():
     good = Prepare(view=0, seq=1, digest=pp.batch_digest(), replica="replica1",
                    sender="replica1")
     bad = Prepare(view=0, seq=1, digest=b"x" * 16, replica="replica2", sender="replica2")
-    assert slot.add_prepare(good)
-    assert not slot.add_prepare(bad)
+    assert slot.add_prepare(good, 1)
+    assert not slot.add_prepare(bad, 2)
     assert slot.prepare_count() == 1
+    assert slot.prepare_votes == {pp.batch_digest(): 0b10}
 
 
 def test_slot_rejects_duplicate_prepare_from_same_replica():
@@ -42,19 +43,21 @@ def test_slot_rejects_duplicate_prepare_from_same_replica():
     slot.pre_prepare = make_pre_prepare()
     prepare = Prepare(view=0, seq=1, digest=slot.digest(), replica="replica1",
                       sender="replica1")
-    assert slot.add_prepare(prepare)
-    assert not slot.add_prepare(prepare)
+    assert slot.add_prepare(prepare, 1)
+    assert not slot.add_prepare(prepare, 1)
+    assert slot.prepare_count() == 1
 
 
 def test_slot_rejects_wrong_view_or_seq():
     slot = Slot(seq=5, view=2)
     slot.pre_prepare = make_pre_prepare(seq=5, view=2)
     assert not slot.add_prepare(
-        Prepare(view=1, seq=5, digest=slot.digest(), replica="r1", sender="r1")
+        Prepare(view=1, seq=5, digest=slot.digest(), replica="r1", sender="r1"), 1
     )
     assert not slot.add_prepare(
-        Prepare(view=2, seq=6, digest=slot.digest(), replica="r1", sender="r1")
+        Prepare(view=2, seq=6, digest=slot.digest(), replica="r1", sender="r1"), 1
     )
+    assert slot.prepare_votes == {}
 
 
 def test_slot_commit_counting():
@@ -63,8 +66,9 @@ def test_slot_commit_counting():
     for i in range(3):
         commit = Commit(view=0, seq=1, digest=slot.digest(), replica=f"replica{i}",
                         sender=f"replica{i}")
-        assert slot.add_commit(commit)
+        assert slot.add_commit(commit, i)
     assert slot.commit_count() == 3
+    assert slot.commit_votes == {slot.digest(): 0b111}
 
 
 def test_higher_view_resets_slot_but_keeps_execution_flags():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.authenticator import make_authenticator
+from repro.crypto.authenticator import make_authenticator, positions_of
 from repro.crypto.digests import DIGEST_SIZE, NULL_DIGEST, combine_digests, digest
 from repro.crypto.keys import SessionKeyTable
 from repro.crypto.mac import MACKey, compute_mac, verify_mac
@@ -97,6 +97,11 @@ def test_authenticator_entries_verify_per_receiver():
     assert not auth.verify_entry("replica0", keys["replica1"], b"payload")
     assert not auth.verify_entry("replica0", keys["replica0"], b"tampered")
     assert not auth.verify_entry("replica9", keys["replica0"], b"payload")
+    # One flat vector of 8-byte entries, laid out in the table's order.
+    assert auth.vector == b"".join(compute_mac(keys[r], b"payload") for r in keys)
+    assert dict(auth.positions) == {"replica0": 0, "replica1": 1}
+    assert auth.entry("replica1") == compute_mac(keys["replica1"], b"payload")
+    assert auth.entry("replica9") is None
 
 
 def test_authenticator_size_grows_with_replicas():
@@ -104,13 +109,27 @@ def test_authenticator_size_grows_with_replicas():
     keys7 = {f"r{i}": MACKey(1, b"k%d" % i) for i in range(7)}
     small = make_authenticator("c", keys4, b"m")
     large = make_authenticator("c", keys7, b"m")
-    assert large.size_bytes() > small.size_bytes()
+    assert (small.size_bytes(), large.size_bytes()) == (32, 56)
+    assert (len(small.vector), len(large.vector)) == (32, 56)
 
 
 def test_authenticator_corrupted_entries_fail():
     keys = {"replica0": MACKey(1, b"key")}
+    keys["replica1"] = MACKey(1, b"other")
     auth = make_authenticator("c", keys, b"m", corrupt_for=["replica0"])
     assert not auth.verify_entry("replica0", keys["replica0"], b"m")
+    assert auth.verify_entry("replica1", keys["replica1"], b"m")
+
+
+def test_authenticator_restriction_slices_and_never_recomputes():
+    keys = {f"r{i}": MACKey(1, b"k%d" % i) for i in range(5)}
+    auth = make_authenticator("c", keys, b"m", corrupt_for=["r3"])
+    part = auth.restricted_to(positions_of(["r3", "r1"]))
+    assert part.vector == auth.entry("r3") + auth.entry("r1")
+    assert part.size_bytes() == 16 and part.sender == "c"
+    assert part.verify_entry("r1", keys["r1"], b"m")
+    assert not part.verify_entry("r3", keys["r3"], b"m")  # still marked corrupt
+    assert part.entry("r0") is None
 
 
 # -------------------------------------------------------------- signatures

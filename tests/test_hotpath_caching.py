@@ -275,10 +275,20 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
     # Each tag is the MAC, under that receiver's session key, of the digest
     # of the canonical payload (Section 3.2.1).
     signed = fresh_values(message)["payload_digest"]
-    assert message.auth.tags == {
-        peer: compute_mac(sender.keys.outbound[peer], signed)
-        for peer in ("replica1", "replica2", "replica3")
-    }
+    peers = ("replica1", "replica2", "replica3")
+    assert message.auth.vector == b"".join(
+        compute_mac(sender.keys.outbound[peer], signed) for peer in peers
+    )
+    for peer in peers:
+        assert message.auth.entry(peer) == compute_mac(sender.keys.outbound[peer], signed)
+    assert message.auth.entry("replica0") is None and message.auth.entry("client0") is None
+    assert message.auth.size_bytes() == 8 * len(peers) == len(message.auth.vector)
+    # The position table is the sender's, shared by every multicast to that set.
+    again = sender.sign_multicast(
+        Commit(view=0, seq=3, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        peers,
+    )
+    assert again.auth.positions is message.auth.positions
 
     # Tampering with the payload invalidates the verification.
     forged = dataclasses.replace(message, seq=4)
@@ -290,6 +300,86 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
                                        corrupt_for=frozenset({"replica1"}))
     assert not receiver.verify(message)
     assert make_auth("replica2").verify(message)
+
+
+def test_multicast_after_new_key_verifies_under_the_new_key_only():
+    sender, receiver = make_auth("replica0"), make_auth("replica1")
+    peers = ("replica1", "replica2", "replica3")
+    before = sender.sign_multicast(
+        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        peers,
+    )
+    assert receiver.verify(before)
+    fresh = receiver.keys.refresh_inbound(("replica0",))["replica0"]
+    sender.keys.accept_new_key("replica1", fresh)
+    after = sender.sign_multicast(
+        Prepare(view=0, seq=2, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        peers,
+    )
+    assert after.auth.entry("replica1") == compute_mac(fresh, after.payload_digest())
+    assert receiver.verify(after) and not receiver.verify(before)
+    assert not make_auth("replica1").verify(after)  # still holds the old key
+    assert make_auth("replica2").verify(after)
+
+
+def test_receiver_without_outbound_key_gets_no_entry_but_is_charged():
+    from repro.core.env import RecordingEnv
+
+    def charged_for(drop):
+        sender = make_auth("replica0")
+        sender.bind_env(RecordingEnv())
+        if drop:
+            del sender.keys.outbound["replica2"]
+        message = sender.sign_multicast(
+            Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0",
+                    sender="replica0"),
+            ("replica1", "replica2", "replica3"),
+        )
+        return message, sender.env.charged
+
+    full, full_charge = charged_for(drop=False)
+    message, charge = charged_for(drop=True)
+    assert charge == full_charge
+    assert list(message.auth.positions) == ["replica1", "replica3"]
+    assert message.auth.size_bytes() == 16 == len(message.auth.vector)
+    assert message.auth.entry("replica2") is None
+    for peer in ("replica1", "replica3"):
+        assert message.auth.entry(peer) == full.auth.entry(peer)
+        assert make_auth(peer).verify(message)
+    assert not make_auth("replica2").verify(message)
+
+
+def test_without_real_crypto_the_vector_is_empty_and_the_size_is_not():
+    sender = make_auth("replica0", real_crypto=False)
+    message = sender.sign_multicast(
+        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        ("replica0", "replica1", "replica2", "replica3"),
+    )
+    assert message.auth.vector == b"" and message.auth.size_bytes() == 24
+    assert make_auth("replica1", real_crypto=False).verify(message)
+    message.auth = dataclasses.replace(message.auth, corrupt_for=frozenset({"replica1"}))
+    assert not make_auth("replica1", real_crypto=False).verify(message)
+    assert make_auth("replica2", real_crypto=False).verify(message)
+
+
+def test_signature_mode_multicast_carries_one_signature():
+    registry = SignatureRegistry()
+    peers = ReplicaSetConfig(n=4).replica_ids
+
+    def pk_auth(owner):
+        return Authentication(owner, AuthMode.SIGNATURE,
+                              build_session_keys(owner, peers), registry)
+
+    sender, receiver = pk_auth("replica0"), pk_auth("replica1")
+    message = sender.sign_multicast(
+        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        peers,
+    )
+    assert type(message.auth).__name__ == "Signature"
+    assert receiver.verify(message)
+    forged = dataclasses.replace(message, seq=2)
+    forged.auth = message.auth
+    assert not receiver.verify(forged)
 
 
 def test_point_to_point_mac_rejects_wrong_receiver_key():

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ProtocolOptions, ReplicaSetConfig
+from repro.core.auth import Authentication, build_session_keys
+from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.messages import GENERIC_HEADER_SIZE, Commit, Prepare
-from repro.crypto.authenticator import Authenticator
+from repro.crypto.authenticator import ENTRY_SIZE, Authenticator, positions_of
+from repro.crypto.mac import compute_mac
+from repro.crypto.signatures import SignatureRegistry
 from repro.net.network import NetworkStats
 from repro.net.overlay import (
     RELAY_ENTRY_OVERHEAD,
@@ -96,7 +99,7 @@ def _prepare(replica="replica1", tags=None):
     message = Prepare(view=0, seq=1, digest=b"d" * 16, replica=replica,
                       sender=replica)
     if tags is not None:
-        message.auth = Authenticator(sender=replica, tags=tags)
+        message.auth = Authenticator(replica, b"".join(tags.values()), positions_of(tags))
     return message
 
 
@@ -136,24 +139,67 @@ def test_origination_strips_authenticators_to_each_subtree():
     options = ProtocolOptions().with_tree_dissemination()
     from repro.net.overlay import OverlayDisseminator
 
+    def node_auth(owner):
+        return Authentication(owner, AuthMode.MAC,
+                              build_session_keys(owner, config.replica_ids),
+                              SignatureRegistry())
+
     disseminator = OverlayDisseminator(_FakeNode("replica0"), config, options)
     plan = disseminator._plan(0, 0)
-    tags = {r: b"t" * 8 for r in config.others("replica0")}
-    message = _prepare(replica="replica0", tags=tags)
+    sender = node_auth("replica0")
+    message = sender.sign_multicast(_prepare(replica="replica0"),
+                                    config.others("replica0"))
+    signed = message.payload_digest()
+    original = (message.auth.vector, dict(message.auth.positions))
+    assert len(message.auth.vector) == ENTRY_SIZE * 12
 
+    served = []
     for child in plan.children_of(0):
         stripped = disseminator._strip_for(message, plan, child)
-        subtree = set(plan.subtree_ids(child, config.replica_ids))
-        kept = set(stripped.auth.tags)
-        # Exactly the tags the subtree needs survive; none are invented.
-        assert kept == subtree & set(tags)
-        assert all(stripped.auth.tags[r] == tags[r] for r in kept)
+        subtree = {config.replica_ids[i] for i in plan.subtree_indices(child)}
+        # Exactly the entries the subtree needs survive; none are invented:
+        # each is the MAC of the digest under that receiver's pair key.
+        assert set(stripped.auth.positions) == subtree
+        assert len(stripped.auth.vector) == ENTRY_SIZE * len(subtree)
+        assert stripped.auth.size_bytes() == ENTRY_SIZE * len(subtree)
+        for receiver in config.others("replica0"):
+            entry = stripped.auth.entry(receiver)
+            if receiver in subtree:
+                assert entry == compute_mac(sender.keys.outbound[receiver], signed)
+                assert entry == message.auth.entry(receiver)
+            else:
+                assert entry is None
+            assert node_auth(receiver).verify(stripped) == (receiver in subtree)
         assert stripped.auth.sender == "replica0"
-        # The original is untouched (the flat copies still need full tags).
-        assert set(message.auth.tags) == set(tags)
+        # Every copy to one subtree shares one position table.
+        assert (disseminator._strip_for(message, plan, child).auth.positions
+                is stripped.auth.positions)
+        # The original is untouched (the flat copies still need the full vector).
+        assert (message.auth.vector, message.auth.positions) == original
+        served.extend(subtree)
+    assert sorted(served) == sorted(config.others("replica0"))
     # Stripping shrinks the modeled authenticator bytes.
     child = plan.children_of(0)[0]
     assert disseminator._strip_for(message, plan, child).auth_size() < message.auth_size()
+
+
+def test_stripping_keeps_sizes_when_entries_were_never_computed():
+    """``real_crypto`` off: the vector is empty, the wire size is not."""
+    config = ReplicaSetConfig(n=13)
+    options = ProtocolOptions().with_tree_dissemination()
+    from repro.net.overlay import OverlayDisseminator
+
+    disseminator = OverlayDisseminator(_FakeNode("replica0"), config, options)
+    plan = disseminator._plan(0, 0)
+    sender = Authentication("replica0", AuthMode.MAC,
+                            build_session_keys("replica0", config.replica_ids),
+                            SignatureRegistry(), real_crypto=False)
+    message = sender.sign_multicast(_prepare(replica="replica0"),
+                                    config.others("replica0"))
+    assert message.auth.vector == b"" and message.auth_size() == ENTRY_SIZE * 12
+    sizes = [disseminator._strip_for(message, plan, child).auth_size()
+             for child in plan.children_of(0)]
+    assert sum(sizes) == ENTRY_SIZE * 12 and all(sizes)
 
 
 def test_stripping_disabled_forwards_the_original_object():
