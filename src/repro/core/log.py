@@ -21,11 +21,10 @@ from repro.core.messages import Checkpoint, Commit, PrePrepare, Prepare, Request
 from repro.crypto.digests import NULL_DIGEST
 
 
-def _cast(votes: Dict[bytes, int], digest: bytes, voter: int) -> bool:
-    """Record replica number ``voter``'s vote for ``digest``.  One vote per
+def _cast_early(votes: Dict[bytes, int], digest: bytes, bit: int) -> bool:
+    """Record a vote that arrived ahead of the pre-prepare.  One vote per
     replica, the first one wins: whatever a replica sends afterwards, it
     holds one bit in one entry."""
-    bit = 1 << voter
     for mask in votes.values():
         if mask & bit:
             return False
@@ -42,19 +41,24 @@ class Slot:
     holds messages for at most one view.
 
     The certificates only *count* matching messages from distinct replicas,
-    so a slot keeps votes, not messages: per phase, batch digest -> bitmask
-    of the replicas (bit = replica index) that sent a PREPARE / COMMIT for
-    it.  Votes that arrive before the pre-prepare may name any digest (at
-    most one per replica); the counts read only the entry of the attached
-    pre-prepare's digest.  The only messages kept are the replica's own,
-    which status retransmission re-sends (Section 5.2).
+    so a slot keeps votes, not messages: per phase one bitmask (bit =
+    replica index) of the replicas whose PREPARE / COMMIT names the
+    attached pre-prepare's batch.  A vote that arrives ahead of the
+    pre-prepare may name any digest; those wait in a digest -> bitmask map,
+    at most one per replica, and when the pre-prepare attaches the entry
+    for its digest becomes the counted mask and the rest are dropped —
+    votes for another batch never count for this one.  The only messages
+    kept are the replica's own, which status retransmission re-sends
+    (Section 5.2).
     """
 
     seq: int
     view: int = 0
     pre_prepare: Optional[PrePrepare] = None
-    prepare_votes: Dict[bytes, int] = field(default_factory=dict)
-    commit_votes: Dict[bytes, int] = field(default_factory=dict)
+    prepare_mask: int = 0
+    commit_mask: int = 0
+    early_prepares: Optional[Dict[bytes, int]] = None
+    early_commits: Optional[Dict[bytes, int]] = None
     own_prepare: Optional[Prepare] = None
     own_commit: Optional[Commit] = None
     #: Set when this replica sent a pre-prepare or prepare for the digest.
@@ -69,35 +73,55 @@ class Slot:
             return None
         return self.pre_prepare.batch_digest()
 
+    def attach(self, pre_prepare: PrePrepare, batch_digest: bytes) -> None:
+        """Install the pre-prepare; the early votes for its batch count from
+        now on, the others are forgotten."""
+        self.pre_prepare = pre_prepare
+        if self.early_prepares:
+            self.prepare_mask |= self.early_prepares.get(batch_digest, 0)
+        if self.early_commits:
+            self.commit_mask |= self.early_commits.get(batch_digest, 0)
+        self.early_prepares = self.early_commits = None
+
     def add_prepare(self, prepare: Prepare, voter: int) -> bool:
         """Record the prepare of replica number ``voter``; returns True if
         it was that replica's first and does not contradict the pre-prepare."""
         if prepare.seq != self.seq or prepare.view != self.view:
             return False
-        expected = self.digest()
-        if expected is not None and prepare.digest != expected:
+        bit = 1 << voter
+        if self.pre_prepare is None:
+            if self.early_prepares is None:
+                self.early_prepares = {}
+            return _cast_early(self.early_prepares, prepare.digest, bit)
+        if prepare.digest != self.digest() or self.prepare_mask & bit:
             return False
-        return _cast(self.prepare_votes, prepare.digest, voter)
+        self.prepare_mask |= bit
+        return True
 
     def add_commit(self, commit: Commit, voter: int) -> bool:
         if commit.seq != self.seq or commit.view != self.view:
             return False
-        expected = self.digest()
-        if expected is not None and commit.digest != expected:
+        bit = 1 << voter
+        if self.pre_prepare is None:
+            if self.early_commits is None:
+                self.early_commits = {}
+            return _cast_early(self.early_commits, commit.digest, bit)
+        if self.commit_mask & bit or commit.digest != self.digest():
             return False
-        return _cast(self.commit_votes, commit.digest, voter)
+        self.commit_mask |= bit
+        return True
 
-    def prepares_for(self, batch_digest: Optional[bytes]) -> int:
-        """Distinct replicas whose prepare names ``batch_digest``."""
-        return self.prepare_votes.get(batch_digest, 0).bit_count()
+    def early_prepares_for(self, batch_digest: bytes) -> int:
+        """Distinct replicas whose prepare named ``batch_digest`` while no
+        pre-prepare was attached."""
+        return (self.early_prepares or {}).get(batch_digest, 0).bit_count()
 
     def prepare_count(self) -> int:
-        """Prepares matching the attached pre-prepare.  Votes that arrived
-        before it may name another batch; they never count for this one."""
-        return self.prepares_for(self.digest())
+        """Prepares matching the attached pre-prepare."""
+        return self.prepare_mask.bit_count()
 
     def commit_count(self) -> int:
-        return self.commit_votes.get(self.digest(), 0).bit_count()
+        return self.commit_mask.bit_count()
 
 
 @dataclass
@@ -188,11 +212,12 @@ class MessageLog:
         return slot
 
     def attach_pre_prepare(self, slot: Slot, pre_prepare: PrePrepare) -> None:
-        """Install a pre-prepare in ``slot``, keeping the outstanding-batch
-        counter consistent.  All replica code assigns through here."""
+        """Install a pre-prepare in ``slot`` and remember its batch, keeping
+        the outstanding-batch counter consistent.  All replica code assigns
+        through here."""
         if slot.pre_prepare is None and not slot.executed:
             self.unexecuted_batches += 1
-        slot.pre_prepare = pre_prepare
+        slot.attach(pre_prepare, self.remember_batch(pre_prepare))
 
     def note_executed(self, slot: Slot) -> None:
         """Mark ``slot`` executed, keeping the outstanding-batch counter
@@ -224,11 +249,14 @@ class MessageLog:
             return Request.null_request()
         return self.requests.get(request_digest)
 
-    def remember_batch(self, pre_prepare: PrePrepare) -> None:
+    def remember_batch(self, pre_prepare: PrePrepare) -> bytes:
+        """Keep the batch for re-proposal; returns its digest."""
         # Keep the first-seen instance for a digest: equal batch digests
         # imply identical batch contents, and the stored instance already
         # carries warm encoding/digest caches.
-        self.batches.setdefault(pre_prepare.batch_digest(), pre_prepare)
+        batch_digest = pre_prepare.batch_digest()
+        self.batches.setdefault(batch_digest, pre_prepare)
+        return batch_digest
 
     def batch_by_digest(self, batch_digest: bytes) -> Optional[PrePrepare]:
         return self.batches.get(batch_digest)

@@ -410,7 +410,6 @@ class Replica:
             nondet=nondet,
             sender=self.id,
         )
-        self.log.remember_batch(pre_prepare)
         slot = self.log.slot(seq, self.view)
         self.log.attach_pre_prepare(slot, pre_prepare)
         slot.pre_prepared_locally = True
@@ -469,7 +468,6 @@ class Replica:
             return
         self.log.attach_pre_prepare(slot, message)
         slot.pre_prepared_locally = True
-        self.log.remember_batch(message)
         self._start_view_change_timer()
 
         prepare = Prepare(
@@ -510,7 +508,7 @@ class Replica:
         if pending is None:
             return
         slot = self.log.slot(prepare.seq, prepare.view)
-        matching = slot.prepares_for(pending.batch_digest())
+        matching = slot.early_prepares_for(pending.batch_digest())
         if matching >= self.config.f and self._have_all_requests(pending):
             del self.pending_pre_prepares[key]
             self._accept_pre_prepare(pending, slot)
@@ -1372,7 +1370,6 @@ class Replica:
             slot = self.log.slot(seq, self.view)
             self.log.attach_pre_prepare(slot, new_pre_prepare)
             slot.pre_prepared_locally = True
-            self.log.remember_batch(new_pre_prepare)
             if send_prepares:
                 prepare = Prepare(
                     view=self.view,

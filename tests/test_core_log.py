@@ -35,7 +35,7 @@ def test_slot_prepare_requires_matching_digest():
     assert slot.add_prepare(good, 1)
     assert not slot.add_prepare(bad, 2)
     assert slot.prepare_count() == 1
-    assert slot.prepare_votes == {pp.batch_digest(): 0b10}
+    assert slot.prepare_mask == 0b10 and slot.early_prepares is None
 
 
 def test_slot_rejects_duplicate_prepare_from_same_replica():
@@ -57,7 +57,7 @@ def test_slot_rejects_wrong_view_or_seq():
     assert not slot.add_prepare(
         Prepare(view=2, seq=6, digest=slot.digest(), replica="r1", sender="r1"), 1
     )
-    assert slot.prepare_votes == {}
+    assert slot.prepare_mask == 0 and slot.early_prepares is None
 
 
 def test_slot_commit_counting():
@@ -68,7 +68,7 @@ def test_slot_commit_counting():
                         sender=f"replica{i}")
         assert slot.add_commit(commit, i)
     assert slot.commit_count() == 3
-    assert slot.commit_votes == {slot.digest(): 0b111}
+    assert slot.commit_mask == 0b111 and slot.early_commits is None
 
 
 def test_higher_view_resets_slot_but_keeps_execution_flags():
