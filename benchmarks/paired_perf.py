@@ -10,6 +10,12 @@ end-to-end metric: each side's q1 / median / q3, pairs the change won (ties
 count for neither), the parent's interquartile range and the
 choosing-metrics section 8 verdict.  Exits 1 if a ``modeled_*`` value or
 ``failed`` differs within a pair: those repeat exactly for a seed.
+
+With ``--counts`` it makes one ``--trace 1`` run per side and workload
+instead and compares every count-type per-layer metric ``BENCHMARK.json``
+declares (calls, messages, bytes, events, shares of counted things — all but
+the tracer's timings).  They come from the frozen prefix of rounds, so they
+repeat exactly too: it prints the ones that differ and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, Any]:
-    """One run in ``checkout``: end-to-end metrics, the detail line's
-    workload-specific modeled values, and ``failed``."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> Dict[str, Any]:
+    """One run in ``checkout``: its metrics (end to end, or per layer when
+    traced), the detail line's workload-specific modeled values, and
+    ``failed``."""
     command = [sys.executable, "perf/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
     lines = subprocess.run(command, cwd=checkout, check=True, capture_output=True,
                            text=True).stdout.splitlines()
     record = json.loads(lines[-1])
@@ -61,6 +70,24 @@ def verdict(
     return won, ("no worse" if shift >= -bound * abs(median) else "WORSE")
 
 
+def differing_counts(args: argparse.Namespace, per_layer: Sequence[Dict[str, Any]]) -> int:
+    """One traced run per side and workload; prints each count-type layer
+    metric whose two values differ and returns how many did."""
+    counted = [m["name"] for m in per_layer
+               if "self_us" not in m["name"] and not m["name"].startswith("trace.")]
+    differing = 0
+    for workload in args.workloads:
+        parent, change = (run_once(side, workload, args.seed, args.seconds, trace=1)
+                          for side in (args.parent, args.change))
+        differs = [name for name in counted + ["failed"] if parent.get(name) != change.get(name)]
+        for name in differs:
+            print(f"DIFFERS {workload}: {name} {parent.get(name)!r} != {change.get(name)!r}")
+        print(f"{workload}  seed {args.seed}  {len(counted)} count metrics, "
+              f"{len(differs)} differ")
+        differing += len(differs)
+    return differing
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -69,8 +96,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--counts", action="store_true",
+                        help="compare the count-type per-layer metrics of one traced run per side")
     args = parser.parse_args()
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.counts:
+        return 1 if differing_counts(args, benchmark["per_layer"]) else 0
+    declared = benchmark["end_to_end"]
     differing = 0
     for workload in args.workloads:
         runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
