@@ -10,10 +10,12 @@ makes BFT-PK slow in the reproduced benchmarks.
 
 MACs and signatures are computed over the message digest (Section 3.2.1),
 which the message memoizes, so authenticating a multicast costs one
-encoding, one digest and one keyed-hash call per receiver.  Tags are not
-cached: measured over the benchmark workloads a per-node tag cache hit on
-0.5-6.8 % of lookups (only retransmissions repeat a (peer, key, digest)
-triple) and cost about what it saved.
+encoding, one digest and one keyed-hash call per receiver, joined into one
+flat vector (``crypto/authenticator.py``) whose receiver -> position table
+this object builds once per receiver set.  Tags are not cached: measured
+over the benchmark workloads a per-node tag cache hit on 0.5-6.8 % of
+lookups (only retransmissions repeat a (peer, key, digest) triple) and cost
+about what it saved.
 
 Every sign or verify is on the path of every delivered message, so what
 is constant per node — the environment's ``charge``, the cost-model

@@ -1,11 +1,11 @@
 """The replica message log: slots, certificates and water marks.
 
-Each sequence number maps to a :class:`Slot` that accumulates the
-pre-prepare, prepare and commit messages seen for it.  A request is
-*pre-prepared* once the slot holds a pre-prepare (or the replica sent one),
-*prepared* once it additionally holds 2f matching prepares from other
-replicas, and *committed* once it holds 2f+1 matching commits
-(Section 2.3.3).
+Each sequence number maps to a :class:`Slot` that holds the pre-prepare and
+counts the prepares and commits seen for it — as votes, one bit per
+replica, not as stored messages.  A request is *pre-prepared* once the slot
+holds a pre-prepare (or the replica sent one), *prepared* once 2f distinct
+backups additionally sent a prepare for that pre-prepare's batch, and
+*committed* once 2f+1 replicas sent a matching commit (Section 2.3.3).
 
 The log also tracks the water marks ``h`` (last stable checkpoint) and
 ``H = h + L``; messages outside the window are refused, which is what lets
