@@ -204,6 +204,46 @@ def test_page_transfer_converges_like_whole_snapshot_with_fewer_bytes():
     )
 
 
+def _bfs_partition_scenario():
+    """The BFS twin of :func:`_partition_scenario`: a warm file tree on
+    every replica, churn while replica3 is partitioned away, then a heal."""
+    cluster = BFTCluster.create(
+        f=1, service_factory=NFSService, checkpoint_interval=4
+    )
+    client = cluster.new_client()
+    for index in range(32):
+        client.invoke(NFSClientOps.create(b"/warm%02d" % index))
+    for other in ("replica0", "replica1", "replica2", client.id):
+        cluster.conditions.partition("replica3", other)
+    for index in range(8):
+        client.invoke(NFSClientOps.write(b"/warm%02d" % index, 0, b"churn"))
+        client.invoke(NFSClientOps.create(b"/churn%d" % index))
+    cluster.conditions.heal_all()
+    for index in range(8):
+        client.invoke(NFSClientOps.create(b"/heal%d" % index))
+    cluster.run(duration=30_000_000)
+    for index in range(8):
+        client.invoke(NFSClientOps.create(b"/tail%d" % index))
+    cluster.run(duration=10_000_000)
+    return cluster
+
+
+@pytest.mark.xfail(strict=True, reason="BFS replicas fetch one snapshot blob")
+def test_lagging_bfs_replica_catches_up_by_page_transfer():
+    """A BFS replica that missed churn fetches only the pages that differ
+    and converges to the healthy replicas' digest."""
+    cluster = _bfs_partition_scenario()
+    lagging = cluster.replicas["replica3"]
+    metrics = lagging.state_transfer.metrics
+    assert metrics.transfers_completed >= 1
+    assert metrics.pages_fetched > 0
+    assert metrics.pages_skipped_local > 0
+    digests = {
+        replica.service.state_digest() for replica in cluster.replicas.values()
+    }
+    assert len(digests) == 1
+
+
 # ------------------------------------------------------- driven harness
 def _driven_cluster(first_ops=8, prefix=b"a", service_factory=KeyValueStore):
     """A cluster whose replica3 is partitioned away while the healthy side
