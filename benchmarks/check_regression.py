@@ -14,8 +14,10 @@ Two modes:
   messages, skew recovery): it repeats exactly, so one fresh run suffices
   and any relative drop larger than ``--threshold`` (default 20%) is a
   real regression.  Wall-clock cost per operation is tracked by ``perf/``
-  (``BENCHMARK.json``), not here; the wall-clock ratios against code since
-  deleted (E13, E14) are frozen in ``BASELINES.md``.
+  (``BENCHMARK.json``), not here; the ratios against code since deleted
+  (E13, E14, E15's whole-snapshot side) are frozen in ``BASELINES.md``.
+  The state-transfer record has no ratio left: its modeled values are
+  gated as equalities in both modes.
 
 Exit status 0 means no regression; 1 means regression or a malformed
 record; 2 means the benchmark run itself failed.
@@ -51,16 +53,15 @@ import test_bench_state_transfer_pages as _bench_statetransfer
 # optimized/baseline ratio and ``side_metric`` the per-side number every
 # macro row must carry; ``speedup_floor`` is the least the headline ratio
 # may be.  Every ratio is a modeled quantity — identical on every run, so
-# one fresh measurement decides.
+# one fresh measurement decides.  A spec with ``exact`` instead names the
+# function that lists every value of a record differing from the one the
+# benchmark module pins.
 EXPERIMENTS = {
     "statetransfer": {
         "record": "BENCH_statetransfer.json",
         "module": "benchmarks/test_bench_state_transfer_pages.py",
-        "speedup_floor": _bench_statetransfer.FULL_BYTES_RATIO_FLOOR,
         "required_workload_fragments": ["headline", "20% pages dirty"],
-        "headline_key": "headline_bytes_ratio",
-        "ratio_key": "bytes_ratio",
-        "side_metric": "bytes_fetched",
+        "exact": _bench_statetransfer.mismatches,
     },
     "sharding": {
         "record": "BENCH_sharding.json",
@@ -119,24 +120,28 @@ def load_record(name: str, spec: dict, base_dir: str) -> dict:
 
 def check_schema(name: str, spec: dict, record: dict) -> list:
     """Structural validation of one record; returns a list of problems."""
-    headline_key = spec["headline_key"]
-    ratio_key = spec["ratio_key"]
-    side_metric = spec["side_metric"]
     problems = []
-    for key in ("experiment", headline_key, "macro", "generated_at"):
+    for key in ("experiment", "macro", "generated_at"):
         if key not in record:
             problems.append(f"missing key {key!r}")
     if record.get("smoke"):
         problems.append("record was produced by a smoke run, not full scale")
+    workloads = [row.get("workload", "") for row in record.get("macro", [])]
+    for fragment in spec["required_workload_fragments"]:
+        if not any(fragment in workload for workload in workloads):
+            problems.append(f"no workload matching {fragment!r} in macro rows")
+    if "exact" in spec:
+        return problems + spec["exact"](record)
+    headline_key = spec["headline_key"]
+    ratio_key = spec["ratio_key"]
+    side_metric = spec["side_metric"]
+    if headline_key not in record:
+        problems.append(f"missing key {headline_key!r}")
     floor = spec["speedup_floor"]
     if record.get(headline_key, 0) < floor:
         problems.append(
             f"{headline_key} {record.get(headline_key)}x below the {floor}x floor"
         )
-    workloads = [row.get("workload", "") for row in record.get("macro", [])]
-    for fragment in spec["required_workload_fragments"]:
-        if not any(fragment in workload for workload in workloads):
-            problems.append(f"no workload matching {fragment!r} in macro rows")
     for fragment, floor in spec.get("row_floors", {}).items():
         for row in record.get("macro", []):
             if fragment in row.get("workload", "") and row.get(ratio_key, 0) < floor:
@@ -234,17 +239,25 @@ def main() -> int:
         for problem in problems:
             print(f"FAIL [{name}]: {problem}")
             failed = True
-        headline_key = spec["headline_key"]
         if args.smoke or problems:
             if not problems:
-                print(f"OK   [{name}]: committed record is well-formed "
-                      f"({headline_key} {committed[headline_key]}x)")
+                headline = spec.get("headline_key")
+                print(f"OK   [{name}]: committed record is well-formed"
+                      + (f" ({headline} {committed[headline]}x)" if headline else ""))
             continue
         # One fresh run: it must pass, and its modeled — exactly
         # repeatable — ratio must not have dropped.
         with tempfile.TemporaryDirectory() as out_dir:
             run_fresh(spec, out_dir)
             fresh = load_record(name, spec, out_dir)
+        if "exact" in spec:
+            problems = spec["exact"](fresh)
+            for problem in problems:
+                print(f"FAIL [{name}]: {problem}")
+            failed = failed or bool(problems)
+            if not problems:
+                print(f"OK   [{name}]: fresh run equals the pinned values")
+            continue
         regressed = compare(name, spec, committed, fresh, args.threshold)
         if regressed:
             print(f"FAIL [{name}]: {spec['ratio_key']} "

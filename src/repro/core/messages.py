@@ -637,11 +637,9 @@ class Fetch(Message):
 
     ``last_checkpoint`` is the latest checkpoint the sender knows for the
     partition; ``target_seq``/``designated_replier`` ask a specific replica
-    for the value at a specific checkpoint.  ``hierarchical`` selects the
-    page-level protocol of Section 5.3.2: the receiver answers an interior
-    partition with a META-DATA reply (sub-partition digests) and a leaf
-    with a single-page DATA reply, instead of the legacy whole-snapshot
-    blob.
+    for the value at a specific checkpoint.  The receiver answers an
+    interior partition with a META-DATA reply (sub-partition digests) and a
+    leaf with a single-page DATA reply (Section 5.3.2).
     """
 
     level: int = 0
@@ -650,7 +648,6 @@ class Fetch(Message):
     target_seq: int = -1
     designated_replier: Optional[str] = None
     replica: str = ""
-    hierarchical: bool = False
 
     def payload_fields(self) -> Tuple[Any, ...]:
         return (
@@ -660,7 +657,9 @@ class Fetch(Message):
             self.target_seq,
             self.designated_replier or "",
             self.replica,
-            self.hierarchical,
+            # Once the protocol flag; kept so the digested payload bytes
+            # (and the modeled per-byte digest cost) stay unchanged.
+            True,
         )
 
     def body_size(self) -> int:
@@ -708,9 +707,8 @@ class MetaData(Message):
 class Data(Message):
     """A page of state (DATA, i, lm, p).
 
-    ``seq`` names the checkpoint the page belongs to (hierarchical
-    transfers fetch pages of one specific certified checkpoint; the legacy
-    whole-snapshot path encodes the sequence number inside the blob).
+    ``seq`` names the checkpoint the page belongs to: a transfer fetches
+    the pages of one specific certified checkpoint.
     """
 
     index: int = 0

@@ -63,7 +63,6 @@ from repro.statetransfer.partition_tree import ADHASH_MODULUS
 from repro.statetransfer.transfer import (
     combined_state_digest,
     reply_entry_digest as _reply_entry_digest,
-    service_root_digest,
 )
 
 VIEW_CHANGE_TIMER = "view-change"
@@ -88,12 +87,10 @@ class ReplicaStatus(enum.Enum):
 class CheckpointSnapshot:
     """A logical copy of the service state taken at a checkpoint.
 
-    ``service_snapshot`` is whatever the service's ``snapshot()`` returned:
-    for :class:`~repro.services.interface.PagedService` implementations a
-    refcounted copy-on-write :class:`~repro.services.interface.PageSnapshot`
-    handle, otherwise a portable deep copy.  Consumers must treat it as
-    immutable and go through ``Service.export_snapshot`` to obtain the
-    portable form (e.g. for state transfer).
+    ``service_snapshot`` is the refcounted copy-on-write
+    :class:`~repro.services.interface.PageSnapshot` handle the service's
+    ``snapshot()`` returned.  Consumers must treat it as immutable and go
+    through ``Service.export_snapshot`` to obtain the portable form.
     """
 
     seq: int
@@ -819,7 +816,6 @@ class Replica:
         if (
             self._executed_since_checkpoint == 0
             and previous is not None
-            and self.service.tracks_dirty_pages
             and self.service.state_version == self._state_version_at_checkpoint
         ):
             # Nothing executed since the previous checkpoint (e.g. a batch
@@ -828,9 +824,7 @@ class Replica:
             # (fault injection, bench preloading) happened either, even if
             # an intermediate flush already cleared the dirty set.  The
             # state and the reply table are unchanged, so reuse the digest
-            # and share the snapshot instead of redoing the work.  Services
-            # that don't track dirty pages can't vouch for "unchanged", so
-            # they always recompute.
+            # and share the snapshot instead of redoing the work.
             state_digest = previous.state_digest
             snapshot = CheckpointSnapshot(
                 seq=seq,
@@ -938,62 +932,6 @@ class Replica:
     def _request_state_transfer(self, seq: int, state_digest: bytes) -> None:
         if self.state_transfer is not None:
             self.state_transfer.start(seq, state_digest)
-
-    def install_fetched_state(
-        self,
-        seq: int,
-        state_digest: bytes,
-        service_snapshot: object,
-        last_reply_timestamp: Dict[str, int],
-    ) -> bool:
-        """Install a whole snapshot fetched by the state-transfer machinery.
-
-        The snapshot *content* is what gets verified against the certified
-        digest, not a digest field the sender controls.  For paged
-        services the combined digest is computable from the portable form
-        alone, so a forged blob is refused before it can touch live state;
-        other services can only be digested once restored, so their state
-        and reply tables are put back when the digest does not match.  A
-        refused blob leaves nothing behind either way, so a later reply
-        from an honest sender can still install.
-        """
-        service = self.service
-        before = None
-        if service.supports_page_transfer:
-            root = sum(
-                service.snapshot_page_digests(service_snapshot).values()
-            ) % ADHASH_MODULUS
-            reply_sum = 0
-            for client, timestamp in last_reply_timestamp.items():
-                reply_sum = (
-                    reply_sum + _reply_entry_digest(client, timestamp)
-                ) % ADHASH_MODULUS
-            if combined_state_digest(service_root_digest(root), reply_sum) != state_digest:
-                self.env.record("state-transfer-digest-mismatch", seq=seq)
-                return False
-        else:
-            before = service.snapshot()
-        tables = (self.last_reply_timestamp, self.last_reply, self._reply_digest)
-        service.restore(service_snapshot)
-        self.last_reply_timestamp = dict(last_reply_timestamp)
-        self.last_reply = {}
-        self._reply_digest = self._recompute_reply_digest()
-        matches = self._state_digest() == state_digest
-        if before is not None:
-            if not matches:
-                service.restore(before)
-                self.last_reply_timestamp, self.last_reply, self._reply_digest = tables
-            service.release_snapshot(before)
-        if not matches:
-            self.env.record("state-transfer-digest-mismatch", seq=seq)
-            return False
-        self._drop_pre_tentative_snapshot()
-        self.last_executed = seq
-        self.last_tentative = seq
-        self.seqno = max(self.seqno, seq)
-        self._adopt_fetched_checkpoint(seq, state_digest, last_reply_timestamp)
-        self.env.record("state-transfer-installed", seq=seq)
-        return True
 
     def install_fetched_pages(
         self,

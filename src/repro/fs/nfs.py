@@ -11,22 +11,39 @@ as opaque request payloads.  The time-last-modified attribute is the one
 source of non-determinism (Section 5.4): the primary proposes a timestamp
 for the batch and replicas validate it, so all replicas assign identical
 mtimes.
+
+State is paged like every other service (Section 6.3 keeps BFS state in
+the same partition tree as the library's): inode ``n`` lives on bucket page
+``n % num_buckets``, whose payload is the full record of each inode in it —
+kind, data, sorted children, mtime and owner — and one reserved page past
+the buckets holds the inode allocator.  Everything that decides a future
+result is on a page, so it is digested and transferred: the owner because
+it is file state, the allocator because two replicas that agree on every
+inode but not on it hand out different numbers on their next ``CREATE``.
+Every mutation touches the pages it changes (the inode, its parent(s) and,
+for a create, the allocator).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.messages import pack
-from repro.services.interface import ExecutionResult, Service, bytes_digest
+from repro.services.interface import ExecutionResult, Service
 
 #: Maximum clock skew, in microseconds, a backup accepts between the
 #: primary's proposed mtime and its own clock (Section 5.4).
 MTIME_TOLERANCE = 10_000_000.0
 
 _READ_ONLY_OPS = {b"LOOKUP", b"GETATTR", b"READ", b"READDIR"}
+
+#: The number the allocator hands out first (inode 1 is the root).
+_FIRST_INODE = 2
+
+#: One inode on a page: ``(number, is_directory, data, children, mtime,
+#: owner)`` with ``children`` the sorted ``(name, number)`` pairs.
+InodeRecord = Tuple[int, bool, bytes, Tuple[Tuple[bytes, int], ...], int, str]
 
 
 def encode_op(op: bytes, *args: bytes) -> bytes:
@@ -50,6 +67,87 @@ def decode_op(data: bytes) -> List[bytes]:
     return parts
 
 
+def _append_field(out: bytearray, value: bytes) -> None:
+    out += len(value).to_bytes(4, "big")
+    out += value
+
+
+def _encode_page(payload: Any) -> bytes:
+    """Canonical page bytes: ``b""`` for an empty bucket, ``A`` + the
+    allocator value, or ``I`` + each inode record in number order."""
+    if not payload:
+        return b""
+    if type(payload) is int:
+        return b"A" + payload.to_bytes(8, "big")
+    out = bytearray(b"I")
+    for number, is_directory, data, children, mtime, owner in payload:
+        out += number.to_bytes(8, "big")
+        out += b"\x01" if is_directory else b"\x00"
+        out += mtime.to_bytes(8, "big")
+        _append_field(out, owner.encode())
+        _append_field(out, data)
+        out += len(children).to_bytes(4, "big")
+        for name, child in children:
+            _append_field(out, name)
+            out += child.to_bytes(8, "big")
+    return bytes(out)
+
+
+class _PageReader:
+    """A cursor over page bytes from another replica; reading past the end
+    is a ``ValueError``, never a short field."""
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+        self.position = 0
+
+    def take(self, count: int) -> bytes:
+        end = self.position + count
+        if end > len(self.blob):
+            raise ValueError("field runs past the end of the page")
+        chunk = self.blob[self.position:end]
+        self.position = end
+        return chunk
+
+    def number(self, size: int) -> int:
+        return int.from_bytes(self.take(size), "big")
+
+    def field(self) -> bytes:
+        return self.take(self.number(4))
+
+    def done(self) -> bool:
+        return self.position == len(self.blob)
+
+
+def _decode_page(blob: bytes) -> Any:
+    """Inverse of :func:`_encode_page`; a malformed page is a ``ValueError``."""
+    if not blob:
+        return ()
+    reader = _PageReader(blob)
+    tag = reader.take(1)
+    if tag == b"A":
+        value = reader.number(8)
+        if not reader.done():
+            raise ValueError("allocator page has trailing bytes")
+        return value
+    if tag != b"I":
+        raise ValueError("unknown page tag")
+    records: List[InodeRecord] = []
+    while not reader.done():
+        number = reader.number(8)
+        kind = reader.take(1)
+        if kind not in (b"\x00", b"\x01"):
+            raise ValueError("bad inode kind")
+        mtime = reader.number(8)
+        owner = reader.field().decode()
+        data = reader.field()
+        children = tuple(
+            (reader.field(), reader.number(8)) for _ in range(reader.number(4))
+        )
+        records.append((number, kind == b"\x01", data, children, mtime, owner))
+    return tuple(records)
+
+
 @dataclass
 class Inode:
     """A file or directory."""
@@ -64,17 +162,59 @@ class Inode:
     def size(self) -> int:
         return len(self.data)
 
+    def record(self) -> InodeRecord:
+        return (
+            self.inode_number,
+            self.is_directory,
+            self.data,
+            tuple(sorted(self.children.items())),
+            self.mtime,
+            self.owner,
+        )
+
+    @classmethod
+    def from_record(cls, record: InodeRecord) -> "Inode":
+        number, is_directory, data, children, mtime, owner = record
+        return cls(number, is_directory, data, dict(children), mtime, owner)
+
 
 class NFSService(Service):
     """The deterministic NFS-like state machine replicated by BFS."""
 
-    page_size = 4096
+    #: Number of inode bucket pages; part of the digest definition.
+    num_buckets: int = 1024
+    #: The reserved page holding the inode allocator.
+    allocator_page: int = num_buckets
 
     def __init__(self) -> None:
+        super().__init__()
         self._inodes: Dict[int, Inode] = {}
-        self._next_inode = 2
-        root = Inode(inode_number=1, is_directory=True)
-        self._inodes[1] = root
+        #: Bucket page index -> inode numbers currently on it.
+        self._buckets: Dict[int, Set[int]] = {}
+        self._next_inode = _FIRST_INODE
+        self._add_inode(Inode(inode_number=1, is_directory=True))
+
+    @classmethod
+    def bucket_of(cls, inode_number: int) -> int:
+        return inode_number % cls.num_buckets
+
+    def _add_inode(self, node: Inode) -> None:
+        bucket = self.bucket_of(node.inode_number)
+        self._inodes[node.inode_number] = node
+        self._buckets.setdefault(bucket, set()).add(node.inode_number)
+        self._touch(bucket)
+
+    def _drop_inode(self, inode_number: int) -> None:
+        bucket = self.bucket_of(inode_number)
+        del self._inodes[inode_number]
+        numbers = self._buckets[bucket]
+        numbers.discard(inode_number)
+        if not numbers:
+            del self._buckets[bucket]
+        self._touch(bucket)
+
+    def _touch_inode(self, node: Inode) -> None:
+        self._touch(self.bucket_of(node.inode_number))
 
     # ------------------------------------------------------------- execution
     def execute(
@@ -196,6 +336,7 @@ class NFSService(Service):
         buffer[offset:offset + len(data)] = data
         node.data = bytes(buffer)
         node.mtime = mtime
+        self._touch_inode(node)
         return b"OK size=%d" % node.size()
 
     def _create_node(
@@ -208,15 +349,16 @@ class NFSService(Service):
             return b"EEXIST"
         inode_number = self._next_inode
         self._next_inode += 1
-        node = Inode(
+        self._touch(self.allocator_page)
+        self._add_inode(Inode(
             inode_number=inode_number,
             is_directory=is_directory,
             mtime=mtime,
             owner=client,
-        )
-        self._inodes[inode_number] = node
+        ))
         parent.children[name] = inode_number
         parent.mtime = mtime
+        self._touch_inode(parent)
         return b"FH:%d" % inode_number
 
     def _op_create(self, args: List[bytes], client: str, mtime: int) -> bytes:
@@ -239,8 +381,9 @@ class NFSService(Service):
         if node.is_directory and node.children:
             return b"ENOTEMPTY"
         del parent.children[name]
-        del self._inodes[node.inode_number]
+        self._drop_inode(node.inode_number)
         parent.mtime = mtime
+        self._touch_inode(parent)
         return b"OK"
 
     def _op_remove(self, args: List[bytes], client: str, mtime: int) -> bytes:
@@ -266,6 +409,8 @@ class NFSService(Service):
         dst_parent.children[dst_name] = inode_number
         src_parent.mtime = mtime
         dst_parent.mtime = mtime
+        self._touch_inode(src_parent)
+        self._touch_inode(dst_parent)
         return b"OK"
 
     # ------------------------------------------------------------- inspection
@@ -278,67 +423,65 @@ class NFSService(Service):
     def total_bytes(self) -> int:
         return sum(node.size() for node in self._inodes.values())
 
-    # ------------------------------------------------------------- snapshots
-    def snapshot(self) -> object:
-        return (
-            {
-                number: (
-                    node.is_directory,
-                    node.data,
-                    dict(node.children),
-                    node.mtime,
-                    node.owner,
-                )
-                for number, node in self._inodes.items()
-            },
-            self._next_inode,
-        )
+    # ----------------------------------------------------------- page hooks
+    def _page_payload(self, index: int) -> Any:
+        """The allocator value, or a bucket's inode records in number order."""
+        if index == self.allocator_page:
+            return self._next_inode
+        numbers = self._buckets.get(index)
+        if not numbers:
+            return ()
+        inodes = self._inodes
+        return tuple(inodes[number].record() for number in sorted(numbers))
 
-    def restore(self, snapshot: object) -> None:
-        inodes, next_inode = snapshot  # type: ignore[misc]
-        self._inodes = {
-            number: Inode(
-                inode_number=number,
-                is_directory=is_dir,
-                data=data,
-                children=dict(children),
-                mtime=mtime,
-                owner=owner,
-            )
-            for number, (is_dir, data, children, mtime, owner) in inodes.items()
+    _encode_payload = staticmethod(_encode_page)
+    _decode_payload = staticmethod(_decode_page)
+
+    def _page_indexes(self) -> Iterable[int]:
+        return (*self._buckets, self.allocator_page)
+
+    # The portable state is the page payloads themselves.
+    def _state_from_payloads(self, payloads: Dict[int, Any]) -> object:
+        return dict(payloads)
+
+    def _payloads_from_portable(
+        self, state: Any, wanted: Optional[Set[int]] = None
+    ) -> Dict[int, Any]:
+        return {
+            index: payload for index, payload in state.items()
+            if wanted is None or index in wanted
         }
-        self._next_inode = next_inode
 
-    def state_digest(self) -> bytes:
-        encoded = pack(
-            tuple(
-                (
-                    number,
-                    node.is_directory,
-                    node.data,
-                    tuple(sorted(node.children.items())),
-                    node.mtime,
-                )
-                for number, node in sorted(self._inodes.items())
+    def _export_state(self) -> object:
+        return {
+            index: payload for index in self._page_indexes()
+            if (payload := self._page_payload(index))
+        }
+
+    def _import_state(self, state: object) -> None:
+        self._inodes = {}
+        self._buckets = {}
+        self._next_inode = _FIRST_INODE
+        for index, payload in state.items():  # type: ignore[attr-defined]
+            self._import_payload(index, payload)
+
+    def _import_payload(self, index: int, payload: Any) -> None:
+        if index == self.allocator_page:
+            self._next_inode = payload or _FIRST_INODE
+            return
+        for number in self._buckets.pop(index, ()):
+            del self._inodes[number]
+        if payload:
+            self._inodes.update(
+                (record[0], Inode.from_record(record)) for record in payload
             )
-        )
-        return bytes_digest(encoded)
+            self._buckets[index] = {record[0] for record in payload}
 
-    def pages(self) -> Dict[int, bytes]:
-        pages: Dict[int, bytes] = {}
-        for number, node in sorted(self._inodes.items()):
-            record = pack(
-                number,
-                node.is_directory,
-                node.data,
-                tuple(sorted(node.children.items())),
-                node.mtime,
-            )
-            pages[number] = record[: self.page_size]
-        return pages
-
+    # ------------------------------------------------------------ corruption
     def corrupt(self) -> None:
-        self._inodes[1].children[b"__corrupted__"] = 999999
+        root = self._inodes[1]
+        root.children[b"__corrupted__"] = 999999
+        self._touch_inode(root)
 
 
 class NFSClientOps:

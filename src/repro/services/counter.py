@@ -7,7 +7,7 @@ a faulty client cannot break the invariant because it can only interact
 through the operations.
 
 The whole state is one page (page 0), so the dirty-page machinery of
-:class:`~repro.services.interface.PagedService` reduces to "rehash iff the
+:class:`~repro.services.interface.Service` reduces to "rehash iff the
 value changed since the last checkpoint".
 """
 
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.services.interface import BatchOp, ExecutionResult, PagedService
+from repro.services.interface import BatchOp, ExecutionResult, Service
 
 
-class CounterService(PagedService):
+class CounterService(Service):
     """A single non-negative counter with ``INC``, ``DEC``, ``READ`` ops."""
 
     def __init__(self, allowed_clients: Optional[Set[str]] = None) -> None:

@@ -1,27 +1,22 @@
 """The service interface (the ``execute`` upcall of Section 6.2).
 
-A service implements:
+Every replicated service derives from the one :class:`Service` class.  A
+service implements:
 
 * ``execute(operation, client, nondet, read_only)`` — run one operation and
   return its result, mirroring the library's ``execute`` upcall;
-* ``propose_nondet(operation, now)`` — the primary-side hook that chooses
+* ``propose_nondet(now)`` — the primary-side hook that chooses
   non-deterministic values for a batch (Section 5.4);
 * ``check_nondet(...)`` — the backup-side validity check for those values;
-* ``snapshot``/``restore`` — logical state snapshots used for checkpoints,
-  tentative-execution rollback, and state transfer;
-* ``state_digest`` — a digest of the current state (checkpoint messages);
-* ``pages`` — the state as pages for the hierarchical state-transfer
-  mechanism of Section 5.3.
+* the page hooks below, from which the base class builds ``state_digest``,
+  ``snapshot``/``restore`` (checkpoints, tentative-execution rollback) and
+  the page surface state transfer reads and writes.
 
 Dirty-page contract (Section 5.3.1)
 -----------------------------------
 
-Services that want cheap checkpoints derive from :class:`PagedService`
-instead of implementing ``snapshot``/``restore``/``state_digest`` by hand.
-The contract is:
-
 * the service maps its state onto integer-indexed *pages* and calls
-  :meth:`PagedService._touch` with the page index on **every** mutation;
+  :meth:`Service._touch` with the page index on **every** mutation;
 * ``state_digest()`` then only re-encodes and re-hashes the pages touched
   since the last digest/snapshot — the digests of clean pages live in a
   persistent :class:`~repro.statetransfer.partition_tree.PartitionTree`
@@ -33,8 +28,7 @@ The contract is:
   pages are captured, and the returned :class:`PageSnapshot` handle is
   immune to later mutation of the service;
 * ``restore()`` accepts both a :class:`PageSnapshot` handle and the
-  *portable* (plain-object) form produced by :meth:`Service.export_snapshot`
-  — the portable form is what state transfer ships between replicas;
+  *portable* (plain-object) form produced by :meth:`Service.export_snapshot`;
 * handles are refcounted: the replica calls
   ``acquire_snapshot``/``release_snapshot`` as checkpoint records are
   shared and garbage-collected, which lets the tree fold dead
@@ -50,19 +44,17 @@ supplies digesting, snapshots, restore and ``pages()``.
 Page-level state transfer (Section 5.3.2)
 -----------------------------------------
 
-Paged services additionally export their state *page by page* so the
-hierarchical transfer protocol can move only the pages that differ:
+State transfer moves the pages that differ, and nothing else:
 
-* :meth:`PagedService.page_digests` — the current per-page content digests
+* :meth:`Service.page_digests` — the current per-page content digests
   (what the fetcher diffs proven META-DATA entries against);
-* :meth:`PagedService.snapshot_pages` / ``snapshot_page_subset`` /
+* :meth:`Service.snapshot_pages` / ``snapshot_page_subset`` /
   ``snapshot_page_digests`` — the page encodings and content digests of a
   checkpoint snapshot (what a replica serves FETCH requests from), read
   from the partition tree's records when the snapshot is a live
   copy-on-write handle and rebuilt from the portable state otherwise
-  (a handle detached by a restore, a fetched blob) — both forms are
-  byte-identical;
-* :meth:`PagedService.install_pages` — install fetched pages
+  (a handle detached by a restore) — both forms are byte-identical;
+* :meth:`Service.install_pages` — install fetched pages
   *individually*, so a transfer replaces only out-of-date pages instead
   of rebuilding the whole state.
 """
@@ -74,7 +66,6 @@ from typing import (
     Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 )
 
-from repro.crypto.digests import digest
 from repro.statetransfer.partition_tree import (
     ADHASH_MODULUS,
     PageRecord,
@@ -99,33 +90,81 @@ class ExecutionResult:
 BatchOp = Tuple[bytes, str]
 
 
+class PageSnapshot:
+    """Opaque copy-on-write snapshot handle returned by
+    :meth:`Service.snapshot`.
+
+    The handle references a partition-tree checkpoint inside its owning
+    service; :meth:`materialize` resolves it to the portable state, caching
+    the result so the handle stays valid even after the owner's tree is
+    reset by a restore.
+    """
+
+    __slots__ = ("owner", "snap_id", "refs", "_portable", "_materialized")
+
+    def __init__(self, owner: "Service", snap_id: int) -> None:
+        self.owner = owner
+        self.snap_id = snap_id
+        self.refs = 1
+        self._portable: object = None
+        self._materialized = False
+
+    def materialize(self) -> object:
+        """The portable state captured by this snapshot (cached)."""
+        if not self._materialized:
+            self._portable = self.owner._materialize_snapshot(self.snap_id)
+            self._materialized = True
+        return self._portable
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"PageSnapshot(id={self.snap_id}, refs={self.refs}, "
+            f"materialized={self._materialized})"
+        )
+
+
 class Service:
-    """Base class for deterministic replicated services."""
+    """Base class for deterministic replicated services.
 
-    #: Page size used when exposing state to the state-transfer machinery.
-    #: For paged services this is a nominal pagination hint; logical bucket
-    #: pages may exceed it.
-    page_size: int = 4096
+    See the module docstring for the dirty-page contract.  Subclasses
+    implement ``execute``, call :meth:`_touch` on every mutation and
+    implement the ``_``-hooks below; everything else — incremental digests,
+    copy-on-write snapshots, refcounted handles, portable export and the
+    page-level transfer surface — is inherited.
+    """
 
-    #: True when the service faithfully reports every mutation through
-    #: ``dirty_pages()``/``state_version`` (see :class:`PagedService`); the
-    #: replica only reuses a checkpoint wholesale when it can trust this
-    #: signal.
-    tracks_dirty_pages = False
+    #: Geometry of the backing partition tree.  Pages here are logical
+    #: hash buckets whose encodings grow with the records mapped to them,
+    #: so the tree's size cap is disabled.
+    tree_fanout: int = 256
+    tree_levels: int = 3
 
-    #: True when the service supports the page-level export/import API
-    #: (``page_digests``/``snapshot_pages``/``install_pages``) that the
-    #: hierarchical state-transfer protocol needs; services without it fall
-    #: back to whole-snapshot transfer.
-    supports_page_transfer = False
+    def __init__(self) -> None:
+        #: Monotonic mutation counter: bumped on every state mutation
+        #: (including restores), never by digest/snapshot work.  Unlike the
+        #: dirty set — which any flush clears — it survives intermediate
+        #: ``state_digest()``/``snapshot()`` calls, so the replica compares
+        #: it across checkpoint boundaries to prove "unchanged since the
+        #: last checkpoint".
+        self.state_version = 0
+        self._tree = self._new_tree()
+        self._dirty: set[int] = set()
+        #: Pages that exist at construction are only discoverable once the
+        #: subclass has initialised its state, so the dirty set is seeded
+        #: from ``_page_indexes()`` lazily, on the first flush.
+        self._dirty_seeded = False
+        self._snap_counter = 0
+        #: Live copy-on-write handles by snapshot id.
+        self._snapshots: Dict[int, PageSnapshot] = {}
 
-    #: Monotonic mutation counter for services that track dirty pages:
-    #: bumped on every state mutation (including restores), never by
-    #: digest/snapshot work.  Unlike the dirty set — which any flush
-    #: clears — it survives intermediate ``state_digest()``/``snapshot()``
-    #: calls, so the replica compares it across checkpoint boundaries to
-    #: prove "unchanged since the last checkpoint".
-    state_version: int = 0
+    def _new_tree(self) -> PartitionTree:
+        return PartitionTree(
+            page_size=None,
+            fanout=self.tree_fanout,
+            levels=self.tree_levels,
+            content_digests=True,
+            encode=self._encode_payload,
+        )
 
     # ------------------------------------------------------------- execution
     def execute(
@@ -172,132 +211,13 @@ class Service:
         proposed value is acceptable."""
         return True
 
-    # ------------------------------------------------------------- snapshots
-    def snapshot(self) -> object:
-        raise NotImplementedError
-
-    def restore(self, snapshot: object) -> None:
-        raise NotImplementedError
-
-    def state_digest(self) -> bytes:
-        raise NotImplementedError
-
-    def export_snapshot(self, snapshot: object) -> object:
-        """Portable (pickle-able, instance-independent) form of a snapshot.
-
-        State transfer ships this between replicas; the default assumes
-        snapshots are already portable plain objects.
-        """
-        return snapshot
-
-    def acquire_snapshot(self, snapshot: object) -> object:
-        """Take an extra reference to a snapshot (sharing it between
-        checkpoint records).  Plain-object snapshots are immutable once
-        taken, so the default just returns them."""
-        return snapshot
-
-    def release_snapshot(self, snapshot: object) -> None:
-        """Drop a reference to a snapshot so its resources can be
-        reclaimed.  No-op for plain-object snapshots."""
-
-    # ------------------------------------------------------------------ pages
-    def dirty_pages(self) -> FrozenSet[int]:
-        """Page indexes touched since the last digest/snapshot flush."""
-        return frozenset()
-
-    def pages(self) -> Dict[int, bytes]:
-        """The service state as a sparse mapping page-index -> page bytes."""
-        return {}
-
-    def load_pages(self, pages: Dict[int, bytes]) -> None:
-        """Install pages fetched by state transfer (optional)."""
-
     # ------------------------------------------------------------- corruption
     def corrupt(self) -> None:
-        """Deliberately corrupt the state (fault injection for recovery tests)."""
+        """Deliberately corrupt the state (fault injection for recovery
+        tests); implementations mutate through :meth:`_touch` like any
+        operation."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support corruption injection"
-        )
-
-
-class PageSnapshot:
-    """Opaque copy-on-write snapshot handle returned by
-    :meth:`PagedService.snapshot`.
-
-    The handle references a partition-tree checkpoint inside its owning
-    service; :meth:`materialize` resolves it to the portable state, caching
-    the result so the handle stays valid even after the owner's tree is
-    reset by a restore.
-    """
-
-    __slots__ = ("owner", "snap_id", "refs", "_portable", "_materialized")
-
-    def __init__(self, owner: "PagedService", snap_id: int) -> None:
-        self.owner = owner
-        self.snap_id = snap_id
-        self.refs = 1
-        self._portable: object = None
-        self._materialized = False
-
-    def materialize(self) -> object:
-        """The portable state captured by this snapshot (cached)."""
-        if not self._materialized:
-            self._portable = self.owner._materialize_snapshot(self.snap_id)
-            self._materialized = True
-        return self._portable
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PageSnapshot(id={self.snap_id}, refs={self.refs}, "
-            f"materialized={self._materialized})"
-        )
-
-
-class PagedService(Service):
-    """A service whose checkpoint machinery is incremental and page-based.
-
-    See the module docstring for the dirty-page contract.  Subclasses call
-    :meth:`_touch` on every mutation and implement the ``_``-hooks below;
-    everything else — incremental digests, copy-on-write snapshots,
-    refcounted handles, portable export and ``pages()`` — is inherited.
-    """
-
-    #: Geometry of the backing partition tree.  Pages here are logical
-    #: hash buckets whose encodings grow with the records mapped to them,
-    #: so the tree's size cap is disabled (``Service.page_size`` remains a
-    #: nominal pagination hint only).
-    tree_page_size: Optional[int] = None
-    tree_fanout: int = 256
-    tree_levels: int = 3
-
-    #: Mutations are reported through :meth:`_touch`, so the replica can
-    #: trust ``dirty_pages()``/``state_version`` when deciding to reuse a
-    #: checkpoint.
-    tracks_dirty_pages = True
-
-    #: Pages (and their content digests) are exportable and importable one
-    #: at a time, which is what hierarchical state transfer fetches.
-    supports_page_transfer = True
-
-    def __init__(self) -> None:
-        self.state_version = 0
-        self._tree = self._new_tree()
-        self._dirty: set[int] = set()
-        #: Pages that exist at construction are only discoverable once the
-        #: subclass has initialised its state, so the dirty set is seeded
-        #: from ``_page_indexes()`` lazily, on the first flush.
-        self._dirty_seeded = False
-        self._snap_counter = 0
-        #: Live copy-on-write handles by snapshot id.
-        self._snapshots: Dict[int, PageSnapshot] = {}
-
-    def _new_tree(self) -> PartitionTree:
-        return PartitionTree(
-            page_size=self.tree_page_size,
-            fanout=self.tree_fanout,
-            levels=self.tree_levels,
-            content_digests=True,
-            encode=self._encode_payload,
         )
 
     # ----------------------------------------------------- subclass contract
@@ -554,8 +474,3 @@ class PagedService(Service):
         for index, payload in installs:
             self._import_payload(index, payload)
             self._touch(index)
-
-
-def bytes_digest(data: bytes) -> bytes:
-    """Helper for services whose state digest is the digest of an encoding."""
-    return digest(data)

@@ -15,7 +15,7 @@ than trusted to clients, which defends against Byzantine-faulty clients.
 State is mapped onto pages by hashing each key into one of
 ``num_buckets`` buckets (a page holds the sorted records of its bucket),
 so a mutation dirties exactly one page and the incremental checkpoint
-machinery of :class:`~repro.services.interface.PagedService` only rehashes
+machinery of :class:`~repro.services.interface.Service` only rehashes
 the touched buckets.  The bucket function (CRC-32 of the key) is
 deterministic across processes, which keeps digests replica-independent.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.services.interface import BatchOp, ExecutionResult, PagedService
+from repro.services.interface import BatchOp, ExecutionResult, Service
 
 
 def _parse_operation(operation: bytes) -> Tuple[bytes, ...]:
@@ -80,7 +80,7 @@ def _decode_records(blob: bytes) -> Tuple[Tuple[bytes, bytes], ...]:
     return tuple(zip(fields[::2], fields[1::2]))
 
 
-class KeyValueStore(PagedService):
+class KeyValueStore(Service):
     """An in-memory key-value store with optional per-client access control."""
 
     #: Number of hash buckets the key space is spread over; each bucket is
@@ -89,10 +89,6 @@ class KeyValueStore(PagedService):
     #: pages dirtied per checkpoint interval track the write working set
     #: (few keys per bucket) rather than the whole store.
     num_buckets: int = 4096
-    #: Nominal pagination hint; bucket encodings grow with the records
-    #: mapped to them (value-churn workloads store multi-KB values) and the
-    #: backing tree is uncapped.
-    page_size: int = 1 << 20
 
     def __init__(self, writers: Optional[Set[str]] = None) -> None:
         super().__init__()

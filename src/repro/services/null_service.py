@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from repro.services.interface import BatchOp, ExecutionResult, PagedService
+from repro.services.interface import BatchOp, ExecutionResult, Service
 
 
 def encode_null_op(result_size: int, arg_size: int, read_only: bool = False) -> bytes:
@@ -24,7 +24,7 @@ def encode_null_op(result_size: int, arg_size: int, read_only: bool = False) -> 
     return header + b"x" * arg_size
 
 
-class NullService(PagedService):
+class NullService(Service):
     """A service whose operations do nothing but move bytes."""
 
     def __init__(self) -> None:

@@ -23,7 +23,7 @@ Two digest modes are supported:
   deletes a page for digest purposes), and :meth:`take_checkpoint` only has
   to record copy-on-write snapshots of the dirty pages.  This mode backs
   the incremental ``state_digest``/``snapshot`` implementation of
-  :class:`repro.services.interface.PagedService`, which stores each page
+  :class:`repro.services.interface.Service`, which stores each page
   as an opaque immutable *payload* (truthy unless the page is empty) and
   supplies the ``encode`` function that turns one into the bytes its digest
   hashes; the tree holds the payload and the digest, never the encoding.
@@ -314,7 +314,7 @@ class PartitionTree:
         indexes are marked dirty, which makes the next ``take_checkpoint``
         re-capture their current (identical) values.  In content-digest
         mode the re-capture is digest-neutral.  Used by the refcounted
-        snapshot handles of :class:`repro.services.interface.PagedService`,
+        snapshot handles of :class:`repro.services.interface.Service`,
         where snapshots are released out of order (tentative-execution
         snapshots die young while older checkpoint snapshots live on).
         """

@@ -6,32 +6,24 @@ certificate (the stable-checkpoint proof the replica already verified), so
 everything it fetches can be validated against that digest without
 trusting any single sender.
 
-Two wire protocols share this manager:
-
-* **Hierarchical page-level transfer**, for every service that declares
-  ``supports_page_transfer``.  The fetcher walks the partition
-  tree top-down: a root FETCH returns META-DATA whose sub-partition
-  digests — combined with the checkpoint's reply table — must recombine to
-  the certified checkpoint digest; each interior META-DATA reply must
-  AdHash-sum to its already-proven parent digest; and each DATA page must
-  hash to its proven leaf digest.  The fetcher diffs every proven digest
-  against its *local* pages and fetches only the partitions and pages that
-  differ (delta fetch), spreads page requests round-robin across the other
-  replicas so no single sender carries the whole transfer, and keeps the
-  validated pages in a cursor: when a newer checkpoint becomes stable
-  mid-transfer the walk restarts against the new digests but every page
-  whose digest still matches is kept — the transfer *resumes* instead of
-  starting over.  A corrupted page from a faulty sender fails its digest
-  check, is dropped without touching the cursor, and is re-requested from
-  the next replica.
-
-* **Whole-snapshot transfer**, for services without page support
-  (``NFSService``).  One Data message carries the entire pickled snapshot,
-  validated against the certified digest for its sequence number — for the
-  exact target that is the certificate the transfer started from, and for
-  a *newer* checkpoint the fetcher requires a matching stable certificate
-  from its own log before installing (a faulty replica must not be able to
-  feed us an unproven "newer" state).
+The fetcher walks the partition tree top-down (the FETCH / META-DATA /
+DATA protocol; every service is paged, so this is the only one): a root
+FETCH returns META-DATA whose sub-partition digests — combined with the
+checkpoint's reply table — must recombine to the certified checkpoint
+digest; each interior META-DATA reply must AdHash-sum to its
+already-proven parent digest; and each DATA page must hash to its proven
+leaf digest.  The fetcher diffs every proven digest against its *local*
+pages and fetches only the partitions and pages that differ (delta
+fetch), spreads page requests round-robin across the other replicas so no
+single sender carries the whole transfer, and keeps the validated pages in
+a cursor: when a newer checkpoint becomes stable mid-transfer the walk
+restarts against the new digests but every page whose digest still
+matches is kept — the transfer *resumes* instead of starting over.  A root
+META-DATA for a checkpoint newer than the target is followed only once the
+fetcher holds a stable certificate for it (a faulty replica must not be
+able to feed us an unproven "newer" state).  A corrupted page from a
+faulty sender fails its digest check, is dropped without touching the
+cursor, and is re-requested from the next replica.
 
 The AdHash combination inherits the collision-resistance assumption the
 content-digest partition tree (and the replica state digest built on it)
@@ -41,8 +33,6 @@ match the proven digest.
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -68,7 +58,7 @@ def reply_entry_digest(client: str, timestamp: int) -> int:
 def service_root_digest(root: int) -> bytes:
     """The service state digest corresponding to a partition-tree root.
 
-    Canonical definition shared by ``PagedService.state_digest`` and the
+    Canonical definition shared by ``Service.state_digest`` and the
     transfer fetcher's root-metadata verification.
     """
     return digest(root.to_bytes(DIGEST_SIZE, "big"))
@@ -88,7 +78,7 @@ def combined_state_digest(service_digest: bytes, reply_sum: int) -> bytes:
 def verify_page_payload(index: int, payload: bytes, expected: int) -> bool:
     """True when a fetched page's bytes hash to the proven content digest.
 
-    The same per-page check the hierarchical fetcher applies to DATA
+    The same per-page check the transfer fetcher applies to DATA
     replies; bucket migration (:mod:`repro.sharding.migration`) reuses it
     to reject forged pages served by Byzantine source replicas.
     """
@@ -138,8 +128,7 @@ class TransferMetrics:
     transfers_completed: int = 0
     #: Retargets to a newer stable checkpoint that kept the page cursor.
     transfers_resumed: int = 0
-    #: Wire bytes of every accepted META-DATA / DATA reply (and, on the
-    #: whole-snapshot path, of the snapshot Data message).
+    #: Wire bytes of every accepted META-DATA / DATA reply.
     bytes_fetched: int = 0
     fetch_messages: int = 0
     metadata_messages: int = 0
@@ -154,14 +143,6 @@ class TransferMetrics:
     #: Simulated duration of the most recent completed transfer.
     last_transfer_duration: float = 0.0
     total_transfer_time: float = 0.0
-
-
-class _PlainUnpickler(pickle.Unpickler):
-    """Whole-snapshot blobs hold only builtin containers, bytes, strings and
-    numbers: a pickle that names any class or function is refused unrun."""
-
-    def find_class(self, module: str, name: str) -> object:
-        raise pickle.UnpicklingError(f"snapshot blob names {module}.{name}")
 
 
 @dataclass
@@ -180,9 +161,7 @@ class StateTransferManager:
         self.target_seq: Optional[int] = None
         self.target_digest: Optional[bytes] = None
         self.metrics = TransferMetrics()
-        #: True while the current transfer uses the page-level protocol.
-        self._hierarchical = False
-        # ---- fetcher state (hierarchical protocol) ----
+        # ---- fetcher state ----
         self._root_proven = False
         #: Verified child-digest maps: (level, index) -> {child index -> digest}.
         self._proven_children: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -214,12 +193,9 @@ class StateTransferManager:
             # walk against the new digests, keeping the validated cursor.
             self.target_seq = seq
             self.target_digest = state_digest
-            if self._hierarchical:
-                self.metrics.transfers_resumed += 1
-                self._reset_walk()
-                self._send_root_fetch()
-            else:
-                self._send_snapshot_fetch()
+            self.metrics.transfers_resumed += 1
+            self._reset_walk()
+            self._send_root_fetch()
             return
         self._begin(seq, state_digest)
 
@@ -239,14 +215,10 @@ class StateTransferManager:
         self.target_digest = state_digest
         self.metrics.transfers_started += 1
         self._started_at = replica.env.now()
-        self._hierarchical = replica.service.supports_page_transfer
         self._reset_walk()
         self._fetched.clear()
         self._fetched_digests.clear()
-        if self._hierarchical:
-            self._send_root_fetch()
-        else:
-            self._send_snapshot_fetch()
+        self._send_root_fetch()
 
     def _reset_walk(self) -> None:
         """Drop everything proven for the current target (the cursor of
@@ -273,26 +245,11 @@ class StateTransferManager:
             target_seq=self.target_seq,
             replica=replica.id,
             sender=replica.id,
-            hierarchical=True,
         )
         self.metrics.fetch_messages += 1
         replica.auth.sign_multicast(fetch, replica.others())
         replica.env.broadcast(replica.others(), fetch)
         self._pending[(0, 0)] = (None, replica.env.now())
-
-    def _send_snapshot_fetch(self) -> None:
-        replica = self.replica
-        fetch = Fetch(
-            level=0,
-            index=0,
-            last_checkpoint=replica.stable_checkpoint_seq,
-            target_seq=self.target_seq,
-            replica=replica.id,
-            sender=replica.id,
-        )
-        self.metrics.fetch_messages += 1
-        replica.auth.sign_multicast(fetch, replica.others())
-        replica.env.broadcast(replica.others(), fetch)
 
     def _request(self, level: int, index: int, expected: Optional[int] = None) -> None:
         """Ask one replica (round-robin) for a partition's metadata or, at
@@ -314,7 +271,6 @@ class StateTransferManager:
             designated_replier=target,
             replica=replica.id,
             sender=replica.id,
-            hierarchical=True,
         )
         self.metrics.fetch_messages += 1
         replica.auth.sign_point_to_point(fetch, target)
@@ -326,7 +282,7 @@ class StateTransferManager:
         request outstanding for longer than a status interval is re-issued
         to the next replica in round-robin order, so a crashed, partitioned
         or faulty sender cannot stall the transfer."""
-        if self.target_seq is None or not self._hierarchical:
+        if self.target_seq is None:
             return
         replica = self.replica
         now = replica.env.now()
@@ -359,18 +315,11 @@ class StateTransferManager:
             self._handle_data(message)
 
     # ---------------------------------------------------------- server side
-    def _handle_fetch(self, message: Fetch) -> None:
-        if message.hierarchical:
-            self._serve_hierarchical(message)
-        else:
-            self._serve_snapshot(message)
-
     def _choose_served_seq(self, message: Fetch) -> Optional[int]:
-        """The checkpoint to answer a root/whole-snapshot fetch from: the
-        *oldest* one at or above the requested target — the exact target
-        whenever it is still held, so the fetcher's certificate applies
-        directly; anything newer forces the fetcher to find its own
-        certificate before installing."""
+        """The checkpoint to answer a root fetch from: the *oldest* one at
+        or above the requested target — the exact target whenever it is
+        still held, so the fetcher's certificate applies directly; anything
+        newer forces the fetcher to find its own certificate first."""
         replica = self.replica
         candidates = [
             seq
@@ -381,39 +330,9 @@ class StateTransferManager:
             return None
         return min(candidates)
 
-    def _serve_snapshot(self, message: Fetch) -> None:
+    def _handle_fetch(self, message: Fetch) -> None:
         replica = self.replica
-        seq = self._choose_served_seq(message)
-        if seq is None:
-            return
-        snapshot = replica.checkpoints[seq]
-        # Copy-on-write snapshot handles are instance-local; ship the
-        # portable (materialized) form across the wire.
-        portable = replica.service.export_snapshot(snapshot.service_snapshot)
-        blob = pickle.dumps(
-            {
-                "seq": seq,
-                "state_digest": snapshot.state_digest,
-                "service_snapshot": portable,
-                "last_reply_timestamp": snapshot.last_reply_timestamp,
-            }
-        )
-        data = Data(
-            index=seq,
-            last_modified=seq,
-            page=blob,
-            seq=seq,
-            sender=replica.id,
-        )
-        replica.auth.sign_point_to_point(data, message.replica)
-        replica.env.send(message.replica, data)
-
-    def _serve_hierarchical(self, message: Fetch) -> None:
-        replica = self.replica
-        service = replica.service
-        if not service.supports_page_transfer:
-            return
-        levels = service.tree_levels
+        levels = replica.service.tree_levels
         if message.level < 0 or message.level >= levels:
             return
         if message.level == 0:
@@ -530,7 +449,7 @@ class StateTransferManager:
         return record.stable_digest(self.replica._checkpoint_stability_threshold())
 
     def _handle_metadata(self, message: MetaData) -> None:
-        if self.target_seq is None or not self._hierarchical:
+        if self.target_seq is None:
             return
         replica = self.replica
         fanout = replica.service.tree_fanout
@@ -598,15 +517,7 @@ class StateTransferManager:
         self._advance()
 
     def _handle_data(self, message: Data) -> None:
-        if self.target_seq is None:
-            return
-        if self._hierarchical:
-            self._handle_page_data(message)
-        else:
-            self._handle_snapshot_data(message)
-
-    def _handle_page_data(self, message: Data) -> None:
-        if message.seq != self.target_seq:
+        if self.target_seq is None or message.seq != self.target_seq:
             return
         expected = self._wanted.get(message.index)
         if expected is None:
@@ -635,52 +546,6 @@ class StateTransferManager:
         self.metrics.bytes_fetched += message.wire_size()
         if not self._pending:
             self._advance()
-
-    def _handle_snapshot_data(self, message: Data) -> None:
-        try:
-            payload = _PlainUnpickler(io.BytesIO(message.page)).load()
-            seq = payload["seq"]
-            state_digest = payload["state_digest"]
-            service_snapshot = payload["service_snapshot"]
-            reply_table = dict(payload["last_reply_timestamp"])
-            if type(seq) is not int or type(state_digest) is not bytes:
-                raise TypeError("malformed snapshot header")
-        except Exception:  # noqa: BLE001 - bytes chosen by a faulty replica
-            self.metrics.pages_rejected += 1
-            return
-        if seq < self.target_seq:
-            return
-        if self.target_seq < self.replica.stable_checkpoint_seq:
-            # The replica outran the transfer on its own; installing an
-            # older checkpoint would roll back past garbage-collected log.
-            self._abandon()
-            return
-        certified = self._certified_digest(seq)
-        if certified is None or state_digest != certified:
-            # Either the digest does not match the proof, or the state is
-            # newer than our target and we hold no stable certificate for
-            # it: reject (the sender may be faulty) and wait for another
-            # reply.
-            return
-        duration = self.replica.env.now() - self._started_at
-        installed = self.replica.install_fetched_state(
-            seq, state_digest, service_snapshot, reply_table
-        )
-        if not installed:
-            # The snapshot's *content* does not hash to the certified
-            # digest (a faulty sender forged the digest field): keep the
-            # transfer alive and wait for an honest reply.
-            return
-        self.metrics.bytes_fetched += message.wire_size()
-        self.metrics.transfers_completed += 1
-        self.metrics.last_transfer_duration = duration
-        self.metrics.total_transfer_time += duration
-        self._abandon()
-        if self.replica.recovery is not None:
-            self.replica.recovery.on_state_fetched(seq)
-        # Chain straight to any checkpoint certified while this transfer
-        # was in flight (after the wind-down, so a restart is not wiped).
-        self.replica.recheck_newer_checkpoints(seq)
 
     # ------------------------------------------------------ proof eviction
     def _subtree_contains(
@@ -734,7 +599,7 @@ class StateTransferManager:
     def _advance(self) -> None:
         """Re-walk the proven digests against the local pages, issue the
         fetches still missing, and install once nothing is outstanding."""
-        if self.target_seq is None or not self._hierarchical or not self._root_proven:
+        if self.target_seq is None or not self._root_proven:
             return
         if self._pending:
             return

@@ -148,7 +148,6 @@ def test_counters_and_corruption(fs):
     assert fs.state_digest() != before
 
 
-@pytest.mark.xfail(strict=True, reason="the digest omits the inode allocator")
 def test_digest_covers_the_inode_allocator():
     """A create followed by a remove leaves the tree as it was but moves the
     allocator: the next create on each side would hand out different inode
@@ -159,7 +158,6 @@ def test_digest_covers_the_inode_allocator():
     assert churned.state_digest() != untouched.state_digest()
 
 
-@pytest.mark.xfail(strict=True, reason="the digest omits the file owner")
 def test_digest_covers_the_file_owner():
     """The same create issued by two different clients differs only in the
     new file's owner, and the digests must tell them apart."""

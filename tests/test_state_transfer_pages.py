@@ -4,21 +4,20 @@ Covers the page-transfer contract of this PR:
 
 * the page-level export surface (``page_digests``/``snapshot_pages``),
   read out of the partition tree, equals a from-scratch re-encode of every
-  page, for a live copy-on-write handle and its portable form alike;
-* installing a page delta (``install_pages``) converges a diverged store
+  page, for a live copy-on-write handle and its portable form alike, for
+  the KV store and the file service;
+* installing a page delta (``install_pages``) converges a diverged service
   to exactly the source state, for randomized divergences;
-* the replica-level protocol: a lagging replica converges to the same
-  stable-checkpoint digest through the page protocol as through the
-  whole-snapshot protocol of a service without page support, while
-  fetching fewer bytes;
+* the replica-level protocol: a lagging KV or BFS replica converges to the
+  stable-checkpoint digest the others hold, fetching only stale pages;
 * a faulty sender cannot poison the transfer: corrupted pages and
   unverifiable META-DATA are rejected without touching the cursor, and
   the page is re-requested from another replica;
 * a transfer interrupted by a newer stable checkpoint *resumes*: pages
   already fetched and still valid are installed without being re-fetched;
-* the whole-snapshot path only installs state newer than its target when
-  a matching stable certificate is held (the ``seq > target_seq`` bugfix),
-  and unpickles nothing that names a class or function;
+* a root META-DATA for a checkpoint newer than the target is followed only
+  when a matching stable certificate is held, and hostile DATA bytes are
+  rejected by their digest before anything decodes them;
 * the tables a replica serves META-DATA from are dropped with the
   checkpoint record they were computed from.
 """
@@ -35,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bench import preload_kv_state
 from repro.core.config import ReplicaSetConfig
 from repro.core.messages import Checkpoint, Data, MetaData, Request
-from repro.core.replica import Replica
+from repro.core.replica import CheckpointSnapshot, Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.fs.nfs import NFSClientOps, NFSService
 from repro.library import BFTCluster
@@ -46,6 +45,7 @@ from repro.statetransfer.partition_tree import (
     group_level_digests,
 )
 from repro.statetransfer.transfer import (
+    StateTransferManager,
     _ServedCheckpoint,
     combined_state_digest,
     reply_entry_digest,
@@ -67,28 +67,34 @@ kv_ops = st.lists(
 )
 
 
-class WholeSnapshotKV(KeyValueStore):
-    """A KV store that, like ``NFSService``, offers no page-level export,
-    so its replicas fetch one whole-snapshot blob."""
-    supports_page_transfer = False
-
-
-def _apply(store: KeyValueStore, ops) -> None:
+def _apply(service, ops) -> None:
+    """Run KV-shaped ops; on the file service a SET creates and writes the
+    file ``/<key>`` and a DEL removes it."""
     for op in ops:
-        if op[0] == b"SET":
-            store.execute(b"SET " + op[1] + b" " + op[2], "client")
+        if isinstance(service, NFSService):
+            path = b"/" + op[1]
+            if op[0] == b"SET":
+                service.execute(NFSClientOps.create(path), "client")
+                service.execute(NFSClientOps.write(path, 0, op[2]), "client")
+            else:
+                service.execute(NFSClientOps.remove(path), "client")
+        elif op[0] == b"SET":
+            service.execute(b"SET " + op[1] + b" " + op[2], "client")
         else:
-            store.execute(b"DEL " + op[1], "client")
+            service.execute(b"DEL " + op[1], "client")
+
+
+services = st.sampled_from([KeyValueStore, NFSService])
 
 
 # ---------------------------------------------------------------- exports
 @settings(max_examples=50, deadline=None)
-@given(ops=kv_ops)
-def test_page_exports_identical_across_modes(ops):
+@given(ops=kv_ops, service=services)
+def test_page_exports_identical_across_modes(ops, service):
     """``page_digests`` and ``snapshot_pages`` read out of the partition
     tree equal a from-scratch re-encode of every page, for a live handle
     and for its portable form alike."""
-    optimized = KeyValueStore()
+    optimized = service()
     _apply(optimized, ops)
     handle = optimized.snapshot()
     # From scratch: every populated page re-encoded, then hashed.
@@ -119,12 +125,12 @@ def test_page_exports_identical_across_modes(ops):
 
 
 @settings(max_examples=50, deadline=None)
-@given(source_ops=kv_ops, follower_ops=kv_ops)
-def test_install_pages_converges_to_source_state(source_ops, follower_ops):
+@given(source_ops=kv_ops, follower_ops=kv_ops, service=services)
+def test_install_pages_converges_to_source_state(source_ops, follower_ops, service):
     """Installing the page delta (differing pages + removals) converges a
     diverged follower to exactly the source state."""
-    source = KeyValueStore()
-    follower = KeyValueStore()
+    source = service()
+    follower = service()
     _apply(source, source_ops)
     _apply(follower, follower_ops)
     target_pages = source.snapshot_pages(source.snapshot())
@@ -173,35 +179,22 @@ def _partition_scenario(service_factory=KeyValueStore):
 
 
 def test_page_transfer_converges_like_whole_snapshot_with_fewer_bytes():
-    page_run = _partition_scenario()
-    blob_run = _partition_scenario(WholeSnapshotKV)
-    # The capability alone selects the protocol: no META-DATA walk, no pages.
-    blob_metrics = blob_run.replicas["replica3"].state_transfer.metrics
-    assert blob_metrics.pages_fetched == blob_metrics.metadata_messages == 0
-
-    results = {}
-    for name, cluster in (("page", page_run), ("blob", blob_run)):
-        lagging = cluster.replicas["replica3"]
-        assert lagging.state_transfer.metrics.transfers_completed >= 1
-        assert lagging.stable_checkpoint_seq >= 24
-        digests = {
-            replica.service.state_digest()
-            for replica in cluster.replicas.values()
-        }
-        assert len(digests) == 1, name
-        results[name] = {
-            "bytes": lagging.state_transfer.metrics.bytes_fetched,
-            "digest": digests.pop(),
-        }
-    # Identical deterministic workloads: both protocols converge every
-    # replica to the same state, but the page protocol moves less data
-    # and only the stale pages.
-    assert results["page"]["digest"] == results["blob"]["digest"]
-    assert results["page"]["bytes"] < results["blob"]["bytes"]
-    assert page_run.replicas["replica3"].state_transfer.metrics.pages_fetched > 0
-    assert (
-        page_run.replicas["replica3"].state_transfer.metrics.pages_skipped_local > 0
-    )
+    """The healed replica converges to the digest every replica holds while
+    fetching far fewer bytes than the whole state: the byte count is pinned
+    at the value this deterministic scenario gives."""
+    cluster = _partition_scenario()
+    lagging = cluster.replicas["replica3"]
+    metrics = lagging.state_transfer.metrics
+    assert metrics.transfers_completed >= 1
+    assert lagging.stable_checkpoint_seq >= 24
+    digests = {
+        replica.service.state_digest() for replica in cluster.replicas.values()
+    }
+    assert len(digests) == 1
+    whole_state = sum(len(page) for page in lagging.service.pages().values())
+    assert metrics.bytes_fetched == 16088 < whole_state // 4
+    assert metrics.pages_fetched > 0
+    assert metrics.pages_skipped_local > 0
 
 
 def _bfs_partition_scenario():
@@ -228,7 +221,6 @@ def _bfs_partition_scenario():
     return cluster
 
 
-@pytest.mark.xfail(strict=True, reason="BFS replicas fetch one snapshot blob")
 def test_lagging_bfs_replica_catches_up_by_page_transfer():
     """A BFS replica that missed churn fetches only the pages that differ
     and converges to the healthy replicas' digest."""
@@ -432,20 +424,29 @@ def test_interrupted_transfer_resumes_without_refetching_valid_pages():
     assert lagging.service.get(b"b001") == b"w001"
 
 
+def _deliver_pages(manager, server, seq):
+    """Answer interior requests, then every wanted page, from ``server``."""
+    for _ in range(6):
+        if not manager.in_progress:
+            return
+        _pump_metadata(manager, server, seq)
+        for page in sorted(manager._wanted):
+            manager.handle(server.build_data(seq, page))
+
+
 def test_whole_snapshot_newer_state_requires_certificate():
-    """The legacy path's bugfix: a Data message carrying state *newer* than
-    the transfer target installs only once a matching stable certificate
-    for that sequence number is held."""
-    cluster, client = _driven_cluster(
-        first_ops=8, prefix=b"a", service_factory=WholeSnapshotKV
-    )
+    """A root META-DATA for a checkpoint *newer* than the transfer target is
+    followed only once a stable certificate for it is in the log; a root
+    META-DATA that does not recombine to that certificate is refused and
+    leaves the state untouched."""
+    cluster, client = _driven_cluster(first_ops=8, prefix=b"a")
     replica0 = cluster.replicas["replica0"]
     lagging = cluster.replicas["replica3"]
     manager = lagging.state_transfer
+    server = replica0.state_transfer
 
     first_seq = replica0.stable_checkpoint_seq
-    first_digest = replica0.checkpoints[first_seq].state_digest
-    manager.start(first_seq, first_digest)
+    manager.start(first_seq, replica0.checkpoints[first_seq].state_digest)
 
     # The healthy side moves on; the old checkpoint is garbage
     # collected, so only newer state can be served.
@@ -454,50 +455,38 @@ def test_whole_snapshot_newer_state_requires_certificate():
     cluster.run(duration=2_000_000)
     newer_seq = replica0.stable_checkpoint_seq
     assert newer_seq > first_seq
-    snapshot = replica0.checkpoints[newer_seq]
-    blob = pickle.dumps(
-        {
-            "seq": newer_seq,
-            "state_digest": snapshot.state_digest,
-            "service_snapshot": replica0.service.export_snapshot(
-                snapshot.service_snapshot
-            ),
-            "last_reply_timestamp": snapshot.last_reply_timestamp,
-        }
-    )
-    data = Data(index=newer_seq, last_modified=newer_seq, page=blob,
-                seq=newer_seq, sender="replica0")
+    newer_digest = replica0.checkpoints[newer_seq].state_digest
+    root = server.build_metadata(newer_seq, 0, 0)
+    before = lagging._state_digest()
 
-    # Without a certificate for newer_seq the state must be refused.
-    manager.handle(data)
-    assert manager.in_progress
+    # Without a certificate for newer_seq the reply is not followed.
+    manager.handle(root)
+    assert manager.target_seq == first_seq
+    assert not manager._root_proven
     assert lagging.last_executed == 0
 
-    # With a stable certificate (2f+1 matching checkpoint messages in
-    # the log) the digest field is accepted — but a forged blob whose
-    # *content* does not hash to it must still be refused.
+    # With a stable certificate (2f+1 matching checkpoint messages in the
+    # log) the newer checkpoint is followed — but a root reply that does
+    # not recombine to the certified digest is still refused.
     for sender in ("replica0", "replica1", "replica2"):
         lagging.log.checkpoint_record(newer_seq).add(
-            Checkpoint(seq=newer_seq, state_digest=snapshot.state_digest,
+            Checkpoint(seq=newer_seq, state_digest=newer_digest,
                        replica=sender, sender=sender)
         )
-    forged = pickle.dumps(
-        {
-            "seq": newer_seq,
-            "state_digest": snapshot.state_digest,
-            "service_snapshot": {b"evil": b"state"},
-            "last_reply_timestamp": {},
-        }
-    )
-    before = lagging._state_digest()
-    manager.handle(Data(index=newer_seq, last_modified=newer_seq,
-                        page=forged, seq=newer_seq, sender="replica2"))
+    forged = server.build_metadata(newer_seq, 0, 0)
+    entries = list(forged.entries)
+    entries[0] = (entries[0][0], entries[0][1], b"\xff" * 16)
+    forged.entries = tuple(entries)
+    manager.handle(forged)
+    assert manager.metrics.metadata_rejected == 1
+    assert not manager._root_proven
     assert manager.in_progress
     assert lagging.last_executed == 0
     assert lagging._state_digest() == before
-    assert lagging.service.get(b"evil") is None
 
-    manager.handle(data)
+    manager.handle(root)
+    assert manager._root_proven and manager.target_seq == newer_seq
+    _deliver_pages(manager, server, newer_seq)
     assert not manager.in_progress
     assert lagging.last_executed == newer_seq
     assert lagging.service.state_digest() == replica0.service.state_digest()
@@ -510,32 +499,41 @@ def _nfs_with(*paths: bytes) -> NFSService:
     return service
 
 
-def _kv_with(*keys: bytes, kind=WholeSnapshotKV) -> KeyValueStore:
-    store = kind()
+def _kv_with(*keys: bytes) -> KeyValueStore:
+    store = KeyValueStore()
     for key in keys:
         store.execute(b"SET " + key + b" value", "client0")
     return store
 
 
-def _paged_kv_with(*keys: bytes) -> KeyValueStore:
-    return _kv_with(*keys, kind=KeyValueStore)
+def _serving_replica(service, seq, reply_table):
+    """A replica holding ``service`` as its checkpoint at ``seq``, and the
+    transfer manager that answers FETCHes from it."""
+    server, _env = make_replica(
+        ReplicaSetConfig(n=4, checkpoint_interval=4), SignatureRegistry(),
+        "replica0", service=service,
+    )
+    server.checkpoints[seq] = CheckpointSnapshot(
+        seq=seq, state_digest=b"", service_snapshot=service.snapshot(),
+        last_reply_timestamp=dict(reply_table), last_reply={},
+    )
+    return StateTransferManager(server)
 
 
 @pytest.mark.parametrize("build,probe", [
     (_nfs_with, NFSClientOps.readdir(b"/")),
     (_kv_with, b"KEYS"),
-    (_paged_kv_with, b"KEYS"),
-], ids=["NFSService", "WholeSnapshotKV", "KeyValueStore"])
+], ids=["NFSService", "KeyValueStore"])
 def test_refused_whole_snapshot_leaves_nothing_behind(build, probe):
-    """A service without page export can only be digested once restored.
-    When the restored blob does not hash to the certified digest, the
-    state, the reply tables and their digest are put back, and the honest
-    blob that follows still installs.  (A paged service is digested from
-    the blob and refuses before anything is touched: same outcome.)"""
+    """A forged root META-DATA (a sender serving another state) and forged
+    DATA pages are refused before anything is installed: the state, the
+    reply tables and their digest are as they were, and the honest replies
+    that follow still install."""
     replica, _env = make_replica(
         ReplicaSetConfig(n=4, checkpoint_interval=4), SignatureRegistry(),
         service=build(b"/mine", b"/also-mine"),
     )
+    manager = replica.state_transfer = StateTransferManager(replica)
     replica._execute_batch(
         [Request(operation=probe, timestamp=3, client="client0", sender="client0")],
         b"", tentative=False,
@@ -546,21 +544,42 @@ def test_refused_whole_snapshot_leaves_nothing_behind(build, probe):
         target.state_digest(),
         sum(reply_entry_digest(c, t) for c, t in honest_table.items()) % ADHASH_MODULUS,
     )
+    honest = _serving_replica(target, 8, honest_table)
+    evil = _serving_replica(build(b"/evil"), 8, {"mallory": 5})
     digest_before = replica._state_digest()
     timestamps_before = dict(replica.last_reply_timestamp)
     replies_before = dict(replica.last_reply)
     probe_before = replica.service.execute(probe, "probe", read_only=True).result
 
-    forged = build(b"/evil").snapshot()
-    assert not replica.install_fetched_state(8, certified, forged, {"mallory": 5})
-    assert replica._state_digest() == digest_before
-    assert replica._reply_digest == replica._recompute_reply_digest()
-    assert replica.last_reply_timestamp == timestamps_before == {"client0": 3}
-    assert replica.last_reply == replies_before and replies_before
-    assert replica.service.execute(probe, "probe", read_only=True).result == probe_before
-    assert replica.last_executed == 0 and 8 not in replica.checkpoints
+    def unchanged():
+        assert replica._state_digest() == digest_before
+        assert replica._reply_digest == replica._recompute_reply_digest()
+        assert replica.last_reply_timestamp == timestamps_before == {"client0": 3}
+        assert replica.last_reply == replies_before and replies_before
+        assert replica.service.execute(probe, "probe", read_only=True).result == (
+            probe_before
+        )
+        assert replica.last_executed == 0 and 8 not in replica.checkpoints
 
-    assert replica.install_fetched_state(8, certified, target.snapshot(), honest_table)
+    manager.start(8, certified)
+    manager.handle(evil.build_metadata(8, 0, 0))
+    assert manager.metrics.metadata_rejected == 1
+    unchanged()
+
+    manager.handle(honest.build_metadata(8, 0, 0))
+    _pump_metadata(manager, honest, 8)
+    wanted = sorted(manager._wanted)
+    assert wanted
+    for page in wanted:
+        forged = b"forged" + honest.build_data(8, page).page
+        manager.handle(Data(index=page, last_modified=8, seq=8, sender="replica2",
+                            page=forged))
+    assert manager.metrics.pages_rejected == len(wanted)
+    assert manager.in_progress
+    unchanged()
+
+    _deliver_pages(manager, honest, 8)
+    assert not manager.in_progress
     assert replica._state_digest() == certified
     assert replica.last_reply_timestamp == honest_table
     assert replica.last_executed == replica.stable_checkpoint_seq == 8
@@ -580,52 +599,81 @@ class _TouchesFilesystem:
 
 
 def test_whole_snapshot_blob_from_a_faulty_replica_runs_nothing(tmp_path):
-    """A Data message on the whole-snapshot path carries bytes a Byzantine
-    peer chose: a pickle that names a callable, one that is not a dict and
-    one that lacks a field are each rejected and counted — nothing runs,
-    nothing escapes ``handle``, and the transfer keeps waiting."""
-    cluster, _client = _driven_cluster(service_factory=WholeSnapshotKV)
+    """DATA bytes a Byzantine peer chose — a pickle that names a callable,
+    a truncated page, another page's bytes, junk — are each rejected by the
+    page digest and counted; a page labelled with another index or
+    checkpoint is dropped.  Nothing is decoded or run, nothing escapes
+    ``handle``, the transfer keeps waiting, and honest pages still install."""
+    cluster, _client = _driven_cluster()
     replica0 = cluster.replicas["replica0"]
     lagging = cluster.replicas["replica3"]
     manager = lagging.state_transfer
+    server = replica0.state_transfer
     seq = replica0.stable_checkpoint_seq
-    digest = replica0.checkpoints[seq].state_digest
-    manager.start(seq, digest)
+    manager.start(seq, replica0.checkpoints[seq].state_digest)
+    manager.handle(server.build_metadata(seq, 0, 0))
+    _pump_metadata(manager, server, seq)
+    # One hostile reply per wanted page, so no page's proof is suspected.
+    wanted = sorted(manager._wanted)
+    assert len(wanted) >= 4
+    honest = server.build_data(seq, wanted[0]).page
     marker = tmp_path / "created-by-unpickling"
-    envelope = {"seq": seq, "state_digest": digest, "last_reply_timestamp": {}}
     hostile = [
-        {**envelope, "service_snapshot": _TouchesFilesystem(str(marker))},
-        [seq, digest, {}, {}],
-        envelope,
-        {**envelope, "service_snapshot": {}, "seq": "8"},
+        (wanted[0], pickle.dumps(_TouchesFilesystem(str(marker)))),
+        (wanted[1], server.build_data(seq, wanted[1]).page[:-1]),
+        (wanted[2], honest),
+        (wanted[3], b"\x80\x04not a pickle"),
     ]
-    for count, payload in enumerate(hostile, start=1):
-        manager.handle(Data(index=seq, last_modified=seq, seq=seq,
-                            page=pickle.dumps(payload), sender="replica2"))
+    for count, (index, page) in enumerate(hostile, start=1):
+        manager.handle(Data(index=index, last_modified=seq, seq=seq,
+                            page=page, sender="replica2"))
         assert manager.metrics.pages_rejected == count
-    manager.handle(Data(index=seq, last_modified=seq, seq=seq,
-                        page=b"\x80\x04not a pickle", sender="replica2"))
-    assert manager.metrics.pages_rejected == len(hostile) + 1
+    for index, label in ((KeyValueStore.num_buckets - 1, seq), (wanted[0], seq + 4)):
+        manager.handle(Data(index=index, last_modified=label, seq=label,
+                            page=honest, sender="replica2"))
+    assert manager.metrics.pages_rejected == len(hostile)
+    assert manager.metrics.pages_fetched == 0
     assert not marker.exists()
-    assert manager.in_progress
+    assert manager.in_progress and set(wanted) == set(manager._wanted)
     assert lagging.last_executed == 0
+
+    _deliver_pages(manager, server, seq)
+    assert not manager.in_progress
+    assert lagging.service.state_digest() == replica0.service.state_digest()
 
 
 def test_kv_page_decoder_rejects_overrunning_length_prefix():
     """A page whose last length prefix overruns the blob (or is cut short)
-    is refused whole: no short slice is installed, the store is unchanged."""
+    is refused whole, by the KV store and the file service alike: the
+    decoder raises ``ValueError``, nothing is installed, the service is
+    unchanged."""
     store = KeyValueStore()
     store.execute(b"SET kept value", "client")
-    before = store.state_digest()
     good = KeyValueStore()
     good.execute(b"SET k v", "client")
     (index, page), = good.pages().items()
     overrun = page[:-5] + (9).to_bytes(4, "big") + b"v"
-    for bad in (overrun, page[:-1], page + b"\x00\x00", page[: 4 + 1]):
-        with pytest.raises(ValueError):
-            store.install_pages({index: bad}, removals=store.pages())
-    assert store.state_digest() == before
+    nfs = _nfs_with(b"/kept")
+    donor = _nfs_with(b"/f")
+    donor.execute(NFSClientOps.write(b"/f", 0, b"data"), "client0")
+    nfs_index = NFSService.bucket_of(2)
+    nfs_page = donor.pages()[nfs_index]
+    cases = [
+        (store, index, (overrun, page[:-1], page + b"\x00\x00", page[: 4 + 1])),
+        (nfs, nfs_index, (nfs_page[:-1], nfs_page + b"\x00", b"X" + nfs_page[1:],
+                          nfs_page[:9] + b"\x07" + nfs_page[10:],
+                          donor.pages()[NFSService.allocator_page] + b"\x00")),
+    ]
+    for service, index, malformed in cases:
+        before = service.state_digest()
+        exported = service._export_state()
+        for bad in malformed:
+            with pytest.raises(ValueError):
+                service.install_pages({index: bad}, removals=service.pages())
+        assert service.state_digest() == before
+        assert service._export_state() == exported
     assert store.get(b"kept") == b"value"
+    assert nfs.execute(NFSClientOps.lookup(b"/kept"), "probe").result == b"FH:2"
 
 
 def test_serve_cache_never_outlives_checkpoint_records(monkeypatch):
