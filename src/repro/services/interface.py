@@ -330,14 +330,12 @@ class Service:
         self._snapshots[snap_id] = handle
         return handle
 
-    def acquire_snapshot(self, snapshot: object) -> object:
-        if isinstance(snapshot, PageSnapshot) and snapshot.snap_id in self._snapshots:
+    def acquire_snapshot(self, snapshot: PageSnapshot) -> PageSnapshot:
+        if snapshot.snap_id in self._snapshots:
             snapshot.refs += 1
         return snapshot
 
-    def release_snapshot(self, snapshot: object) -> None:
-        if not isinstance(snapshot, PageSnapshot):
-            return
+    def release_snapshot(self, snapshot: PageSnapshot) -> None:
         live = self._snapshots.get(snapshot.snap_id)
         if live is not snapshot:
             # Detached by a tree reset (or foreign): nothing to reclaim.

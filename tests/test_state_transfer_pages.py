@@ -271,6 +271,16 @@ def _pump_metadata(manager, server, seq):
             manager.handle(reply)
 
 
+def _deliver_pages(manager, server, seq):
+    """Answer interior requests, then every wanted page, from ``server``."""
+    for _ in range(6):
+        if not manager.in_progress:
+            return
+        _pump_metadata(manager, server, seq)
+        for page in sorted(manager._wanted):
+            manager.handle(server.build_data(seq, page))
+
+
 def test_corrupt_page_rejected_without_poisoning_cursor():
     cluster, _client = _driven_cluster()
     replica0 = cluster.replicas["replica0"]
@@ -367,12 +377,7 @@ def test_forged_interior_metadata_is_evicted_and_refetched():
 
     # The evicted partition's metadata is re-requested once the other
     # pendings drain; keep answering until the transfer completes.
-    for _ in range(6):
-        if not manager.in_progress:
-            break
-        _pump_metadata(manager, server, seq)
-        for page in sorted(manager._wanted):
-            manager.handle(server.build_data(seq, page))
+    _deliver_pages(manager, server, seq)
     assert not manager.in_progress
     assert manager.metrics.transfers_completed == 1
     assert lagging.service.state_digest() == replica0.service.state_digest()
@@ -422,16 +427,6 @@ def test_interrupted_transfer_resumes_without_refetching_valid_pages():
     assert lagging.stable_checkpoint_seq == second_seq
     assert lagging.service.get(b"a001") == b"v001"
     assert lagging.service.get(b"b001") == b"w001"
-
-
-def _deliver_pages(manager, server, seq):
-    """Answer interior requests, then every wanted page, from ``server``."""
-    for _ in range(6):
-        if not manager.in_progress:
-            return
-        _pump_metadata(manager, server, seq)
-        for page in sorted(manager._wanted):
-            manager.handle(server.build_data(seq, page))
 
 
 def test_whole_snapshot_newer_state_requires_certificate():
