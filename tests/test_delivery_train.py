@@ -4,21 +4,24 @@ A flush handed to ``Network.send_many`` becomes one ``DeliveryTrain`` — one
 heap slot, walked in place by ``Scheduler.run``.  The contract is that
 nobody can tell: every delivery happens at the time, and in the order among
 everything else pending, that scheduling each copy as its own ``Event``
-would give.  ``PerCopyNetwork`` below *is* that reference (``send_many``
-calling ``send`` per copy), and the property test runs random scripts of
-multicasts, single sends, timers and cancellations against both.
+would give, and every loss, duplication and jitter draw is the one that
+copy would have made.  ``PerCopyNetwork`` below *is* that reference (each
+copy drawn for and scheduled on its own), and the property test runs random
+scripts of multicasts, single sends, timers and cancellations against both,
+on clean and impaired networks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.conditions import NetworkConditions
-from repro.net.network import Envelope, Network
+from repro.net.network import Network
 from repro.sim.events import DeliveryTrain, Event, EventKind
 from repro.sim.node import Node
 from repro.sim.rng import SimRandom
@@ -32,14 +35,69 @@ CONDITIONS = dict(fixed_delay=4.0, per_byte_delay=0.5)
 MESSAGE_CAP = 250
 
 
+def per_copy_send(
+    network: Network,
+    source: str,
+    destination: str,
+    message: Any,
+    size_bytes: int,
+    not_before: Optional[float] = None,
+) -> None:
+    """One copy from ``source`` to ``destination``, the way a network that
+    gives every copy its own heap slot sends it: unknown destination,
+    stats, partition, loss draw, duplication draw, then per delivered copy
+    a jitter draw and one ``Event`` whose callback hands the message to the
+    node's ``on_message``."""
+    stats = network.stats
+    if destination not in network.endpoints():
+        stats.messages_dropped += 1
+        return
+    now = network.scheduler.clock.now
+    depart = max(now, not_before) if not_before is not None else now
+    auth_size = getattr(message, "auth_size", None)
+    stats.record(
+        type(message).__name__, size_bytes, source,
+        auth_size() if auth_size is not None else 0,
+    )
+    conditions, rng = network.conditions, network.rng
+    if conditions.partitions and conditions.is_partitioned(source, destination):
+        stats.messages_dropped += 1
+        return
+    if conditions.drop_probability and rng.chance(conditions.drop_probability):
+        stats.messages_dropped += 1
+        return
+    copies = 1
+    if conditions.duplicate_probability and rng.chance(conditions.duplicate_probability):
+        copies += conditions.duplicate_copies
+        stats.messages_duplicated += copies - 1
+    for _ in range(copies):
+        arrival = depart + conditions.transit_time(size_bytes, rng)
+        network.scheduler.schedule(Event.make(
+            arrival, EventKind.INTERNAL, destination,
+            payload=(source, destination, message, size_bytes, depart),
+            callback=functools.partial(
+                _deliver, network.scheduler, destination, message, arrival, size_bytes
+            ),
+        ))
+
+
+def _deliver(scheduler, destination, message, arrival, size_bytes):
+    node = scheduler.nodes.get(destination)
+    if node is not None:
+        node.on_message(message, arrival, size_bytes)
+
+
 class PerCopyNetwork(Network):
-    """The reference: every copy of every run is its own ``send``, hence
-    its own ``Event`` and heap slot."""
+    """The reference: every copy of every run is its own ``per_copy_send``,
+    hence its own draws, ``Event`` and heap slot."""
+
+    def send(self, source, destination, message, size_bytes, not_before=None):
+        per_copy_send(self, source, destination, message, size_bytes, not_before)
 
     def send_many(self, source, runs):
         for destinations, message, size_bytes, departures in runs:
             for destination, not_before in zip(destinations, departures):
-                self.send(source, destination, message, size_bytes, not_before)
+                per_copy_send(self, source, destination, message, size_bytes, not_before)
 
 
 class ScriptedNode(Node):
@@ -101,9 +159,17 @@ class ScriptedNode(Node):
             self.timers.pop(0).cancel()
 
 
-def build(network_class, reactions):
+def build(network_class, reactions, impairments=None):
+    """Five scripted nodes on a network with ``CONDITIONS`` plus
+    ``impairments`` (``NetworkConditions`` fields, ``partition``: a pair of
+    node indexes or ``None``)."""
+    impairments = dict(impairments or {})
+    partition = impairments.pop("partition", None)
+    conditions = NetworkConditions(**CONDITIONS, **impairments)
+    if partition is not None:
+        conditions.partition(NAMES[partition[0]], NAMES[partition[1]])
     scheduler = Scheduler()
-    network = network_class(scheduler, NetworkConditions(**CONDITIONS), SimRandom(0))
+    network = network_class(scheduler, conditions, SimRandom(0))
     log: List[Tuple[float, str, Any]] = []
     idents = itertools.count(1)
     nodes = {
@@ -134,6 +200,13 @@ reaction = st.tuples(
     st.booleans(),
 )
 scripts = st.lists(reaction, min_size=1, max_size=5)
+impairments = st.fixed_dictionaries({
+    "drop_probability": st.sampled_from((0.0, 0.0, 0.2, 1.0)),
+    "duplicate_probability": st.sampled_from((0.0, 0.0, 0.3, 1.0)),
+    "duplicate_copies": st.integers(1, 2),
+    "jitter": st.sampled_from((0.0, 0.0, 0.5, 3.0)),
+    "partition": st.none() | st.tuples(destination, destination),
+})
 
 
 def run_in_pieces(scheduler, log, pieces):
@@ -159,13 +232,16 @@ def run_in_pieces(scheduler, log, pieces):
                   st.integers(1, 7)),
         max_size=6,
     ),
+    conditions=impairments,
 )
-def test_trains_dispatch_like_one_heap_slot_per_delivery(reactions, pieces):
-    ref_scheduler, ref_network, ref_nodes, ref_log = build(PerCopyNetwork, reactions)
+def test_trains_dispatch_like_one_heap_slot_per_delivery(reactions, pieces, conditions):
+    ref_scheduler, ref_network, ref_nodes, ref_log = build(
+        PerCopyNetwork, reactions, conditions
+    )
     start(ref_nodes)
     ref_scheduler.run()
 
-    scheduler, network, nodes, log = build(Network, reactions)
+    scheduler, network, nodes, log = build(Network, reactions, conditions)
     start(nodes)
     reported = run_in_pieces(scheduler, log, pieces)
 
@@ -175,6 +251,8 @@ def test_trains_dispatch_like_one_heap_slot_per_delivery(reactions, pieces):
     assert network.stats.wire_totals() == ref_network.stats.wire_totals()
     assert network.stats.per_node == ref_network.stats.per_node
     assert network.stats.messages_dropped == ref_network.stats.messages_dropped
+    assert network.stats.messages_duplicated == ref_network.stats.messages_duplicated
+    assert network.rng._rng.getstate() == ref_network.rng._rng.getstate()
     assert ref_network.stats.messages_coalesced == 0
     if not any(kind == "until" for kind, _ in pieces):
         assert scheduler.clock.now == ref_scheduler.clock.now
@@ -239,17 +317,16 @@ def test_step_pending_and_peek_see_the_rows_of_a_train():
     cancelled = scheduler.schedule_at(1.0, EventKind.TIMER, "a", payload=("gone", 0))
     scheduler.schedule_at(8.0, EventKind.TIMER, "a", payload=("timer", 0))
     cancelled.cancel()
-    assert scheduler.pending == 4
-    peeked = scheduler._peek()
-    assert (peeked.time, peeked.kind, peeked.target) == (5.0, EventKind.DELIVER, "b")
-    assert peeked.payload == Envelope("a", "b", ("m", 0), 2, 0.0)
-    assert scheduler.pending == 4 and log == []  # peeking delivers nothing
+    assert scheduler.pending == 4 and log == []
     assert scheduler.step() and scheduler.pending == 3
+    assert log == [(5.0, "b", ("m", 0))]
     assert scheduler.step() and scheduler.pending == 2
-    assert scheduler._peek().payload == ("timer", 0)  # between the rows
-    assert scheduler.step() and scheduler._peek().target == "d"
+    assert log[-1] == (7.0, "c", ("m", 0))
+    assert scheduler.step() and scheduler.pending == 1
+    assert log[-1] == (8.0, "a", ("timer", 0))  # between the rows
     assert scheduler.step() and scheduler.pending == 0
-    assert not scheduler.step() and scheduler._peek() is None
+    assert log[-1] == (9.0, "d", ("m", 0))
+    assert not scheduler.step() and scheduler.pending == 0
     assert [(time, target) for time, target, _message in log] == [
         (5.0, "b"), (7.0, "c"), (8.0, "a"), (9.0, "d"),
     ]
@@ -276,6 +353,8 @@ class HandleEventOnly:
 
 
 def test_a_node_with_only_handle_event_still_gets_an_event_with_an_envelope():
+    from repro.net.network import Envelope
+
     sink = HandleEventOnly()
     scheduler, network, nodes, log = quiet_world(("sink", sink))
     network.send_many("a", [

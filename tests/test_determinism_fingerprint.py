@@ -1,4 +1,4 @@
-"""Golden determinism fingerprint of eight small end-to-end runs.
+"""Golden determinism fingerprint of nine small end-to-end runs.
 
 Modeled results are the repo's contract: work on the simulator's own
 speed must leave every modeled charge, event sequence number, RNG draw and
@@ -20,7 +20,10 @@ the per-request execution twin was deleted (parent of PR 21), where it was
 identical under all four ``batch execution x caches`` switch settings, and for
 ``kv_f1_page_transfer`` from the commit before tree pages became payloads
 (parent of PR 22); that one also records the lagging replica's transfer
-counters, so the bytes of every META-DATA and DATA message are pinned.  They
+counters, so the bytes of every META-DATA and DATA message are pinned.
+``impaired_f1`` (duplication and jitter on every link, a replica corrupting
+its replies) was captured at the commit before every send became a delivery
+train, when each of its copies still took a heap slot of its own.  They
 must match to the bit.  MAC tag bytes are not part of the fingerprint (their
 size is, through the wire totals), so swapping the MAC primitive leaves it
 unchanged.
@@ -95,6 +98,15 @@ def _lossy_f1() -> BFTCluster:
     return BFTCluster.create(
         f=1, seed=14, conditions=NetworkConditions(drop_probability=0.05)
     )
+
+
+def _impaired_f1() -> BFTCluster:
+    cluster = BFTCluster.create(
+        f=1, seed=27,
+        conditions=NetworkConditions(duplicate_probability=0.1, jitter=25.0),
+    )
+    cluster.inject_fault(FaultSpec(node="replica3", fault=FaultType.CORRUPT_REPLY))
+    return cluster
 
 
 def _null_f10() -> BFTCluster:
@@ -263,6 +275,7 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] =
     "kv_f2_checkpoints": (_kv_f2_checkpoints, _kv_op, 6, 9),
     "send_faults_f1": (_send_faults_f1, _null_op, 4, 6),
     "lossy_f1": (_lossy_f1, _null_op, 4, 6),
+    "impaired_f1": (_impaired_f1, _null_op, 4, 6),
     "tree_f2": (_tree_f2, _null_op, 4, 5),
     "null_f10": (_null_f10, _null_op, 3, 3),
     "kv_f1_dropping_primary": (_kv_f1_dropping_primary, _kv_ordered_op, 5, 8),
@@ -435,6 +448,33 @@ GOLDEN["lossy_f1"] = \
                               'Reply': 100,
                               'Request': 40,
                               'StatusActive': 72}}}
+GOLDEN["impaired_f1"] = \
+{'completion_times': [627.0390210722584, 977.6789694934404, 1224.6175071006662,
+                      1588.437579005059, 2352.923407548321, 2747.2730511004092,
+                      3449.9428988577297, 3804.3471564072106, 4095.368602812629,
+                      4814.9023423219, 5182.558292461212, 5469.640461960036,
+                      5839.218253532374, 6282.912740153804, 6628.532142821591,
+                      6907.384495431061, 7348.699440273426, 7702.112501819788,
+                      8000.832669165024, 8384.813526861566, 8790.236023867832,
+                      9166.242853622334, 9431.683439467486, 9732.66566174261],
+ 'cpu_busy_total': {'replica0': 10265.093999999975,
+                    'replica1': 9109.153999999986,
+                    'replica2': 9200.653999999988,
+                    'replica3': 9232.269999999995},
+ 'dispatched': 907,
+ 'state_digests': {'replica0': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica1': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica2': 'cf498596ff89a16278ba0f83a00201db',
+                   'replica3': 'cf498596ff89a16278ba0f83a00201db'},
+ 'wire_totals': {'auth_bytes': 18912,
+                 'messages_sent': 816,
+                 'payload_bytes': 70648,
+                 'per_type': {'Commit': 324,
+                              'PrePrepare': 81,
+                              'Prepare': 243,
+                              'Reply': 108,
+                              'Request': 24,
+                              'StatusActive': 36}}}
 GOLDEN["tree_f2"] = \
 {'completion_times': [1788.5370000000003, 2971.7450000000003, 2987.6090000000004,
                       3003.4730000000004, 3792.1330000000007, 4705.520999999997,

@@ -7,12 +7,18 @@ import dataclasses
 import inspect
 from typing import Any, List, Tuple
 
+import pytest
+
 from repro.core import messages as messages_module
-from repro.core.messages import Commit, Message, Prepare, Reply
+from repro.core.messages import Commit, Message, PrePrepare, Prepare, Reply, Request
 from repro.core.replica import Replica
 from repro.library import BFTCluster
+from repro.library.cluster import ProtocolNode
+from repro.net.overlay import Relay, RelayEntry
 from repro.services import KeyValueStore
+from repro.sim.faults import FaultSpec, FaultType
 from tests.conftest import authed, make_replica
+from tests.test_delivery_train import per_copy_send
 
 
 # ------------------------------------------------------------ dispatch table
@@ -109,17 +115,42 @@ def _mixed_outbox(
     return node, outbox
 
 
+def per_copy_transmit(node: ProtocolNode, destination: str, message: Any) -> None:
+    """The reference for one copy of a flush: the sender's send faults, the
+    wire size of what is left, one send-CPU addition whose running value is
+    the departure time, the DELAY fault on top, then the network's draws and
+    one heap slot per delivered copy (``per_copy_send``)."""
+    message = node._apply_send_faults(destination, message)
+    if message is None:
+        return
+    size = message.wire_size() if hasattr(message, "wire_size") else 64
+    send_cpu = node.params.communication.send_cpu(size)
+    node.cpu_available_at += send_cpu
+    node.cpu_busy_total += send_cpu
+    not_before = node.cpu_available_at
+    delay_fault = node.fault_injector.get(node.name, FaultType.DELAY_MESSAGES, node.now)
+    if delay_fault is not None:
+        not_before += delay_fault.delay
+    per_copy_send(node.network, node.name, destination, message, size, not_before)
+
+
+def per_copy_flush(
+    node: ProtocolNode, outbox: List[Tuple[Tuple[str, ...], Any]]
+) -> None:
+    for destinations, message in outbox:
+        for destination in destinations:
+            per_copy_transmit(node, destination, message)
+
+
 def _send(per_pair: bool):
     cluster = BFTCluster.create(f=1, seed=3)
     for name in ("client0", "client1"):
         cluster.new_client(name)
     node, outbox = _mixed_outbox(cluster)
     if per_pair:
-        for destinations, message in outbox:
-            for destination in destinations:
-                node._transmit(destination, message)
+        per_copy_flush(node, outbox)
     else:
-        node._transmit_many(outbox)
+        node._flush(outbox)
     cluster.run(duration=5_000.0)  # deliver everything; no timer is due yet
     return cluster.network.stats, node, cluster
 
@@ -142,3 +173,91 @@ def test_mixed_flush_counts_what_the_per_pair_path_counts():
         assert node.cpu_available_at == pair_cluster.replica_nodes[name].cpu_available_at
     assert batch_cluster.scheduler.dispatched == pair_cluster.scheduler.dispatched
     assert batch_cluster.now == pair_cluster.now
+
+
+# ------------------------------------------------------------ faulty senders
+#: Every send fault, with the parameters it is registered with.
+SEND_FAULTS = {
+    "DROP_MESSAGES": dict(probability=0.5),
+    "DELAY_MESSAGES": dict(delay=300.0),
+    "MUTE_PRIMARY": {},
+    "EQUIVOCATE": {},
+    "CORRUPT_REPLY": {},
+    "BAD_AUTHENTICATOR": {},
+    "SILENT_RELAY": {},
+    "TAMPER_RELAY": {},
+}
+
+
+def _faulty_outbox(
+    cluster: BFTCluster,
+) -> Tuple[ProtocolNode, List[Tuple[Tuple[str, ...], Any]]]:
+    """``_mixed_outbox`` plus one message of every type a send fault
+    touches: a pre-prepare multicast, a client's request multicast, and
+    relay bundles with and without replica1's own entries."""
+    node, outbox = _mixed_outbox(cluster)
+    auth = cluster.replicas["replica1"].auth
+    replicas = ("replica0", "replica1", "replica2", "replica3")
+    others = tuple(r for r in replicas if r != "replica1")
+    pre_prepare = auth.sign_multicast(
+        PrePrepare(view=0, seq=1, requests=(), nondet=b"n", sender="replica1"),
+        others,
+    )
+    request = cluster.clients["client0"].protocol.auth.sign_multicast(
+        Request(operation=b"op", timestamp=1, client="client0", sender="client0"),
+        replicas,
+    )
+
+    def relay(*roots: str) -> Relay:
+        return Relay(entries=tuple(
+            RelayEntry(view=0, root=root, inner=Prepare(
+                view=0, seq=1, digest=b"d" * 16, replica=root, sender=root))
+            for root in roots
+        ), sender="replica1")
+
+    outbox[1:1] = [(others, pre_prepare), (others + ("nobody",), request)]
+    outbox += [
+        (("replica2", "replica3"), relay("replica1", "replica0")),
+        (("replica2",), relay("replica0")),
+        (others, pre_prepare),
+    ]
+    return node, outbox
+
+
+def _send_with_fault(fault: str, per_copy: bool):
+    cluster = BFTCluster.create(f=1, seed=4)
+    for name in ("client0", "client1"):
+        cluster.new_client(name)
+    cluster.inject_fault(
+        FaultSpec(node="replica1", fault=FaultType[fault], **SEND_FAULTS[fault])
+    )
+    node, outbox = _faulty_outbox(cluster)
+    if per_copy:
+        per_copy_flush(node, outbox)
+    else:
+        node._flush(outbox)
+    cluster.run(duration=5_000.0)
+    return cluster, node
+
+
+@pytest.mark.parametrize("fault", sorted(SEND_FAULTS))
+def test_faulty_sender_flush_matches_per_copy_reference(fault):
+    cluster, node = _send_with_fault(fault, per_copy=False)
+    ref_cluster, ref_node = _send_with_fault(fault, per_copy=True)
+    stats, ref_stats = cluster.network.stats, ref_cluster.network.stats
+    assert stats.per_type == ref_stats.per_type
+    assert list(stats.per_type) == list(ref_stats.per_type)
+    assert stats.per_node == ref_stats.per_node
+    assert stats.wire_totals() == ref_stats.wire_totals()
+    assert stats.messages_dropped == ref_stats.messages_dropped
+    nodes = {**cluster.replica_nodes, **{n: c.node for n, c in cluster.clients.items()}}
+    ref_nodes = {
+        **ref_cluster.replica_nodes,
+        **{n: c.node for n, c in ref_cluster.clients.items()},
+    }
+    for name, other in nodes.items():
+        assert other.cpu_available_at == ref_nodes[name].cpu_available_at, name
+        assert other.cpu_busy_total == ref_nodes[name].cpu_busy_total, name
+    assert cluster.scheduler.dispatched == ref_cluster.scheduler.dispatched
+    assert cluster.now == ref_cluster.now
+    assert node.rng._rng.getstate() == ref_node.rng._rng.getstate()

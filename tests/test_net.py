@@ -4,17 +4,20 @@ import pytest
 
 from repro.net.conditions import NetworkConditions, lan_conditions, wan_conditions
 from repro.net.network import Network
-from repro.sim.events import EventKind
+from repro.sim.node import Node
 from repro.sim.rng import SimRandom
 from repro.sim.scheduler import Scheduler
 
 
-class Sink:
-    def __init__(self):
+class Sink(Node):
+    """Records the messages delivered to it."""
+
+    def __init__(self, name, scheduler):
+        super().__init__(name, scheduler)
         self.delivered = []
 
-    def handle_event(self, event):
-        self.delivered.append(event.payload)
+    def on_message(self, message, arrival_time, size_bytes):
+        self.delivered.append(message)
 
 
 def build_network(conditions=None, seed=0):
@@ -22,8 +25,7 @@ def build_network(conditions=None, seed=0):
     network = Network(scheduler, conditions or NetworkConditions(), SimRandom(seed))
     sinks = {}
     for name in ("a", "b", "c"):
-        sink = Sink()
-        scheduler.register(name, sink)
+        sink = Sink(name, scheduler)
         network.register(name)
         sinks[name] = sink
     return scheduler, network, sinks
@@ -64,9 +66,7 @@ def test_message_delivered_after_transit_time():
     )
     network.send("a", "b", "hello", size_bytes=100)
     scheduler.run()
-    assert len(sinks["b"].delivered) == 1
-    envelope = sinks["b"].delivered[0]
-    assert envelope.message == "hello"
+    assert sinks["b"].delivered == ["hello"]
     assert scheduler.clock.now == pytest.approx(10.0)
 
 

@@ -20,9 +20,9 @@ def test_events_dispatch_in_time_order():
     scheduler = Scheduler()
     node = CollectingNode()
     scheduler.register("n", node)
-    scheduler.schedule_at(30.0, EventKind.DELIVER, "n", payload="c")
-    scheduler.schedule_at(10.0, EventKind.DELIVER, "n", payload="a")
-    scheduler.schedule_at(20.0, EventKind.DELIVER, "n", payload="b")
+    scheduler.schedule_at(30.0, EventKind.TIMER, "n", payload="c")
+    scheduler.schedule_at(10.0, EventKind.TIMER, "n", payload="a")
+    scheduler.schedule_at(20.0, EventKind.TIMER, "n", payload="b")
     scheduler.run()
     assert [payload for _t, payload in node.received] == ["a", "b", "c"]
     assert scheduler.clock.now == 30.0
@@ -33,7 +33,7 @@ def test_simultaneous_events_dispatch_in_insertion_order():
     node = CollectingNode()
     scheduler.register("n", node)
     for payload in ("first", "second", "third"):
-        scheduler.schedule_at(5.0, EventKind.DELIVER, "n", payload=payload)
+        scheduler.schedule_at(5.0, EventKind.TIMER, "n", payload=payload)
     scheduler.run()
     assert [payload for _t, payload in node.received] == ["first", "second", "third"]
 
@@ -42,7 +42,7 @@ def test_cancelled_events_are_skipped():
     scheduler = Scheduler()
     node = CollectingNode()
     scheduler.register("n", node)
-    event = scheduler.schedule_at(5.0, EventKind.DELIVER, "n", payload="x")
+    event = scheduler.schedule_at(5.0, EventKind.TIMER, "n", payload="x")
     event.cancel()
     scheduler.run()
     assert node.received == []
@@ -52,8 +52,8 @@ def test_run_until_stops_before_later_events():
     scheduler = Scheduler()
     node = CollectingNode()
     scheduler.register("n", node)
-    scheduler.schedule_at(10.0, EventKind.DELIVER, "n", payload="early")
-    scheduler.schedule_at(100.0, EventKind.DELIVER, "n", payload="late")
+    scheduler.schedule_at(10.0, EventKind.TIMER, "n", payload="early")
+    scheduler.schedule_at(100.0, EventKind.TIMER, "n", payload="late")
     scheduler.run(until=50.0)
     assert [payload for _t, payload in node.received] == ["early"]
     assert scheduler.clock.now == 50.0
@@ -66,7 +66,7 @@ def test_run_max_events_limit():
     node = CollectingNode()
     scheduler.register("n", node)
     for i in range(10):
-        scheduler.schedule_at(float(i), EventKind.DELIVER, "n", payload=i)
+        scheduler.schedule_at(float(i), EventKind.TIMER, "n", payload=i)
     dispatched = scheduler.run(max_events=4)
     assert dispatched == 4
     assert len(node.received) == 4
@@ -77,7 +77,7 @@ def test_stop_when_condition():
     node = CollectingNode()
     scheduler.register("n", node)
     for i in range(10):
-        scheduler.schedule_at(float(i + 1), EventKind.DELIVER, "n", payload=i)
+        scheduler.schedule_at(float(i + 1), EventKind.TIMER, "n", payload=i)
     scheduler.run(stop_when=lambda: len(node.received) >= 3)
     assert len(node.received) == 3
 
@@ -96,20 +96,20 @@ def test_cannot_schedule_in_the_past():
     scheduler = Scheduler()
     scheduler.clock.advance_to(100.0)
     with pytest.raises(ValueError):
-        scheduler.schedule_at(50.0, EventKind.DELIVER, "n")
+        scheduler.schedule_at(50.0, EventKind.TIMER, "n")
 
 
 def test_unknown_target_is_ignored():
     scheduler = Scheduler()
-    scheduler.schedule_at(1.0, EventKind.DELIVER, "ghost", payload="x")
+    scheduler.schedule_at(1.0, EventKind.TIMER, "ghost", payload="x")
     # No exception: the event is dropped because no node is registered.
     assert scheduler.run() == 1
 
 
 def test_pending_counts_uncancelled_events():
     scheduler = Scheduler()
-    event = scheduler.schedule_at(1.0, EventKind.DELIVER, "n")
-    scheduler.schedule_at(2.0, EventKind.DELIVER, "n")
+    event = scheduler.schedule_at(1.0, EventKind.TIMER, "n")
+    scheduler.schedule_at(2.0, EventKind.TIMER, "n")
     assert scheduler.pending == 2
     event.cancel()
     assert scheduler.pending == 1
@@ -141,10 +141,10 @@ def test_mixed_cancelled_and_simultaneous_events_keep_order():
     scheduler = Scheduler()
     node = CollectingNode()
     scheduler.register("n", node)
-    keep = [scheduler.schedule_at(5.0, EventKind.DELIVER, "n", payload=i)
+    keep = [scheduler.schedule_at(5.0, EventKind.TIMER, "n", payload=i)
             for i in range(6)]
     keep[1].cancel()
     keep[4].cancel()
-    scheduler.schedule_at(1.0, EventKind.DELIVER, "n", payload="early")
+    scheduler.schedule_at(1.0, EventKind.TIMER, "n", payload="early")
     scheduler.run()
     assert [payload for _t, payload in node.received] == ["early", 0, 2, 3, 5]
