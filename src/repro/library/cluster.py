@@ -186,18 +186,11 @@ class ProtocolNode(Node):
             self._flush(outbox)
 
     def _flush(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
-        """Transmit what a handler sent.  A flush of several copies goes to
-        the network as runs; a lone message and a node with a fault
-        registered (whose checks and random draws are per destination)
-        transmit copy by copy."""
-        if (
-            len(outbox) > 1 or len(outbox[0][0]) > 1
-        ) and self.name not in self._fault_specs:
-            self._transmit_many(outbox)
-        else:
-            for destinations, message in outbox:
-                for destination in destinations:
-                    self._transmit(destination, message)
+        """Transmit what a handler sent, or one send made outside any
+        handler: always one :meth:`_transmit_many`, hence one
+        ``Network.send_many`` call and at most one delivery train, whatever
+        the number of copies and whether or not the node is faulty."""
+        self._transmit_many(outbox)
 
     # ------------------------------------------------------------------ sends
     def queue_send(self, destination: str, message: Any) -> None:
@@ -205,17 +198,15 @@ class ProtocolNode(Node):
             self._outbox.append(((destination,), message))
         else:
             # Called from outside any handler (e.g. protocol set-up code):
-            # transmit immediately.
-            self._transmit(destination, message)
+            # a flush of its own.
+            self._flush([((destination,), message)])
 
     def queue_send_many(self, pairs: List[Tuple[str, Any]]) -> None:
+        entries = [((destination,), message) for destination, message in pairs]
         if self._in_handler:
-            self._outbox.extend(
-                [((destination,), message) for destination, message in pairs]
-            )
+            self._outbox.extend(entries)
         else:
-            for destination, message in pairs:
-                self._transmit(destination, message)
+            self._flush(entries)
 
     def queue_broadcast(self, destinations: Tuple[str, ...], message: Any) -> None:
         """Multicast ``message`` to ``destinations``: flat fan-out by
@@ -235,30 +226,28 @@ class ProtocolNode(Node):
         if self._in_handler:
             self._outbox.append((others, message))
         else:
-            for destination in others:
-                self._transmit(destination, message)
-
-    def _transmit(self, destination: str, message: Any) -> None:
-        message = self._apply_send_faults(destination, message)
-        if message is None:
-            return
-        size = message.wire_size() if hasattr(message, "wire_size") else 64
-        send_cpu = self.params.communication.send_cpu(size)
-        self.cpu_available_at += send_cpu
-        self.cpu_busy_total += send_cpu
-        not_before = self.cpu_available_at
-        delay_fault = self.fault_injector.get(self.name, FaultType.DELAY_MESSAGES, self.now)
-        if delay_fault is not None:
-            not_before += delay_fault.delay
-        self.network.send(self.name, destination, message, size, not_before=not_before)
+            self._flush([(others, message)])
 
     def _transmit_many(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
-        """:meth:`_transmit` for a whole flush of a fault-free node: each
-        outbox entry becomes one run — wire size and send cost once, then
-        the busy-time chain, one addition per destination in outbox order
-        exactly as :meth:`_transmit` makes them, whose running values are
-        the copies' departure times — and the network gets every run in one
-        call (``Network.send_many``)."""
+        """Send a flush: each outbox entry becomes one run — wire size and
+        send cost once, then the busy-time chain, one addition per
+        destination in outbox order, whose running values are the copies'
+        departure times — and the network gets every run in one call
+        (``Network.send_many``).
+
+        A node with a fault registered first passes every copy through
+        :meth:`_apply_send_faults`, in outbox order (:meth:`_faulty_outbox`):
+        a dropped copy leaves its run and takes no CPU, a changed copy
+        becomes a run of its own, and DELAY_MESSAGES moves every departure
+        of the flush back by its delay."""
+        delay = 0.0
+        if self.name in self._fault_specs:
+            outbox = self._faulty_outbox(outbox)
+            delay_fault = self.fault_injector.get(
+                self.name, FaultType.DELAY_MESSAGES, self.now
+            )
+            if delay_fault is not None:
+                delay = delay_fault.delay
         send_cpu_of = self.params.communication.send_cpu
         available = self.cpu_available_at
         busy = self.cpu_busy_total
@@ -271,10 +260,31 @@ class ProtocolNode(Node):
                 available += send_cpu
                 busy += send_cpu
                 departures.append(available)
+            if delay:
+                departures = [depart + delay for depart in departures]
             runs.append((destinations, message, size, departures))
         self.cpu_available_at = available
         self.cpu_busy_total = busy
         self.network.send_many(self.name, runs)
+
+    def _faulty_outbox(
+        self, outbox: List[Tuple[Tuple[str, ...], Any]]
+    ) -> List[Tuple[List[str], Any]]:
+        """The outbox as this faulty node sends it: every copy through
+        :meth:`_apply_send_faults` (and its random draws), in order.
+        Consecutive copies that are the same object share an entry; a
+        changed copy is a new object, hence an entry of its own."""
+        sent: List[Tuple[List[str], Any]] = []
+        for destinations, message in outbox:
+            for destination in destinations:
+                copy = self._apply_send_faults(destination, message)
+                if copy is None:
+                    continue
+                if sent and sent[-1][1] is copy:
+                    sent[-1][0].append(destination)
+                else:
+                    sent.append(([destination], copy))
+        return sent
 
     def _apply_send_faults(self, destination: str, message: Any) -> Optional[Any]:
         injector = self.fault_injector

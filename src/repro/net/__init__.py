@@ -7,6 +7,6 @@ transit time is charged per the communication cost model of Section 7.1.3
 """
 
 from repro.net.conditions import NetworkConditions
-from repro.net.network import Network, Envelope
+from repro.net.network import Network
 
-__all__ = ["NetworkConditions", "Network", "Envelope"]
+__all__ = ["NetworkConditions", "Network"]

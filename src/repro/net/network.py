@@ -5,19 +5,20 @@ applying the configured :class:`NetworkConditions`.  The network keeps
 simple counters (messages and bytes sent/dropped) that the benchmark
 harness reports alongside latency and throughput.
 
-Two ways in.  :meth:`Network.send` is one message to one destination: it
-draws loss, duplication and jitter for that copy and schedules one
-:class:`Event` carrying an :class:`Envelope`.  :meth:`Network.send_many`
-takes everything a node flushes at the end of a handler as *runs* — one
-message, its destinations, one departure time per destination — and, on a
-loss-free, jitter-free network, turns the whole flush into one
-:class:`DeliveryTrain`: type name, authentication bytes, transit time and
-the counters are worked out once per run, arrival times in one pass per
-run, and the scheduler gets one heap slot.  Every delivery keeps its own
-arrival time and its place in the global ``(time, sequence)`` order, so
-dispatch order (and therefore every modeled result) is the one
-:meth:`send` per copy would give.  Any configured impairment makes
-``send_many`` call :meth:`send` per copy, so random draws keep their order.
+One way in: :meth:`Network.send_many` takes everything a node flushes at
+the end of a handler as *runs* — one message, its destinations, one
+departure time per destination — and turns the whole flush into one
+:class:`DeliveryTrain`, one heap slot for every delivery.  Type name,
+authentication bytes and the counters are worked out once per run.  On a
+loss-free, jitter-free network so is the transit time, and arrival times
+come in one pass per run; otherwise each copy, in run order, is checked
+against the partitions, then makes the loss draw, the duplication draw and
+one jitter draw per delivered copy, a duplicate becoming the row after its
+original.  Every delivery keeps its own arrival time and its place in the
+global ``(time, sequence)`` order, so dispatch order (and therefore every
+modeled result) is the one a heap slot per copy would give.
+:meth:`Network.send` and :meth:`Network.multicast` are one-run calls into
+``send_many``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.conditions import NetworkConditions
-from repro.sim.events import DeliveryTrain, Envelope, Event, EventKind
+from repro.sim.events import DeliveryTrain
 from repro.sim.rng import SimRandom
 from repro.sim.scheduler import Scheduler
 
@@ -142,62 +143,25 @@ class Network:
         ``not_before`` lets the caller model CPU occupancy at the sender:
         the message enters the wire no earlier than that time.
         """
-        if destination not in self._endpoints:
-            # Unknown destinations are silently dropped, like UDP.
-            self.stats.messages_dropped += 1
-            return
-        now = self.scheduler.clock.now
-        depart = max(now, not_before) if not_before is not None else now
-        type_name = type(message).__name__
-        self.stats.record(type_name, size_bytes, source, _auth_bytes(message))
-
-        conditions = self.conditions
-        if conditions.partitions and conditions.is_partitioned(source, destination):
-            self.stats.messages_dropped += 1
-            return
-        if conditions.drop_probability and self.rng.chance(conditions.drop_probability):
-            self.stats.messages_dropped += 1
-            return
-
-        copies = 1
-        if conditions.duplicate_probability and self.rng.chance(
-            conditions.duplicate_probability
-        ):
-            copies += conditions.duplicate_copies
-            self.stats.messages_duplicated += copies - 1
-
-        for _ in range(copies):
-            transit = conditions.transit_time(size_bytes, self.rng)
-            self.scheduler.schedule(
-                Event.make(
-                    depart + transit,
-                    EventKind.DELIVER,
-                    destination,
-                    Envelope(source, destination, message, size_bytes, depart),
-                )
-            )
+        depart = self.scheduler.clock.now if not_before is None else not_before
+        self.send_many(source, [((destination,), message, size_bytes, (depart,))])
 
     def send_many(self, source: str, runs: Iterable[Run]) -> None:
         """Send every run of one flush from ``source``; the module docstring
         says what is worked out per flush, per run and per copy.
 
-        An unknown destination inside a run is dropped and counted as
-        :meth:`send` would; the other copies of the run still leave.
+        An unknown destination inside a run is dropped and counted; the
+        other copies of the run still leave.
         """
-        conditions = self.conditions
-        if (
-            conditions.partitions
-            or conditions.drop_probability
-            or conditions.duplicate_probability
-            or conditions.jitter > 0.0
-        ):
-            for destinations, message, size_bytes, departures in runs:
-                for destination, not_before in zip(destinations, departures):
-                    self.send(source, destination, message, size_bytes, not_before)
-            return
         now = self.scheduler.clock.now
         endpoints = self._endpoints
         stats = self.stats
+        conditions = self.conditions
+        partitions = conditions.partitions
+        drop = conditions.drop_probability
+        duplicate = conditions.duplicate_probability
+        impaired = partitions or drop or duplicate or conditions.jitter > 0.0
+        rng = self.rng
         fixed = conditions.fixed_delay
         per_byte = conditions.per_byte_delay
         times: List[float] = []
@@ -219,15 +183,33 @@ class Network:
             if min(departures) < now:
                 departures = [max(now, depart) for depart in departures]
             copies = len(destinations)
+            stats.record(
+                type(message).__name__, size_bytes, source, _auth_bytes(message), copies
+            )
+            if impaired:
+                for destination, depart in zip(destinations, departures):
+                    if (partitions and conditions.is_partitioned(source, destination)) or (
+                        drop and rng.chance(drop)
+                    ):
+                        stats.messages_dropped += 1
+                        continue
+                    copies = 1
+                    if duplicate and rng.chance(duplicate):
+                        copies += conditions.duplicate_copies
+                        stats.messages_duplicated += copies - 1
+                    for _ in range(copies):
+                        times.append(depart + conditions.transit_time(size_bytes, rng))
+                        targets.append(destination)
+                        messages.append(message)
+                        sizes.append(size_bytes)
+                        sent_at.append(depart)
+                continue
             transit = fixed + per_byte * max(0, size_bytes)
             times += [depart + transit for depart in departures]
             targets += destinations
             messages += [message] * copies
             sizes += [size_bytes] * copies
             sent_at += departures
-            stats.record(
-                type(message).__name__, size_bytes, source, _auth_bytes(message), copies
-            )
         if times:
             stats.messages_coalesced += len(times) - 1
             self.scheduler.schedule_train(
@@ -247,7 +229,7 @@ class Network:
         Each receiver still gets an independent loss/duplication draw, which
         matches UDP-over-IP-multicast behaviour on a switched LAN.
         """
-        for destination in destinations:
-            if destination == source:
-                continue
-            self.send(source, destination, message, size_bytes, not_before)
+        others = [destination for destination in destinations if destination != source]
+        if others:
+            depart = self.scheduler.clock.now if not_before is None else not_before
+            self.send_many(source, [(others, message, size_bytes, [depart] * len(others))])

@@ -8,7 +8,7 @@ reproducible.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.events import DeliveryTrain, Envelope, Event, EventKind
+from repro.sim.events import DeliveryTrain, Event, EventKind
 from repro.sim.scheduler import Scheduler
 from repro.sim.node import Node, Timer
 from repro.sim.rng import SimRandom
@@ -22,7 +22,6 @@ __all__ = [
     "SimClock",
     "Event",
     "EventKind",
-    "Envelope",
     "DeliveryTrain",
     "Scheduler",
     "Node",

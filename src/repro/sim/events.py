@@ -1,15 +1,16 @@
 """Simulation events.
 
-An event is something that happens at a node at a point in simulated time:
-the delivery of a message, the expiration of a timer, or an internal action
-scheduled by the node itself (e.g. the start of a proactive recovery).
+Something happens at a node at a point in simulated time: a message is
+delivered, a timer expires, or an internal action the node scheduled itself
+comes due (e.g. the start of a proactive recovery).
 
-Two things can sit in the scheduler's heap.  An :class:`Event` is one
-occurrence: a timer, an internal action, a single message delivery.  A
-:class:`DeliveryTrain` is every delivery one sender handed to the network in
-one flush, held as parallel arrays — one row per delivered copy, one heap
-slot for the lot — because at n = 31 a multicast is thirty deliveries that
-differ only in target and arrival time.
+Two things can sit in the scheduler's heap.  An :class:`Event` is one timer
+or internal action.  A :class:`DeliveryTrain` is every delivery one sender
+handed to the network in one flush — a lone reply as much as a multicast —
+held as parallel arrays, one row per delivered copy and one heap slot for
+the lot, because at n = 31 a multicast is thirty deliveries that differ
+only in target and arrival time.  Trains are the only way a message reaches
+a node.
 
 Both are ordered by ``(time, sequence)``.  Sequence numbers come from one
 global counter, one per :class:`Event` and one *block* per train
@@ -31,7 +32,6 @@ from typing import Any, Callable, List, Optional
 class EventKind(enum.Enum):
     """Classification of simulation events."""
 
-    DELIVER = "deliver"
     TIMER = "timer"
     INTERNAL = "internal"
 
@@ -45,17 +45,6 @@ def reserve_sequences(count: int) -> int:
     first = _next_sequence
     _next_sequence = first + count
     return first
-
-
-@dataclass(slots=True)
-class Envelope:
-    """What the network delivers to a node: a message plus its provenance."""
-
-    source: str
-    destination: str
-    message: Any
-    size_bytes: int
-    sent_at: float
 
 
 @dataclass(order=True, slots=True)
@@ -130,9 +119,9 @@ class DeliveryTrain:
         sizes: List[int],
         sent_at: List[float],
     ) -> None:
-        if times != sorted(times):
-            # A small message overtook a larger one sent before it.  The
-            # sort is stable, so equal arrivals stay in creation order.
+        if len(times) > 1 and times != sorted(times):
+            # A small (or less jittered) copy overtook one sent before it.
+            # The sort is stable, so equal arrivals stay in creation order.
             order = sorted(range(len(times)), key=times.__getitem__)
             times, targets, messages, sizes, sent_at = (
                 [column[row] for row in order]
@@ -146,19 +135,3 @@ class DeliveryTrain:
         self.sent_at = sent_at
         self.sequence = reserve_sequences(len(times))
         self.cursor = 0
-
-    def event(self, row: int) -> Event:
-        """Row ``row`` as a stand-alone DELIVER event carrying an
-        :class:`Envelope` — what a node that only implements
-        ``handle_event`` is handed."""
-        target = self.targets[row]
-        return Event(
-            self.times[row],
-            self.sequence + row,
-            EventKind.DELIVER,
-            target,
-            Envelope(
-                self.source, target, self.messages[row], self.sizes[row],
-                self.sent_at[row],
-            ),
-        )

@@ -3,8 +3,9 @@
 The paper assumes a strong adversary that can coordinate faulty nodes,
 delay correct nodes, and corrupt replica state.  The classes here describe
 the fault behaviours the test-suite and the benchmarks inject: crashes,
-mute primaries, equivocation (conflicting pre-prepares), state corruption,
-message tampering, and replay.
+mute primaries, equivocation (conflicting pre-prepares), dropped, delayed
+and tampered messages.  State corruption is injected directly
+(``BFTCluster.corrupt_replica_state``), not through a fault spec.
 """
 
 from __future__ import annotations
@@ -25,17 +26,12 @@ class FaultType(enum.Enum):
     EQUIVOCATE = "equivocate"
     #: Replica sends corrupted replies (wrong result digest).
     CORRUPT_REPLY = "corrupt-reply"
-    #: Replica's service state is silently corrupted (detected by state
-    #: checking during recovery).
-    CORRUPT_STATE = "corrupt-state"
     #: Replica drops a fraction of protocol messages it should send.
     DROP_MESSAGES = "drop-messages"
     #: Replica delays all outgoing messages by a constant amount.
     DELAY_MESSAGES = "delay-messages"
     #: Faulty client: sends requests with corrupt authenticators.
     BAD_AUTHENTICATOR = "bad-authenticator"
-    #: Replica replays old messages it has previously sent.
-    REPLAY = "replay"
     #: Interior node of a dissemination tree silently drops the relay
     #: bundles it should forward (its own multicasts still go out).
     SILENT_RELAY = "silent-relay"

@@ -2,7 +2,10 @@
 
 A node owns a name, a reference to the scheduler (for the clock and for
 setting timers), and a network endpoint.  Subclasses implement
-``on_message`` and ``on_timer``.
+``on_message`` and ``on_timer``.  Timers and internal actions reach the
+node as events, through :meth:`Node.handle_event`; messages reach it as the
+rows of delivery trains, which the scheduler hands straight to
+:meth:`Node.on_message`.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ class Node:
     # ------------------------------------------------------------------ hooks
     def on_message(self, message: Any, arrival_time: float, size_bytes: int) -> None:
         """Handle a delivered message.  The scheduler calls this directly
-        for the rows of a delivery train — not through :meth:`handle_event`
-        — so an implementation checks ``self.crashed`` itself."""
+        for each row of a delivery train — messages never pass through
+        :meth:`handle_event` — so an implementation checks ``self.crashed``
+        itself."""
         raise NotImplementedError
 
     def on_timer(self, label: str) -> None:
@@ -76,10 +80,7 @@ class Node:
         if self.crashed:
             return
         kind = event.kind
-        if kind is EventKind.DELIVER:
-            envelope = event.payload
-            self.on_message(envelope.message, event.time, envelope.size_bytes)
-        elif kind is EventKind.TIMER:
+        if kind is EventKind.TIMER:
             self.on_timer(event.payload)
         elif kind is EventKind.INTERNAL:
             self.on_internal(event.payload)

@@ -10,12 +10,13 @@ ties, an int — never the dataclass-generated ``Event.__lt__`` — and
 same-time events break ties on the global insertion sequence, keeping
 dispatch deterministic.
 
-An item is an :class:`Event` or a :class:`DeliveryTrain` — every delivery of
-one network flush in one slot (see :mod:`repro.sim.events` for why its block
-of sequence numbers orders it exactly).  A train is walked *in place*: while
-it is the heap's minimum the run loop delivers its next row straight to the
-node's ``on_message`` — no ``Event``, no ``Envelope``, no ``handle_event``
-hop, no clock call — and then re-keys the slot to the following row with one
+An item is an :class:`Event` (a timer or an internal action) or a
+:class:`DeliveryTrain` — every delivery of one network flush in one slot
+(see :mod:`repro.sim.events` for why its block of sequence numbers orders it
+exactly); every message arrives in a train.  A train is walked *in place*:
+while it is the heap's minimum the run loop delivers its next row straight
+to the node's ``on_message`` — no ``Event``, no ``handle_event`` hop, no
+clock call — and then re-keys the slot to the following row with one
 ``heapreplace``.  The heap does the comparison of that row against
 everything else pending, so the dispatch order is the one a heap slot per
 delivery would give, and ``stop_when`` / ``max_events`` / ``until`` apply
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.sim.clock import SimClock
 from repro.sim.events import DeliveryTrain, Event, EventKind
@@ -38,15 +39,13 @@ _Slot = Tuple[float, int, Union[Event, DeliveryTrain]]
 class Scheduler:
     """Drives the simulation.
 
-    Nodes are registered under a unique name.  Anything in the system that
-    wants work done later (the network delivering a message, a node setting
-    a timer) schedules an :class:`Event`; the scheduler advances the clock
-    and hands each event to its target node's ``handle_event`` method, or to
-    the event's callback when one is attached.  Message deliveries that
-    arrive as a :class:`DeliveryTrain` go to the node's
-    ``on_message(message, arrival_time, size_bytes)`` directly; a node
-    without that method gets the same delivery as an :class:`Event` through
-    ``handle_event``.
+    Nodes are registered under a unique name.  A node setting a timer or
+    scheduling an internal action schedules an :class:`Event`; the scheduler
+    advances the clock and hands each event to its target node's
+    ``handle_event`` method, or to the event's callback when one is
+    attached.  The network schedules a :class:`DeliveryTrain`, whose rows
+    go to the target node's ``on_message(message, arrival_time,
+    size_bytes)``.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
@@ -54,8 +53,6 @@ class Scheduler:
         self._queue: List[_Slot] = []
         self._nodes: Dict[str, "NodeLike"] = {}
         self._nodes_view: Mapping[str, "NodeLike"] = MappingProxyType(self._nodes)
-        #: The registered nodes that take train rows through ``on_message``.
-        self._receivers: Dict[str, "NodeLike"] = {}
         self._dispatched = 0
 
     # ------------------------------------------------------------------ nodes
@@ -63,12 +60,9 @@ class Scheduler:
         if name in self._nodes:
             raise ValueError(f"node {name!r} already registered")
         self._nodes[name] = node
-        if hasattr(node, "on_message"):
-            self._receivers[name] = node
 
     def unregister(self, name: str) -> None:
         self._nodes.pop(name, None)
-        self._receivers.pop(name, None)
 
     def node(self, name: str) -> "NodeLike":
         return self._nodes[name]
@@ -153,7 +147,6 @@ class Scheduler:
         dispatched = 0
         queue = self._queue
         nodes = self._nodes
-        receivers = self._receivers
         clock = self.clock
         advance_to = clock.advance_to
         pop = heapq.heappop
@@ -200,34 +193,22 @@ class Scheduler:
             else:
                 clock._now = when
             self._dispatched += 1
-            target = item.targets[row]
-            node = receivers.get(target)
+            node = nodes.get(item.targets[row])
             if node is not None:
                 node.on_message(item.messages[row], when, item.sizes[row])
-            elif target in nodes:
-                nodes[target].handle_event(item.event(row))
             dispatched += 1
         return dispatched
 
-    def _peek(self) -> Optional[Event]:
-        """The event :meth:`step` would dispatch (a train's next row as an
-        :class:`Event`), without dispatching it."""
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        if not queue:
-            return None
-        item = queue[0][2]
-        return item.event(item.cursor) if type(item) is DeliveryTrain else item
-
 
 class NodeLike:
-    """Structural interface the scheduler expects of registered nodes.
-
-    ``handle_event`` is required.  A node may also define
-    ``on_message(message, arrival_time, size_bytes)`` — :class:`repro.sim.node.Node`
-    does — to take train deliveries without the ``Event`` wrapper.
-    """
+    """Structural interface the scheduler expects of registered nodes:
+    ``handle_event`` for the timers and internal actions aimed at the node,
+    ``on_message`` for the rows of delivery trains."""
 
     def handle_event(self, event: Event) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def on_message(
+        self, message: Any, arrival_time: float, size_bytes: int
+    ) -> None:  # pragma: no cover - interface
         raise NotImplementedError

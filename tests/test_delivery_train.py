@@ -342,37 +342,6 @@ def test_until_stops_between_rows_and_moves_the_clock_there():
     assert [(time, target) for time, target, _message in log] == [(4.0, "b"), (14.0, "c")]
 
 
-class HandleEventOnly:
-    """A node from before ``on_message`` deliveries: just ``handle_event``."""
-
-    def __init__(self):
-        self.events: List[Event] = []
-
-    def handle_event(self, event):
-        self.events.append(event)
-
-
-def test_a_node_with_only_handle_event_still_gets_an_event_with_an_envelope():
-    from repro.net.network import Envelope
-
-    sink = HandleEventOnly()
-    scheduler, network, nodes, log = quiet_world(("sink", sink))
-    network.send_many("a", [
-        (("b", "sink"), ("first", 0), 2, [0.0, 1.0]),
-        (("sink",), ("second", 0), 0, [3.0]),
-    ])
-    scheduler.run()
-    assert [type(event) for event in sink.events] == [Event, Event]
-    first, second = sink.events
-    assert (first.time, first.kind, first.target) == (6.0, EventKind.DELIVER, "sink")
-    assert first.payload == Envelope("a", "sink", ("first", 0), 2, 1.0)
-    assert (second.time, second.payload) == (
-        7.0, Envelope("a", "sink", ("second", 0), 0, 3.0)
-    )
-    assert first.sequence < second.sequence
-    assert log == [(5.0, "b", ("first", 0))]
-
-
 def test_unknown_destination_in_a_run_is_one_drop_and_the_rest_arrive():
     scheduler, network, nodes, log = quiet_world()
     network.send_many("a", [
@@ -410,13 +379,13 @@ def test_messages_coalesced_counts_deliveries_without_a_slot_of_their_own():
     network.send_many("a", [])
     assert len(scheduler._queue) == 3
 
-    # An impaired network draws per copy: every delivery gets its own slot.
+    # An impaired network draws per copy, but the copies still share a slot.
     lossy = Scheduler()
     impaired = Network(lossy, NetworkConditions(jitter=1.0, **CONDITIONS), SimRandom(1))
     for name in NAMES:
         impaired.register(name)
     impaired.send_many("a", [(("b", "c", "d"), "multicast", 0, [0.0, 0.0, 0.0])])
-    assert impaired.stats.messages_coalesced == 0 and len(lossy._queue) == 3
+    assert impaired.stats.messages_coalesced == 3 - 1 and len(lossy._queue) == 1
 
 
 def test_a_train_cannot_be_scheduled_in_the_past():

@@ -172,14 +172,14 @@ def test_mute_primary_during_tree_mode_recovers_via_view_change():
 def test_batched_send_path_applies_relay_faults_in_flat_order():
     """Satellite audit: ``ProtocolNode._transmit_many`` must run the
     per-message fault checks in the same order (and with the same RNG
-    draws) as the per-message ``_transmit`` path, including when the sender
+    draws) as sending each copy on its own did, including when the sender
     is a relay flushing bundles.  A probabilistic drop fault on the
     view-0 interior forwarder makes any ordering divergence visible as a
     different drop pattern, hence different modeled results.
 
-    The literals are the run as every handler flush went out copy by copy
-    through ``_transmit`` (captured at the parent of PR 21, where that was
-    still selectable and this test showed the two agree)."""
+    The literals are the run as every handler flush went out copy by copy,
+    captured while that path was still selectable and this test showed the
+    two agree."""
     drop = FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
                      probability=0.4, start=0.0)
     cluster, result = _run(TREE, (drop,), clients=3, ops=8)
