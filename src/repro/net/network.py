@@ -193,11 +193,11 @@ class Network:
                     ):
                         stats.messages_dropped += 1
                         continue
-                    copies = 1
+                    deliveries = 1
                     if duplicate and rng.chance(duplicate):
-                        copies += conditions.duplicate_copies
-                        stats.messages_duplicated += copies - 1
-                    for _ in range(copies):
+                        deliveries += conditions.duplicate_copies
+                        stats.messages_duplicated += deliveries - 1
+                    for _ in range(deliveries):
                         times.append(depart + conditions.transit_time(size_bytes, rng))
                         targets.append(destination)
                         messages.append(message)
