@@ -14,7 +14,8 @@ Covers the dirty-page ``Service`` contract of this PR:
 * every byte the paged store hands out — digests, page encodings, snapshot
   pages and the META-DATA / DATA messages served from a checkpoint — equals
   a from-scratch encoding of a shadow dict, whatever mix of mutation,
-  snapshot, release, restore and page install came before.
+  snapshot, release, restore and page install came before, and no page
+  record a checkpoint captured ever changes afterwards.
 """
 
 from __future__ import annotations
@@ -439,6 +440,7 @@ def _run_paged_ops(ops) -> None:
     store = replica.service
     shadow: dict = {}
     held: dict = {}  # checkpoint seq -> (snapshot, shadow copy at that time)
+    captured: list = []  # (record, its fields when a checkpoint captured it)
     for op in ops:
         kind = op[0]
         picked = sorted(held)[op[1] % len(held)] if held and kind in (
@@ -457,6 +459,10 @@ def _run_paged_ops(ops) -> None:
         elif kind == "SNAPSHOT":
             seq = 4 * (max(held, default=0) // 4 + 1)
             held[seq] = (store.snapshot(), dict(shadow))
+            captured += [
+                (record, (record.value, record.digest, record.last_modified))
+                for record in store._tree._checkpoints[held[seq][0].snap_id].pages.values()
+            ]
             replica.checkpoints[seq] = CheckpointSnapshot(
                 seq=seq, state_digest=b"", service_snapshot=held[seq][0],
                 last_reply_timestamp={}, last_reply={},
@@ -481,6 +487,8 @@ def _run_paged_ops(ops) -> None:
                     if key in target:
                         shadow[key] = target[key]
         _check_byte_identity(replica, shadow, held)
+        for record, fields in captured:
+            assert (record.value, record.digest, record.last_modified) == fields
 
 
 @settings(max_examples=500, deadline=None)
@@ -488,7 +496,8 @@ def _run_paged_ops(ops) -> None:
 def test_paged_store_bytes_equal_scratch_reference(ops):
     """Digests, page encodings, snapshot pages and served META-DATA / DATA
     are byte-identical to a from-scratch encoding of the shadow state after
-    every step."""
+    every step, and every page record a checkpoint captured still holds the
+    value, digest and last-modified number it was captured with."""
     _run_paged_ops(ops)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.events import Event, EventKind
+from repro.sim.node import Node
 from repro.sim.scheduler import Scheduler
 
 
@@ -148,3 +149,23 @@ def test_mixed_cancelled_and_simultaneous_events_keep_order():
     scheduler.schedule_at(1.0, EventKind.TIMER, "n", payload="early")
     scheduler.run()
     assert [payload for _t, payload in node.received] == ["early", 0, 2, 3, 5]
+
+
+# ------------------------------------------------------------------ timers
+@pytest.mark.xfail(strict=True, reason="Timer keeps the dispatched event, so "
+                   "running stays True after the timer fired")
+def test_timer_is_not_running_once_it_fired():
+    scheduler = Scheduler()
+    fired = []
+    node = Node("n", scheduler)
+    node.on_timer = fired.append
+    timer = node.new_timer("t", 5.0)
+    assert not timer.running
+    timer.start()
+    assert timer.running
+    scheduler.run()
+    assert fired == ["t"] and not timer.running
+    timer.restart_if_stopped()
+    assert timer.running
+    timer.stop()
+    assert not timer.running and scheduler.run() == 0 and fired == ["t"]
