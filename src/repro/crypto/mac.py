@@ -24,7 +24,7 @@ MAC_SIZE = 8
 BytesLike = Union[bytes, bytearray, memoryview]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MACKey:
     """A symmetric session key shared by a sender/receiver pair."""
 

@@ -168,7 +168,6 @@ class Network:
         targets: List[str] = []
         messages: List[Any] = []
         sizes: List[int] = []
-        sent_at: List[float] = []
         for destinations, message, size_bytes, departures in runs:
             if not endpoints.issuperset(destinations):
                 known = [
@@ -202,18 +201,16 @@ class Network:
                         targets.append(destination)
                         messages.append(message)
                         sizes.append(size_bytes)
-                        sent_at.append(depart)
                 continue
             transit = fixed + per_byte * max(0, size_bytes)
             times += [depart + transit for depart in departures]
             targets += destinations
             messages += [message] * copies
             sizes += [size_bytes] * copies
-            sent_at += departures
         if times:
             stats.messages_coalesced += len(times) - 1
             self.scheduler.schedule_train(
-                DeliveryTrain(source, times, targets, messages, sizes, sent_at)
+                DeliveryTrain(times, targets, messages, sizes)
             )
 
     def multicast(

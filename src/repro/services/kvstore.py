@@ -16,13 +16,15 @@ State is mapped onto pages by hashing each key into one of
 ``num_buckets`` buckets (a page holds the sorted records of its bucket),
 so a mutation dirties exactly one page and the incremental checkpoint
 machinery of :class:`~repro.services.interface.Service` only rehashes
-the touched buckets.  The bucket function (CRC-32 of the key) is
+the touched buckets.  Each bucket's keys are kept as one sorted tuple, the
+order its page lists them in.  The bucket function (CRC-32 of the key) is
 deterministic across processes, which keeps digests replica-independent.
 """
 
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.services.interface import BatchOp, ExecutionResult, Service
@@ -80,6 +82,18 @@ def _decode_records(blob: bytes) -> Tuple[Tuple[bytes, bytes], ...]:
     return tuple(zip(fields[::2], fields[1::2]))
 
 
+def _with_key(keys: Tuple[bytes, ...], key: bytes) -> Tuple[bytes, ...]:
+    """``keys`` (sorted, without ``key``) with ``key`` inserted in order."""
+    position = bisect_left(keys, key)
+    return keys[:position] + (key,) + keys[position:]
+
+
+def _without_key(keys: Tuple[bytes, ...], key: bytes) -> Tuple[bytes, ...]:
+    """``keys`` (sorted, holding ``key``) with ``key`` taken out."""
+    position = bisect_left(keys, key)
+    return keys[:position] + keys[position + 1:]
+
+
 class KeyValueStore(Service):
     """An in-memory key-value store with optional per-client access control."""
 
@@ -93,8 +107,9 @@ class KeyValueStore(Service):
     def __init__(self, writers: Optional[Set[str]] = None) -> None:
         super().__init__()
         self._data: Dict[bytes, bytes] = {}
-        #: Bucket index -> keys currently mapped to it.
-        self._buckets: Dict[int, Set[bytes]] = {}
+        #: Bucket index -> the keys currently mapped to it, sorted; a
+        #: bucket with no keys has no entry.
+        self._buckets: Dict[int, Tuple[bytes, ...]] = {}
         #: Clients allowed to mutate state; ``None`` means everyone.
         self._writers = writers
 
@@ -106,7 +121,7 @@ class KeyValueStore(Service):
     def _store(self, key: bytes, value: bytes) -> None:
         bucket = self.bucket_of(key)
         if key not in self._data:
-            self._buckets.setdefault(bucket, set()).add(key)
+            self._buckets[bucket] = _with_key(self._buckets.get(bucket, ()), key)
         self._data[key] = value
         self._touch(bucket)
 
@@ -115,11 +130,11 @@ class KeyValueStore(Service):
             return False
         del self._data[key]
         bucket = self.bucket_of(key)
-        keys = self._buckets.get(bucket)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._buckets[bucket]
+        keys = _without_key(self._buckets[bucket], key)
+        if keys:
+            self._buckets[bucket] = keys
+        else:
+            del self._buckets[bucket]
         self._touch(bucket)
         return True
 
@@ -199,7 +214,7 @@ class KeyValueStore(Service):
                 key = parsed[1]
                 bucket = bucket_of(key)
                 if key not in data:
-                    buckets.setdefault(bucket, set()).add(key)
+                    buckets[bucket] = _with_key(buckets.get(bucket, ()), key)
                 data[key] = parsed[2]
                 dirty.add(bucket)
                 mutations += 1
@@ -210,11 +225,11 @@ class KeyValueStore(Service):
                 if key in data:
                     del data[key]
                     bucket = bucket_of(key)
-                    keys = buckets.get(bucket)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            del buckets[bucket]
+                    keys = _without_key(buckets[bucket], key)
+                    if keys:
+                        buckets[bucket] = keys
+                    else:
+                        del buckets[bucket]
                     dirty.add(bucket)
                     mutations += 1
                     append(ExecutionResult(result=b"OK"))
@@ -227,7 +242,7 @@ class KeyValueStore(Service):
                 if current == expected or (current is None and expected == b"-"):
                     bucket = bucket_of(key)
                     if key not in data:
-                        buckets.setdefault(bucket, set()).add(key)
+                        buckets[bucket] = _with_key(buckets.get(bucket, ()), key)
                     data[key] = new
                     dirty.add(bucket)
                     mutations += 1
@@ -288,11 +303,8 @@ class KeyValueStore(Service):
     # ----------------------------------------------------- dirty-page hooks
     def _page_payload(self, index: int) -> Tuple[Tuple[bytes, bytes], ...]:
         """A bucket's records in key order, sharing ``_data``'s objects."""
-        keys = self._buckets.get(index)
-        if not keys:
-            return ()
         data = self._data
-        return tuple((key, data[key]) for key in sorted(keys))
+        return tuple((key, data[key]) for key in self._buckets.get(index, ()))
 
     _encode_payload = staticmethod(_encode_records)
     _decode_payload = staticmethod(_decode_records)
@@ -326,17 +338,17 @@ class KeyValueStore(Service):
             self._data.pop(key, None)
         if payload:
             self._data.update(payload)
-            self._buckets[index] = {key for key, _value in payload}
+            self._buckets[index] = tuple(sorted({key for key, _value in payload}))
 
     def _export_state(self) -> object:
         return dict(self._data)
 
     def _import_state(self, state: object) -> None:
         self._data = dict(state)  # type: ignore[arg-type]
-        buckets: Dict[int, Set[bytes]] = {}
-        for key in self._data:
-            buckets.setdefault(self.bucket_of(key), set()).add(key)
-        self._buckets = buckets
+        buckets: Dict[int, List[bytes]] = {}
+        for key in sorted(self._data):
+            buckets.setdefault(self.bucket_of(key), []).append(key)
+        self._buckets = {index: tuple(keys) for index, keys in buckets.items()}
 
     # ------------------------------------------------------------ corruption
     def corrupt(self) -> None:

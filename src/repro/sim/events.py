@@ -20,6 +20,12 @@ block's first number orders each row against everything outside the train
 exactly as the row's own number would.  Inside the train the rows are kept
 sorted by time, which for numbers handed out in row order *is*
 ``(time, sequence)`` order.
+
+A timer is one :class:`Event` for its whole life.  Each (re)start gives it
+a new ``(time, sequence)`` — a fresh number, as a new event would get —
+while its heap slot may still sit at an earlier key (``slot_time``); the
+scheduler moves the slot on when it reaches it (see
+:meth:`repro.sim.scheduler.Scheduler.reschedule`).
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ class Event:
     payload: Any = field(compare=False, default=None)
     callback: Optional[Callable[[], None]] = field(compare=False, default=None)
     cancelled: bool = field(compare=False, default=False)
+    #: Time of the heap slot that holds the event, ``None`` while no slot
+    #: does (never scheduled, or popped: dispatched or dropped as cancelled).
+    #: Never later than ``time``.
+    slot_time: Optional[float] = field(compare=False, default=None, repr=False)
 
     @classmethod
     def make(
@@ -94,44 +104,34 @@ class Event:
 class DeliveryTrain:
     """The deliveries of one flush of one sender, as parallel arrays.
 
-    Row ``i`` says: ``messages[i]`` (``sizes[i]`` bytes on the wire, sent at
-    ``sent_at[i]``) arrives at node ``targets[i]`` at ``times[i]``.  Rows are
-    sorted by arrival time, ties in creation order.  ``cursor`` is the first
+    Row ``i`` says: ``messages[i]`` (``sizes[i]`` bytes on the wire) arrives
+    at node ``targets[i]`` at ``times[i]``.  Rows are sorted by arrival
+    time, ties in creation order.  ``cursor`` is the first
     row not yet delivered; the scheduler keeps the train in its heap under
     ``(times[cursor], sequence)`` and advances the cursor as it delivers.
     A delivery cannot be cancelled, so a train never is.
     """
 
-    __slots__ = (
-        "source", "times", "targets", "messages", "sizes", "sent_at",
-        "sequence", "cursor",
-    )
-
-    #: Read by the scheduler on whatever is at the top of its heap.
-    cancelled = False
+    __slots__ = ("times", "targets", "messages", "sizes", "sequence", "cursor")
 
     def __init__(
         self,
-        source: str,
         times: List[float],
         targets: List[str],
         messages: List[Any],
         sizes: List[int],
-        sent_at: List[float],
     ) -> None:
         if len(times) > 1 and times != sorted(times):
             # A small (or less jittered) copy overtook one sent before it.
             # The sort is stable, so equal arrivals stay in creation order.
             order = sorted(range(len(times)), key=times.__getitem__)
-            times, targets, messages, sizes, sent_at = (
+            times, targets, messages, sizes = (
                 [column[row] for row in order]
-                for column in (times, targets, messages, sizes, sent_at)
+                for column in (times, targets, messages, sizes)
             )
-        self.source = source
         self.times = times
         self.targets = targets
         self.messages = messages
         self.sizes = sizes
-        self.sent_at = sent_at
         self.sequence = reserve_sequences(len(times))
         self.cursor = 0

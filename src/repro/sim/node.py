@@ -5,7 +5,8 @@ setting timers), and a network endpoint.  Subclasses implement
 ``on_message`` and ``on_timer``.  Timers and internal actions reach the
 node as events, through :meth:`Node.handle_event`; messages reach it as the
 rows of delivery trains, which the scheduler hands straight to
-:meth:`Node.on_message`.
+:meth:`Node.on_message`.  A :class:`Timer` keeps one event, and so one heap
+slot, however often it is restarted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ class Timer:
 
     Mirrors the view-change and retransmission timers in the paper: timers
     can be started, stopped and restarted; when one fires the node's
-    ``on_timer`` method is invoked with the timer's label.
+    ``on_timer`` method is invoked with the timer's label.  A timer is one
+    :class:`Event` and at most one heap slot for its whole life: a restart
+    re-keys it (:meth:`Scheduler.reschedule`) rather than leaving a
+    cancelled event behind.
     """
 
     def __init__(self, node: "Node", label: str, period: float) -> None:
@@ -32,20 +36,25 @@ class Timer:
 
     @property
     def running(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        """Started, and neither stopped nor fired since."""
+        event = self._event
+        return event is not None and not event.cancelled and event.slot_time is not None
 
     def start(self, period: Optional[float] = None) -> None:
         """(Re)start the timer; an already-running timer is rescheduled."""
-        self.stop()
         delay = self.period if period is None else period
-        self._event = self.node.scheduler.schedule_after(
-            delay, EventKind.TIMER, self.node.name, payload=self.label
-        )
+        scheduler = self.node.scheduler
+        when = scheduler.clock.now + delay
+        if self._event is None:
+            self._event = scheduler.schedule_at(
+                when, EventKind.TIMER, self.node.name, payload=self.label
+            )
+        else:
+            scheduler.reschedule(self._event, when)
 
     def stop(self) -> None:
         if self._event is not None:
             self._event.cancel()
-            self._event = None
 
     def restart_if_stopped(self, period: Optional[float] = None) -> None:
         if not self.running:

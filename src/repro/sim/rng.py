@@ -3,13 +3,20 @@
 Every source of nondeterminism in the simulation (network delays, drops,
 duplicate deliveries, fault timing, workload think times) draws from a
 ``SimRandom`` instance so that runs are reproducible given a seed.
+
+A ``SimRandom`` holds only its seed until something draws from it: every
+node and network gets one, but only fault injection, lossy or jittered
+networks and workload generators ever draw, so most never build the
+Mersenne Twister (about 2.5 KB of state).  The stream a draw sees does not
+depend on when the generator was built, and :meth:`SimRandom.fork` derives
+from the seed alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Any, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -22,9 +29,17 @@ class SimRandom:
     sequence seen elsewhere.
     """
 
+    __slots__ = ("_seed", "_rng")
+
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
-        self._rng = random.Random(seed)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while ``_rng`` is unset, i.e. on the first draw.
+        if name != "_rng":
+            raise AttributeError(name)
+        self._rng = rng = random.Random(self._seed)
+        return rng
 
     @property
     def seed(self) -> int:

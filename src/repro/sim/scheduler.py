@@ -21,6 +21,17 @@ clock call — and then re-keys the slot to the following row with one
 everything else pending, so the dispatch order is the one a heap slot per
 delivery would give, and ``stop_when`` / ``max_events`` / ``until`` apply
 between any two rows because every row is one turn of the same loop.
+
+A timer holds one heap slot, however often it is restarted or stopped
+(:meth:`Scheduler.reschedule`).  A restart takes a fresh sequence number,
+as a new event would, but a slot that is not later than the new deadline
+stays where it is: when it reaches the top of the heap the run loop sees
+that the event's ``(time, sequence)`` has moved on and re-keys the slot
+there — nothing is dispatched or counted and the clock does not move.  A
+stopped timer's slot is dropped the same way when it reaches the top.  The
+slot is therefore never later than the firing it stands for, and every
+firing happens at the place in the order a fresh event per restart would
+give it.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.sim.clock import SimClock
-from repro.sim.events import DeliveryTrain, Event, EventKind
+from repro.sim.events import DeliveryTrain, Event, EventKind, reserve_sequences
 
 #: A heap slot: (time, sequence, event or train).
 _Slot = Tuple[float, int, Union[Event, DeliveryTrain]]
@@ -83,7 +94,34 @@ class Scheduler:
         if event.time + 1e-9 < self.clock.now:
             raise self._in_the_past(event.time)
         heapq.heappush(self._queue, (event.time, event.sequence, event))
+        event.slot_time = event.time
         return event
+
+    def reschedule(self, event: Event, when: float) -> None:
+        """Make ``event`` due at ``when`` under a fresh sequence number:
+        what cancelling it and scheduling a new event would do, in the one
+        heap slot the event already has (or a new one, if it has none).
+
+        A slot not later than ``when`` is left for the run loop to move
+        on; only a slot later than ``when`` is moved now.
+        """
+        if when + 1e-9 < self.clock.now:
+            raise self._in_the_past(when)
+        event.time = when
+        event.sequence = sequence = reserve_sequences(1)
+        event.cancelled = False
+        slot_time = event.slot_time
+        if slot_time is None:
+            heapq.heappush(self._queue, (when, sequence, event))
+            event.slot_time = when
+        elif when < slot_time:
+            queue = self._queue
+            position = next(
+                index for index, slot in enumerate(queue) if slot[2] is event
+            )
+            queue[position] = (when, sequence, event)
+            heapq.heapify(queue)
+            event.slot_time = when
 
     def schedule_train(self, train: DeliveryTrain) -> None:
         """Put a train's undelivered rows (at least one) in the queue."""
@@ -157,14 +195,22 @@ class Scheduler:
             if max_events is not None and dispatched >= max_events:
                 break
             when, sequence, item = queue[0]
-            if item.cancelled:
-                pop(queue)
+            if type(item) is Event and (item.cancelled or item.sequence != sequence):
+                if item.cancelled:
+                    pop(queue)
+                    item.slot_time = None
+                else:
+                    # A timer restarted after this slot was taken: move
+                    # the slot to the event's real key, dispatching nothing.
+                    replace(queue, (item.time, item.sequence, item))
+                    item.slot_time = item.time
                 continue
             if until is not None and when > until:
                 advance_to(until)
                 break
             if type(item) is Event:
                 pop(queue)
+                item.slot_time = None
                 advance_to(when)
                 self._dispatched += 1
                 if item.callback is not None:

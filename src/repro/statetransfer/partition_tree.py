@@ -21,8 +21,10 @@ Two digest modes are supported:
   written.  Digests and the root are maintained eagerly in
   :meth:`write_page`, an empty page contributes nothing (writing ``b""``
   deletes a page for digest purposes), and :meth:`take_checkpoint` only has
-  to record copy-on-write snapshots of the dirty pages.  This mode backs
-  the incremental ``state_digest``/``snapshot`` implementation of
+  to record copy-on-write snapshots of the dirty pages.  A checkpoint holds
+  the working record itself, not a copy of it, and a captured record never
+  changes: ``write_page`` replaces the working record instead.  This mode
+  backs the incremental ``state_digest``/``snapshot`` implementation of
   :class:`repro.services.interface.Service`, which stores each page
   as an opaque immutable *payload* (truthy unless the page is empty) and
   supplies the ``encode`` function that turns one into the bytes its digest
@@ -99,9 +101,13 @@ def group_level_digests(
     return {index: d for index, d in grouped.items() if d}
 
 
-@dataclass
+@dataclass(slots=True)
 class PageRecord:
-    """State of one page in the current (working) tree."""
+    """State of one page in the working tree or a checkpoint copy.
+
+    ``last_modified`` is ``-1`` until a checkpoint captures the record.  In
+    content-digest mode a record is not changed once a checkpoint holds it.
+    """
 
     index: int
     last_modified: int
@@ -187,17 +193,13 @@ class PartitionTree:
             new_digest = content_page_digest(
                 index, value if self._encode is None else self._encode(value)
             )
-            if record is None:
-                self._pages[index] = PageRecord(
-                    index=index, last_modified=-1, value=value, digest=new_digest
-                )
-                self._root_digest = (self._root_digest + new_digest) % _ADHASH_MODULUS
-            else:
-                self._root_digest = (
-                    self._root_digest - record.digest + new_digest
-                ) % _ADHASH_MODULUS
-                record.value = value
-                record.digest = new_digest
+            old_digest = 0 if record is None else record.digest
+            self._pages[index] = PageRecord(
+                index=index, last_modified=-1, value=value, digest=new_digest
+            )
+            self._root_digest = (
+                self._root_digest - old_digest + new_digest
+            ) % _ADHASH_MODULUS
             return
         if record is None:
             self._pages[index] = PageRecord(
@@ -235,24 +237,32 @@ class PartitionTree:
         """Create the checkpoint for sequence number ``seq``.
 
         Digests of unmodified pages are reused; only dirty pages are
-        re-hashed and copied, which is what makes checkpoint creation cheap
-        when the working set between checkpoints is small (Section 8.4.1).
+        re-hashed and captured, which is what makes checkpoint creation
+        cheap when the working set between checkpoints is small (Section
+        8.4.1).
         """
         if seq <= self._last_checkpoint_seq and self._checkpoints:
             raise ValueError("checkpoint sequence numbers must increase")
         modified: Dict[int, PageRecord] = {}
         if self.content_digests:
             # Digests and the root are already current (maintained by
-            # write_page); only the copy-on-write capture remains.
+            # write_page); only the copy-on-write capture remains.  The
+            # copy shares the working record.  A record some copy already
+            # stamped (a page re-captured after its newest copy was
+            # discarded) is copied instead, so no captured record changes.
+            pages = self._pages
             for index in sorted(self._dirty):
-                record = self._pages[index]
-                record.last_modified = seq
-                modified[index] = PageRecord(
-                    index=index,
-                    last_modified=seq,
-                    value=record.value,
-                    digest=record.digest,
-                )
+                record = pages[index]
+                if record.last_modified < 0:
+                    record.last_modified = seq
+                else:
+                    record = pages[index] = PageRecord(
+                        index=index,
+                        last_modified=seq,
+                        value=record.value,
+                        digest=record.digest,
+                    )
+                modified[index] = record
         else:
             old_digest_sum = 0
             new_digest_sum = 0

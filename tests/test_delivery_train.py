@@ -391,7 +391,7 @@ def test_messages_coalesced_counts_deliveries_without_a_slot_of_their_own():
 def test_a_train_cannot_be_scheduled_in_the_past():
     scheduler = Scheduler()
     scheduler.clock.advance_to(100.0)
-    train = DeliveryTrain("a", [50.0], ["b"], ["m"], [0], [46.0])
+    train = DeliveryTrain([50.0], ["b"], ["m"], [0])
     with pytest.raises(ValueError):
         scheduler.schedule_train(train)
     assert scheduler.pending == 0

@@ -49,7 +49,9 @@ from repro.library import BFTCluster
 from repro.library.cluster import SimEnv
 from repro.net.conditions import NetworkConditions
 from repro.services.kvstore import KeyValueStore
+from repro.sim.events import DeliveryTrain, Event, EventKind
 from repro.sim.faults import FaultSpec, FaultType
+from repro.sim.scheduler import Scheduler
 
 #: Simulated µs of quiet after the loop, so status traffic, retransmissions
 #: and trailing checkpoints are part of the fingerprint too.
@@ -285,6 +287,21 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] =
 }
 
 
+def assert_one_slot_per_timer(scheduler: Scheduler) -> None:
+    """The heap holds at most one slot per ``Timer`` plus one per train with
+    rows still to deliver (internal actions aside): a restarted or stopped
+    timer leaves nothing behind."""
+    items = [item for _time, _sequence, item in scheduler._queue]
+    timers = sum(len(node._timers) for node in scheduler.nodes.values())
+    timer_slots = [
+        item for item in items if type(item) is Event and item.kind is EventKind.TIMER
+    ]
+    assert len({id(event) for event in timer_slots}) == len(timer_slots) <= timers
+    assert all(
+        item.cursor < len(item.times) for item in items if type(item) is DeliveryTrain
+    )
+
+
 def fingerprint(name: str) -> Dict[str, Any]:
     build, make_op, clients, ops_per_client = CONFIGURATIONS[name]
     cluster = build()
@@ -298,6 +315,7 @@ def fingerprint(name: str) -> Dict[str, Any]:
         ).per_client
     assert per_client == [ops_per_client] * clients
     cluster.run(duration=SETTLE_US)
+    assert_one_slot_per_timer(cluster.scheduler)
     result = {
         "completion_times": sorted(c.completed_at for c in cluster.completed),
         "wire_totals": cluster.network.stats.wire_totals(),
