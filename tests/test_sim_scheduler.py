@@ -155,28 +155,6 @@ def test_mixed_cancelled_and_simultaneous_events_keep_order():
 
 
 # ------------------------------------------------------------------ timers
-class TimerNode(Node):
-    """Logs every dispatch as ``(time, sequence, label)`` — ``None`` for a
-    train row's sequence — and lets its harness react to each one."""
-
-    def __init__(self, name, scheduler, harness):
-        super().__init__(name, scheduler)
-        self.harness = harness
-
-    def handle_event(self, event):
-        self.harness.log.append(
-            (event.time, event.sequence - self.harness.base, event.payload)
-        )
-        super().handle_event(event)
-
-    def on_timer(self, label):
-        self.harness.fired(label)
-
-    def on_message(self, message, arrival_time, size_bytes):
-        self.harness.log.append((arrival_time, None, message))
-        self.harness.react(message[1])
-
-
 def test_timer_is_not_running_once_it_fired():
     scheduler = Scheduler()
     fired = []
@@ -229,6 +207,28 @@ class EagerTimer:
             self._event.cancel()
 
 
+class TimerNode(Node):
+    """Logs every dispatch as ``(time, sequence, label)`` — ``None`` for a
+    train row's sequence — and lets its harness react to each one."""
+
+    def __init__(self, name, scheduler, harness):
+        super().__init__(name, scheduler)
+        self.harness = harness
+
+    def handle_event(self, event):
+        self.harness.log.append(
+            (event.time, event.sequence - self.harness.base, event.payload)
+        )
+        super().handle_event(event)
+
+    def on_timer(self, label):
+        self.harness.fired(label)
+
+    def on_message(self, message, arrival_time, size_bytes):
+        self.harness.log.append((arrival_time, None, message))
+        self.harness.react(message[1])
+
+
 TIMERS = 3
 #: Reactions stop after this many, so every schedule drains.
 REACTION_BUDGET = 40
@@ -239,7 +239,7 @@ class TimerHarness:
     scheduler; a firing timer or a delivered row plays a scripted reaction
     (start / stop other timers)."""
 
-    def __init__(self, timer_class, reactions, check_heap):
+    def __init__(self, timer_class, reactions, under_test):
         self.scheduler = Scheduler()
         self.base = 0
         self.log: List[tuple] = []
@@ -250,7 +250,7 @@ class TimerHarness:
         self.reactions = reactions
         self.budget = REACTION_BUDGET
         self.rows = 0
-        self.check_heap = check_heap
+        self.under_test = under_test
 
     def act(self, action):
         if action[0] == "start":
@@ -272,10 +272,9 @@ class TimerHarness:
 
     def send_train(self, delays):
         now = self.scheduler.clock.now
-        messages = []
-        for _delay in delays:
-            self.rows += 1
-            messages.append((f"m{self.rows}", self.rows))
+        first = self.rows + 1
+        self.rows += len(delays)
+        messages = [(f"m{row}", row) for row in range(first, self.rows + 1)]
         self.scheduler.schedule_train(DeliveryTrain(
             [now + delay for delay in delays], ["n"] * len(delays),
             messages, [0] * len(delays),
@@ -283,8 +282,9 @@ class TimerHarness:
         self.check()
 
     def check(self):
-        """At most one heap slot per timer plus the undelivered trains."""
-        if not self.check_heap:
+        """At most one heap slot per timer plus the undelivered trains, and
+        ``running`` as the model says."""
+        if not self.under_test:
             return
         items = [item for _time, _sequence, item in self.scheduler._queue]
         events = [item for item in items if type(item) is Event]
@@ -292,8 +292,7 @@ class TimerHarness:
         assert all(
             type(item) is Event or item.cursor < len(item.times) for item in items
         )
-        if type(self.timers[0]) is Timer:
-            assert [timer.running for timer in self.timers] == self.armed
+        assert [timer.running for timer in self.timers] == self.armed
 
     def play(self, steps):
         """Run ``steps``, then drain; returns what each step left behind."""
@@ -352,8 +351,8 @@ def test_lazy_timers_fire_in_the_order_of_a_fresh_event_per_start(steps, reactio
     ``pending`` after every step, under ``until``, ``max_events`` and
     ``stop_when`` and with trains in between — while the heap never holds
     more than one slot per timer plus the undelivered trains."""
-    lazy = TimerHarness(Timer, reactions, check_heap=True)
-    eager = TimerHarness(EagerTimer, reactions, check_heap=False)
+    lazy = TimerHarness(Timer, reactions, under_test=True)
+    eager = TimerHarness(EagerTimer, reactions, under_test=False)
     assert lazy.play(steps) == eager.play(steps)
     assert lazy.log == eager.log
     assert lazy.scheduler._queue == []
