@@ -12,9 +12,12 @@ import dataclasses
 
 import pytest
 
+from repro.baselines.unreplicated import UnreplicatedCluster
 from repro.bench import ExperimentTable
 from repro.core.config import ProtocolOptions
-from repro.fs import AndrewBenchmark, BFSClient, UnreplicatedNFS, build_bfs_cluster
+from repro.fs import AndrewBenchmark, BFSClient, NFSService, build_bfs_cluster
+
+from records import check_record
 
 ITERATIONS = 1
 
@@ -32,8 +35,9 @@ def run_experiment() -> ExperimentTable:
     slow = BFSClient(slow_cluster.new_client(), use_read_only=False)
     slow_results = {r.name: r for r in benchmark_run.run(slow, lambda: slow_cluster.now)}
 
-    baseline = UnreplicatedNFS()
-    nfs_results = {r.name: r for r in benchmark_run.run(baseline, lambda: baseline.now)}
+    nfs_cluster = UnreplicatedCluster(service_factory=NFSService)
+    baseline = BFSClient(nfs_cluster.new_client(), use_read_only=False)
+    nfs_results = {r.name: r for r in benchmark_run.run(baseline, lambda: nfs_cluster.now)}
 
     for phase in ("mkdir", "copy", "stat", "read", "compile"):
         table.add_row(
@@ -56,10 +60,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_bfs_andrew_benchmark(benchmark, results_dir):
+def test_bfs_andrew_benchmark(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     total = table.row_for(phase="total")
     # BFS is slower than the unreplicated server, by a modest factor (the
     # paper: up to ~1.24x on the real testbed; the simulated baseline has no

@@ -20,6 +20,8 @@ from repro.core.config import ProtocolOptions
 from repro.fs import AndrewBenchmark, BFSClient, build_bfs_cluster
 from repro.sim.events import EventKind
 
+from records import check_record
+
 ITERATIONS = 4
 #: Recoveries per replica during the run: none, one, and two.
 RECOVERY_ROUNDS = [0, 1, 2]
@@ -72,10 +74,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_bfs_with_proactive_recovery(benchmark, results_dir):
+def test_bfs_with_proactive_recovery(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     rows = {row["configuration"]: row for row in table.rows}
     assert rows["no recovery"]["recoveries_started"] == 0
     for label, row in rows.items():

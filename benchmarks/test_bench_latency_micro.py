@@ -17,6 +17,8 @@ from repro.core.config import ProtocolOptions
 from repro.library import BFTCluster
 from repro.services import NullService
 
+from records import check_record
+
 OPERATIONS = [("0/0", 0, 0), ("4/0", 4, 0), ("0/4", 0, 4)]
 SAMPLES = 8
 
@@ -52,10 +54,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_latency_micro_benchmark(benchmark, results_dir):
+def test_latency_micro_benchmark(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     for row in table.rows:
         # BFT-PK pays the signature cost: at least an order of magnitude slower.
         assert row["bftpk_vs_bft"] > 10

@@ -16,6 +16,8 @@ from repro.bench import ExperimentTable, measure_latency, micro_operation
 from repro.library import BFTCluster
 from repro.services import NullService
 
+from records import check_record
+
 SIZES_KB = [0, 1, 2, 4, 8]
 
 
@@ -42,10 +44,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_latency_vs_sizes(benchmark, results_dir):
+def test_latency_vs_sizes(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     args = table.column("arg_latency_us")
     results = table.column("result_latency_us")
     # Latency grows monotonically with both argument and result size.

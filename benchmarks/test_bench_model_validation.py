@@ -16,6 +16,8 @@ from repro.library import BFTCluster
 from repro.perfmodel import LatencyModel
 from repro.services import NullService
 
+from records import check_record
+
 CASES = [
     ("BFT 0/0 read-write", ProtocolOptions(), 0, 0, False),
     ("BFT 0/0 read-only", ProtocolOptions(), 0, 0, True),
@@ -50,10 +52,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_model_tracks_simulator(benchmark, results_dir):
+def test_model_tracks_simulator(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     for row in table.rows:
         assert row["error"] < 0.75, f"model off by more than 75% for {row['case']}"
     # The common cases are tracked tightly.

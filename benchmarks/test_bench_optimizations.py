@@ -23,6 +23,8 @@ from repro.core.config import ProtocolOptions
 from repro.library import BFTCluster
 from repro.services import NullService
 
+from records import check_record
+
 
 def latency_with(options: ProtocolOptions, arg_kb=0, result_kb=0, read_only=False):
     cluster = BFTCluster.create(f=1, service_factory=NullService,
@@ -91,10 +93,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_optimization_ablation(benchmark, results_dir):
+def test_optimization_ablation(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     improvements = {row["optimization"]: row["improvement"] for row in table.rows}
     # MAC authentication is the dominant optimization, by far.
     assert improvements["MAC authentication (vs signatures)"] > 10

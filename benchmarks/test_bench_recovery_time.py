@@ -14,6 +14,8 @@ from repro.core.config import ProtocolOptions
 from repro.library import BFTCluster
 from repro.services import KeyValueStore
 
+from records import check_record
+
 
 def run_experiment() -> ExperimentTable:
     table = ExperimentTable("E12", "Recovery duration breakdown (us)")
@@ -53,10 +55,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_recovery_time_breakdown(benchmark, results_dir):
+def test_recovery_time_breakdown(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     durations = {row["phase"]: row["duration_us"] for row in table.rows}
     assert durations["total"] > 0
     assert durations["reboot"] > 0

@@ -19,6 +19,8 @@ from repro.bench import (
 from repro.library import BFTCluster
 from repro.services import NullService
 
+from records import check_record
+
 FAULT_COUNTS = [1, 2, 3]
 
 
@@ -40,10 +42,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_scaling_with_more_replicas(benchmark, results_dir):
+def test_scaling_with_more_replicas(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     latencies = table.column("latency_us")
     throughputs = table.column("throughput_ops_s")
     # Latency grows with f but stays within a small factor of f=1.

@@ -7,27 +7,20 @@ Two questions, one experiment:
   same deterministic churn stream).  Groups run independent PBFT
   instances on one shared simulated clock, so the aggregate ops/sec is a
   modeled, machine-independent quantity; the 4-group deployment must
-  reach at least ``SCALING_FLOOR`` times the single-group throughput.
+  reach at least ``FULL_SCALING_FLOOR`` times the single-group throughput.
 * **Migration** — moving a bucket range between groups (stable-checkpoint
   page export, f+1 digest vote, verified install) must cost only the
   moved buckets' modeled bytes: the benchmark gates the whole-store /
   migration bytes ratio.
 
-Results go to ``BENCH_sharding.json`` at the repository root (full-scale
-runs only) and a summary table to ``results/E16.json``;
-``check_regression.py`` validates the record in ``--smoke`` and gates the
-deterministic ratios on full runs.
+Every value in the table is modeled and repeats exactly; the committed
+``results/E16.json`` pins them, and the floors below gate the two ratios.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-
 from repro.bench import (
     ExperimentTable,
-    StopWatch,
     kv_churn_operation,
     preload_sharded_kv_state,
     run_sharded_closed_loop,
@@ -38,20 +31,31 @@ from repro.bench import (
 from repro.sharding import ShardedKVCluster, load_imbalance
 from repro.sharding.router import ShardRouter
 
-from output_paths import BENCH_DIR
-
-BENCH_PATH = os.path.join(BENCH_DIR, "BENCH_sharding.json")
+from records import check_record
 
 #: Required whole-store / migration modeled-bytes ratio on the headline
 #: migration workload (the moved range is ~1/10 of the source group's
 #: populated buckets).
 FULL_MIGRATION_BYTES_RATIO_FLOOR = 5.0
-#: Smoke stores are tiny, so fixed metadata overheads weigh more.
-SMOKE_MIGRATION_BYTES_RATIO_FLOOR = 2.0
 
 #: Required aggregate-throughput scaling factor at 4 groups vs 1 group.
 FULL_SCALING_FLOOR = 2.5
-SMOKE_SCALING_FLOOR = 2.0
+
+SCALING_WORKLOAD = {
+    "clients_per_group": 8,
+    "ops_per_client": 30,
+    "key_space": 256,
+    "value_size": 1024,
+    "checkpoint_interval": 16,
+}
+MIGRATION_WORKLOAD = {
+    "preload_keys": 2048,
+    "value_size": 1024,
+    "churn_clients": 4,
+    "churn_ops": 20,
+    "migrate_buckets": 100,
+    "checkpoint_interval": 8,
+}
 
 
 def _scaling_run(
@@ -62,7 +66,6 @@ def _scaling_run(
     sharded = ShardedKVCluster(
         groups=groups, f=1, checkpoint_interval=checkpoint_interval
     )
-    watch = StopWatch()
     result = run_sharded_kv_churn(
         sharded,
         num_clients=clients_per_group * groups,
@@ -78,16 +81,9 @@ def _scaling_run(
     # rebalancer's policy loop uses (1.0 = perfectly balanced); the
     # Zipfian companion stat below shows what a skewed key distribution
     # does to the same partitioning.
-    group_load = list(sharded.loadstats.group_totals)
     return {
-        "groups": groups,
-        "completed": result.completed,
-        "elapsed_us": round(result.elapsed, 3),
         "metric": round(result.ops_per_second, 2),
-        "mean_latency_us": round(result.mean_latency, 2),
-        "group_load": group_load,
-        "load_imbalance": round(load_imbalance(group_load), 3),
-        **watch.times(),
+        "load_imbalance": round(load_imbalance(sharded.loadstats.group_totals), 3),
     }
 
 
@@ -99,9 +95,8 @@ def _migration_run(
     sharded = ShardedKVCluster(
         groups=2, f=1, checkpoint_interval=checkpoint_interval
     )
-    watch = StopWatch()
     preload_sharded_kv_state(sharded, keys=preload_keys, value_size=value_size)
-    churn = run_sharded_closed_loop(
+    run_sharded_closed_loop(
         sharded,
         churn_clients,
         churn_ops,
@@ -111,12 +106,7 @@ def _migration_run(
     )
     union_before = sharded.state_union()
     moved_range = sharded.router.buckets_owned_by(0)[:migrate_buckets]
-    # Wire cost of the migration itself, from the shared net accounting
-    # (same counters E20 reads) instead of an ad-hoc tally: snapshot
-    # around the migration and record the delta.
-    wire_before = sharded.network.stats.wire_totals()
     metrics = sharded.migrate_buckets(moved_range, target_group=1)
-    wire_after = sharded.network.stats.wire_totals()
     union_after = sharded.state_union()
     extra = {
         key for key in union_after if key not in union_before
@@ -124,135 +114,65 @@ def _migration_run(
     assert all(key.startswith(b"__fence:") for key in extra), extra
     assert {k: v for k, v in union_after.items() if k not in extra} == union_before
     assert sharded.group_digests_converged()
-    return {
-        "churn_completed": churn.completed,
-        **metrics.modeled_view(),
-        "bytes_moved": metrics.bytes_moved,
-        "migration_messages_sent": (
-            wire_after["messages_sent"] - wire_before["messages_sent"]
-        ),
-        "migration_payload_bytes": (
-            wire_after["payload_bytes"] - wire_before["payload_bytes"]
-        ),
-        "union_keys": len(union_after),
-        **watch.times(),
-    }
+    return metrics
 
 
-def run_experiment(smoke: bool, scale) -> dict:
-    scaling_workload = {
-        "clients_per_group": scale(8, 4),
-        "ops_per_client": scale(30, 10),
-        "key_space": scale(256, 64),
-        "value_size": scale(1024, 256),
-        "checkpoint_interval": 16,
-    }
-    base = _scaling_run(1, **scaling_workload)
-    macro = []
-    for groups in (2, 4):
-        row_run = _scaling_run(groups, **scaling_workload)
-        macro.append(
-            {
-                "workload": f"sharded KV churn, groups={groups}",
-                "metric_name": "aggregate_ops_per_second",
-                "baseline": base,
-                "optimized": row_run,
-                "ratio": round(row_run["metric"] / max(1e-9, base["metric"]), 3),
-            }
-        )
-
-    migration_workload = {
-        "preload_keys": scale(2048, 200),
-        "value_size": scale(1024, 256),
-        "churn_clients": scale(4, 2),
-        "churn_ops": scale(20, 6),
-        "migrate_buckets": scale(100, 32),
-        "checkpoint_interval": 8,
-    }
-    optimized = _migration_run(**migration_workload)
-    migration_row = {
-        "workload": "bucket-range migration vs whole-store (headline)",
-        "metric_name": "modeled_bytes",
-        **migration_workload,
-        "baseline": {
-            "metric": optimized["whole_store_bytes"],
-            "description": "whole-store transfer of the source group",
-        },
-        "optimized": {"metric": optimized["bytes_moved"], **optimized},
-        "ratio": round(
-            optimized["whole_store_bytes"] / max(1, optimized["bytes_moved"]), 2
-        ),
-    }
-    macro.append(migration_row)
-
-    # Per-group load imbalance of a Zipfian (skewed-key) schedule under
-    # the same contiguous bucket partitioning, next to the uniform churn
-    # stream's imbalance measured in the scaling rows.  Pure routing
-    # arithmetic over the deterministic key schedule — no cluster run.
-    router = ShardRouter(num_groups=4)
-    sequences = zipf_key_sequences(
-        num_clients=scale(32, 8), operations_per_client=scale(30, 10),
-        key_space=scale(256, 64), skew=0.99,
-    )
-    zipf_load = zipf_group_load(sequences, router.group_of_key, 4)
-    zipfian_imbalance = {
-        "groups": 4,
-        "skew": 0.99,
-        "group_load": zipf_load,
-        "load_imbalance": round(load_imbalance(zipf_load), 3),
-    }
-
-    scaling4 = macro[1]["ratio"]
-    return {
-        "experiment": "sharding",
-        "smoke": smoke,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "headline_workload": migration_row["workload"],
-        "headline_migration_bytes_ratio": migration_row["ratio"],
-        "scaling_4group_ratio": scaling4,
-        "zipfian_imbalance": zipfian_imbalance,
-        "macro": macro,
-    }
-
-
-def test_sharded_scaling_and_migration(benchmark, results_dir, bench_smoke, bench_scale):
-    report = benchmark.pedantic(
-        run_experiment, args=(bench_smoke, bench_scale), rounds=1, iterations=1
-    )
-
+def run_experiment() -> ExperimentTable:
     table = ExperimentTable(
         "E16", "Sharded KV: aggregate throughput scaling and migration cost"
     )
-    for row in report["macro"]:
+    # Per-group load imbalance of a Zipfian (skewed-key) schedule under
+    # the same contiguous bucket partitioning, next to the uniform churn
+    # stream's imbalance on the 4-group row.  Pure routing arithmetic
+    # over the deterministic key schedule — no cluster run.
+    router = ShardRouter(num_groups=4)
+    sequences = zipf_key_sequences(
+        num_clients=32, operations_per_client=30, key_space=256, skew=0.99,
+    )
+    zipf_load = zipf_group_load(sequences, router.group_of_key, 4)
+    zipf_imbalance = round(load_imbalance(zipf_load), 3)
+
+    base = _scaling_run(1, **SCALING_WORKLOAD)
+    for groups in (2, 4):
+        run = _scaling_run(groups, **SCALING_WORKLOAD)
         table.add_row(
-            workload=row["workload"],
-            metric=row["metric_name"],
-            baseline=row["baseline"]["metric"],
-            optimized=row["optimized"]["metric"],
-            ratio=row["ratio"],
+            workload=f"sharded KV churn, groups={groups}",
+            metric="aggregate_ops_per_second",
+            baseline=base["metric"],
+            optimized=run["metric"],
+            ratio=round(run["metric"] / max(1e-9, base["metric"]), 3),
+            load_imbalance=run["load_imbalance"],
+            zipf_load_imbalance=zipf_imbalance if groups == 4 else None,
         )
+
+    migration = _migration_run(**MIGRATION_WORKLOAD)
+    table.add_row(
+        workload="bucket-range migration vs whole-store (headline)",
+        metric="modeled_bytes",
+        baseline=migration.whole_store_bytes,
+        optimized=migration.bytes_moved,
+        ratio=round(migration.whole_store_bytes / max(1, migration.bytes_moved), 2),
+        pages_moved=migration.pages_moved,
+        pages_rejected=migration.pages_rejected,
+    )
+    return table
+
+
+def test_sharded_scaling_and_migration(benchmark):
+    table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
 
-    if not bench_smoke:
-        with open(BENCH_PATH, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-
-    migration = report["macro"][-1]["optimized"]
+    migration = table.row_for(metric="modeled_bytes")
     assert migration["pages_moved"] > 0
     assert migration["pages_rejected"] == 0
 
-    scaling_floor = SMOKE_SCALING_FLOOR if bench_smoke else FULL_SCALING_FLOOR
-    assert report["scaling_4group_ratio"] >= scaling_floor, (
-        f"4-group aggregate throughput scaled only "
-        f"{report['scaling_4group_ratio']}x (floor {scaling_floor}x)"
+    scaling = table.row_for(workload="sharded KV churn, groups=4")["ratio"]
+    assert scaling >= FULL_SCALING_FLOOR, (
+        f"4-group aggregate throughput scaled only {scaling}x "
+        f"(floor {FULL_SCALING_FLOOR}x)"
     )
-    bytes_floor = (
-        SMOKE_MIGRATION_BYTES_RATIO_FLOOR
-        if bench_smoke
-        else FULL_MIGRATION_BYTES_RATIO_FLOOR
-    )
-    assert report["headline_migration_bytes_ratio"] >= bytes_floor, (
-        f"migration moved 1/{report['headline_migration_bytes_ratio']} of the "
-        f"whole-store bytes; floor is 1/{bytes_floor} (see {BENCH_PATH})"
+    assert migration["ratio"] >= FULL_MIGRATION_BYTES_RATIO_FLOOR, (
+        f"migration moved 1/{migration['ratio']} of the whole-store bytes; "
+        f"floor is 1/{FULL_MIGRATION_BYTES_RATIO_FLOOR}"
     )

@@ -15,6 +15,8 @@ from repro.library import BFTCluster
 from repro.services import KeyValueStore
 from repro.statetransfer.partition_tree import PartitionTree
 
+from records import check_record
+
 TOTAL_PAGES = 1024
 DIVERGENCE = [8, 64, 256, 1024]
 
@@ -43,17 +45,17 @@ def run_partition_tree_experiment() -> ExperimentTable:
     return table
 
 
-def test_state_transfer_scales_with_divergence(benchmark, results_dir):
+def test_state_transfer_scales_with_divergence(benchmark):
     table = benchmark.pedantic(run_partition_tree_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     assert table.column("pages_transferred") == DIVERGENCE
     assert all(table.column("converged"))
     transferred = table.column("bytes_transferred")
     assert all(b > a for a, b in zip(transferred, transferred[1:]))
 
 
-def test_lagging_replica_catches_up_end_to_end(benchmark, results_dir):
+def test_lagging_replica_catches_up_end_to_end(benchmark):
     def run() -> ExperimentTable:
         table = ExperimentTable("E8b", "End-to-end catch-up of a partitioned replica")
         cluster = BFTCluster.create(f=1, service_factory=KeyValueStore,
@@ -79,7 +81,7 @@ def test_lagging_replica_catches_up_end_to_end(benchmark, results_dir):
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     row = table.rows[0]
     assert row["missed_requests"] >= 12
     assert row["stable_checkpoint_after"] >= 12

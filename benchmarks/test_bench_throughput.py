@@ -14,6 +14,8 @@ from repro.bench import ExperimentTable, measure_throughput, micro_operation
 from repro.library import BFTCluster
 from repro.services import NullService
 
+from records import check_record
+
 CLIENT_COUNTS = [1, 4, 10, 20]
 OPS_PER_CLIENT = 15
 
@@ -38,10 +40,10 @@ def run_experiment() -> ExperimentTable:
     return table
 
 
-def test_throughput_scaling(benchmark, results_dir):
+def test_throughput_scaling(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     rw = table.column("read_write_ops_s")
     ro = table.column("read_only_ops_s")
     # Throughput grows with offered load (batching amortises protocol cost).

@@ -14,6 +14,8 @@ from repro.bench import ExperimentTable
 from repro.library import BFTCluster
 from repro.services import KeyValueStore
 
+from records import check_record
+
 VIEW_CHANGE_TIMEOUT = 100_000.0
 
 
@@ -49,10 +51,10 @@ def run_experiment(samples: int = 3) -> ExperimentTable:
     return table
 
 
-def test_view_change_latency(benchmark, results_dir):
+def test_view_change_latency(benchmark):
     table = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     table.print()
-    table.save(results_dir)
+    check_record(table)
     for row in table.rows:
         # The view change completes shortly after the detection timeout: the
         # protocol itself adds only a few message delays on top of it.

@@ -16,13 +16,13 @@ The storm/no-storm slowdown is recorded in ``results/E17.json``.
 
 from __future__ import annotations
 
-import time
-
-from repro.bench import ExperimentTable, StopWatch, run_kv_value_churn
+from repro.bench import ExperimentTable, run_kv_value_churn
 from repro.library import BFTCluster
 from repro.services.kvstore import KeyValueStore
 from repro.sim.events import EventKind
 from repro.sim.faults import FaultSpec, FaultType
+
+from records import check_record
 
 VIEW_CHANGE_TIMEOUT = 120_000.0
 RETRANSMISSION_TIMEOUT = 60_000.0
@@ -54,7 +54,6 @@ def _storm_run(
         view_change_timeout=VIEW_CHANGE_TIMEOUT,
         client_retransmission_timeout=RETRANSMISSION_TIMEOUT,
     )
-    watch = StopWatch()
     expected = num_clients * ops_per_client
     muted = []
     last_injected_view = -1
@@ -113,21 +112,17 @@ def _storm_run(
         "final_view": cluster.agreement_view(),
         "executed": tuple(sorted(cluster.executed_counts().items())),
         "digests_converged": len(digests) == 1,
-        **watch.times(),
     }
 
 
-def run_experiment(smoke: bool, scale) -> dict:
+def run_experiment() -> dict:
     workload = {
-        "num_clients": scale(4, 2),
-        # Smoke churn must outlast two full mute windows (the driver only
-        # storms a group still under load), so it is longer than other
-        # smoke workloads.
-        "ops_per_client": scale(100, 60),
-        "key_space": scale(64, 16),
-        "value_size": scale(1024, 256),
+        "num_clients": 4,
+        "ops_per_client": 100,
+        "key_space": 64,
+        "value_size": 1024,
     }
-    injections = scale(6, 2)
+    injections = 6
     calm = _storm_run(0, **workload)
     storm = _storm_run(injections, **workload)
     return {
@@ -142,14 +137,12 @@ def run_experiment(smoke: bool, scale) -> dict:
         #: The churn may drain before the driver gets every planned mute
         #: in (the storm only targets a group still under load); this is
         #: the floor that must fire for the scenario to count as a storm.
-        "min_injections": scale(3, 2),
+        "min_injections": 3,
     }
 
 
-def test_view_change_storm_under_load(benchmark, results_dir, bench_smoke, bench_scale):
-    report = benchmark.pedantic(
-        run_experiment, args=(bench_smoke, bench_scale), rounds=1, iterations=1
-    )
+def test_view_change_storm_under_load(benchmark):
+    report = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = ExperimentTable(
         "E17", "View-change storms under load: liveness and throughput cost"
@@ -166,7 +159,7 @@ def test_view_change_storm_under_load(benchmark, results_dir, bench_smoke, bench
             slowdown=None if label == "calm" else report["slowdown"],
         )
     table.print()
-    table.save(results_dir)
+    check_record(table)
 
     calm, storm = report["calm"], report["storm"]
     # Liveness: every operation completes, with and without the storm.

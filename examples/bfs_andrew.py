@@ -7,7 +7,8 @@ baseline server, and prints the per-phase comparison the paper's Section
 8.6 reports.
 """
 
-from repro.fs import AndrewBenchmark, BFSClient, UnreplicatedNFS, build_bfs_cluster
+from repro.baselines.unreplicated import UnreplicatedCluster
+from repro.fs import AndrewBenchmark, BFSClient, NFSService, build_bfs_cluster
 
 
 def main() -> None:
@@ -18,9 +19,10 @@ def main() -> None:
     print("running Andrew phases against BFS (4 replicas, f=1) ...")
     bfs_results = benchmark.run(bfs, lambda: cluster.now)
 
-    baseline = UnreplicatedNFS()
+    nfs_cluster = UnreplicatedCluster(service_factory=NFSService)
+    baseline = BFSClient(nfs_cluster.new_client(), use_read_only=False)
     print("running Andrew phases against the unreplicated NFS baseline ...\n")
-    nfs_results = benchmark.run(baseline, lambda: baseline.now)
+    nfs_results = benchmark.run(baseline, lambda: nfs_cluster.now)
 
     print(f"{'phase':<10}{'ops':>6}{'BFS (ms)':>12}{'NFS-std (ms)':>14}{'slowdown':>10}")
     for bfs_phase, nfs_phase in zip(bfs_results, nfs_results):

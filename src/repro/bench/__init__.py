@@ -19,7 +19,7 @@ from repro.bench.workloads import (
     LatencyResult,
     ThroughputResult,
 )
-from repro.bench.harness import ExperimentTable, StopWatch
+from repro.bench.harness import ExperimentTable
 
 __all__ = [
     "micro_operation",
@@ -40,5 +40,4 @@ __all__ = [
     "LatencyResult",
     "ThroughputResult",
     "ExperimentTable",
-    "StopWatch",
 ]

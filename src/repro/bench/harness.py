@@ -1,50 +1,17 @@
-"""Result tables and timing helpers.
+"""Result tables.
 
 Each benchmark regenerates one table or figure from the evaluation chapter.
 ``ExperimentTable`` collects rows, prints them in an aligned text table
 (the form the pytest-benchmark output is accompanied by), and can persist
 them as ``E<n>.json`` (the committed copies live under ``results/``).
-``StopWatch`` is the shared wall-clock + CPU-time measurement every
-benchmark row that reports real time uses, so ``wall_seconds`` always
-travels with a ``cpu_seconds`` reading (process CPU time, which separates
-"the simulation got slower" from "the machine was busy").
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
-
-
-class StopWatch:
-    """Wall-clock and process-CPU time measured over the same span.
-
-    ``perf_counter`` keeps the wall-clock semantics every existing record
-    uses; ``process_time`` adds the CPU seconds the process itself spent,
-    which background load on the machine cannot inflate.
-    """
-
-    def __init__(self) -> None:
-        self._wall_start = time.perf_counter()
-        self._cpu_start = time.process_time()
-
-    @property
-    def wall_seconds(self) -> float:
-        return time.perf_counter() - self._wall_start
-
-    @property
-    def cpu_seconds(self) -> float:
-        return time.process_time() - self._cpu_start
-
-    def times(self, digits: int = 4) -> Dict[str, float]:
-        """Both readings, rounded, under the record keys the benches use."""
-        return {
-            "wall_seconds": round(self.wall_seconds, digits),
-            "cpu_seconds": round(self.cpu_seconds, digits),
-        }
+from typing import Any, Dict, List, Optional
 
 
 @dataclass

@@ -158,8 +158,6 @@ class ProtocolOptions:
     #: checking the local state copy, in microseconds.
     recovery_reboot_cost: float = 250_000.0
     recovery_state_check_cost: float = 200_000.0
-    #: Session-key refreshment period in microseconds (Section 4.3.1).
-    key_refresh_period: float = 15_000_000.0
     #: How agreement-phase multicasts (PREPARE/COMMIT/CHECKPOINT) reach the
     #: other replicas: ``"flat"`` is the paper's all-to-all fan-out;
     #: ``"tree"`` routes them over deterministic per-(view, sender) k-ary

@@ -67,7 +67,6 @@ from repro.statetransfer.transfer import (
 
 VIEW_CHANGE_TIMER = "view-change"
 STATUS_TIMER = "status"
-KEY_REFRESH_TIMER = "key-refresh"
 
 #: Bound on the batch pipeline's result-digest memo (result bytes ->
 #: digest); cleared wholesale when exceeded.  KV-style services return a
@@ -317,8 +316,6 @@ class Replica:
                 self.state_transfer.tick()
             self._send_status()
             self.env.set_timer(STATUS_TIMER, self.config.status_interval)
-        elif label == KEY_REFRESH_TIMER and self.recovery is not None:
-            self.recovery.refresh_keys()
 
     # =====================================================================
     # Client requests

@@ -1,18 +1,18 @@
-"""BFS: a Byzantine-fault-tolerant file service (Section 6.3), plus the
-unreplicated baseline and the Andrew-style benchmark workload used in the
-evaluation (Section 8.6).
+"""BFS: a Byzantine-fault-tolerant file service (Section 6.3) and the
+Andrew-style benchmark workload used in the evaluation (Section 8.6).
 
 The paper's BFS exports the NFS protocol and relays kernel NFS calls
 through the replication library.  Here the file service is an in-memory
 NFS-like deterministic state machine (:class:`NFSService`) exposing the
 same operation mix (lookup, getattr, read, write, create, remove, mkdir,
-rmdir, readdir); :class:`BFSClient` wraps a replicated deployment of it and
-:class:`UnreplicatedNFS` is the NFS-std stand-in.
+rmdir, readdir); :class:`BFSClient` issues them through a client of a
+replicated deployment, or, with ``use_read_only=False``, of one
+:class:`repro.baselines.unreplicated.UnreplicatedCluster` server: the
+NFS-std stand-in.
 """
 
 from repro.fs.nfs import NFSService, NFSClientOps
 from repro.fs.bfs import BFSClient, build_bfs_cluster
-from repro.fs.baseline import UnreplicatedNFS
 from repro.fs.andrew import AndrewBenchmark, AndrewPhaseResult
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "NFSClientOps",
     "BFSClient",
     "build_bfs_cluster",
-    "UnreplicatedNFS",
     "AndrewBenchmark",
     "AndrewPhaseResult",
 ]

@@ -7,9 +7,9 @@ every file without reading it, (4) read every byte of every file, and
 ``Andrew-N`` runs N sequential iterations to scale the workload
 (Andrew100 in the paper).
 
-The benchmark drives any object with the BFS client surface
-(:class:`repro.fs.bfs.BFSClient` or :class:`repro.fs.baseline.UnreplicatedNFS`),
-so the same workload produces the BFS-vs-NFS-std comparison.
+The benchmark drives a :class:`repro.fs.bfs.BFSClient` over either a BFS
+deployment or the unreplicated NFS-std server, so the same workload
+produces the BFS-vs-NFS-std comparison.
 """
 
 from __future__ import annotations

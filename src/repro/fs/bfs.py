@@ -4,7 +4,9 @@
 :class:`repro.fs.nfs.NFSService`; :class:`BFSClient` exposes a file-system
 level API (mkdir / write_file / read_file / stat / ...) on top of a BFT
 client, mirroring how the paper's kernel NFS client talks to the BFS
-relay.  Read-only NFS calls use the read-only optimization.
+relay.  Read-only NFS calls use the read-only optimization.  Over an
+:class:`repro.baselines.unreplicated.UnreplicatedCluster` client with
+``use_read_only=False`` the same class is the NFS-std baseline.
 """
 
 from __future__ import annotations

@@ -5,13 +5,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.unreplicated import UnreplicatedCluster
 from repro.fs import (
     AndrewBenchmark,
     BFSClient,
-    UnreplicatedNFS,
+    NFSService,
     build_bfs_cluster,
 )
 from repro.sim.faults import FaultSpec, FaultType
+
+
+def nfs_baseline():
+    """NFS-std: the BFS client surface over one unreplicated server."""
+    cluster = UnreplicatedCluster(service_factory=NFSService)
+    return cluster, BFSClient(cluster.new_client(), use_read_only=False)
 
 
 @pytest.fixture
@@ -82,7 +89,7 @@ def test_bfs_survives_primary_crash():
 
 def test_unreplicated_baseline_matches_bfs_results(bfs):
     cluster, fs = bfs
-    baseline = UnreplicatedNFS()
+    _, baseline = nfs_baseline()
     script = [
         ("mkdir", (b"/proj",)),
         ("write_new_file", (b"/proj/a.txt", b"alpha")),
@@ -102,8 +109,8 @@ def test_andrew_benchmark_runs_all_phases_on_both_systems(bfs):
     assert all(r.elapsed > 0 for r in bfs_results)
     assert all(r.operations > 0 for r in bfs_results)
 
-    baseline = UnreplicatedNFS()
-    nfs_results = benchmark.run(baseline, lambda: baseline.now)
+    nfs_cluster, baseline = nfs_baseline()
+    nfs_results = benchmark.run(baseline, lambda: nfs_cluster.now)
     bfs_total = benchmark.total_elapsed(bfs_results)
     nfs_total = benchmark.total_elapsed(nfs_results)
     # BFS is slower than the unreplicated server but by a modest factor,
@@ -115,8 +122,8 @@ def test_andrew_read_only_phases_are_relatively_cheaper(bfs):
     cluster, fs = bfs
     benchmark = AndrewBenchmark(iterations=1)
     bfs_results = {r.name: r for r in benchmark.run(fs, lambda: cluster.now)}
-    baseline = UnreplicatedNFS()
-    nfs_results = {r.name: r for r in benchmark.run(baseline, lambda: baseline.now)}
+    nfs_cluster, baseline = nfs_baseline()
+    nfs_results = {r.name: r for r in benchmark.run(baseline, lambda: nfs_cluster.now)}
     read_ratio = bfs_results["read"].elapsed / nfs_results["read"].elapsed
     copy_ratio = bfs_results["copy"].elapsed / nfs_results["copy"].elapsed
     # Read-only phases use the single-round-trip optimization, so their
@@ -125,12 +132,12 @@ def test_andrew_read_only_phases_are_relatively_cheaper(bfs):
 
 
 def test_andrew_scales_with_iterations():
-    baseline = UnreplicatedNFS()
+    nfs_cluster, baseline = nfs_baseline()
     small = AndrewBenchmark(iterations=1)
-    results = small.run(baseline, lambda: baseline.now)
+    results = small.run(baseline, lambda: nfs_cluster.now)
     ops_one = sum(r.operations for r in results)
-    baseline2 = UnreplicatedNFS()
+    nfs_cluster2, baseline2 = nfs_baseline()
     big = AndrewBenchmark(iterations=3)
-    results3 = big.run(baseline2, lambda: baseline2.now)
+    results3 = big.run(baseline2, lambda: nfs_cluster2.now)
     ops_three = sum(r.operations for r in results3)
     assert ops_three == 3 * ops_one
