@@ -41,7 +41,7 @@ def run_experiment(samples: int = 3) -> ExperimentTable:
             if name == "new-view-entered"
         ]
         new_view_at = min(completion_times) if completion_times else cluster.now
-        disruption = cluster.completed[-1].latency
+        disruption = client.last_completed().latency
         table.add_row(
             sample=sample,
             detection_timeout_us=VIEW_CHANGE_TIMEOUT,

@@ -59,9 +59,17 @@ def _storm_run(
     last_injected_view = -1
     last_window_end = 0.0
 
+    def completed() -> int:
+        # One request outstanding per client, timestamps 1, 2, ...: the
+        # newest completion's timestamp counts the client's completions.
+        return sum(
+            client.last_completed().timestamp
+            for client in cluster.clients.values() if client.last_completed()
+        )
+
     def storm_tick() -> None:
         nonlocal last_injected_view, last_window_end
-        if len(muted) >= injections or len(cluster.completed) >= expected:
+        if len(muted) >= injections or completed() >= expected:
             return
         view = cluster.agreement_view()
         now = cluster.now

@@ -7,6 +7,6 @@ message.  The BFT-PK baseline is obtained by running the main protocol with
 ``AuthMode.SIGNATURE``.
 """
 
-from repro.baselines.unreplicated import UnreplicatedCluster, UnreplicatedSyncClient
+from repro.baselines.unreplicated import UnreplicatedCluster
 
-__all__ = ["UnreplicatedCluster", "UnreplicatedSyncClient"]
+__all__ = ["UnreplicatedCluster"]

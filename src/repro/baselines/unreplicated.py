@@ -8,17 +8,16 @@ replication protocol itself (the paper's NFS-std and NO-REP baselines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.auth import Authentication, build_session_keys
-from repro.core.client import CompletedRequest
+from repro.core.client import Client, CompletedRequest
 from repro.core.config import AuthMode
 from repro.core.env import Env
 from repro.core.messages import Message, Reply, Request
 from repro.crypto.digests import digest
 from repro.crypto.signatures import SignatureRegistry
-from repro.library.cluster import ProtocolNode, SimEnv
+from repro.library.cluster import ProtocolNode, SimEnv, SyncClient
 from repro.net.conditions import NetworkConditions
 from repro.net.network import Network
 from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
@@ -87,7 +86,11 @@ class UnreplicatedServer:
 
 
 class UnreplicatedClient:
-    """Client protocol: one outstanding request, one reply expected."""
+    """Client protocol: one outstanding request, one reply expected.
+
+    Keeps O(1) completion state, as :class:`~repro.core.client.Client`
+    does: ``last_completed`` only; ``on_complete`` gets every record.
+    """
 
     def __init__(
         self,
@@ -107,7 +110,7 @@ class UnreplicatedClient:
         self.pending: Optional[Request] = None
         self.sent_at = 0.0
         self.retransmissions = 0
-        self.completed: Dict[int, CompletedRequest] = {}
+        self.last_completed: Optional[CompletedRequest] = None
 
     def invoke(self, operation: bytes, read_only: bool = False) -> int:
         if self.pending is not None:
@@ -151,61 +154,19 @@ class UnreplicatedClient:
             retransmissions=self.retransmissions,
             view=0,
         )
-        self.completed[self.pending.timestamp] = completed
+        self.last_completed = completed
         self.pending = None
         self.env.cancel_timer(RETRANSMIT_TIMER)
         if self.on_complete is not None:
             self.on_complete(completed)
 
-    def is_complete(self, timestamp: int) -> bool:
-        return timestamp in self.completed
-
-    def result_of(self, timestamp: int) -> Optional[CompletedRequest]:
-        return self.completed.get(timestamp)
+    is_complete = Client.is_complete
+    result_of = Client.result_of
 
     def on_timer(self, label: str) -> None:
         if label == RETRANSMIT_TIMER and self.pending is not None:
             self.retransmissions += 1
             self._transmit()
-
-
-class UnreplicatedSyncClient:
-    """Blocking wrapper matching :class:`repro.library.cluster.SyncClient`."""
-
-    def __init__(self, cluster: "UnreplicatedCluster", client: UnreplicatedClient,
-                 node: ProtocolNode) -> None:
-        self.cluster = cluster
-        self.protocol = client
-        self.node = node
-
-    @property
-    def id(self) -> str:
-        return self.protocol.id
-
-    def invoke(
-        self, operation: bytes, read_only: bool = False, timeout: float = 60_000_000.0
-    ) -> bytes:
-        timestamp = self.node.external_call(
-            lambda: self.protocol.invoke(operation, read_only=read_only)
-        )
-        deadline = self.cluster.scheduler.clock.now + timeout
-        self.cluster.scheduler.run(
-            until=deadline, stop_when=lambda: self.protocol.is_complete(timestamp)
-        )
-        completed = self.protocol.result_of(timestamp)
-        if completed is None:
-            raise TimeoutError("unreplicated request did not complete")
-        return completed.result
-
-    def invoke_async(self, operation: bytes, read_only: bool = False) -> int:
-        return self.node.external_call(
-            lambda: self.protocol.invoke(operation, read_only=read_only)
-        )
-
-    def last_completed(self) -> Optional[CompletedRequest]:
-        if not self.protocol.completed:
-            return None
-        return self.protocol.completed[max(self.protocol.completed)]
 
 
 class UnreplicatedCluster:
@@ -225,7 +186,6 @@ class UnreplicatedCluster:
         self.network = Network(self.scheduler, self.conditions, self.rng.fork("net"))
         self.fault_injector = FaultInjector()
         self.registry = SignatureRegistry()
-        self.completed: List[CompletedRequest] = []
         self._client_counter = 0
 
         node = ProtocolNode(
@@ -247,12 +207,12 @@ class UnreplicatedCluster:
         self.server = UnreplicatedServer(self.service, env, auth, params)
         node.protocol = self.server
         self.server_node = node
-        self.clients: Dict[str, UnreplicatedSyncClient] = {}
+        self.clients: Dict[str, SyncClient] = {}
 
     def new_client(
         self, name: Optional[str] = None,
         on_complete: Optional[Callable[[CompletedRequest], None]] = None,
-    ) -> UnreplicatedSyncClient:
+    ) -> SyncClient:
         if name is None:
             name = f"client{self._client_counter}"
             self._client_counter += 1
@@ -271,16 +231,10 @@ class UnreplicatedCluster:
             crypto_costs=self.params.crypto,
             env=env,
         )
-
-        def _on_complete(completed: CompletedRequest) -> None:
-            self.completed.append(completed)
-            if on_complete is not None:
-                on_complete(completed)
-
-        client = UnreplicatedClient(name, env, auth, on_complete=_on_complete)
+        client = UnreplicatedClient(name, env, auth, on_complete=on_complete)
         node.protocol = client
         self.server.auth.keys.install_pair(name)
-        sync = UnreplicatedSyncClient(self, client, node)
+        sync = SyncClient(self, client, node)
         self.clients[name] = sync
         return sync
 

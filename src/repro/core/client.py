@@ -59,7 +59,13 @@ class _PendingRequest:
 
 
 class Client:
-    """One BFT client."""
+    """One BFT client.
+
+    Completion state is O(1): at most one request is outstanding and
+    timestamps only grow, so the client keeps just its newest completion
+    (``last_completed``).  Per-operation records reach the caller through
+    ``on_complete`` and nowhere else.
+    """
 
     def __init__(
         self,
@@ -81,7 +87,7 @@ class Client:
         self.view = 0
         self.last_timestamp = 0
         self.pending: Optional[_PendingRequest] = None
-        self.completed: Dict[int, CompletedRequest] = {}
+        self.last_completed: Optional[CompletedRequest] = None
         self._replier_rotation = 0
         self._timeout = config.client_retransmission_timeout
 
@@ -113,10 +119,13 @@ class Client:
         return timestamp
 
     def is_complete(self, timestamp: int) -> bool:
-        return timestamp in self.completed
+        last = self.last_completed
+        return last is not None and timestamp <= last.timestamp
 
     def result_of(self, timestamp: int) -> Optional[CompletedRequest]:
-        return self.completed.get(timestamp)
+        """The record of ``timestamp`` if it is the newest completion."""
+        last = self.last_completed
+        return last if last is not None and last.timestamp == timestamp else None
 
     @property
     def busy(self) -> bool:
@@ -223,7 +232,7 @@ class Client:
             retransmissions=pending.retransmissions,
             view=self.view,
         )
-        self.completed[pending.request.timestamp] = completed
+        self.last_completed = completed
         self.pending = None
         self.env.cancel_timer(RETRANSMIT_TIMER)
         self._timeout = self.config.client_retransmission_timeout

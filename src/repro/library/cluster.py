@@ -10,7 +10,6 @@ cost model, and lets tests and benchmarks inject Byzantine faults.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.auth import Authentication, build_session_keys
@@ -387,28 +386,18 @@ class ProtocolNode(Node):
             self.events.append((self.now, event, details))
 
 
-@dataclass
-class ClusterStats:
-    """Aggregate statistics collected from a cluster run."""
-
-    completed_requests: int = 0
-    latencies: List[float] = field(default_factory=list)
-    simulated_duration: float = 0.0
-
-    def mean_latency(self) -> float:
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
-    def throughput_ops_per_second(self) -> float:
-        if self.simulated_duration <= 0:
-            return 0.0
-        return self.completed_requests / (self.simulated_duration / 1_000_000.0)
-
-
 class SyncClient:
     """A convenience wrapper that drives the simulation until a request
-    completes, giving examples and tests a blocking ``invoke``."""
+    completes, giving examples and tests a blocking ``invoke``.
 
-    def __init__(self, cluster: "BFTCluster", client: Client, node: ProtocolNode) -> None:
+    ``cluster`` is a :class:`BFTCluster` or the unreplicated baseline's
+    cluster (anything with a ``scheduler``) and ``client`` its protocol
+    client.  Like the client, it keeps O(1) completion state:
+    :meth:`last_completed` is the newest record, and a caller that wants
+    every record passes ``on_complete`` to ``new_client``.
+    """
+
+    def __init__(self, cluster, client, node: ProtocolNode) -> None:
         self.cluster = cluster
         self.protocol = client
         self.node = node
@@ -441,9 +430,7 @@ class SyncClient:
         )
 
     def last_completed(self) -> Optional[CompletedRequest]:
-        if not self.protocol.completed:
-            return None
-        return self.protocol.completed[max(self.protocol.completed)]
+        return self.protocol.last_completed
 
 
 class BFTCluster:
@@ -497,7 +484,6 @@ class BFTCluster:
         self.clients: Dict[str, SyncClient] = {}
         self.disseminators: Dict[str, OverlayDisseminator] = {}
         self._client_counter = 0
-        self.completed: List[CompletedRequest] = []
 
         for replica_id in config.replica_ids:
             self._build_replica(replica_id, service_factory)
@@ -619,19 +605,13 @@ class BFTCluster:
             env=env,
             real_crypto=self.options.real_crypto,
         )
-
-        def _on_complete(completed: CompletedRequest) -> None:
-            self.completed.append(completed)
-            if on_complete is not None:
-                on_complete(completed)
-
         client = Client(
             name,
             self.config,
             env,
             auth,
             options=self.options,
-            on_complete=_on_complete,
+            on_complete=on_complete,
         )
         node.protocol = client
         # Install the client's session keys at every replica so they can
@@ -719,14 +699,6 @@ class BFTCluster:
 
     def corrupt_replica_state(self, replica_id: str) -> None:
         self.services[replica_id].corrupt()
-
-    # --------------------------------------------------------------- metrics
-    def stats(self) -> ClusterStats:
-        return ClusterStats(
-            completed_requests=len(self.completed),
-            latencies=[c.latency for c in self.completed],
-            simulated_duration=self.now,
-        )
 
     def replica(self, replica_id: str) -> Replica:
         return self.replicas[replica_id]

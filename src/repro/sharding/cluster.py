@@ -332,6 +332,3 @@ class ShardedKVCluster:
             if len(digests) != 1:
                 return False
         return True
-
-    def completed_requests(self) -> int:
-        return sum(len(cluster.completed) for cluster in self.group_clusters)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.auth import Authentication, build_session_keys
+from repro.core.client import CompletedRequest
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
 from repro.core.messages import _pack_general
@@ -37,6 +38,25 @@ def general_encoding(*fields) -> bytes:
     encoder — no shared buffer, no exact-type dispatch.  The tests'
     definition of what ``pack`` and every memoized payload must equal."""
     return b"".join(_pack_general(value) for value in fields)
+
+
+def record_completions(cluster) -> list[CompletedRequest]:
+    """Every completion of the clients ``cluster.new_client`` builds from
+    now on, in completion order.  A client keeps only its newest record, so
+    this listens on ``on_complete``, ahead of the caller's own callback."""
+    completions: list[CompletedRequest] = []
+    new_client = cluster.new_client
+
+    def recording_new_client(name=None, on_complete=None):
+        def callback(completed: CompletedRequest) -> None:
+            completions.append(completed)
+            if on_complete is not None:
+                on_complete(completed)
+
+        return new_client(name, on_complete=callback)
+
+    cluster.new_client = recording_new_client
+    return completions
 
 
 def make_replica(

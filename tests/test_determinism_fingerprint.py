@@ -29,7 +29,7 @@ size is, through the wire totals), so swapping the MAC primitive leaves it
 unchanged.
 
 A change that means to move modeled results regenerates the literals with
-``PYTHONPATH=src python tests/test_determinism_fingerprint.py`` and says
+``PYTHONPATH=src python -m tests.test_determinism_fingerprint`` and says
 why in its PR.
 """
 
@@ -52,6 +52,7 @@ from repro.services.kvstore import KeyValueStore
 from repro.sim.events import DeliveryTrain, Event, EventKind
 from repro.sim.faults import FaultSpec, FaultType
 from repro.sim.scheduler import Scheduler
+from tests.conftest import record_completions
 
 #: Simulated µs of quiet after the loop, so status traffic, retransmissions
 #: and trailing checkpoints are part of the fingerprint too.
@@ -305,6 +306,7 @@ def assert_one_slot_per_timer(scheduler: Scheduler) -> None:
 def fingerprint(name: str) -> Dict[str, Any]:
     build, make_op, clients, ops_per_client = CONFIGURATIONS[name]
     cluster = build()
+    completions = record_completions(cluster)
     if name == "kv_f1_dropping_primary":
         per_client = _drive_dropping_primary(cluster, clients, ops_per_client, make_op)
     elif name == "kv_f1_page_transfer":
@@ -317,7 +319,7 @@ def fingerprint(name: str) -> Dict[str, Any]:
     cluster.run(duration=SETTLE_US)
     assert_one_slot_per_timer(cluster.scheduler)
     result = {
-        "completion_times": sorted(c.completed_at for c in cluster.completed),
+        "completion_times": sorted(c.completed_at for c in completions),
         "wire_totals": cluster.network.stats.wire_totals(),
         "dispatched": cluster.scheduler.dispatched,
         "cpu_busy_total": {

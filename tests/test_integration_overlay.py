@@ -14,6 +14,7 @@ from repro.core.config import DEFAULT_OPTIONS
 from repro.library import BFTCluster
 from repro.services import KeyValueStore
 from repro.sim.faults import FaultSpec, FaultType
+from tests.conftest import record_completions
 
 TREE = DEFAULT_OPTIONS.with_tree_dissemination()
 
@@ -26,14 +27,16 @@ def _disjoint_keys(client_index: int, op_index: int):
 
 
 def _run(options, faults=(), clients=4, ops=10, f=2, drain=400_000.0):
+    """The cluster, the closed loop's result and every completion record."""
     cluster = BFTCluster.create(f=f, service_factory=KeyValueStore,
                                 checkpoint_interval=8, options=options)
     for fault in faults:
         cluster.inject_fault(fault)
+    completions = record_completions(cluster)
     result = run_closed_loop(cluster, clients, ops,
                              operation_factory=_disjoint_keys)
     cluster.run(duration=drain)
-    return cluster, result
+    return cluster, result, completions
 
 
 def _state_of(cluster, exclude=()):
@@ -60,12 +63,12 @@ FAULT_MATRIX = [
 @pytest.mark.parametrize("label,faults,exclude",
                          FAULT_MATRIX, ids=[r[0] for r in FAULT_MATRIX])
 def test_tree_matches_flat_across_fault_matrix(label, faults, exclude):
-    flat_cluster, flat_result = _run(DEFAULT_OPTIONS, faults)
-    tree_cluster, tree_result = _run(TREE, faults)
+    flat_cluster, flat_result, flat_completions = _run(DEFAULT_OPTIONS, faults)
+    tree_cluster, tree_result, tree_completions = _run(TREE, faults)
 
     assert flat_result.per_client == tree_result.per_client
-    flat_results = sorted((c.operation, c.result) for c in flat_cluster.completed)
-    tree_results = sorted((c.operation, c.result) for c in tree_cluster.completed)
+    flat_results = sorted((c.operation, c.result) for c in flat_completions)
+    tree_results = sorted((c.operation, c.result) for c in tree_completions)
     assert flat_results == tree_results
 
     flat_state = set(_state_of(flat_cluster, exclude).values())
@@ -101,7 +104,7 @@ def test_tree_mode_is_bit_identical_across_cache_toggles():
     """A tree-mode run is pinned to the bit: how the simulator computes an
     encoding or a digest must not change any modeled result (the id dates
     from a switch between two such ways; the literal is the reference now)."""
-    cluster, result = _run(TREE)
+    cluster, result, _ = _run(TREE)
     assert result.per_client == [10, 10, 10, 10]
     assert result.latencies == TREE_RUN_LATENCIES
     assert {rid: d.hex() for rid, d in _state_of(cluster).items()} == {
@@ -115,7 +118,7 @@ def test_tampering_relay_is_rejected_end_to_end():
     reported to the roots, and masked: every operation still completes.
     replica0 is the interior forwarder of every other root's view-0 tree."""
     tamper = FaultSpec(node="replica0", fault=FaultType.TAMPER_RELAY, start=0.0)
-    cluster, result = _run(TREE, (tamper,), clients=4, ops=8)
+    cluster, result, _ = _run(TREE, (tamper,), clients=4, ops=8)
 
     assert result.per_client == [8] * 4
     rejected = sum(r.metrics.messages_rejected for r in cluster.replicas.values())
@@ -133,7 +136,7 @@ def test_watchdog_restores_tree_liveness_under_silent_relay():
     direct transmission — every operation completes and the group stays
     consistent.  The run is long enough for several watchdog periods."""
     silent = FaultSpec(node="replica0", fault=FaultType.SILENT_RELAY, start=0.0)
-    cluster, result = _run(TREE, (silent,), clients=4, ops=24)
+    cluster, result, _ = _run(TREE, (silent,), clients=4, ops=24)
 
     assert result.per_client == [24] * 4
     stats = [d.stats for d in cluster.disseminators.values()]
@@ -147,7 +150,7 @@ def test_clean_tree_run_never_falls_back():
     """The silence watchdog must not fire spuriously under continuous
     fault-free traffic (a spurious fallback would silently disable the
     optimization and poison the E20 message-ratio record)."""
-    cluster, result = _run(TREE, clients=4, ops=32)
+    cluster, result, _ = _run(TREE, clients=4, ops=32)
     assert result.per_client == [32] * 4
     stats = [d.stats for d in cluster.disseminators.values()]
     assert sum(s.complaints_sent for s in stats) == 0
@@ -182,7 +185,7 @@ def test_batched_send_path_applies_relay_faults_in_flat_order():
     two agree."""
     drop = FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
                      probability=0.4, start=0.0)
-    cluster, result = _run(TREE, (drop,), clients=3, ops=8)
+    cluster, result, _ = _run(TREE, (drop,), clients=3, ops=8)
 
     assert result.per_client == [8, 8, 8]
     assert result.latencies == PER_MESSAGE_PATH_LATENCIES

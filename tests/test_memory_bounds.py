@@ -138,14 +138,6 @@ CLUSTERS = {
 }
 
 
-#: Clients and clusters keep every ``CompletedRequest`` until completion
-#: state is bounded.
-KEEPS_EVERY_RECORD = pytest.mark.xfail(
-    strict=True, reason="clients and clusters keep every finished operation"
-)
-
-
-@KEEPS_EVERY_RECORD
 @pytest.mark.parametrize("name", sorted(CLUSTERS))
 def test_finished_operations_leave_no_memory_behind(name):
     growth, top = traced_growth(CLUSTERS[name])
@@ -180,7 +172,6 @@ def test_every_earlier_timestamp_is_complete_and_last_completed_is_newest(name):
     assert client.last_completed().operation == b"SET k2 v2"
 
 
-@KEEPS_EVERY_RECORD
 @pytest.mark.parametrize("name", sorted(SYNC_CLUSTERS))
 def test_result_of_answers_only_the_newest_timestamp(name):
     client, timestamps, completions = _three_completions(name)
