@@ -19,6 +19,9 @@ from records import check_record
 
 TOTAL_PAGES = 2048
 WORKING_SETS = [16, 64, 256, 1024]
+#: Timed checkpoints per working set, each on a fresh tree; the minimum is
+#: the one least disturbed by the rest of the host.
+REPEATS = 5
 
 
 def build_tree() -> PartitionTree:
@@ -29,21 +32,28 @@ def build_tree() -> PartitionTree:
     return tree
 
 
+def checkpoint_after_writes(working_set: int):
+    """A fresh tree with ``working_set`` pages modified since its first
+    checkpoint: the second checkpoint, and its wall-clock seconds."""
+    tree = build_tree()
+    for index in range(working_set):
+        tree.write_page(index, b"modified-%d" % index)
+    start = time.perf_counter()
+    copy = tree.take_checkpoint(2)
+    return copy, time.perf_counter() - start
+
+
 def run_experiment():
-    """The table, and the wall-clock seconds of each checkpoint (not recorded:
-    they do not repeat)."""
+    """The table, and the wall-clock seconds of each working set's checkpoint,
+    the minimum of ``REPEATS`` (not recorded: they do not repeat)."""
     table = ExperimentTable(
         "E7", f"Checkpoint creation cost vs modified pages (state = {TOTAL_PAGES} pages)"
     )
     times = []
     for working_set in WORKING_SETS:
-        tree = build_tree()
-        for index in range(working_set):
-            tree.write_page(index, b"modified-%d" % index)
-        start = time.perf_counter()
-        copy = tree.take_checkpoint(2)
-        times.append(time.perf_counter() - start)
-        table.add_row(modified_pages=working_set, copied_pages=len(copy.pages))
+        runs = [checkpoint_after_writes(working_set) for _ in range(REPEATS)]
+        times.append(min(seconds for _copy, seconds in runs))
+        table.add_row(modified_pages=working_set, copied_pages=len(runs[0][0].pages))
     return table, times
 
 
@@ -56,5 +66,5 @@ def test_checkpoint_creation_cost(benchmark):
     # proportional to the modified working set, not the total state size.
     assert copied == WORKING_SETS
     # Wall-clock cost grows with the working set.  Tiny absolute times are
-    # noisy, so only the coarse ordering is asserted.
+    # noisy, so only the coarse ordering of the minima is asserted.
     assert times[0] < times[-1]
