@@ -1,4 +1,4 @@
-"""Golden determinism fingerprint of nine small end-to-end runs.
+"""Golden determinism fingerprint of eleven small end-to-end runs.
 
 Modeled results are the repo's contract: work on the simulator's own
 speed must leave every modeled charge, event sequence number, RNG draw and
@@ -10,7 +10,10 @@ not.  Each configuration below runs a short closed loop and records
 * ``NetworkStats.wire_totals()``,
 * ``Scheduler.dispatched``,
 * every replica node's ``cpu_busy_total``, and
-* every replica's final service state digest,
+* every replica's final service state digest
+
+(for the sharded configuration, every group's replicas; for the
+unreplicated one, the server's),
 
 and ``GOLDEN`` holds the values captured from the commit *before* the
 per-message fast path (parent of PR 12) — for ``null_f10``, the n = 31
@@ -23,7 +26,11 @@ identical under all four ``batch execution x caches`` switch settings, and for
 counters, so the bytes of every META-DATA and DATA message are pinned.
 ``impaired_f1`` (duplication and jitter on every link, a replica corrupting
 its replies) was captured at the commit before every send became a delivery
-train, when each of its copies still took a heap slot of its own.  They
+train, when each of its copies still took a heap slot of its own.
+``sharded_g2`` (two groups on one clock, a backup of group 1 dropping a
+tenth of its sends, so every group node's forked RNG stream is drawn
+from) and ``unreplicated_null`` (the one-server baseline) were captured
+before the three kinds of deployment shared one assembly path.  They
 must match to the bit.  MAC tag bytes are not part of the fingerprint (their
 size is, through the wire totals), so swapping the MAC primitive leaves it
 unchanged.
@@ -41,6 +48,7 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
+from repro.baselines import UnreplicatedCluster
 from repro.bench.workloads import run_closed_loop
 from repro.core.config import ProtocolOptions
 from repro.core.messages import Reply
@@ -49,6 +57,7 @@ from repro.library import BFTCluster
 from repro.library.cluster import SimEnv
 from repro.net.conditions import NetworkConditions
 from repro.services.kvstore import KeyValueStore
+from repro.sharding import ShardedKVCluster
 from repro.sim.events import DeliveryTrain, Event, EventKind
 from repro.sim.faults import FaultSpec, FaultType
 from repro.sim.scheduler import Scheduler
@@ -120,6 +129,18 @@ def _tree_f2() -> BFTCluster:
     return BFTCluster.create(
         f=2, seed=15, options=ProtocolOptions().with_tree_dissemination()
     )
+
+
+def _sharded_g2() -> ShardedKVCluster:
+    sharded = ShardedKVCluster(groups=2, f=1, seed=28, checkpoint_interval=4)
+    sharded.inject_fault(
+        1, FaultSpec(node="g1:replica2", fault=FaultType.DROP_MESSAGES, probability=0.1)
+    )
+    return sharded
+
+
+def _unreplicated_null() -> UnreplicatedCluster:
+    return UnreplicatedCluster(seed=29)
 
 
 #: When the dropping primary crashes, and the bound on the run: it finishes
@@ -273,7 +294,7 @@ def _drive_page_transfer(cluster: BFTCluster, make_op: Callable) -> List[int]:
 
 
 #: name -> (cluster factory, operation factory, clients, operations per client)
-CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] = {
+CONFIGURATIONS: Dict[str, Tuple[Callable[[], Any], Callable, int, int]] = {
     "null_f1": (_null_f1, _null_op, 5, 6),
     "kv_f2_checkpoints": (_kv_f2_checkpoints, _kv_op, 6, 9),
     "send_faults_f1": (_send_faults_f1, _null_op, 4, 6),
@@ -285,6 +306,8 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], BFTCluster], Callable, int, int]] =
     "kv_f1_page_transfer": (
         _kv_f1_page_transfer, _page_transfer_op, 1, sum(PAGE_TRANSFER_PHASES)
     ),
+    "sharded_g2": (_sharded_g2, _kv_op, 4, 6),
+    "unreplicated_null": (_unreplicated_null, _null_op, 4, 6),
 }
 
 
@@ -303,6 +326,17 @@ def assert_one_slot_per_timer(scheduler: Scheduler) -> None:
     )
 
 
+def _nodes_and_services(cluster: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The server nodes of any deployment and their services, by name:
+    every group's replicas of a sharded cluster, or the one server."""
+    if hasattr(cluster, "server_node"):
+        return {"server": cluster.server_node}, {"server": cluster.service}
+    groups = getattr(cluster, "group_clusters", [cluster])
+    nodes = {rid: node for group in groups for rid, node in group.replica_nodes.items()}
+    services = {rid: s for group in groups for rid, s in group.services.items()}
+    return nodes, services
+
+
 def fingerprint(name: str) -> Dict[str, Any]:
     build, make_op, clients, ops_per_client = CONFIGURATIONS[name]
     cluster = build()
@@ -318,16 +352,14 @@ def fingerprint(name: str) -> Dict[str, Any]:
     assert per_client == [ops_per_client] * clients
     cluster.run(duration=SETTLE_US)
     assert_one_slot_per_timer(cluster.scheduler)
+    nodes, services = _nodes_and_services(cluster)
     result = {
         "completion_times": sorted(c.completed_at for c in completions),
         "wire_totals": cluster.network.stats.wire_totals(),
         "dispatched": cluster.scheduler.dispatched,
-        "cpu_busy_total": {
-            rid: node.cpu_busy_total for rid, node in cluster.replica_nodes.items()
-        },
+        "cpu_busy_total": {rid: node.cpu_busy_total for rid, node in nodes.items()},
         "state_digests": {
-            rid: service.state_digest().hex()
-            for rid, service in cluster.services.items()
+            rid: service.state_digest().hex() for rid, service in services.items()
         },
     }
     if name == "kv_f1_page_transfer":
@@ -683,6 +715,57 @@ GOLDEN["kv_f1_page_transfer"] = \
                               'Request': 156,
                               'StatusActive': 36}}}
 
+GOLDEN["sharded_g2"] = \
+{'completion_times': [503.73299999999983, 558.0609999999999, 836.2060000000001,
+                      1095.4190000000003, 1486.6360000000009, 1741.0850000000012,
+                      2009.6310000000012, 2245.324000000001, 2354.918000000001,
+                      2659.213, 2792.603000000001, 2829.799000000002,
+                      2986.9179999999997, 2998.2570000000014, 3409.9309999999996,
+                      3461.7990000000004, 3774.9059999999995, 3786.035000000001,
+                      4085.519, 4185.273, 4509.859, 4785.761, 5053.553999999998,
+                      5325.056],
+ 'cpu_busy_total': {'g0:replica0': 1535.9529999999988,
+                    'g0:replica1': 1414.824999999999,
+                    'g0:replica2': 1414.824999999999,
+                    'g0:replica3': 1414.824999999999,
+                    'g1:replica0': 5731.826999999997,
+                    'g1:replica1': 5177.434999999997,
+                    'g1:replica2': 5090.374999999998,
+                    'g1:replica3': 5118.678999999998},
+ 'dispatched': 649,
+ 'state_digests': {'g0:replica0': 'f4eb6a4c82a78356601e3025f9e925d1',
+                   'g0:replica1': 'f4eb6a4c82a78356601e3025f9e925d1',
+                   'g0:replica2': 'f4eb6a4c82a78356601e3025f9e925d1',
+                   'g0:replica3': 'f4eb6a4c82a78356601e3025f9e925d1',
+                   'g1:replica0': '7d2e2b746f099bbe7569d1d869cc4b98',
+                   'g1:replica1': '7d2e2b746f099bbe7569d1d869cc4b98',
+                   'g1:replica2': '7d2e2b746f099bbe7569d1d869cc4b98',
+                   'g1:replica3': '7d2e2b746f099bbe7569d1d869cc4b98'},
+ 'wire_totals': {'auth_bytes': 14624,
+                 'messages_sent': 625,
+                 'payload_bytes': 68546,
+                 'per_type': {'Checkpoint': 36,
+                              'Commit': 190,
+                              'PrePrepare': 48,
+                              'Prepare': 138,
+                              'Reply': 95,
+                              'Request': 48,
+                              'StatusActive': 70}}}
+GOLDEN["unreplicated_null"] = \
+{'completion_times': [161.149, 211.631, 262.142, 312.68199999999996, 363.16399999999993,
+                      413.6749999999999, 464.21499999999986, 514.7839999999999,
+                      565.2949999999998, 615.8349999999999, 666.404, 716.857, 767.397,
+                      817.9660000000001, 868.4190000000001, 918.9010000000002,
+                      969.4700000000003, 1019.9230000000002, 1070.4050000000002,
+                      1120.9160000000002, 1171.3690000000001, 1221.851, 1272.362,
+                      1322.902],
+ 'cpu_busy_total': {'server': 1212.2060000000001},
+ 'dispatched': 48,
+ 'state_digests': {'server': 'cf498596ff89a16278ba0f83a00201db'},
+ 'wire_totals': {'auth_bytes': 768,
+                 'messages_sent': 48,
+                 'payload_bytes': 3526,
+                 'per_type': {'Reply': 24, 'Request': 24}}}
 
 @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
 def test_fingerprint_matches_golden(name):
