@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import AuthMode, ProtocolOptions
-from repro.library import BFTCluster, ReplicatedService
+from repro.library import BFTCluster
 from repro.services import CounterService, KeyValueStore
 
 
@@ -129,19 +134,23 @@ def test_read_only_latency_lower_than_read_write():
 
 
 def test_replicated_service_facade():
-    service = ReplicatedService(KeyValueStore, f=1, checkpoint_interval=8)
-    assert service.invoke(b"SET via facade") == b"OK"
-    assert service.invoke(b"GET via", read_only=True) == b"facade"
-    assert service.config.n == 4
+    """The Figure 6-2 shape: ``Byz_init_client`` is ``new_client``,
+    ``Byz_invoke`` is ``invoke``."""
+    cluster = BFTCluster.create(
+        f=1, service_factory=KeyValueStore, checkpoint_interval=8
+    )
+    client = cluster.new_client()
+    assert client.invoke(b"SET via facade") == b"OK"
+    assert client.invoke(b"GET via", read_only=True) == b"facade"
+    assert cluster.config.n == 4
     # Named clients map to distinct BFT clients.
-    assert service.invoke(b"SET who alice", client="alice") == b"OK"
-    assert service.invoke(b"GET who", client="bob") == b"alice"
+    alice, bob = cluster.new_client("alice"), cluster.new_client("bob")
+    assert alice.invoke(b"SET who alice") == b"OK"
+    assert bob.invoke(b"GET who") == b"alice"
     # Every replica's service converged.
-    digests = {
-        service.replica_service(rid).state_digest()
-        for rid in service.config.replica_ids
-    }
-    service.cluster.run(duration=1_000_000)
+    cluster.run(duration=1_000_000)
+    digests = {service.state_digest() for service in cluster.services.values()}
+    assert len(digests) == 1
 
 
 def test_byzantine_client_cannot_break_counter_invariant():
@@ -154,3 +163,24 @@ def test_byzantine_client_cannot_break_counter_invariant():
     # rejected by the service on every replica identically.
     assert byzantine.invoke(b"DEC 100") == b"ERR underflow"
     assert honest.invoke(b"READ", read_only=True) == b"3"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "example", ["quickstart.py", "view_change_demo.py", "bfs_andrew.py"]
+)
+def test_example_runs(example):
+    """Each example runs to completion against the library as it is.
+
+    ``performance_comparison.py`` is left out: it takes ~20 s, a third of
+    the whole suite, and every cluster it builds is one the benchmark
+    suite already drives.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / example)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -236,15 +236,14 @@ def test_vote_page_digests_agreement_and_undecided():
 
 
 def test_sharded_service_library_api():
-    """The Figure 6-2-style wrapper: sharded invoke + migrate."""
-    from repro.library import ShardedKVService
-
-    service = ShardedKVService(groups=2, f=1, checkpoint_interval=8)
-    assert service.invoke(b"SET colour blue") == b"OK"
-    assert service.invoke(b"GET colour", read_only=True) == b"blue"
+    """The Figure 6-2 shape over groups: sharded invoke + migrate."""
+    sharded = ShardedKVCluster(groups=2, f=1, checkpoint_interval=8)
+    client = sharded.new_client()
+    assert client.invoke(b"SET colour blue") == b"OK"
+    assert client.invoke(b"GET colour", read_only=True) == b"blue"
     bucket = KeyValueStore.bucket_of(b"colour")
-    source = service.router.group_of_bucket(bucket)
-    metrics = service.migrate([bucket], 1 - source)
+    source = sharded.router.group_of_bucket(bucket)
+    metrics = sharded.migrate_buckets([bucket], 1 - source)
     assert metrics.pages_moved >= 1
-    assert service.epoch == 1
-    assert service.invoke(b"GET colour", read_only=True) == b"blue"
+    assert sharded.router.epoch == 1
+    assert client.invoke(b"GET colour", read_only=True) == b"blue"
