@@ -9,8 +9,9 @@ two independent replica groups, with a bucket range migrated live between
 them.
 """
 
-from repro.library import BFTCluster, ShardedKVService
+from repro.library import BFTCluster
 from repro.services import KeyValueStore
+from repro.sharding import ShardedKVCluster
 from repro.sim.faults import FaultSpec, FaultType
 
 
@@ -84,27 +85,29 @@ def sharded() -> None:
     """Scale-out flavour: two replica groups, keys hash-partitioned over
     CRC-32 buckets, and a live bucket-range migration between groups."""
     print()
-    service = ShardedKVService(groups=2, f=1, checkpoint_interval=8)
-    print(f"sharded deployment: {service.cluster.num_groups} groups, "
-          f"routing epoch {service.epoch}")
+    sharded = ShardedKVCluster(groups=2, f=1, checkpoint_interval=8)
+    client = sharded.new_client()
+    print(f"sharded deployment: {sharded.num_groups} groups, "
+          f"routing epoch {sharded.router.epoch}")
 
     for i in range(8):
-        service.invoke(b"SET user%02d active" % i)
-    owner = service.router.group_of_key(b"user00")
+        client.invoke(b"SET user%02d active" % i)
+    owner = sharded.router.group_of_key(b"user00")
     print("user00 owned by group", owner)
 
     # Rebalance: move the bucket holding user00 (and its neighbours) to
     # the other group.
     hot = KeyValueStore.bucket_of(b"user00")
-    moved = [b for b in service.buckets_of(owner) if hot <= b < hot + 64]
-    metrics = service.migrate(moved, 1 - owner)
+    moved = [b for b in sharded.router.buckets_owned_by(owner)
+             if hot <= b < hot + 64]
+    metrics = sharded.migrate_buckets(moved, 1 - owner)
     print(f"migrated {metrics.pages_moved} page(s), "
           f"{metrics.bytes_moved} modeled bytes on the wire, "
-          f"routing epoch now {service.epoch}")
+          f"routing epoch now {sharded.router.epoch}")
 
     # Reads route to whichever group owns each key now.
-    print("GET user00 ->", service.invoke(b"GET user00", read_only=True))
-    print("KEYS across groups ->", service.invoke(b"KEYS")[:60], b"...")
+    print("GET user00 ->", client.invoke(b"GET user00", read_only=True))
+    print("KEYS across groups ->", client.invoke(b"KEYS")[:60], b"...")
 
 
 def auto_rebalanced() -> None:
@@ -114,7 +117,7 @@ def auto_rebalanced() -> None:
     queued and re-issued at the new owner, never lost or reordered."""
     print()
     from repro.bench import run_closed_loop
-    from repro.sharding import LoadStatsConfig, RebalancerConfig, ShardedKVCluster
+    from repro.sharding import LoadStatsConfig, RebalancerConfig
 
     sharded = ShardedKVCluster(
         groups=2, f=1, checkpoint_interval=8, auto_rebalance=True,

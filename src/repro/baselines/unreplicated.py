@@ -10,22 +10,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.auth import Authentication, build_session_keys
+from repro.core.auth import Authentication
 from repro.core.client import Client, CompletedRequest
 from repro.core.config import AuthMode
 from repro.core.env import Env
 from repro.core.messages import Message, Reply, Request
 from repro.crypto.digests import digest
-from repro.crypto.signatures import SignatureRegistry
-from repro.library.cluster import ProtocolNode, SimEnv, SyncClient
+from repro.library.cluster import SimWorld, SyncClient
 from repro.net.conditions import NetworkConditions
-from repro.net.network import Network
 from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
 from repro.services.interface import Service
 from repro.services.null_service import NullService
 from repro.sim.faults import FaultInjector
-from repro.sim.rng import SimRandom
-from repro.sim.scheduler import Scheduler
 
 SERVER_NAME = "server"
 RETRANSMIT_TIMER = "retransmit"
@@ -170,7 +166,11 @@ class UnreplicatedClient:
 
 
 class UnreplicatedCluster:
-    """A one-server deployment over the same simulated substrate."""
+    """A one-server deployment in a :class:`SimWorld` of its own."""
+
+    #: The world's run loop and clock, read through ``self.scheduler``.
+    run = SimWorld.run
+    now = SimWorld.now
 
     def __init__(
         self,
@@ -180,30 +180,17 @@ class UnreplicatedCluster:
         seed: int = 0,
     ) -> None:
         self.params = params
-        self.rng = SimRandom(seed)
-        self.scheduler = Scheduler()
-        self.conditions = conditions or params.communication.network_conditions()
-        self.network = Network(self.scheduler, self.conditions, self.rng.fork("net"))
+        self.world = SimWorld(seed, params, conditions)
+        self.scheduler = self.world.scheduler
+        self.network = self.world.network
+        self.conditions = self.world.conditions
         self.fault_injector = FaultInjector()
-        self.registry = SignatureRegistry()
         self._client_counter = 0
 
-        node = ProtocolNode(
-            SERVER_NAME, self.scheduler, self.network, params, self.fault_injector,
-            self.rng.fork(SERVER_NAME),
+        node, env, auth = self.world.node(
+            SERVER_NAME, (), params, self.fault_injector, AuthMode.MAC
         )
-        self.network.register(SERVER_NAME)
-        env = SimEnv(node)
         self.service = service_factory()
-        keys = build_session_keys(SERVER_NAME, ())
-        auth = Authentication(
-            owner=SERVER_NAME,
-            mode=AuthMode.MAC,
-            keys=keys,
-            registry=self.registry,
-            crypto_costs=params.crypto,
-            env=env,
-        )
         self.server = UnreplicatedServer(self.service, env, auth, params)
         node.protocol = self.server
         self.server_node = node
@@ -216,20 +203,8 @@ class UnreplicatedCluster:
         if name is None:
             name = f"client{self._client_counter}"
             self._client_counter += 1
-        node = ProtocolNode(
-            name, self.scheduler, self.network, self.params, self.fault_injector,
-            self.rng.fork(name),
-        )
-        self.network.register(name)
-        env = SimEnv(node)
-        keys = build_session_keys(name, (SERVER_NAME,))
-        auth = Authentication(
-            owner=name,
-            mode=AuthMode.MAC,
-            keys=keys,
-            registry=self.registry,
-            crypto_costs=self.params.crypto,
-            env=env,
+        node, env, auth = self.world.node(
+            name, (SERVER_NAME,), self.params, self.fault_injector, AuthMode.MAC
         )
         client = UnreplicatedClient(name, env, auth, on_complete=on_complete)
         node.protocol = client
@@ -237,13 +212,3 @@ class UnreplicatedCluster:
         sync = SyncClient(self, client, node)
         self.clients[name] = sync
         return sync
-
-    def run(self, duration: Optional[float] = None, until: Optional[float] = None,
-            stop_when=None, max_events: Optional[int] = None) -> None:
-        if duration is not None:
-            until = self.scheduler.clock.now + duration
-        self.scheduler.run(until=until, max_events=max_events, stop_when=stop_when)
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.clock.now

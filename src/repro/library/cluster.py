@@ -9,14 +9,17 @@ cost model, and lets tests and benchmarks inject Byzantine faults.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.client import Client, CompletedRequest
-from repro.core.config import DEFAULT_OPTIONS, ProtocolOptions, ReplicaSetConfig
+from repro.core.config import (
+    DEFAULT_OPTIONS, AuthMode, ProtocolOptions, ReplicaSetConfig,
+)
 from repro.core.env import Env
-from repro.core.messages import Message, PrePrepare, Reply, Request
+from repro.core.messages import PrePrepare, Reply, Request
 from repro.core.replica import Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.net.conditions import NetworkConditions
@@ -26,7 +29,7 @@ from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
 from repro.recovery.manager import RecoveryManager
 from repro.services.interface import Service
 from repro.services.null_service import NullService
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind
 from repro.sim.faults import FaultInjector, FaultSpec, FaultType
 from repro.sim.node import Node, Timer
 from repro.sim.rng import SimRandom
@@ -433,48 +436,114 @@ class SyncClient:
         return self.protocol.last_completed
 
 
-class BFTCluster:
-    """A complete simulated BFT deployment.
+class SimWorld:
+    """The simulated world a deployment runs in: one seeded RNG, scheduler
+    (and its clock), network and signature registry, and the one place a
+    node is built (:meth:`node`).
 
-    A cluster normally owns its whole simulated world — scheduler, network
-    and RNG.  Multi-group deployments (:mod:`repro.sharding`) instead pass
-    shared ``scheduler``/``network``/``rng``/``registry`` instances so that
-    several independent replica groups advance on one clock and exchange
-    messages over one network; each group then needs a distinct
-    ``config.replica_prefix`` and ``client_prefix`` so node names stay
-    unique across the shared fabric.
+    A multi-group deployment runs every group in one world; each group
+    sees it through :meth:`fork`, which shares the clock, network and
+    registry and derives the group's node RNG streams under its label.
     """
 
     def __init__(
         self,
+        seed: int = 0,
+        params: ModelParameters = PAPER_PARAMETERS,
+        conditions: Optional[NetworkConditions] = None,
+    ) -> None:
+        self.rng = SimRandom(seed)
+        self.scheduler = Scheduler()
+        self.conditions = conditions or params.communication.network_conditions()
+        self.network = Network(self.scheduler, self.conditions, self.rng.fork("net"))
+        self.registry = SignatureRegistry()
+
+    def fork(self, label: str) -> "SimWorld":
+        """This world with node RNG streams derived under ``label``."""
+        forked = copy.copy(self)
+        forked.rng = self.rng.fork(label)
+        return forked
+
+    def node(
+        self,
+        name: str,
+        peers: Iterable[str],
+        params: ModelParameters,
+        fault_injector: FaultInjector,
+        auth_mode: AuthMode,
+        real_crypto: bool = True,
+        record_events: bool = False,
+    ) -> Tuple[ProtocolNode, SimEnv, Authentication]:
+        """Place node ``name`` on the network, with session keys shared
+        with ``peers``.  The caller builds its protocol object on the
+        returned environment and authentication and sets ``node.protocol``."""
+        node = ProtocolNode(
+            name, self.scheduler, self.network, params, fault_injector,
+            self.rng.fork(name), record_events=record_events,
+        )
+        self.network.register(name)
+        env = SimEnv(node)
+        auth = Authentication(
+            owner=name,
+            mode=auth_mode,
+            keys=build_session_keys(name, peers),
+            registry=self.registry,
+            crypto_costs=params.crypto,
+            env=env,
+            real_crypto=real_crypto,
+        )
+        return node, env, auth
+
+    def run(
+        self,
+        duration: Optional[float] = None,
+        until: Optional[float] = None,
+        stop_when: Optional[Callable[[], bool]] = None,
+        max_events: Optional[int] = None,
+    ) -> None:
+        if duration is not None:
+            until = self.scheduler.clock.now + duration
+        self.scheduler.run(until=until, max_events=max_events, stop_when=stop_when)
+
+    @property
+    def now(self) -> float:
+        return self.scheduler.clock.now
+
+
+class BFTCluster:
+    """A complete simulated BFT deployment: the replicas of one group and
+    their clients, placed in a :class:`SimWorld`.
+
+    A cluster built by :meth:`create` has a world of its own.  Multi-group
+    deployments (:mod:`repro.sharding`) give each group a fork of one
+    shared world, so the groups advance on one clock and exchange
+    messages over one network; each group then needs a distinct
+    ``config.replica_prefix`` and ``client_prefix`` so node names stay
+    unique in the world.
+    """
+
+    #: The world's run loop and clock, read through ``self.scheduler``.
+    run = SimWorld.run
+    now = SimWorld.now
+
+    def __init__(
+        self,
         config: ReplicaSetConfig,
+        world: SimWorld,
         service_factory: Callable[[], Service] = NullService,
         options: ProtocolOptions = DEFAULT_OPTIONS,
         params: ModelParameters = PAPER_PARAMETERS,
-        conditions: Optional[NetworkConditions] = None,
-        seed: int = 0,
         record_events: bool = False,
-        scheduler: Optional[Scheduler] = None,
-        network: Optional[Network] = None,
-        rng: Optional[SimRandom] = None,
-        registry: Optional[SignatureRegistry] = None,
         client_prefix: str = "",
     ) -> None:
         self.config = config
         self.options = options
         self.params = params
-        self.rng = rng or SimRandom(seed)
-        self.scheduler = scheduler or Scheduler()
-        if network is not None:
-            self.network = network
-            self.conditions = network.conditions
-        else:
-            self.conditions = conditions or params.communication.network_conditions()
-            self.network = Network(
-                self.scheduler, self.conditions, self.rng.fork("net")
-            )
+        self.world = world
+        self.scheduler = world.scheduler
+        self.network = world.network
+        self.conditions = world.conditions
         self.fault_injector = FaultInjector()
-        self.registry = registry or SignatureRegistry()
         self.client_prefix = client_prefix
         self.record_events = record_events
 
@@ -523,39 +592,25 @@ class BFTCluster:
             )
         return cls(
             config,
+            SimWorld(seed, params, conditions),
             service_factory=service_factory,
             options=options,
             params=params,
-            conditions=conditions,
-            seed=seed,
             record_events=record_events,
+        )
+
+    def _node(self, name: str) -> Tuple[ProtocolNode, SimEnv, Authentication]:
+        """A replica or client node of this group (:meth:`SimWorld.node`)."""
+        return self.world.node(
+            name, self.config.replica_ids, self.params, self.fault_injector,
+            self.options.auth_mode, self.options.real_crypto, self.record_events,
         )
 
     def _build_replica(
         self, replica_id: str, service_factory: Callable[[], Service]
     ) -> None:
-        node = ProtocolNode(
-            replica_id,
-            self.scheduler,
-            self.network,
-            self.params,
-            self.fault_injector,
-            self.rng.fork(replica_id),
-            record_events=self.record_events,
-        )
-        self.network.register(replica_id)
-        env = SimEnv(node)
         service = service_factory()
-        keys = build_session_keys(replica_id, self.config.replica_ids)
-        auth = Authentication(
-            owner=replica_id,
-            mode=self.options.auth_mode,
-            keys=keys,
-            registry=self.registry,
-            crypto_costs=self.params.crypto,
-            env=env,
-            real_crypto=self.options.real_crypto,
-        )
+        node, env, auth = self._node(replica_id)
         replica = Replica(
             replica_id,
             self.config,
@@ -584,27 +639,7 @@ class BFTCluster:
         if name is None:
             name = f"{self.client_prefix}client{self._client_counter}"
             self._client_counter += 1
-        node = ProtocolNode(
-            name,
-            self.scheduler,
-            self.network,
-            self.params,
-            self.fault_injector,
-            self.rng.fork(name),
-            record_events=self.record_events,
-        )
-        self.network.register(name)
-        env = SimEnv(node)
-        keys = build_session_keys(name, self.config.replica_ids)
-        auth = Authentication(
-            owner=name,
-            mode=self.options.auth_mode,
-            keys=keys,
-            registry=self.registry,
-            crypto_costs=self.params.crypto,
-            env=env,
-            real_crypto=self.options.real_crypto,
-        )
+        node, env, auth = self._node(name)
         client = Client(
             name,
             self.config,
@@ -672,22 +707,6 @@ class BFTCluster:
 
         self.scheduler.schedule_after(first, EventKind.INTERNAL, node.name, payload=fire)
 
-    # -------------------------------------------------------------------- run
-    def run(
-        self,
-        duration: Optional[float] = None,
-        until: Optional[float] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if duration is not None:
-            until = self.scheduler.clock.now + duration
-        self.scheduler.run(until=until, max_events=max_events, stop_when=stop_when)
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.clock.now
-
     # ---------------------------------------------------------------- faults
     def inject_fault(self, spec: FaultSpec) -> None:
         self.fault_injector.add(spec)
@@ -699,9 +718,6 @@ class BFTCluster:
 
     def corrupt_replica_state(self, replica_id: str) -> None:
         self.services[replica_id].corrupt()
-
-    def replica(self, replica_id: str) -> Replica:
-        return self.replicas[replica_id]
 
     def primary_replica(self, view: int = 0) -> Replica:
         return self.replicas[self.config.primary_of(view)]

@@ -18,22 +18,18 @@ also handles the ``KEYS`` fan-out.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import DEFAULT_OPTIONS, ProtocolOptions, ReplicaSetConfig
 from repro.core.client import CompletedRequest
-from repro.crypto.signatures import SignatureRegistry
-from repro.library.cluster import BFTCluster, SyncClient
+from repro.library.cluster import BFTCluster, SimWorld, SyncClient
 from repro.net.conditions import NetworkConditions
-from repro.net.network import Network
 from repro.perfmodel.params import ModelParameters, PAPER_PARAMETERS
 from repro.services.interface import Service
 from repro.services.kvstore import KeyValueStore
 from repro.sharding.loadstats import LoadStats, LoadStatsConfig
 from repro.sharding.router import ShardRouter, key_of_operation
 from repro.sim.faults import FaultSpec
-from repro.sim.rng import SimRandom
-from repro.sim.scheduler import Scheduler
 
 
 class ShardClient:
@@ -72,9 +68,6 @@ class ShardClient:
                 self._on_complete(completed)
 
         return on_complete
-
-    def group_client(self, group: int) -> SyncClient:
-        return self._group_clients[group]
 
     # ----------------------------------------------------------------- issue
     def submit(
@@ -174,6 +167,10 @@ class ShardedKVCluster:
     armed.
     """
 
+    #: The world's run loop and clock, read through ``self.scheduler``.
+    run = SimWorld.run
+    now = SimWorld.now
+
     def __init__(
         self,
         groups: int = 2,
@@ -191,17 +188,11 @@ class ShardedKVCluster:
         **config_overrides,
     ) -> None:
         self.num_groups = groups
-        self.rng = SimRandom(seed)
-        self.scheduler = Scheduler()
-        self.conditions = conditions or params.communication.network_conditions()
-        self.network = Network(self.scheduler, self.conditions, self.rng.fork("net"))
-        self.registry = SignatureRegistry()
-        self.params = params
-        self.options = options
-        self.service_factory = service_factory
-        self.num_buckets = getattr(
-            service_factory, "num_buckets", KeyValueStore.num_buckets
-        )
+        self.world = SimWorld(seed, params, conditions)
+        self.scheduler = self.world.scheduler
+        self.network = self.world.network
+        self.conditions = self.world.conditions
+        num_buckets = getattr(service_factory, "num_buckets", KeyValueStore.num_buckets)
         bucket_fn = getattr(service_factory, "bucket_of", KeyValueStore.bucket_of)
 
         self.group_clusters: List[BFTCluster] = []
@@ -215,20 +206,17 @@ class ShardedKVCluster:
             self.group_clusters.append(
                 BFTCluster(
                     config,
+                    self.world.fork(f"g{group}"),
                     service_factory=service_factory,
                     options=options,
                     params=params,
                     record_events=record_events,
-                    scheduler=self.scheduler,
-                    network=self.network,
-                    rng=self.rng.fork(f"g{group}"),
-                    registry=self.registry,
                     client_prefix=f"g{group}:",
                 )
             )
 
         self.router = ShardRouter(
-            num_groups=groups, num_buckets=self.num_buckets, bucket_fn=bucket_fn
+            num_groups=groups, num_buckets=num_buckets, bucket_fn=bucket_fn
         )
         #: Router-issued requests currently in flight, per group; a
         #: migration quiesces its source and target groups by waiting for
@@ -275,22 +263,6 @@ class ShardedKVCluster:
                 f"migrate@g{group}"
             )
         return self._coordinator_clients[group]
-
-    # -------------------------------------------------------------------- run
-    def run(
-        self,
-        duration: Optional[float] = None,
-        until: Optional[float] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if duration is not None:
-            until = self.scheduler.clock.now + duration
-        self.scheduler.run(until=until, max_events=max_events, stop_when=stop_when)
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.clock.now
 
     # ---------------------------------------------------------------- faults
     def inject_fault(self, group: int, spec: FaultSpec) -> None:
