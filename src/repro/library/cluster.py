@@ -5,6 +5,8 @@ testbed in the paper's evaluation: it instantiates ``n = 3f + 1`` replicas
 running the protocol over the simulated network, charges CPU time for
 cryptography, execution and message handling according to the Chapter-7
 cost model, and lets tests and benchmarks inject Byzantine faults.
+``SimWorld`` is the one place a simulated world and its nodes are built,
+for replica groups, sharded deployments and the unreplicated baseline.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 ``ShardedKVCluster`` runs ``G`` independent PBFT groups — each a full
 :class:`~repro.library.cluster.BFTCluster` with its own replicas, fault
-injector and protocol state — on **one** shared scheduler/clock and one
-shared simulated network, so cross-group behaviour (aggregate throughput,
+injector and protocol state — in **one**
+:class:`~repro.library.cluster.SimWorld` (one scheduler/clock, one
+simulated network), so cross-group behaviour (aggregate throughput,
 migrations bracketed by live traffic) is measured on a single consistent
 timeline.  Node names are namespaced per group (``g0:replica1``,
 ``alice@g2``) via ``ReplicaSetConfig.replica_prefix`` and the cluster

@@ -174,9 +174,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_example_runs(example):
     """Each example runs to completion against the library as it is.
 
-    ``performance_comparison.py`` is left out: it takes ~20 s, a third of
-    the whole suite, and every cluster it builds is one the benchmark
-    suite already drives.
+    ``performance_comparison.py`` is left out: on its own it takes about
+    20 s, a third of the whole suite's time.
     """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     completed = subprocess.run(
