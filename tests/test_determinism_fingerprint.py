@@ -56,6 +56,7 @@ from repro.core.replica import Replica
 from repro.library import BFTCluster
 from repro.library.cluster import SimEnv
 from repro.net.conditions import NetworkConditions
+from repro.services.interface import Service
 from repro.services.kvstore import KeyValueStore
 from repro.sharding import ShardedKVCluster
 from repro.sim.events import DeliveryTrain, Event, EventKind
@@ -172,10 +173,12 @@ def _kv_f1_dropping_primary() -> BFTCluster:
 def _count_execution_branches(counts: Dict[str, int]) -> Iterator[None]:
     """Count, from outside the replica, the branches of the execution rule
     a run takes: digest replies (5.1.1), cached-reply re-sends (3.1) and
-    tentative aborts (5.1.2)."""
+    tentative aborts (5.1.2); and, from outside the service, the rollbacks
+    those aborts make (``Service.restore``)."""
     send_many = SimEnv.send_many
     execute_batch = Replica._execute_batch
     abort = Replica._abort_tentative_execution
+    restore = Service.restore
 
     def counting_send_many(self, pairs):
         counts["stripped_replies"] += sum(
@@ -197,22 +200,29 @@ def _count_execution_branches(counts: Dict[str, int]) -> Iterator[None]:
         counts["tentative_aborts"] += self.last_tentative > self.last_executed
         abort(self)
 
+    def counting_restore(self, snapshot):
+        counts["restores"] += 1
+        restore(self, snapshot)
+
     SimEnv.send_many = counting_send_many
     Replica._execute_batch = counting_execute_batch
     Replica._abort_tentative_execution = counting_abort
+    Service.restore = counting_restore
     try:
         yield
     finally:
         SimEnv.send_many = send_many
         Replica._execute_batch = execute_batch
         Replica._abort_tentative_execution = abort
+        Service.restore = restore
 
 
 def _drive_dropping_primary(
     cluster: BFTCluster, clients: int, ops_per_client: int, make_op: Callable
 ) -> List[int]:
     """``run_closed_loop`` with a bounded run, asserting that the run took
-    every branch of the execution rule it is here to pin."""
+    every branch of the execution rule it is here to pin and rolled a
+    service back at least once."""
     per_client = [0] * clients
     syncs = []
 
@@ -226,7 +236,7 @@ def _drive_dropping_primary(
 
     counts = dict.fromkeys(
         ("stripped_replies", "cached_resends", "multi_request_batches",
-         "tentative_aborts"), 0
+         "tentative_aborts", "restores"), 0
     )
     with _count_execution_branches(counts):
         for index in range(clients):
@@ -237,7 +247,7 @@ def _drive_dropping_primary(
             stop_when=lambda: sum(per_client) >= clients * ops_per_client,
             duration=DROPPING_PRIMARY_BOUND_US,
         )
-    # 14 / 6 / 3 / 2 when the literal was captured.
+    # 14 / 6 / 3 / 2 / 2 when the literal was captured.
     assert all(counts.values()), counts
     return per_client
 
