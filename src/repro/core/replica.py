@@ -88,8 +88,8 @@ class CheckpointSnapshot:
 
     ``service_snapshot`` is the refcounted copy-on-write
     :class:`~repro.services.interface.PageSnapshot` handle the service's
-    ``snapshot()`` returned.  Consumers must treat it as immutable and go
-    through ``Service.export_snapshot`` to obtain the portable form.
+    ``snapshot()`` returned.  Consumers must treat it as immutable and read
+    it through the service (``snapshot_pages`` and friends, ``restore``).
     """
 
     seq: int

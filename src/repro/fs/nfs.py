@@ -440,30 +440,11 @@ class NFSService(Service):
     def _page_indexes(self) -> Iterable[int]:
         return (*self._buckets, self.allocator_page)
 
-    # The portable state is the page payloads themselves.
-    def _state_from_payloads(self, payloads: Dict[int, Any]) -> object:
-        return dict(payloads)
-
-    def _payloads_from_portable(
-        self, state: Any, wanted: Optional[Set[int]] = None
-    ) -> Dict[int, Any]:
-        return {
-            index: payload for index, payload in state.items()
-            if wanted is None or index in wanted
-        }
-
     def _export_state(self) -> object:
         return {
             index: payload for index in self._page_indexes()
             if (payload := self._page_payload(index))
         }
-
-    def _import_state(self, state: object) -> None:
-        self._inodes = {}
-        self._buckets = {}
-        self._next_inode = _FIRST_INODE
-        for index, payload in state.items():  # type: ignore[attr-defined]
-            self._import_payload(index, payload)
 
     def _import_payload(self, index: int, payload: Any) -> None:
         if index == self.allocator_page:

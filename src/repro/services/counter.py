@@ -13,7 +13,7 @@ value changed since the last checkpoint".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.services.interface import BatchOp, ExecutionResult, Service
 
@@ -120,17 +120,8 @@ class CounterService(Service):
     def _page_indexes(self) -> Iterable[int]:
         return (0,)
 
-    def _state_from_payloads(self, payloads: Dict[int, bytes]) -> object:
-        return int(payloads.get(0, b"0"))
-
-    def _payloads_from_portable(self, state: object, wanted=None) -> Dict[int, bytes]:
-        return {0: str(int(state)).encode()}  # type: ignore[arg-type]
-
     def _export_state(self) -> object:
         return self.value
-
-    def _import_state(self, state: object) -> None:
-        self.value = int(state)  # type: ignore[arg-type]
 
     def _import_payload(self, index: int, payload: bytes) -> None:
         self.value = int(payload or b"0")

@@ -27,19 +27,20 @@ Dirty-page contract (Section 5.3.1)
 * ``snapshot()`` is a copy-on-write partition-tree checkpoint: only dirty
   pages are captured, and the returned :class:`PageSnapshot` handle is
   immune to later mutation of the service;
-* ``restore()`` accepts both a :class:`PageSnapshot` handle and the
-  *portable* (plain-object) form produced by :meth:`Service.export_snapshot`;
+* ``restore()`` rolls back to a held handle page by page (Sections 5.1.2,
+  5.3.1): only the pages written since its checkpoint go back, and every
+  other held handle stays valid;
 * handles are refcounted: the replica calls
   ``acquire_snapshot``/``release_snapshot`` as checkpoint records are
   shared and garbage-collected, which lets the tree fold dead
   copy-on-write copies away.
 
 Subclasses provide the hooks ``_page_payload``, ``_page_indexes``,
-``_state_from_payloads``, ``_payloads_from_portable``, ``_import_payload``,
-``_export_state`` and ``_import_state`` — plus ``_encode_payload`` /
-``_decode_payload`` unless payloads are bytes (``NullService`` and
-``CounterService`` inherit the identity defaults) — and the base class
-supplies digesting, snapshots, restore and ``pages()``.
+``_import_payload`` and ``_export_state`` (the tests' native-state
+reference) — plus ``_encode_payload`` / ``_decode_payload`` unless payloads
+are bytes (``NullService`` and ``CounterService`` inherit the identity
+defaults) — and the base class supplies digesting, snapshots, restore and
+``pages()``.
 
 Page-level state transfer (Section 5.3.2)
 -----------------------------------------
@@ -50,10 +51,8 @@ State transfer moves the pages that differ, and nothing else:
   (what the fetcher diffs proven META-DATA entries against);
 * :meth:`Service.snapshot_pages` / ``snapshot_page_subset`` /
   ``snapshot_page_digests`` — the page encodings and content digests of a
-  checkpoint snapshot (what a replica serves FETCH requests from), read
-  from the partition tree's records when the snapshot is a live
-  copy-on-write handle and rebuilt from the portable state otherwise
-  (a handle detached by a restore) — both forms are byte-identical;
+  held checkpoint snapshot (what a replica serves FETCH requests from),
+  read from the partition tree's records;
 * :meth:`Service.install_pages` — install fetched pages
   *individually*, so a transfer replaces only out-of-date pages instead
   of rebuilding the whole state.
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 )
 
 from repro.statetransfer.partition_tree import (
@@ -92,35 +91,17 @@ BatchOp = Tuple[bytes, str]
 
 class PageSnapshot:
     """Opaque copy-on-write snapshot handle returned by
-    :meth:`Service.snapshot`.
+    :meth:`Service.snapshot`: a partition-tree checkpoint inside the service
+    that took it, valid until its last reference is released."""
 
-    The handle references a partition-tree checkpoint inside its owning
-    service; :meth:`materialize` resolves it to the portable state, caching
-    the result so the handle stays valid even after the owner's tree is
-    reset by a restore.
-    """
+    __slots__ = ("snap_id", "refs")
 
-    __slots__ = ("owner", "snap_id", "refs", "_portable", "_materialized")
-
-    def __init__(self, owner: "Service", snap_id: int) -> None:
-        self.owner = owner
+    def __init__(self, snap_id: int) -> None:
         self.snap_id = snap_id
         self.refs = 1
-        self._portable: object = None
-        self._materialized = False
-
-    def materialize(self) -> object:
-        """The portable state captured by this snapshot (cached)."""
-        if not self._materialized:
-            self._portable = self.owner._materialize_snapshot(self.snap_id)
-            self._materialized = True
-        return self._portable
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PageSnapshot(id={self.snap_id}, refs={self.refs}, "
-            f"materialized={self._materialized})"
-        )
+        return f"PageSnapshot(id={self.snap_id}, refs={self.refs})"
 
 
 class Service:
@@ -129,7 +110,7 @@ class Service:
     See the module docstring for the dirty-page contract.  Subclasses
     implement ``execute``, call :meth:`_touch` on every mutation and
     implement the ``_``-hooks below; everything else — incremental digests,
-    copy-on-write snapshots, refcounted handles, portable export and the
+    copy-on-write snapshots, refcounted handles, rollback and the
     page-level transfer surface — is inherited.
     """
 
@@ -147,7 +128,13 @@ class Service:
         #: it across checkpoint boundaries to prove "unchanged since the
         #: last checkpoint".
         self.state_version = 0
-        self._tree = self._new_tree()
+        self._tree = PartitionTree(
+            page_size=None,
+            fanout=self.tree_fanout,
+            levels=self.tree_levels,
+            content_digests=True,
+            encode=self._encode_payload,
+        )
         self._dirty: set[int] = set()
         #: Pages that exist at construction are only discoverable once the
         #: subclass has initialised its state, so the dirty set is seeded
@@ -156,15 +143,6 @@ class Service:
         self._snap_counter = 0
         #: Live copy-on-write handles by snapshot id.
         self._snapshots: Dict[int, PageSnapshot] = {}
-
-    def _new_tree(self) -> PartitionTree:
-        return PartitionTree(
-            page_size=None,
-            fanout=self.tree_fanout,
-            levels=self.tree_levels,
-            content_digests=True,
-            encode=self._encode_payload,
-        )
 
     # ------------------------------------------------------------- execution
     def execute(
@@ -240,30 +218,15 @@ class Service:
         """Indexes of every page that currently holds content."""
         raise NotImplementedError
 
-    def _state_from_payloads(self, payloads: Dict[int, Any]) -> object:
-        """Assemble page payloads into portable state."""
-        raise NotImplementedError
-
     def _export_state(self) -> object:
-        """A portable copy of the current native state."""
-        raise NotImplementedError
-
-    def _import_state(self, state: object) -> None:
-        """Replace the native state with a portable copy."""
+        """A plain copy of the current native state (the tests' reference
+        for "same state")."""
         raise NotImplementedError
 
     def _import_payload(self, index: int, payload: Any) -> None:
         """Replace the native content of one page; a falsy payload empties
-        it.  Must not call ``_touch`` — :meth:`install_pages` does."""
-        raise NotImplementedError
-
-    def _payloads_from_portable(
-        self, state: Any, wanted: Optional[Set[int]] = None
-    ) -> Dict[int, Any]:
-        """The non-empty page payloads of a portable state copy (what
-        ``export_snapshot`` returns); ``wanted`` lets a service skip the
-        pages nobody asked for.  Must equal what ``_page_payload`` yields
-        after importing ``state`` — state transfer relies on it."""
+        it.  Must not call ``_touch`` — :meth:`install_pages` and
+        :meth:`restore` do."""
         raise NotImplementedError
 
     def _encode_page(self, index: int) -> bytes:
@@ -326,7 +289,7 @@ class Service:
         self._snap_counter += 1
         snap_id = self._snap_counter
         self._tree.take_checkpoint(snap_id)
-        handle = PageSnapshot(self, snap_id)
+        handle = PageSnapshot(snap_id)
         self._snapshots[snap_id] = handle
         return handle
 
@@ -338,66 +301,57 @@ class Service:
     def release_snapshot(self, snapshot: PageSnapshot) -> None:
         live = self._snapshots.get(snapshot.snap_id)
         if live is not snapshot:
-            # Detached by a tree reset (or foreign): nothing to reclaim.
+            # Already released (or foreign): nothing to reclaim.
             return
         snapshot.refs -= 1
         if snapshot.refs <= 0:
             del self._snapshots[snapshot.snap_id]
             self._tree.discard_checkpoint(snapshot.snap_id)
 
-    def export_snapshot(self, snapshot: object) -> object:
-        if isinstance(snapshot, PageSnapshot):
-            return snapshot.materialize()
-        return snapshot
-
     def restore(self, snapshot: object) -> None:
-        self._import_state(self.export_snapshot(snapshot))
-        self._reset_tree()
+        """Roll the state back to a held snapshot (Sections 5.1.2, 5.3.1).
+
+        Each page written since its checkpoint gets back the payload it had
+        there (an empty one where it held nothing) and is touched like any
+        mutation, so digests stay incremental; no other page is read, and
+        every held handle stays valid.  A rollback advances
+        ``state_version`` even when no page moved."""
+        snap_id = self._live_snap_id(snapshot)
+        self._flush()
+        tree = self._tree
+        empty = self._decode_payload(b"")
+        for index in sorted(tree.pages_written_since(snap_id)):
+            record = tree.page_at_checkpoint(index, snap_id)
+            self._import_payload(index, empty if record is None else record.value)
+            self._touch(index)
+        self.state_version += 1
+
+    def _live_snap_id(self, snapshot: object) -> int:
+        """The tree checkpoint behind a handle this service holds; any other
+        handle is a ``ValueError``."""
+        if (
+            not isinstance(snapshot, PageSnapshot)
+            or self._snapshots.get(snapshot.snap_id) is not snapshot
+        ):
+            raise ValueError(f"{snapshot!r} is not a snapshot this service holds")
+        return snapshot.snap_id
 
     def _checkpoint_records(
-        self, snap_id: int, indexes: Optional[Iterable[int]] = None
+        self, snapshot: object, indexes: Optional[Iterable[int]] = None
     ) -> Iterator[PageRecord]:
-        """The non-empty page records of a tree checkpoint (copy-on-write
-        walk), all of them or only ``indexes``; shared by snapshot
-        materialization and page serving."""
+        """The non-empty page records a held snapshot captured (copy-on-write
+        walk), all of them or only ``indexes``: O(indexes), not O(store)."""
+        snap_id = self._live_snap_id(snapshot)
         tree = self._tree
         for index in tree.known_page_indexes() if indexes is None else indexes:
             record = tree.page_at_checkpoint(index, snap_id)
             if record is not None and record.value:
                 yield record
 
-    def _materialize_snapshot(self, snap_id: int) -> object:
-        """Resolve a tree checkpoint to portable state (copy-on-write walk)."""
-        return self._state_from_payloads(
-            {r.index: r.value for r in self._checkpoint_records(snap_id)}
-        )
-
-    def _reset_tree(self) -> None:
-        """Discard the tree after a wholesale state replacement.
-
-        Live handles are materialized first so older checkpoint records
-        (still referenced by the replica for state-transfer serving) keep
-        working after their backing tree copies disappear.
-        """
-        for handle in self._snapshots.values():
-            handle.materialize()
-        self._snapshots.clear()
-        self._tree = self._new_tree()
-        self.state_version += 1
-        self._dirty = set(self._page_indexes())
-        self._dirty_seeded = True
-
     # ------------------------------------------------------------------ pages
     def pages(self) -> Dict[int, bytes]:
         self._flush()
         return self._encoded({i: v for i, v in self._tree.page_items() if v})
-
-    def load_pages(self, pages: Dict[int, bytes]) -> None:
-        decode = self._decode_payload
-        self._import_state(self._state_from_payloads(
-            {index: decode(value) for index, value in pages.items()}
-        ))
-        self._reset_tree()
 
     # ------------------------------------------------- page-level transfer
     def page_digests(self) -> Dict[int, int]:
@@ -406,35 +360,11 @@ class Service:
         self._flush()
         return self._tree.digest_items()
 
-    def _live_snap_id(self, snapshot: object) -> Optional[int]:
-        """The tree checkpoint behind a snapshot handle this service still
-        holds; ``None`` for a portable snapshot or a handle detached by a
-        tree reset."""
-        if (
-            isinstance(snapshot, PageSnapshot)
-            and snapshot.owner is self
-            and self._snapshots.get(snapshot.snap_id) is snapshot
-        ):
-            return snapshot.snap_id
-        return None
-
-    def _snapshot_payloads(
-        self, snapshot: object, wanted: Optional[Set[int]] = None
-    ) -> Dict[int, Any]:
-        """The non-empty page payloads a snapshot captured, all or only
-        ``wanted``: the tree's records for a live handle (O(wanted), not
-        O(store)), regrouped from the portable state otherwise — equal."""
-        snap_id = self._live_snap_id(snapshot)
-        if snap_id is not None:
-            return {r.index: r.value for r in self._checkpoint_records(snap_id, wanted)}
-        payloads = self._payloads_from_portable(self.export_snapshot(snapshot), wanted)
-        if wanted is None:
-            return payloads
-        return {index: payloads[index] for index in wanted.intersection(payloads)}
-
     def snapshot_pages(self, snapshot: object) -> Dict[int, bytes]:
         """The page encodings captured by a snapshot, encoded on demand."""
-        return self._encoded(self._snapshot_payloads(snapshot))
+        return self._encoded(
+            {r.index: r.value for r in self._checkpoint_records(snapshot)}
+        )
 
     def snapshot_page_subset(
         self, snapshot: object, indexes: Iterable[int]
@@ -442,20 +372,15 @@ class Service:
         """The page encodings of just ``indexes`` captured by a snapshot —
         what one DATA reply and bucket-range migration serve.  Byte-identical
         to filtering :meth:`snapshot_pages`."""
-        return self._encoded(self._snapshot_payloads(snapshot, set(indexes)))
+        return self._encoded(
+            {r.index: r.value for r in self._checkpoint_records(snapshot, set(indexes))}
+        )
 
     def snapshot_page_digests(self, snapshot: object) -> Dict[int, int]:
         """Page index -> content digest as of a snapshot (what META-DATA
-        replies are built from).  A live handle reads the digests the tree's
-        records already hold at that checkpoint and hashes nothing; a
-        portable snapshot is encoded and hashed from scratch — same values."""
-        snap_id = self._live_snap_id(snapshot)
-        if snap_id is not None:
-            return {r.index: r.digest for r in self._checkpoint_records(snap_id)}
-        return {
-            index: content_page_digest(index, page)
-            for index, page in self.snapshot_pages(snapshot).items()
-        }
+        replies are built from), read from the digests the tree's records
+        already hold at that checkpoint: nothing is hashed."""
+        return {r.index: r.digest for r in self._checkpoint_records(snapshot)}
 
     def install_pages(
         self, updates: Mapping[int, bytes], removals: Iterable[int] = ()

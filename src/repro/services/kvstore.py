@@ -312,25 +312,6 @@ class KeyValueStore(Service):
     def _page_indexes(self) -> Iterable[int]:
         return tuple(self._buckets)
 
-    def _state_from_payloads(self, payloads: Dict[int, Any]) -> object:
-        data: Dict[bytes, bytes] = {}
-        for records in payloads.values():
-            data.update(records)
-        return data
-
-    def _payloads_from_portable(
-        self, state: Any, wanted: Optional[Set[int]] = None
-    ) -> Dict[int, Any]:
-        buckets: Dict[int, List[bytes]] = {}
-        for key in state:
-            bucket = self.bucket_of(key)
-            if wanted is None or bucket in wanted:
-                buckets.setdefault(bucket, []).append(key)
-        return {
-            index: tuple((key, state[key]) for key in sorted(keys))
-            for index, keys in buckets.items()
-        }
-
     def _import_payload(self, index: int, payload: Any) -> None:
         # A page is one whole bucket: drop whatever the bucket holds now,
         # then adopt the fetched records.
@@ -342,13 +323,6 @@ class KeyValueStore(Service):
 
     def _export_state(self) -> object:
         return dict(self._data)
-
-    def _import_state(self, state: object) -> None:
-        self._data = dict(state)  # type: ignore[arg-type]
-        buckets: Dict[int, List[bytes]] = {}
-        for key in sorted(self._data):
-            buckets.setdefault(self.bucket_of(key), []).append(key)
-        self._buckets = {index: tuple(keys) for index, keys in buckets.items()}
 
     # ------------------------------------------------------------ corruption
     def corrupt(self) -> None:

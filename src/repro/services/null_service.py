@@ -12,7 +12,7 @@ executed since the last checkpoint.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.services.interface import BatchOp, ExecutionResult, Service
 
@@ -80,17 +80,8 @@ class NullService(Service):
     def _page_indexes(self) -> Iterable[int]:
         return (0,)
 
-    def _state_from_payloads(self, payloads: Dict[int, bytes]) -> object:
-        return int(payloads.get(0, b"0"))
-
-    def _payloads_from_portable(self, state: object, wanted=None) -> Dict[int, bytes]:
-        return {0: str(int(state)).encode()}  # type: ignore[arg-type]
-
     def _export_state(self) -> object:
         return self.operations_executed
-
-    def _import_state(self, state: object) -> None:
-        self.operations_executed = int(state)  # type: ignore[arg-type]
 
     def _import_payload(self, index: int, payload: bytes) -> None:
         self.operations_executed = int(payload or b"0")

@@ -372,6 +372,15 @@ class PartitionTree:
             return record
         return None
 
+    def pages_written_since(self, seq: int) -> set:
+        """Indexes of every page written after checkpoint ``seq``: the dirty
+        set plus the pages captured by every later copy.  Every other page
+        holds what it held at ``seq``, so a rollback puts back only these."""
+        written = set(self._dirty)
+        for later in self._checkpoint_order[bisect_right(self._checkpoint_order, seq):]:
+            written.update(self._checkpoints[later].pages)
+        return written
+
     def known_page_indexes(self) -> set:
         """Every page index the tree has a record for, in the working state
         or in any checkpoint copy."""

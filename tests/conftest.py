@@ -40,6 +40,24 @@ def general_encoding(*fields) -> bytes:
     return b"".join(_pack_general(value) for value in fields)
 
 
+def snapshot_records(store: KeyValueStore, snapshot) -> dict:
+    """The key-value records a snapshot captured, decoded from the pages it
+    serves (``snapshot_pages``)."""
+    return {
+        key: value
+        for page in store.snapshot_pages(snapshot).values()
+        for key, value in store._decode_payload(page)
+    }
+
+
+def transfer_snapshot(source, snapshot, target) -> None:
+    """Copy the state a snapshot captured into another service instance the
+    way state transfer does: ``snapshot_pages`` -> ``install_pages``, with
+    every page the target holds and the snapshot lacks removed."""
+    pages = source.snapshot_pages(snapshot)
+    target.install_pages(pages, set(target.page_digests()) - set(pages))
+
+
 def record_completions(cluster) -> list[CompletedRequest]:
     """Every completion of the clients ``cluster.new_client`` builds from
     now on, in completion order.  A client keeps only its newest record, so

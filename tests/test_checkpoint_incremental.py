@@ -5,8 +5,10 @@ Covers the dirty-page ``Service`` contract of this PR:
 * the incremental ``state_digest()`` always equals a from-scratch
   recompute (and the digest of a fresh service holding the same logical
   state), across arbitrary operation sequences including snapshot,
-  rollback via ``restore()``, and state-transfer-style portable restores;
-* copy-on-write snapshots are immune to later service mutation;
+  rollback via ``restore()``, and copies into another instance through
+  ``snapshot_pages`` -> ``install_pages``;
+* copy-on-write snapshots are immune to later service mutation, and a
+  rollback re-imports only the pages written since its snapshot;
 * the replica-level ``_state_digest`` (service digest + incremental
   reply-table digest) matches the from-scratch recompute;
 * ``_take_checkpoint`` skips digest/snapshot work when nothing executed
@@ -45,6 +47,8 @@ from repro.statetransfer.transfer import (
     combined_state_digest,
     service_root_digest,
 )
+
+from tests.conftest import snapshot_records, transfer_snapshot
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta", b"epsilon", b"zeta"]
 
@@ -126,8 +130,8 @@ nfs_ops = st.lists(
 def test_nfs_incremental_digest_matches_scratch_recompute(ops, clients):
     """The file-service twin of the property above: after any mix of file
     operations, snapshots and rollbacks the incremental digest equals the
-    from-scratch recompute, and a fresh service restored from the portable
-    export reports the same digest."""
+    from-scratch recompute, and a fresh service given the state through
+    ``snapshot_pages`` -> ``install_pages`` reports the same digest."""
     service = NFSService()
     for directory in (b"/a", b"/b"):  # so cross-directory renames are common
         service.execute(encode_op(b"MKDIR", directory), "c0")
@@ -142,15 +146,16 @@ def test_nfs_incremental_digest_matches_scratch_recompute(ops, clients):
             service.execute(encode_op(*op), client, nondet=b"\0" * 7 + b"\x2a")
         assert service.state_digest() == service_root_digest(service._scratch_root())
     fresh = NFSService()
-    fresh.restore(service.export_snapshot(service.snapshot()))
+    transfer_snapshot(service, service.snapshot(), fresh)
     assert fresh.state_digest() == service.state_digest()
+    assert fresh._export_state() == service._export_state()
 
 
 @settings(max_examples=40, deadline=None)
 @given(ops=kv_ops)
 def test_cow_snapshot_immune_to_later_mutation(ops):
-    """Materializing a copy-on-write snapshot after arbitrary further
-    mutation yields exactly the state at snapshot time."""
+    """The pages a copy-on-write snapshot serves after arbitrary further
+    mutation and rollback decode to exactly the state at snapshot time."""
     store = KeyValueStore()
     store.execute(b"SET seed 1", "client")
     handle = store.snapshot()
@@ -158,7 +163,7 @@ def test_cow_snapshot_immune_to_later_mutation(ops):
     snapshots, shadows, shadow = [], [], dict(expected)
     for op in ops:
         shadow = _apply(store, op, snapshots, shadows, shadow)
-    assert store.export_snapshot(handle) == expected
+    assert snapshot_records(store, handle) == expected
     # Restoring the snapshot really rewinds, and digests follow.
     store.restore(handle)
     assert store.get(b"seed") == b"1"
@@ -169,18 +174,18 @@ def test_cow_snapshot_immune_to_later_mutation(ops):
 @given(values=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
                        max_size=15))
 def test_counter_portable_restore_roundtrip(values):
-    """Portable (state-transfer style) snapshots restore across service
-    instances and keep digests consistent."""
+    """A snapshot's state carries across service instances the way state
+    transfer moves it (``snapshot_pages`` -> ``install_pages``), after the
+    source moved on, and keeps digests consistent."""
     counter = CounterService()
     for value in values:
         counter.execute(b"INC %d" % value, "client")
     handle = counter.snapshot()
-    portable = counter.export_snapshot(handle)
     digest_at_snapshot = counter.state_digest()
     counter.execute(b"INC 7", "client")
 
     other = CounterService()
-    other.restore(portable)
+    transfer_snapshot(counter, handle, other)
     assert other.value == sum(values)
     assert other.state_digest() == digest_at_snapshot
     assert service_root_digest(other._scratch_root()) == digest_at_snapshot
@@ -263,9 +268,8 @@ def test_checkpoint_skips_work_when_nothing_executed():
     assert ("checkpoint-reused", {"seq": 12}) not in env.events
     assert replica.metrics.checkpoints_taken == 3
 
-    # The shared snapshot still materializes to the state at seq 4/8.
-    exported = replica.service.export_snapshot(second.service_snapshot)
-    assert exported == {b"a": b"1"}
+    # The shared snapshot still serves the state at seq 4/8.
+    assert snapshot_records(replica.service, second.service_snapshot) == {b"a": b"1"}
 
 
 def test_reused_checkpoint_digest_equals_recompute():
@@ -350,8 +354,8 @@ def test_snapshot_survives_newest_checkpoint_discard():
     The released copy's records are the base layer future checkpoints walk
     back into for pages untouched in between; dropping them silently made
     a later snapshot lose the pre-overwrite value of such a page (seen as
-    state transfer shipping an incomplete materialized snapshot, which
-    made modeled results depend on how a snapshot was held)."""
+    state transfer shipping an incomplete snapshot, which made modeled
+    results depend on how a snapshot was held)."""
     store = KeyValueStore()
     store.execute(b"SET k old", "c")
     young = store.snapshot()  # newest copy captures k=old
@@ -359,7 +363,7 @@ def test_snapshot_survives_newest_checkpoint_discard():
     kept = store.snapshot()   # k untouched: relies on the walk for k
     store.execute(b"SET k new", "c")
     store.snapshot()          # pins the overwrite into a newer copy
-    assert store.export_snapshot(kept) == {b"k": b"old"}
+    assert snapshot_records(store, kept) == {b"k": b"old"}
 
 
 # ----------------------------------------------------------------- rollback
@@ -392,7 +396,6 @@ def _rolled_back_store():
     return store, older, older_digests
 
 
-@pytest.mark.xfail(strict=True, reason="restore rebuilds the whole state")
 def test_restore_reencodes_only_the_pages_written_since_the_snapshot():
     """A rollback goes back page by page (Section 5.3.1): the restore and
     the next digest encode the one page written since the snapshot twice
@@ -404,7 +407,6 @@ def test_restore_reencodes_only_the_pages_written_since_the_snapshot():
     assert store.get(b"key007") == b"v007"
 
 
-@pytest.mark.xfail(strict=True, reason="restore detaches the held handles")
 def test_restore_keeps_older_handles_served_from_the_tree():
     """A handle held across a rollback still reads its digests out of the
     tree's records: serving them encodes nothing."""
@@ -412,6 +414,26 @@ def test_restore_keeps_older_handles_served_from_the_tree():
     store.encodes = 0
     assert store.snapshot_page_digests(older) == older_digests
     assert store.encodes == 0
+
+
+def test_snapshot_surface_rejects_handles_it_does_not_hold():
+    """Only a handle the service holds names one of its checkpoints: a
+    released handle, another service's handle with the same id, or no
+    handle at all is a ``ValueError`` for serving and rollback alike."""
+    store, other = KeyValueStore(), KeyValueStore()
+    store.execute(b"SET k v", "c")
+    held = store.snapshot()
+    released = store.snapshot()
+    store.release_snapshot(released)
+    foreign = other.snapshot()
+    assert foreign.snap_id == held.snap_id
+    for handle in (released, foreign, None):
+        for call in (store.snapshot_pages, store.snapshot_page_digests, store.restore):
+            with pytest.raises(ValueError):
+                call(handle)
+        with pytest.raises(ValueError):
+            store.snapshot_page_subset(handle, (KeyValueStore.bucket_of(b"k"),))
+    assert snapshot_records(store, held) == {b"k": b"v"}
 
 
 # ------------------------------------------------------------ byte identity
@@ -425,7 +447,7 @@ paged_ops = st.lists(
         st.tuples(st.just("CAS"), _KEY, st.booleans(), _VALUES),
         st.tuples(st.just("SNAPSHOT")),
         st.tuples(st.just("RELEASE"), st.integers(0, 5)),
-        st.tuples(st.just("RESTORE"), st.integers(0, 5), st.booleans()),
+        st.tuples(st.just("RESTORE"), st.integers(0, 5)),
         st.tuples(st.just("INSTALL"), st.dictionaries(_KEY, _VALUES), st.sets(_KEY)),
     ),
     min_size=1,
@@ -464,7 +486,7 @@ def _check_byte_identity(replica, shadow: dict, held: dict) -> None:
     for seq, (handle, then) in held.items():
         pages = _reference_pages(then)
         digests = _reference_digests(pages)
-        assert store.export_snapshot(handle) == then
+        assert snapshot_records(store, handle) == then
         assert store.snapshot_pages(handle) == pages
         some = sorted(pages)[::2] + [KeyValueStore.num_buckets - 1]
         assert store.snapshot_page_subset(handle, some) == {
@@ -525,7 +547,7 @@ def _run_paged_ops(ops) -> None:
             del replica.checkpoints[picked]
         elif kind == "RESTORE" and picked is not None:
             handle, then = held[picked]
-            store.restore(store.export_snapshot(handle) if op[2] else handle)
+            store.restore(handle)
             shadow = dict(then)
         elif kind == "INSTALL":
             target, touched = op[1], {KeyValueStore.bucket_of(k) for k in op[2]}

@@ -6,6 +6,8 @@ from repro.services.counter import CounterService
 from repro.services.kvstore import KeyValueStore
 from repro.services.null_service import NullService, encode_null_op
 
+from tests.conftest import snapshot_records
+
 
 # ----------------------------------------------------------------- null
 def test_null_service_result_size():
@@ -97,7 +99,7 @@ def test_kvstore_snapshot_and_digest():
 def test_kvstore_pages_follow_bucket_mapping():
     """Pages are logical hash buckets: every record lives in the page of
     ``bucket_of(key)``, only touched buckets appear, and the page mapping
-    round-trips through ``load_pages``."""
+    round-trips through ``install_pages``."""
     store = KeyValueStore()
     for i in range(50):
         store.execute(b"SET key%03d %s" % (i, b"v" * 200), "c")
@@ -108,7 +110,7 @@ def test_kvstore_pages_follow_bucket_mapping():
         assert b"key%03d" % i in pages[store.bucket_of(b"key%03d" % i)]
 
     restored = KeyValueStore()
-    restored.load_pages(pages)
+    restored.install_pages(pages)
     assert restored.state_digest() == store.state_digest()
     assert restored.execute(b"GET key007", "c").result == b"v" * 200
 
@@ -121,7 +123,7 @@ def test_kvstore_oversized_value_still_checkpoints():
     store.execute(b"SET big " + b"x" * (1 << 20), "c")
     handle = store.snapshot()
     assert store.state_digest()
-    assert store.export_snapshot(handle)[b"big"] == b"x" * (1 << 20)
+    assert snapshot_records(store, handle) == {b"big": b"x" * (1 << 20)}
     store.release_snapshot(handle)
 
 

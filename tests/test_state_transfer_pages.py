@@ -4,8 +4,7 @@ Covers the page-transfer contract of this PR:
 
 * the page-level export surface (``page_digests``/``snapshot_pages``),
   read out of the partition tree, equals a from-scratch re-encode of every
-  page, for a live copy-on-write handle and its portable form alike, for
-  the KV store and the file service;
+  page, for the KV store and the file service;
 * installing a page delta (``install_pages``) converges a diverged service
   to exactly the source state, for randomized divergences;
 * the replica-level protocol: a lagging KV or BFS replica converges to the
@@ -92,8 +91,7 @@ services = st.sampled_from([KeyValueStore, NFSService])
 @given(ops=kv_ops, service=services)
 def test_page_exports_identical_across_modes(ops, service):
     """``page_digests`` and ``snapshot_pages`` read out of the partition
-    tree equal a from-scratch re-encode of every page, for a live handle
-    and for its portable form alike."""
+    tree equal a from-scratch re-encode of every page."""
     optimized = service()
     _apply(optimized, ops)
     handle = optimized.snapshot()
@@ -109,10 +107,6 @@ def test_page_exports_identical_across_modes(ops, service):
     assert optimized.page_digests() == scratch_digests
     assert optimized.snapshot_pages(handle) == scratch_pages
     assert optimized.snapshot_page_digests(handle) == scratch_digests
-    # A live copy-on-write handle and its portable form export the same.
-    portable = optimized.export_snapshot(handle)
-    assert optimized.snapshot_pages(portable) == scratch_pages
-    assert optimized.snapshot_page_digests(portable) == scratch_digests
     # The root the digests AdHash up to matches the service digest both
     # report, and the level-1 grouping is consistent with the leaf map.
     digests = optimized.page_digests()
