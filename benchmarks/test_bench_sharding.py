@@ -23,8 +23,8 @@ from repro.bench import (
     ExperimentTable,
     kv_churn_operation,
     preload_sharded_kv_state,
-    run_sharded_closed_loop,
-    run_sharded_kv_churn,
+    run_closed_loop,
+    run_kv_value_churn,
     zipf_group_load,
     zipf_key_sequences,
 )
@@ -66,7 +66,7 @@ def _scaling_run(
     sharded = ShardedKVCluster(
         groups=groups, f=1, checkpoint_interval=checkpoint_interval
     )
-    result = run_sharded_kv_churn(
+    result = run_kv_value_churn(
         sharded,
         num_clients=clients_per_group * groups,
         operations_per_client=ops_per_client,
@@ -96,7 +96,7 @@ def _migration_run(
         groups=2, f=1, checkpoint_interval=checkpoint_interval
     )
     preload_sharded_kv_state(sharded, keys=preload_keys, value_size=value_size)
-    run_sharded_closed_loop(
+    run_closed_loop(
         sharded,
         churn_clients,
         churn_ops,

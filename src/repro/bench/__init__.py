@@ -11,8 +11,6 @@ from repro.bench.workloads import (
     run_closed_loop,
     run_kv_mixed,
     run_kv_value_churn,
-    run_sharded_closed_loop,
-    run_sharded_kv_churn,
     zipf_cdf,
     zipf_group_load,
     zipf_key_sequences,
@@ -32,8 +30,6 @@ __all__ = [
     "run_closed_loop",
     "run_kv_mixed",
     "run_kv_value_churn",
-    "run_sharded_closed_loop",
-    "run_sharded_kv_churn",
     "zipf_cdf",
     "zipf_group_load",
     "zipf_key_sequences",

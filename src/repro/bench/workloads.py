@@ -330,49 +330,6 @@ def zipf_group_load(
 
 
 # ------------------------------------------------------------------ sharding
-def run_sharded_closed_loop(
-    sharded,
-    num_clients: int,
-    operations_per_client: int,
-    operation_factory: Callable[[int, int], Tuple[bytes, bool]],
-) -> ThroughputResult:
-    """Closed-loop workload over a :class:`~repro.sharding.ShardedKVCluster`.
-
-    The generic :func:`run_closed_loop` handles sharded clusters
-    directly; this alias exists for discoverability.  Each logical
-    client is a :class:`~repro.sharding.ShardClient`, one client's
-    stream can span groups, the reported throughput is the *aggregate*
-    across the whole deployment, and operations whose bucket range is
-    mid-migration are queued by the router and re-issued at the new
-    owner, so the loop keeps its operation count exact across
-    migrations.
-    """
-    return run_closed_loop(
-        sharded, num_clients, operations_per_client, operation_factory
-    )
-
-
-def run_sharded_kv_churn(
-    sharded,
-    num_clients: int,
-    operations_per_client: int,
-    key_space: int = 256,
-    value_size: int = 1024,
-) -> ThroughputResult:
-    """Closed-loop KV value churn across every group of a sharded cluster
-    (the E16 scaling workload).  The key stream is the same deterministic
-    churn stream as :func:`run_kv_value_churn`; CRC-32 bucketing spreads
-    it over the groups."""
-    return run_sharded_closed_loop(
-        sharded,
-        num_clients,
-        operations_per_client,
-        lambda client_index, op_index: kv_churn_operation(
-            client_index, op_index, key_space=key_space, value_size=value_size
-        ),
-    )
-
-
 def preload_sharded_kv_state(
     sharded, keys: int, value_size: int = 2048, prefix: bytes = b"warm"
 ) -> None:
