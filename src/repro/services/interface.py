@@ -294,19 +294,16 @@ class Service:
         return handle
 
     def acquire_snapshot(self, snapshot: PageSnapshot) -> PageSnapshot:
-        if snapshot.snap_id in self._snapshots:
-            snapshot.refs += 1
+        self._live_snap_id(snapshot)
+        snapshot.refs += 1
         return snapshot
 
     def release_snapshot(self, snapshot: PageSnapshot) -> None:
-        live = self._snapshots.get(snapshot.snap_id)
-        if live is not snapshot:
-            # Already released (or foreign): nothing to reclaim.
-            return
+        snap_id = self._live_snap_id(snapshot)
         snapshot.refs -= 1
         if snapshot.refs <= 0:
-            del self._snapshots[snapshot.snap_id]
-            self._tree.discard_checkpoint(snapshot.snap_id)
+            del self._snapshots[snap_id]
+            self._tree.discard_checkpoint(snap_id)
 
     def restore(self, snapshot: object) -> None:
         """Roll the state back to a held snapshot (Sections 5.1.2, 5.3.1).

@@ -419,7 +419,8 @@ def test_restore_keeps_older_handles_served_from_the_tree():
 def test_snapshot_surface_rejects_handles_it_does_not_hold():
     """Only a handle the service holds names one of its checkpoints: a
     released handle, another service's handle with the same id, or no
-    handle at all is a ``ValueError`` for serving and rollback alike."""
+    handle at all is a ``ValueError`` for serving, rollback and refcounting
+    alike."""
     store, other = KeyValueStore(), KeyValueStore()
     store.execute(b"SET k v", "c")
     held = store.snapshot()
@@ -428,7 +429,8 @@ def test_snapshot_surface_rejects_handles_it_does_not_hold():
     foreign = other.snapshot()
     assert foreign.snap_id == held.snap_id
     for handle in (released, foreign, None):
-        for call in (store.snapshot_pages, store.snapshot_page_digests, store.restore):
+        for call in (store.snapshot_pages, store.snapshot_page_digests, store.restore,
+                     store.acquire_snapshot, store.release_snapshot):
             with pytest.raises(ValueError):
                 call(handle)
         with pytest.raises(ValueError):
