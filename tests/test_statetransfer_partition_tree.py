@@ -63,6 +63,26 @@ def test_page_at_checkpoint_returns_historic_value():
     assert tree.page_at_checkpoint(0, 2).value == b"new"
 
 
+def test_pages_written_since_a_checkpoint():
+    """The pages a rollback to a checkpoint must put back: the dirty set
+    plus every later copy's pages, still whole after the newest copy is
+    discarded (its pages return to the dirty set)."""
+    tree = PartitionTree(page_size=None, content_digests=True)
+    tree.write_page(1, b"a")
+    tree.write_page(2, b"b")
+    tree.take_checkpoint(1)
+    tree.write_page(2, b"c")
+    tree.take_checkpoint(2)
+    tree.write_page(3, b"d")
+    tree.take_checkpoint(3)
+    tree.write_page(4, b"e")
+    assert tree.pages_written_since(1) == {2, 3, 4}
+    assert tree.pages_written_since(3) == {4}
+    tree.discard_checkpoint(3)
+    assert tree.pages_written_since(2) == {3, 4}
+    assert tree.pages_written_since(1) == {2, 3, 4}
+
+
 def test_discard_checkpoints_preserves_page_lookup():
     tree = PartitionTree()
     tree.write_page(0, b"a")
