@@ -610,10 +610,10 @@ def test_held_snapshots_cost_only_the_superseded_values():
     def scenario():
         store = KeyValueStore()
         for key in range(keys):
-            store.execute(b"SET key%03d " % key + b"a" * size, "client")
+            store.execute(b"SET key%03d " % key + (b"a%03d" % key) * (size // 4), "client")
         first = store.snapshot()
         for key in range(keys):
-            store.execute(b"SET key%03d " % key + b"b" * size, "client")
+            store.execute(b"SET key%03d " % key + (b"b%03d" % key) * (size // 4), "client")
         return store, first, store.snapshot()
 
     assert _traced_bytes(scenario) <= 1.5 * (2 * keys * size)
@@ -636,3 +636,28 @@ def test_executed_batches_leave_only_the_live_store_behind():
         return store
 
     assert _traced_bytes(scenario) <= 1.25 * (keys * size)
+
+
+@pytest.mark.xfail(strict=True, reason="each replica keeps its own copy of every value")
+def test_replicas_of_a_cluster_hold_each_value_once():
+    """N = 256 distinct values of V = 2 048 bytes preloaded on all four
+    replicas of an f = 1 cluster, then 60 SETs through the protocol: the
+    services and state-transfer layers hold at most 1.5 x N*V, so the four
+    replicas' stores, their pages and checkpoints share one copy of each
+    value."""
+    keys, size = 256, 2048
+
+    def scenario():
+        cluster = BFTCluster.create(f=1, service_factory=KeyValueStore, seed=5)
+        for service in cluster.services.values():
+            for key in range(keys):
+                service.execute(
+                    b"SET key%03d " % key + (b"%03d" % key) * (size // 3) + b"ab",
+                    "preload",
+                )
+        client = cluster.new_client()
+        for index in range(60):
+            client.invoke(b"SET key%03d " % (index * 7 % keys) + (b"%04d" % index) * (size // 4))
+        return cluster
+
+    assert _traced_bytes(scenario) <= 1.5 * (keys * size)
