@@ -19,15 +19,61 @@ machinery of :class:`~repro.services.interface.Service` only rehashes
 the touched buckets.  Each bucket's keys are kept as one sorted tuple, the
 order its page lists them in.  The bucket function (CRC-32 of the key) is
 deterministic across processes, which keeps digests replica-independent.
+
+Every value a store keeps goes through one process-wide pool keyed by
+content (:func:`_shared`), so equal values held by any replica of any group
+in the process are one ``bytes`` object.  The pool only saves memory: what
+it holds never changes a digest, a page or a reply.
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
+from sys import getrefcount
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.services.interface import BatchOp, ExecutionResult, Service
+
+
+#: Every value a store in this process holds, keyed by its content, and
+#: values no store holds any more until they are released or swept.
+_POOL: Dict[bytes, bytes] = {}
+#: The pool sweeps when it grows past ``max(_POOL_FLOOR, 2 x`` its size
+#: after the last sweep ``)``.
+_POOL_FLOOR = 256
+_sweep_at = _POOL_FLOOR
+#: ``getrefcount`` inside :func:`_release` of a value only the pool holds:
+#: the pool's key and value, the caller's one local name, the parameter and
+#: ``getrefcount``'s argument.
+_POOL_ONLY = 5
+
+
+def _shared(value: bytes) -> bytes:
+    """The pooled object equal to ``value``; ``value`` itself if none was."""
+    pooled = _POOL.setdefault(value, value)
+    if pooled is value and len(_POOL) > _sweep_at:
+        _sweep()
+    return pooled
+
+
+def _release(value: Optional[bytes]) -> None:
+    """Drop ``value`` from the pool unless something besides the pool and
+    the caller's one local name holds it."""
+    if (value is not None and getrefcount(value) <= _POOL_ONLY
+            and _POOL.get(value) is value):
+        del _POOL[value]
+
+
+def _sweep() -> None:
+    """Drop every value only the pool holds: those of dead stores and of
+    discarded checkpoints."""
+    global _sweep_at
+    values = list(_POOL)
+    while values:
+        value = values.pop()  # popped: only this name holds it, as _release expects
+        _release(value)
+    _sweep_at = max(_POOL_FLOOR, 2 * len(_POOL))
 
 
 def _parse_operation(operation: bytes) -> Tuple[bytes, ...]:
@@ -120,15 +166,18 @@ class KeyValueStore(Service):
 
     def _store(self, key: bytes, value: bytes) -> None:
         bucket = self.bucket_of(key)
-        if key not in self._data:
+        old = self._data.get(key)
+        if old is None:
             self._buckets[bucket] = _with_key(self._buckets.get(bucket, ()), key)
-        self._data[key] = value
+        self._data[key] = _shared(value)
         self._touch(bucket)
+        _release(old)
 
     def _delete(self, key: bytes) -> bool:
-        if key not in self._data:
+        old = self._data.pop(key, None)
+        if old is None:
             return False
-        del self._data[key]
+        _release(old)
         bucket = self.bucket_of(key)
         keys = _without_key(self._buckets[bucket], key)
         if keys:
@@ -169,6 +218,7 @@ class KeyValueStore(Service):
         if verb == b"CAS" and len(parts) >= 4:
             current = self._data.get(parts[1])
             if current == parts[2] or (current is None and parts[2] == b"-"):
+                del current  # else _store could not release the old value
                 self._store(parts[1], parts[3])
                 return ExecutionResult(result=b"OK")
             return ExecutionResult(result=b"FAIL " + (current or b"-"))
@@ -213,17 +263,20 @@ class KeyValueStore(Service):
             if verb == b"SET":
                 key = parsed[1]
                 bucket = bucket_of(key)
-                if key not in data:
+                old = data.get(key)
+                if old is None:
                     buckets[bucket] = _with_key(buckets.get(bucket, ()), key)
-                data[key] = parsed[2]
+                data[key] = _shared(parsed[2])
+                _release(old)
                 dirty.add(bucket)
                 mutations += 1
                 append(ExecutionResult(result=b"OK"))
                 continue
             if verb == b"DEL":
                 key = parsed[1]
-                if key in data:
-                    del data[key]
+                old = data.pop(key, None)
+                if old is not None:
+                    _release(old)
                     bucket = bucket_of(key)
                     keys = _without_key(buckets[bucket], key)
                     if keys:
@@ -241,9 +294,10 @@ class KeyValueStore(Service):
                 current = data.get(key)
                 if current == expected or (current is None and expected == b"-"):
                     bucket = bucket_of(key)
-                    if key not in data:
+                    if current is None:
                         buckets[bucket] = _with_key(buckets.get(bucket, ()), key)
-                    data[key] = new
+                    data[key] = _shared(new)
+                    _release(current)
                     dirty.add(bucket)
                     mutations += 1
                     append(ExecutionResult(result=b"OK"))
@@ -315,10 +369,13 @@ class KeyValueStore(Service):
     def _import_payload(self, index: int, payload: Any) -> None:
         # A page is one whole bucket: drop whatever the bucket holds now,
         # then adopt the fetched records.
+        data = self._data
         for key in self._buckets.pop(index, ()):
-            self._data.pop(key, None)
+            old = data.pop(key)
+            _release(old)
         if payload:
-            self._data.update(payload)
+            for key, value in payload:
+                data[key] = _shared(value)
             self._buckets[index] = tuple(sorted({key for key, _value in payload}))
 
     def _export_state(self) -> object:

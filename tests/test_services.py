@@ -1,7 +1,10 @@
 """Tests for the replicated services (null, key-value store, counter)."""
 
+import gc
+
 import pytest
 
+from repro.services import kvstore
 from repro.services.counter import CounterService
 from repro.services.kvstore import KeyValueStore
 from repro.services.null_service import NullService, encode_null_op
@@ -127,7 +130,6 @@ def test_kvstore_oversized_value_still_checkpoints():
     store.release_snapshot(handle)
 
 
-@pytest.mark.xfail(strict=True, reason="each store keeps its own copy of every value")
 def test_kvstore_equal_values_are_one_object_across_stores():
     """Four stores that run equal SETs hold one ``bytes`` object per value,
     whether each got its own operation bytes (as a preload does) or ran them
@@ -171,6 +173,31 @@ def test_kvstore_equal_values_are_one_object_across_stores():
     late = KeyValueStore()
     late.execute(b"SET k " + value(b"k"), "client")
     assert late.get(b"k") is kept.get(b"k")
+
+
+def test_kvstore_value_pool_keeps_no_value_of_a_dropped_store():
+    """The process-wide value pool holds at most max(floor, 2 x the values
+    live in a round) entries, both after every key of four stores is
+    overwritten and after those stores are dropped, round after round: a
+    value no store holds any more does not stay for good."""
+    keys = 200
+    gc.collect()
+    kvstore._sweep()
+    held = len(kvstore._POOL)  # values something outside this test holds
+    bound = max(kvstore._POOL_FLOOR, 2 * (held + keys))
+    for round_ in range(4):
+        stores = [KeyValueStore() for _ in range(4)]
+        for phase in (b"a", b"b"):
+            for store in stores:
+                store.execute_batch([
+                    (b"SET key%03d " % key + b"%s%d-%03d." % (phase, round_, key) * 200,
+                     "client")
+                    for key in range(keys)
+                ])
+        assert len(kvstore._POOL) <= bound
+        del stores
+        gc.collect()
+        assert len(kvstore._POOL) <= bound
 
 
 def test_kvstore_corruption_changes_digest():
