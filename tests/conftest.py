@@ -84,6 +84,7 @@ def make_replica(
     options: ProtocolOptions | None = None,
     service=None,
     env: RecordingEnv | None = None,
+    real_crypto: bool = False,
 ) -> tuple[Replica, RecordingEnv]:
     """A replica wired to a RecordingEnv, for message-level unit tests."""
     if env is None:
@@ -96,7 +97,7 @@ def make_replica(
         keys=keys,
         registry=registry,
         env=env,
-        real_crypto=False,
+        real_crypto=real_crypto,
     )
     replica = Replica(
         replica_id, config, service or KeyValueStore(), env, auth, options=options

@@ -8,12 +8,15 @@ primary honestly send — must never count towards this one.
 
 from __future__ import annotations
 
+import copy
+import functools
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.auth import MACAuth
-from repro.core.config import ReplicaSetConfig
+from repro.core.auth import Authentication, MACAuth, build_session_keys
+from repro.core.config import AuthMode, ReplicaSetConfig
 from repro.core.messages import Commit, PrePrepare, Prepare, Request, StatusActive
 from repro.crypto.signatures import SignatureRegistry
 from repro.library import BFTCluster
@@ -137,7 +140,7 @@ def test_one_vote_per_replica_whatever_it_sprays(replica_and_env):
     assert sorted(slot.early_prepares.values()) == [1 << 2, 1 << 3]
     assert slot.early_prepares_for(batch_a.batch_digest()) == 1
     assert slot.prepare_count() == slot.commit_count() == 0
-    assert slot.own_prepare is None and slot.own_commit is None
+    assert not (slot.prepare_mask | slot.commit_mask) & 1 << 1, "replica1 voted nothing"
     # The pre-prepare attaches: its batch's early votes count, the rest go,
     # and votes for anything else are refused from then on.
     replica.receive(authed(batch_a))
@@ -149,18 +152,17 @@ def test_one_vote_per_replica_whatever_it_sprays(replica_and_env):
 
 
 def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_env):
-    """The slot keeps only this replica's own PREPARE / COMMIT; a peer whose
-    status shows the batch missing gets each as a re-signed copy — the
-    originals may still sit in an undelivered multicast."""
+    """A peer whose status shows the batch missing gets this replica's own
+    PREPARE / COMMIT point to point: the same payload as the multicast
+    originals, each under its own MAC — the originals, which may still sit
+    in an undelivered multicast, keep their authenticator."""
     replica, env = replica_and_env
     batch_a = batch(b"A")
     replica.receive(authed(batch_a))
     replica.receive(vote(Prepare, batch_a.batch_digest(), "replica2"))
-    slot = replica.log.existing_slot(1)
-    own_prepare, own_commit = slot.own_prepare, slot.own_commit
-    assert own_prepare is env.messages_of_type(Prepare)[0]
-    assert own_commit is env.messages_of_type(Commit)[0]
-    multicast_auth = own_prepare.auth
+    own_prepare = env.messages_of_type(Prepare)[0]
+    own_commit = env.messages_of_type(Commit)[0]
+    multicast_auths = (own_prepare.auth, own_commit.auth)
     env.clear()
     replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3")))
     resent = env.messages_to("replica3")
@@ -168,7 +170,7 @@ def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_
     for copy, original in zip(resent, (own_prepare, own_commit)):
         assert copy is not original and copy.payload_bytes() == original.payload_bytes()
         assert type(copy.auth) is MACAuth and copy.auth.receiver == "replica3"
-    assert own_prepare.auth is multicast_auth
+    assert own_prepare.auth is multicast_auths[0] and own_commit.auth is multicast_auths[1]
     # A peer that has the batch prepared and committed is sent nothing.
     env.clear()
     replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3",
@@ -176,6 +178,99 @@ def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_
     assert env.messages_to("replica3") == []
 
 
+def test_a_commit_forged_under_this_replicas_name_is_not_resent_as_its_own(replica_and_env):
+    """Until a vote's identity is bound to its authenticator, a COMMIT that
+    claims to be replica1's can set replica1's bit.  Status retransmission
+    re-sends what replica1 did, not what its masks say: it never prepared
+    the batch, so it sends no COMMIT."""
+    replica, env = replica_and_env
+    batch_a = batch(b"A")
+    replica.receive(authed(batch_a))
+    replica.receive(vote(Commit, batch_a.batch_digest(), "replica1"))
+    slot = replica.log.existing_slot(1)
+    assert slot.pre_prepared_locally and not slot.prepared
+    env.clear()
+    replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3")))
+    assert [type(m) for m in env.messages_to("replica3")] == [Prepare]
+
+
+# ------------------------------------------------------- what a vote is checked by
+def _real_crypto_backup(config, registry):
+    """replica1 checking real MACs, and ``signed(message)``, which
+    authenticates a message the way its sender's node does."""
+    replica, env = make_replica(config, registry, "replica1", real_crypto=True)
+    signers = {
+        name: Authentication(name, AuthMode.MAC,
+                             build_session_keys(name, config.replica_ids), registry)
+        for name in config.replica_ids if name != replica.id
+    }
+
+    def signed(message):
+        return signers[message.sender].sign_multicast(message, config.replica_ids)
+
+    return replica, env, signed
+
+
+def signed_vote(signed, kind, digest: bytes, replica: str):
+    return signed(kind(view=0, seq=1, digest=digest, replica=replica, sender=replica))
+
+
+def test_a_vote_with_a_bad_mac_for_an_undecided_slot_is_rejected(config, registry):
+    """While its certificate is incomplete a vote is MAC-checked: a bad
+    entry is refused and counted, and the vote does not count."""
+    replica, _, signed = _real_crypto_backup(config, registry)
+    batch_a = batch(b"A")
+    digest_a = batch_a.batch_digest()
+
+    def tampered(kind, voter):
+        message = signed_vote(signed, kind, digest_a, voter)
+        message.auth.vector = bytes(len(message.auth.vector))
+        return message
+
+    replica.receive(signed(batch_a))
+    slot = replica.log.existing_slot(1)
+    replica.receive(tampered(Prepare, "replica2"))
+    assert replica.metrics.messages_rejected == 1
+    assert slot.prepare_mask == 1 << 1 and not slot.prepared
+    replica.receive(signed_vote(signed, Prepare, digest_a, "replica2"))
+    assert slot.prepared and not slot.committed
+    replica.receive(tampered(Commit, "replica0"))
+    assert replica.metrics.messages_rejected == 2
+    assert slot.commit_mask == 1 << 1 and not slot.committed
+
+
+@pytest.mark.xfail(strict=True, reason="late votes are still MAC-checked and counted")
+def test_late_votes_are_charged_not_authenticated(config, registry, monkeypatch):
+    """f = 1: once the slot is prepared and committed, the remaining
+    replica's PREPARE and COMMIT can change nothing.  Each is charged what
+    verifying it costs (digest, then MAC) and dropped before any MAC check."""
+    replica, env, signed = _real_crypto_backup(config, registry)
+    batch_a = batch(b"A")
+    digest_a = batch_a.batch_digest()
+    replica.receive(signed(batch_a))
+    replica.receive(signed_vote(signed, Prepare, digest_a, "replica2"))
+    for other in ("replica0", "replica2"):
+        replica.receive(signed_vote(signed, Commit, digest_a, other))
+    slot = replica.log.existing_slot(1)
+    assert slot.prepared and slot.committed and replica.last_executed == 1
+    before, rejected = copy.copy(slot), replica.metrics.messages_rejected
+    verify = Authentication.verify
+    verified = []
+    monkeypatch.setattr(Authentication, "verify",
+                        lambda auth, message: verified.append(message) or verify(auth, message))
+    for kind in (Prepare, Commit):
+        late = signed_vote(signed, kind, digest_a, "replica3")
+        env.charged = 0.0
+        replica.receive(late)
+        charged, env.charged = env.charged, 0.0
+        assert verify(replica.auth, late)
+        assert charged == env.charged > 0
+    assert verified == []
+    assert replica.log.existing_slot(1) is slot and slot == before
+    assert replica.metrics.messages_rejected == rejected
+
+
+# ------------------------------------------------------------- what a slot retains
 def _retained(rounds: int):
     """Bytes ``repro/core`` and ``repro/crypto`` code still holds after an
     f = 10 group served 3 clients x ``rounds`` operations, and the number of
@@ -204,6 +299,15 @@ def _retained(rounds: int):
     return sum(stat.size for stat in kept.statistics("filename")), slots
 
 
+@functools.lru_cache(maxsize=None)
+def _retained_per_slot() -> float:
+    """Bytes one more committed batch leaves per (replica, slot) at n = 31."""
+    base_bytes, base_slots = _retained(1)
+    more_bytes, more_slots = _retained(3)
+    assert more_slots - base_slots == 31 * 6
+    return (more_bytes - base_bytes) / (more_slots - base_slots)
+
+
 def test_a_committed_slot_retains_bytes_not_messages():
     """n = 31: what one more committed batch leaves behind at one replica.
     With every PREPARE / COMMIT stored whole and a dict of tag objects per
@@ -213,8 +317,13 @@ def test_a_committed_slot_retains_bytes_not_messages():
     PREPARE and COMMIT with their 240-byte vectors, the slot and its share
     of the pre-prepare.  The bound is 40 % of the old figure; asserted with
     a quarter of headroom over the new one."""
-    base_bytes, base_slots = _retained(1)
-    more_bytes, more_slots = _retained(3)
-    assert more_slots - base_slots == 31 * 6
-    per_slot = (more_bytes - base_bytes) / (more_slots - base_slots)
-    assert per_slot <= 2400 <= 0.4 * 7078
+    assert _retained_per_slot() <= 2400 <= 0.4 * 7078
+
+
+@pytest.mark.xfail(strict=True, reason="a slot still keeps its replica's own PREPARE and COMMIT")
+def test_a_committed_slot_retains_no_vote_messages():
+    """n = 31: a committed slot keeps its votes as bits and no PREPARE or
+    COMMIT, not even this replica's own (each carried a 240-byte vector):
+    what one more committed batch leaves per (replica, slot) is the slot
+    and its share of the pre-prepare, under 400 bytes."""
+    assert _retained_per_slot() <= 400
