@@ -17,14 +17,17 @@ over the benchmark workloads a per-node tag cache hit on 0.5-6.8 % of
 lookups (only retransmissions repeat a (peer, key, digest) triple) and cost
 about what it saved.
 
-Every sign or verify is on the path of every delivered message, so what
-is constant per node — the environment's ``charge``, the cost-model
+Signing, and verifying, are on the path of almost every delivered message
+(a replica drops a PREPARE or COMMIT its complete certificate cannot use
+unchecked, charging :meth:`Authentication.charge_verify`), so what is
+constant per node — the environment's ``charge``, the cost-model
 constants — is resolved once in :meth:`Authentication.bind_env`, and each
 operation makes exactly one call into ``Message.payload_bytes``, one into
 ``Message.payload_digest`` and one ``compute_mac`` per tag.  The charges are
 issued as the same additions in the same order whatever the route (digest
 cost first, then the MAC or signature cost): the node's pending charge is a
 float sum, and regrouping it would move modeled times in their last bits.
+A verify and an unchecked drop charge through the one ``charge_verify``.
 """
 
 from __future__ import annotations
@@ -237,6 +240,19 @@ class Authentication:
         return signer
 
     # ------------------------------------------------------------ verification
+    def charge_verify(self, message: Message) -> None:
+        """Charge what :meth:`verify` costs for ``message``: digesting its
+        payload, then the one MAC or signature check its authentication
+        needs.  A receiver that drops a message unchecked charges this."""
+        charge = self._charge
+        payload = message.payload_bytes()
+        charge(self._digest_fixed + self._digest_per_byte * len(payload))
+        kind = type(message.auth)
+        if kind is Authenticator or kind is MACAuth:
+            charge(self._mac_cost)
+        elif kind is Signature:
+            charge(self.costs.signature_verify)
+
     def verify(self, message: Message) -> bool:
         """Verify an incoming message's authentication metadata.
 
@@ -245,15 +261,12 @@ class Authentication:
         principal).
         """
         auth = message.auth
-        charge = self._charge
-        payload = message.payload_bytes()
-        charge(self._digest_fixed + self._digest_per_byte * len(payload))
+        self.charge_verify(message)
         if auth is None:
             return False
         signed = message.payload_digest()
         kind = type(auth)
         if kind is Authenticator:
-            charge(self._mac_cost)
             owner = self.owner
             if not self.real_crypto:
                 return owner not in auth.corrupt_for
@@ -263,7 +276,6 @@ class Authentication:
                 return False
             return compare_digest(compute_mac(key, signed), entry)
         if kind is MACAuth:
-            charge(self._mac_cost)
             if not self.real_crypto:
                 return True
             key = self.keys.inbound.get(auth.sender)
@@ -271,7 +283,6 @@ class Authentication:
                 return False
             return compare_digest(compute_mac(key, signed), auth.tag)
         if kind is Signature:
-            charge(self.costs.signature_verify)
             if not self.real_crypto:
                 return True
             return self.registry.verify(signed, auth)

@@ -2,7 +2,8 @@
 
 Each sequence number maps to a :class:`Slot` that holds the pre-prepare and
 counts the prepares and commits seen for it — as votes, one bit per
-replica, not as stored messages.  A request is *pre-prepared* once the slot
+replica, not as stored messages; the pre-prepare is the only message a
+slot keeps.  A request is *pre-prepared* once the slot
 holds a pre-prepare (or the replica sent one), *prepared* once 2f distinct
 backups additionally sent a prepare for that pre-prepare's batch, and
 *committed* once 2f+1 replicas sent a matching commit (Section 2.3.3).
@@ -47,9 +48,10 @@ class Slot:
     pre-prepare may name any digest; those wait in a digest -> bitmask map,
     at most one per replica, and when the pre-prepare attaches the entry
     for its digest becomes the counted mask and the rest are dropped —
-    votes for another batch never count for this one.  The only messages
-    kept are the replica's own, which status retransmission re-sends
-    (Section 5.2).
+    votes for another batch never count for this one.  The pre-prepare is
+    the only message kept: status retransmission (Section 5.2) rebuilds
+    the replica's own PREPARE / COMMIT from ``pre_prepared_locally`` and
+    ``prepared``, what the replica did, never from the masks.
     """
 
     seq: int
@@ -59,8 +61,6 @@ class Slot:
     commit_mask: int = 0
     early_prepares: Optional[Dict[bytes, int]] = None
     early_commits: Optional[Dict[bytes, int]] = None
-    own_prepare: Optional[Prepare] = None
-    own_commit: Optional[Commit] = None
     #: Set when this replica sent a pre-prepare or prepare for the digest.
     pre_prepared_locally: bool = False
     prepared: bool = False

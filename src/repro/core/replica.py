@@ -264,11 +264,29 @@ class Replica:
         Replies never reach replicas; everything else must carry valid
         authentication from a known principal (Section 5.5).  Types without
         a handler are dropped.
+
+        A PREPARE for a slot already prepared in its view, or a COMMIT for
+        one already committed, can change nothing: the certificate it would
+        join is complete and no mask is read again.  It is charged what
+        verifying it costs and dropped unchecked — like ``real_crypto``
+        off, the modeled charges stay and only cryptography whose outcome
+        cannot matter is skipped.
         """
+        kind = type(message)
+        if kind is Prepare or kind is Commit:
+            slot = self.log.slots.get(message.seq)
+            if (
+                slot is not None
+                and slot.view == message.view
+                and message.auth is not None
+                and (slot.committed if kind is Commit else slot.prepared)
+            ):
+                self.auth.charge_verify(message)
+                return
         if message.auth is None or not self.auth.verify(message):
             self.metrics.messages_rejected += 1
             return
-        handler = self._handlers.get(type(message))
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(message)
 
@@ -464,15 +482,8 @@ class Replica:
         slot.pre_prepared_locally = True
         self._start_view_change_timer()
 
-        prepare = Prepare(
-            view=message.view,
-            seq=message.seq,
-            digest=message.batch_digest(),
-            replica=self.id,
-            sender=self.id,
-        )
+        prepare = self._own_vote(Prepare, slot)
         slot.add_prepare(prepare, self._index)
-        slot.own_prepare = prepare
         self.auth.sign_multicast(prepare, self.others())
         self.env.broadcast(self.others(), prepare)
         self._check_prepared(slot)
@@ -513,15 +524,8 @@ class Replica:
         if slot.prepare_count() < 2 * self.config.f:
             return
         slot.prepared = True
-        commit = Commit(
-            view=slot.view,
-            seq=slot.seq,
-            digest=slot.digest() or b"",
-            replica=self.id,
-            sender=self.id,
-        )
+        commit = self._own_vote(Commit, slot)
         slot.add_commit(commit, self._index)
-        slot.own_commit = commit
         self.auth.sign_multicast(commit, self.others())
         self.env.broadcast(self.others(), commit)
         if self.options.tentative_execution:
@@ -1306,15 +1310,8 @@ class Replica:
             self.log.attach_pre_prepare(slot, new_pre_prepare)
             slot.pre_prepared_locally = True
             if send_prepares:
-                prepare = Prepare(
-                    view=self.view,
-                    seq=seq,
-                    digest=new_pre_prepare.batch_digest(),
-                    replica=self.id,
-                    sender=self.id,
-                )
+                prepare = self._own_vote(Prepare, slot)
                 slot.add_prepare(prepare, self._index)
-                slot.own_prepare = prepare
                 prepares_to_send.append(prepare)
 
         for prepare in prepares_to_send:
@@ -1406,19 +1403,28 @@ class Replica:
                 continue
             if slot.seq <= message.last_executed:
                 continue
-            # The logged messages are shared objects (and may still sit in
-            # an undelivered envelope): re-signing returns a copy, which is
-            # what must be sent — never the original.
+            # The logged pre-prepare is a shared object (and may still sit
+            # in an undelivered train): re-signing returns a copy, which is
+            # what must be sent — never the original.  Own votes are not
+            # kept; each is rebuilt from what this replica did — never from
+            # the masks, where a vote forged under its name can set its bit.
             if slot.seq not in prepared:
                 if self.is_primary:
                     resigned = self.auth.sign_point_to_point(slot.pre_prepare, peer)
                     self.env.send(peer, resigned)
-                if slot.own_prepare is not None:
-                    resigned = self.auth.sign_point_to_point(slot.own_prepare, peer)
-                    self.env.send(peer, resigned)
-            if slot.seq not in committed and slot.own_commit is not None:
-                resigned = self.auth.sign_point_to_point(slot.own_commit, peer)
-                self.env.send(peer, resigned)
+                if slot.pre_prepared_locally and self.config.primary_of(slot.view) != self.id:
+                    self._resend_own_vote(Prepare, slot, peer)
+            if slot.seq not in committed and slot.prepared:
+                self._resend_own_vote(Commit, slot, peer)
+
+    def _own_vote(self, kind: type, slot: Slot) -> Message:
+        """This replica's PREPARE or COMMIT for ``slot``'s batch."""
+        return kind(view=slot.view, seq=slot.seq, digest=slot.digest(),
+                    replica=self.id, sender=self.id)
+
+    def _resend_own_vote(self, kind: type, slot: Slot, peer: str) -> None:
+        vote = self._own_vote(kind, slot)
+        self.env.send(peer, self.auth.sign_point_to_point(vote, peer))
 
     def handle_status_pending(self, message: StatusPending) -> None:
         peer = message.replica

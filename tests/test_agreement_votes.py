@@ -12,7 +12,6 @@ import copy
 import functools
 import tracemalloc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.auth import Authentication, MACAuth, build_session_keys
@@ -239,7 +238,6 @@ def test_a_vote_with_a_bad_mac_for_an_undecided_slot_is_rejected(config, registr
     assert slot.commit_mask == 1 << 1 and not slot.committed
 
 
-@pytest.mark.xfail(strict=True, reason="late votes are still MAC-checked and counted")
 def test_late_votes_are_charged_not_authenticated(config, registry, monkeypatch):
     """f = 1: once the slot is prepared and committed, the remaining
     replica's PREPARE and COMMIT can change nothing.  Each is charged what
@@ -313,17 +311,16 @@ def test_a_committed_slot_retains_bytes_not_messages():
     With every PREPARE / COMMIT stored whole and a dict of tag objects per
     authenticator this was 7 078 bytes per (replica, slot) (two ~2.4 KB
     authenticators, two ~0.8 KB vote dicts, 60 retained messages); with
-    flat vectors and vote bitmasks it measures 1 887 — the replica's own
+    flat vectors and vote bitmasks it measured 1 880 — the replica's own
     PREPARE and COMMIT with their 240-byte vectors, the slot and its share
-    of the pre-prepare.  The bound is 40 % of the old figure; asserted with
-    a quarter of headroom over the new one."""
+    of the pre-prepare.  The bound is 40 % of the old figure."""
     assert _retained_per_slot() <= 2400 <= 0.4 * 7078
 
 
-@pytest.mark.xfail(strict=True, reason="a slot still keeps its replica's own PREPARE and COMMIT")
 def test_a_committed_slot_retains_no_vote_messages():
     """n = 31: a committed slot keeps its votes as bits and no PREPARE or
     COMMIT, not even this replica's own (each carried a 240-byte vector):
     what one more committed batch leaves per (replica, slot) is the slot
-    and its share of the pre-prepare, under 400 bytes."""
+    and its share of the pre-prepare — 146 bytes, where the own votes made
+    it 1 880."""
     assert _retained_per_slot() <= 400
