@@ -16,6 +16,12 @@ instead and compares every count-type per-layer metric ``BENCHMARK.json``
 declares (calls, messages, bytes, events, shares of counted things — all but
 the tracer's timings).  They come from the frozen prefix of rounds, so they
 repeat exactly too: it prints the ones that differ and exits 1 if any does.
+``--expect NAME...`` names the counts a change is meant to move: those may
+differ (each named one that does not is printed as unchanged), and it exits
+1 only if a count it does not name differs.
+
+    python benchmarks/paired_perf.py PARENT CHANGE --counts --seconds 1 \
+        --workloads null_f10 --seed 41 --expect crypto.mac_calls_per_op
 """
 
 from __future__ import annotations
@@ -70,21 +76,32 @@ def verdict(
     return won, ("no worse" if shift >= -bound * abs(median) else "WORSE")
 
 
+def counted_metrics(per_layer: Sequence[Dict[str, Any]]) -> List[str]:
+    """The count-type per-layer metrics: all but the tracer's timings."""
+    return [m["name"] for m in per_layer
+            if "self_us" not in m["name"] and not m["name"].startswith("trace.")]
+
+
 def differing_counts(args: argparse.Namespace, per_layer: Sequence[Dict[str, Any]]) -> int:
     """One traced run per side and workload; prints each count-type layer
-    metric whose two values differ and returns how many did."""
-    counted = [m["name"] for m in per_layer
-               if "self_us" not in m["name"] and not m["name"].startswith("trace.")]
+    metric whose two values differ, and each ``args.expect`` names that did
+    not, and returns how many differed unnamed."""
+    counted = counted_metrics(per_layer)
+    expected = set(args.expect)
     differing = 0
     for workload in args.workloads:
         parent, change = (run_once(side, workload, args.seed, args.seconds, trace=1)
                           for side in (args.parent, args.change))
         differs = [name for name in counted + ["failed"] if parent.get(name) != change.get(name)]
         for name in differs:
-            print(f"DIFFERS {workload}: {name} {parent.get(name)!r} != {change.get(name)!r}")
+            word = "EXPECTED" if name in expected else "DIFFERS"
+            print(f"{word} {workload}: {name} {parent.get(name)!r} != {change.get(name)!r}")
+        for name in sorted(expected.difference(differs)):
+            print(f"UNCHANGED {workload}: {name} {parent.get(name)!r}")
+        unexpected = len(set(differs) - expected)
         print(f"{workload}  seed {args.seed}  {len(counted)} count metrics, "
-              f"{len(differs)} differ")
-        differing += len(differs)
+              f"{len(differs)} differ, {unexpected} not expected")
+        differing += unexpected
     return differing
 
 
@@ -98,9 +115,14 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--counts", action="store_true",
                         help="compare the count-type per-layer metrics of one traced run per side")
+    parser.add_argument("--expect", nargs="+", default=[], metavar="NAME",
+                        help="with --counts: count metrics the change is meant to move")
     args = parser.parse_args()
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.counts:
+        unknown = set(args.expect).difference(counted_metrics(benchmark["per_layer"]), ["failed"])
+        if unknown:
+            parser.error(f"--expect names no count metric: {' '.join(sorted(unknown))}")
         return 1 if differing_counts(args, benchmark["per_layer"]) else 0
     declared = benchmark["end_to_end"]
     differing = 0

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
 
 
-def _counts(monkeypatch, capsys, change_overrides):
+def _counts(monkeypatch, capsys, change_overrides, expect=()):
     base = {m["name"]: 1.0 for m in PER_LAYER}
     base["failed"] = 0
 
@@ -22,7 +22,8 @@ def _counts(monkeypatch, capsys, change_overrides):
 
     monkeypatch.setattr(paired_perf, "run_once", run_once)
     args = argparse.Namespace(parent=Path("parent"), change=Path("change"),
-                              workloads=["null_f10"], seed=1, seconds=1.0)
+                              workloads=["null_f10"], seed=1, seconds=1.0,
+                              expect=list(expect))
     return paired_perf.differing_counts(args, PER_LAYER), capsys.readouterr().out
 
 
@@ -43,3 +44,16 @@ def test_counts_reports_each_differing_count(monkeypatch, capsys):
     for name in ("crypto.mac_calls_per_op", "net.network.auth_bytes_per_op",
                  "net.network.coalesced_share", "failed"):
         assert f"DIFFERS null_f10: {name} " in out
+
+
+def test_counts_forgives_only_the_expected_differences(monkeypatch, capsys):
+    differing, out = _counts(monkeypatch, capsys, {
+        "crypto.mac_calls_per_op": 2.0, "core.messages.encode_calls_per_op": 2.0,
+    }, expect=["crypto.mac_calls_per_op", "core.auth.verify_calls_per_op"])
+    assert differing == 1
+    assert "EXPECTED null_f10: crypto.mac_calls_per_op 1.0 != 2.0" in out
+    assert "DIFFERS null_f10: core.messages.encode_calls_per_op 1.0 != 2.0" in out
+    assert "UNCHANGED null_f10: core.auth.verify_calls_per_op 1.0" in out
+    differing, _ = _counts(monkeypatch, capsys, {"crypto.mac_calls_per_op": 2.0},
+                           expect=["crypto.mac_calls_per_op"])
+    assert differing == 0
