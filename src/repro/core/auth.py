@@ -17,8 +17,8 @@ over the benchmark workloads a per-node tag cache hit on 0.5-6.8 % of
 lookups (only retransmissions repeat a (peer, key, digest) triple) and cost
 about what it saved.
 
-Signing, and verifying, are on the path of almost every delivered message
-(a replica drops a PREPARE or COMMIT its complete certificate cannot use
+A sign or a verify is on the path of almost every delivered message (a
+replica drops a PREPARE or COMMIT its complete certificate cannot use
 unchecked, charging :meth:`Authentication.charge_verify`), so what is
 constant per node — the environment's ``charge``, the cost-model
 constants — is resolved once in :meth:`Authentication.bind_env`, and each

@@ -1413,18 +1413,16 @@ class Replica:
                     resigned = self.auth.sign_point_to_point(slot.pre_prepare, peer)
                     self.env.send(peer, resigned)
                 if slot.pre_prepared_locally and self.config.primary_of(slot.view) != self.id:
-                    self._resend_own_vote(Prepare, slot, peer)
+                    vote = self._own_vote(Prepare, slot)
+                    self.env.send(peer, self.auth.sign_point_to_point(vote, peer))
             if slot.seq not in committed and slot.prepared:
-                self._resend_own_vote(Commit, slot, peer)
+                vote = self._own_vote(Commit, slot)
+                self.env.send(peer, self.auth.sign_point_to_point(vote, peer))
 
     def _own_vote(self, kind: type, slot: Slot) -> Message:
         """This replica's PREPARE or COMMIT for ``slot``'s batch."""
         return kind(view=slot.view, seq=slot.seq, digest=slot.digest(),
                     replica=self.id, sender=self.id)
-
-    def _resend_own_vote(self, kind: type, slot: Slot, peer: str) -> None:
-        vote = self._own_vote(kind, slot)
-        self.env.send(peer, self.auth.sign_point_to_point(vote, peer))
 
     def handle_status_pending(self, message: StatusPending) -> None:
         peer = message.replica
