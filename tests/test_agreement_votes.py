@@ -8,8 +8,9 @@ primary honestly send — must never count towards this one.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import functools
+import gc
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -251,7 +252,7 @@ def test_late_votes_are_charged_not_authenticated(config, registry, monkeypatch)
         replica.receive(signed_vote(signed, Commit, digest_a, other))
     slot = replica.log.existing_slot(1)
     assert slot.prepared and slot.committed and replica.last_executed == 1
-    before, rejected = copy.copy(slot), replica.metrics.messages_rejected
+    before, rejected = dataclasses.replace(slot), replica.metrics.messages_rejected
     verify = Authentication.verify
     verified = []
     monkeypatch.setattr(Authentication, "verify",
@@ -273,7 +274,11 @@ def _retained(rounds: int):
     """Bytes ``repro/core`` and ``repro/crypto`` code still holds after an
     f = 10 group served 3 clients x ``rounds`` operations, and the number of
     (replica, slot) pairs alive.  One untraced run first, as in
-    ``test_checkpoint_incremental._traced_bytes``."""
+    ``test_checkpoint_incremental._traced_bytes``.  A full collection
+    before tracing empties the interpreter's free lists (an object taken
+    from one is never traced) and resets the collector's counts; one
+    before the snapshot drops uncollected cycles.  Without them the figure
+    moved by ±150 B per slot with what ran earlier in the process."""
     def scenario():
         cluster = BFTCluster.create(f=10, service_factory=NullService, seed=5)
         clients = [cluster.new_client() for _ in range(3)]
@@ -283,9 +288,11 @@ def _retained(rounds: int):
         return cluster
 
     scenario()
+    gc.collect()
     tracemalloc.start()
     try:
         alive = scenario()
+        gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -311,7 +318,7 @@ def test_a_committed_slot_retains_bytes_not_messages():
     With every PREPARE / COMMIT stored whole and a dict of tag objects per
     authenticator this was 7 078 bytes per (replica, slot) (two ~2.4 KB
     authenticators, two ~0.8 KB vote dicts, 60 retained messages); with
-    flat vectors and vote bitmasks it measured 1 880 — the replica's own
+    flat vectors and vote bitmasks it measured 1 889 — the replica's own
     PREPARE and COMMIT with their 240-byte vectors, the slot and its share
     of the pre-prepare.  The bound is 40 % of the old figure."""
     assert _retained_per_slot() <= 2400 <= 0.4 * 7078
@@ -321,6 +328,6 @@ def test_a_committed_slot_retains_no_vote_messages():
     """n = 31: a committed slot keeps its votes as bits and no PREPARE or
     COMMIT, not even this replica's own (each carried a 240-byte vector):
     what one more committed batch leaves per (replica, slot) is the slot
-    and its share of the pre-prepare — 146 bytes, where the own votes made
-    it 1 880."""
+    and its share of the pre-prepare and of the log's tables — about 320
+    bytes, where the own votes made it 1 889."""
     assert _retained_per_slot() <= 400
