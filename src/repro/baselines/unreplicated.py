@@ -208,7 +208,6 @@ class UnreplicatedCluster:
         )
         client = UnreplicatedClient(name, env, auth, on_complete=on_complete)
         node.protocol = client
-        self.server.auth.keys.install_pair(name)
         sync = SyncClient(self, client, node)
         self.clients[name] = sync
         return sync

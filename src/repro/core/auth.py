@@ -12,7 +12,8 @@ MACs and signatures are computed over the message digest (Section 3.2.1),
 which the message memoizes, so authenticating a multicast costs one
 encoding, one digest and one keyed-hash call per receiver, joined into one
 flat vector (``crypto/authenticator.py``) whose receiver -> position table
-this object builds once per receiver set.  Tags are not cached: measured
+is built once per receiver set, in a table the world shares with every node
+it builds.  Tags are not cached: measured
 over the benchmark workloads a per-node tag cache hit on 0.5-6.8 % of
 lookups (only retransmissions repeat a (peer, key, digest) triple) and cost
 about what it saved.
@@ -51,6 +52,11 @@ from repro.crypto.signatures import KeyPair, Signature, SignatureRegistry
 from repro.perfmodel.params import CryptoCosts
 
 
+#: A receiver set's authenticator layout: the receivers in vector order,
+#: and the receiver -> position table of the vector.
+Layout = Tuple[Tuple[str, ...], Mapping[str, int]]
+
+
 def _charge_nothing(micros: float) -> None:
     """Stands in for ``Env.charge`` while no environment is bound."""
 
@@ -80,21 +86,31 @@ class Authentication:
         crypto_costs: Optional[CryptoCosts] = None,
         env: Optional[Env] = None,
         real_crypto: bool = True,
+        layouts: Optional[Dict[Tuple[str, ...], Layout]] = None,
     ) -> None:
         self.owner = owner
         self.mode = mode
         self.keys = keys
         self.registry = registry
-        self.keypair = keypair or registry.generate(owner)
+        self._keypair = keypair
         self.costs = crypto_costs or CryptoCosts()
         self.real_crypto = real_crypto
         self._digest_fixed = self.costs.digest_fixed
         self._digest_per_byte = self.costs.digest_per_byte
         self._mac_cost = self.costs.mac
-        self._receiver_sets: Dict[
-            Tuple[str, ...], Tuple[Tuple[str, ...], Mapping[str, int]]
-        ] = {}
+        #: Receiver set -> :data:`Layout`; a world shares one table with
+        #: every node it builds.
+        self._layouts = {} if layouts is None else layouts
         self.bind_env(env)
+
+    @property
+    def keypair(self) -> KeyPair:
+        """This node's signing key pair, generated in the registry the first
+        time the node signs: a MAC-mode client never does."""
+        keypair = self._keypair
+        if keypair is None:
+            keypair = self._keypair = self.registry.generate(self.owner)
+        return keypair
 
     # -------------------------------------------------------------- internals
     def bind_env(self, env: Optional[Env]) -> None:
@@ -104,18 +120,18 @@ class Authentication:
         self.env = env
         self._charge = env.charge if env is not None else _charge_nothing
 
-    def _receiver_set(
-        self, receivers: Iterable[str]
-    ) -> Tuple[Tuple[str, ...], Mapping[str, int]]:
+    def _receiver_set(self, receivers: Iterable[str]) -> Layout:
         """``receivers`` without this node, and the position table every
-        authenticator to that set shares.  A node multicasts to a handful
-        of sets (the other replicas; a client's group), so each is worked
-        out once."""
+        authenticator to that set shares.  Each set is laid out once in
+        the shared table: every client of a group multicasts to the same
+        replicas, so their requests' authenticators share one table."""
         key = receivers if type(receivers) is tuple else tuple(receivers)
-        known = self._receiver_sets.get(key)
+        layouts = self._layouts
+        known = layouts.get(key)
         if known is None:
-            others = tuple(r for r in key if r != self.owner)
-            known = self._receiver_sets[key] = (others, positions_of(others))
+            known = layouts[key] = (key, positions_of(key))
+        if self.owner in known[1]:
+            return self._receiver_set(tuple(r for r in key if r != self.owner))
         return known
 
     def _auth_digest(self, message: Message) -> bytes:

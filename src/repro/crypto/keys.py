@@ -1,12 +1,16 @@
 """Session-key management (Sections 3.2.1 and 4.3.1).
 
-Each ordered pair of replicas (i, j) shares a session key k(i, j) used to
-MAC messages from i to j, and each client shares a single key with every
-replica.  Keys are refreshed with *new-key* messages; when a node changes
-its inbound keys it rejects messages authenticated with the old keys and
-discards log messages that are not part of a complete certificate — that
-freshness rule is what lets BFT-PR bound the damage a compromised key can
-do.
+Each ordered pair of nodes (a, b) — two replicas, or a client and a
+replica — has a directed session key k(a, b) that a uses to MAC messages
+to b and b uses to check them, so a client and a replica share two keys,
+one per direction.  A key is immutable, and a simulated world derives each
+directed key once: the one object is a's outbound key for b and b's
+inbound key from a (``SimWorld.node``).  Keys are refreshed with *new-key*
+messages, which replace table entries, never a key in place; when a node
+changes its inbound keys it rejects messages authenticated with the old
+keys and discards log messages that are not part of a complete
+certificate — that freshness rule is what lets BFT-PR bound the damage a
+compromised key can do.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import copy
 import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.auth import Authentication, build_session_keys
+from repro.core.auth import Authentication, Layout
 from repro.core.client import Client, CompletedRequest
 from repro.core.config import (
     DEFAULT_OPTIONS, AuthMode, ProtocolOptions, ReplicaSetConfig,
@@ -23,6 +23,7 @@ from repro.core.config import (
 from repro.core.env import Env
 from repro.core.messages import PrePrepare, Reply, Request
 from repro.core.replica import Replica
+from repro.crypto.keys import SessionKeyTable
 from repro.crypto.signatures import SignatureRegistry
 from repro.net.conditions import NetworkConditions
 from repro.net.network import Network, Run
@@ -444,8 +445,9 @@ class SimWorld:
     node is built (:meth:`node`).
 
     A multi-group deployment runs every group in one world; each group
-    sees it through :meth:`fork`, which shares the clock, network and
-    registry and derives the group's node RNG streams under its label.
+    sees it through :meth:`fork`, which shares the clock, network,
+    registry, session-key tables and authenticator layouts and derives the
+    group's node RNG streams under its label.
     """
 
     def __init__(
@@ -459,6 +461,10 @@ class SimWorld:
         self.conditions = conditions or params.communication.network_conditions()
         self.network = Network(self.scheduler, self.conditions, self.rng.fork("net"))
         self.registry = SignatureRegistry()
+        #: Each built node's session keys, by node name.
+        self.session_keys: Dict[str, SessionKeyTable] = {}
+        #: One authenticator layout per receiver set, for every node.
+        self.layouts: Dict[Tuple[str, ...], Layout] = {}
 
     def fork(self, label: str) -> "SimWorld":
         """This world with node RNG streams derived under ``label``."""
@@ -477,22 +483,41 @@ class SimWorld:
         record_events: bool = False,
     ) -> Tuple[ProtocolNode, SimEnv, Authentication]:
         """Place node ``name`` on the network, with session keys shared
-        with ``peers``.  The caller builds its protocol object on the
-        returned environment and authentication and sets ``node.protocol``."""
+        with each of ``peers`` already built.  The caller builds its
+        protocol object on the returned environment and authentication and
+        sets ``node.protocol``.
+
+        Each directed key k(a -> b) is derived once, and that one object is
+        a's outbound key for b and b's inbound key from a; a peer built
+        later pairs with this node the same way.  Keys are always the
+        epoch-0 derivation: a replica's own epoch advances with every
+        proactive recovery, but keys shared with clients are refreshed only
+        by the clients' own new-key messages, which are not modeled, so a
+        client built after a recovery still shares epoch-0 keys with it."""
         node = ProtocolNode(
             name, self.scheduler, self.network, params, fault_injector,
             self.rng.fork(name), record_events=record_events,
         )
         self.network.register(name)
         env = SimEnv(node)
+        keys = SessionKeyTable(owner=name)
+        built = self.session_keys
+        initial_key = SessionKeyTable.initial_key
+        for peer in peers:
+            other = built.get(peer)
+            if other is not None and peer != name:
+                keys.outbound[peer] = other.inbound[name] = initial_key(name, peer, 0)
+                keys.inbound[peer] = other.outbound[name] = initial_key(peer, name, 0)
+        built[name] = keys
         auth = Authentication(
             owner=name,
             mode=auth_mode,
-            keys=build_session_keys(name, peers),
+            keys=keys,
             registry=self.registry,
             crypto_costs=params.crypto,
             env=env,
             real_crypto=real_crypto,
+            layouts=self.layouts,
         )
         return node, env, auth
 
@@ -651,16 +676,6 @@ class BFTCluster:
             on_complete=on_complete,
         )
         node.protocol = client
-        # Install the client's session keys at every replica so they can
-        # authenticate its requests (and it their replies).  Pin epoch 0:
-        # the client built its table with the initial-key derivation, while
-        # a replica's own epoch counter advances with every proactive
-        # recovery — a client created after a recovery would otherwise get
-        # mismatched keys and every request silently rejected until a view
-        # change (client keys are refreshed only by the clients' own
-        # new-key messages, which the simulation does not model).
-        for replica in self.replicas.values():
-            replica.auth.keys.install_pair(name, epoch=0)
         sync = SyncClient(self, client, node)
         self.clients[name] = sync
         return sync

@@ -14,8 +14,6 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-import pytest
-
 from repro.baselines import UnreplicatedCluster
 from repro.core.config import AuthMode, ProtocolOptions
 from repro.core.messages import Request
@@ -57,7 +55,6 @@ def warm_client_bytes() -> float:
     return (after - before) / CLIENTS
 
 
-@pytest.mark.xfail(strict=True, reason="a client's keys, key pair and tables are held per node")
 def test_a_warm_client_costs_at_most_its_bound():
     per_client = warm_client_bytes()
     assert per_client <= BYTES_PER_CLIENT, f"{per_client:.0f} B per warm client"
@@ -84,7 +81,6 @@ def assert_group_shares_keys(group: BFTCluster, clients) -> None:
             assert_one_key_object(client.protocol.auth, replica)
 
 
-@pytest.mark.xfail(strict=True, reason="each end derives its own copy of a directed key")
 def test_a_replica_group_holds_one_object_per_directed_key():
     cluster = BFTCluster.create(f=1, service_factory=KeyValueStore)
     clients = [cluster.new_client() for _ in range(3)]
@@ -92,7 +88,6 @@ def test_a_replica_group_holds_one_object_per_directed_key():
     assert_group_shares_keys(cluster, clients)
 
 
-@pytest.mark.xfail(strict=True, reason="each end derives its own copy of a directed key")
 def test_a_sharded_group_holds_one_object_per_directed_key():
     sharded = ShardedKVCluster(groups=2, f=1, checkpoint_interval=8, seed=5)
     client = sharded.new_client()
@@ -101,7 +96,6 @@ def test_a_sharded_group_holds_one_object_per_directed_key():
     assert_group_shares_keys(group, [group.clients[f"{client.name}@g0"]])
 
 
-@pytest.mark.xfail(strict=True, reason="each end derives its own copy of a directed key")
 def test_the_unreplicated_baseline_holds_one_object_per_directed_key():
     cluster = UnreplicatedCluster(service_factory=KeyValueStore)
     client = cluster.new_client()
@@ -109,7 +103,6 @@ def test_the_unreplicated_baseline_holds_one_object_per_directed_key():
     assert_one_key_object(client.protocol.auth, cluster.server.auth)
 
 
-@pytest.mark.xfail(strict=True, reason="each end derives its own copy of a directed key")
 def test_a_client_created_after_a_recovery_gets_epoch_zero_keys_at_both_ends():
     cluster = BFTCluster.create(f=1, service_factory=KeyValueStore, checkpoint_interval=4)
     first = cluster.new_client()
@@ -128,7 +121,6 @@ def test_a_client_created_after_a_recovery_gets_epoch_zero_keys_at_both_ends():
 # ---------------------------------------------------------------------------
 # Signing key pairs and position tables
 # ---------------------------------------------------------------------------
-@pytest.mark.xfail(strict=True, reason="every node generates a key pair when it is built")
 def test_a_mac_mode_client_owns_no_signing_key():
     cluster = BFTCluster.create(f=1)
     client = cluster.new_client()
@@ -138,7 +130,6 @@ def test_a_mac_mode_client_owns_no_signing_key():
     assert client.id not in owners
 
 
-@pytest.mark.xfail(strict=True, reason="every node builds its own position tables")
 def test_request_authenticators_of_two_clients_share_one_position_table():
     cluster = BFTCluster.create(f=1)
     first, second = cluster.new_client(), cluster.new_client()
