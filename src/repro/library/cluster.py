@@ -505,7 +505,7 @@ class SimWorld:
         initial_key = SessionKeyTable.initial_key
         for peer in peers:
             other = built.get(peer)
-            if other is not None and peer != name:
+            if other is not None:
                 keys.outbound[peer] = other.inbound[name] = initial_key(name, peer, 0)
                 keys.inbound[peer] = other.outbound[name] = initial_key(peer, name, 0)
         built[name] = keys
