@@ -3,8 +3,10 @@
 A replica executes a committed batch through ``Service.execute_batch`` plus
 bulk reply construction/signing/sending.  The contract under test:
 
-* ``Service.execute_batch`` equals ``Service.execute`` per entry: results,
-  final state, state digests and ``state_version``;
+* ``Service.execute_batch`` of the key-value store, the counter and the
+  null service does what a model of that service (a dict, an int, a count)
+  does, sharing no code with ``repro.services``: results, final state,
+  state digests and one ``state_version`` step per mutation;
 * ``Replica._execute_batch`` does what a Section 3.1 *sequential reference
   model* (``SequentialModel`` below) does one request at a time on a shadow
   store: the reply trace (including cached-reply re-sends for
@@ -16,8 +18,7 @@ bulk reply construction/signing/sending.  The contract under test:
   encoding of its payload fields, whatever route built the bytes.
 
 Also covered: the bulk reply encoder produces exactly ``pack(...)``'s
-bytes, the operation-parse cache returns what a fresh parse would, and
-the two liveness repairs that heavy batching load surfaced (status
+bytes, and the two liveness repairs that heavy batching load surfaced (status
 messages are sent even when a replica believes it has nothing
 outstanding; a stable-checkpoint certificate at or beyond the high water
 mark — or in an inactive view — triggers state transfer).
@@ -26,10 +27,15 @@ mark — or in an inactive view — triggers state transfer).
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import pkgutil
 from typing import Dict, List, Optional, Tuple
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.fs
+import repro.services
 from repro.core.config import DEFAULT_OPTIONS, ReplicaSetConfig
 from repro.core.env import RecordingEnv
 from repro.core.messages import (
@@ -46,7 +52,8 @@ from repro.crypto.digests import digest
 from repro.crypto.signatures import SignatureRegistry
 from repro.perfmodel.params import PAPER_PARAMETERS, CryptoCosts
 from repro.services.counter import CounterService
-from repro.services.kvstore import KeyValueStore, _parse_operation
+from repro.services.interface import Service
+from repro.services.kvstore import KeyValueStore
 from repro.services.null_service import NullService, encode_null_op
 from repro.statetransfer.partition_tree import ADHASH_MODULUS
 from repro.statetransfer.transfer import combined_state_digest, reply_entry_digest
@@ -55,22 +62,60 @@ from tests.conftest import authed, general_encoding, make_replica
 
 
 # ======================================================================
-# Service level: execute_batch == per-op execute
+# Service level: execute_batch against a model of each service
 # ======================================================================
+# Each model states a service's operations from its module docstring and
+# shares no code with ``repro.services``: ``(result, mutated)`` per operation
+# on plain Python state.  ``mutated`` is one ``state_version`` step.
 KEYS = [b"k1", b"k2", b"longer-key", b"zz"]
 VALUES = [b"v", b"value-two", b"x" * 40]
 
+
+def kv_model(data: Dict[bytes, bytes], writers, operation: bytes, client: str):
+    """The key-value store on a dict: reads before the access check, the
+    access check before a verb's arity, a short or unknown verb is a bad
+    operation."""
+    verb, *args = operation.split(b" ")
+    verb = verb.upper()
+    if verb == b"GET":
+        return (data.get(args[0], b"") if args else b""), False
+    if verb == b"KEYS":
+        return b",".join(sorted(data)), False
+    if writers is not None and client not in writers:
+        return b"ERR access-denied", False
+    if verb == b"SET" and len(args) >= 2:
+        data[args[0]] = b" ".join(args[1:])
+        return b"OK", True
+    if verb == b"DEL" and args:
+        if data.pop(args[0], None) is None:
+            return b"MISSING", False
+        return b"OK", True
+    if verb == b"CAS" and len(args) >= 3:
+        key, expected, new = args[:3]
+        current = data.get(key)
+        if current == expected or (current is None and expected == b"-"):
+            data[key] = new
+            return b"OK", True
+        return b"FAIL " + (current if current is not None else b"-"), False
+    return b"ERR bad-operation", False
+
+
+def _verbs(verb: bytes):
+    return st.sampled_from([verb, verb.lower(), verb.capitalize()])
+
+
 kv_op = st.one_of(
-    st.tuples(st.just(b"SET"), st.sampled_from(KEYS), st.sampled_from(VALUES)),
-    st.tuples(st.just(b"set"), st.sampled_from(KEYS), st.sampled_from(VALUES)),
-    st.tuples(st.just(b"DEL"), st.sampled_from(KEYS)),
-    st.tuples(st.just(b"GET"), st.sampled_from(KEYS)),
-    st.tuples(st.just(b"KEYS"),),
-    st.tuples(st.just(b"CAS"), st.sampled_from(KEYS), st.sampled_from(VALUES + [b"-"]),
+    st.tuples(_verbs(b"SET"), st.sampled_from(KEYS), st.sampled_from(VALUES)),
+    st.tuples(_verbs(b"DEL"), st.sampled_from(KEYS)),
+    st.tuples(_verbs(b"GET"), st.sampled_from(KEYS)),
+    st.tuples(_verbs(b"KEYS"),),
+    st.tuples(_verbs(b"CAS"), st.sampled_from(KEYS), st.sampled_from(VALUES + [b"-"]),
               st.sampled_from(VALUES)),
     # Malformed / unknown operations must take the same error paths.
-    st.tuples(st.just(b"SET"), st.sampled_from(KEYS)),
-    st.tuples(st.just(b"CAS"), st.sampled_from(KEYS)),
+    st.tuples(_verbs(b"SET"), st.sampled_from(KEYS)),
+    st.tuples(_verbs(b"CAS"), st.sampled_from(KEYS)),
+    st.tuples(_verbs(b"DEL"),),
+    st.tuples(_verbs(b"GET"),),
     st.tuples(st.just(b"NOPE"), st.sampled_from(KEYS)),
     st.tuples(st.just(b""),),
 )
@@ -80,50 +125,65 @@ kv_batch = st.lists(
     min_size=0, max_size=24,
 )
 
+KV_SEED = {b"k1": b"seeded", b"zz": b"zeta"}
 
-def _seed_store(writers):
+
+def _kv_store(records: Dict[bytes, bytes], writers=None) -> KeyValueStore:
+    """A fresh store holding ``records``, written in key order."""
     store = KeyValueStore(writers=writers)
-    store.execute(b"SET k1 seeded", "alice")
-    store.execute(b"SET zz zeta", "alice")
+    for key, value in sorted(records.items()):
+        store.execute(b"SET " + key + b" " + value, "alice")
     return store
 
 
 @settings(max_examples=60, deadline=None)
 @given(batch=kv_batch, restrict=st.booleans())
+@example(batch=[((b"set", b"", b"double-space", b"v"), "alice"),
+                ((b"get", b""), "mallory")], restrict=False)
+@example(batch=[((b"SET", b"k1"), "mallory"), ((b"KEYS",), "mallory"),
+                ((b"cas", b"k2", b"-", b"v"), "bob"), ((b"del", b"k2"), "bob"),
+                ((b"DEL", b"k2"), "bob")], restrict=True)
 def test_kvstore_execute_batch_matches_per_op(batch, restrict):
     writers = {"alice", "bob"} if restrict else None
     ops = [(b" ".join(parts), client) for parts, client in batch]
-    reference = _seed_store(writers)
-    expected = [
-        reference.execute(operation, client)
-        for operation, client in ops
-    ]
-    batched = _seed_store(writers)
-    got = batched.execute_batch(ops)
-    assert got == expected
-    assert batched._export_state() == reference._export_state()
-    assert batched.state_version == reference.state_version
-    assert batched.state_digest() == reference.state_digest()
-    # A second pass over the same operations stays identical.
-    rerun = batched.execute_batch(ops)
-    rerun_reference = [
-        reference.execute(operation, client)
-        for operation, client in ops
-    ]
-    assert rerun == rerun_reference
-    assert batched._export_state() == reference._export_state()
+    store = _kv_store(KV_SEED, writers)
+    model = dict(KV_SEED)
+    version = store.state_version
+    # A second pass over the same operations starts from the first's state.
+    for _pass in range(2):
+        expected = [kv_model(model, writers, operation, client) for operation, client in ops]
+        got = store.execute_batch(ops)
+        assert [outcome.result for outcome in got] == [result for result, _ in expected]
+        version += sum(mutated for _, mutated in expected)
+        assert store._export_state() == model
+        assert store.state_version == version
+        assert store.state_digest() == _kv_store(model).state_digest()
 
 
-def test_parse_operation_reuse_is_pure():
-    store = KeyValueStore()
-    ops = [(b"SET a 1", "c"), (b"GET a", "c")]
-    first = store.execute_batch(ops)
-    second = store.execute_batch(ops)
-    assert [r.result for r in first] == [b"OK", b"1"]
-    assert [r.result for r in second] == [b"OK", b"1"]
-    assert _parse_operation(b"set  double-space v") == _parse_operation(
-        b"set  double-space v"
-    )
+def counter_model(value: int, operation: bytes, client: str):
+    """The counter on an int for a service that admits only ``alice``:
+    ``(result, new value, mutated)``; it never goes below zero."""
+    verb, *args = operation.split(b" ")
+    verb = verb.upper()
+    if verb == b"READ":
+        return str(value).encode(), value, False
+    if client != "alice":
+        return b"ERR access-denied", value, False
+    amount = 1
+    if args:
+        try:
+            amount = int(args[0])
+        except ValueError:
+            return b"ERR bad-amount", value, False
+    if amount < 0:
+        return b"ERR negative-amount", value, False
+    if verb == b"INC":
+        return str(value + amount).encode(), value + amount, True
+    if verb != b"DEC":
+        return b"ERR bad-operation", value, False
+    if amount > value:
+        return b"ERR underflow", value, False
+    return str(value - amount).encode(), value - amount, True
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,37 +191,70 @@ def test_parse_operation_reuse_is_pure():
     batch=st.lists(
         st.tuples(
             st.sampled_from([b"INC", b"DEC", b"READ", b"INC 5", b"DEC 3",
-                             b"INC -1", b"INC x", b"BAD"]),
+                             b"dec 20", b"inc 0", b"read", b"INC -1",
+                             b"DEC -2", b"INC x", b"BAD", b"BAD 1"]),
             st.sampled_from(["alice", "mallory"]),
         ),
         min_size=0, max_size=16,
     )
 )
 def test_counter_execute_batch_matches_per_op(batch):
-    ops = list(batch)
-    reference = CounterService(allowed_clients={"alice"})
-    reference.execute(b"INC 10", "alice")
-    batched = CounterService(allowed_clients={"alice"})
-    batched.execute(b"INC 10", "alice")
-    expected = [reference.execute(op, client) for op, client in ops]
-    assert batched.execute_batch(ops) == expected
-    assert batched.value == reference.value
-    assert batched.state_version == reference.state_version
-    assert batched.state_digest() == reference.state_digest()
+    counter = CounterService(allowed_clients={"alice"})
+    counter.execute(b"INC 10", "alice")
+    value, version = 10, counter.state_version
+    expected = []
+    for operation, client in batch:
+        result, value, mutated = counter_model(value, operation, client)
+        expected.append(result)
+        version += mutated
+    got = counter.execute_batch(batch)
+    assert [outcome.result for outcome in got] == expected
+    assert counter._export_state() == value
+    assert counter.state_version == version
+    fresh = CounterService()
+    if value:
+        fresh.execute(b"INC %d" % value, "seeder")
+    assert counter.state_digest() == fresh.state_digest()
 
 
 def test_null_service_execute_batch_matches_per_op():
-    ops = [
-        (encode_null_op(result_size=size, arg_size=8), "c")
-        for size in (0, 4, 64)
-    ]
-    reference = NullService()
-    batched = NullService()
-    expected = [reference.execute(op, client) for op, client in ops]
-    assert batched.execute_batch(ops) == expected
-    assert batched.operations_executed == reference.operations_executed
-    assert batched.state_version == reference.state_version
-    assert batched.state_digest() == reference.state_digest()
+    """Every operation on the commit path counts once, whatever its read-only
+    flag; a result is as many bytes as the operation asks for, none when the
+    encoding is malformed."""
+    sizes = [0, 4, 64, 0, 4096]
+    ops = [(encode_null_op(result_size=size, arg_size=8, read_only=index == 3), "c")
+           for index, size in enumerate(sizes)]
+    ops.append((b"garbage", "c"))
+    service = NullService()
+    count = 0
+    for _pass in range(2):
+        got = service.execute_batch(ops)
+        assert [outcome.result for outcome in got] == [b"r" * size for size in sizes] + [b""]
+        count += len(ops)
+        assert service._export_state() == count
+        assert service.state_version == count
+        fresh = NullService()
+        for _ in range(count):
+            fresh.execute(b"", "seeder")
+        assert service.state_digest() == fresh.state_digest()
+
+
+@pytest.mark.xfail(strict=True, reason="services still carry vectorised execute_batch "
+                   "twins and wrap results in ExecutionResult")
+def test_each_service_states_its_operations_once():
+    """``Service.execute_batch`` is the one loop over ``execute``: no service
+    writes its operations a second time, and ``execute`` returns the result
+    bytes themselves."""
+    overriding = []
+    for package in (repro.services, repro.fs):
+        for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+            module = importlib.import_module(info.name)
+            for cls in vars(module).values():
+                if (isinstance(cls, type) and issubclass(cls, Service)
+                        and cls is not Service and "execute_batch" in vars(cls)):
+                    overriding.append(cls.__qualname__)
+    assert overriding == []
+    assert type(KeyValueStore().execute(b"GET k", "c")) is bytes
 
 
 # ======================================================================
