@@ -54,9 +54,9 @@ class UnreplicatedServer:
         if message.timestamp == last and client in self.last_reply:
             self._send(self.last_reply[client])
             return
-        outcome = self.service.execute(message.operation, client)
+        result = self.service.execute(message.operation, client)
         self.env.charge(
-            self.params.execution_cost(len(message.operation), len(outcome.result))
+            self.params.execution_cost(len(message.operation), len(result))
         )
         self.requests_executed += 1
         reply = Reply(
@@ -64,8 +64,8 @@ class UnreplicatedServer:
             timestamp=message.timestamp,
             client=client,
             replica=SERVER_NAME,
-            result=outcome.result,
-            result_digest=digest(outcome.result),
+            result=result,
+            result_digest=digest(result),
             tentative=False,
             sender=SERVER_NAME,
         )

@@ -376,14 +376,14 @@ class Replica:
                 self.request_queue.append(request)
                 self._try_send_pre_prepare()
             return
-        outcome = self.service.execute(
+        result = self.service.execute(
             request.operation, request.client, read_only=True
         )
         self.env.charge(
-            self.params.execution_cost(len(request.operation), len(outcome.result))
+            self.params.execution_cost(len(request.operation), len(result))
         )
         self.metrics.read_only_executed += 1
-        reply = self._build_reply(request, outcome.result, tentative=False)
+        reply = self._build_reply(request, result, tentative=False)
         self._send_reply_message(reply)
 
     # =====================================================================
@@ -621,8 +621,7 @@ class Replica:
 
         * timestamps are deduplicated in one pass;
         * the service executes the whole batch through one
-          :meth:`~repro.services.interface.Service.execute_batch` call
-          (one dirty-set pass);
+          :meth:`~repro.services.interface.Service.execute_batch` call;
         * the reply-table AdHash delta accumulates as a plain integer and
           is reduced modulo once per batch;
         * replies are built in bulk with memoized result digests and
@@ -654,7 +653,7 @@ class Replica:
             ops.append((request.operation, client))
         if not plan:
             return
-        outcomes = (
+        results = (
             self.service.execute_batch(ops, nondet=nondet) if ops else []
         )
 
@@ -675,7 +674,7 @@ class Replica:
         sends: List[Tuple[str, Reply]] = []
         reply_delta = 0
         executed = 0
-        outcome_index = 0
+        result_index = 0
         # Bulk reply encoder: the canonical ``payload_bytes`` of every
         # reply in the batch shares the constant pieces — type tag,
         # sender, view, replica, tentative flag — so they are encoded
@@ -700,9 +699,8 @@ class Replica:
                     sends.append((entry, cached))
                 continue
             request = entry
-            outcome = outcomes[outcome_index]
-            outcome_index += 1
-            result = outcome.result
+            result = results[result_index]
+            result_index += 1
             charge(
                 exec_fixed
                 + exec_per_byte * (len(request.operation) + len(result))

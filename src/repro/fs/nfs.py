@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.services.interface import ExecutionResult, Service
+from repro.services.interface import Service
 
 #: Maximum clock skew, in microseconds, a backup accepts between the
 #: primary's proposed mtime and its own clock (Section 5.4).
@@ -223,10 +223,10 @@ class NFSService(Service):
         client: str,
         nondet: bytes = b"",
         read_only: bool = False,
-    ) -> ExecutionResult:
+    ) -> bytes:
         parts = decode_op(operation)
         if not parts:
-            return ExecutionResult(result=b"ERR empty")
+            return b"ERR empty"
         verb = parts[0].upper()
         mtime = self._decode_mtime(nondet)
         try:
@@ -243,12 +243,10 @@ class NFSService(Service):
                 b"RENAME": self._op_rename,
             }[verb]
         except KeyError:
-            return ExecutionResult(result=b"ERR bad-op")
-        is_read = verb in _READ_ONLY_OPS
-        if read_only and not is_read:
-            return ExecutionResult(result=b"ERR not-read-only", was_read_only=True)
-        result = handler(parts[1:], client, mtime)
-        return ExecutionResult(result=result, was_read_only=is_read)
+            return b"ERR bad-op"
+        if read_only and verb not in _READ_ONLY_OPS:
+            return b"ERR not-read-only"
+        return handler(parts[1:], client, mtime)
 
     def is_read_only(self, operation: bytes) -> bool:
         parts = decode_op(operation)

@@ -9,14 +9,13 @@ the null service for micro-benchmarks, a key-value store, and a counter
 with access control.
 """
 
-from repro.services.interface import Service, ExecutionResult
+from repro.services.interface import Service
 from repro.services.null_service import NullService
 from repro.services.kvstore import KeyValueStore
 from repro.services.counter import CounterService
 
 __all__ = [
     "Service",
-    "ExecutionResult",
     "NullService",
     "KeyValueStore",
     "CounterService",

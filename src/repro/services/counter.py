@@ -13,9 +13,9 @@ value changed since the last checkpoint".
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, Optional, Set
 
-from repro.services.interface import BatchOp, ExecutionResult, Service
+from repro.services.interface import Service
 
 
 class CounterService(Service):
@@ -32,83 +32,34 @@ class CounterService(Service):
         client: str,
         nondet: bytes = b"",
         read_only: bool = False,
-    ) -> ExecutionResult:
+    ) -> bytes:
         parts = operation.split(b" ")
-        verb = parts[0].upper() if parts else b""
+        verb = parts[0].upper()
         if verb == b"READ":
-            return ExecutionResult(result=str(self.value).encode(), was_read_only=True)
+            return str(self.value).encode()
         if read_only:
-            return ExecutionResult(result=b"ERR not-read-only", was_read_only=True)
+            return b"ERR not-read-only"
         if self._allowed is not None and client not in self._allowed:
-            return ExecutionResult(result=b"ERR access-denied")
+            return b"ERR access-denied"
         amount = 1
         if len(parts) > 1:
             try:
                 amount = int(parts[1])
             except ValueError:
-                return ExecutionResult(result=b"ERR bad-amount")
+                return b"ERR bad-amount"
         if amount < 0:
-            return ExecutionResult(result=b"ERR negative-amount")
+            return b"ERR negative-amount"
         if verb == b"INC":
             self.value += amount
-            self._touch(0)
-            return ExecutionResult(result=str(self.value).encode())
-        if verb == b"DEC":
+        elif verb == b"DEC":
             # Invariant: the counter never goes below zero.
             if self.value - amount < 0:
-                return ExecutionResult(result=b"ERR underflow")
+                return b"ERR underflow"
             self.value -= amount
-            self._touch(0)
-            return ExecutionResult(result=str(self.value).encode())
-        return ExecutionResult(result=b"ERR bad-operation")
-
-    def execute_batch(
-        self, ops: Sequence[BatchOp], nondet: bytes = b""
-    ) -> List[ExecutionResult]:
-        """Per-op semantics of :meth:`execute`, with the single-page dirty
-        bookkeeping applied once per batch instead of once per mutation."""
-        results: List[ExecutionResult] = []
-        mutations = 0
-        allowed = self._allowed
-        for operation, client in ops:
-            parts = operation.split(b" ")
-            verb = parts[0].upper() if parts else b""
-            if verb == b"READ":
-                results.append(
-                    ExecutionResult(result=str(self.value).encode(),
-                                    was_read_only=True)
-                )
-                continue
-            if allowed is not None and client not in allowed:
-                results.append(ExecutionResult(result=b"ERR access-denied"))
-                continue
-            amount = 1
-            if len(parts) > 1:
-                try:
-                    amount = int(parts[1])
-                except ValueError:
-                    results.append(ExecutionResult(result=b"ERR bad-amount"))
-                    continue
-            if amount < 0:
-                results.append(ExecutionResult(result=b"ERR negative-amount"))
-                continue
-            if verb == b"INC":
-                self.value += amount
-                mutations += 1
-                results.append(ExecutionResult(result=str(self.value).encode()))
-            elif verb == b"DEC":
-                if self.value - amount < 0:
-                    results.append(ExecutionResult(result=b"ERR underflow"))
-                else:
-                    self.value -= amount
-                    mutations += 1
-                    results.append(
-                        ExecutionResult(result=str(self.value).encode())
-                    )
-            else:
-                results.append(ExecutionResult(result=b"ERR bad-operation"))
-        self._apply_batch_dirty((0,), mutations)
-        return results
+        else:
+            return b"ERR bad-operation"
+        self._touch(0)
+        return str(self.value).encode()
 
     def is_read_only(self, operation: bytes) -> bool:
         return operation.split(b" ", 1)[0].upper() == b"READ"

@@ -4,7 +4,9 @@ Every replicated service derives from the one :class:`Service` class.  A
 service implements:
 
 * ``execute(operation, client, nondet, read_only)`` — run one operation and
-  return its result, mirroring the library's ``execute`` upcall;
+  return its result bytes, mirroring the library's ``execute`` upcall; it is
+  the only place a service states its operations (a committed batch is
+  :meth:`Service.execute_batch`, a loop over it);
 * ``propose_nondet(now)`` — the primary-side hook that chooses
   non-deterministic values for a batch (Section 5.4);
 * ``check_nondet(...)`` — the backup-side validity check for those values;
@@ -60,7 +62,6 @@ State transfer moves the pages that differ, and nothing else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 )
@@ -72,16 +73,6 @@ from repro.statetransfer.partition_tree import (
     content_page_digest,
 )
 from repro.statetransfer.transfer import service_root_digest
-
-
-@dataclass
-class ExecutionResult:
-    """Result of executing one operation."""
-
-    result: bytes
-    #: True when the operation did not modify the service state; used by the
-    #: read-only check of Section 5.1.3.
-    was_read_only: bool = False
 
 
 #: One operation of a batch handed to :meth:`Service.execute_batch`:
@@ -151,20 +142,18 @@ class Service:
         client: str,
         nondet: bytes = b"",
         read_only: bool = False,
-    ) -> ExecutionResult:
+    ) -> bytes:
         raise NotImplementedError
 
     def execute_batch(
         self, ops: Sequence[BatchOp], nondet: bytes = b""
-    ) -> List[ExecutionResult]:
-        """Execute one committed batch of operations in order.
+    ) -> List[bytes]:
+        """Execute one committed batch of operations in order: one
+        :meth:`execute` per entry, sharing the batch's ``nondet``.
 
-        Must behave exactly like calling :meth:`execute` once per entry
-        (same results, same final state, same ``state_version`` total):
-        replicas execute every committed batch through this method, and
-        read-only requests through :meth:`execute`.
-        Subclasses override to amortize per-operation work: dirty-set and
-        mutation-counter bookkeeping.  The default is the per-op fallback.
+        Replicas execute every committed batch through this method and
+        read-only requests through :meth:`execute`; batching (Section 5.1.4)
+        is the library's business, so services do not override it.
         """
         return [
             self.execute(operation, client, nondet=nondet)
@@ -242,17 +231,6 @@ class Service:
     def _touch(self, index: int) -> None:
         self.state_version += 1
         self._dirty.add(index)
-
-    def _apply_batch_dirty(self, indexes: Iterable[int], mutations: int) -> None:
-        """One dirty-set/``state_version`` bookkeeping pass for a batch.
-
-        Equivalent to ``mutations`` individual :meth:`_touch` calls whose
-        indexes union to ``indexes`` — ``execute_batch`` implementations
-        accumulate locally and apply once, so a 64-operation batch costs
-        one set union and one counter add instead of 64."""
-        if mutations:
-            self.state_version += mutations
-            self._dirty.update(indexes)
 
     def dirty_pages(self) -> FrozenSet[int]:
         return frozenset(self._dirty)

@@ -31,9 +31,9 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from sys import getrefcount
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
-from repro.services.interface import BatchOp, ExecutionResult, Service
+from repro.services.interface import Service
 
 
 #: Every value a store in this process holds, keyed by its content, and
@@ -74,30 +74,6 @@ def _sweep() -> None:
         value = values.pop()  # popped: only this name holds it, as _release expects
         _release(value)
     _sweep_at = max(_POOL_FLOOR, 2 * len(_POOL))
-
-
-def _parse_operation(operation: bytes) -> Tuple[bytes, ...]:
-    """Resolve one operation encoding to its canonical parsed form.
-
-    The result depends only on the operation bytes (never on store state).
-    The parse mirrors :meth:`KeyValueStore.execute` exactly, including the
-    case-insensitive verb and the argument-count fallthroughs: a mutating
-    verb with too few arguments parses to ``(b"",)`` (bad operation), just
-    as ``execute`` falls through its arity-guarded branches.
-    """
-    parts = operation.split(b" ")
-    verb = parts[0].upper() if parts else b""
-    if verb == b"GET":
-        return (b"GET", parts[1]) if len(parts) > 1 else (b"GET",)
-    if verb == b"KEYS":
-        return (b"KEYS",)
-    if verb == b"SET" and len(parts) >= 3:
-        return (b"SET", parts[1], b" ".join(parts[2:]))
-    if verb == b"DEL" and len(parts) >= 2:
-        return (b"DEL", parts[1])
-    if verb == b"CAS" and len(parts) >= 4:
-        return (b"CAS", parts[1], parts[2], parts[3])
-    return (b"",)
 
 
 def _encode_records(items: Iterable[tuple[bytes, bytes]]) -> bytes:
@@ -194,119 +170,32 @@ class KeyValueStore(Service):
         client: str,
         nondet: bytes = b"",
         read_only: bool = False,
-    ) -> ExecutionResult:
+    ) -> bytes:
         parts = operation.split(b" ")
-        verb = parts[0].upper() if parts else b""
+        verb = parts[0].upper()
         if verb == b"GET":
-            value = self._data.get(parts[1], b"") if len(parts) > 1 else b""
-            return ExecutionResult(result=value, was_read_only=True)
+            return self._data.get(parts[1], b"") if len(parts) > 1 else b""
         if verb == b"KEYS":
-            keys = b",".join(sorted(self._data))
-            return ExecutionResult(result=keys, was_read_only=True)
+            return b",".join(sorted(self._data))
         if read_only:
             # A mutating operation routed through the read-only path is
             # rejected without touching state.
-            return ExecutionResult(result=b"ERR not-read-only", was_read_only=True)
+            return b"ERR not-read-only"
         if not self._may_write(client):
-            return ExecutionResult(result=b"ERR access-denied")
+            return b"ERR access-denied"
         if verb == b"SET" and len(parts) >= 3:
             self._store(parts[1], b" ".join(parts[2:]))
-            return ExecutionResult(result=b"OK")
+            return b"OK"
         if verb == b"DEL" and len(parts) >= 2:
-            existed = self._delete(parts[1])
-            return ExecutionResult(result=b"OK" if existed else b"MISSING")
+            return b"OK" if self._delete(parts[1]) else b"MISSING"
         if verb == b"CAS" and len(parts) >= 4:
             current = self._data.get(parts[1])
             if current == parts[2] or (current is None and parts[2] == b"-"):
                 del current  # else _store could not release the old value
                 self._store(parts[1], parts[3])
-                return ExecutionResult(result=b"OK")
-            return ExecutionResult(result=b"FAIL " + (current or b"-"))
-        return ExecutionResult(result=b"ERR bad-operation")
-
-    def execute_batch(
-        self, ops: Sequence[BatchOp], nondet: bytes = b""
-    ) -> List[ExecutionResult]:
-        """Vectorized execution of one committed batch (Section 5.1.4).
-
-        Byte-identical to calling :meth:`execute` per operation; the
-        amortizations are wall-clock only: the store's dicts are bound
-        once per batch, and the dirty-set/``state_version`` bookkeeping is
-        applied in a single pass at the end instead of one ``_touch`` per
-        mutation.
-        """
-        data = self._data
-        buckets = self._buckets
-        writers = self._writers
-        bucket_of = self.bucket_of
-        dirty: Set[int] = set()
-        mutations = 0
-        results: List[ExecutionResult] = []
-        append = results.append
-        for operation, client in ops:
-            parsed = _parse_operation(operation)
-            verb = parsed[0]
-            if verb == b"GET":
-                value = data.get(parsed[1], b"") if len(parsed) > 1 else b""
-                append(ExecutionResult(result=value, was_read_only=True))
-                continue
-            if verb == b"KEYS":
-                append(
-                    ExecutionResult(
-                        result=b",".join(sorted(data)), was_read_only=True
-                    )
-                )
-                continue
-            if writers is not None and client not in writers:
-                append(ExecutionResult(result=b"ERR access-denied"))
-                continue
-            if verb == b"SET":
-                key = parsed[1]
-                bucket = bucket_of(key)
-                old = data.get(key)
-                if old is None:
-                    buckets[bucket] = _with_key(buckets.get(bucket, ()), key)
-                data[key] = _shared(parsed[2])
-                _release(old)
-                dirty.add(bucket)
-                mutations += 1
-                append(ExecutionResult(result=b"OK"))
-                continue
-            if verb == b"DEL":
-                key = parsed[1]
-                old = data.pop(key, None)
-                if old is not None:
-                    _release(old)
-                    bucket = bucket_of(key)
-                    keys = _without_key(buckets[bucket], key)
-                    if keys:
-                        buckets[bucket] = keys
-                    else:
-                        del buckets[bucket]
-                    dirty.add(bucket)
-                    mutations += 1
-                    append(ExecutionResult(result=b"OK"))
-                else:
-                    append(ExecutionResult(result=b"MISSING"))
-                continue
-            if verb == b"CAS":
-                key, expected, new = parsed[1], parsed[2], parsed[3]
-                current = data.get(key)
-                if current == expected or (current is None and expected == b"-"):
-                    bucket = bucket_of(key)
-                    if current is None:
-                        buckets[bucket] = _with_key(buckets.get(bucket, ()), key)
-                    data[key] = _shared(new)
-                    _release(current)
-                    dirty.add(bucket)
-                    mutations += 1
-                    append(ExecutionResult(result=b"OK"))
-                else:
-                    append(ExecutionResult(result=b"FAIL " + (current or b"-")))
-                continue
-            append(ExecutionResult(result=b"ERR bad-operation"))
-        self._apply_batch_dirty(dirty, mutations)
-        return results
+                return b"OK"
+            return b"FAIL " + (current or b"-")
+        return b"ERR bad-operation"
 
     def is_read_only(self, operation: bytes) -> bool:
         verb = operation.split(b" ", 1)[0].upper()
@@ -338,21 +227,6 @@ class KeyValueStore(Service):
         for bucket in wanted:
             found.extend(self._buckets.get(bucket, ()))
         return tuple(sorted(found))
-
-    def bucket_range_pages(
-        self, snapshot: object, buckets: Iterable[int]
-    ) -> Dict[int, bytes]:
-        """The page encodings of the given buckets captured by a snapshot.
-
-        This is the export side of bucket-range migration: the moved
-        buckets' pages are read out of a *stable-checkpoint* snapshot (so
-        every honest replica of the group extracts identical bytes) and
-        installed into the target group via ``install_pages``.  Buckets
-        that hold nothing in the snapshot are simply absent from the
-        result.  Cost is proportional to the moved range, not the store
-        (``snapshot_page_subset``).
-        """
-        return self.snapshot_page_subset(snapshot, buckets)
 
     # ----------------------------------------------------- dirty-page hooks
     def _page_payload(self, index: int) -> Tuple[Tuple[bytes, bytes], ...]:

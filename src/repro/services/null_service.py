@@ -12,9 +12,9 @@ executed since the last checkpoint.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
-from repro.services.interface import BatchOp, ExecutionResult, Service
+from repro.services.interface import Service
 
 
 def encode_null_op(result_size: int, arg_size: int, read_only: bool = False) -> bytes:
@@ -38,27 +38,11 @@ class NullService(Service):
         client: str,
         nondet: bytes = b"",
         read_only: bool = False,
-    ) -> ExecutionResult:
-        result_size = self._result_size(operation)
+    ) -> bytes:
         if not read_only:
             self.operations_executed += 1
             self._touch(0)
-        return ExecutionResult(result=b"r" * result_size, was_read_only=read_only)
-
-    def execute_batch(
-        self, ops: Sequence[BatchOp], nondet: bytes = b""
-    ) -> List[ExecutionResult]:
-        """Per-op semantics of :meth:`execute` (never read-only on the
-        commit path), with one counter add and one dirty mark per batch."""
-        result_size = self._result_size
-        results = [
-            ExecutionResult(result=b"r" * result_size(operation))
-            for operation, _client in ops
-        ]
-        count = len(results)
-        self.operations_executed += count
-        self._apply_batch_dirty((0,), count)
-        return results
+        return b"r" * self._result_size(operation)
 
     def is_read_only(self, operation: bytes) -> bool:
         try:

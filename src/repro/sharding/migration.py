@@ -138,7 +138,9 @@ def _served_pages(
 ) -> Dict[int, bytes]:
     """The (possibly tampered) page bytes one source replica serves for
     the moved buckets."""
-    pages = service.bucket_range_pages(snapshot, buckets)
+    # Read from a stable-checkpoint snapshot, so every honest replica of the
+    # group extracts identical bytes.
+    pages = service.snapshot_page_subset(snapshot, buckets)
     if tamper is not None:
         pages = {
             index: tamper(replica_id, index, value)

@@ -58,8 +58,7 @@ def test_micro_operation_encodes_sizes():
     op = micro_operation(4, 2)
     assert len(op) > 4096
     service = NullService()
-    outcome = service.execute(op, "c")
-    assert len(outcome.result) == 2048
+    assert len(service.execute(op, "c")) == 2048
 
 
 def test_measure_latency_returns_samples():

@@ -31,7 +31,6 @@ import importlib
 import pkgutil
 from typing import Dict, List, Optional, Tuple
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.fs
@@ -153,7 +152,7 @@ def test_kvstore_execute_batch_matches_per_op(batch, restrict):
     for _pass in range(2):
         expected = [kv_model(model, writers, operation, client) for operation, client in ops]
         got = store.execute_batch(ops)
-        assert [outcome.result for outcome in got] == [result for result, _ in expected]
+        assert got == [result for result, _ in expected]
         version += sum(mutated for _, mutated in expected)
         assert store._export_state() == model
         assert store.state_version == version
@@ -208,7 +207,7 @@ def test_counter_execute_batch_matches_per_op(batch):
         expected.append(result)
         version += mutated
     got = counter.execute_batch(batch)
-    assert [outcome.result for outcome in got] == expected
+    assert got == expected
     assert counter._export_state() == value
     assert counter.state_version == version
     fresh = CounterService()
@@ -229,7 +228,7 @@ def test_null_service_execute_batch_matches_per_op():
     count = 0
     for _pass in range(2):
         got = service.execute_batch(ops)
-        assert [outcome.result for outcome in got] == [b"r" * size for size in sizes] + [b""]
+        assert got == [b"r" * size for size in sizes] + [b""]
         count += len(ops)
         assert service._export_state() == count
         assert service.state_version == count
@@ -239,8 +238,6 @@ def test_null_service_execute_batch_matches_per_op():
         assert service.state_digest() == fresh.state_digest()
 
 
-@pytest.mark.xfail(strict=True, reason="services still carry vectorised execute_batch "
-                   "twins and wrap results in ExecutionResult")
 def test_each_service_states_its_operations_once():
     """``Service.execute_batch`` is the one loop over ``execute``: no service
     writes its operations a second time, and ``execute`` returns the result
@@ -352,7 +349,7 @@ class SequentialModel:
                 if timestamp == previous:
                     send(self.last_reply[client])  # the cached *full* reply
                 continue
-            result = self.store.execute(request.operation, client, nondet=nondet).result
+            result = self.store.execute(request.operation, client, nondet=nondet)
             charges.append(
                 self.params.execution_cost(len(request.operation), len(result))
             )

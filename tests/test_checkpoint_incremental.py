@@ -347,7 +347,7 @@ def test_abort_tentative_execution_rolls_back_reply_table():
 
     # The rolled-back operation is no longer mistaken for a retransmission.
     _execute(replica, 2, b"SET b 2")
-    assert replica.service.execute(b"GET b", "probe").result == b"2"
+    assert replica.service.execute(b"GET b", "probe") == b"2"
 
 
 def test_snapshot_survives_newest_checkpoint_discard():

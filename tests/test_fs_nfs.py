@@ -14,7 +14,7 @@ def run(fs, op, client="client0", mtime=1000):
     import struct
 
     nondet = struct.pack(">Q", mtime)
-    return fs.execute(op, client, nondet=nondet).result
+    return fs.execute(op, client, nondet=nondet)
 
 
 def test_encode_decode_roundtrip():
@@ -89,8 +89,7 @@ def test_read_only_classification():
 
 
 def test_mutating_op_through_read_only_path_rejected(fs):
-    outcome = fs.execute(NFSClientOps.mkdir(b"/d"), "c", read_only=True)
-    assert outcome.result == b"ERR not-read-only"
+    assert fs.execute(NFSClientOps.mkdir(b"/d"), "c", read_only=True) == b"ERR not-read-only"
     assert fs.directory_count() == 1  # only the root
 
 

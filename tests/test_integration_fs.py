@@ -63,7 +63,7 @@ def test_bfs_mtime_is_identical_across_replicas(bfs):
         rid: r.service.execute(
             __import__("repro.fs.nfs", fromlist=["NFSClientOps"]).NFSClientOps.getattr(b"/stamp"),
             "probe",
-        ).result
+        )
         for rid, r in cluster.replicas.items()
     }
     assert len(set(attrs.values())) == 1

@@ -16,8 +16,8 @@ from tests.conftest import snapshot_records
 def test_null_service_result_size():
     service = NullService()
     op = encode_null_op(result_size=4096, arg_size=0)
-    outcome = service.execute(op, "client0")
-    assert len(outcome.result) == 4096
+    result = service.execute(op, "client0")
+    assert len(result) == 4096
     assert service.operations_executed == 1
 
 
@@ -42,24 +42,24 @@ def test_null_service_snapshot_roundtrip():
 # -------------------------------------------------------------- kv store
 def test_kvstore_set_get_del():
     store = KeyValueStore()
-    assert store.execute(b"SET a 1", "c").result == b"OK"
-    assert store.execute(b"GET a", "c").result == b"1"
-    assert store.execute(b"DEL a", "c").result == b"OK"
-    assert store.execute(b"GET a", "c").result == b""
-    assert store.execute(b"DEL a", "c").result == b"MISSING"
+    assert store.execute(b"SET a 1", "c") == b"OK"
+    assert store.execute(b"GET a", "c") == b"1"
+    assert store.execute(b"DEL a", "c") == b"OK"
+    assert store.execute(b"GET a", "c") == b""
+    assert store.execute(b"DEL a", "c") == b"MISSING"
 
 
 def test_kvstore_set_with_spaces_in_value():
     store = KeyValueStore()
     store.execute(b"SET k hello world", "c")
-    assert store.execute(b"GET k", "c").result == b"hello world"
+    assert store.execute(b"GET k", "c") == b"hello world"
 
 
 def test_kvstore_cas_enforces_invariant():
     store = KeyValueStore()
-    assert store.execute(b"CAS k - v1", "c").result == b"OK"
-    assert store.execute(b"CAS k v1 v2", "c").result == b"OK"
-    assert store.execute(b"CAS k wrong v3", "c").result.startswith(b"FAIL")
+    assert store.execute(b"CAS k - v1", "c") == b"OK"
+    assert store.execute(b"CAS k v1 v2", "c") == b"OK"
+    assert store.execute(b"CAS k wrong v3", "c").startswith(b"FAIL")
     assert store.get(b"k") == b"v2"
 
 
@@ -67,7 +67,7 @@ def test_kvstore_keys_listing_and_read_only_detection():
     store = KeyValueStore()
     store.execute(b"SET b 2", "c")
     store.execute(b"SET a 1", "c")
-    assert store.execute(b"KEYS", "c").result == b"a,b"
+    assert store.execute(b"KEYS", "c") == b"a,b"
     assert store.is_read_only(b"GET a")
     assert store.is_read_only(b"KEYS")
     assert not store.is_read_only(b"SET a 1")
@@ -75,15 +75,14 @@ def test_kvstore_keys_listing_and_read_only_detection():
 
 def test_kvstore_access_control_blocks_unauthorised_writers():
     store = KeyValueStore(writers={"alice"})
-    assert store.execute(b"SET k v", "alice").result == b"OK"
-    assert store.execute(b"SET k2 v", "bob").result == b"ERR access-denied"
-    assert store.execute(b"GET k", "bob").result == b"v"  # reads allowed
+    assert store.execute(b"SET k v", "alice") == b"OK"
+    assert store.execute(b"SET k2 v", "bob") == b"ERR access-denied"
+    assert store.execute(b"GET k", "bob") == b"v"  # reads allowed
 
 
 def test_kvstore_mutation_through_read_only_path_is_rejected():
     store = KeyValueStore()
-    outcome = store.execute(b"SET k v", "c", read_only=True)
-    assert outcome.result == b"ERR not-read-only"
+    assert store.execute(b"SET k v", "c", read_only=True) == b"ERR not-read-only"
     assert store.get(b"k") is None
 
 
@@ -115,7 +114,7 @@ def test_kvstore_pages_follow_bucket_mapping():
     restored = KeyValueStore()
     restored.install_pages(pages)
     assert restored.state_digest() == store.state_digest()
-    assert restored.execute(b"GET key007", "c").result == b"v" * 200
+    assert restored.execute(b"GET key007", "c") == b"v" * 200
 
 
 def test_kvstore_oversized_value_still_checkpoints():
@@ -209,36 +208,36 @@ def test_kvstore_corruption_changes_digest():
 
 def test_kvstore_bad_operation():
     store = KeyValueStore()
-    assert store.execute(b"FLY high", "c").result == b"ERR bad-operation"
+    assert store.execute(b"FLY high", "c") == b"ERR bad-operation"
 
 
 # --------------------------------------------------------------- counter
 def test_counter_inc_dec_read():
     counter = CounterService()
-    assert counter.execute(b"INC 5", "c").result == b"5"
-    assert counter.execute(b"DEC 2", "c").result == b"3"
-    assert counter.execute(b"READ", "c").result == b"3"
+    assert counter.execute(b"INC 5", "c") == b"5"
+    assert counter.execute(b"DEC 2", "c") == b"3"
+    assert counter.execute(b"READ", "c") == b"3"
 
 
 def test_counter_invariant_never_negative():
     counter = CounterService()
     counter.execute(b"INC 1", "c")
-    assert counter.execute(b"DEC 5", "c").result == b"ERR underflow"
+    assert counter.execute(b"DEC 5", "c") == b"ERR underflow"
     assert counter.value == 1
 
 
 def test_counter_rejects_negative_amounts_and_garbage():
     counter = CounterService()
-    assert counter.execute(b"INC -5", "c").result == b"ERR negative-amount"
-    assert counter.execute(b"INC abc", "c").result == b"ERR bad-amount"
-    assert counter.execute(b"SPIN", "c").result == b"ERR bad-operation"
+    assert counter.execute(b"INC -5", "c") == b"ERR negative-amount"
+    assert counter.execute(b"INC abc", "c") == b"ERR bad-amount"
+    assert counter.execute(b"SPIN", "c") == b"ERR bad-operation"
 
 
 def test_counter_access_control():
     counter = CounterService(allowed_clients={"alice"})
-    assert counter.execute(b"INC 1", "bob").result == b"ERR access-denied"
-    assert counter.execute(b"INC 1", "alice").result == b"1"
-    assert counter.execute(b"READ", "bob").result == b"1"
+    assert counter.execute(b"INC 1", "bob") == b"ERR access-denied"
+    assert counter.execute(b"INC 1", "alice") == b"1"
+    assert counter.execute(b"READ", "bob") == b"1"
 
 
 def test_counter_snapshot_restore_and_corrupt():

@@ -538,14 +538,14 @@ def test_refused_whole_snapshot_leaves_nothing_behind(build, probe):
     digest_before = replica._state_digest()
     timestamps_before = dict(replica.last_reply_timestamp)
     replies_before = dict(replica.last_reply)
-    probe_before = replica.service.execute(probe, "probe", read_only=True).result
+    probe_before = replica.service.execute(probe, "probe", read_only=True)
 
     def unchanged():
         assert replica._state_digest() == digest_before
         assert replica._reply_digest == replica._recompute_reply_digest()
         assert replica.last_reply_timestamp == timestamps_before == {"client0": 3}
         assert replica.last_reply == replies_before and replies_before
-        assert replica.service.execute(probe, "probe", read_only=True).result == (
+        assert replica.service.execute(probe, "probe", read_only=True) == (
             probe_before
         )
         assert replica.last_executed == 0 and 8 not in replica.checkpoints
@@ -572,8 +572,8 @@ def test_refused_whole_snapshot_leaves_nothing_behind(build, probe):
     assert replica._state_digest() == certified
     assert replica.last_reply_timestamp == honest_table
     assert replica.last_executed == replica.stable_checkpoint_seq == 8
-    assert replica.service.execute(probe, "probe", read_only=True).result == (
-        target.execute(probe, "probe", read_only=True).result
+    assert replica.service.execute(probe, "probe", read_only=True) == (
+        target.execute(probe, "probe", read_only=True)
     )
 
 
@@ -662,7 +662,7 @@ def test_kv_page_decoder_rejects_overrunning_length_prefix():
         assert service.state_digest() == before
         assert service._export_state() == exported
     assert store.get(b"kept") == b"value"
-    assert nfs.execute(NFSClientOps.lookup(b"/kept"), "probe").result == b"FH:2"
+    assert nfs.execute(NFSClientOps.lookup(b"/kept"), "probe") == b"FH:2"
 
 
 def test_serve_cache_never_outlives_checkpoint_records(monkeypatch):
