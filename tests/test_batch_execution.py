@@ -197,6 +197,8 @@ def counter_model(value: int, operation: bytes, client: str):
         min_size=0, max_size=16,
     )
 )
+# Down to exactly zero, then one step past it.
+@example(batch=[(b"DEC 3", "alice")] * 3 + [(b"DEC", "alice"), (b"dec", "alice")])
 def test_counter_execute_batch_matches_per_op(batch):
     counter = CounterService(allowed_clients={"alice"})
     counter.execute(b"INC 10", "alice")
