@@ -56,9 +56,9 @@ def batched() -> None:
     so per-request protocol cost is amortized across the batch.  Deep
     pipelines drain the queue eagerly and keep batches small (low
     latency, less amortization).  The replica executes each committed
-    batch through one ``Service.execute_batch`` call — memoized operation
-    parsing, one dirty-page bookkeeping pass, bulk-built and batch-signed
-    replies, one delivery train for the whole reply fan-out.
+    batch through one ``Service.execute_batch`` call (the service's
+    ``execute`` once per operation), then builds and batch-signs the
+    replies and sends the whole reply fan-out as one delivery train.
     """
     import dataclasses
 
