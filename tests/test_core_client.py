@@ -11,6 +11,7 @@ from repro.core.env import RecordingEnv
 from repro.core.messages import Reply, Request
 from repro.crypto.digests import digest
 from repro.crypto.mac import MACKey
+from repro.crypto.authenticator import Authenticator
 from repro.crypto.signatures import SignatureRegistry
 
 
@@ -190,3 +191,80 @@ def test_view_tracking_from_replies():
     # The next request goes to the primary of view 3.
     client.invoke(b"next")
     assert env.sent[-1].destination == "replica3"
+
+
+# ---------------------------------------------------------------------------
+# A reply counts for the replica that authenticated it, and no other
+# ---------------------------------------------------------------------------
+def forged(claimed, principal, sender=None, timestamp=1, result=b"forged"):
+    """A tentative reply that names ``claimed`` (and ``sender``, by default
+    the same) but is authenticated by ``principal``."""
+    message = reply(claimed, timestamp=timestamp, result=result)
+    message.sender = claimed if sender is None else sender
+    message.auth = Authenticator(sender=principal)
+    return message
+
+
+IMPERSONATIONS = {
+    # One replica supplies the whole quorum under its peers' names.
+    "names-another-replica": [forged(r, "replica3") for r in
+                              ("replica0", "replica1", "replica2")],
+    # The authenticated principal is not a member of the group.
+    "not-a-member": [forged(r, r) for r in ("replica4", "client9", "replica5")],
+    # Authenticated and named consistently, but sent as someone else.
+    "sender-is-another-node": [forged(r, r, sender="replica3") for r in
+                               ("replica0", "replica1", "replica2")],
+}
+
+
+@pytest.mark.xfail(strict=True, reason="Client.handle_reply counts reply.replica unchecked")
+@pytest.mark.parametrize("case", sorted(IMPERSONATIONS))
+def test_a_reply_counts_only_for_the_replica_that_authenticated_it(case):
+    client, env, completions = make_client()
+    timestamp = client.invoke(b"op")
+    for message in IMPERSONATIONS[case]:
+        client.receive(message)
+    assert not client.is_complete(timestamp)
+    assert client.pending.votes == {}
+
+
+def test_replies_authenticated_by_their_replicas_still_complete():
+    client, env, completions = make_client()
+    timestamp = client.invoke(b"op")
+    for replica in ("replica0", "replica1", "replica2"):
+        client.receive(forged(replica, replica, result=b"ok"))
+    assert client.is_complete(timestamp)
+    assert completions[0].result == b"ok"
+
+
+@pytest.mark.xfail(strict=True, reason="Client.handle_reply counts reply.replica unchecked")
+@pytest.mark.parametrize("options", [ProtocolOptions(), ProtocolOptions().as_bft_pk()],
+                         ids=["mac", "signature"])
+def test_one_faulty_replica_cannot_supply_a_clients_reply_quorum(options):
+    """f = 1, real crypto.  ``replica3`` answers a ``GET`` with three
+    tentative replies that name ``replica0``-``replica2``, each
+    authenticated under its own key.  The client must wait for the honest
+    replies instead of completing with the forged result."""
+    from repro.library import BFTCluster
+    from repro.services.kvstore import KeyValueStore
+
+    cluster = BFTCluster.create(f=1, service_factory=KeyValueStore, seed=5,
+                                options=options, record_events=True)
+    client = cluster.new_client()
+    timestamp = client.invoke_async(b"GET k")
+    faulty = cluster.replicas["replica3"]
+
+    def forge() -> None:
+        for name in ("replica0", "replica1", "replica2"):
+            message = Reply(view=0, timestamp=timestamp, client=client.id,
+                            replica=name, result=b"forged",
+                            result_digest=digest(b"forged"), tentative=True,
+                            sender=name)
+            faulty.env.send(client.id, faulty.auth.sign_point_to_point(message, client.id))
+
+    cluster.replica_nodes["replica3"].external_call(forge)
+    cluster.run(stop_when=lambda: client.protocol.is_complete(timestamp),
+                duration=10_000_000.0)
+    assert client.last_completed().result == b""
+    rejected = [e for e in client.node.events if e[1] == "reply-rejected"]
+    assert len(rejected) == 3

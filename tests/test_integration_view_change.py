@@ -117,3 +117,24 @@ def test_view_change_metrics_recorded():
     client.invoke(b"SET b 2", timeout=30_000_000)
     started = sum(r.metrics.view_changes_started for r in cluster.replicas.values())
     assert started >= 3  # every live backup starts the change
+
+
+@pytest.mark.xfail(strict=True, reason="BFTCluster has no stall report")
+def test_a_timed_out_request_reports_every_replicas_protocol_state():
+    """With two of four replicas crashed no request can complete; the
+    ``TimeoutError`` carries one line per replica naming its view and the
+    last batch it executed, so the stall explains itself."""
+    cluster = build_cluster()
+    client = cluster.new_client()
+    assert client.invoke(b"SET warm up") == b"OK"
+    cluster.crash_replica("replica2")
+    cluster.crash_replica("replica3")
+    with pytest.raises(TimeoutError) as raised:
+        client.invoke(b"SET stalled now", timeout=2_000_000.0)
+    message = str(raised.value)
+    lines = message.splitlines()
+    for replica_id, replica in cluster.replicas.items():
+        [line] = [line for line in lines if line.startswith(replica_id + " ")]
+        assert f"view {replica.view} " in line
+        assert f"last_executed {replica.last_executed} " in line
+    assert cluster.stall_report() in message

@@ -63,6 +63,18 @@ def test_kvstore_cas_enforces_invariant():
     assert store.get(b"k") == b"v2"
 
 
+@pytest.mark.xfail(strict=True, reason="CAS answers FAIL - for a key holding the empty value")
+def test_kvstore_cas_on_an_empty_value_reports_the_empty_value():
+    """A failed CAS reports the current value, so a client can retry with
+    it; an empty value is reported as itself, not as an absent key."""
+    store = KeyValueStore()
+    assert store.execute(b"SET k ", "c") == b"OK"
+    assert store.execute(b"CAS k - y", "c") == b"FAIL "
+    assert store.execute(b"CAS k  y", "c") == b"OK"
+    assert store.get(b"k") == b"y"
+    assert store.execute(b"CAS absent x y", "c") == b"FAIL -"
+
+
 def test_kvstore_keys_listing_and_read_only_detection():
     store = KeyValueStore()
     store.execute(b"SET b 2", "c")
