@@ -38,7 +38,9 @@ class UnreplicatedServer:
         self.auth = auth
         self.auth.bind_env(env)
         self.params = params
-        self.last_reply: Dict[str, Reply] = {}
+        #: client -> the result of its last request, whose timestamp is
+        #: ``last_timestamp[client]``: a retransmission rebuilds the reply.
+        self.last_result: Dict[str, bytes] = {}
         self.last_timestamp: Dict[str, int] = {}
         self.requests_executed = 0
 
@@ -51,17 +53,22 @@ class UnreplicatedServer:
         last = self.last_timestamp.get(client, 0)
         if message.timestamp < last:
             return
-        if message.timestamp == last and client in self.last_reply:
-            self._send(self.last_reply[client])
+        if message.timestamp == last and client in self.last_result:
+            self._reply(client, last, self.last_result[client])
             return
         result = self.service.execute(message.operation, client)
         self.env.charge(
             self.params.execution_cost(len(message.operation), len(result))
         )
         self.requests_executed += 1
+        self.last_timestamp[client] = message.timestamp
+        self.last_result[client] = result
+        self._reply(client, message.timestamp, result)
+
+    def _reply(self, client: str, timestamp: int, result: bytes) -> None:
         reply = Reply(
             view=0,
-            timestamp=message.timestamp,
+            timestamp=timestamp,
             client=client,
             replica=SERVER_NAME,
             result=result,
@@ -69,13 +76,7 @@ class UnreplicatedServer:
             tentative=False,
             sender=SERVER_NAME,
         )
-        self.last_timestamp[client] = message.timestamp
-        self.last_reply[client] = reply
-        self._send(reply)
-
-    def _send(self, reply: Reply) -> None:
-        self.auth.sign_point_to_point(reply, reply.client)
-        self.env.send(reply.client, reply)
+        self.env.send(client, self.auth.sign_point_to_point(reply, client))
 
     def on_timer(self, label: str) -> None:  # pragma: no cover - no timers
         pass

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.auth import Authentication
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig, DEFAULT_OPTIONS
@@ -90,13 +90,36 @@ class CheckpointSnapshot:
     :class:`~repro.services.interface.PageSnapshot` handle the service's
     ``snapshot()`` returned.  Consumers must treat it as immutable and read
     it through the service (``snapshot_pages`` and friends, ``restore``).
+    ``last_reply_timestamp`` is the reply table's part of the checkpointed
+    state: what the digest covers and state transfer ships.  Replies are
+    not checkpointed (nothing reads them at a checkpoint): a replica that
+    installs a checkpoint by state transfer holds timestamps only, and
+    leaves a retransmission of a request it never executed to the
+    replicas that did.
     """
 
     seq: int
     state_digest: bytes
     service_snapshot: object
     last_reply_timestamp: Dict[str, int]
-    last_reply: Dict[str, Reply]
+
+
+class ReplyRecord(NamedTuple):
+    """What a replica keeps of the last reply it sent a client (Section 4.1).
+
+    With the client's entry in ``last_reply_timestamp`` and the replica's
+    own id, these fields are every payload field of that REPLY, so a
+    retransmission rebuilds it byte for byte and signs it under the
+    session key that holds then.  ``entry_digest`` is the AdHash entry of
+    the client's timestamp: the subtrahend when the next request replaces
+    it.
+    """
+
+    view: int
+    result: bytes
+    result_digest: bytes
+    tentative: bool
+    entry_digest: int
 
 
 # The AdHash contribution of one ``last_reply_timestamp`` entry is defined
@@ -156,7 +179,10 @@ class Replica:
         self._handlers = self._handler_table()
 
         self.last_reply_timestamp: Dict[str, int] = {}
-        self.last_reply: Dict[str, Reply] = {}
+        #: client -> the reply last sent for ``last_reply_timestamp[client]``;
+        #: a client with a timestamp may have no record (after a state
+        #: transfer installed the table).
+        self.last_reply: Dict[str, ReplyRecord] = {}
         #: Running AdHash over ``last_reply_timestamp`` entries, updated at
         #: execute time so checkpoints never re-pack the whole reply table.
         self._reply_digest = 0
@@ -189,12 +215,14 @@ class Replica:
         #: view change (Section 5.1.2).
         self._pre_tentative_snapshot: Optional[object] = None
         #: Undo log for the reply-table side of that rollback: one
-        #: (client, previous timestamp, previous cached reply) entry per
+        #: (client, previous timestamp, previous reply record) entry per
         #: tentatively executed request.  Without it an aborted operation
         #: would leave ``last_reply_timestamp`` advanced, so re-executing
         #: the same request in the new view would be skipped as a
         #: retransmission and this replica would diverge.
-        self._tentative_undo: List[Tuple[str, Optional[int], Optional[Reply]]] = []
+        self._tentative_undo: List[
+            Tuple[str, Optional[int], Optional[ReplyRecord]]
+        ] = []
 
         #: Attached by the recovery manager / state transfer manager.
         self.state_transfer = None
@@ -203,10 +231,7 @@ class Replica:
         #: Batch-pipeline memos (wall-clock only — both map pure functions,
         #: so a stale entry can never change a value, only cost a recompute).
         #: ``_result_digest_memo``: result bytes -> digest(result).
-        #: ``_reply_entry_memo``: client -> (timestamp, AdHash entry), the
-        #: subtrahend of the next reply-digest delta for that client.
         self._result_digest_memo: Dict[bytes, bytes] = {}
-        self._reply_entry_memo: Dict[str, Tuple[int, int]] = {}
         #: client -> canonical ``pack(client)`` encoding, for the bulk
         #: reply encoder (clients repeat every batch).
         self._client_enc_memo: Dict[str, bytes] = {}
@@ -235,7 +260,6 @@ class Replica:
             state_digest=self._state_digest(),
             service_snapshot=self.service.snapshot(),
             last_reply_timestamp={},
-            last_reply={},
         )
         self.checkpoints[0] = snapshot
 
@@ -343,10 +367,12 @@ class Replica:
         last_timestamp = self.last_reply_timestamp.get(client, 0)
         if request.timestamp < last_timestamp:
             return
-        if request.timestamp == last_timestamp and client in self.last_reply:
-            # Retransmission of an executed request: resend the cached reply.
-            self._send_reply_message(self.last_reply[client])
-            return
+        if request.timestamp == last_timestamp:
+            record = self.last_reply.get(client)
+            if record is not None:
+                # Retransmission of an executed request: resend its reply.
+                self._send_reply_message(self._rebuild_reply(client, record))
+                return
 
         if request.read_only and self.options.read_only_optimization:
             self._execute_read_only(request)
@@ -607,12 +633,13 @@ class Replica:
 
         The rule, per request: a null request does nothing; a request older
         than the client's last executed one is dropped; a retransmission of
-        the last one re-sends the cached reply, at its position in the
-        batch (exactly-once, Section 3.1); anything newer executes, is
-        charged ``execution_cost(len(operation), len(result))``, replaces
-        the client's reply-table entry and cached reply — the full one, so
-        a retransmission gets the result whoever is designated then — and
-        is answered, with the result digest alone when digest replies apply
+        the last one re-sends its reply, rebuilt from the client's reply
+        record, at its position in the batch (exactly-once, Section 3.1);
+        anything newer executes, is charged
+        ``execution_cost(len(operation), len(result))``, replaces the
+        client's reply-table entry and reply record — with the full result,
+        so a retransmission gets it whoever is designated then — and is
+        answered, with the result digest alone when digest replies apply
         and another replica is the designated replier (Section 5.1.1).
         Under ``tentative`` every executed request logs what it overwrote,
         so a view change can undo the batch (Section 5.1.2).
@@ -632,7 +659,7 @@ class Replica:
         last_ts = self.last_reply_timestamp
         last_reply = self.last_reply
         #: Execution plan, in request order: a Request executes; a plain
-        #: ``str`` (the client) re-sends that client's cached reply.
+        #: ``str`` (the client) re-sends that client's last reply.
         plan: List[object] = []
         ops: List[Tuple[bytes, str]] = []
         batch_ts: Dict[str, int] = {}
@@ -667,7 +694,6 @@ class Replica:
         digest_threshold = options.digest_replies_threshold
         sign = self.auth.point_to_point_signer()
         result_digests = self._result_digest_memo
-        entry_memo = self._reply_entry_memo
         undo = self._tentative_undo
         view = self.view
         own_id = self.id
@@ -691,12 +717,13 @@ class Replica:
         join = b"".join
         for entry in plan:
             if type(entry) is str:
-                # Retransmission ordered into the batch: re-send the cached
-                # reply (built earlier in this very batch, or before it).
-                cached = last_reply.get(entry)
-                if cached is not None:
-                    sign(cached, entry)
-                    sends.append((entry, cached))
+                # Retransmission ordered into the batch: re-send the reply
+                # recorded earlier in this very batch, or before it.
+                record = last_reply.get(entry)
+                if record is not None:
+                    resent = self._rebuild_reply(entry, record)
+                    sign(resent, entry)
+                    sends.append((entry, resent))
                 continue
             request = entry
             result = results[result_index]
@@ -709,17 +736,16 @@ class Replica:
             client = request.client
             timestamp = request.timestamp
             previous = last_ts.get(client)
+            record = last_reply.get(client)
             if tentative:
-                undo.append((client, previous, last_reply.get(client)))
+                undo.append((client, previous, record))
             new_entry = _reply_entry_digest(client, timestamp)
             reply_delta += new_entry
-            if previous is not None:
-                memo = entry_memo.get(client)
-                if memo is not None and memo[0] == previous:
-                    reply_delta -= memo[1]
-                else:
-                    reply_delta -= _reply_entry_digest(client, previous)
-            entry_memo[client] = (timestamp, new_entry)
+            if record is not None:
+                # A record is always of the client's current timestamp.
+                reply_delta -= record.entry_digest
+            elif previous is not None:
+                reply_delta -= _reply_entry_digest(client, previous)
             last_ts[client] = timestamp
             result_digest = result_digests.get(result)
             if result_digest is None:
@@ -727,17 +753,27 @@ class Replica:
                 if len(result_digests) >= _RESULT_DIGEST_MEMO_LIMIT:
                     result_digests.clear()
                 result_digests[result] = result_digest
+            last_reply[client] = ReplyRecord(
+                view, result, result_digest, tentative, new_entry
+            )
+            # Digest replies: only the designated replier sends a large
+            # result in full (``result`` is not part of the payload).
+            stripped = (
+                digest_replies
+                and len(result) >= digest_threshold
+                and request.designated_replier is not None
+                and request.designated_replier != own_id
+            )
             reply = Reply(
                 view=view,
                 timestamp=timestamp,
                 client=client,
                 replica=own_id,
-                result=result,
+                result=None if stripped else result,
                 result_digest=result_digest,
                 tentative=tentative,
                 sender=own_id,
             )
-            last_reply[client] = reply
             client_enc = client_encs.get(client)
             if client_enc is None:
                 client_enc = pack(client)
@@ -759,29 +795,6 @@ class Replica:
             cache = reply.__dict__
             cache["_payload_bytes_cache"] = payload
             cache["_payload_digest_cache"] = digest(payload)
-            if (
-                digest_replies
-                and len(result) >= digest_threshold
-                and request.designated_replier is not None
-                and request.designated_replier != own_id
-            ):
-                stripped = Reply(
-                    view=view,
-                    timestamp=timestamp,
-                    client=client,
-                    replica=own_id,
-                    result=None,
-                    result_digest=result_digest,
-                    tentative=tentative,
-                    sender=own_id,
-                )
-                # ``result`` is excluded from the canonical payload, so
-                # the stripped variant shares the full reply's bytes.
-                stripped.__dict__["_payload_bytes_cache"] = payload
-                stripped.__dict__["_payload_digest_cache"] = (
-                    reply.__dict__["_payload_digest_cache"]
-                )
-                reply = stripped
             sign(reply, client)
             sends.append((client, reply))
         self.metrics.requests_executed += executed
@@ -803,8 +816,22 @@ class Replica:
             sender=self.id,
         )
 
+    def _rebuild_reply(self, client: str, record: ReplyRecord) -> Reply:
+        """The reply ``record`` was made from, unsigned: its payload bytes
+        are those of the reply first sent."""
+        return Reply(
+            view=record.view,
+            timestamp=self.last_reply_timestamp[client],
+            client=client,
+            replica=self.id,
+            result=record.result,
+            result_digest=record.result_digest,
+            tentative=record.tentative,
+            sender=self.id,
+        )
+
     def _send_reply_message(self, reply: Reply) -> None:
-        self.auth.sign_point_to_point(reply, reply.client)
+        reply = self.auth.sign_point_to_point(reply, reply.client)
         self.env.send(reply.client, reply)
 
     # =====================================================================
@@ -832,7 +859,6 @@ class Replica:
                     previous.service_snapshot
                 ),
                 last_reply_timestamp=previous.last_reply_timestamp,
-                last_reply=previous.last_reply,
             )
             self.env.record("checkpoint-reused", seq=seq)
         else:
@@ -842,7 +868,6 @@ class Replica:
                 state_digest=state_digest,
                 service_snapshot=self.service.snapshot(),
                 last_reply_timestamp=dict(self.last_reply_timestamp),
-                last_reply=dict(self.last_reply),
             )
         self.checkpoints[seq] = snapshot
         self._last_checkpoint_seq = seq
@@ -982,7 +1007,6 @@ class Replica:
             state_digest=state_digest,
             service_snapshot=self.service.snapshot(),
             last_reply_timestamp=dict(last_reply_timestamp),
-            last_reply={},
         )
         self.checkpoints[seq] = snapshot
         self._last_checkpoint_seq = seq
@@ -1083,7 +1107,7 @@ class Replica:
         # the aborted operations can re-execute in the new view instead of
         # being skipped as retransmissions (and so the incremental reply
         # digest matches replicas that never executed tentatively).
-        for client, prev_ts, prev_reply in reversed(self._tentative_undo):
+        for client, prev_ts, prev_record in reversed(self._tentative_undo):
             current = self.last_reply_timestamp.get(client)
             delta = 0
             if current is not None:
@@ -1094,10 +1118,10 @@ class Replica:
                 self.last_reply_timestamp[client] = prev_ts
                 delta += _reply_entry_digest(client, prev_ts)
             self._reply_digest = (self._reply_digest + delta) % ADHASH_MODULUS
-            if prev_reply is None:
+            if prev_record is None:
                 self.last_reply.pop(client, None)
             else:
-                self.last_reply[client] = prev_reply
+                self.last_reply[client] = prev_record
             self._executed_since_checkpoint -= 1
         self._drop_pre_tentative_snapshot()
         slot = self.log.existing_slot(self.last_tentative)

@@ -418,6 +418,18 @@ def _reply_table(last_reply: Dict[str, Reply]) -> dict:
     }
 
 
+def _replica_reply_table(replica: Replica) -> dict:
+    """``_reply_table`` read off the replica's reply records, each of
+    which also holds the AdHash entry of the client's timestamp."""
+    table = {}
+    for client, record in replica.last_reply.items():
+        timestamp = replica.last_reply_timestamp[client]
+        assert record.entry_digest == reply_entry_digest(client, timestamp)
+        table[client] = (timestamp, record.result, record.result_digest,
+                         record.tentative)
+    return table
+
+
 def _replica_state(replica: Replica) -> dict:
     """What ``SequentialModel.state`` predicts, read off the replica."""
     return {
@@ -426,7 +438,7 @@ def _replica_state(replica: Replica) -> dict:
         "state": replica.service._export_state(),
         "state_digest": replica._state_digest(),
         "executed": replica.metrics.requests_executed,
-        "replies": _reply_table(replica.last_reply),
+        "replies": _replica_reply_table(replica),
     }
 
 

@@ -544,7 +544,7 @@ def _run_paged_ops(ops) -> None:
             ]
             replica.checkpoints[seq] = CheckpointSnapshot(
                 seq=seq, state_digest=b"", service_snapshot=held[seq][0],
-                last_reply_timestamp={}, last_reply={},
+                last_reply_timestamp={},
             )
         elif kind == "RELEASE" and picked is not None:
             store.release_snapshot(held.pop(picked)[0])

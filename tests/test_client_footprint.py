@@ -25,10 +25,14 @@ from repro.sharding import ShardedKVCluster
 #: The client pool of the open-loop workloads.
 CLIENTS = 256
 #: Measured on one f = 1 cluster, 256 clients completing one null
-#: operation each: 10,034 B per client when both ends derived their own
-#: copy of every directed key, every node generated a signing key pair and
-#: every node kept its own position tables.
-BYTES_PER_CLIENT = 9_500
+#: operation each: 5,833-5,881 B per client, of which each replica's reply
+#: record for it (``Replica.last_reply``: a five-field tuple, its AdHash
+#: entry and a table slot) is ~170.  It was 8,269 B while each replica held
+#: the last signed ``Reply`` message per client and every checkpoint a copy
+#: of that table, and 10,034 B before that, when both ends derived their
+#: own copy of every directed key, every node generated a signing key pair
+#: and every node kept its own position tables.
+BYTES_PER_CLIENT = 6_400
 
 
 def warm_client_bytes() -> float:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import gc
 import types
 
-import pytest
-
 from repro.core.config import ReplicaSetConfig
 from repro.core.messages import PrePrepare, Prepare, Reply, Request
 from repro.crypto.keys import SessionKeyTable
@@ -48,7 +46,6 @@ def reachable_replies(*roots) -> list:
     return found
 
 
-@pytest.mark.xfail(strict=True, reason="the table re-sends its cached Reply under the MAC it was first sent with")
 def test_a_reply_resent_from_the_table_is_signed_under_the_current_key():
     """Real crypto.  The client's request executes; then the replica->client
     key is replaced at both ends, and the client retransmits.  The replica
@@ -85,7 +82,6 @@ def test_a_reply_resent_from_the_table_is_signed_under_the_current_key():
     assert client.node.external_call(lambda: client_auth.verify(resent))
 
 
-@pytest.mark.xfail(strict=True, reason="the reply table, its undo log and every checkpoint copy hold Reply messages")
 def test_no_reply_message_is_held_by_the_table_the_undo_log_or_a_checkpoint():
     """A backup executes two committed batches (a checkpoint at 2) and a
     third tentatively, so the reply table, a checkpoint and the tentative

@@ -504,7 +504,7 @@ def _serving_replica(service, seq, reply_table):
     )
     server.checkpoints[seq] = CheckpointSnapshot(
         seq=seq, state_digest=b"", service_snapshot=service.snapshot(),
-        last_reply_timestamp=dict(reply_table), last_reply={},
+        last_reply_timestamp=dict(reply_table),
     )
     return StateTransferManager(server)
 
