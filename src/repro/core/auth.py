@@ -304,6 +304,17 @@ class Authentication:
             return self.registry.verify(signed, auth)
         return False
 
+    def principal(self, message: Message) -> Optional[str]:
+        """The node whose key authenticates ``message``, once :meth:`verify`
+        accepted it: the sender named by a MAC or an authenticator (its key
+        is the one the tag was checked under), or the owner of a signature's
+        public key when the signature names that owner; ``None`` otherwise."""
+        auth = message.auth
+        if type(auth) is Signature:
+            owner = self.registry.owner_of(auth.public_key)
+            return owner if owner == auth.signer else None
+        return getattr(auth, "sender", None)
+
     # -------------------------------------------------------------- execution
     def charge_digest(self, size_bytes: int) -> None:
         self._charge(self.costs.digest_cost(size_bytes))

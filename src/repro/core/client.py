@@ -168,6 +168,17 @@ class Client:
             return
         if not self.auth.verify(message):
             return
+        # A reply counts for the replica that authenticated it and for no
+        # other, so one faulty replica cannot supply a whole certificate.
+        principal = self.auth.principal(message)
+        if (
+            principal not in self.config.replica_indexes
+            or principal != message.sender
+            or principal != message.replica
+        ):
+            self.env.record("reply-rejected", replica=message.replica,
+                            principal=principal)
+            return
         self.handle_reply(message)
 
     def handle_reply(self, reply: Reply) -> None:

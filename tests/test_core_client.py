@@ -217,7 +217,6 @@ IMPERSONATIONS = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="Client.handle_reply counts reply.replica unchecked")
 @pytest.mark.parametrize("case", sorted(IMPERSONATIONS))
 def test_a_reply_counts_only_for_the_replica_that_authenticated_it(case):
     client, env, completions = make_client()
@@ -237,7 +236,6 @@ def test_replies_authenticated_by_their_replicas_still_complete():
     assert completions[0].result == b"ok"
 
 
-@pytest.mark.xfail(strict=True, reason="Client.handle_reply counts reply.replica unchecked")
 @pytest.mark.parametrize("options", [ProtocolOptions(), ProtocolOptions().as_bft_pk()],
                          ids=["mac", "signature"])
 def test_one_faulty_replica_cannot_supply_a_clients_reply_quorum(options):
