@@ -5,7 +5,9 @@ Operations are encoded as simple byte strings:
 * ``GET <key>`` — read a value (read-only),
 * ``SET <key> <value>`` — write a value,
 * ``DEL <key>`` — delete a key,
-* ``CAS <key> <expected> <new>`` — compare-and-swap,
+* ``CAS <key> <expected> <new>`` — compare-and-swap (``-`` expects an
+  absent key); a failed one answers ``FAIL <current>``, ``FAIL -`` when
+  the key is absent,
 * ``KEYS`` — list keys (read-only).
 
 The store demonstrates the paper's point about complex operations
@@ -194,7 +196,7 @@ class KeyValueStore(Service):
                 del current  # else _store could not release the old value
                 self._store(parts[1], parts[3])
                 return b"OK"
-            return b"FAIL " + (current or b"-")
+            return b"FAIL " + (b"-" if current is None else current)
         return b"ERR bad-operation"
 
     def is_read_only(self, operation: bytes) -> bool:

@@ -67,7 +67,9 @@ from tests.conftest import authed, general_encoding, make_replica
 # shares no code with ``repro.services``: ``(result, mutated)`` per operation
 # on plain Python state.  ``mutated`` is one ``state_version`` step.
 KEYS = [b"k1", b"k2", b"longer-key", b"zz"]
-VALUES = [b"v", b"value-two", b"x" * 40]
+#: ``b""`` included: a CAS on a key holding the empty value reports it as
+#: itself, not as an absent key.
+VALUES = [b"v", b"value-two", b"x" * 40, b""]
 
 
 def kv_model(data: Dict[bytes, bytes], writers, operation: bytes, client: str):
@@ -142,6 +144,9 @@ def _kv_store(records: Dict[bytes, bytes], writers=None) -> KeyValueStore:
 @example(batch=[((b"SET", b"k1"), "mallory"), ((b"KEYS",), "mallory"),
                 ((b"cas", b"k2", b"-", b"v"), "bob"), ((b"del", b"k2"), "bob"),
                 ((b"DEL", b"k2"), "bob")], restrict=True)
+@example(batch=[((b"SET", b"k1", b""), "alice"), ((b"CAS", b"k1", b"-", b"v"), "alice"),
+                ((b"CAS", b"k1", b"", b"v"), "alice"), ((b"CAS", b"k2", b"", b"v"), "bob")],
+         restrict=False)
 def test_kvstore_execute_batch_matches_per_op(batch, restrict):
     writers = {"alice", "bob"} if restrict else None
     ops = [(b" ".join(parts), client) for parts, client in batch]

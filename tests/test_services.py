@@ -63,7 +63,6 @@ def test_kvstore_cas_enforces_invariant():
     assert store.get(b"k") == b"v2"
 
 
-@pytest.mark.xfail(strict=True, reason="CAS answers FAIL - for a key holding the empty value")
 def test_kvstore_cas_on_an_empty_value_reports_the_empty_value():
     """A failed CAS reports the current value, so a client can retry with
     it; an empty value is reported as itself, not as an absent key."""
