@@ -386,6 +386,10 @@ class ProtocolNode(Node):
         timer = self._timers.get(label)
         return timer is not None and timer.running
 
+    def armed_timers(self) -> List[str]:
+        """The labels of the timers that are running, sorted."""
+        return sorted(label for label, timer in self._timers.items() if timer.running)
+
     # ----------------------------------------------------------------- metrics
     def record(self, event: str, details: Dict[str, Any]) -> None:
         if self.record_events:
@@ -424,10 +428,14 @@ class SyncClient:
         )
         completed = self.protocol.result_of(timestamp)
         if completed is None:
-            raise TimeoutError(
+            message = (
                 f"request {timestamp} from {self.id} did not complete within "
                 f"{timeout} simulated microseconds"
             )
+            stall_report = getattr(self.cluster, "stall_report", None)
+            if stall_report is not None:
+                message += "\n" + stall_report()
+            raise TimeoutError(message)
         return completed.result
 
     def invoke_async(self, operation: bytes, read_only: bool = False) -> int:
@@ -745,3 +753,22 @@ class BFTCluster:
 
     def executed_counts(self) -> Dict[str, int]:
         return {rid: r.last_executed for rid, r in self.replicas.items()}
+
+    def stall_report(self) -> str:
+        """One line per replica of where it stands: its view and whether
+        that view is active, its water marks, the last batch it executed,
+        the requests waiting for a sequence number and its armed timers.
+        It reads state only, so a stalled run can explain itself."""
+        lines = []
+        for replica_id, replica in self.replicas.items():
+            node = self.replica_nodes[replica_id]
+            lines.append(
+                f"{replica_id} view {replica.view} "
+                f"{'active' if replica.active_view else 'changing'} "
+                f"watermarks {replica.log.low_water_mark}-{replica.log.high_water_mark} "
+                f"last_executed {replica.last_executed} "
+                f"queued {len(replica.request_queue)} "
+                f"timers {','.join(node.armed_timers()) or '-'}"
+                + (" crashed" if node._is_crashed() else "")
+            )
+        return "\n".join(lines)

@@ -119,7 +119,6 @@ def test_view_change_metrics_recorded():
     assert started >= 3  # every live backup starts the change
 
 
-@pytest.mark.xfail(strict=True, reason="BFTCluster has no stall report")
 def test_a_timed_out_request_reports_every_replicas_protocol_state():
     """With two of four replicas crashed no request can complete; the
     ``TimeoutError`` carries one line per replica naming its view and the
