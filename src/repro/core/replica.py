@@ -107,12 +107,12 @@ class CheckpointSnapshot:
 class ReplyRecord(NamedTuple):
     """What a replica keeps of the last reply it sent a client (Section 4.1).
 
-    With the client's entry in ``last_reply_timestamp`` and the replica's
-    own id, these fields are every payload field of that REPLY, so a
-    retransmission rebuilds it byte for byte and signs it under the
-    session key that holds then.  ``entry_digest`` is the AdHash entry of
-    the client's timestamp: the subtrahend when the next request replaces
-    it.
+    With the client's ``last_reply_timestamp`` entry and the replica's own
+    id, these are every field of that REPLY, so a retransmission rebuilds
+    it with the same payload bytes and signs it under the session key that
+    holds then.  ``entry_digest`` is the AdHash entry of that timestamp,
+    subtracted from the reply-table digest when the client's next request
+    executes.
     """
 
     view: int
@@ -179,9 +179,11 @@ class Replica:
         self._handlers = self._handler_table()
 
         self.last_reply_timestamp: Dict[str, int] = {}
-        #: client -> the reply last sent for ``last_reply_timestamp[client]``;
-        #: a client with a timestamp may have no record (after a state
-        #: transfer installed the table).
+        #: client -> :class:`ReplyRecord` of the reply last sent for
+        #: ``last_reply_timestamp[client]``: a retransmission rebuilds the
+        #: REPLY from it, and its AdHash entry is the subtrahend when the
+        #: client's next request executes.  A client with a timestamp may
+        #: have no record (a state transfer installs timestamps only).
         self.last_reply: Dict[str, ReplyRecord] = {}
         #: Running AdHash over ``last_reply_timestamp`` entries, updated at
         #: execute time so checkpoints never re-pack the whole reply table.
