@@ -25,7 +25,7 @@ REPEATS = 5
 
 
 def build_tree() -> PartitionTree:
-    tree = PartitionTree(page_size=4096, fanout=256, levels=3)
+    tree = PartitionTree(fanout=256, levels=3)
     for index in range(TOTAL_PAGES):
         tree.write_page(index, b"initial-%d" % index)
     tree.take_checkpoint(1)

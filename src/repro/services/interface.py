@@ -22,7 +22,7 @@ Dirty-page contract (Section 5.3.1)
 * ``state_digest()`` then only re-encodes and re-hashes the pages touched
   since the last digest/snapshot — the digests of clean pages live in a
   persistent :class:`~repro.statetransfer.partition_tree.PartitionTree`
-  (content-digest mode) whose root is maintained incrementally.  The tree
+  whose root is maintained incrementally.  The tree
   keeps a page as an immutable *payload* sharing the service's own objects
   (the KV store: a bucket's sorted ``(key, value)`` pairs); its encoding
   exists only while it is hashed or a DATA message / migrated bucket is built;
@@ -106,8 +106,7 @@ class Service:
     """
 
     #: Geometry of the backing partition tree.  Pages here are logical
-    #: hash buckets whose encodings grow with the records mapped to them,
-    #: so the tree's size cap is disabled.
+    #: hash buckets whose encodings grow with the records mapped to them.
     tree_fanout: int = 256
     tree_levels: int = 3
 
@@ -120,10 +119,8 @@ class Service:
         #: last checkpoint".
         self.state_version = 0
         self._tree = PartitionTree(
-            page_size=None,
             fanout=self.tree_fanout,
             levels=self.tree_levels,
-            content_digests=True,
             encode=self._encode_payload,
         )
         self._dirty: set[int] = set()

@@ -26,9 +26,9 @@ faulty sender fails its digest check, is dropped without touching the
 cursor, and is re-requested from the next replica.
 
 The AdHash combination inherits the collision-resistance assumption the
-content-digest partition tree (and the replica state digest built on it)
-already makes; per-page SHA-256 checks reject any page whose bytes do not
-match the proven digest.
+partition tree (and the replica state digest built on it) already makes;
+per-page SHA-256 checks reject any page whose bytes do not match the proven
+digest.
 """
 
 from __future__ import annotations

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.statetransfer.partition_tree import PartitionTree
+from repro.statetransfer.partition_tree import (
+    ADHASH_MODULUS,
+    PartitionTree,
+    content_page_digest,
+)
 
 
 writes = st.lists(
@@ -51,7 +55,7 @@ def test_transfer_always_converges(ops, divergent):
         follower.write_page(index, value)
     follower.take_checkpoint(1)
     plan = follower.apply_transfer(source, seq)
-    assert follower.verify_against(source, seq) == []
+    assert follower.plan_transfer(source, seq).out_of_date_pages == []
     assert plan.pages_transferred <= max(len(ops), len(divergent)) + len(ops)
 
 
@@ -78,7 +82,6 @@ class _FoldIntoSuccessor(PartitionTree):
         copy = self._checkpoints.get(seq)
         if copy is None:
             return
-        self._metadata_cache.clear()
         position = self._checkpoint_order.index(seq)
         del self._checkpoint_order[position]
         if position < len(self._checkpoint_order):
@@ -105,17 +108,16 @@ actions = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(script=actions, content_digests=st.booleans(), preload=st.integers(0, PAGES))
-def test_release_order_never_changes_what_a_snapshot_holds(
-    script, content_digests, preload
-):
+@given(script=actions, preload=st.integers(0, PAGES))
+def test_release_order_never_changes_what_a_snapshot_holds(script, preload):
     """Whatever order snapshots are taken, written under and released in,
     every live snapshot keeps answering ``page_at_checkpoint`` with the
-    values a full copy taken at snapshot time holds, and the tree agrees
-    record for record and root for root with one that folds a released copy
-    into its successor the old way."""
-    tree = PartitionTree(content_digests=content_digests)
-    reference = _FoldIntoSuccessor(content_digests=content_digests)
+    values a full copy taken at snapshot time holds, its root is the AdHash
+    sum of that copy's page digests, and the tree agrees record for record
+    and root for root with one that folds a released copy into its
+    successor the old way."""
+    tree = PartitionTree()
+    reference = _FoldIntoSuccessor()
     # A big first copy and small later ones is the case the fold now turns
     # around; a small first copy keeps the other direction covered.
     for index in range(preload):
@@ -129,6 +131,10 @@ def test_release_order_never_changes_what_a_snapshot_holds(
         assert tree.root_digest() == reference.root_digest()
         for live, full_copy in full_copies.items():
             assert tree.root_digest(live) == reference.root_digest(live)
+            assert tree.root_digest(live) == sum(
+                content_page_digest(index, value)
+                for index, value in full_copy.items()
+            ) % ADHASH_MODULUS
             for index in range(PAGES):
                 record = tree.page_at_checkpoint(index, live)
                 assert record == reference.page_at_checkpoint(index, live)

@@ -67,7 +67,7 @@ def test_pages_written_since_a_checkpoint():
     """The pages a rollback to a checkpoint must put back: the dirty set
     plus every later copy's pages, still whole after the newest copy is
     discarded (its pages return to the dirty set)."""
-    tree = PartitionTree(page_size=None, content_digests=True)
+    tree = PartitionTree()
     tree.write_page(1, b"a")
     tree.write_page(2, b"b")
     tree.take_checkpoint(1)
@@ -91,9 +91,11 @@ def test_discard_checkpoints_preserves_page_lookup():
     tree.take_checkpoint(2)
     tree.write_page(2, b"c")
     tree.take_checkpoint(3)
-    tree.discard_checkpoints_before(3)
+    tree.discard_checkpoint(1)
+    tree.discard_checkpoint(2)
     assert tree.checkpoint_seqs() == (3,)
     assert tree.page_at_checkpoint(0, 3).value == b"a"
+    assert tree.page_at_checkpoint(1, 3).value == b"b"
 
 
 def test_checkpoint_sequence_numbers_must_increase():
@@ -105,11 +107,9 @@ def test_checkpoint_sequence_numbers_must_increase():
 
 
 def test_write_page_bounds_checked():
-    tree = PartitionTree(page_size=8, fanout=2, levels=2)
+    tree = PartitionTree(fanout=2, levels=2)
     with pytest.raises(IndexError):
         tree.write_page(5, b"x")
-    with pytest.raises(ValueError):
-        tree.write_page(0, b"toolongforpage")
 
 
 def test_transfer_plan_moves_only_divergent_pages():
@@ -141,7 +141,24 @@ def test_apply_transfer_converges_digests():
     target.take_checkpoint(1)
     target.apply_transfer(source, 1)
     assert target.root_digest() == source.root_digest(1)
-    assert target.verify_against(source, 1) == []
+    assert target.plan_transfer(source, 1).out_of_date_pages == []
+
+
+def test_checkpoint_after_a_transfer_holds_the_fetched_pages():
+    """A page installed by a transfer is captured by the follower's next
+    checkpoint, so that checkpoint's pages agree with its root."""
+    source = PartitionTree()
+    follower = PartitionTree()
+    for tree in (source, follower):
+        tree.write_page(0, b"old")
+        tree.take_checkpoint(1)
+    source.write_page(0, b"new")
+    source.take_checkpoint(2)
+    follower.apply_transfer(source, 2)
+    follower.take_checkpoint(3)
+    assert follower.root_digest(3) == source.root_digest(2)
+    assert follower.page_at_checkpoint(0, 3).value == b"new"
+    assert follower.page_at_checkpoint(0, 1).value == b"old"
 
 
 def test_verify_against_reports_corrupted_pages():
@@ -154,7 +171,7 @@ def test_verify_against_reports_corrupted_pages():
     replica.take_checkpoint(1)
     replica.write_page(4, b"corrupted")
     replica.take_checkpoint(2)
-    assert replica.verify_against(source, 1) == [4]
+    assert replica.plan_transfer(source, 1).out_of_date_pages == [4]
 
 
 def test_tree_shape_validation():
