@@ -28,17 +28,6 @@ class Env:
         """Send a point-to-point message."""
         raise NotImplementedError
 
-    def send_many(self, pairs: List[Tuple[str, Any]]) -> None:
-        """Send a batch of ``(destination, message)`` pairs in order.
-
-        Semantically identical to calling :meth:`send` per pair; simulator
-        environments override it to hand the whole batch to the network in
-        one call so a batch of replies becomes one delivery train instead
-        of one scheduled event each (Section 5.1.4 batch pipeline).
-        """
-        for destination, message in pairs:
-            self.send(destination, message)
-
     def broadcast(self, destinations: Tuple[str, ...], message: Any) -> None:
         """Multicast ``message`` to ``destinations`` (excluding the sender)."""
         raise NotImplementedError

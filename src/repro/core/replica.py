@@ -655,8 +655,8 @@ class Replica:
           is reduced modulo once per batch;
         * replies are built in bulk with memoized result digests and
           signed through one per-batch point-to-point signer; and
-        * the whole reply fan-out goes to the network through
-          ``Env.send_many``, which builds a single delivery train.
+        * every reply joins the handler's outbox, which the node flushes
+          as a single delivery train.
         """
         last_ts = self.last_reply_timestamp
         last_reply = self.last_reply
@@ -688,6 +688,7 @@ class Replica:
 
         env = self.env
         charge = env.charge
+        send = env.send
         params = self.params
         exec_fixed = params.execution_fixed
         exec_per_byte = params.execution_per_byte
@@ -699,7 +700,6 @@ class Replica:
         undo = self._tentative_undo
         view = self.view
         own_id = self.id
-        sends: List[Tuple[str, Reply]] = []
         reply_delta = 0
         executed = 0
         result_index = 0
@@ -725,7 +725,7 @@ class Replica:
                 if record is not None:
                     resent = self._rebuild_reply(entry, record)
                     sign(resent, entry)
-                    sends.append((entry, resent))
+                    send(entry, resent)
                 continue
             request = entry
             result = results[result_index]
@@ -798,11 +798,10 @@ class Replica:
             cache["_payload_bytes_cache"] = payload
             cache["_payload_digest_cache"] = digest(payload)
             sign(reply, client)
-            sends.append((client, reply))
+            send(client, reply)
         self.metrics.requests_executed += executed
         self._executed_since_checkpoint += executed
         self._reply_digest = (self._reply_digest + reply_delta) % ADHASH_MODULUS
-        env.send_many(sends)
 
     def _build_reply(
         self, request: Request, result: bytes, tentative: bool

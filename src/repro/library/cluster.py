@@ -52,9 +52,6 @@ class SimEnv(Env):
     def send(self, destination: str, message: Any) -> None:
         self._node.queue_send(destination, message)
 
-    def send_many(self, pairs: List[Tuple[str, Any]]) -> None:
-        self._node.queue_send_many(pairs)
-
     def broadcast(self, destinations: Tuple[str, ...], message: Any) -> None:
         self._node.queue_broadcast(destinations, message)
 
@@ -145,7 +142,7 @@ class ProtocolNode(Node):
         outbox = self._outbox
         if outbox:
             self._outbox = []
-            self._flush(outbox)
+            self._transmit_many(outbox)
 
     def on_timer(self, label: str) -> None:
         if self._is_crashed():
@@ -188,14 +185,7 @@ class ProtocolNode(Node):
         self.pending_charge = 0.0
         outbox, self._outbox = self._outbox, []
         if outbox:
-            self._flush(outbox)
-
-    def _flush(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
-        """Transmit what a handler sent, or one send made outside any
-        handler: always one :meth:`_transmit_many`, hence one
-        ``Network.send_many`` call and at most one delivery train, whatever
-        the number of copies and whether or not the node is faulty."""
-        self._transmit_many(outbox)
+            self._transmit_many(outbox)
 
     # ------------------------------------------------------------------ sends
     def queue_send(self, destination: str, message: Any) -> None:
@@ -204,14 +194,7 @@ class ProtocolNode(Node):
         else:
             # Called from outside any handler (e.g. protocol set-up code):
             # a flush of its own.
-            self._flush([((destination,), message)])
-
-    def queue_send_many(self, pairs: List[Tuple[str, Any]]) -> None:
-        entries = [((destination,), message) for destination, message in pairs]
-        if self._in_handler:
-            self._outbox.extend(entries)
-        else:
-            self._flush(entries)
+            self._transmit_many([((destination,), message)])
 
     def queue_broadcast(self, destinations: Tuple[str, ...], message: Any) -> None:
         """Multicast ``message`` to ``destinations``: flat fan-out by
@@ -231,10 +214,12 @@ class ProtocolNode(Node):
         if self._in_handler:
             self._outbox.append((others, message))
         else:
-            self._flush([(others, message)])
+            self._transmit_many([(others, message)])
 
     def _transmit_many(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
-        """Send a flush: each outbox entry becomes one run — wire size and
+        """Send a flush — what a handler sent, or one send made outside any
+        handler — whatever the number of copies and whether or not the node
+        is faulty: each outbox entry becomes one run — wire size and
         send cost once, then the busy-time chain, one addition per
         destination in outbox order, whose running values are the copies'
         departure times — and the network gets every run in one call

@@ -382,13 +382,11 @@ class OverlayDisseminator:
         pending, self._pending = self._pending, {}
         if not pending:
             return
-        pairs: List[Tuple[str, Any]] = []
+        self.stats.bundles_sent += len(pending)
         for destination, entries in pending.items():
-            pairs.append(
-                (destination, Relay(entries=tuple(entries), sender=self.node.name))
+            self.node.queue_send(
+                destination, Relay(entries=tuple(entries), sender=self.node.name)
             )
-        self.stats.bundles_sent += len(pairs)
-        self.node.queue_send_many(pairs)
 
     # ----------------------------------------------------------- receive side
     def on_wire(self, message: Any) -> None:

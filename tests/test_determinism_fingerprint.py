@@ -175,17 +175,15 @@ def _count_execution_branches(counts: Dict[str, int]) -> Iterator[None]:
     a run takes: digest replies (5.1.1), cached-reply re-sends (3.1) and
     tentative aborts (5.1.2); and, from outside the service, the rollbacks
     those aborts make (``Service.restore``)."""
-    send_many = SimEnv.send_many
+    send = SimEnv.send
     execute_batch = Replica._execute_batch
     abort = Replica._abort_tentative_execution
     restore = Service.restore
 
-    def counting_send_many(self, pairs):
-        counts["stripped_replies"] += sum(
-            1 for _, message in pairs
-            if type(message) is Reply and message.result is None
-        )
-        send_many(self, pairs)
+    def counting_send(self, destination, message):
+        if type(message) is Reply and message.result is None:
+            counts["stripped_replies"] += 1
+        send(self, destination, message)
 
     def counting_execute_batch(self, requests, nondet, tentative):
         last = self.last_reply_timestamp
@@ -204,14 +202,14 @@ def _count_execution_branches(counts: Dict[str, int]) -> Iterator[None]:
         counts["restores"] += 1
         restore(self, snapshot)
 
-    SimEnv.send_many = counting_send_many
+    SimEnv.send = counting_send
     Replica._execute_batch = counting_execute_batch
     Replica._abort_tentative_execution = counting_abort
     Service.restore = counting_restore
     try:
         yield
     finally:
-        SimEnv.send_many = send_many
+        SimEnv.send = send
         Replica._execute_batch = execute_batch
         Replica._abort_tentative_execution = abort
         Service.restore = restore

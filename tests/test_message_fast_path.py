@@ -150,7 +150,7 @@ def _send(per_pair: bool):
     if per_pair:
         per_copy_flush(node, outbox)
     else:
-        node._flush(outbox)
+        node._transmit_many(outbox)
     cluster.run(duration=5_000.0)  # deliver everything; no timer is due yet
     return cluster.network.stats, node, cluster
 
@@ -235,7 +235,7 @@ def _send_with_fault(fault: str, per_copy: bool):
     if per_copy:
         per_copy_flush(node, outbox)
     else:
-        node._flush(outbox)
+        node._transmit_many(outbox)
     cluster.run(duration=5_000.0)
     return cluster, node
 
