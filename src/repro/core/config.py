@@ -130,8 +130,8 @@ class ProtocolOptions:
     tentative_execution: bool = True
     #: Read-only optimization (Section 5.1.3): reads answered in one round trip.
     read_only_optimization: bool = True
-    #: Request batching under load (Section 5.1.4).
-    batching: bool = True
+    #: Request batching under load (Section 5.1.4): the most requests one
+    #: pre-prepare carries; ``1`` turns batching off.
     max_batch_size: int = 16
     #: Sliding-window bound on protocol instances running in parallel
     #: (Section 5.1.4): the primary stops assigning sequence numbers when
@@ -191,7 +191,7 @@ class ProtocolOptions:
             self,
             tentative_execution=False,
             read_only_optimization=False,
-            batching=False,
+            max_batch_size=1,
             digest_replies=False,
             separate_request_transmission=False,
         )

@@ -238,10 +238,7 @@ class Replica:
         #: reply encoder (clients repeat every batch).
         self._client_enc_memo: Dict[str, bytes] = {}
 
-        if self.options.batching:
-            self._max_batch = max(1, self.options.max_batch_size)
-        else:
-            self._max_batch = 1
+        self._max_batch = max(1, self.options.max_batch_size)
 
         self.env.set_timer(STATUS_TIMER, self.config.status_interval)
 

@@ -114,7 +114,7 @@ def test_default_options_are_fully_optimized():
     assert options.auth_mode is AuthMode.MAC
     assert options.tentative_execution
     assert options.read_only_optimization
-    assert options.batching
+    assert options.max_batch_size > 1
     assert options.digest_replies
 
 
@@ -122,7 +122,7 @@ def test_without_optimizations_disables_each_mechanism():
     options = ProtocolOptions().without_optimizations()
     assert not options.tentative_execution
     assert not options.read_only_optimization
-    assert not options.batching
+    assert options.max_batch_size == 1
     assert not options.digest_replies
     assert not options.separate_request_transmission
     # Authentication mode is not an "optimization": it stays MAC.

@@ -272,7 +272,7 @@ def test_mutating_request_marked_read_only_falls_back(primary_and_env):
 
 # ---------------------------------------------------------------- batching
 def test_batching_groups_queued_requests(config, registry):
-    options = ProtocolOptions(batching=True, max_batch_size=8)
+    options = ProtocolOptions(max_batch_size=8)
     primary, env = make_replica(config, registry, "replica0", options=options)
     # Block the pipeline by filling the window?  Simpler: deliver requests in
     # one handler turn by calling handle_request directly before the first
