@@ -217,13 +217,12 @@ class ProtocolNode(Node):
             self._transmit_many([(others, message)])
 
     def _transmit_many(self, outbox: List[Tuple[Tuple[str, ...], Any]]) -> None:
-        """Send a flush — what a handler sent, or one send made outside any
-        handler — whatever the number of copies and whether or not the node
-        is faulty: each outbox entry becomes one run — wire size and
-        send cost once, then the busy-time chain, one addition per
+        """Send a flush: everything one handler sent, or one send made
+        outside any handler.  Each outbox entry becomes one run — wire size
+        and send cost once, then the busy-time chain, one addition per
         destination in outbox order, whose running values are the copies'
         departure times — and the network gets every run in one call
-        (``Network.send_many``).
+        (``Network.send_many``), hence at most one delivery train per flush.
 
         A node with a fault registered first passes every copy through
         :meth:`_apply_send_faults`, in outbox order (:meth:`_faulty_outbox`):
