@@ -176,10 +176,6 @@ class ProtocolOptions:
     #: silent interior nodes and triggers flat fallback for the round's
     #: remaining views (tree mode only).
     relay_watchdog_period: float = 50_000.0
-    #: Strip piggybacked authenticator vectors down to the receiving
-    #: subtree's entries when relaying (pure bandwidth optimization; MAC
-    #: verification is end-to-end either way).
-    relay_strip_auth: bool = True
 
     def with_tree_dissemination(self, **changes) -> "ProtocolOptions":
         """The large-n overlay configuration (``dissemination="tree"``)."""

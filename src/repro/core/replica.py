@@ -86,22 +86,28 @@ class ReplicaStatus(enum.Enum):
 class CheckpointSnapshot:
     """A logical copy of the service state taken at a checkpoint.
 
-    ``service_snapshot`` is the refcounted copy-on-write
+    Every record is built by ``Replica._record_checkpoint``.
+    ``service_snapshot`` is the copy-on-write
     :class:`~repro.services.interface.PageSnapshot` handle the service's
-    ``snapshot()`` returned.  Consumers must treat it as immutable and read
-    it through the service (``snapshot_pages`` and friends, ``restore``).
-    ``last_reply_timestamp`` is the reply table's part of the checkpointed
-    state: what the digest covers and state transfer ships.  Replies are
-    not checkpointed (nothing reads them at a checkpoint): a replica that
-    installs a checkpoint by state transfer holds timestamps only, and
-    leaves a retransmission of a request it never executed to the
-    replicas that did.
+    ``snapshot()`` returned; this record is its one owner and releases it
+    when it is dropped or replaced.  Consumers must treat it as immutable
+    and read it through the service (``snapshot_pages`` and friends,
+    ``restore``).  ``last_reply_timestamp`` is the reply table's part of
+    the checkpointed state: what the digest covers and state transfer
+    ships.  Replies are not checkpointed (nothing reads them at a
+    checkpoint): a replica that installs a checkpoint by state transfer
+    holds timestamps only, and leaves a retransmission of a request it
+    never executed to the replicas that did.  ``level_sums`` holds the
+    partition digest sums of every level below the root (the leaf level is
+    the page digests), filled by the first FETCH served from this
+    checkpoint, so they go when the record goes.
     """
 
     seq: int
     state_digest: bytes
     service_snapshot: object
     last_reply_timestamp: Dict[str, int]
+    level_sums: Optional[Dict[int, Dict[int, int]]] = None
 
 
 class ReplyRecord(NamedTuple):
@@ -188,19 +194,10 @@ class Replica:
         #: Running AdHash over ``last_reply_timestamp`` entries, updated at
         #: execute time so checkpoints never re-pack the whole reply table.
         self._reply_digest = 0
-        #: Operations executed since the last checkpoint; when zero, a new
-        #: checkpoint can reuse the previous digest and snapshot outright.
-        self._executed_since_checkpoint = 0
-        #: ``service.state_version`` at the latest checkpoint.  Reuse also
-        #: requires it unchanged: out-of-band mutations (fault injection,
-        #: bench preloads) bump it, and unlike the dirty set it survives a
-        #: flush between checkpoints.
-        self._state_version_at_checkpoint = service.state_version
-        self._last_checkpoint_seq = 0
 
         self.checkpoints: Dict[int, CheckpointSnapshot] = {}
         self.stable_checkpoint_seq = 0
-        self._take_initial_checkpoint()
+        self._record_checkpoint(0, self._state_digest(), {})
 
         #: Requests waiting for a sequence number (primary only).
         self.request_queue: List[Request] = []
@@ -252,15 +249,6 @@ class Replica:
 
     def others(self) -> Tuple[str, ...]:
         return self._others
-
-    def _take_initial_checkpoint(self) -> None:
-        snapshot = CheckpointSnapshot(
-            seq=0,
-            state_digest=self._state_digest(),
-            service_snapshot=self.service.snapshot(),
-            last_reply_timestamp={},
-        )
-        self.checkpoints[0] = snapshot
 
     def _state_digest(self) -> bytes:
         """Digest of service state plus the reply table.
@@ -797,7 +785,6 @@ class Replica:
             sign(reply, client)
             send(client, reply)
         self.metrics.requests_executed += executed
-        self._executed_since_checkpoint += executed
         self._reply_digest = (self._reply_digest + reply_delta) % ADHASH_MODULUS
 
     def _build_reply(
@@ -835,42 +822,26 @@ class Replica:
     # =====================================================================
     # Checkpoints and garbage collection
     # =====================================================================
+    def _record_checkpoint(
+        self, seq: int, state_digest: bytes, reply_timestamps: Dict[str, int]
+    ) -> None:
+        """Hold the current state as the checkpoint at ``seq``: the initial
+        one, each one taken and each one a state transfer adopts.  A record
+        already held for ``seq`` (recovery re-fetching a checkpoint it
+        holds) is released first, so every snapshot handle has one owner."""
+        existing = self.checkpoints.get(seq)
+        if existing is not None:
+            self.service.release_snapshot(existing.service_snapshot)
+        self.checkpoints[seq] = CheckpointSnapshot(
+            seq=seq,
+            state_digest=state_digest,
+            service_snapshot=self.service.snapshot(),
+            last_reply_timestamp=dict(reply_timestamps),
+        )
+
     def _take_checkpoint(self, seq: int) -> None:
-        previous = self.checkpoints.get(self._last_checkpoint_seq)
-        if (
-            self._executed_since_checkpoint == 0
-            and previous is not None
-            and self.service.state_version == self._state_version_at_checkpoint
-        ):
-            # Nothing executed since the previous checkpoint (e.g. a batch
-            # of null requests or pure retransmissions) and the service's
-            # mutation counter is unchanged — no out-of-band mutation
-            # (fault injection, bench preloading) happened either, even if
-            # an intermediate flush already cleared the dirty set.  The
-            # state and the reply table are unchanged, so reuse the digest
-            # and share the snapshot instead of redoing the work.
-            state_digest = previous.state_digest
-            snapshot = CheckpointSnapshot(
-                seq=seq,
-                state_digest=state_digest,
-                service_snapshot=self.service.acquire_snapshot(
-                    previous.service_snapshot
-                ),
-                last_reply_timestamp=previous.last_reply_timestamp,
-            )
-            self.env.record("checkpoint-reused", seq=seq)
-        else:
-            state_digest = self._state_digest()
-            snapshot = CheckpointSnapshot(
-                seq=seq,
-                state_digest=state_digest,
-                service_snapshot=self.service.snapshot(),
-                last_reply_timestamp=dict(self.last_reply_timestamp),
-            )
-        self.checkpoints[seq] = snapshot
-        self._last_checkpoint_seq = seq
-        self._executed_since_checkpoint = 0
-        self._state_version_at_checkpoint = self.service.state_version
+        state_digest = self._state_digest()
+        self._record_checkpoint(seq, state_digest, self.last_reply_timestamp)
         self.metrics.checkpoints_taken += 1
         message = Checkpoint(
             seq=seq, state_digest=state_digest, replica=self.id, sender=self.id
@@ -941,10 +912,7 @@ class Replica:
         self.metrics.stable_checkpoints += 1
         self.log.collect_garbage(seq)
         for old_seq in [s for s in self.checkpoints if s < seq]:
-            self.service.release_snapshot(self.checkpoints[old_seq].service_snapshot)
-            del self.checkpoints[old_seq]
-            if self.state_transfer is not None:
-                self.state_transfer.discard_checkpoint(old_seq)
+            self.service.release_snapshot(self.checkpoints.pop(old_seq).service_snapshot)
         self.env.record("checkpoint-stable", seq=seq)
         if self.is_primary:
             self._try_send_pre_prepare()
@@ -984,34 +952,13 @@ class Replica:
         self.last_executed = seq
         self.last_tentative = seq
         self.seqno = max(self.seqno, seq)
-        self._adopt_fetched_checkpoint(seq, state_digest, last_reply_timestamp)
+        self._record_checkpoint(seq, state_digest, last_reply_timestamp)
+        self.stable_checkpoint_seq = seq
+        self.log.collect_garbage(seq)
         self.env.record(
             "state-transfer-installed", seq=seq, pages=len(updates)
         )
         return True
-
-    def _adopt_fetched_checkpoint(
-        self, seq: int, state_digest: bytes, last_reply_timestamp: Dict[str, int]
-    ) -> None:
-        existing = self.checkpoints.get(seq)
-        if existing is not None:
-            # Re-fetch of a checkpoint we already held (recovery replacing
-            # a corrupt copy): release the stale snapshot handle.
-            self.service.release_snapshot(existing.service_snapshot)
-            if self.state_transfer is not None:
-                self.state_transfer.discard_checkpoint(seq)
-        snapshot = CheckpointSnapshot(
-            seq=seq,
-            state_digest=state_digest,
-            service_snapshot=self.service.snapshot(),
-            last_reply_timestamp=dict(last_reply_timestamp),
-        )
-        self.checkpoints[seq] = snapshot
-        self._last_checkpoint_seq = seq
-        self._executed_since_checkpoint = 0
-        self._state_version_at_checkpoint = self.service.state_version
-        self.stable_checkpoint_seq = seq
-        self.log.collect_garbage(seq)
 
     def recheck_newer_checkpoints(self, seq: int) -> None:
         """Re-examine checkpoint records newer than ``seq``.
@@ -1104,23 +1051,25 @@ class Replica:
         # Unwind the reply-table entries the tentative execution wrote, so
         # the aborted operations can re-execute in the new view instead of
         # being skipped as retransmissions (and so the incremental reply
-        # digest matches replicas that never executed tentatively).
+        # digest matches replicas that never executed tentatively).  A
+        # record holds the AdHash entry of its client's current timestamp;
+        # only a timestamp a state transfer installed has no record.
         for client, prev_ts, prev_record in reversed(self._tentative_undo):
-            current = self.last_reply_timestamp.get(client)
-            delta = 0
-            if current is not None:
-                delta -= _reply_entry_digest(client, current)
+            delta = -self.last_reply[client].entry_digest
             if prev_ts is None:
                 self.last_reply_timestamp.pop(client, None)
             else:
                 self.last_reply_timestamp[client] = prev_ts
-                delta += _reply_entry_digest(client, prev_ts)
+                delta += (
+                    _reply_entry_digest(client, prev_ts)
+                    if prev_record is None
+                    else prev_record.entry_digest
+                )
             self._reply_digest = (self._reply_digest + delta) % ADHASH_MODULUS
             if prev_record is None:
                 self.last_reply.pop(client, None)
             else:
                 self.last_reply[client] = prev_record
-            self._executed_since_checkpoint -= 1
         self._drop_pre_tentative_snapshot()
         slot = self.log.existing_slot(self.last_tentative)
         if slot is not None:

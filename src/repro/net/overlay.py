@@ -288,7 +288,6 @@ class OverlayDisseminator:
         self.fanout = max(2, options.relay_fanout)
         self.hold_us = max(0.0, options.relay_hold_us)
         self.watchdog_period = options.relay_watchdog_period
-        self.strip_auth = options.relay_strip_auth
         self.stats = DisseminationStats()
         self._self_index = config.replica_index(node.name)
         self._plans: Dict[Tuple[int, int], TreePlan] = {}
@@ -352,7 +351,7 @@ class OverlayDisseminator:
         verification is untouched.  Signature-mode auth (one object for
         everyone) and already-minimal vectors pass through unchanged."""
         auth = message.auth
-        if not self.strip_auth or not isinstance(auth, Authenticator):
+        if not isinstance(auth, Authenticator):
             return message
         needed = plan.subtree_positions(child_index, self.config.replica_ids)
         if not needed.keys() <= auth.positions.keys():

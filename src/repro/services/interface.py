@@ -32,10 +32,10 @@ Dirty-page contract (Section 5.3.1)
 * ``restore()`` rolls back to a held handle page by page (Sections 5.1.2,
   5.3.1): only the pages written since its checkpoint go back, and every
   other held handle stays valid;
-* handles are refcounted: the replica calls
-  ``acquire_snapshot``/``release_snapshot`` as checkpoint records are
-  shared and garbage-collected, which lets the tree fold dead
-  copy-on-write copies away.
+* each handle has one owner: the replica's checkpoint record (or its
+  pre-tentative rollback point) calls ``release_snapshot`` when it is
+  dropped, which discards the handle and lets the tree fold its dead
+  copy-on-write copy away.
 
 Subclasses provide the hooks ``_page_payload``, ``_page_indexes``,
 ``_import_payload`` and ``_export_state`` (the tests' native-state
@@ -83,16 +83,15 @@ BatchOp = Tuple[bytes, str]
 class PageSnapshot:
     """Opaque copy-on-write snapshot handle returned by
     :meth:`Service.snapshot`: a partition-tree checkpoint inside the service
-    that took it, valid until its last reference is released."""
+    that took it, valid until it is released."""
 
-    __slots__ = ("snap_id", "refs")
+    __slots__ = ("snap_id",)
 
     def __init__(self, snap_id: int) -> None:
         self.snap_id = snap_id
-        self.refs = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PageSnapshot(id={self.snap_id}, refs={self.refs})"
+        return f"PageSnapshot(id={self.snap_id})"
 
 
 class Service:
@@ -101,8 +100,8 @@ class Service:
     See the module docstring for the dirty-page contract.  Subclasses
     implement ``execute``, call :meth:`_touch` on every mutation and
     implement the ``_``-hooks below; everything else — incremental digests,
-    copy-on-write snapshots, refcounted handles, rollback and the
-    page-level transfer surface — is inherited.
+    copy-on-write snapshots, rollback and the page-level transfer surface —
+    is inherited.
     """
 
     #: Geometry of the backing partition tree.  Pages here are logical
@@ -111,13 +110,6 @@ class Service:
     tree_levels: int = 3
 
     def __init__(self) -> None:
-        #: Monotonic mutation counter: bumped on every state mutation
-        #: (including restores), never by digest/snapshot work.  Unlike the
-        #: dirty set — which any flush clears — it survives intermediate
-        #: ``state_digest()``/``snapshot()`` calls, so the replica compares
-        #: it across checkpoint boundaries to prove "unchanged since the
-        #: last checkpoint".
-        self.state_version = 0
         self._tree = PartitionTree(
             fanout=self.tree_fanout,
             levels=self.tree_levels,
@@ -226,7 +218,6 @@ class Service:
 
     # --------------------------------------------------------- dirty tracking
     def _touch(self, index: int) -> None:
-        self.state_version += 1
         self._dirty.add(index)
 
     def dirty_pages(self) -> FrozenSet[int]:
@@ -268,17 +259,10 @@ class Service:
         self._snapshots[snap_id] = handle
         return handle
 
-    def acquire_snapshot(self, snapshot: PageSnapshot) -> PageSnapshot:
-        self._live_snap_id(snapshot)
-        snapshot.refs += 1
-        return snapshot
-
     def release_snapshot(self, snapshot: PageSnapshot) -> None:
         snap_id = self._live_snap_id(snapshot)
-        snapshot.refs -= 1
-        if snapshot.refs <= 0:
-            del self._snapshots[snap_id]
-            self._tree.discard_checkpoint(snap_id)
+        del self._snapshots[snap_id]
+        self._tree.discard_checkpoint(snap_id)
 
     def restore(self, snapshot: object) -> None:
         """Roll the state back to a held snapshot (Sections 5.1.2, 5.3.1).
@@ -286,8 +270,7 @@ class Service:
         Each page written since its checkpoint gets back the payload it had
         there (an empty one where it held nothing) and is touched like any
         mutation, so digests stay incremental; no other page is read, and
-        every held handle stays valid.  A rollback advances
-        ``state_version`` even when no page moved."""
+        every held handle stays valid."""
         snap_id = self._live_snap_id(snapshot)
         self._flush()
         tree = self._tree
@@ -296,7 +279,6 @@ class Service:
             record = tree.page_at_checkpoint(index, snap_id)
             self._import_payload(index, empty if record is None else record.value)
             self._touch(index)
-        self.state_version += 1
 
     def _live_snap_id(self, snapshot: object) -> int:
         """The tree checkpoint behind a handle this service holds; any other
@@ -361,8 +343,7 @@ class Service:
         ``updates``.  Pages not named are left untouched — the caller has
         already proven they match the target state.  All are decoded before
         any is installed (a malformed one leaves the state as it was); each
-        install marks the page dirty and advances ``state_version``, so
-        digests stay incremental and checkpoint reuse can never mask it."""
+        install marks the page dirty, so digests stay incremental."""
         decode = self._decode_payload
         installs = [(index, decode(b"")) for index in sorted(removals)]
         installs += [(index, decode(updates[index])) for index in sorted(updates)]

@@ -232,10 +232,10 @@ class PartitionTree:
         walk back into for pages left untouched in between — so those page
         indexes are marked dirty, which makes the next ``take_checkpoint``
         re-capture their current (identical) values; the re-capture is
-        digest-neutral.  Used by the refcounted
-        snapshot handles of :class:`repro.services.interface.Service`,
-        where snapshots are released out of order (tentative-execution
-        snapshots die young while older checkpoint snapshots live on).
+        digest-neutral.  Used by the snapshot handles of
+        :class:`repro.services.interface.Service`, which are released out
+        of order (tentative-execution snapshots die young while older
+        checkpoint snapshots live on).
         """
         copy = self._checkpoints.get(seq)
         if copy is None:

@@ -145,14 +145,6 @@ class TransferMetrics:
     total_transfer_time: float = 0.0
 
 
-@dataclass
-class _ServedCheckpoint:
-    """Server-side table for one checkpoint: the partition digest sums of
-    every level below the root (the leaf level is the page digests)."""
-
-    level_sums: Dict[int, Dict[int, int]]
-
-
 class StateTransferManager:
     """Handles FETCH / META-DATA / DATA messages on behalf of one replica."""
 
@@ -177,8 +169,6 @@ class StateTransferManager:
         self._reject_counts: Dict[Tuple[int, int], int] = {}
         self._round_robin = 0
         self._started_at = 0.0
-        # ---- server state ----
-        self._serve_cache: Dict[int, _ServedCheckpoint] = {}
 
     # -------------------------------------------------------------- initiate
     def start(self, seq: int, state_digest: bytes) -> None:
@@ -352,28 +342,23 @@ class StateTransferManager:
         replica.auth.sign_point_to_point(reply, message.replica)
         replica.env.send(message.replica, reply)
 
-    def _served_tables(self, seq: int) -> Optional[_ServedCheckpoint]:
+    def _level_sums(self, seq: int) -> Optional[Dict[int, Dict[int, int]]]:
+        """The partition digest sums below the root of the checkpoint at
+        ``seq``, kept on its record from the first FETCH it serves."""
         replica = self.replica
         snapshot = replica.checkpoints.get(seq)
         if snapshot is None:
             return None
-        cached = self._serve_cache.get(seq)
-        if cached is None:
+        if snapshot.level_sums is None:
             service = replica.service
             page_digests = service.snapshot_page_digests(snapshot.service_snapshot)
-            level_sums = {
+            snapshot.level_sums = {
                 level: group_level_digests(
                     page_digests, level, service.tree_fanout, service.tree_levels
                 )
                 for level in range(1, service.tree_levels)
             }
-            cached = self._serve_cache[seq] = _ServedCheckpoint(level_sums)
-        return cached
-
-    def discard_checkpoint(self, seq: int) -> None:
-        """The replica dropped or replaced its record for ``seq``: forget the
-        tables served from it (the cache never outgrows ``replica.checkpoints``)."""
-        self._serve_cache.pop(seq, None)
+        return snapshot.level_sums
 
     def build_metadata(self, seq: int, level: int, index: int) -> Optional[MetaData]:
         """The META-DATA reply for partition ``(level, index)`` at ``seq``:
@@ -382,14 +367,14 @@ class StateTransferManager:
         certified state digest)."""
         replica = self.replica
         service = replica.service
-        tables = self._served_tables(seq)
-        if tables is None:
+        level_sums = self._level_sums(seq)
+        if level_sums is None:
             return None
         levels = service.tree_levels
         fanout = service.tree_fanout
         if level < 0 or level >= levels - 1:
             return None
-        child_digests = tables.level_sums[level + 1]
+        child_digests = level_sums[level + 1]
         if level == 0:
             children = child_digests
         else:

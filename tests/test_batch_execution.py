@@ -6,7 +6,7 @@ bulk reply construction/signing/sending.  The contract under test:
 * ``Service.execute_batch`` of the key-value store, the counter and the
   null service does what a model of that service (a dict, an int, a count)
   does, sharing no code with ``repro.services``: results, final state,
-  state digests and one ``state_version`` step per mutation;
+  state digests and exactly the pages the model mutated left dirty;
 * ``Replica._execute_batch`` does what a Section 3.1 *sequential reference
   model* (``SequentialModel`` below) does one request at a time on a shadow
   store: the reply trace (including cached-reply re-sends for
@@ -65,7 +65,9 @@ from tests.conftest import authed, general_encoding, make_replica
 # ======================================================================
 # Each model states a service's operations from its module docstring and
 # shares no code with ``repro.services``: ``(result, mutated)`` per operation
-# on plain Python state.  ``mutated`` is one ``state_version`` step.
+# on plain Python state.  ``mutated`` says which page the operation wrote:
+# the key for the store (its page is ``KeyValueStore.bucket_of``), a flag
+# for the counter's one page.
 KEYS = [b"k1", b"k2", b"longer-key", b"zz"]
 #: ``b""`` included: a CAS on a key holding the empty value reports it as
 #: itself, not as an absent key.
@@ -79,26 +81,26 @@ def kv_model(data: Dict[bytes, bytes], writers, operation: bytes, client: str):
     verb, *args = operation.split(b" ")
     verb = verb.upper()
     if verb == b"GET":
-        return (data.get(args[0], b"") if args else b""), False
+        return (data.get(args[0], b"") if args else b""), None
     if verb == b"KEYS":
-        return b",".join(sorted(data)), False
+        return b",".join(sorted(data)), None
     if writers is not None and client not in writers:
-        return b"ERR access-denied", False
+        return b"ERR access-denied", None
     if verb == b"SET" and len(args) >= 2:
         data[args[0]] = b" ".join(args[1:])
-        return b"OK", True
+        return b"OK", args[0]
     if verb == b"DEL" and args:
         if data.pop(args[0], None) is None:
-            return b"MISSING", False
-        return b"OK", True
+            return b"MISSING", None
+        return b"OK", args[0]
     if verb == b"CAS" and len(args) >= 3:
         key, expected, new = args[:3]
         current = data.get(key)
         if current == expected or (current is None and expected == b"-"):
             data[key] = new
-            return b"OK", True
-        return b"FAIL " + (current if current is not None else b"-"), False
-    return b"ERR bad-operation", False
+            return b"OK", key
+        return b"FAIL " + (current if current is not None else b"-"), None
+    return b"ERR bad-operation", None
 
 
 def _verbs(verb: bytes):
@@ -152,15 +154,16 @@ def test_kvstore_execute_batch_matches_per_op(batch, restrict):
     ops = [(b" ".join(parts), client) for parts, client in batch]
     store = _kv_store(KV_SEED, writers)
     model = dict(KV_SEED)
-    version = store.state_version
+    store.state_digest()  # nothing is dirty before the batch
     # A second pass over the same operations starts from the first's state.
     for _pass in range(2):
         expected = [kv_model(model, writers, operation, client) for operation, client in ops]
         got = store.execute_batch(ops)
         assert got == [result for result, _ in expected]
-        version += sum(mutated for _, mutated in expected)
         assert store._export_state() == model
-        assert store.state_version == version
+        assert store.dirty_pages() == {
+            KeyValueStore.bucket_of(key) for _, key in expected if key is not None
+        }
         assert store.state_digest() == _kv_store(model).state_digest()
 
 
@@ -207,16 +210,17 @@ def counter_model(value: int, operation: bytes, client: str):
 def test_counter_execute_batch_matches_per_op(batch):
     counter = CounterService(allowed_clients={"alice"})
     counter.execute(b"INC 10", "alice")
-    value, version = 10, counter.state_version
+    counter.state_digest()  # nothing is dirty before the batch
+    value, written = 10, False
     expected = []
     for operation, client in batch:
         result, value, mutated = counter_model(value, operation, client)
         expected.append(result)
-        version += mutated
+        written = written or mutated
     got = counter.execute_batch(batch)
     assert got == expected
     assert counter._export_state() == value
-    assert counter.state_version == version
+    assert counter.dirty_pages() == ({0} if written else set())
     fresh = CounterService()
     if value:
         fresh.execute(b"INC %d" % value, "seeder")
@@ -232,13 +236,14 @@ def test_null_service_execute_batch_matches_per_op():
            for index, size in enumerate(sizes)]
     ops.append((b"garbage", "c"))
     service = NullService()
+    service.state_digest()  # nothing is dirty before the batch
     count = 0
     for _pass in range(2):
         got = service.execute_batch(ops)
         assert got == [b"r" * size for size in sizes] + [b""]
         count += len(ops)
         assert service._export_state() == count
-        assert service.state_version == count
+        assert service.dirty_pages() == {0}
         fresh = NullService()
         for _ in range(count):
             fresh.execute(b"", "seeder")

@@ -11,8 +11,9 @@ Covers the dirty-page ``Service`` contract of this PR:
   rollback re-imports only the pages written since its snapshot;
 * the replica-level ``_state_digest`` (service digest + incremental
   reply-table digest) matches the from-scratch recompute;
-* ``_take_checkpoint`` skips digest/snapshot work when nothing executed
-  since the previous checkpoint, and never skips when something did;
+* a checkpoint of an unchanged state costs one digest and an empty
+  copy-on-write copy, with its own snapshot handle, and a changed state
+  gets a new digest;
 * every byte the paged store hands out — digests, page encodings, snapshot
   pages and the META-DATA / DATA messages served from a checkpoint — equals
   a from-scratch encoding of a shadow dict, whatever mix of mutation,
@@ -31,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.config import ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
-from repro.core.messages import Request
+from repro.core.messages import PrePrepare, Prepare, Request
 from repro.core.replica import CheckpointSnapshot, Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.fs.nfs import NFSService, encode_op
@@ -50,7 +51,9 @@ from repro.statetransfer.transfer import (
     service_root_digest,
 )
 
-from tests.conftest import snapshot_records, transfer_snapshot
+from tests.conftest import authed, make_replica, snapshot_records, transfer_snapshot
+from tests.test_batch_execution import _committed_batch
+from tests.test_state_transfer_pages import _partition_scenario
 
 KEYS = [b"alpha", b"beta", b"gamma", b"delta", b"epsilon", b"zeta"]
 
@@ -246,36 +249,42 @@ def _execute(replica, timestamp: int, operation: bytes) -> None:
 
 
 def test_checkpoint_skips_work_when_nothing_executed():
-    """A checkpoint taken with no execution since the previous one reuses
-    the previous digest and snapshot instead of recomputing."""
-    replica, env = _executing_replica()
+    """A checkpoint taken with no execution since the previous one has the
+    previous digest and its own snapshot handle, whose copy-on-write copy
+    captured no page: the only work is one digest of a clean tree."""
+    replica, _env = _executing_replica()
     _execute(replica, 1, b"SET a 1")
     replica._take_checkpoint(4)
     first = replica.checkpoints[4]
 
-    # No execution between seq 4 and seq 8: digest and snapshot reused.
     replica._take_checkpoint(8)
     second = replica.checkpoints[8]
     assert second.state_digest == first.state_digest
-    assert second.service_snapshot is first.service_snapshot
-    assert second.last_reply_timestamp is first.last_reply_timestamp
-    assert ("checkpoint-reused", {"seq": 8}) in env.events
+    assert second.service_snapshot is not first.service_snapshot
+    assert second.last_reply_timestamp == first.last_reply_timestamp
+    assert second.last_reply_timestamp is not first.last_reply_timestamp
+    tree = replica.service._tree
+    assert not tree._checkpoints[second.service_snapshot.snap_id].pages
 
-    # An execution in between forces real digest/snapshot work again.
+    # An execution in between gives a new digest and a copy of the page.
     _execute(replica, 2, b"SET b 2")
     replica._take_checkpoint(12)
     third = replica.checkpoints[12]
     assert third.state_digest != second.state_digest
-    assert third.service_snapshot is not second.service_snapshot
-    assert ("checkpoint-reused", {"seq": 12}) not in env.events
+    assert tree._checkpoints[third.service_snapshot.snap_id].pages
     assert replica.metrics.checkpoints_taken == 3
 
-    # The shared snapshot still serves the state at seq 4/8.
-    assert snapshot_records(replica.service, second.service_snapshot) == {b"a": b"1"}
+    # Each handle serves the state at its own checkpoint.
+    for snapshot in (first, second):
+        assert snapshot_records(replica.service, snapshot.service_snapshot) == {b"a": b"1"}
+    assert snapshot_records(replica.service, third.service_snapshot) == {
+        b"a": b"1", b"b": b"2"
+    }
 
 
 def test_reused_checkpoint_digest_equals_recompute():
-    """The reused digest is exactly what a recompute would produce."""
+    """The digest of an unchanged state is exactly what a recompute would
+    produce."""
     replica, _env = _executing_replica()
     _execute(replica, 1, b"SET a 1")
     replica._take_checkpoint(4)
@@ -285,16 +294,15 @@ def test_reused_checkpoint_digest_equals_recompute():
 
 def test_checkpoint_not_reused_after_out_of_band_mutation():
     """State mutated outside ``_execute_batch`` (fault injection, bench
-    preloading) marks pages dirty, which must veto checkpoint reuse — a
-    reused pre-mutation digest would mask the corruption from the
-    ``_maybe_make_stable`` divergence check until the next execution."""
-    replica, env = _executing_replica()
+    preloading) shows in the next checkpoint's digest — a pre-mutation
+    digest would mask the corruption from the divergence check until the
+    next execution."""
+    replica, _env = _executing_replica()
     _execute(replica, 1, b"SET a 1")
     replica._take_checkpoint(4)
 
     replica.service.corrupt()
     replica._take_checkpoint(8)
-    assert ("checkpoint-reused", {"seq": 8}) not in env.events
     assert (
         replica.checkpoints[8].state_digest
         != replica.checkpoints[4].state_digest
@@ -305,9 +313,9 @@ def test_checkpoint_not_reused_after_out_of_band_mutation():
 
 def test_checkpoint_not_reused_after_mutation_even_if_flushed():
     """An intermediate flush (tentative-execution snapshot, recovery
-    digest) clears the dirty set but not the mutation counter, so reuse is
-    still vetoed after an out-of-band mutation."""
-    replica, env = _executing_replica()
+    digest) clears the dirty set, and the next checkpoint still digests the
+    mutated state."""
+    replica, _env = _executing_replica()
     _execute(replica, 1, b"SET a 1")
     replica._take_checkpoint(4)
 
@@ -315,7 +323,6 @@ def test_checkpoint_not_reused_after_mutation_even_if_flushed():
     replica.service.state_digest()  # flushes: dirty set is empty again
     assert not replica.service.dirty_pages()
     replica._take_checkpoint(8)
-    assert ("checkpoint-reused", {"seq": 8}) not in env.events
     assert (
         replica.checkpoints[8].state_digest
         != replica.checkpoints[4].state_digest
@@ -348,6 +355,35 @@ def test_abort_tentative_execution_rolls_back_reply_table():
     # The rolled-back operation is no longer mistaken for a retransmission.
     _execute(replica, 2, b"SET b 2")
     assert replica.service.execute(b"GET b", "probe") == b"2"
+
+
+def test_abort_after_state_transfer_unwinds_entries_without_records():
+    """A state transfer installs reply timestamps without reply records; a
+    tentative execution on top of them, then aborted, still leaves the
+    incremental reply digest equal to a from-scratch recompute."""
+    replica, _env = _executing_replica()
+    _execute(replica, 1, b"SET a 1")
+    installed = {"client0": 1, "client1": 5}
+    replica.last_reply_timestamp = dict(installed)
+    target = combined_state_digest(
+        replica.service.state_digest(), replica._recompute_reply_digest()
+    )
+    assert replica.install_fetched_pages(4, target, {}, (), installed)
+    assert replica.last_reply == {}
+    before_digest = replica._state_digest()
+
+    replica._pre_tentative_snapshot = replica.service.snapshot()
+    replica._execute_batch(
+        [Request(operation=b"SET b 2", timestamp=6, client="client1", sender="client1"),
+         Request(operation=b"SET c 3", timestamp=7, client="client1", sender="client1"),
+         Request(operation=b"SET d 4", timestamp=2, client="client2", sender="client2")],
+        b"", tentative=True,
+    )
+    replica.last_tentative = replica.last_executed + 1
+    replica._abort_tentative_execution()
+    assert replica.last_reply_timestamp == installed
+    assert replica.last_reply == {}
+    assert replica._state_digest() == before_digest == _scratch_state_digest(replica)
 
 
 def test_snapshot_survives_newest_checkpoint_discard():
@@ -421,7 +457,7 @@ def test_restore_keeps_older_handles_served_from_the_tree():
 def test_snapshot_surface_rejects_handles_it_does_not_hold():
     """Only a handle the service holds names one of its checkpoints: a
     released handle, another service's handle with the same id, or no
-    handle at all is a ``ValueError`` for serving, rollback and refcounting
+    handle at all is a ``ValueError`` for serving, rollback and release
     alike."""
     store, other = KeyValueStore(), KeyValueStore()
     store.execute(b"SET k v", "c")
@@ -432,12 +468,118 @@ def test_snapshot_surface_rejects_handles_it_does_not_hold():
     assert foreign.snap_id == held.snap_id
     for handle in (released, foreign, None):
         for call in (store.snapshot_pages, store.snapshot_page_digests, store.restore,
-                     store.acquire_snapshot, store.release_snapshot):
+                     store.release_snapshot):
             with pytest.raises(ValueError):
                 call(handle)
         with pytest.raises(ValueError):
             store.snapshot_page_subset(handle, (KeyValueStore.bucket_of(b"k"),))
     assert snapshot_records(store, held) == {b"k": b"v"}
+
+
+def assert_each_handle_has_one_owner(replica):
+    """The service's live snapshot handles and its tree's checkpoint copies
+    are exactly the replica's checkpoint records plus any pre-tentative
+    snapshot: no copy outlives its owner, and no two owners share one."""
+    owned = [record.service_snapshot for record in replica.checkpoints.values()]
+    if replica._pre_tentative_snapshot is not None:
+        owned.append(replica._pre_tentative_snapshot)
+    service = replica.service
+    assert len({id(handle) for handle in owned}) == len(owned)
+    assert service._snapshots == {handle.snap_id: handle for handle in owned}
+    assert service._tree.checkpoint_seqs() == tuple(
+        sorted(handle.snap_id for handle in owned)
+    )
+
+
+def _normal_case(check, _monkeypatch):
+    cluster = BFTCluster.create(f=1, service_factory=KeyValueStore,
+                                checkpoint_interval=2)
+    client = cluster.new_client()
+    for index in range(12):
+        client.invoke(b"SET k%d v%d" % (index, index))
+    cluster.run(duration=1_000_000)
+    for replica in cluster.replicas.values():
+        assert replica.metrics.checkpoints_taken >= 5
+        check(replica)
+
+
+def _view_change_aborting_tentative_execution(check, _monkeypatch):
+    config = ReplicaSetConfig(n=4, checkpoint_interval=2)
+    replica, _env = make_replica(config, SignatureRegistry(), "replica1")
+    requests = [Request(operation=b"SET a %d" % ts, timestamp=ts,
+                        client="client0", sender="client0") for ts in (1, 2, 3)]
+    _committed_batch(replica, 1, requests[:1])
+    _committed_batch(replica, 2, requests[1:2])
+    tentative = authed(PrePrepare(view=0, seq=3, requests=(requests[2],),
+                                  sender="replica0"))
+    replica.receive(tentative)
+    for other in ("replica2", "replica3"):
+        replica.receive(authed(Prepare(view=0, seq=3, digest=tentative.batch_digest(),
+                                       replica=other, sender=other)))
+    assert replica.last_tentative == 3 and replica._pre_tentative_snapshot is not None
+    check(replica)
+    replica.start_view_change(1)
+    assert replica.last_tentative == 2 and replica._pre_tentative_snapshot is None
+    check(replica)
+
+
+def _page_level_state_transfer(check, _monkeypatch):
+    cluster = _partition_scenario()
+    assert cluster.replicas["replica3"].state_transfer.metrics.transfers_completed
+    for replica in cluster.replicas.values():
+        check(replica)
+
+
+def _recovery_refetching_a_held_checkpoint(check, monkeypatch):
+    record_checkpoint = Replica._record_checkpoint
+    refetched = []
+
+    def recording(self, seq, state_digest, reply_timestamps):
+        if seq in self.checkpoints:
+            refetched.append(seq)
+        record_checkpoint(self, seq, state_digest, reply_timestamps)
+
+    monkeypatch.setattr(Replica, "_record_checkpoint", recording)
+    options = ProtocolOptions(proactive_recovery=True, watchdog_period=60_000_000.0)
+    cluster = BFTCluster.create(f=1, service_factory=KeyValueStore,
+                                checkpoint_interval=4, options=options)
+    client = cluster.new_client()
+    # Eight batches: the victim's last execution is its stable checkpoint,
+    # so the recovery's state check sees the corruption and re-fetches it.
+    for index in range(8):
+        client.invoke(b"SET k%d v%d" % (index, index), timeout=60_000_000)
+    cluster.run(duration=2_000_000)
+    victim = cluster.replicas["replica2"]
+    assert victim.stable_checkpoint_seq == victim.last_executed == 8
+    cluster.corrupt_replica_state("replica2")
+    victim.recovery.start_recovery()
+    cluster.run(duration=2_000_000)
+    assert any(record.state_was_corrupt for record in victim.recovery.records)
+    assert refetched == [8]
+    assert victim._state_digest() == cluster.replicas["replica0"]._state_digest()
+    for replica in cluster.replicas.values():
+        check(replica)
+
+
+@pytest.mark.parametrize("scenario", [
+    _normal_case,
+    _view_change_aborting_tentative_execution,
+    _page_level_state_transfer,
+    _recovery_refetching_a_held_checkpoint,
+], ids=["normal-case", "view-change-abort", "state-transfer", "recovery-refetch"])
+def test_each_snapshot_handle_has_one_owner(scenario, monkeypatch):
+    """Whatever a replica went through — checkpoints in the normal case, a
+    view change that rolled back a tentative execution, a page-level state
+    transfer, a recovery that re-fetched a checkpoint it held — every
+    snapshot handle its service holds has exactly one owner."""
+    checked = []
+
+    def check(replica):
+        assert_each_handle_has_one_owner(replica)
+        checked.append(replica.id)
+
+    scenario(check, monkeypatch)
+    assert checked
 
 
 # ------------------------------------------------------------ byte identity

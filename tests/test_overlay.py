@@ -202,19 +202,6 @@ def test_stripping_keeps_sizes_when_entries_were_never_computed():
     assert sum(sizes) == ENTRY_SIZE * 12 and all(sizes)
 
 
-def test_stripping_disabled_forwards_the_original_object():
-    config = ReplicaSetConfig(n=13)
-    options = ProtocolOptions().with_tree_dissemination(relay_strip_auth=False)
-    from repro.net.overlay import OverlayDisseminator
-
-    disseminator = OverlayDisseminator(_FakeNode("replica0"), config, options)
-    plan = disseminator._plan(0, 0)
-    message = _prepare(replica="replica0",
-                       tags={r: b"t" * 8 for r in config.others("replica0")})
-    child = plan.children_of(0)[0]
-    assert disseminator._strip_for(message, plan, child) is message
-
-
 # ------------------------------------------------------------- wire accounting
 def test_network_stats_per_node_and_auth_accounting():
     stats = NetworkStats()

@@ -45,7 +45,6 @@ from repro.statetransfer.partition_tree import (
 )
 from repro.statetransfer.transfer import (
     StateTransferManager,
-    _ServedCheckpoint,
     combined_state_digest,
     reply_entry_digest,
 )
@@ -666,23 +665,28 @@ def test_kv_page_decoder_rejects_overrunning_length_prefix():
 
 
 def test_serve_cache_never_outlives_checkpoint_records(monkeypatch):
-    """The served tables for a checkpoint go when the replica discards the
-    checkpoint record, not when some later fetch happens to miss."""
-    make_stable = Replica._make_checkpoint_stable
-    dropped = []
+    """The level sums META-DATA is served from sit on the checkpoint record
+    that served them, so they go when the replica drops that record, not
+    when some later fetch happens to miss."""
+    level_sums = StateTransferManager._level_sums
+    served = []
 
     def checked(self, seq):
-        before = set(self.state_transfer._serve_cache)
-        make_stable(self, seq)
-        after = set(self.state_transfer._serve_cache)
-        assert after <= set(self.checkpoints)
-        dropped.extend(before - after)
+        sums = level_sums(self, seq)
+        record = self.replica.checkpoints.get(seq)
+        if record is None:
+            assert sums is None
+        else:
+            assert sums is record.level_sums is not None
+            served.append((self.replica, record))
+        return sums
 
-    assert [f.name for f in dataclasses.fields(_ServedCheckpoint)] == ["level_sums"]
-    monkeypatch.setattr(Replica, "_make_checkpoint_stable", checked)
+    assert "level_sums" in [f.name for f in dataclasses.fields(CheckpointSnapshot)]
+    monkeypatch.setattr(StateTransferManager, "_level_sums", checked)
     cluster = _partition_scenario()
     assert cluster.replicas["replica3"].state_transfer.metrics.transfers_completed
-    # Somebody served the lagging replica, and those tables are gone again.
-    assert dropped
-    for replica in cluster.replicas.values():
-        assert set(replica.state_transfer._serve_cache) <= set(replica.checkpoints)
+    # Somebody served the lagging replica, and a record that served it is
+    # gone again, its sums with it.
+    assert served
+    assert any(replica.checkpoints.get(record.seq) is not record
+               for replica, record in served)
