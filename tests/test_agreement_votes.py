@@ -13,14 +13,18 @@ import functools
 import gc
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.workloads import run_closed_loop
 from repro.core.auth import Authentication, MACAuth, build_session_keys
 from repro.core.config import AuthMode, ReplicaSetConfig
 from repro.core.messages import Commit, PrePrepare, Prepare, Request, StatusActive
 from repro.crypto.signatures import SignatureRegistry
 from repro.library import BFTCluster
+from repro.net.conditions import NetworkConditions
 from repro.services.null_service import NullService
+from repro.sim.faults import FaultSpec, FaultType
 from tests.conftest import authed, make_replica
 
 
@@ -192,6 +196,194 @@ def test_a_commit_forged_under_this_replicas_name_is_not_resent_as_its_own(repli
     env.clear()
     replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3")))
     assert [type(m) for m in env.messages_to("replica3")] == [Prepare]
+
+
+# ------------------------------------------- what a status is answered with, and when
+def _commit_after(replica, env, seq: int, value: bytes, round_trip: float) -> None:
+    """Take ``seq`` from its PRE-PREPARE to commit in ``round_trip`` µs."""
+    pre_prepare = batch(value, seq)
+    replica.receive(authed(pre_prepare))
+    replica.receive(vote(Prepare, pre_prepare.batch_digest(), "replica2", seq))
+    env.advance(round_trip)
+    for other in ("replica2", "replica3"):
+        replica.receive(vote(Commit, pre_prepare.batch_digest(), other, seq))
+    assert replica.log.existing_slot(seq).committed
+
+
+def _in_flight_slot(replica, env, round_trips=(4_000.0,)):
+    """Commit slots 1.. with these round trips, then prepare one more slot
+    now: its PREPARE and COMMIT have just been multicast.  Returns them."""
+    for seq, round_trip in enumerate(round_trips, start=1):
+        _commit_after(replica, env, seq, b"%d" % seq, round_trip)
+    fresh = batch(b"fresh", seq=len(round_trips) + 1)
+    replica.receive(authed(fresh))
+    replica.receive(vote(Prepare, fresh.batch_digest(), "replica2", fresh.seq))
+    own = (env.messages_of_type(Prepare)[-1], env.messages_of_type(Commit)[-1])
+    env.clear()
+    return own
+
+
+def status_of_replica3(last_executed: int):
+    """replica3 has executed the committed slots and has nothing else."""
+    return authed(StatusActive(view=0, replica="replica3", sender="replica3",
+                               last_executed=last_executed))
+
+
+@pytest.mark.xfail(strict=True, reason="a status re-sends every listed slot, in flight or not")
+def test_a_status_inside_the_timeout_is_answered_with_nothing_for_that_slot(replica_and_env):
+    """One 4 ms round trip sets the timeout to 12 ms (RFC 6298: SRTT + 4
+    RTTVAR, RTTVAR = SRTT / 2 after one sample).  A status 1 µs short of
+    that finds this replica's PREPARE and COMMIT still in flight."""
+    replica, env = replica_and_env
+    _in_flight_slot(replica, env)
+    env.advance(12_000.0 - 1)
+    replica.receive(status_of_replica3(last_executed=1))
+    assert env.messages_to("replica3") == []
+    assert replica.metrics.status_retransmissions == 0
+
+
+def test_a_status_past_the_timeout_gets_the_resigned_copies(replica_and_env):
+    """The same status once the timeout has passed: the replica's own
+    PREPARE and COMMIT, point to point, as before there was a timeout."""
+    replica, env = replica_and_env
+    own = _in_flight_slot(replica, env)
+    env.advance(12_000.0)
+    replica.receive(status_of_replica3(last_executed=1))
+    resent = env.messages_to("replica3")
+    assert [type(m) for m in resent] == [Prepare, Commit]
+    for copy, original in zip(resent, own):
+        assert copy is not original and copy.payload_bytes() == original.payload_bytes()
+        assert type(copy.auth) is MACAuth and copy.auth.receiver == "replica3"
+
+
+@pytest.mark.xfail(strict=True, reason="there is no retransmission timeout")
+def test_the_timeout_follows_rfc_6298_and_karns_rule(replica_and_env):
+    """Samples of 4 ms and 8 ms give SRTT 4.5 ms and RTTVAR 2.5 ms, so a
+    14.5 ms timeout; a slot that started before this replica's last STATUS
+    gives no sample (the status round may have been what committed it)."""
+    replica, env = replica_and_env
+    _commit_after(replica, env, 1, b"1", 4_000.0)
+    assert replica._status_timeout() == 12_000.0
+    pre_prepare = batch(b"2", seq=2)
+    replica.receive(authed(pre_prepare))
+    replica.on_timer("status")
+    env.advance(1.0)
+    replica.receive(vote(Prepare, pre_prepare.batch_digest(), "replica2", 2))
+    env.advance(40_000.0)
+    for other in ("replica2", "replica3"):
+        replica.receive(vote(Commit, pre_prepare.batch_digest(), other, 2))
+    assert replica.log.existing_slot(2).committed
+    assert replica._status_timeout() == 12_000.0
+    _commit_after(replica, env, 3, b"3", 8_000.0)
+    assert replica._status_timeout() == 4_500.0 + 4 * 2_500.0
+
+
+@pytest.mark.xfail(strict=True, reason="there is no retransmission timeout to cap")
+def test_slow_commits_never_hold_a_status_answer_past_a_quarter_interval(replica_and_env):
+    """Commits stalled for 1, 2 and 5 s (a recovery reboot) would put the
+    timeout at seconds; it stays at a quarter of the status interval, so a
+    status that late gets the re-sends and one a microsecond earlier none."""
+    replica, env = replica_and_env
+    quarter = replica.config.status_interval / 4
+    _in_flight_slot(replica, env, round_trips=(1e6, 2e6, 5e6))
+    env.advance(quarter - 1)
+    replica.receive(status_of_replica3(last_executed=3))
+    assert env.messages_to("replica3") == []
+    env.advance(1.0)
+    replica.receive(status_of_replica3(last_executed=3))
+    assert [type(m) for m in env.messages_to("replica3")] == [Prepare, Commit]
+    assert replica.metrics.status_retransmissions == 2
+    assert replica._status_timeout() == quarter
+
+
+STATUS_TICK = ReplicaSetConfig(n=4).status_interval
+
+
+@pytest.mark.xfail(strict=True, reason="a status re-sends every listed slot, in flight or not")
+def test_a_status_round_at_n_31_resends_almost_nothing():
+    """f = 10, 8 closed-loop clients, 48 operations after a warm-up: all
+    31 status timers fire once inside, while nearly every slot a status
+    lists is still in flight.  Answering every listed slot re-sent 3,840
+    PRE-PREPAREs, PREPAREs and COMMITs here; past each replica's timeout
+    only a few are due."""
+    cluster = BFTCluster.create(f=10, seed=1)
+    operation = lambda _client, _index: (b"op", False)
+    run_closed_loop(cluster, 8, 2, operation)
+    replicas = cluster.replicas.values()
+    before = sum(r.metrics.status_retransmissions for r in replicas)
+    run_closed_loop(cluster, 8, 6, operation)
+    assert cluster.now > STATUS_TICK
+    assert sum(r.metrics.status_retransmissions for r in replicas) - before <= 100
+
+
+
+
+def lose_first_multicast(network, source: str, kind: type, seq: int) -> None:
+    """The network loses every copy of ``source``'s multicast ``kind`` for
+    ``seq``; point-to-point copies (status answers) get through."""
+    send_many = network.send_many
+
+    def lossy(sender, runs):
+        send_many(sender, [run for run in runs if not (
+            sender == source and type(run[1]) is kind and run[1].seq == seq
+            and len(run[0]) > 1)])
+
+    network.send_many = lossy
+
+
+def _lost_prepare(loss: str, lead: float):
+    """f = 1 on a 1 ms network with replica3 crashed, so replica0 and
+    replica2 cannot prepare without replica1's PREPARE.  Five operations
+    give replica1 its timeout (~3.2 ms, about three network delays); the
+    sixth is issued ``lead`` µs before a status tick, and replica1's
+    PREPARE for it is lost — to a DROP fault on replica1's sends for
+    3.5 ms, or in the network."""
+    cluster = BFTCluster.create(f=1, seed=5, conditions=NetworkConditions(fixed_delay=1_000.0))
+    client = cluster.new_client()
+    for _ in range(5):
+        client.invoke(b"op")
+    cluster.crash_replica("replica3")
+    cluster.run(until=STATUS_TICK - lead)
+    seq = cluster.replicas["replica0"].seqno + 1
+    if loss == "drop-fault":
+        cluster.inject_fault(FaultSpec(node="replica1", fault=FaultType.DROP_MESSAGES,
+                                       start=cluster.now, end=cluster.now + 3_500.0))
+    else:
+        lose_first_multicast(cluster.network, "replica1", Prepare, seq)
+    client.invoke_async(b"op")
+    return cluster, seq
+
+
+def prepared_at(cluster, seq: int):
+    return [cluster.replicas[r].log.existing_slot(seq).prepared
+            for r in ("replica0", "replica2")]
+
+
+@pytest.mark.parametrize("loss", ["drop-fault", "network"])
+def test_a_lost_prepare_is_resent_at_the_next_status_tick(loss):
+    """Lost ~47 ms before the tick, long past the timeout: the statuses of
+    that tick bring it back, and both peers prepare."""
+    cluster, seq = _lost_prepare(loss, lead=50_000.0)
+    cluster.run(until=STATUS_TICK)
+    assert prepared_at(cluster, seq) == [False, False]
+    cluster.run(until=STATUS_TICK + 5_000.0)
+    assert prepared_at(cluster, seq) == [True, True]
+
+
+@pytest.mark.xfail(strict=True, reason="a status re-sends a PREPARE still in flight")
+@pytest.mark.parametrize("loss", ["drop-fault", "network"])
+def test_a_prepare_lost_inside_the_timeout_waits_for_the_next_tick(loss):
+    """Lost ~0.8 ms before the tick: the statuses of that tick reach
+    replica1 ~1 ms after it, inside its timeout, and get no re-send; the
+    next tick's do."""
+    cluster, seq = _lost_prepare(loss, lead=4_000.0)
+    cluster.run(until=STATUS_TICK + 5_000.0)
+    assert prepared_at(cluster, seq) == [False, False]
+    replica1 = cluster.replicas["replica1"]
+    sent_at = replica1.log.existing_slot(seq).sent_at
+    assert 0 < STATUS_TICK - sent_at < replica1._status_timeout() / 2
+    cluster.run(until=2 * STATUS_TICK + 5_000.0)
+    assert prepared_at(cluster, seq) == [True, True]
 
 
 # ------------------------------------------------------- what a vote is checked by

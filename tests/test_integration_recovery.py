@@ -106,3 +106,22 @@ def test_service_remains_available_during_recoveries():
     for i in range(25):
         assert client.invoke(b"SET live%d %d" % (i, i), timeout=60_000_000) == b"OK"
     assert client.invoke(b"GET live20", read_only=True, timeout=60_000_000) == b"20"
+
+
+@pytest.mark.xfail(strict=True, reason="the phase-4 state check compares digests only at the "
+                   "stable checkpoint, or when nothing executed past it")
+def test_recovery_detects_state_corrupted_past_the_stable_checkpoint():
+    """Ten SETs at checkpoint interval 4: the stable checkpoint is 8 and the
+    replica has executed 10 when its state is corrupted.  Its recovery must
+    find the corruption without waiting for the next checkpoint."""
+    cluster = recovery_cluster(watchdog_period=60_000_000.0)
+    client = cluster.new_client()
+    drive_traffic(cluster, client, 10)
+    cluster.run(duration=2_000_000)
+    victim = cluster.replicas["replica2"]
+    assert (victim.stable_checkpoint_seq, victim.last_executed) == (8, 10)
+    cluster.corrupt_replica_state("replica2")
+    victim.recovery.start_recovery()
+    cluster.run(duration=2_000_000)
+    assert any(rec.state_was_corrupt for rec in victim.recovery.records)
+    assert victim.state_transfer.metrics.transfers_started >= 1
