@@ -52,6 +52,13 @@ class Slot:
     the only message kept: status retransmission (Section 5.2) rebuilds
     the replica's own PREPARE / COMMIT from ``pre_prepared_locally`` and
     ``prepared``, what the replica did, never from the masks.
+
+    Two modeled times let a status be answered with what is missing, not
+    what is still in flight: ``started_at``, when this replica attached or
+    sent the pre-prepare (the commit turns ``now - started_at`` into a
+    round-trip sample), and ``sent_at``, when it last multicast its own
+    PRE-PREPARE, PREPARE or COMMIT for the slot.  A status answer moves
+    neither.
     """
 
     seq: int
@@ -67,6 +74,8 @@ class Slot:
     committed: bool = False
     executed: bool = False
     executed_tentatively: bool = False
+    started_at: float = 0.0
+    sent_at: float = 0.0
 
     def digest(self) -> Optional[bytes]:
         if self.pre_prepare is None:

@@ -146,6 +146,8 @@ class ReplicaMetrics:
     view_changes_completed: int = 0
     read_only_executed: int = 0
     messages_rejected: int = 0
+    #: PRE-PREPAREs, PREPAREs and COMMITs re-sent in answer to a STATUS.
+    status_retransmissions: int = 0
 
 
 class Replica:
@@ -210,6 +212,16 @@ class Replica:
         self.qset: Dict[int, object] = {}
         self.view_change_states: Dict[int, ViewChangeState] = {}
         self._view_change_timeout = config.view_change_timeout
+        #: Smoothed round trip of a batch, PRE-PREPARE to commit, and its
+        #: variation (RFC 6298): what a status answer waits for before it
+        #: re-sends (:meth:`_status_timeout`).  ``None`` until the first
+        #: sample.
+        self._srtt: Optional[float] = None
+        self._rttvar = 0.0
+        #: When this replica last sent a STATUS.  A batch that started
+        #: before it may have been helped by the status round and gives no
+        #: round-trip sample (Karn's rule).
+        self._status_sent_at = float("-inf")
         #: Snapshot used to roll back a tentative execution aborted by a
         #: view change (Section 5.1.2).
         self._pre_tentative_snapshot: Optional[object] = None
@@ -438,6 +450,7 @@ class Replica:
         slot = self.log.slot(seq, self.view)
         self.log.attach_pre_prepare(slot, pre_prepare)
         slot.pre_prepared_locally = True
+        slot.started_at = slot.sent_at = self.env.now()
         self.auth.sign_multicast(pre_prepare, self.others())
         self.env.broadcast(self.others(), pre_prepare)
         self.env.record("pre-prepare-sent", seq=seq, batch=len(batch))
@@ -493,6 +506,7 @@ class Replica:
             return
         self.log.attach_pre_prepare(slot, message)
         slot.pre_prepared_locally = True
+        slot.started_at = slot.sent_at = self.env.now()
         self._start_view_change_timer()
 
         prepare = self._own_vote(Prepare, slot)
@@ -537,6 +551,7 @@ class Replica:
         if slot.prepare_count() < 2 * self.config.f:
             return
         slot.prepared = True
+        slot.sent_at = self.env.now()
         commit = self._own_vote(Commit, slot)
         slot.add_commit(commit, self._index)
         self.auth.sign_multicast(commit, self.others())
@@ -562,7 +577,19 @@ class Replica:
             return
         slot.committed = True
         self.metrics.batches_committed += 1
+        if slot.started_at > self._status_sent_at:
+            self._sample_round_trip(self.env.now() - slot.started_at)
         self._try_execute()
+
+    def _sample_round_trip(self, sample: float) -> None:
+        """Fold one PRE-PREPARE-to-commit time into the estimate (RFC 6298,
+        section 2: gains 1/8 and 1/4; the first sample sets the variation to
+        half of itself)."""
+        if self._srtt is None:
+            self._srtt, self._rttvar = sample, sample / 2
+            return
+        self._rttvar += (abs(self._srtt - sample) - self._rttvar) / 4
+        self._srtt += (sample - self._srtt) / 8
 
     # =====================================================================
     # Execution
@@ -1278,6 +1305,7 @@ class Replica:
             slot = self.log.slot(seq, self.view)
             self.log.attach_pre_prepare(slot, new_pre_prepare)
             slot.pre_prepared_locally = True
+            slot.started_at = slot.sent_at = self.env.now()
             if send_prepares:
                 prepare = self._own_vote(Prepare, slot)
                 slot.add_prepare(prepare, self._index)
@@ -1308,6 +1336,7 @@ class Replica:
     # Status / retransmission (Section 5.2)
     # =====================================================================
     def _send_status(self) -> None:
+        self._status_sent_at = self.env.now()
         if self.active_view:
             # Receiver-based recovery (Section 5.2) only works if the
             # periodic status goes out even when this replica *believes*
@@ -1367,10 +1396,15 @@ class Replica:
             self._retransmit_stable_checkpoint(peer)
         prepared = set(message.prepared_seqs)
         committed = set(message.committed_seqs)
+        now = self.env.now()
+        timeout = self._status_timeout()
         for slot in self.log.slots.values():
             if slot.pre_prepare is None:
                 continue
             if slot.seq <= message.last_executed:
+                continue
+            if now - slot.sent_at < timeout:
+                # What this replica sent for the slot is still in flight.
                 continue
             # The logged pre-prepare is a shared object (and may still sit
             # in an undelivered train): re-signing returns a copy, which is
@@ -1379,14 +1413,27 @@ class Replica:
             # the masks, where a vote forged under its name can set its bit.
             if slot.seq not in prepared:
                 if self.is_primary:
-                    resigned = self.auth.sign_point_to_point(slot.pre_prepare, peer)
-                    self.env.send(peer, resigned)
+                    self._resend(peer, slot.pre_prepare)
                 if slot.pre_prepared_locally and self.config.primary_of(slot.view) != self.id:
-                    vote = self._own_vote(Prepare, slot)
-                    self.env.send(peer, self.auth.sign_point_to_point(vote, peer))
+                    self._resend(peer, self._own_vote(Prepare, slot))
             if slot.seq not in committed and slot.prepared:
-                vote = self._own_vote(Commit, slot)
-                self.env.send(peer, self.auth.sign_point_to_point(vote, peer))
+                self._resend(peer, self._own_vote(Commit, slot))
+
+    def _resend(self, peer: str, original: Message) -> None:
+        """Unicast a copy of ``original`` to ``peer`` under its own MAC, in
+        answer to the peer's status."""
+        self.env.send(peer, self.auth.sign_point_to_point(original, peer))
+        self.metrics.status_retransmissions += 1
+
+    def _status_timeout(self) -> float:
+        """How old this replica's last message for a slot must be before a
+        status re-sends it: the retransmission timeout of RFC 6298 (smoothed
+        round trip plus four variations), capped at a quarter of the status
+        interval so a stall (a recovery reboot) cannot hold re-sends back
+        for long; 0, every slot re-sent, before the first sample."""
+        if self._srtt is None:
+            return 0.0
+        return min(self._srtt + 4 * self._rttvar, self.config.status_interval / 4)
 
     def _own_vote(self, kind: type, slot: Slot) -> Message:
         """This replica's PREPARE or COMMIT for ``slot``'s batch."""

@@ -229,7 +229,6 @@ def status_of_replica3(last_executed: int):
                                last_executed=last_executed))
 
 
-@pytest.mark.xfail(strict=True, reason="a status re-sends every listed slot, in flight or not")
 def test_a_status_inside_the_timeout_is_answered_with_nothing_for_that_slot(replica_and_env):
     """One 4 ms round trip sets the timeout to 12 ms (RFC 6298: SRTT + 4
     RTTVAR, RTTVAR = SRTT / 2 after one sample).  A status 1 µs short of
@@ -256,7 +255,6 @@ def test_a_status_past_the_timeout_gets_the_resigned_copies(replica_and_env):
         assert type(copy.auth) is MACAuth and copy.auth.receiver == "replica3"
 
 
-@pytest.mark.xfail(strict=True, reason="there is no retransmission timeout")
 def test_the_timeout_follows_rfc_6298_and_karns_rule(replica_and_env):
     """Samples of 4 ms and 8 ms give SRTT 4.5 ms and RTTVAR 2.5 ms, so a
     14.5 ms timeout; a slot that started before this replica's last STATUS
@@ -278,7 +276,6 @@ def test_the_timeout_follows_rfc_6298_and_karns_rule(replica_and_env):
     assert replica._status_timeout() == 4_500.0 + 4 * 2_500.0
 
 
-@pytest.mark.xfail(strict=True, reason="there is no retransmission timeout to cap")
 def test_slow_commits_never_hold_a_status_answer_past_a_quarter_interval(replica_and_env):
     """Commits stalled for 1, 2 and 5 s (a recovery reboot) would put the
     timeout at seconds; it stays at a quarter of the status interval, so a
@@ -299,7 +296,6 @@ def test_slow_commits_never_hold_a_status_answer_past_a_quarter_interval(replica
 STATUS_TICK = ReplicaSetConfig(n=4).status_interval
 
 
-@pytest.mark.xfail(strict=True, reason="a status re-sends every listed slot, in flight or not")
 def test_a_status_round_at_n_31_resends_almost_nothing():
     """f = 10, 8 closed-loop clients, 48 operations after a warm-up: all
     31 status timers fire once inside, while nearly every slot a status
@@ -370,7 +366,6 @@ def test_a_lost_prepare_is_resent_at_the_next_status_tick(loss):
     assert prepared_at(cluster, seq) == [True, True]
 
 
-@pytest.mark.xfail(strict=True, reason="a status re-sends a PREPARE still in flight")
 @pytest.mark.parametrize("loss", ["drop-fault", "network"])
 def test_a_prepare_lost_inside_the_timeout_waits_for_the_next_tick(loss):
     """Lost ~0.8 ms before the tick: the statuses of that tick reach
