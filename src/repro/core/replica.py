@@ -1420,8 +1420,8 @@ class Replica:
                 self._resend(peer, self._own_vote(Commit, slot))
 
     def _resend(self, peer: str, original: Message) -> None:
-        """Unicast a copy of ``original`` to ``peer`` under its own MAC, in
-        answer to the peer's status."""
+        """Unicast a copy of ``original``, authenticated for ``peer`` alone,
+        in answer to the peer's status."""
         self.env.send(peer, self.auth.sign_point_to_point(original, peer))
         self.metrics.status_retransmissions += 1
 

@@ -199,6 +199,9 @@ def test_a_commit_forged_under_this_replicas_name_is_not_resent_as_its_own(repli
 
 
 # ------------------------------------------- what a status is answered with, and when
+STATUS_TICK = ReplicaSetConfig(n=4).status_interval
+
+
 def _commit_after(replica, env, seq: int, value: bytes, round_trip: float) -> None:
     """Take ``seq`` from its PRE-PREPARE to commit in ``round_trip`` µs."""
     pre_prepare = batch(value, seq)
@@ -293,9 +296,6 @@ def test_slow_commits_never_hold_a_status_answer_past_a_quarter_interval(replica
     assert replica._status_timeout() == quarter
 
 
-STATUS_TICK = ReplicaSetConfig(n=4).status_interval
-
-
 def test_a_status_round_at_n_31_resends_almost_nothing():
     """f = 10, 8 closed-loop clients, 48 operations after a warm-up: all
     31 status timers fire once inside, while nearly every slot a status
@@ -310,8 +310,6 @@ def test_a_status_round_at_n_31_resends_almost_nothing():
     run_closed_loop(cluster, 8, 6, operation)
     assert cluster.now > STATUS_TICK
     assert sum(r.metrics.status_retransmissions for r in replicas) - before <= 100
-
-
 
 
 def lose_first_multicast(network, source: str, kind: type, seq: int) -> None:
