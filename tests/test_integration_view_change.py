@@ -137,3 +137,42 @@ def test_a_timed_out_request_reports_every_replicas_protocol_state():
         assert f"view {replica.view} " in line
         assert f"last_executed {replica.last_executed} " in line
     assert cluster.stall_report() in message
+
+
+# ------------------------------------------------- liveness reproductions
+@pytest.mark.xfail(strict=True, reason="a replica entering a new view skips re-proposals at "
+                   "or below its last executed batch, so it sends no PREPARE for them and the "
+                   "others can never prepare those slots")
+def test_view_change_over_executed_slots_completes_every_request():
+    """A backup loses a quarter of its messages: five SETs must complete
+    within 5 s modeled.  Today one does, ``replica1`` (the view-1 primary)
+    has executed nothing with the others queued, and ``replica2`` times
+    out view after view alone."""
+    cluster = BFTCluster.create(
+        f=1, service_factory=KeyValueStore, seed=17,
+        view_change_timeout=60_000.0, client_retransmission_timeout=30_000.0,
+    )
+    cluster.inject_fault(FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
+                                   start=0.0, probability=0.25))
+    clients = [cluster.new_client() for _ in range(5)]
+    timestamps = [client.invoke_async(b"SET key%d v" % i) for i, client in enumerate(clients)]
+    cluster.run(until=5_000_000)
+    done = [c.protocol.is_complete(t) for c, t in zip(clients, timestamps)]
+    assert all(done), cluster.stall_report()
+
+
+@pytest.mark.xfail(strict=True, reason="two correct replicas that time out into view 1 are "
+                   "never joined by the others, which stay in view 0")
+def test_no_correct_replica_is_stranded_under_loss():
+    """``loss_sweep``'s set-up at f = 2, 5 % loss, seed 1: 8 clients x 20
+    null operations.  At the end every replica must be active in one view;
+    today ``replica4`` and ``replica5`` end inactive in view 1."""
+    from repro.bench.workloads import micro_operation, run_closed_loop
+    from repro.net.conditions import NetworkConditions
+
+    cluster = BFTCluster.create(
+        f=2, seed=1, conditions=NetworkConditions(drop_probability=0.05))
+    operation = micro_operation(0, 0)
+    run_closed_loop(cluster, 8, 20, lambda _c, _i: (operation, False))
+    ends = {(r.active_view, r.view) for r in cluster.replicas.values()}
+    assert len(ends) == 1 and ends.pop()[0], cluster.stall_report()
