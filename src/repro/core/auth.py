@@ -315,10 +315,6 @@ class Authentication:
             return owner if owner == auth.signer else None
         return getattr(auth, "sender", None)
 
-    # -------------------------------------------------------------- execution
-    def charge_digest(self, size_bytes: int) -> None:
-        self._charge(self.costs.digest_cost(size_bytes))
-
 
 def build_session_keys(owner: str, peers: Iterable[str]) -> SessionKeyTable:
     """Session keys between ``owner`` and every peer, using the deterministic

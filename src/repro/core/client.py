@@ -18,12 +18,13 @@ normal read-write path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.auth import Authentication
 from repro.core.config import ProtocolOptions, ReplicaSetConfig, DEFAULT_OPTIONS
 from repro.core.env import Env
 from repro.core.messages import Message, Reply, Request
+from repro.core.quorum import Certificate
 from repro.crypto.digests import digest
 
 RETRANSMIT_TIMER = "client-retransmit"
@@ -51,8 +52,10 @@ class _PendingRequest:
     request: Request
     sent_at: float
     read_only: bool
-    #: Replica ids that replied, grouped by (result digest, tentative flag).
-    votes: Dict[Tuple[bytes, bool], Set[str]] = field(default_factory=dict)
+    #: The replicas that replied, per (result digest, tentative flag).  A
+    #: replica may back several values: a tentative result and, after a
+    #: retransmission, the committed one.
+    votes: Certificate = field(default_factory=Certificate)
     #: Full results seen, keyed by result digest.
     results: Dict[bytes, bytes] = field(default_factory=dict)
     retransmissions: int = 0
@@ -190,8 +193,10 @@ class Client:
         # Track the view so future requests go to the right primary.
         self.view = max(self.view, reply.view)
 
-        key = (reply.result_digest, reply.tentative)
-        pending.votes.setdefault(key, set()).add(reply.replica)
+        pending.votes.add(
+            self.config.replica_indexes[reply.replica],
+            (reply.result_digest, reply.tentative),
+        )
         if reply.result is not None:
             if digest(reply.result) != reply.result_digest:
                 return
@@ -210,15 +215,15 @@ class Client:
         pending = self.pending
         if pending is None:
             return
-        for (result_digest, tentative), voters in pending.votes.items():
+        votes = pending.votes
+        for result_digest, tentative in votes:
             # Tentative and non-tentative replies with the same result digest
             # support each other; count the union but apply the stricter
             # threshold only to purely-tentative certificates.
-            combined = set(voters)
+            voters = votes.voters((result_digest, tentative))
             if tentative:
-                combined |= pending.votes.get((result_digest, False), set())
-            required = self._required_votes(tentative)
-            if len(combined) < required:
+                voters |= votes.voters((result_digest, False))
+            if voters.bit_count() < self._required_votes(tentative):
                 continue
             if result_digest not in pending.results:
                 # Certificate complete but the full result has not arrived
@@ -276,7 +281,7 @@ class Client:
                 sender=self.id,
             )
             pending.read_only = False
-            pending.votes.clear()
+            pending.votes = Certificate()
             pending.results.clear()
         elif pending.request.designated_replier is not None:
             # Ask every replica for a full reply.  Once the request is

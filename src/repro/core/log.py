@@ -16,21 +16,11 @@ garbage collection bound memory use (Section 2.3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.messages import Checkpoint, Commit, PrePrepare, Prepare, Request
+from repro.core.messages import Commit, PrePrepare, Prepare, Request
+from repro.core.quorum import Certificate
 from repro.crypto.digests import NULL_DIGEST
-
-
-def _cast_early(votes: Dict[bytes, int], digest: bytes, bit: int) -> bool:
-    """Record a vote that arrived ahead of the pre-prepare.  One vote per
-    replica, the first one wins: whatever a replica sends afterwards, it
-    holds one bit in one entry."""
-    for mask in votes.values():
-        if mask & bit:
-            return False
-    votes[digest] = votes.get(digest, 0) | bit
-    return True
 
 
 @dataclass(slots=True)
@@ -42,16 +32,16 @@ class Slot:
     holds messages for at most one view.
 
     The certificates only *count* matching messages from distinct replicas,
-    so a slot keeps votes, not messages: per phase one bitmask (bit =
-    replica index) of the replicas whose PREPARE / COMMIT names the
-    attached pre-prepare's batch.  A vote that arrives ahead of the
-    pre-prepare may name any digest; those wait in a digest -> bitmask map,
-    at most one per replica, and when the pre-prepare attaches the entry
-    for its digest becomes the counted mask and the rest are dropped —
-    votes for another batch never count for this one.  The pre-prepare is
-    the only message kept: status retransmission (Section 5.2) rebuilds
-    the replica's own PREPARE / COMMIT from ``pre_prepared_locally`` and
-    ``prepared``, what the replica did, never from the masks.
+    so a slot keeps votes, not messages: per phase one :class:`Certificate`
+    of the replicas whose PREPARE / COMMIT names a batch digest.  A vote
+    that arrives ahead of the pre-prepare may name any digest; the first
+    vote of each replica wins, and when the pre-prepare attaches the votes
+    for any other digest are dropped — votes for another batch never count
+    for this one, and from then on each phase names one value.  The
+    pre-prepare is the only message kept: status retransmission (Section
+    5.2) rebuilds the replica's own PREPARE / COMMIT from
+    ``pre_prepared_locally`` and ``prepared``, what the replica did, never
+    from the votes.
 
     Two modeled times let a status be answered with what is missing, not
     what is still in flight: ``started_at``, when this replica attached or
@@ -64,10 +54,8 @@ class Slot:
     seq: int
     view: int = 0
     pre_prepare: Optional[PrePrepare] = None
-    prepare_mask: int = 0
-    commit_mask: int = 0
-    early_prepares: Optional[Dict[bytes, int]] = None
-    early_commits: Optional[Dict[bytes, int]] = None
+    prepares: Certificate = field(default_factory=Certificate)
+    commits: Certificate = field(default_factory=Certificate)
     #: Set when this replica sent a pre-prepare or prepare for the digest.
     pre_prepared_locally: bool = False
     prepared: bool = False
@@ -86,87 +74,28 @@ class Slot:
         """Install the pre-prepare; the early votes for its batch count from
         now on, the others are forgotten."""
         self.pre_prepare = pre_prepare
-        if self.early_prepares:
-            self.prepare_mask |= self.early_prepares.get(batch_digest, 0)
-        if self.early_commits:
-            self.commit_mask |= self.early_commits.get(batch_digest, 0)
-        self.early_prepares = self.early_commits = None
+        self.prepares.keep_only(batch_digest)
+        self.commits.keep_only(batch_digest)
 
     def add_prepare(self, prepare: Prepare, voter: int) -> bool:
         """Record the prepare of replica number ``voter``; returns True if
         it was that replica's first and does not contradict the pre-prepare."""
         if prepare.seq != self.seq or prepare.view != self.view:
             return False
-        bit = 1 << voter
-        if self.pre_prepare is None:
-            if self.early_prepares is None:
-                self.early_prepares = {}
-            return _cast_early(self.early_prepares, prepare.digest, bit)
-        if prepare.digest != self.digest() or self.prepare_mask & bit:
+        if self.pre_prepare is not None and prepare.digest != self.digest():
             return False
-        self.prepare_mask |= bit
-        return True
+        if self.prepares.holds(voter):
+            return False
+        return self.prepares.add(voter, prepare.digest)
 
     def add_commit(self, commit: Commit, voter: int) -> bool:
         if commit.seq != self.seq or commit.view != self.view:
             return False
-        bit = 1 << voter
-        if self.pre_prepare is None:
-            if self.early_commits is None:
-                self.early_commits = {}
-            return _cast_early(self.early_commits, commit.digest, bit)
-        if self.commit_mask & bit or commit.digest != self.digest():
+        if self.commits.holds(voter):
             return False
-        self.commit_mask |= bit
-        return True
-
-    def early_prepares_for(self, batch_digest: bytes) -> int:
-        """Distinct replicas whose prepare named ``batch_digest`` while no
-        pre-prepare was attached."""
-        return (self.early_prepares or {}).get(batch_digest, 0).bit_count()
-
-    def prepare_count(self) -> int:
-        """Prepares matching the attached pre-prepare."""
-        return self.prepare_mask.bit_count()
-
-    def commit_count(self) -> int:
-        return self.commit_mask.bit_count()
-
-
-@dataclass
-class CheckpointRecord:
-    """Checkpoint messages collected for one sequence number."""
-
-    seq: int
-    #: Checkpoint messages keyed by (replica, digest).
-    messages: Dict[str, Checkpoint] = field(default_factory=dict)
-
-    def add(self, message: Checkpoint) -> bool:
-        if message.seq != self.seq:
+        if self.pre_prepare is not None and commit.digest != self.digest():
             return False
-        existing = self.messages.get(message.replica)
-        if existing is not None and existing.state_digest == message.state_digest:
-            return False
-        self.messages[message.replica] = message
-        return True
-
-    def count_for(self, state_digest: bytes) -> int:
-        return sum(
-            1 for m in self.messages.values() if m.state_digest == state_digest
-        )
-
-    def digests(self) -> List[bytes]:
-        return sorted({m.state_digest for m in self.messages.values()})
-
-    def stable_digest(self, threshold: int) -> Optional[bytes]:
-        """Return the digest with at least ``threshold`` votes, if any."""
-        votes: Dict[bytes, int] = {}
-        for message in self.messages.values():
-            votes[message.state_digest] = votes.get(message.state_digest, 0) + 1
-        for candidate in sorted(votes):
-            if votes[candidate] >= threshold:
-                return candidate
-        return None
+        return self.commits.add(voter, commit.digest)
 
 
 class MessageLog:
@@ -180,7 +109,8 @@ class MessageLog:
         #: Maintained by :meth:`attach_pre_prepare`/:meth:`note_executed` so
         #: idle checks need no scan over the log.
         self.unexecuted_batches = 0
-        self.checkpoints: Dict[int, CheckpointRecord] = {}
+        #: CHECKPOINT votes per sequence number: state digest -> replicas.
+        self.checkpoints: Dict[int, Certificate] = {}
         #: Requests known to this replica, keyed by request digest.  Used to
         #: execute batches whose requests travelled separately.  Entries
         #: leave with the batch that carried them (:meth:`collect_garbage`).
@@ -238,16 +168,12 @@ class MessageLog:
     def existing_slot(self, seq: int) -> Optional[Slot]:
         return self.slots.get(seq)
 
-    def iter_slots(self) -> Iterable[Slot]:
-        return iter(sorted(self.slots.values(), key=lambda s: s.seq))
-
     # ------------------------------------------------------------ checkpoints
-    def checkpoint_record(self, seq: int) -> CheckpointRecord:
-        record = self.checkpoints.get(seq)
-        if record is None:
-            record = CheckpointRecord(seq=seq)
-            self.checkpoints[seq] = record
-        return record
+    def checkpoint_votes(self, seq: int) -> Certificate:
+        votes = self.checkpoints.get(seq)
+        if votes is None:
+            votes = self.checkpoints[seq] = Certificate()
+        return votes
 
     # --------------------------------------------------------------- requests
     def remember_request(self, request: Request) -> None:
@@ -284,8 +210,8 @@ class MessageLog:
                 self.unexecuted_batches -= 1
         self.slots = {seq: s for seq, s in self.slots.items() if seq > stable_seq}
         self.checkpoints = {
-            seq: record
-            for seq, record in self.checkpoints.items()
+            seq: votes
+            for seq, votes in self.checkpoints.items()
             if seq >= stable_seq
         }
         self._forget_batches(stable_seq)

@@ -171,9 +171,6 @@ class Message:
     def body_size(self) -> int:
         return 32
 
-    def type_tag(self) -> str:
-        return type(self).__name__
-
 
 # --------------------------------------------------------------------------
 # Client-facing messages

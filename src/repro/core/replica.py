@@ -540,15 +540,18 @@ class Replica:
         if pending is None:
             return
         slot = self.log.slot(prepare.seq, prepare.view)
-        matching = slot.early_prepares_for(pending.batch_digest())
-        if matching >= self.config.f and self._have_all_requests(pending):
+        if (
+            slot.pre_prepare is None
+            and slot.prepares.count(pending.batch_digest()) >= self.config.f
+            and self._have_all_requests(pending)
+        ):
             del self.pending_pre_prepares[key]
             self._accept_pre_prepare(pending, slot)
 
     def _check_prepared(self, slot: Slot) -> None:
         if slot.prepared or slot.pre_prepare is None or not slot.pre_prepared_locally:
             return
-        if slot.prepare_count() < 2 * self.config.f:
+        if slot.prepares.winner(2 * self.config.f) is None:
             return
         slot.prepared = True
         slot.sent_at = self.env.now()
@@ -573,7 +576,7 @@ class Replica:
     def _check_committed(self, slot: Slot) -> None:
         if slot.committed or not slot.prepared:
             return
-        if slot.commit_count() < self.config.quorum:
+        if slot.commits.winner(self.config.quorum) is None:
             return
         slot.committed = True
         self.metrics.batches_committed += 1
@@ -873,8 +876,7 @@ class Replica:
         message = Checkpoint(
             seq=seq, state_digest=state_digest, replica=self.id, sender=self.id
         )
-        record = self.log.checkpoint_record(seq)
-        record.add(message)
+        self._count_checkpoint(message)
         self.auth.sign_multicast(message, self.others())
         self.env.broadcast(self.others(), message)
         self._check_checkpoint_stable(seq)
@@ -882,8 +884,7 @@ class Replica:
     def handle_checkpoint(self, message: Checkpoint) -> None:
         if message.seq <= self.stable_checkpoint_seq:
             return
-        record = self.log.checkpoint_record(message.seq)
-        record.add(message)
+        self._count_checkpoint(message)
         # Re-evaluate stability even for duplicate messages: whether a
         # completed certificate is *actionable* depends on state that
         # changes after it first completes (view activity, water marks,
@@ -894,22 +895,31 @@ class Replica:
         # trigger conditions were false, and no later receipt re-ran it.
         self._check_checkpoint_stable(message.seq)
 
-    def _checkpoint_stability_threshold(self) -> int:
-        """BFT needs a quorum certificate for stability (Section 3.2.3);
-        BFT-PK only needs a weak certificate (Section 2.3.4) because
-        checkpoint messages are signed and can be exchanged as proofs."""
-        if self.options.auth_mode is AuthMode.SIGNATURE:
-            return self.config.weak
-        return self.config.quorum
+    def _count_checkpoint(self, message: Checkpoint) -> None:
+        """One vote per replica and sequence number: a CHECKPOINT naming a
+        new digest replaces the replica's earlier one."""
+        voter = self._replica_indexes.get(message.replica)
+        if voter is None:
+            return
+        votes = self.log.checkpoint_votes(message.seq)
+        votes.discard(voter)
+        votes.add(voter, message.state_digest)
+
+    def stable_digest(self, seq: int) -> Optional[bytes]:
+        """The state digest certified stable at ``seq``, if any.  BFT needs
+        a quorum certificate for stability (Section 3.2.3); BFT-PK only a
+        weak certificate (Section 2.3.4), because checkpoint messages are
+        signed and can be exchanged as proofs."""
+        votes = self.log.checkpoints.get(seq)
+        signed = self.options.auth_mode is AuthMode.SIGNATURE
+        need = self.config.weak if signed else self.config.quorum
+        return None if votes is None else votes.winner(need)
 
     def _check_checkpoint_stable(self, seq: int) -> None:
         if seq <= self.stable_checkpoint_seq:
             return
-        record = self.log.checkpoints.get(seq)
-        if record is None:
-            return
-        stable_digest = record.stable_digest(self._checkpoint_stability_threshold())
-        if stable_digest is None:
+        certified = self.stable_digest(seq)
+        if certified is None:
             return
         own = self.checkpoints.get(seq)
         if own is None:
@@ -925,12 +935,12 @@ class Replica:
             # normal case at all (its group moved on without it), so for
             # it any certified checkpoint it does not hold is fetchable.
             if seq >= self.log.high_water_mark or not self.active_view:
-                self._request_state_transfer(seq, stable_digest)
+                self._request_state_transfer(seq, certified)
             return
-        if own.state_digest != stable_digest:
+        if own.state_digest != certified:
             # Our state diverged from the stable checkpoint: treat it as
             # corruption and fetch the correct state.
-            self._request_state_transfer(seq, stable_digest)
+            self._request_state_transfer(seq, certified)
             return
         self._make_checkpoint_stable(seq)
 
@@ -1155,24 +1165,23 @@ class Replica:
             self._try_accept_new_view(state.new_view)
 
     def _maybe_join_view_change(self) -> None:
-        ahead: Dict[int, set] = {}
-        for target_view, state in self.view_change_states.items():
-            if target_view <= self.view or (target_view == self.view and not self.active_view):
-                continue
-            for origin in state.view_changes:
-                if origin != self.id:
-                    ahead.setdefault(target_view, set()).add(origin)
-        candidates = sorted(
-            view for view, origins in ahead.items() if len(origins) >= self.config.weak
-        )
-        if candidates and candidates[0] > self.view:
-            self.start_view_change(candidates[0])
+        ahead = [
+            target_view
+            for target_view, state in self.view_change_states.items()
+            if target_view > self.view
+            and len(state.view_changes.keys() - {self.id}) >= self.config.weak
+        ]
+        if ahead:
+            self.start_view_change(min(ahead))
 
     def handle_view_change_ack(self, message: ViewChangeAck) -> None:
         if self.config.primary_of(message.new_view) != self.id:
             return
+        acker = self._replica_indexes.get(message.replica)
+        if acker is None:
+            return
         state = self._view_change_state(message.new_view)
-        state.record_ack(message.origin, message.replica)
+        state.acks.add(acker, message.origin)
         self._maybe_accept_view_change(state, message.origin)
         self._maybe_send_new_view(message.new_view)
 
@@ -1185,7 +1194,7 @@ class Replica:
         message = state.view_changes.get(origin)
         if message is None:
             return
-        if origin == self.id or state.ack_count(origin) >= 2 * self.config.f - 1:
+        if origin == self.id or state.acks.count(origin) >= 2 * self.config.f - 1:
             state.accepted[origin] = message
 
     def _maybe_send_new_view(self, target_view: int) -> None:

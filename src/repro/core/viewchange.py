@@ -33,6 +33,7 @@ from repro.core.messages import (
     Request,
     ViewChange,
 )
+from repro.core.quorum import Certificate
 from repro.crypto.digests import NULL_DIGEST
 
 
@@ -312,8 +313,9 @@ class ViewChangeState:
     target_view: int
     #: View-change messages received, keyed by origin replica.
     view_changes: Dict[str, ViewChange] = field(default_factory=dict)
-    #: Acks received by the new primary: (origin replica) -> set of ackers.
-    acks: Dict[str, set] = field(default_factory=dict)
+    #: Acks received by the new primary: per origin replica, the acking
+    #: replicas.  An acker may ack several origins.
+    acks: Certificate = field(default_factory=Certificate)
     #: The set S: view-change messages with a complete view-change
     #: certificate (origin -> message).
     accepted: Dict[str, ViewChange] = field(default_factory=dict)
@@ -325,12 +327,6 @@ class ViewChangeState:
             return False
         self.view_changes[message.replica] = message
         return True
-
-    def record_ack(self, origin: str, acker: str) -> None:
-        self.acks.setdefault(origin, set()).add(acker)
-
-    def ack_count(self, origin: str) -> int:
-        return len(self.acks.get(origin, set()))
 
     def by_digest(self) -> Dict[bytes, ViewChange]:
         return {m.payload_digest(): m for m in self.view_changes.values()}

@@ -43,14 +43,6 @@ class AndrewPhaseResult:
     operations: int
     elapsed: float
 
-    def as_row(self) -> dict:
-        return {
-            "phase": self.phase,
-            "name": self.name,
-            "operations": self.operations,
-            "elapsed_us": round(self.elapsed, 1),
-        }
-
 
 class AndrewBenchmark:
     """Runs the five Andrew phases against a file-service client."""

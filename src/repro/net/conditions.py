@@ -72,11 +72,6 @@ def lan_conditions() -> NetworkConditions:
     return NetworkConditions()
 
 
-def lossy_conditions(drop_probability: float = 0.05) -> NetworkConditions:
-    """A lossy LAN used by the fault-injection tests."""
-    return NetworkConditions(drop_probability=drop_probability)
-
-
 def wan_conditions(one_way_delay: float = 20_000.0) -> NetworkConditions:
     """A wide-area model (20 ms one-way) used by sensitivity experiments."""
     return NetworkConditions(fixed_delay=one_way_delay, per_byte_delay=0.01)

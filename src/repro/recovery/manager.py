@@ -217,12 +217,7 @@ class RecoveryManager:
         record.state_checked_at = replica.env.now() + self.state_check_cost
         stable_seq = replica.stable_checkpoint_seq
         own = replica.checkpoints.get(stable_seq)
-        stable_record = replica.log.checkpoints.get(stable_seq)
-        expected = None
-        if stable_record is not None:
-            expected = stable_record.stable_digest(
-                replica._checkpoint_stability_threshold()
-            )
+        expected = replica.stable_digest(stable_seq)
         current_digest = replica._state_digest()
         corrupt = False
         if own is not None and expected is not None and own.state_digest != expected:

@@ -102,11 +102,6 @@ class Node:
     def new_timer(self, label: str, period: float) -> Timer:
         return Timer(self, label, period)
 
-    def schedule_internal(self, delay: float, payload: Any = None) -> Event:
-        return self.scheduler.schedule_after(
-            delay, EventKind.INTERNAL, self.name, payload=payload
-        )
-
     def crash(self) -> None:
         """Stop processing events (fail-stop)."""
         self.crashed = True

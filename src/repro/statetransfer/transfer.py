@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import Data, Fetch, Message, MetaData, pack
+from repro.core.quorum import Certificate
 from repro.crypto.digests import DIGEST_SIZE, digest
 from repro.statetransfer.partition_tree import (
     ADHASH_MODULUS,
@@ -108,13 +109,14 @@ def vote_page_digests(
     agreed: Dict[int, Optional[int]] = {}
     undecided: Set[int] = set()
     for index in indexes:
-        votes: Dict[Optional[int], int] = {}
-        for claim in claims.values():
-            value = claim.get(index)
-            votes[value] = votes.get(value, 0) + 1
-        winner = max(votes.items(), key=lambda item: item[1])
-        if winner[1] >= need:
-            agreed[index] = winner[0]
+        votes = Certificate()
+        for voter, claim in enumerate(claims.values()):
+            votes.add(voter, claim.get(index))
+        winner = votes.winner(need)
+        # ``None`` is a value here (the page is absent) as well as "no
+        # winner"; it won if it holds ``need`` votes itself.
+        if winner is not None or votes.count(None) >= need:
+            agreed[index] = winner
         else:
             undecided.add(index)
     return agreed, undecided
@@ -428,10 +430,7 @@ class StateTransferManager:
         collected in its own log."""
         if seq == self.target_seq:
             return self.target_digest
-        record = self.replica.log.checkpoints.get(seq)
-        if record is None:
-            return None
-        return record.stable_digest(self.replica._checkpoint_stability_threshold())
+        return self.replica.stable_digest(seq)
 
     def _handle_metadata(self, message: MetaData) -> None:
         if self.target_seq is None:

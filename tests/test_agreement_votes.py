@@ -136,23 +136,26 @@ def test_one_vote_per_replica_whatever_it_sprays(replica_and_env):
         replica.receive(vote(Prepare, junk, "replica3"))
         replica.receive(vote(Commit, junk, "replica3"))
     slot = replica.log.existing_slot(1)
-    assert slot.early_prepares == {b"%016d" % 0: 1 << 3}
-    assert slot.early_commits == {b"%016d" % 0: 1 << 3}
+    first = b"%016d" % 0
+    for votes in (slot.prepares, slot.commits):
+        assert list(votes) == [first] and votes.voters(first) == 1 << 3
     batch_a = batch(b"A")
-    replica.receive(vote(Prepare, batch_a.batch_digest(), "replica2"))
+    digest_a = batch_a.batch_digest()
+    replica.receive(vote(Prepare, digest_a, "replica2"))
     replica.receive(vote(Prepare, b"y" * 16, "not-a-replica"))
-    assert sorted(slot.early_prepares.values()) == [1 << 2, 1 << 3]
-    assert slot.early_prepares_for(batch_a.batch_digest()) == 1
-    assert slot.prepare_count() == slot.commit_count() == 0
-    assert not (slot.prepare_mask | slot.commit_mask) & 1 << 1, "replica1 voted nothing"
+    assert list(slot.prepares) == [first, digest_a]
+    assert slot.prepares.voters(digest_a) == 1 << 2
+    assert slot.prepares.winner(1) == first and slot.commits.count(digest_a) == 0
+    assert not (slot.prepares.holds(1) or slot.commits.holds(1)), "replica1 voted nothing"
     # The pre-prepare attaches: its batch's early votes count, the rest go,
     # and votes for anything else are refused from then on.
     replica.receive(authed(batch_a))
-    assert slot.early_prepares is None and slot.early_commits is None
-    assert slot.prepare_mask == 1 << 2 | 1 << 1 and slot.commit_mask == 1 << 1
+    assert list(slot.prepares) == [digest_a] and list(slot.commits) == [digest_a]
+    assert slot.prepares.voters(digest_a) == 1 << 2 | 1 << 1
+    assert slot.commits.voters(digest_a) == 1 << 1
     for n in range(1000):
         replica.receive(vote(Commit, b"%016d" % n, "replica0"))
-    assert slot.commit_mask == 1 << 1 and slot.early_commits is None
+    assert list(slot.commits) == [digest_a] and slot.commits.voters(digest_a) == 1 << 1
 
 
 def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_env):
@@ -416,12 +419,12 @@ def test_a_vote_with_a_bad_mac_for_an_undecided_slot_is_rejected(config, registr
     slot = replica.log.existing_slot(1)
     replica.receive(tampered(Prepare, "replica2"))
     assert replica.metrics.messages_rejected == 1
-    assert slot.prepare_mask == 1 << 1 and not slot.prepared
+    assert slot.prepares.voters(digest_a) == 1 << 1 and not slot.prepared
     replica.receive(signed_vote(signed, Prepare, digest_a, "replica2"))
     assert slot.prepared and not slot.committed
     replica.receive(tampered(Commit, "replica0"))
     assert replica.metrics.messages_rejected == 2
-    assert slot.commit_mask == 1 << 1 and not slot.committed
+    assert slot.commits.voters(digest_a) == 1 << 1 and not slot.committed
 
 
 def test_late_votes_are_charged_not_authenticated(config, registry, monkeypatch):

@@ -177,7 +177,7 @@ def test_read_only_retry_falls_back_to_read_write():
     assert client.pending.read_only is False
     assert client.pending.request.read_only is False
     # Stale votes from the read-only attempt were discarded.
-    assert client.pending.votes == {}
+    assert list(client.pending.votes) == []
 
 
 def test_view_tracking_from_replies():
@@ -224,7 +224,7 @@ def test_a_reply_counts_only_for_the_replica_that_authenticated_it(case):
     for message in IMPERSONATIONS[case]:
         client.receive(message)
     assert not client.is_complete(timestamp)
-    assert client.pending.votes == {}
+    assert list(client.pending.votes) == []
 
 
 def test_replies_authenticated_by_their_replicas_still_complete():

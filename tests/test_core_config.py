@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.quorum import (
-    has_quorum,
-    has_weak_certificate,
+    Certificate,
     max_faulty,
     quorum_size,
     replicas_for,
@@ -49,10 +48,11 @@ def test_small_groups_rejected():
 
 
 def test_certificate_helpers():
-    assert has_quorum(3, 4)
-    assert not has_quorum(2, 4)
-    assert has_weak_certificate(2, 4)
-    assert not has_weak_certificate(1, 4)
+    votes = Certificate()
+    for voter in range(3):
+        votes.add(voter, b"d")
+        assert (votes.winner(weak_size(4)) == b"d") == (voter + 1 >= 2)
+        assert (votes.winner(quorum_size(4)) == b"d") == (voter + 1 >= 3)
 
 
 # ------------------------------------------------------------------- config

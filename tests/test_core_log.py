@@ -1,7 +1,7 @@
 """Tests for the message log, slots, certificates and water marks."""
 
-from repro.core.log import CheckpointRecord, MessageLog, Slot
-from repro.core.messages import Checkpoint, Commit, PrePrepare, Prepare, Request
+from repro.core.log import MessageLog, Slot
+from repro.core.messages import Commit, PrePrepare, Prepare, Request
 from repro.crypto.digests import NULL_DIGEST
 
 
@@ -34,8 +34,9 @@ def test_slot_prepare_requires_matching_digest():
     bad = Prepare(view=0, seq=1, digest=b"x" * 16, replica="replica2", sender="replica2")
     assert slot.add_prepare(good, 1)
     assert not slot.add_prepare(bad, 2)
-    assert slot.prepare_count() == 1
-    assert slot.prepare_mask == 0b10 and slot.early_prepares is None
+    assert slot.prepares.count(pp.batch_digest()) == 1
+    assert list(slot.prepares) == [pp.batch_digest()]
+    assert slot.prepares.voters(pp.batch_digest()) == 0b10
 
 
 def test_slot_rejects_duplicate_prepare_from_same_replica():
@@ -45,7 +46,7 @@ def test_slot_rejects_duplicate_prepare_from_same_replica():
                       sender="replica1")
     assert slot.add_prepare(prepare, 1)
     assert not slot.add_prepare(prepare, 1)
-    assert slot.prepare_count() == 1
+    assert slot.prepares.count(slot.digest()) == 1
 
 
 def test_slot_rejects_wrong_view_or_seq():
@@ -57,7 +58,7 @@ def test_slot_rejects_wrong_view_or_seq():
     assert not slot.add_prepare(
         Prepare(view=2, seq=6, digest=slot.digest(), replica="r1", sender="r1"), 1
     )
-    assert slot.prepare_mask == 0 and slot.early_prepares is None
+    assert list(slot.prepares) == []
 
 
 def test_slot_commit_counting():
@@ -67,8 +68,9 @@ def test_slot_commit_counting():
         commit = Commit(view=0, seq=1, digest=slot.digest(), replica=f"replica{i}",
                         sender=f"replica{i}")
         assert slot.add_commit(commit, i)
-    assert slot.commit_count() == 3
-    assert slot.commit_mask == 0b111 and slot.early_commits is None
+    assert slot.commits.count(slot.digest()) == 3
+    assert list(slot.commits) == [slot.digest()]
+    assert slot.commits.voters(slot.digest()) == 0b111
 
 
 def test_higher_view_resets_slot_but_keeps_execution_flags():
@@ -88,8 +90,8 @@ def test_collect_garbage_discards_old_slots_and_checkpoints():
     log = MessageLog(log_size=8)
     for seq in range(1, 7):
         log.slot(seq, 0)
-    log.checkpoint_record(0)
-    log.checkpoint_record(4)
+    log.checkpoint_votes(0)
+    log.checkpoint_votes(4)
     log.collect_garbage(4)
     assert sorted(log.slots) == [5, 6]
     assert sorted(log.checkpoints) == [4]
@@ -146,18 +148,17 @@ def test_prepared_and_committed_summaries():
 
 
 def test_checkpoint_record_stability_threshold():
-    record = CheckpointRecord(seq=4)
+    log = MessageLog(log_size=8)
+    votes = log.checkpoint_votes(4)
     for i in range(3):
-        record.add(Checkpoint(seq=4, state_digest=b"good" * 4, replica=f"replica{i}",
-                              sender=f"replica{i}"))
-    record.add(Checkpoint(seq=4, state_digest=b"evil" * 4, replica="replica3",
-                          sender="replica3"))
-    assert record.count_for(b"good" * 4) == 3
-    assert record.stable_digest(3) == b"good" * 4
-    assert record.stable_digest(4) is None
+        votes.add(i, b"good" * 4)
+    votes.add(3, b"evil" * 4)
+    assert votes.count(b"good" * 4) == 3
+    assert votes.winner(3) == b"good" * 4
+    assert votes.winner(4) is None
 
 
 def test_checkpoint_record_ignores_wrong_seq():
-    record = CheckpointRecord(seq=4)
-    assert not record.add(Checkpoint(seq=8, state_digest=b"d" * 16, replica="r",
-                                     sender="r"))
+    log = MessageLog(log_size=8)
+    log.checkpoint_votes(8).add(0, b"d" * 16)
+    assert not log.checkpoint_votes(4).holds(0)

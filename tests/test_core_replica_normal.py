@@ -199,7 +199,7 @@ def test_primary_rejects_prepare_claiming_to_be_from_primary(primary_and_env):
     forged = authed(Prepare(view=0, seq=1, digest=digest, replica="replica0",
                             sender="replica0"))
     primary.receive(forged)
-    assert primary.log.existing_slot(1).prepare_count() == 0
+    assert primary.log.existing_slot(1).prepares.count(digest) == 0
 
 
 def test_consecutive_requests_get_increasing_sequence_numbers(primary_and_env):

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench import preload_kv_state
 from repro.core.config import ReplicaSetConfig
-from repro.core.messages import Checkpoint, Data, MetaData, Request
+from repro.core.messages import Data, MetaData, Request
 from repro.core.replica import CheckpointSnapshot, Replica
 from repro.crypto.signatures import SignatureRegistry
 from repro.fs.nfs import NFSClientOps, NFSService
@@ -456,11 +456,8 @@ def test_whole_snapshot_newer_state_requires_certificate():
     # With a stable certificate (2f+1 matching checkpoint messages in the
     # log) the newer checkpoint is followed — but a root reply that does
     # not recombine to the certified digest is still refused.
-    for sender in ("replica0", "replica1", "replica2"):
-        lagging.log.checkpoint_record(newer_seq).add(
-            Checkpoint(seq=newer_seq, state_digest=newer_digest,
-                       replica=sender, sender=sender)
-        )
+    for voter in range(3):
+        lagging.log.checkpoint_votes(newer_seq).add(voter, newer_digest)
     forged = server.build_metadata(newer_seq, 0, 0)
     entries = list(forged.entries)
     entries[0] = (entries[0][0], entries[0][1], b"\xff" * 16)
