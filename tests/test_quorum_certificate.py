@@ -9,8 +9,9 @@ import random
 import pytest
 
 from repro.core.log import Slot
-from repro.core.messages import PrePrepare, Prepare, Request
+from repro.core.messages import Checkpoint, PrePrepare, Prepare, Request
 from repro.core.quorum import Certificate, max_faulty, quorum_size, weak_size
+from tests.conftest import authed
 
 SIZES = (4, 7, 10, 31)
 
@@ -112,3 +113,12 @@ def test_an_attached_slot_holds_no_dict_for_either_phase():
     for votes in (slot.prepares, slot.commits):
         assert not any(isinstance(ref, dict) for ref in gc.get_referents(votes))
     assert list(slot.prepares) == [digest] and slot.prepares.voters(digest) == 1 << 2
+
+
+def test_a_checkpoint_with_a_new_digest_replaces_the_replicas_earlier_one(replica_and_env):
+    replica, _ = replica_and_env
+    for digest in (b"a" * 16, b"b" * 16, b"b" * 16):
+        replica.receive(authed(Checkpoint(seq=4, state_digest=digest, replica="replica2",
+                                          sender="replica2")))
+    votes = replica.log.checkpoints[4]
+    assert list(votes) == [b"b" * 16] and votes.voters(b"b" * 16) == 1 << 2
