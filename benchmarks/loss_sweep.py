@@ -51,8 +51,9 @@ def stranded(cluster) -> bool:
     views = [r.view for r in replicas if r.active_view]
     if not views:
         return True
+    view = max(views)
     floor = max(r.last_executed for r in replicas) - cluster.config.checkpoint_interval
-    return any(not r.active_view or r.view != max(views) or r.last_executed < floor
+    return any(not r.active_view or r.view != view or r.last_executed < floor
                for r in replicas)
 
 
