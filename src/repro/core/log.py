@@ -37,7 +37,9 @@ class Slot:
     that arrives ahead of the pre-prepare may name any digest; the first
     vote of each replica wins, and when the pre-prepare attaches the votes
     for any other digest are dropped — votes for another batch never count
-    for this one, and from then on each phase names one value.  The
+    for this one, and from then on each phase names one value.  Once the
+    slot commits both certificates go (:meth:`mark_committed`): no vote is
+    read again, and ``prepared`` / ``committed`` stand for them.  The
     pre-prepare is the only message kept: status retransmission (Section
     5.2) rebuilds the replica's own PREPARE / COMMIT from
     ``pre_prepared_locally`` and ``prepared``, what the replica did, never
@@ -54,8 +56,8 @@ class Slot:
     seq: int
     view: int = 0
     pre_prepare: Optional[PrePrepare] = None
-    prepares: Certificate = field(default_factory=Certificate)
-    commits: Certificate = field(default_factory=Certificate)
+    prepares: Optional[Certificate] = field(default_factory=Certificate)
+    commits: Optional[Certificate] = field(default_factory=Certificate)
     #: Set when this replica sent a pre-prepare or prepare for the digest.
     pre_prepared_locally: bool = False
     prepared: bool = False
@@ -80,22 +82,31 @@ class Slot:
     def add_prepare(self, prepare: Prepare, voter: int) -> bool:
         """Record the prepare of replica number ``voter``; returns True if
         it was that replica's first and does not contradict the pre-prepare."""
-        if prepare.seq != self.seq or prepare.view != self.view:
+        if prepare.seq != self.seq or prepare.view != self.view or self.committed:
             return False
-        if self.pre_prepare is not None and prepare.digest != self.digest():
-            return False
-        if self.prepares.holds(voter):
+        if self.pre_prepare is None:
+            if self.prepares.holds(voter):
+                return False
+        elif prepare.digest != self.digest():
             return False
         return self.prepares.add(voter, prepare.digest)
 
     def add_commit(self, commit: Commit, voter: int) -> bool:
-        if commit.seq != self.seq or commit.view != self.view:
+        if commit.seq != self.seq or commit.view != self.view or self.committed:
             return False
+        # A repeated COMMIT is refused before the digest is compared.
         if self.commits.holds(voter):
             return False
         if self.pre_prepare is not None and commit.digest != self.digest():
             return False
         return self.commits.add(voter, commit.digest)
+
+    def mark_committed(self) -> None:
+        """The commit certificate is complete: no vote of either phase is
+        read again (``Replica.receive`` drops a later PREPARE or COMMIT for
+        the slot unchecked), so the certificates go."""
+        self.committed = True
+        self.prepares = self.commits = None
 
 
 class MessageLog:

@@ -578,7 +578,7 @@ class Replica:
             return
         if slot.commits.winner(self.config.quorum) is None:
             return
-        slot.committed = True
+        slot.mark_committed()
         self.metrics.batches_committed += 1
         if slot.started_at > self._status_sent_at:
             self._sample_round_trip(self.env.now() - slot.started_at)

@@ -86,6 +86,11 @@ def verify_page_payload(index: int, payload: bytes, expected: int) -> bool:
     return content_page_digest(index, payload) == expected
 
 
+#: The vote for a page claimed absent (``Certificate.winner`` answers None
+#: for "no winner").
+_ABSENT = object()
+
+
 def vote_page_digests(
     claims: Dict[str, Dict[int, Optional[int]]], need: int
 ) -> Tuple[Dict[int, Optional[int]], Set[int]]:
@@ -111,14 +116,13 @@ def vote_page_digests(
     for index in indexes:
         votes = Certificate()
         for voter, claim in enumerate(claims.values()):
-            votes.add(voter, claim.get(index))
+            value = claim.get(index)
+            votes.add(voter, _ABSENT if value is None else value)
         winner = votes.winner(need)
-        # ``None`` is a value here (the page is absent) as well as "no
-        # winner"; it won if it holds ``need`` votes itself.
-        if winner is not None or votes.count(None) >= need:
-            agreed[index] = winner
-        else:
+        if winner is None:
             undecided.add(index)
+        else:
+            agreed[index] = None if winner is _ABSENT else winner
     return agreed, undecided
 
 
