@@ -5,9 +5,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.messages import Request
 from repro.library import BFTCluster
 from repro.services import KeyValueStore
+from repro.sim.events import EventKind
 from repro.sim.faults import FaultSpec, FaultType
+
+#: The censoring reproduction: writers issue a SET every period until the
+#: deadline (modeled µs).
+WRITER_PERIOD = 20_000.0
+CENSOR_DEADLINE = 5_000_000.0
 
 
 def build_cluster(**kwargs):
@@ -176,3 +183,39 @@ def test_no_correct_replica_is_stranded_under_loss():
     run_closed_loop(cluster, 8, 20, lambda _c, _i: (operation, False))
     ends = {(r.active_view, r.view) for r in cluster.replicas.values()}
     assert len(ends) == 1 and ends.pop()[0], cluster.stall_report()
+
+
+@pytest.mark.xfail(strict=True, reason="every PRE-PREPARE a backup accepts re-arms its view-change "
+                   "timer and an idle backup cancels it, so a primary that orders everyone's "
+                   "requests but one client's is never replaced")
+def test_a_primary_that_censors_one_client_is_replaced():
+    """``replica0`` drops every request of one client while three others
+    issue a SET every 20 ms.  The victim's retransmissions reach the
+    backups, which must replace the primary that does not order it
+    (Section 4.5.2): its SET must complete within 5 s modeled.  Today it
+    never does; all four replicas stay in view 0, each with 751 requests
+    executed."""
+    cluster = BFTCluster.create(
+        f=1, service_factory=KeyValueStore, seed=3,
+        view_change_timeout=200_000.0, client_retransmission_timeout=100_000.0,
+    )
+    victim = cluster.new_client()
+    victim.invoke(b"SET warm up")
+    writers = [cluster.new_client() for _ in range(3)]
+    primary = cluster.replicas["replica0"]
+    handle_request = primary._handlers[Request]
+    primary._handlers[Request] = (
+        lambda request: None if request.client == victim.id else handle_request(request))
+    timestamp = victim.invoke_async(b"SET censored v")
+
+    def writers_tick():
+        for index, writer in enumerate(writers):
+            if not writer.protocol.busy:
+                writer.invoke_async(b"SET w%d v" % index)
+        if cluster.now + WRITER_PERIOD < CENSOR_DEADLINE:
+            cluster.scheduler.schedule_after(WRITER_PERIOD, EventKind.INTERNAL, "writers",
+                                             callback=writers_tick)
+
+    writers_tick()
+    cluster.run(until=CENSOR_DEADLINE)
+    assert victim.protocol.is_complete(timestamp), cluster.stall_report()
