@@ -126,7 +126,7 @@ def _storm_run(
 def run_experiment() -> dict:
     workload = {
         "num_clients": 4,
-        "ops_per_client": 100,
+        "ops_per_client": 300,
         "key_space": 64,
         "value_size": 1024,
     }
