@@ -285,8 +285,9 @@ class Replica:
         """Entry point for every protocol message delivered to this replica.
 
         Replies never reach replicas; everything else must carry valid
-        authentication from a known principal (Section 5.5).  Types without
-        a handler are dropped.
+        authentication from a known principal (Section 5.5) and name that
+        principal as its sender and as the identity it speaks for.  Types
+        without a handler are dropped.
 
         A PREPARE for a slot already prepared in its view, or a COMMIT for
         one already committed, can change nothing: the certificate it would
@@ -307,6 +308,13 @@ class Replica:
                 self.auth.charge_verify(message)
                 return
         if message.auth is None or not self.auth.verify(message):
+            self.metrics.messages_rejected += 1
+            return
+        # A message speaks only for the principal that authenticated it: its
+        # sender and the identity it claims (a request's client, else the
+        # type's replica field) must both be that principal.
+        claimed = message.client if kind is Request else getattr(message, "replica", message.sender)
+        if not self.auth.principal(message) == message.sender == claimed:
             self.metrics.messages_rejected += 1
             return
         handler = self._handlers.get(kind)

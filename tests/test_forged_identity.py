@@ -1,20 +1,55 @@
-"""Reproductions of two identity holes, with real crypto (f = 1, seed 5).
+"""Identities bound to the principal that authenticated them, with real
+crypto.
 
-A request is executed for the client it *names*, whoever authenticated it:
-a client may claim another client's name under its own keys, and a request
-a primary inlines in a PRE-PREPARE is never verified at all.  Each test
-asserts the correct outcome: the forged value is stored nowhere, every
-correct replica that received the forgery counts a rejection, and the
-impersonated client's next SET still completes.
+A replica accepts a message only when the principal whose key
+authenticated it is also its sender and the identity it claims: a
+request's client, else the type's replica field.  The parametrised test
+checks every message type a replica handles, in MAC and in signature mode.
+
+Two end-to-end cases (f = 1, seed 5): a client claiming another client's
+name under its own keys, and a request a primary inlines in a PRE-PREPARE,
+which no backup verifies yet (strict xfail).  Each asserts the correct
+outcome: the forged value is stored nowhere, every correct replica that
+received the forgery counts a rejection, and the impersonated client's
+next SET still completes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.core.messages import Request
+from repro.core.auth import Authentication, build_session_keys
+from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
+from repro.core.messages import (
+    Checkpoint,
+    Commit,
+    Data,
+    Fetch,
+    MetaData,
+    NewKey,
+    NewView,
+    PrePrepare,
+    Prepare,
+    QueryStable,
+    ReplyStable,
+    Request,
+    StatusActive,
+    StatusPending,
+    ViewChange,
+    ViewChangeAck,
+)
+from repro.crypto.signatures import SignatureRegistry
 from repro.library import BFTCluster
 from repro.services import KeyValueStore
+from tests.conftest import make_replica
+
+#: Every type a replica handles.  A request claims its client; the others
+#: their replica field, or, without one, their sender.
+HANDLED_TYPES = (Request, PrePrepare, Prepare, Commit, Checkpoint, ViewChange,
+                 ViewChangeAck, NewView, StatusActive, StatusPending, NewKey,
+                 QueryStable, ReplyStable, Fetch, MetaData, Data)
 
 #: Far above any timestamp the real client0 uses: if the forgery executes,
 #: every later request of client0 looks old to the replicas.
@@ -32,8 +67,6 @@ def assert_forgery_refused(cluster, victim, forged_value, correct):
     assert victim.invoke(b"SET k mine", timeout=3_000_000) == b"OK"
 
 
-@pytest.mark.xfail(strict=True, reason="a replica executes a request for the client it "
-                   "names, not for the principal that authenticated it")
 def test_request_claiming_another_clients_name_is_rejected():
     cluster = kv_cluster()
     victim = cluster.new_client()
@@ -72,3 +105,40 @@ def test_unauthenticated_request_inlined_by_the_primary_is_rejected():
     cluster.run(duration=1_000_000)
     backups = [rid for rid in cluster.config.replica_ids if rid != "replica0"]
     assert_forgery_refused(cluster, victim, b"evil", backups)
+
+
+def claiming(kind, name: str, sender: str):
+    """A ``kind`` message that speaks for ``name``, sent as ``sender``."""
+    if kind is Request:
+        return Request(operation=b"SET k v", timestamp=1, client=name, sender=sender)
+    if "replica" in {field.name for field in dataclasses.fields(kind)}:
+        return kind(replica=name, sender=sender)
+    return kind(sender=name)
+
+
+@pytest.mark.parametrize("mode", [AuthMode.MAC, AuthMode.SIGNATURE], ids=["mac", "signature"])
+@pytest.mark.parametrize("kind", HANDLED_TYPES, ids=[kind.__name__ for kind in HANDLED_TYPES])
+def test_a_message_authenticated_as_one_principal_claiming_another_is_rejected(kind, mode):
+    """Authenticated as X: claiming X reaches the handler; claiming Y, as
+    sender or as the named identity, is rejected and counted."""
+    config = ReplicaSetConfig(n=4, checkpoint_interval=4)
+    registry = SignatureRegistry()
+    receiver, _ = make_replica(config, registry, "replica1",
+                               options=ProtocolOptions(auth_mode=mode), real_crypto=True)
+    x, y = ("client0", "client1") if kind is Request else ("replica2", "replica3")
+    signer = Authentication(x, mode, build_session_keys(x, config.replica_ids), registry)
+    handled = []
+    receiver._handlers[kind] = handled.append
+
+    def deliver(message) -> None:
+        receiver.receive(signer.sign_multicast(message, config.replica_ids))
+
+    deliver(claiming(kind, x, x))
+    assert len(handled) == 1 and receiver.metrics.messages_rejected == 0
+    forgeries = [claiming(kind, y, y)]
+    if claiming(kind, y, x).sender == x:
+        forgeries.append(claiming(kind, y, x))
+    for rejected, forgery in enumerate(forgeries, start=1):
+        deliver(forgery)
+        assert receiver.metrics.messages_rejected == rejected
+    assert len(handled) == 1
