@@ -203,8 +203,16 @@ class Replica:
 
         #: Requests waiting for a sequence number (primary only).
         self.request_queue: List[Request] = []
-        #: Pre-prepares buffered because a request body or its
-        #: authentication is still missing: (view, seq) -> message.
+        #: client -> timestamp of its newest request in ``request_queue``,
+        #: so a retransmission of a queued request is not queued again.
+        self._queued: Dict[str, int] = {}
+        #: Requests this replica authenticated from their clients while a
+        #: backup, not yet executed: client -> its newest one.  A backup
+        #: that becomes primary proposes them (:meth:`_enter_new_view`).
+        self.awaited_requests: Dict[str, Request] = {}
+        #: Pre-prepares of the current view buffered because a request body
+        #: is still missing or the NEW-VIEW has not arrived yet:
+        #: (view, seq) -> message.
         self.pending_pre_prepares: Dict[Tuple[int, int], PrePrepare] = {}
 
         #: P and Q sets carried across view changes (Section 3.2.4).
@@ -387,9 +395,12 @@ class Replica:
 
         self.log.remember_request(request)
         if self.is_primary and self.active_view:
-            self.request_queue.append(request)
+            self._enqueue(request)
             self._try_send_pre_prepare()
         else:
+            held = self.awaited_requests.get(client)
+            if held is None or held.timestamp < request.timestamp:
+                self.awaited_requests[client] = request
             # A backup waiting for a request starts its view-change timer so
             # a mute primary is eventually replaced — but only if the timer
             # is not already running (Section 2.3.5): a retransmitted
@@ -406,7 +417,7 @@ class Replica:
             # back to the normal protocol path.
             self.log.remember_request(request)
             if self.is_primary and self.active_view:
-                self.request_queue.append(request)
+                self._enqueue(request)
                 self._try_send_pre_prepare()
             return
         result = self.service.execute(
@@ -422,9 +433,18 @@ class Replica:
     # =====================================================================
     # Pre-prepare (primary side)
     # =====================================================================
+    def _enqueue(self, request: Request) -> None:
+        """Queue ``request`` for a sequence number, unless it is a
+        retransmission of a request already queued."""
+        if self._queued.get(request.client) == request.timestamp:
+            return
+        self._queued[request.client] = request.timestamp
+        self.request_queue.append(request)
+
     def _try_send_pre_prepare(self) -> None:
         if not (self.is_primary and self.active_view):
             return
+        queued = self._queued
         while (
             self.request_queue
             and self.log.in_window(self.seqno + 1)
@@ -432,6 +452,9 @@ class Replica:
         ):
             batch = self.request_queue[: self._max_batch]
             del self.request_queue[: len(batch)]
+            for request in batch:
+                if queued.get(request.client) == request.timestamp:
+                    del queued[request.client]
             self.seqno += 1
             self._send_pre_prepare(self.seqno, batch)
 
@@ -470,15 +493,19 @@ class Replica:
     def handle_pre_prepare(self, message: PrePrepare) -> None:
         if message.sender != self.config.primary_of(message.view):
             return
-        if message.view != self.view or not self.active_view:
+        if message.view != self.view or not self.log.in_window(message.seq):
             return
-        if not self.log.in_window(message.seq):
+        if not self.active_view:
+            # The new primary's first PRE-PREPAREs can overtake its larger
+            # NEW-VIEW: keep them until the view is entered.
+            self.pending_pre_prepares[(message.view, message.seq)] = message
             return
         slot = self.log.slot(message.seq, self.view)
         existing = slot.digest()
         if existing is not None and existing != message.batch_digest():
-            # Conflicting assignment from the primary: refuse it.  The
-            # view-change timer started when the request arrived will fire.
+            # Conflicting assignment from the primary (or with a batch the
+            # NEW-VIEW re-proposed): refuse it.  The view-change timer
+            # started when the request arrived will fire.
             return
         if not self._have_all_requests(message):
             self.pending_pre_prepares[(message.view, message.seq)] = message
@@ -498,14 +525,14 @@ class Replica:
         return True
 
     def _retry_pending_pre_prepares(self) -> None:
-        for key in sorted(self.pending_pre_prepares):
-            message = self.pending_pre_prepares[key]
-            if message.view != self.view:
-                continue
-            if self._have_all_requests(message):
-                del self.pending_pre_prepares[key]
-                slot = self.log.slot(message.seq, self.view)
-                self._accept_pre_prepare(message, slot)
+        """Put each buffered pre-prepare through every check of
+        :meth:`handle_pre_prepare` again; one still waiting is buffered
+        again.  Nothing is retried before the view is entered."""
+        if not self.active_view:
+            return
+        pending = self.pending_pre_prepares
+        for key in sorted(pending):
+            self.handle_pre_prepare(pending.pop(key))
 
     def _accept_pre_prepare(self, message: PrePrepare, slot: Slot) -> None:
         if slot.pre_prepare is not None:
@@ -545,7 +572,7 @@ class Replica:
     def _maybe_accept_by_prepares(self, prepare: Prepare) -> None:
         key = (prepare.view, prepare.seq)
         pending = self.pending_pre_prepares.get(key)
-        if pending is None:
+        if pending is None or not self.active_view:
             return
         slot = self.log.slot(prepare.seq, prepare.view)
         if (
@@ -643,13 +670,18 @@ class Replica:
         pre_prepare = slot.pre_prepare
         if pre_prepare is None:
             return
+        self._execute_batch(self._batch_requests(pre_prepare), pre_prepare.nondet, tentative)
+        self.env.record("batch-executed", seq=slot.seq, tentative=tentative)
+
+    def _batch_requests(self, pre_prepare: PrePrepare) -> List[Request]:
+        """The requests ``pre_prepare`` orders, inlined first, that this
+        replica holds."""
         requests = list(pre_prepare.requests)
         for request_digest in pre_prepare.separate_digests:
             request = self.log.request_by_digest(request_digest)
             if request is not None:
                 requests.append(request)
-        self._execute_batch(requests, pre_prepare.nondet, tentative)
-        self.env.record("batch-executed", seq=slot.seq, tentative=tentative)
+        return requests
 
     def _execute_batch(
         self, requests: List[Request], nondet: bytes, tentative: bool
@@ -721,6 +753,7 @@ class Replica:
         sign = self.auth.point_to_point_signer()
         result_digests = self._result_digest_memo
         undo = self._tentative_undo
+        awaited = self.awaited_requests
         view = self.view
         own_id = self.id
         reply_delta = 0
@@ -772,6 +805,9 @@ class Replica:
             elif previous is not None:
                 reply_delta -= _reply_entry_digest(client, previous)
             last_ts[client] = timestamp
+            held = awaited.get(client)
+            if held is not None and held.timestamp <= timestamp:
+                del awaited[client]
             result_digest = result_digests.get(result)
             if result_digest is None:
                 result_digest = digest(result)
@@ -955,7 +991,7 @@ class Replica:
     def _make_checkpoint_stable(self, seq: int) -> None:
         self.stable_checkpoint_seq = seq
         self.metrics.stable_checkpoints += 1
-        self.log.collect_garbage(seq)
+        self._collect_garbage(seq)
         for old_seq in [s for s in self.checkpoints if s < seq]:
             self.service.release_snapshot(self.checkpoints.pop(old_seq).service_snapshot)
         self.env.record("checkpoint-stable", seq=seq)
@@ -963,6 +999,16 @@ class Replica:
             self._try_send_pre_prepare()
         if self.recovery is not None:
             self.recovery.on_stable_checkpoint(seq)
+
+    def _collect_garbage(self, seq: int) -> None:
+        """Discard the log at or below the stable checkpoint ``seq``, and
+        the buffered pre-prepares with it."""
+        self.log.collect_garbage(seq)
+        self.pending_pre_prepares = {
+            key: message
+            for key, message in self.pending_pre_prepares.items()
+            if message.seq > seq
+        }
 
     def _request_state_transfer(self, seq: int, state_digest: bytes) -> None:
         if self.state_transfer is not None:
@@ -999,7 +1045,7 @@ class Replica:
         self.seqno = max(self.seqno, seq)
         self._record_checkpoint(seq, state_digest, last_reply_timestamp)
         self.stable_checkpoint_seq = seq
-        self.log.collect_garbage(seq)
+        self._collect_garbage(seq)
         self.env.record(
             "state-transfer-installed", seq=seq, pages=len(updates)
         )
@@ -1290,6 +1336,11 @@ class Replica:
         self.metrics.view_changes_completed += 1
         self.env.cancel_timer(VIEW_CHANGE_TIMER)
         self._view_change_timeout = self.config.view_change_timeout
+        self.pending_pre_prepares = {
+            key: pending
+            for key, pending in self.pending_pre_prepares.items()
+            if pending.view == self.view
+        }
 
         # Adopt the checkpoint selected by the view change if we are behind.
         if decision.checkpoint_seq > self.stable_checkpoint_seq:
@@ -1304,6 +1355,7 @@ class Replica:
             self.seqno = max(self.seqno, decision.max_seq())
 
         prepares_to_send: List[Prepare] = []
+        reproposed: List[PrePrepare] = []
         for seq in sorted(decision.selections):
             if seq <= self.last_executed:
                 continue
@@ -1311,6 +1363,7 @@ class Replica:
             batch = self._batch_for_selection(selection)
             if batch is None:
                 continue
+            reproposed.append(batch)
             new_pre_prepare = PrePrepare(
                 view=self.view,
                 seq=seq,
@@ -1334,13 +1387,39 @@ class Replica:
 
         self.env.record("new-view-entered", view=self.view)
 
-        # Requests queued while the view change was in progress.
         if self.is_primary:
+            self._refill_queue(reproposed)
             self._try_send_pre_prepare()
         for seq in sorted(decision.selections):
             slot = self.log.existing_slot(seq)
             if slot is not None:
                 self._check_prepared(slot)
+        # PRE-PREPAREs of this view that arrived ahead of the NEW-VIEW.
+        self._retry_pending_pre_prepares()
+
+    def _refill_queue(self, reproposed: List[PrePrepare]) -> None:
+        """A new primary queues what waits for a sequence number: the
+        requests left in its queue, then those it holds from their clients
+        (the requests whose wait made the backups change view), keeping
+        each that has not executed and that no re-proposed batch carries.
+        A request executed since it was queued is dropped: the backups may
+        have discarded its body with the batch that ordered it, and could
+        never accept a PRE-PREPARE naming it."""
+        carried = {
+            (request.client, request.timestamp)
+            for batch in reproposed
+            for request in self._batch_requests(batch)
+        }
+        executed = self.last_reply_timestamp
+        candidates = self.request_queue + list(self.awaited_requests.values())
+        self.request_queue = []
+        self._queued = {}
+        for request in candidates:
+            if (
+                request.timestamp > executed.get(request.client, 0)
+                and (request.client, request.timestamp) not in carried
+            ):
+                self._enqueue(request)
 
     def _batch_for_selection(self, selection: bytes) -> Optional[PrePrepare]:
         if selection == NULL_DIGEST:
