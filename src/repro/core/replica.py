@@ -1336,11 +1336,6 @@ class Replica:
         self.metrics.view_changes_completed += 1
         self.env.cancel_timer(VIEW_CHANGE_TIMER)
         self._view_change_timeout = self.config.view_change_timeout
-        self.pending_pre_prepares = {
-            key: pending
-            for key, pending in self.pending_pre_prepares.items()
-            if pending.view == self.view
-        }
 
         # Adopt the checkpoint selected by the view change if we are behind.
         if decision.checkpoint_seq > self.stable_checkpoint_seq:
@@ -1394,7 +1389,8 @@ class Replica:
             slot = self.log.existing_slot(seq)
             if slot is not None:
                 self._check_prepared(slot)
-        # PRE-PREPAREs of this view that arrived ahead of the NEW-VIEW.
+        # PRE-PREPAREs of this view that arrived ahead of the NEW-VIEW; the
+        # retry drops those of any other view.
         self._retry_pending_pre_prepares()
 
     def _refill_queue(self, reproposed: List[PrePrepare]) -> None:
