@@ -49,7 +49,7 @@ class UnreplicatedServer:
             return
         if not self.auth.verify(message):
             return
-        client = message.client
+        client = message.sender
         last = self.last_timestamp.get(client, 0)
         if message.timestamp < last:
             return
@@ -70,7 +70,6 @@ class UnreplicatedServer:
             view=0,
             timestamp=timestamp,
             client=client,
-            replica=SERVER_NAME,
             result=result,
             result_digest=digest(result),
             tentative=False,
@@ -116,7 +115,6 @@ class UnreplicatedClient:
         request = Request(
             operation=operation,
             timestamp=self.last_timestamp,
-            client=self.id,
             read_only=read_only,
             sender=self.id,
         )

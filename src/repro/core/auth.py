@@ -63,9 +63,9 @@ def _charge_nothing(micros: float) -> None:
 
 @dataclass
 class MACAuth:
-    """A single MAC tag attached to a point-to-point message."""
+    """A single MAC tag attached to a point-to-point message.  It names no
+    sender: the tag is checked under the key of the message's sender."""
 
-    sender: str
     receiver: str
     tag: bytes
 
@@ -158,16 +158,10 @@ class Authentication:
         retransmission paths must send the return value, not the original."""
         if message.auth is not None:
             message = copy.copy(message)
-        owner = self.owner
-        receivers, positions = self._receiver_set(receivers)
         signed = self._auth_digest(message)
         if self.mode is AuthMode.SIGNATURE:
-            self._charge(self.costs.signature_sign)
-            if self.real_crypto:
-                message.auth = self.keypair.sign(signed)
-            else:
-                message.auth = Signature(owner, self.keypair.public_key, b"")
-            return message
+            return self._sign(message, signed)
+        receivers, positions = self._receiver_set(receivers)
         self._charge(self._mac_cost * len(receivers))
         vector = b""
         if self.real_crypto:
@@ -182,7 +176,7 @@ class Authentication:
                     tuple(r for r in receivers if r in outbound)
                 )
             vector = b"".join([compute_mac(outbound[r], signed) for r in receivers])
-        message.auth = Authenticator(owner, vector, positions)
+        message.auth = Authenticator(vector, positions)
         return message
 
     def sign_with_private_key(self, message: Message) -> Message:
@@ -190,13 +184,7 @@ class Authentication:
         authentication mode.  Used for new-key messages and recovery
         requests (Sections 4.3.1 and 5.5), which must stay verifiable even
         when session keys are stale."""
-        signed = self._auth_digest(message)
-        self._charge(self.costs.signature_sign)
-        if self.real_crypto:
-            message.auth = self.keypair.sign(signed)
-        else:
-            message.auth = Signature(self.owner, self.keypair.public_key, b"")
-        return message
+        return self._sign(message, self._auth_digest(message))
 
     def sign_point_to_point(self, message: Message, receiver: str) -> Message:
         """Attach a single MAC (or a signature in PK mode).  Like
@@ -205,18 +193,22 @@ class Authentication:
             message = copy.copy(message)
         signed = self._auth_digest(message)
         if self.mode is AuthMode.SIGNATURE:
-            self._charge(self.costs.signature_sign)
-            if self.real_crypto:
-                message.auth = self.keypair.sign(signed)
-            else:
-                message.auth = Signature(self.owner, self.keypair.public_key, b"")
-            return message
+            return self._sign(message, signed)
         self._charge(self._mac_cost)
         key = self.keys.outbound.get(receiver) if self.real_crypto else None
-        if key is not None:
-            message.auth = MACAuth(self.owner, receiver, compute_mac(key, signed))
+        message.auth = MACAuth(receiver, b"" if key is None else compute_mac(key, signed))
+        return message
+
+    def _sign(self, message: Message, signed: bytes) -> Message:
+        """Charge a signature over ``signed`` (the message digest) and
+        attach it: made with this node's key pair, or, with ``real_crypto``
+        off, an empty tag under its public key."""
+        self._charge(self.costs.signature_sign)
+        keypair = self.keypair
+        if self.real_crypto:
+            message.auth = keypair.sign(signed)
         else:
-            message.auth = MACAuth(self.owner, receiver, b"")
+            message.auth = Signature(keypair.public_key, b"")
         return message
 
     def point_to_point_signer(self) -> Callable[[Message, str], Message]:
@@ -238,7 +230,6 @@ class Authentication:
         mac_cost = self._mac_cost
         charge = self._charge
         outbound = self.keys.outbound
-        owner = self.owner
         real_crypto = self.real_crypto
 
         def signer(message: Message, receiver: str) -> Message:
@@ -247,10 +238,7 @@ class Authentication:
             signed = message.payload_digest()
             charge(mac_cost)
             key = outbound.get(receiver) if real_crypto else None
-            if key is not None:
-                message.auth = MACAuth(owner, receiver, compute_mac(key, signed))
-            else:
-                message.auth = MACAuth(owner, receiver, b"")
+            message.auth = MACAuth(receiver, b"" if key is None else compute_mac(key, signed))
             return message
 
         return signer
@@ -270,11 +258,16 @@ class Authentication:
             charge(self.costs.signature_verify)
 
     def verify(self, message: Message) -> bool:
-        """Verify an incoming message's authentication metadata.
+        """Verify an incoming message as coming from its ``sender``.
 
-        Unauthenticated messages are rejected, matching the DoS defence of
+        The sender names the key: a MAC or this node's authenticator entry
+        is checked under the session key the sender shares with this node,
+        and a signature counts only when the registry says its public key
+        is the sender's.  A message that speaks for anyone else fails, and
+        so does one without authentication, matching the DoS defence of
         Section 5.5 (replicas only accept messages authenticated by a known
-        principal).
+        principal).  With ``real_crypto`` off no tag is computed or
+        checked, so nothing binds a MAC to its sender.
         """
         auth = message.auth
         self.charge_verify(message)
@@ -286,7 +279,7 @@ class Authentication:
             owner = self.owner
             if not self.real_crypto:
                 return owner not in auth.corrupt_for
-            key = self.keys.inbound.get(auth.sender)
+            key = self.keys.inbound.get(message.sender)
             entry = auth.entry(owner)
             if key is None or entry is None or owner in auth.corrupt_for:
                 return False
@@ -294,26 +287,16 @@ class Authentication:
         if kind is MACAuth:
             if not self.real_crypto:
                 return True
-            key = self.keys.inbound.get(auth.sender)
+            key = self.keys.inbound.get(message.sender)
             if key is None:
                 return False
             return compare_digest(compute_mac(key, signed), auth.tag)
         if kind is Signature:
-            if not self.real_crypto:
-                return True
-            return self.registry.verify(signed, auth)
+            registry = self.registry
+            if registry.owner_of(auth.public_key) != message.sender:
+                return False
+            return not self.real_crypto or registry.verify(signed, auth)
         return False
-
-    def principal(self, message: Message) -> Optional[str]:
-        """The node whose key authenticates ``message``, once :meth:`verify`
-        accepted it: the sender named by a MAC or an authenticator (its key
-        is the one the tag was checked under), or the owner of a signature's
-        public key when the signature names that owner; ``None`` otherwise."""
-        auth = message.auth
-        if type(auth) is Signature:
-            owner = self.registry.owner_of(auth.public_key)
-            return owner if owner == auth.signer else None
-        return getattr(auth, "sender", None)
 
 
 def build_session_keys(owner: str, peers: Iterable[str]) -> SessionKeyTable:

@@ -110,7 +110,6 @@ class Client:
         request = Request(
             operation=operation,
             timestamp=timestamp,
-            client=self.id,
             read_only=read_only and self.options.read_only_optimization,
             designated_replier=self._pick_designated_replier(),
             sender=self.id,
@@ -169,18 +168,10 @@ class Client:
     def receive(self, message: Message) -> None:
         if not isinstance(message, Reply):
             return
-        if not self.auth.verify(message):
-            return
         # A reply counts for the replica that authenticated it and for no
         # other, so one faulty replica cannot supply a whole certificate.
-        principal = self.auth.principal(message)
-        if (
-            principal not in self.config.replica_indexes
-            or principal != message.sender
-            or principal != message.replica
-        ):
-            self.env.record("reply-rejected", replica=message.replica,
-                            principal=principal)
+        if not self.auth.verify(message) or message.sender not in self.config.replica_indexes:
+            self.env.record("reply-rejected", replica=message.sender)
             return
         self.handle_reply(message)
 
@@ -194,7 +185,7 @@ class Client:
         self.view = max(self.view, reply.view)
 
         pending.votes.add(
-            self.config.replica_indexes[reply.replica],
+            self.config.replica_indexes[reply.sender],
             (reply.result_digest, reply.tentative),
         )
         if reply.result is not None:
@@ -275,7 +266,6 @@ class Client:
             pending.request = Request(
                 operation=pending.request.operation,
                 timestamp=pending.request.timestamp,
-                client=self.id,
                 read_only=False,
                 designated_replier=None,
                 sender=self.id,
@@ -290,7 +280,6 @@ class Client:
             pending.request = Request(
                 operation=pending.request.operation,
                 timestamp=pending.request.timestamp,
-                client=self.id,
                 read_only=False,
                 designated_replier=None,
                 sender=self.id,

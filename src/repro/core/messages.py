@@ -124,9 +124,12 @@ def _append_one(out: bytearray, value: Any) -> None:
 class Message:
     """Base class for protocol messages.
 
-    ``sender`` is the node that produced the message; ``auth`` holds the
-    authentication metadata (set by :class:`repro.core.auth.Authentication`)
-    and is not part of the canonical payload.
+    ``sender`` is the node that produced the message and the one identity
+    it speaks for: the ``i`` of ``<..., i>`` (a request's client, a vote's
+    replica).  Verification picks the key by it (Section 3.2.1), so no
+    other field names the speaker.  ``auth`` holds the authentication
+    metadata (set by :class:`repro.core.auth.Authentication`) and is not
+    part of the canonical payload.
     """
 
     sender: str = field(default="", kw_only=True)
@@ -181,17 +184,16 @@ class Message:
 class Request(Message):
     """A client request (REQUEST, o, t, c).
 
-    ``operation`` is the opaque operation encoding handed to the service's
-    ``execute`` upcall; ``timestamp`` orders the client's requests and
-    provides exactly-once semantics; ``read_only`` marks requests eligible
-    for the read-only optimization; ``designated_replier`` selects the
-    replica that returns the full result under the digest-replies
-    optimization.
+    The client ``c`` is the sender.  ``operation`` is the opaque operation
+    encoding handed to the service's ``execute`` upcall; ``timestamp``
+    orders the client's requests and provides exactly-once semantics;
+    ``read_only`` marks requests eligible for the read-only optimization;
+    ``designated_replier`` selects the replica that returns the full result
+    under the digest-replies optimization.
     """
 
     operation: bytes = b""
     timestamp: int = 0
-    client: str = ""
     read_only: bool = False
     designated_replier: Optional[str] = None
     #: True for the special null request used to fill gaps in view changes.
@@ -201,7 +203,7 @@ class Request(Message):
         return (
             self.operation,
             self.timestamp,
-            self.client,
+            self.sender,
             self.read_only,
             self.is_null,
         )
@@ -212,9 +214,16 @@ class Request(Message):
             return NULL_DIGEST
         cached = self.__dict__.get("_request_digest_cache")
         if cached is None:
-            cached = digest(pack(self.client, self.timestamp, self.operation))
+            cached = digest(pack(self.sender, self.timestamp, self.operation))
             self.__dict__["_request_digest_cache"] = cached
         return cached
+
+    @property
+    def client(self) -> str:
+        """The client that issued the request: its sender (read by span
+        tagging in ``perf/trace.py``, which names a request by client and
+        timestamp as it does a reply)."""
+        return self.sender
 
     def body_size(self) -> int:
         return REQUEST_HEADER_SIZE + len(self.operation)
@@ -222,13 +231,13 @@ class Request(Message):
     @staticmethod
     def null_request() -> "Request":
         """The null request: goes through the protocol but executes as a no-op."""
-        return Request(operation=b"", timestamp=0, client="", is_null=True,
-                       sender="")
+        return Request(operation=b"", timestamp=0, is_null=True, sender="")
 
 
 @dataclass
 class Reply(Message):
-    """A reply (REPLY, v, t, c, i, r) from replica ``i`` to client ``c``.
+    """A reply (REPLY, v, t, c, i, r) from replica ``i``, the sender, to
+    client ``c``.
 
     Under the digest-replies optimization only the designated replier sets
     ``result``; other replicas send only ``result_digest``.  ``tentative``
@@ -240,7 +249,6 @@ class Reply(Message):
     view: int = 0
     timestamp: int = 0
     client: str = ""
-    replica: str = ""
     result: Optional[bytes] = None
     result_digest: bytes = b""
     tentative: bool = False
@@ -250,7 +258,7 @@ class Reply(Message):
             self.view,
             self.timestamp,
             self.client,
-            self.replica,
+            self.sender,
             self.result_digest,
             self.tentative,
         )
@@ -333,10 +341,9 @@ class Prepare(Message):
     view: int = 0
     seq: int = 0
     digest: bytes = b""
-    replica: str = ""
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.view, self.seq, self.digest, self.replica)
+        return (self.view, self.seq, self.digest, self.sender)
 
     def body_size(self) -> int:
         return PREPARE_HEADER_SIZE
@@ -349,10 +356,9 @@ class Commit(Message):
     view: int = 0
     seq: int = 0
     digest: bytes = b""
-    replica: str = ""
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.view, self.seq, self.digest, self.replica)
+        return (self.view, self.seq, self.digest, self.sender)
 
     def body_size(self) -> int:
         return COMMIT_HEADER_SIZE
@@ -365,10 +371,9 @@ class Checkpoint(Message):
 
     seq: int = 0
     state_digest: bytes = b""
-    replica: str = ""
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.seq, self.state_digest, self.replica)
+        return (self.seq, self.state_digest, self.sender)
 
     def body_size(self) -> int:
         return CHECKPOINT_HEADER_SIZE
@@ -418,7 +423,6 @@ class ViewChange(Message):
     checkpoints: Tuple[Tuple[int, bytes], ...] = ()
     prepared: Tuple[PSetEntry, ...] = ()
     pre_prepared: Tuple[QSetEntry, ...] = ()
-    replica: str = ""
 
     def payload_fields(self) -> Tuple[Any, ...]:
         return (
@@ -427,7 +431,7 @@ class ViewChange(Message):
             tuple((seq, dig) for seq, dig in self.checkpoints),
             tuple((e.seq, e.digest, e.view) for e in self.prepared),
             tuple((e.seq, tuple(e.digests)) for e in self.pre_prepared),
-            self.replica,
+            self.sender,
         )
 
     def prepared_for(self, seq: int) -> Optional[PSetEntry]:
@@ -454,16 +458,15 @@ class ViewChange(Message):
 @dataclass
 class ViewChangeAck(Message):
     """An acknowledgement (VIEW-CHANGE-ACK, v, i, j, d) sent to the new
-    primary: replica ``i`` vouches that replica ``j`` sent the view-change
-    message with digest ``d``."""
+    primary: replica ``i``, the sender, vouches that replica ``j``
+    (``origin``) sent the view-change message with digest ``d``."""
 
     new_view: int = 0
-    replica: str = ""
     origin: str = ""
     view_change_digest: bytes = b""
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.new_view, self.replica, self.origin, self.view_change_digest)
+        return (self.new_view, self.sender, self.origin, self.view_change_digest)
 
     def body_size(self) -> int:
         return 48
@@ -523,7 +526,6 @@ class StatusActive(Message):
     view: int = 0
     last_stable: int = 0
     last_executed: int = 0
-    replica: str = ""
     #: Sequence numbers (above last_executed) already prepared at the sender.
     prepared_seqs: Tuple[int, ...] = ()
     #: Sequence numbers already committed at the sender.
@@ -534,7 +536,7 @@ class StatusActive(Message):
             self.view,
             self.last_stable,
             self.last_executed,
-            self.replica,
+            self.sender,
             tuple(self.prepared_seqs),
             tuple(self.committed_seqs),
         )
@@ -550,7 +552,6 @@ class StatusPending(Message):
     view: int = 0
     last_stable: int = 0
     last_executed: int = 0
-    replica: str = ""
     has_new_view: bool = False
     #: Replicas whose view-change messages for ``view`` the sender holds.
     view_changes_from: Tuple[str, ...] = ()
@@ -560,7 +561,7 @@ class StatusPending(Message):
             self.view,
             self.last_stable,
             self.last_executed,
-            self.replica,
+            self.sender,
             self.has_new_view,
             tuple(self.view_changes_from),
         )
@@ -580,12 +581,11 @@ class NewKey(Message):
     sender, signed by its secure co-processor.  ``keys`` maps each peer to an
     opaque key token (the simulation does not need the encryption layer)."""
 
-    replica: str = ""
     keys: Tuple[Tuple[str, bytes], ...] = ()
     counter: int = 0
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.replica, tuple(self.keys), self.counter)
+        return (self.sender, tuple(self.keys), self.counter)
 
     def body_size(self) -> int:
         return 16 + 40 * len(self.keys)
@@ -595,11 +595,10 @@ class NewKey(Message):
 class QueryStable(Message):
     """Recovery estimation query (QUERY-STABLE, i) — Section 4.3.2."""
 
-    replica: str = ""
     nonce: int = 0
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.replica, self.nonce)
+        return (self.sender, self.nonce)
 
     def body_size(self) -> int:
         return 24
@@ -613,11 +612,10 @@ class ReplyStable(Message):
 
     last_checkpoint: int = 0
     last_prepared: int = 0
-    replica: str = ""
     nonce: int = 0
 
     def payload_fields(self) -> Tuple[Any, ...]:
-        return (self.last_checkpoint, self.last_prepared, self.replica, self.nonce)
+        return (self.last_checkpoint, self.last_prepared, self.sender, self.nonce)
 
     def body_size(self) -> int:
         return 32
@@ -644,7 +642,6 @@ class Fetch(Message):
     last_checkpoint: int = -1
     target_seq: int = -1
     designated_replier: Optional[str] = None
-    replica: str = ""
 
     def payload_fields(self) -> Tuple[Any, ...]:
         return (
@@ -653,7 +650,7 @@ class Fetch(Message):
             self.last_checkpoint,
             self.target_seq,
             self.designated_replier or "",
-            self.replica,
+            self.sender,
             # Once the protocol flag; kept so the digested payload bytes
             # (and the modeled per-byte digest cost) stay unchanged.
             True,
@@ -681,7 +678,6 @@ class MetaData(Message):
     index: int = 0
     #: (sub-partition index, last-modified seq, digest) triples.
     entries: Tuple[Tuple[int, int, bytes], ...] = ()
-    replica: str = ""
     #: Sorted (client, timestamp) pairs of the checkpoint's reply table;
     #: only populated on level-0 replies.
     reply_timestamps: Tuple[Tuple[str, int], ...] = ()
@@ -692,7 +688,7 @@ class MetaData(Message):
             self.level,
             self.index,
             tuple(self.entries),
-            self.replica,
+            self.sender,
             tuple(self.reply_timestamps),
         )
 

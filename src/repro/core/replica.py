@@ -20,7 +20,6 @@ it interacts with the world only through an :class:`repro.core.env.Env`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -73,13 +72,6 @@ STATUS_TIMER = "status"
 #: small set of distinct results (``OK``, ``MISSING``, read values), so
 #: the memo collapses one digest computation per reply to a dict hit.
 _RESULT_DIGEST_MEMO_LIMIT = 2048
-
-
-class ReplicaStatus(enum.Enum):
-    """Whether the replica's current view is active or a change is pending."""
-
-    NORMAL = "normal"
-    VIEW_CHANGE = "view-change"
 
 
 @dataclass
@@ -177,7 +169,6 @@ class Replica:
         self._replica_indexes = config.replica_indexes
         self._index = config.replica_index(replica_id)
         self.view = 0
-        self.status = ReplicaStatus.NORMAL
         self.active_view = True
         self.seqno = 0
         self.last_executed = 0
@@ -293,9 +284,9 @@ class Replica:
         """Entry point for every protocol message delivered to this replica.
 
         Replies never reach replicas; everything else must carry valid
-        authentication from a known principal (Section 5.5) and name that
-        principal as its sender and as the identity it speaks for.  Types
-        without a handler are dropped.
+        authentication from the known principal it names as its sender
+        (Section 5.5), the one identity it speaks for.  Types without a
+        handler are dropped.
 
         A PREPARE for a slot already prepared in its view, or a COMMIT for
         one already committed, can change nothing: the certificate it would
@@ -316,13 +307,6 @@ class Replica:
                 self.auth.charge_verify(message)
                 return
         if message.auth is None or not self.auth.verify(message):
-            self.metrics.messages_rejected += 1
-            return
-        # A message speaks only for the principal that authenticated it: its
-        # sender and the identity it claims (a request's client, else the
-        # type's replica field) must both be that principal.
-        claimed = message.client if kind is Request else getattr(message, "replica", message.sender)
-        if not self.auth.principal(message) == message.sender == claimed:
             self.metrics.messages_rejected += 1
             return
         handler = self._handlers.get(kind)
@@ -378,7 +362,7 @@ class Replica:
     # Client requests
     # =====================================================================
     def handle_request(self, request: Request) -> None:
-        client = request.client
+        client = request.sender
         last_timestamp = self.last_reply_timestamp.get(client, 0)
         if request.timestamp < last_timestamp:
             return
@@ -421,7 +405,7 @@ class Replica:
                 self._try_send_pre_prepare()
             return
         result = self.service.execute(
-            request.operation, request.client, read_only=True
+            request.operation, request.sender, read_only=True
         )
         self.env.charge(
             self.params.execution_cost(len(request.operation), len(result))
@@ -436,9 +420,9 @@ class Replica:
     def _enqueue(self, request: Request) -> None:
         """Queue ``request`` for a sequence number, unless it is a
         retransmission of a request already queued."""
-        if self._queued.get(request.client) == request.timestamp:
+        if self._queued.get(request.sender) == request.timestamp:
             return
-        self._queued[request.client] = request.timestamp
+        self._queued[request.sender] = request.timestamp
         self.request_queue.append(request)
 
     def _try_send_pre_prepare(self) -> None:
@@ -453,8 +437,8 @@ class Replica:
             batch = self.request_queue[: self._max_batch]
             del self.request_queue[: len(batch)]
             for request in batch:
-                if queued.get(request.client) == request.timestamp:
-                    del queued[request.client]
+                if queued.get(request.sender) == request.timestamp:
+                    del queued[request.sender]
             self.seqno += 1
             self._send_pre_prepare(self.seqno, batch)
 
@@ -554,12 +538,12 @@ class Replica:
     # Prepare / commit
     # =====================================================================
     def handle_prepare(self, message: Prepare) -> None:
-        if message.replica == self.config.primary_of(message.view):
+        if message.sender == self.config.primary_of(message.view):
             # The primary never sends prepares; ignore forgeries.
             return
         if message.view != self.view or not self.log.in_window(message.seq):
             return
-        voter = self._replica_indexes.get(message.replica)
+        voter = self._replica_indexes.get(message.sender)
         if voter is None:
             return
         slot = self.log.slot(message.seq, self.view)
@@ -601,7 +585,7 @@ class Replica:
     def handle_commit(self, message: Commit) -> None:
         if message.view != self.view or not self.log.in_window(message.seq):
             return
-        voter = self._replica_indexes.get(message.replica)
+        voter = self._replica_indexes.get(message.sender)
         if voter is None:
             return
         slot = self.log.slot(message.seq, self.view)
@@ -723,7 +707,7 @@ class Replica:
         for request in requests:
             if request.is_null:
                 continue
-            client = request.client
+            client = request.sender
             timestamp = request.timestamp
             previous = batch_ts.get(client)
             if previous is None:
@@ -791,7 +775,7 @@ class Replica:
                 + exec_per_byte * (len(request.operation) + len(result))
             )
             executed += 1
-            client = request.client
+            client = request.sender
             timestamp = request.timestamp
             previous = last_ts.get(client)
             record = last_reply.get(client)
@@ -829,7 +813,6 @@ class Replica:
                 view=view,
                 timestamp=timestamp,
                 client=client,
-                replica=own_id,
                 result=None if stripped else result,
                 result_digest=result_digest,
                 tentative=tentative,
@@ -867,8 +850,7 @@ class Replica:
         return Reply(
             view=self.view,
             timestamp=request.timestamp,
-            client=request.client,
-            replica=self.id,
+            client=request.sender,
             result=result,
             result_digest=digest(result),
             tentative=tentative,
@@ -882,7 +864,6 @@ class Replica:
             view=record.view,
             timestamp=self.last_reply_timestamp[client],
             client=client,
-            replica=self.id,
             result=record.result,
             result_digest=record.result_digest,
             tentative=record.tentative,
@@ -917,9 +898,7 @@ class Replica:
         state_digest = self._state_digest()
         self._record_checkpoint(seq, state_digest, self.last_reply_timestamp)
         self.metrics.checkpoints_taken += 1
-        message = Checkpoint(
-            seq=seq, state_digest=state_digest, replica=self.id, sender=self.id
-        )
+        message = Checkpoint(seq=seq, state_digest=state_digest, sender=self.id)
         self._count_checkpoint(message)
         self.auth.sign_multicast(message, self.others())
         self.env.broadcast(self.others(), message)
@@ -942,7 +921,7 @@ class Replica:
     def _count_checkpoint(self, message: Checkpoint) -> None:
         """One vote per replica and sequence number: a CHECKPOINT naming a
         new digest replaces the replica's earlier one."""
-        voter = self._replica_indexes.get(message.replica)
+        voter = self._replica_indexes.get(message.sender)
         if voter is None:
             return
         votes = self.log.checkpoint_votes(message.seq)
@@ -1080,23 +1059,18 @@ class Replica:
 
     def _on_view_change_timeout(self) -> None:
         if not self.active_view:
-            # Waiting for a new-view that never came: move to the next view
-            # and double the timeout (Section 2.3.5, liveness).
+            # Waiting for a new-view that never came: double the timeout
+            # before moving to the next view (Section 2.3.5, liveness).
             self._view_change_timeout *= 2
-            self.start_view_change(self.view + 1)
-        else:
-            self.start_view_change(self.view + 1)
+        self.start_view_change(self.view + 1)
 
     def start_view_change(self, target_view: int) -> None:
         """Move to ``target_view`` and broadcast a view-change message."""
-        if target_view <= self.view and not self.active_view:
-            return
         if target_view <= self.view:
             return
         self._abort_tentative_execution()
         self.view = target_view
         self.active_view = False
-        self.status = ReplicaStatus.VIEW_CHANGE
         self.metrics.view_changes_started += 1
 
         pset, qset = compute_view_change_sets(self.log, self.pset, self.qset)
@@ -1111,7 +1085,6 @@ class Replica:
             checkpoints=own_checkpoints,
             prepared=tuple(pset.values()),
             pre_prepared=tuple(qset.values()),
-            replica=self.id,
             sender=self.id,
         )
         state = self._view_change_state(target_view)
@@ -1190,20 +1163,19 @@ class Replica:
         if not state.record_view_change(message):
             return
         self.env.record("view-change-received", view=message.new_view,
-                        origin=message.replica)
+                        origin=message.sender)
 
         new_primary = self.config.primary_of(message.new_view)
         if new_primary == self.id:
             # As the new primary we accept our own and others' messages once
             # acknowledged; record and re-evaluate.
-            self._maybe_accept_view_change(state, message.replica)
+            self._maybe_accept_view_change(state, message.sender)
             self._maybe_send_new_view(message.new_view)
         else:
-            if message.replica != self.id:
+            if message.sender != self.id:
                 ack = ViewChangeAck(
                     new_view=message.new_view,
-                    replica=self.id,
-                    origin=message.replica,
+                    origin=message.sender,
                     view_change_digest=message.payload_digest(),
                     sender=self.id,
                 )
@@ -1231,7 +1203,7 @@ class Replica:
     def handle_view_change_ack(self, message: ViewChangeAck) -> None:
         if self.config.primary_of(message.new_view) != self.id:
             return
-        acker = self._replica_indexes.get(message.replica)
+        acker = self._replica_indexes.get(message.sender)
         if acker is None:
             return
         state = self._view_change_state(message.new_view)
@@ -1320,7 +1292,6 @@ class Replica:
         decision = compute_decision(selected, self.config, self.log.has_batch)
         if decision is None:
             return
-        self.view = message.new_view
         self._enter_new_view(message, decision, send_prepares=True)
 
     def _enter_new_view(
@@ -1332,7 +1303,6 @@ class Replica:
         self._abort_tentative_execution()
         self.view = message.new_view
         self.active_view = True
-        self.status = ReplicaStatus.NORMAL
         self.metrics.view_changes_completed += 1
         self.env.cancel_timer(VIEW_CHANGE_TIMER)
         self._view_change_timeout = self.config.view_change_timeout
@@ -1402,7 +1372,7 @@ class Replica:
         have discarded its body with the batch that ordered it, and could
         never accept a PRE-PREPARE naming it."""
         carried = {
-            (request.client, request.timestamp)
+            (request.sender, request.timestamp)
             for batch in reproposed
             for request in self._batch_requests(batch)
         }
@@ -1412,8 +1382,8 @@ class Replica:
         self._queued = {}
         for request in candidates:
             if (
-                request.timestamp > executed.get(request.client, 0)
-                and (request.client, request.timestamp) not in carried
+                request.timestamp > executed.get(request.sender, 0)
+                and (request.sender, request.timestamp) not in carried
             ):
                 self._enqueue(request)
 
@@ -1442,7 +1412,6 @@ class Replica:
                 view=self.view,
                 last_stable=self.stable_checkpoint_seq,
                 last_executed=self.last_executed,
-                replica=self.id,
                 prepared_seqs=self.log.prepared_seqs(),
                 committed_seqs=self.log.committed_seqs(),
                 sender=self.id,
@@ -1453,7 +1422,6 @@ class Replica:
                 view=self.view,
                 last_stable=self.stable_checkpoint_seq,
                 last_executed=self.last_executed,
-                replica=self.id,
                 has_new_view=state.new_view is not None,
                 view_changes_from=tuple(sorted(state.view_changes)),
                 sender=self.id,
@@ -1472,7 +1440,6 @@ class Replica:
         checkpoint = Checkpoint(
             seq=self.stable_checkpoint_seq,
             state_digest=own.state_digest,
-            replica=self.id,
             sender=self.id,
         )
         self.auth.sign_point_to_point(checkpoint, peer)
@@ -1481,7 +1448,7 @@ class Replica:
     def handle_status_active(self, message: StatusActive) -> None:
         if message.view != self.view or not self.active_view:
             return
-        peer = message.replica
+        peer = message.sender
         # Retransmit what the peer is missing and we have, using unicast
         # (receiver-based recovery, Section 5.2).
         if message.last_stable < self.stable_checkpoint_seq:
@@ -1529,11 +1496,10 @@ class Replica:
 
     def _own_vote(self, kind: type, slot: Slot) -> Message:
         """This replica's PREPARE or COMMIT for ``slot``'s batch."""
-        return kind(view=slot.view, seq=slot.seq, digest=slot.digest(),
-                    replica=self.id, sender=self.id)
+        return kind(view=slot.view, seq=slot.seq, digest=slot.digest(), sender=self.id)
 
     def handle_status_pending(self, message: StatusPending) -> None:
-        peer = message.replica
+        peer = message.sender
         # A peer stuck in a view change the group never joined may have
         # state transfer as its only way forward, and it can only fetch a
         # checkpoint it holds a certificate for — so retransmit our stable

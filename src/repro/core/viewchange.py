@@ -323,9 +323,9 @@ class ViewChangeState:
     new_view_sent: bool = False
 
     def record_view_change(self, message: ViewChange) -> bool:
-        if message.replica in self.view_changes:
+        if message.sender in self.view_changes:
             return False
-        self.view_changes[message.replica] = message
+        self.view_changes[message.sender] = message
         return True
 
     def by_digest(self) -> Dict[bytes, ViewChange]:

@@ -40,7 +40,8 @@ def positions_of(receivers: Iterable[str]) -> Mapping[str, int]:
 class Authenticator:
     """A vector of MAC entries, one per receiver in ``positions``.
 
-    ``vector`` is empty when the entries were never computed (simulations
+    It names no sender: the receiver checks its entry under the key it
+    shares with the node the message says sent it.  ``vector`` is empty when the entries were never computed (simulations
     with ``real_crypto`` off); the size on the wire is that of the full
     vector either way.  ``corrupt_for`` lists receivers whose entries were
     deliberately corrupted — used by the fault injector to model faulty
@@ -48,7 +49,6 @@ class Authenticator:
     (Section 3.2.2).
     """
 
-    sender: str
     vector: bytes = b""
     positions: Mapping[str, int] = field(default_factory=dict)
     corrupt_for: frozenset = frozenset()
@@ -67,7 +67,7 @@ class Authenticator:
         """The sub-vector for ``positions`` (a table over receivers this
         vector has entries for).  Entries are sliced out, never recomputed."""
         entries = [self.entry(receiver) for receiver in positions] if self.vector else ()
-        return Authenticator(self.sender, b"".join(entries), positions, self.corrupt_for)
+        return Authenticator(b"".join(entries), positions, self.corrupt_for)
 
     def verify_entry(self, receiver: str, key: MACKey, data: bytes) -> bool:
         """Check the entry for ``receiver``; missing or corrupted entries fail."""
@@ -80,11 +80,10 @@ class Authenticator:
 
 
 def make_authenticator(
-    sender: str,
     keys: Mapping[str, MACKey],
     data: bytes,
     corrupt_for: Iterable[str] = (),
 ) -> Authenticator:
     """Build an authenticator over ``data`` for every receiver in ``keys``."""
     vector = b"".join([compute_mac(key, data) for key in keys.values()])
-    return Authenticator(sender, vector, positions_of(keys), frozenset(corrupt_for))
+    return Authenticator(vector, positions_of(keys), frozenset(corrupt_for))

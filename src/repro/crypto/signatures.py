@@ -36,14 +36,14 @@ class KeyPair:
 
     def sign(self, data: bytes) -> "Signature":
         tag = hmac.new(self._secret, data, hashlib.sha256).digest()
-        return Signature(signer=self.owner, public_key=self.public_key, tag=tag)
+        return Signature(public_key=self.public_key, tag=tag)
 
 
 @dataclass(frozen=True)
 class Signature:
-    """A signature over some message bytes."""
+    """A signature over some message bytes.  It names no signer: the
+    registry knows who owns ``public_key`` (``SignatureRegistry.owner_of``)."""
 
-    signer: str
     public_key: str
     tag: bytes
 

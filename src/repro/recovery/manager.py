@@ -115,9 +115,7 @@ class RecoveryManager:
         # Phase 3: estimation protocol.
         self._stable_replies = {}
         self._estimation_nonce += 1
-        query = QueryStable(
-            replica=replica.id, nonce=self._estimation_nonce, sender=replica.id
-        )
+        query = QueryStable(nonce=self._estimation_nonce, sender=replica.id)
         # Like new-key messages, the estimation exchange is signed so it
         # remains verifiable while session keys are being replaced.
         replica.auth.sign_with_private_key(query)
@@ -137,7 +135,6 @@ class RecoveryManager:
         )
         self.key_epochs_distributed += 1
         message = NewKey(
-            replica=replica.id,
             keys=tuple((peer, key.material) for peer, key in sorted(fresh.items())),
             counter=replica.auth.keys.epoch,
             sender=replica.id,
@@ -163,12 +160,11 @@ class RecoveryManager:
         reply = ReplyStable(
             last_checkpoint=replica.stable_checkpoint_seq,
             last_prepared=max(prepared) if prepared else replica.stable_checkpoint_seq,
-            replica=replica.id,
             nonce=message.nonce,
             sender=replica.id,
         )
         replica.auth.sign_with_private_key(reply)
-        replica.env.send(message.replica, reply)
+        replica.env.send(message.sender, reply)
 
     def _handle_new_key(self, message: NewKey) -> None:
         replica = self.replica
@@ -176,13 +172,13 @@ class RecoveryManager:
         for peer, material in message.keys:
             if peer == replica.id:
                 replica.auth.keys.accept_new_key(
-                    message.replica, MACKey(key_id=message.counter, material=material)
+                    message.sender, MACKey(key_id=message.counter, material=material)
                 )
 
     def _handle_reply_stable(self, message: ReplyStable) -> None:
         if not self.recovering or message.nonce != self._estimation_nonce:
             return
-        self._stable_replies[message.replica] = message
+        self._stable_replies[message.sender] = message
         self._try_finish_estimation()
 
     def _try_finish_estimation(self) -> None:

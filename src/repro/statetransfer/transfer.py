@@ -239,7 +239,6 @@ class StateTransferManager:
             index=0,
             last_checkpoint=replica.stable_checkpoint_seq,
             target_seq=self.target_seq,
-            replica=replica.id,
             sender=replica.id,
         )
         self.metrics.fetch_messages += 1
@@ -265,7 +264,6 @@ class StateTransferManager:
             last_checkpoint=replica.stable_checkpoint_seq,
             target_seq=self.target_seq,
             designated_replier=target,
-            replica=replica.id,
             sender=replica.id,
         )
         self.metrics.fetch_messages += 1
@@ -345,8 +343,8 @@ class StateTransferManager:
             reply = self.build_metadata(seq, message.level, message.index)
         if reply is None:
             return
-        replica.auth.sign_point_to_point(reply, message.replica)
-        replica.env.send(message.replica, reply)
+        replica.auth.sign_point_to_point(reply, message.sender)
+        replica.env.send(message.sender, reply)
 
     def _level_sums(self, seq: int) -> Optional[Dict[int, Dict[int, int]]]:
         """The partition digest sums below the root of the checkpoint at
@@ -403,7 +401,6 @@ class StateTransferManager:
             level=level,
             index=index,
             entries=entries,
-            replica=replica.id,
             sender=replica.id,
             reply_timestamps=reply_timestamps,
         )

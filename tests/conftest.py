@@ -29,7 +29,7 @@ def registry() -> SignatureRegistry:
 
 def authed(message):
     """Attach a (structurally valid) authenticator so receive() accepts it."""
-    message.auth = Authenticator(sender=message.sender)
+    message.auth = Authenticator()
     return message
 
 

@@ -30,12 +30,12 @@ from tests.conftest import authed, make_replica
 
 def batch(value: bytes, seq: int = 1) -> PrePrepare:
     request = authed(Request(operation=b"SET k " + value, timestamp=1,
-                             client="client0", sender="client0"))
+                             sender="client0"))
     return PrePrepare(view=0, seq=seq, requests=(request,), sender="replica0")
 
 
 def vote(kind, digest: bytes, replica: str, seq: int = 1):
-    return authed(kind(view=0, seq=seq, digest=digest, replica=replica, sender=replica))
+    return authed(kind(view=0, seq=seq, digest=digest, sender=replica))
 
 
 def test_votes_for_another_batch_do_not_certify_this_one(replica_and_env):
@@ -171,7 +171,7 @@ def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_
     own_commit = env.messages_of_type(Commit)[0]
     multicast_auths = (own_prepare.auth, own_commit.auth)
     env.clear()
-    replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3")))
+    replica.receive(authed(StatusActive(view=0, sender="replica3")))
     resent = env.messages_to("replica3")
     assert [type(m) for m in resent] == [Prepare, Commit]
     for copy, original in zip(resent, (own_prepare, own_commit)):
@@ -180,7 +180,7 @@ def test_status_retransmission_resends_own_votes_as_resigned_copies(replica_and_
     assert own_prepare.auth is multicast_auths[0] and own_commit.auth is multicast_auths[1]
     # A peer that has the batch prepared and committed is sent nothing.
     env.clear()
-    replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3",
+    replica.receive(authed(StatusActive(view=0, sender="replica3",
                                         prepared_seqs=(1,), committed_seqs=(1,))))
     assert env.messages_to("replica3") == []
 
@@ -197,7 +197,7 @@ def test_a_commit_forged_under_this_replicas_name_is_not_resent_as_its_own(repli
     slot = replica.log.existing_slot(1)
     assert slot.pre_prepared_locally and not slot.prepared
     env.clear()
-    replica.receive(authed(StatusActive(view=0, replica="replica3", sender="replica3")))
+    replica.receive(authed(StatusActive(view=0, sender="replica3")))
     assert [type(m) for m in env.messages_to("replica3")] == [Prepare]
 
 
@@ -231,7 +231,7 @@ def _in_flight_slot(replica, env, round_trips=(4_000.0,)):
 
 def status_of_replica3(last_executed: int):
     """replica3 has executed the committed slots and has nothing else."""
-    return authed(StatusActive(view=0, replica="replica3", sender="replica3",
+    return authed(StatusActive(view=0, sender="replica3",
                                last_executed=last_executed))
 
 
@@ -400,7 +400,7 @@ def _real_crypto_backup(config, registry):
 
 
 def signed_vote(signed, kind, digest: bytes, replica: str):
-    return signed(kind(view=0, seq=1, digest=digest, replica=replica, sender=replica))
+    return signed(kind(view=0, seq=1, digest=digest, sender=replica))
 
 
 def test_a_vote_with_a_bad_mac_for_an_undecided_slot_is_rejected(config, registry):

@@ -307,7 +307,6 @@ def _build_request(spec):
         Request(
             operation=OPS[op_index],
             timestamp=timestamp,
-            client=client,
             designated_replier=designated,
             sender=client,
         ),
@@ -355,7 +354,7 @@ class SequentialModel:
         for request in requests:
             if request.is_null:
                 continue
-            client, timestamp = request.client, request.timestamp
+            client, timestamp = request.sender, request.timestamp
             previous = self.last_reply_timestamp.get(client)
             if timestamp <= (previous or 0):
                 if timestamp == previous:
@@ -375,7 +374,7 @@ class SequentialModel:
                 self.reply_digest -= reply_entry_digest(client, previous)
             self.reply_digest %= ADHASH_MODULUS
             full = Reply(
-                view=self.view, timestamp=timestamp, client=client, replica=self.id,
+                view=self.view, timestamp=timestamp, client=client,
                 result=result, result_digest=digest(result), tentative=tentative,
                 sender=self.id,
             )
@@ -528,13 +527,11 @@ def _drive_batches(batches):
         digest_value = pre_prepare.batch_digest()
         for other in ("replica2", "replica3"):
             replica.receive(authed(Prepare(
-                view=0, seq=seq, digest=digest_value, replica=other,
-                sender=other,
+                view=0, seq=seq, digest=digest_value, sender=other,
             )))
         for other in ("replica0", "replica2"):
             replica.receive(authed(Commit(
-                view=0, seq=seq, digest=digest_value, replica=other,
-                sender=other,
+                view=0, seq=seq, digest=digest_value, sender=other,
             )))
     _assert_matches_model(replica, executions)
     # Whatever route built them (bulk reply encoder, prefilled memos), the
@@ -575,8 +572,7 @@ def test_tentative_rollback_is_bit_identical_across_toggles(batches):
         digest_value = pre_prepare.batch_digest()
         for other in ("replica2", "replica3"):
             replica.receive(authed(Prepare(
-                view=0, seq=seq, digest=digest_value, replica=other,
-                sender=other,
+                view=0, seq=seq, digest=digest_value, sender=other,
             )))
         # All but the last batch commit, so there is a pre-abort
         # reply table; the last is tentative only.
@@ -584,7 +580,7 @@ def test_tentative_rollback_is_bit_identical_across_toggles(batches):
             for other in ("replica0", "replica2"):
                 replica.receive(authed(Commit(
                     view=0, seq=seq, digest=digest_value,
-                    replica=other, sender=other,
+                    sender=other,
                 )))
     assert executions[-1][2], "the last batch must have run tentatively"
     replica.start_view_change(1)
@@ -618,8 +614,7 @@ def test_bulk_reply_encoding_matches_pack():
         digest_value = pre_prepare.batch_digest()
         for other in ("replica2", "replica3"):
             replica.receive(authed(Prepare(
-                view=0, seq=seq, digest=digest_value, replica=other,
-                sender=other,
+                view=0, seq=seq, digest=digest_value, sender=other,
             )))
     replies = env.messages_of_type(Reply)
     assert replies
@@ -627,7 +622,7 @@ def test_bulk_reply_encoding_matches_pack():
         cached = reply.__dict__.get("_payload_bytes_cache")
         expected = general_encoding(
             "Reply", reply.sender, reply.view, reply.timestamp,
-            reply.client, reply.replica, reply.result_digest,
+            reply.client, reply.sender, reply.result_digest,
             reply.tentative,
         )
         assert reply.payload_bytes() == expected
@@ -646,26 +641,26 @@ def _committed_batch(replica, seq, requests):
     digest_value = pre_prepare.batch_digest()
     for other in ("replica2", "replica3"):
         replica.receive(authed(Prepare(
-            view=0, seq=seq, digest=digest_value, replica=other, sender=other,
+            view=0, seq=seq, digest=digest_value, sender=other,
         )))
     for other in ("replica0", "replica2"):
         replica.receive(authed(Commit(
-            view=0, seq=seq, digest=digest_value, replica=other, sender=other,
+            view=0, seq=seq, digest=digest_value, sender=other,
         )))
 
 
 def _retransmission_replies(alone: bool):
     replica, env, executions = _model_replica()
     original = Request(operation=b"SET a 1", timestamp=1,
-                       client="client0", sender="client0")
+                       sender="client0")
     _committed_batch(replica, 1, [original])
     env.clear()
     # The client's retransmission got ordered into the next batch
     # (e.g. its replies were lost and the primary re-proposed it).
     retransmission = Request(operation=b"SET a 1", timestamp=1,
-                             client="client0", sender="client0")
+                             sender="client0")
     fresh = Request(operation=b"SET b 2", timestamp=1,
-                    client="client1", sender="client1")
+                    sender="client1")
     if alone:
         _committed_batch(replica, 2, [retransmission])
         _committed_batch(replica, 3, [fresh])
@@ -698,11 +693,11 @@ def test_stale_request_in_batch_is_still_dropped():
     silent (the client has already moved on)."""
     replica, env, executions = _model_replica()
     fresh = Request(operation=b"SET a 2", timestamp=2,
-                    client="client0", sender="client0")
+                    sender="client0")
     _committed_batch(replica, 1, [fresh])
     env.clear()
     stale = Request(operation=b"SET a 1", timestamp=1,
-                    client="client0", sender="client0")
+                    sender="client0")
     _committed_batch(replica, 2, [stale])
     _assert_matches_model(replica, executions)
     assert [m for m in env.messages_of_type(Reply)
@@ -736,7 +731,7 @@ class _TransferStub:
 def _stable_certificate(replica, seq, digest_value):
     for other in ("replica0", "replica2", "replica3"):
         replica.receive(authed(Checkpoint(
-            seq=seq, state_digest=digest_value, replica=other, sender=other,
+            seq=seq, state_digest=digest_value, sender=other,
         )))
 
 

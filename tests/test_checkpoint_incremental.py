@@ -244,7 +244,7 @@ def _executing_replica():
 
 def _execute(replica, timestamp: int, operation: bytes) -> None:
     request = Request(operation=operation, timestamp=timestamp,
-                      client="client0", sender="client0")
+                      sender="client0")
     replica._execute_batch([request], b"", tentative=False)
 
 
@@ -342,7 +342,7 @@ def test_abort_tentative_execution_rolls_back_reply_table():
     # Tentative execution, the way _try_execute_tentative drives it.
     replica._pre_tentative_snapshot = replica.service.snapshot()
     request = Request(operation=b"SET b 2", timestamp=2,
-                      client="client0", sender="client0")
+                      sender="client0")
     replica._execute_batch([request], b"", tentative=True)
     replica.last_tentative = replica.last_executed + 1
     assert replica.last_reply_timestamp["client0"] == 2
@@ -374,9 +374,9 @@ def test_abort_after_state_transfer_unwinds_entries_without_records():
 
     replica._pre_tentative_snapshot = replica.service.snapshot()
     replica._execute_batch(
-        [Request(operation=b"SET b 2", timestamp=6, client="client1", sender="client1"),
-         Request(operation=b"SET c 3", timestamp=7, client="client1", sender="client1"),
-         Request(operation=b"SET d 4", timestamp=2, client="client2", sender="client2")],
+        [Request(operation=b"SET b 2", timestamp=6, sender="client1"),
+         Request(operation=b"SET c 3", timestamp=7, sender="client1"),
+         Request(operation=b"SET d 4", timestamp=2, sender="client2")],
         b"", tentative=True,
     )
     replica.last_tentative = replica.last_executed + 1
@@ -507,7 +507,7 @@ def _view_change_aborting_tentative_execution(check, _monkeypatch):
     config = ReplicaSetConfig(n=4, checkpoint_interval=2)
     replica, _env = make_replica(config, SignatureRegistry(), "replica1")
     requests = [Request(operation=b"SET a %d" % ts, timestamp=ts,
-                        client="client0", sender="client0") for ts in (1, 2, 3)]
+                        sender="client0") for ts in (1, 2, 3)]
     _committed_batch(replica, 1, requests[:1])
     _committed_batch(replica, 2, requests[1:2])
     tentative = authed(PrePrepare(view=0, seq=3, requests=(requests[2],),
@@ -515,7 +515,7 @@ def _view_change_aborting_tentative_execution(check, _monkeypatch):
     replica.receive(tentative)
     for other in ("replica2", "replica3"):
         replica.receive(authed(Prepare(view=0, seq=3, digest=tentative.batch_digest(),
-                                       replica=other, sender=other)))
+                                       sender=other)))
     assert replica.last_tentative == 3 and replica._pre_tentative_snapshot is not None
     check(replica)
     replica.start_view_change(1)

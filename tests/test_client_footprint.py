@@ -157,7 +157,7 @@ def test_signature_mode_accepts_a_fresh_client_and_rejects_a_foreign_key_pair():
     impostor = BFTCluster.create(f=1, options=options).new_client()
     assert impostor.id == client.id
     forged = impostor.protocol.auth.sign_multicast(
-        Request(operation=b"null", timestamp=99, client=client.id, sender=client.id),
+        Request(operation=b"null", timestamp=99, sender=client.id),
         cluster.config.replica_ids,
     )
     for replica_id, replica in cluster.replicas.items():

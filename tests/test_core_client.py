@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.auth import Authentication, build_session_keys
 from repro.core.client import RETRANSMIT_TIMER, Client
-from repro.core.config import ProtocolOptions, ReplicaSetConfig
+from repro.core.config import AuthMode, ProtocolOptions, ReplicaSetConfig
 from repro.core.env import RecordingEnv
 from repro.core.messages import Reply, Request
 from repro.crypto.digests import digest
@@ -15,7 +15,7 @@ from repro.crypto.authenticator import Authenticator
 from repro.crypto.signatures import SignatureRegistry
 
 
-def make_client(options: ProtocolOptions | None = None):
+def make_client(options: ProtocolOptions | None = None, real_crypto: bool = False):
     config = ReplicaSetConfig(n=4, checkpoint_interval=4)
     env = RecordingEnv()
     options = options or ProtocolOptions()
@@ -26,7 +26,7 @@ def make_client(options: ProtocolOptions | None = None):
         keys=keys,
         registry=SignatureRegistry(),
         env=env,
-        real_crypto=False,
+        real_crypto=real_crypto,
     )
     completions = []
     client = Client("client0", config, env, auth, options=options,
@@ -40,16 +40,13 @@ def reply(replica, timestamp=1, result=b"ok", tentative=True, view=0,
         view=view,
         timestamp=timestamp,
         client="client0",
-        replica=replica,
         result=result if include_result else None,
         result_digest=digest(result),
         tentative=tentative,
         sender=replica,
     )
     # Attach a structurally valid authentication object; real crypto is off.
-    from repro.crypto.authenticator import Authenticator
-
-    message.auth = Authenticator(sender=replica)
+    message.auth = Authenticator()
     return message
 
 
@@ -196,30 +193,33 @@ def test_view_tracking_from_replies():
 # ---------------------------------------------------------------------------
 # A reply counts for the replica that authenticated it, and no other
 # ---------------------------------------------------------------------------
-def forged(claimed, principal, sender=None, timestamp=1, result=b"forged"):
-    """A tentative reply that names ``claimed`` (and ``sender``, by default
-    the same) but is authenticated by ``principal``."""
-    message = reply(claimed, timestamp=timestamp, result=result)
-    message.sender = claimed if sender is None else sender
-    message.auth = Authenticator(sender=principal)
-    return message
+def forged(sender, principal, timestamp=1, result=b"forged"):
+    """A tentative reply sent as ``sender``, MAC'd for client0 under the
+    session key ``principal`` shares with it."""
+    message = reply(sender, timestamp=timestamp, result=result)
+    message.auth = None
+    keys = build_session_keys(principal, ("client0",))
+    signer = Authentication(principal, AuthMode.MAC, keys, SignatureRegistry())
+    return signer.sign_point_to_point(message, "client0")
 
 
 IMPERSONATIONS = {
     # One replica supplies the whole quorum under its peers' names.
     "names-another-replica": [forged(r, "replica3") for r in
                               ("replica0", "replica1", "replica2")],
-    # The authenticated principal is not a member of the group.
+    # The authenticating principal is not a member of the group.
     "not-a-member": [forged(r, r) for r in ("replica4", "client9", "replica5")],
-    # Authenticated and named consistently, but sent as someone else.
-    "sender-is-another-node": [forged(r, r, sender="replica3") for r in
+    # Each authenticated by a member, all sent as another one.
+    "sender-is-another-node": [forged("replica3", r) for r in
                                ("replica0", "replica1", "replica2")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(IMPERSONATIONS))
 def test_a_reply_counts_only_for_the_replica_that_authenticated_it(case):
-    client, env, completions = make_client()
+    """Real crypto: a reply is checked under its sender's key, so one whose
+    key is not its sender's, or a non-member's, earns no vote."""
+    client, env, completions = make_client(real_crypto=True)
     timestamp = client.invoke(b"op")
     for message in IMPERSONATIONS[case]:
         client.receive(message)
@@ -228,7 +228,7 @@ def test_a_reply_counts_only_for_the_replica_that_authenticated_it(case):
 
 
 def test_replies_authenticated_by_their_replicas_still_complete():
-    client, env, completions = make_client()
+    client, env, completions = make_client(real_crypto=True)
     timestamp = client.invoke(b"op")
     for replica in ("replica0", "replica1", "replica2"):
         client.receive(forged(replica, replica, result=b"ok"))
@@ -240,9 +240,10 @@ def test_replies_authenticated_by_their_replicas_still_complete():
                          ids=["mac", "signature"])
 def test_one_faulty_replica_cannot_supply_a_clients_reply_quorum(options):
     """f = 1, real crypto.  ``replica3`` answers a ``GET`` with three
-    tentative replies that name ``replica0``-``replica2``, each
-    authenticated under its own key.  The client must wait for the honest
-    replies instead of completing with the forged result."""
+    tentative replies sent as ``replica0``-``replica2``, each authenticated
+    under its own key.  The client refuses each (one ``reply-rejected``
+    apiece) and waits for the honest replies instead of completing with
+    the forged result."""
     from repro.library import BFTCluster
     from repro.services.kvstore import KeyValueStore
 
@@ -255,9 +256,8 @@ def test_one_faulty_replica_cannot_supply_a_clients_reply_quorum(options):
     def forge() -> None:
         for name in ("replica0", "replica1", "replica2"):
             message = Reply(view=0, timestamp=timestamp, client=client.id,
-                            replica=name, result=b"forged",
-                            result_digest=digest(b"forged"), tentative=True,
-                            sender=name)
+                            result=b"forged", result_digest=digest(b"forged"),
+                            tentative=True, sender=name)
             faulty.env.send(client.id, faulty.auth.sign_point_to_point(message, client.id))
 
     cluster.replica_nodes["replica3"].external_call(forge)

@@ -6,7 +6,7 @@ from repro.crypto.digests import NULL_DIGEST
 
 
 def make_pre_prepare(seq=1, view=0, op=b"op"):
-    request = Request(operation=op, timestamp=1, client="c", sender="c")
+    request = Request(operation=op, timestamp=1, sender="c")
     return PrePrepare(view=view, seq=seq, requests=(request,), sender="replica0")
 
 
@@ -29,9 +29,8 @@ def test_slot_prepare_requires_matching_digest():
     pp = make_pre_prepare(seq=1)
     slot = log.slot(1, 0)
     slot.pre_prepare = pp
-    good = Prepare(view=0, seq=1, digest=pp.batch_digest(), replica="replica1",
-                   sender="replica1")
-    bad = Prepare(view=0, seq=1, digest=b"x" * 16, replica="replica2", sender="replica2")
+    good = Prepare(view=0, seq=1, digest=pp.batch_digest(), sender="replica1")
+    bad = Prepare(view=0, seq=1, digest=b"x" * 16, sender="replica2")
     assert slot.add_prepare(good, 1)
     assert not slot.add_prepare(bad, 2)
     assert slot.prepares.count(pp.batch_digest()) == 1
@@ -42,8 +41,7 @@ def test_slot_prepare_requires_matching_digest():
 def test_slot_rejects_duplicate_prepare_from_same_replica():
     slot = Slot(seq=1, view=0)
     slot.pre_prepare = make_pre_prepare()
-    prepare = Prepare(view=0, seq=1, digest=slot.digest(), replica="replica1",
-                      sender="replica1")
+    prepare = Prepare(view=0, seq=1, digest=slot.digest(), sender="replica1")
     assert slot.add_prepare(prepare, 1)
     assert not slot.add_prepare(prepare, 1)
     assert slot.prepares.count(slot.digest()) == 1
@@ -53,10 +51,10 @@ def test_slot_rejects_wrong_view_or_seq():
     slot = Slot(seq=5, view=2)
     slot.pre_prepare = make_pre_prepare(seq=5, view=2)
     assert not slot.add_prepare(
-        Prepare(view=1, seq=5, digest=slot.digest(), replica="r1", sender="r1"), 1
+        Prepare(view=1, seq=5, digest=slot.digest(), sender="r1"), 1
     )
     assert not slot.add_prepare(
-        Prepare(view=2, seq=6, digest=slot.digest(), replica="r1", sender="r1"), 1
+        Prepare(view=2, seq=6, digest=slot.digest(), sender="r1"), 1
     )
     assert list(slot.prepares) == []
 
@@ -65,8 +63,7 @@ def test_slot_commit_counting():
     slot = Slot(seq=1, view=0)
     slot.pre_prepare = make_pre_prepare()
     for i in range(3):
-        commit = Commit(view=0, seq=1, digest=slot.digest(), replica=f"replica{i}",
-                        sender=f"replica{i}")
+        commit = Commit(view=0, seq=1, digest=slot.digest(), sender=f"replica{i}")
         assert slot.add_commit(commit, i)
     assert slot.commits.count(slot.digest()) == 3
     assert list(slot.commits) == [slot.digest()]
@@ -107,7 +104,7 @@ def test_collect_garbage_discards_old_batches_and_their_requests():
     shared = batches[3].requests[0]
     again = PrePrepare(view=0, seq=6, requests=(shared,), nondet=b"n", sender="replica0")
     log.remember_batch(again)
-    unbatched = Request(operation=b"queued", timestamp=9, client="c", sender="c")
+    unbatched = Request(operation=b"queued", timestamp=9, sender="c")
     log.remember_request(unbatched)
 
     log.collect_garbage(4)
@@ -122,7 +119,7 @@ def test_collect_garbage_discards_old_batches_and_their_requests():
 
 def test_request_and_batch_lookup():
     log = MessageLog(log_size=8)
-    request = Request(operation=b"op", timestamp=3, client="c", sender="c")
+    request = Request(operation=b"op", timestamp=3, sender="c")
     log.remember_request(request)
     assert log.request_by_digest(request.request_digest()) is request
     assert log.request_by_digest(NULL_DIGEST).is_null

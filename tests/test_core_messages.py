@@ -42,10 +42,10 @@ def test_pack_rejects_unknown_types():
 
 # ------------------------------------------------------------------ request
 def test_request_digest_depends_on_client_timestamp_operation():
-    r1 = Request(operation=b"op", timestamp=1, client="c1", sender="c1")
-    r2 = Request(operation=b"op", timestamp=2, client="c1", sender="c1")
-    r3 = Request(operation=b"op", timestamp=1, client="c2", sender="c2")
-    r4 = Request(operation=b"other", timestamp=1, client="c1", sender="c1")
+    r1 = Request(operation=b"op", timestamp=1, sender="c1")
+    r2 = Request(operation=b"op", timestamp=2, sender="c1")
+    r3 = Request(operation=b"op", timestamp=1, sender="c2")
+    r4 = Request(operation=b"other", timestamp=1, sender="c1")
     digests = {r.request_digest() for r in (r1, r2, r3, r4)}
     assert len(digests) == 4
     assert all(len(d) == DIGEST_SIZE for d in digests)
@@ -58,15 +58,15 @@ def test_null_request_has_null_digest_and_no_effect_flag():
 
 
 def test_request_wire_size_includes_operation():
-    small = Request(operation=b"x", timestamp=1, client="c", sender="c")
-    large = Request(operation=b"x" * 4096, timestamp=1, client="c", sender="c")
+    small = Request(operation=b"x", timestamp=1, sender="c")
+    large = Request(operation=b"x" * 4096, timestamp=1, sender="c")
     assert large.wire_size() - small.wire_size() == 4095
 
 
 # -------------------------------------------------------------- pre-prepare
 def test_batch_digest_covers_requests_and_nondet():
-    r1 = Request(operation=b"a", timestamp=1, client="c", sender="c")
-    r2 = Request(operation=b"b", timestamp=2, client="c", sender="c")
+    r1 = Request(operation=b"a", timestamp=1, sender="c")
+    r2 = Request(operation=b"b", timestamp=2, sender="c")
     pp1 = PrePrepare(view=0, seq=1, requests=(r1,), sender="replica0")
     pp2 = PrePrepare(view=0, seq=1, requests=(r2,), sender="replica0")
     pp3 = PrePrepare(view=0, seq=1, requests=(r1,), nondet=b"t", sender="replica0")
@@ -77,14 +77,14 @@ def test_batch_digest_covers_requests_and_nondet():
 def test_batch_digest_independent_of_view_and_seq():
     """Re-proposing the same batch in a later view keeps its digest, which is
     what lets view changes re-propose prepared requests."""
-    r = Request(operation=b"a", timestamp=1, client="c", sender="c")
+    r = Request(operation=b"a", timestamp=1, sender="c")
     pp_v0 = PrePrepare(view=0, seq=5, requests=(r,), sender="replica0")
     pp_v3 = PrePrepare(view=3, seq=5, requests=(r,), sender="replica3")
     assert pp_v0.batch_digest() == pp_v3.batch_digest()
 
 
 def test_pre_prepare_all_request_digests_includes_separate():
-    r = Request(operation=b"a", timestamp=1, client="c", sender="c")
+    r = Request(operation=b"a", timestamp=1, sender="c")
     other_digest = b"\x01" * DIGEST_SIZE
     pp = PrePrepare(
         view=0, seq=1, requests=(r,), separate_digests=(other_digest,), sender="p"
@@ -93,15 +93,15 @@ def test_pre_prepare_all_request_digests_includes_separate():
 
 
 def test_payload_digest_changes_with_any_field():
-    p1 = Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica1", sender="replica1")
-    p2 = Prepare(view=0, seq=2, digest=b"d" * 16, replica="replica1", sender="replica1")
-    p3 = Prepare(view=1, seq=1, digest=b"d" * 16, replica="replica1", sender="replica1")
+    p1 = Prepare(view=0, seq=1, digest=b"d" * 16, sender="replica1")
+    p2 = Prepare(view=0, seq=2, digest=b"d" * 16, sender="replica1")
+    p3 = Prepare(view=1, seq=1, digest=b"d" * 16, sender="replica1")
     assert len({p.payload_digest() for p in (p1, p2, p3)}) == 3
 
 
 def test_prepare_and_commit_fixed_body_size():
-    prepare = Prepare(view=0, seq=1, digest=b"d" * 16, replica="r", sender="r")
-    commit = Commit(view=0, seq=1, digest=b"d" * 16, replica="r", sender="r")
+    prepare = Prepare(view=0, seq=1, digest=b"d" * 16, sender="r")
+    commit = Commit(view=0, seq=1, digest=b"d" * 16, sender="r")
     assert prepare.body_size() == 48
     assert commit.body_size() == 48
 
@@ -123,7 +123,6 @@ def test_view_change_lookup_helpers():
         checkpoints=((0, b"c" * 16),),
         prepared=(PSetEntry(seq=3, digest=b"d" * 16, view=1),),
         pre_prepared=(QSetEntry(seq=3, digests=((b"d" * 16, 1),)),),
-        replica="replica2",
         sender="replica2",
     )
     assert vc.prepared_for(3).view == 1
@@ -135,11 +134,10 @@ def test_view_change_lookup_helpers():
 def test_view_change_size_grows_with_contents():
     from repro.core.messages import PSetEntry
 
-    empty = ViewChange(new_view=1, replica="r", sender="r")
+    empty = ViewChange(new_view=1, sender="r")
     loaded = ViewChange(
         new_view=1,
         prepared=tuple(PSetEntry(seq=i, digest=b"d" * 16, view=0) for i in range(10)),
-        replica="r",
         sender="r",
     )
     assert loaded.wire_size() > empty.wire_size()
@@ -155,25 +153,25 @@ def test_new_view_selection_map():
 
 
 def test_status_message_payloads_differ_by_progress():
-    s1 = StatusActive(view=0, last_executed=5, replica="r", sender="r")
-    s2 = StatusActive(view=0, last_executed=6, replica="r", sender="r")
+    s1 = StatusActive(view=0, last_executed=5, sender="r")
+    s2 = StatusActive(view=0, last_executed=6, sender="r")
     assert s1.payload_digest() != s2.payload_digest()
 
 
 def test_view_change_ack_payload_fields():
     ack = ViewChangeAck(
-        new_view=3, replica="replica2", origin="replica1",
+        new_view=3, origin="replica1",
         view_change_digest=b"v" * 16, sender="replica2",
     )
     assert ack.payload_digest() == ViewChangeAck(
-        new_view=3, replica="replica2", origin="replica1",
+        new_view=3, origin="replica1",
         view_change_digest=b"v" * 16, sender="replica2",
     ).payload_digest()
 
 
 def test_checkpoint_message_fields():
-    cp = Checkpoint(seq=128, state_digest=b"s" * 16, replica="replica0", sender="replica0")
+    cp = Checkpoint(seq=128, state_digest=b"s" * 16, sender="replica0")
     assert cp.body_size() == 40
     assert cp.payload_digest() != Checkpoint(
-        seq=256, state_digest=b"s" * 16, replica="replica0", sender="replica0"
+        seq=256, state_digest=b"s" * 16, sender="replica0"
     ).payload_digest()

@@ -15,8 +15,7 @@ from tests.conftest import authed, make_replica
 
 
 def client_request(op=b"SET key value", timestamp=1, client="client0"):
-    return authed(Request(operation=op, timestamp=timestamp, client=client,
-                          sender=client))
+    return authed(Request(operation=op, timestamp=timestamp, sender=client))
 
 
 def drive_to_prepared(replica, env, seq=1, op=b"SET key value"):
@@ -29,7 +28,7 @@ def drive_to_prepared(replica, env, seq=1, op=b"SET key value"):
     digest = pre_prepare.batch_digest()
     for other in ("replica2", "replica3"):
         replica.receive(
-            authed(Prepare(view=0, seq=seq, digest=digest, replica=other, sender=other))
+            authed(Prepare(view=0, seq=seq, digest=digest, sender=other))
         )
     return pre_prepare
 
@@ -45,7 +44,7 @@ def test_backup_sends_prepare_on_valid_pre_prepare(replica_and_env):
     prepares = env.messages_of_type(Prepare)
     assert prepares, "backup should multicast a prepare"
     assert prepares[0].digest == pre_prepare.batch_digest()
-    assert prepares[0].replica == "replica1"
+    assert prepares[0].sender == "replica1"
     # Sent to the three other replicas.
     assert len(prepares) == 3
 
@@ -83,8 +82,7 @@ def test_backup_refuses_conflicting_pre_prepare_for_same_seq(replica_and_env):
 
 def test_unauthenticated_messages_are_rejected(replica_and_env):
     replica, env = replica_and_env
-    request = Request(operation=b"SET a 1", timestamp=1, client="client0",
-                      sender="client0")  # no auth attached
+    request = Request(operation=b"SET a 1", timestamp=1, sender="client0")  # no auth attached
     replica.receive(request)
     assert replica.metrics.messages_rejected == 1
 
@@ -114,7 +112,7 @@ def test_backup_commits_after_quorum_of_commits(replica_and_env):
     digest = pre_prepare.batch_digest()
     for other in ("replica0", "replica2"):
         replica.receive(
-            authed(Commit(view=0, seq=1, digest=digest, replica=other, sender=other))
+            authed(Commit(view=0, seq=1, digest=digest, sender=other))
         )
     slot = replica.log.existing_slot(1)
     assert slot.committed
@@ -130,7 +128,7 @@ def test_commit_point_without_tentative_execution(config, registry):
     digest = pre_prepare.batch_digest()
     for other in ("replica0", "replica2"):
         replica.receive(
-            authed(Commit(view=0, seq=1, digest=digest, replica=other, sender=other))
+            authed(Commit(view=0, seq=1, digest=digest, sender=other))
         )
     replies = env.messages_of_type(Reply)
     assert replies and not replies[0].tentative
@@ -146,11 +144,9 @@ def test_out_of_order_commit_waits_for_lower_sequence_numbers(replica_and_env):
     replica.receive(pre_prepare2)
     digest2 = pre_prepare2.batch_digest()
     for other in ("replica2", "replica3"):
-        replica.receive(authed(Prepare(view=0, seq=2, digest=digest2, replica=other,
-                                       sender=other)))
+        replica.receive(authed(Prepare(view=0, seq=2, digest=digest2, sender=other)))
     for other in ("replica0", "replica2"):
-        replica.receive(authed(Commit(view=0, seq=2, digest=digest2, replica=other,
-                                      sender=other)))
+        replica.receive(authed(Commit(view=0, seq=2, digest=digest2, sender=other)))
     # Committed but cannot execute until sequence number 1 executes.
     assert replica.log.existing_slot(2).committed
     assert replica.last_executed == 0
@@ -158,8 +154,7 @@ def test_out_of_order_commit_waits_for_lower_sequence_numbers(replica_and_env):
     pre_prepare1 = drive_to_prepared(replica, env, seq=1, op=b"SET a 1")
     digest1 = pre_prepare1.batch_digest()
     for other in ("replica0", "replica2"):
-        replica.receive(authed(Commit(view=0, seq=1, digest=digest1, replica=other,
-                                      sender=other)))
+        replica.receive(authed(Commit(view=0, seq=1, digest=digest1, sender=other)))
     assert replica.last_executed == 2
 
 
@@ -186,8 +181,7 @@ def test_primary_prepares_after_2f_prepares_from_backups(primary_and_env):
     primary.receive(client_request())
     digest = env.messages_of_type(PrePrepare)[0].batch_digest()
     for other in ("replica1", "replica2"):
-        primary.receive(authed(Prepare(view=0, seq=1, digest=digest, replica=other,
-                                       sender=other)))
+        primary.receive(authed(Prepare(view=0, seq=1, digest=digest, sender=other)))
     assert primary.log.existing_slot(1).prepared
     assert env.messages_of_type(Commit)
 
@@ -196,8 +190,7 @@ def test_primary_rejects_prepare_claiming_to_be_from_primary(primary_and_env):
     primary, env = primary_and_env
     primary.receive(client_request())
     digest = env.messages_of_type(PrePrepare)[0].batch_digest()
-    forged = authed(Prepare(view=0, seq=1, digest=digest, replica="replica0",
-                            sender="replica0"))
+    forged = authed(Prepare(view=0, seq=1, digest=digest, sender="replica0"))
     primary.receive(forged)
     assert primary.log.existing_slot(1).prepares.count(digest) == 0
 
@@ -215,8 +208,7 @@ def test_retransmitted_executed_request_resends_cached_reply(replica_and_env):
     pre_prepare = drive_to_prepared(replica, env)
     digest = pre_prepare.batch_digest()
     for other in ("replica0", "replica2"):
-        replica.receive(authed(Commit(view=0, seq=1, digest=digest, replica=other,
-                                      sender=other)))
+        replica.receive(authed(Commit(view=0, seq=1, digest=digest, sender=other)))
     env.clear()
     replica.receive(client_request())  # same timestamp: a retransmission
     replies = env.messages_of_type(Reply)
@@ -228,8 +220,7 @@ def test_stale_request_is_ignored(replica_and_env):
     pre_prepare = drive_to_prepared(replica, env)
     digest = pre_prepare.batch_digest()
     for other in ("replica0", "replica2"):
-        replica.receive(authed(Commit(view=0, seq=1, digest=digest, replica=other,
-                                      sender=other)))
+        replica.receive(authed(Commit(view=0, seq=1, digest=digest, sender=other)))
     env.clear()
     stale = client_request(timestamp=0)
     replica.receive(stale)
@@ -246,10 +237,9 @@ def test_read_only_request_executes_immediately(config, registry):
     replica.receive(pre_prepare)
     digest = pre_prepare.batch_digest()
     for other in ("replica1", "replica3"):
-        replica.receive(authed(Prepare(view=0, seq=1, digest=digest, replica=other,
-                                       sender=other)))
+        replica.receive(authed(Prepare(view=0, seq=1, digest=digest, sender=other)))
     env.clear()
-    read = authed(Request(operation=b"GET x", timestamp=2, client="client0",
+    read = authed(Request(operation=b"GET x", timestamp=2,
                           read_only=True, sender="client0"))
     replica.receive(read)
     replies = env.messages_of_type(Reply)
@@ -261,7 +251,7 @@ def test_read_only_request_executes_immediately(config, registry):
 
 def test_mutating_request_marked_read_only_falls_back(primary_and_env):
     primary, env = primary_and_env
-    bogus = authed(Request(operation=b"SET sneaky 1", timestamp=1, client="client0",
+    bogus = authed(Request(operation=b"SET sneaky 1", timestamp=1,
                            read_only=True, sender="client0"))
     primary.receive(bogus)
     # The service rejects it as read-only, so it goes through the protocol.

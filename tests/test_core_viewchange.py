@@ -38,7 +38,6 @@ def vc(replica, h=0, checkpoints=((0, CKPT),), prepared=(), pre_prepared=(),
         checkpoints=tuple(checkpoints),
         prepared=tuple(prepared),
         pre_prepared=tuple(pre_prepared),
-        replica=replica,
         sender=replica,
     )
 
@@ -54,7 +53,7 @@ def pq(seq, digest, view):
 # --------------------------------------------------------- P/Q computation
 def test_compute_sets_from_prepared_slot():
     log = MessageLog(log_size=8)
-    request = Request(operation=b"op", timestamp=1, client="c", sender="c")
+    request = Request(operation=b"op", timestamp=1, sender="c")
     pre_prepare = PrePrepare(view=0, seq=2, requests=(request,), sender="replica0")
     slot = log.slot(2, 0)
     slot.pre_prepare = pre_prepare
@@ -68,7 +67,7 @@ def test_compute_sets_from_prepared_slot():
 
 def test_compute_sets_pre_prepared_only_goes_to_qset_only():
     log = MessageLog(log_size=8)
-    request = Request(operation=b"op", timestamp=1, client="c", sender="c")
+    request = Request(operation=b"op", timestamp=1, sender="c")
     pre_prepare = PrePrepare(view=0, seq=3, requests=(request,), sender="replica0")
     slot = log.slot(3, 0)
     slot.pre_prepare = pre_prepare
@@ -89,7 +88,7 @@ def test_compute_sets_preserves_prior_information():
 
 def test_compute_sets_merges_new_digest_into_qset():
     log = MessageLog(log_size=8)
-    request = Request(operation=b"new", timestamp=1, client="c", sender="c")
+    request = Request(operation=b"new", timestamp=1, sender="c")
     pre_prepare = PrePrepare(view=3, seq=5, requests=(request,), sender="replica0")
     slot = log.slot(5, 3)
     slot.pre_prepare = pre_prepare
@@ -103,7 +102,7 @@ def test_compute_sets_merges_new_digest_into_qset():
 
 def test_compute_sets_bounded_space_drops_lowest_view():
     log = MessageLog(log_size=8)
-    request = Request(operation=b"new", timestamp=1, client="c", sender="c")
+    request = Request(operation=b"new", timestamp=1, sender="c")
     pre_prepare = PrePrepare(view=5, seq=2, requests=(request,), sender="replica0")
     slot = log.slot(2, 5)
     slot.pre_prepare = pre_prepare
@@ -269,7 +268,7 @@ def test_verify_new_view_accepts_matching_decision_and_rejects_tampering():
     decision = compute_decision(messages, CONFIG, lambda d: True)
     good = NewView(
         new_view=1,
-        view_change_digests=tuple((m.replica, m.payload_digest()) for m in messages),
+        view_change_digests=tuple((m.sender, m.payload_digest()) for m in messages),
         checkpoint_seq=decision.checkpoint_seq,
         checkpoint_digest=decision.checkpoint_digest,
         selections=tuple(sorted(decision.selections.items())),
@@ -298,7 +297,7 @@ def test_verify_new_view_fails_when_view_change_missing():
     decision = compute_decision(messages, CONFIG, lambda d: True)
     new_view = NewView(
         new_view=1,
-        view_change_digests=tuple((m.replica, m.payload_digest()) for m in messages),
+        view_change_digests=tuple((m.sender, m.payload_digest()) for m in messages),
         checkpoint_seq=decision.checkpoint_seq,
         checkpoint_digest=decision.checkpoint_digest,
         selections=tuple(sorted(decision.selections.items())),

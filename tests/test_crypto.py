@@ -92,7 +92,7 @@ def test_authenticator_entries_verify_per_receiver():
         "replica0": MACKey(1, b"c->r0"),
         "replica1": MACKey(1, b"c->r1"),
     }
-    auth = make_authenticator("client0", keys, b"payload")
+    auth = make_authenticator(keys, b"payload")
     assert auth.verify_entry("replica0", keys["replica0"], b"payload")
     assert not auth.verify_entry("replica0", keys["replica1"], b"payload")
     assert not auth.verify_entry("replica0", keys["replica0"], b"tampered")
@@ -107,8 +107,8 @@ def test_authenticator_entries_verify_per_receiver():
 def test_authenticator_size_grows_with_replicas():
     keys4 = {f"r{i}": MACKey(1, b"k%d" % i) for i in range(4)}
     keys7 = {f"r{i}": MACKey(1, b"k%d" % i) for i in range(7)}
-    small = make_authenticator("c", keys4, b"m")
-    large = make_authenticator("c", keys7, b"m")
+    small = make_authenticator(keys4, b"m")
+    large = make_authenticator(keys7, b"m")
     assert (small.size_bytes(), large.size_bytes()) == (32, 56)
     assert (len(small.vector), len(large.vector)) == (32, 56)
 
@@ -116,17 +116,17 @@ def test_authenticator_size_grows_with_replicas():
 def test_authenticator_corrupted_entries_fail():
     keys = {"replica0": MACKey(1, b"key")}
     keys["replica1"] = MACKey(1, b"other")
-    auth = make_authenticator("c", keys, b"m", corrupt_for=["replica0"])
+    auth = make_authenticator(keys, b"m", corrupt_for=["replica0"])
     assert not auth.verify_entry("replica0", keys["replica0"], b"m")
     assert auth.verify_entry("replica1", keys["replica1"], b"m")
 
 
 def test_authenticator_restriction_slices_and_never_recomputes():
     keys = {f"r{i}": MACKey(1, b"k%d" % i) for i in range(5)}
-    auth = make_authenticator("c", keys, b"m", corrupt_for=["r3"])
+    auth = make_authenticator(keys, b"m", corrupt_for=["r3"])
     part = auth.restricted_to(positions_of(["r3", "r1"]))
     assert part.vector == auth.entry("r3") + auth.entry("r1")
-    assert part.size_bytes() == 16 and part.sender == "c"
+    assert part.size_bytes() == 16
     assert part.verify_entry("r1", keys["r1"], b"m")
     assert not part.verify_entry("r3", keys["r3"], b"m")  # still marked corrupt
     assert part.entry("r0") is None

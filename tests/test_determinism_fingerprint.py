@@ -191,7 +191,7 @@ def _count_execution_branches(counts: Dict[str, int]) -> Iterator[None]:
         last = self.last_reply_timestamp
         counts["cached_resends"] += sum(
             1 for request in requests
-            if not request.is_null and request.timestamp == last.get(request.client)
+            if not request.is_null and request.timestamp == last.get(request.sender)
         )
         counts["multi_request_batches"] += len(requests) > 1
         execute_batch(self, requests, nondet, tentative)

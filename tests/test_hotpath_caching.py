@@ -63,7 +63,6 @@ requests = st.builds(
     Request,
     operation=small_bytes,
     timestamp=st.integers(min_value=0, max_value=1_000),
-    client=names,
     read_only=st.booleans(),
     is_null=st.booleans(),
     sender=names,
@@ -84,7 +83,6 @@ replies = st.builds(
     view=views,
     timestamp=st.integers(min_value=0, max_value=1_000),
     client=names,
-    replica=names,
     result=st.none() | small_bytes,
     result_digest=digests16,
     tentative=st.booleans(),
@@ -107,39 +105,35 @@ view_changes = st.builds(
         ),
         max_size=3,
     ).map(tuple),
-    replica=names,
     sender=names,
 )
 
 simple_messages = st.one_of(
-    st.builds(Prepare, view=views, seq=seqs, digest=digests16, replica=names,
-              sender=names),
-    st.builds(Commit, view=views, seq=seqs, digest=digests16, replica=names,
-              sender=names),
-    st.builds(Checkpoint, seq=seqs, state_digest=digests16, replica=names,
-              sender=names),
-    st.builds(ViewChangeAck, new_view=views, replica=names, origin=names,
+    st.builds(Prepare, view=views, seq=seqs, digest=digests16, sender=names),
+    st.builds(Commit, view=views, seq=seqs, digest=digests16, sender=names),
+    st.builds(Checkpoint, seq=seqs, state_digest=digests16, sender=names),
+    st.builds(ViewChangeAck, new_view=views, origin=names,
               view_change_digest=digests16, sender=names),
     st.builds(StatusActive, view=views, last_stable=seqs, last_executed=seqs,
-              replica=names, prepared_seqs=st.lists(seqs, max_size=4).map(tuple),
+              prepared_seqs=st.lists(seqs, max_size=4).map(tuple),
               committed_seqs=st.lists(seqs, max_size=4).map(tuple), sender=names),
     st.builds(StatusPending, view=views, last_stable=seqs, last_executed=seqs,
-              replica=names, has_new_view=st.booleans(),
+              has_new_view=st.booleans(),
               view_changes_from=st.lists(names, max_size=3).map(tuple),
               sender=names),
-    st.builds(NewKey, replica=names,
+    st.builds(NewKey,
               keys=st.lists(st.tuples(names, small_bytes), max_size=3).map(tuple),
               counter=seqs, sender=names),
-    st.builds(QueryStable, replica=names, nonce=seqs, sender=names),
+    st.builds(QueryStable, nonce=seqs, sender=names),
     st.builds(ReplyStable, last_checkpoint=seqs, last_prepared=seqs,
-              replica=names, nonce=seqs, sender=names),
+              nonce=seqs, sender=names),
     st.builds(Fetch, level=st.integers(0, 3), index=seqs, last_checkpoint=seqs,
               target_seq=seqs, designated_replier=st.none() | names,
-              replica=names, sender=names),
+              sender=names),
     st.builds(MetaData, seq=seqs, level=st.integers(0, 3), index=seqs,
               entries=st.lists(st.tuples(seqs, seqs, digests16),
                                max_size=3).map(tuple),
-              replica=names, sender=names),
+              sender=names),
     st.builds(Data, index=seqs, last_modified=seqs, page=small_bytes,
               sender=names),
 )
@@ -151,7 +145,7 @@ all_messages = st.one_of(requests, pre_prepares, replies, view_changes,
 def _fresh_request_digest(request: Request) -> bytes:
     if request.is_null:
         return NULL_DIGEST
-    return digest(general_encoding(request.client, request.timestamp, request.operation))
+    return digest(general_encoding(request.sender, request.timestamp, request.operation))
 
 
 def fresh_values(message: Message) -> dict:
@@ -206,7 +200,6 @@ def test_replace_never_inherits_stale_request_cache(request, new_operation,
     twin = Request(
         operation=new_operation,
         timestamp=new_timestamp,
-        client=request.client,
         read_only=request.read_only,
         is_null=request.is_null,
         sender=request.sender,
@@ -264,8 +257,7 @@ def make_auth(owner: str, real_crypto: bool = True) -> Authentication:
 def test_multicast_tags_survive_caching_and_detect_tampering():
     sender = make_auth("replica0")
     receiver = make_auth("replica1")
-    message = Prepare(view=0, seq=3, digest=b"d" * 16, replica="replica0",
-                      sender="replica0")
+    message = Prepare(view=0, seq=3, digest=b"d" * 16, sender="replica0")
     sender.sign_multicast(message, ("replica1", "replica2", "replica3"))
 
     # Verification succeeds repeatedly (each call recomputes the tag).
@@ -285,7 +277,7 @@ def test_multicast_tags_survive_caching_and_detect_tampering():
     assert message.auth.size_bytes() == 8 * len(peers) == len(message.auth.vector)
     # The position table is the sender's, shared by every multicast to that set.
     again = sender.sign_multicast(
-        Commit(view=0, seq=3, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        Commit(view=0, seq=3, digest=b"d" * 16, sender="replica0"),
         peers,
     )
     assert again.auth.positions is message.auth.positions
@@ -306,14 +298,14 @@ def test_multicast_after_new_key_verifies_under_the_new_key_only():
     sender, receiver = make_auth("replica0"), make_auth("replica1")
     peers = ("replica1", "replica2", "replica3")
     before = sender.sign_multicast(
-        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        Prepare(view=0, seq=1, digest=b"d" * 16, sender="replica0"),
         peers,
     )
     assert receiver.verify(before)
     fresh = receiver.keys.refresh_inbound(("replica0",))["replica0"]
     sender.keys.accept_new_key("replica1", fresh)
     after = sender.sign_multicast(
-        Prepare(view=0, seq=2, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        Prepare(view=0, seq=2, digest=b"d" * 16, sender="replica0"),
         peers,
     )
     assert after.auth.entry("replica1") == compute_mac(fresh, after.payload_digest())
@@ -331,8 +323,7 @@ def test_receiver_without_outbound_key_gets_no_entry_but_is_charged():
         if drop:
             del sender.keys.outbound["replica2"]
         message = sender.sign_multicast(
-            Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0",
-                    sender="replica0"),
+            Prepare(view=0, seq=1, digest=b"d" * 16, sender="replica0"),
             ("replica1", "replica2", "replica3"),
         )
         return message, sender.env.charged
@@ -352,7 +343,7 @@ def test_receiver_without_outbound_key_gets_no_entry_but_is_charged():
 def test_without_real_crypto_the_vector_is_empty_and_the_size_is_not():
     sender = make_auth("replica0", real_crypto=False)
     message = sender.sign_multicast(
-        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        Prepare(view=0, seq=1, digest=b"d" * 16, sender="replica0"),
         ("replica0", "replica1", "replica2", "replica3"),
     )
     assert message.auth.vector == b"" and message.auth.size_bytes() == 24
@@ -372,7 +363,7 @@ def test_signature_mode_multicast_carries_one_signature():
 
     sender, receiver = pk_auth("replica0"), pk_auth("replica1")
     message = sender.sign_multicast(
-        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica0", sender="replica0"),
+        Prepare(view=0, seq=1, digest=b"d" * 16, sender="replica0"),
         peers,
     )
     assert type(message.auth).__name__ == "Signature"
@@ -384,7 +375,7 @@ def test_signature_mode_multicast_carries_one_signature():
 
 def test_point_to_point_mac_rejects_wrong_receiver_key():
     sender = make_auth("replica0")
-    message = Reply(view=0, timestamp=1, client="client0", replica="replica0",
+    message = Reply(view=0, timestamp=1, client="client0",
                     result=b"r", result_digest=digest(b"r"), sender="replica0")
     sender.sign_point_to_point(message, "client0")
     client = Authentication(
@@ -401,8 +392,7 @@ def test_point_to_point_mac_rejects_wrong_receiver_key():
 
 def test_resigning_for_retransmission_gives_the_same_tag():
     sender = make_auth("replica0")
-    message = Checkpoint(seq=8, state_digest=b"s" * 16, replica="replica0",
-                         sender="replica0")
+    message = Checkpoint(seq=8, state_digest=b"s" * 16, sender="replica0")
     sender.sign_point_to_point(message, "replica1")
     first_tag = message.auth.tag
     resigned = sender.sign_point_to_point(message, "replica1")
@@ -413,8 +403,7 @@ def test_resigning_for_retransmission_gives_the_same_tag():
 
 def test_wire_size_tracks_auth_reassignment():
     sender = make_auth("replica0")
-    message = Checkpoint(seq=8, state_digest=b"s" * 16, replica="replica0",
-                         sender="replica0")
+    message = Checkpoint(seq=8, state_digest=b"s" * 16, sender="replica0")
     sender.sign_multicast(message, ("replica1", "replica2", "replica3"))
     multicast_size = message.wire_size()
     # Re-signing an already-authenticated message returns a copy (the

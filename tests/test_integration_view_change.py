@@ -205,7 +205,7 @@ def test_a_primary_that_censors_one_client_is_replaced():
     primary = cluster.replicas["replica0"]
     handle_request = primary._handlers[Request]
     primary._handlers[Request] = (
-        lambda request: None if request.client == victim.id else handle_request(request))
+        lambda request: None if request.sender == victim.id else handle_request(request))
     timestamp = victim.invoke_async(b"SET censored v")
 
     def writers_tick():

@@ -42,7 +42,7 @@ def test_types_without_a_handler_are_dropped_quietly(config, registry):
             return ()
 
     replica, env = make_replica(config, registry)
-    reply = Reply(view=0, timestamp=1, client="client0", replica="replica0",
+    reply = Reply(view=0, timestamp=1, client="client0",
                   result=b"r", result_digest=b"d" * 16, sender="replica0")
     for stray in (reply, Gossip(sender="replica0")):
         replica.receive(authed(stray))
@@ -93,16 +93,16 @@ def _mixed_outbox(
     auth = cluster.replicas["replica1"].auth
     others = ("replica0", "replica2", "replica3")
     prepare = auth.sign_multicast(
-        Prepare(view=0, seq=1, digest=b"d" * 16, replica="replica1", sender="replica1"),
+        Prepare(view=0, seq=1, digest=b"d" * 16, sender="replica1"),
         others,
     )
     commit = auth.sign_multicast(
-        Commit(view=0, seq=1, digest=b"d" * 16, replica="replica1", sender="replica1"),
+        Commit(view=0, seq=1, digest=b"d" * 16, sender="replica1"),
         others,
     )
     replies = [
         auth.sign_point_to_point(
-            Reply(view=0, timestamp=1, client=client, replica="replica1",
+            Reply(view=0, timestamp=1, client=client,
                   result=b"r" * size, result_digest=b"d" * 16, sender="replica1"),
             client,
         )
@@ -204,14 +204,14 @@ def _faulty_outbox(
         others,
     )
     request = cluster.clients["client0"].protocol.auth.sign_multicast(
-        Request(operation=b"op", timestamp=1, client="client0", sender="client0"),
+        Request(operation=b"op", timestamp=1, sender="client0"),
         replicas,
     )
 
     def relay(*roots: str) -> Relay:
         return Relay(entries=tuple(
             RelayEntry(view=0, root=root, inner=Prepare(
-                view=0, seq=1, digest=b"d" * 16, replica=root, sender=root))
+                view=0, seq=1, digest=b"d" * 16, sender=root))
             for root in roots
         ), sender="replica1")
 

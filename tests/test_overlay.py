@@ -96,10 +96,9 @@ def test_interior_order_is_shared_across_roots():
 
 # ------------------------------------------------------------------ wire sizes
 def _prepare(replica="replica1", tags=None):
-    message = Prepare(view=0, seq=1, digest=b"d" * 16, replica=replica,
-                      sender=replica)
+    message = Prepare(view=0, seq=1, digest=b"d" * 16, sender=replica)
     if tags is not None:
-        message.auth = Authenticator(replica, b"".join(tags.values()), positions_of(tags))
+        message.auth = Authenticator(b"".join(tags.values()), positions_of(tags))
     return message
 
 
@@ -170,7 +169,6 @@ def test_origination_strips_authenticators_to_each_subtree():
             else:
                 assert entry is None
             assert node_auth(receiver).verify(stripped) == (receiver in subtree)
-        assert stripped.auth.sender == "replica0"
         # Every copy to one subtree shares one position table.
         assert (disseminator._strip_for(message, plan, child).auth.positions
                 is stripped.auth.positions)

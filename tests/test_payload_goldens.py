@@ -42,7 +42,7 @@ D2 = bytes(range(16, 32))
 
 
 def request() -> Request:
-    return Request(operation=b"SET k v", timestamp=7, client="client3", read_only=True,
+    return Request(operation=b"SET k v", timestamp=7, read_only=True,
                    designated_replier="replica2", sender="client3")
 
 
@@ -55,41 +55,39 @@ def instances():
     """One instance of each of the 17 message types, every field set."""
     return {
         "Request": request(),
-        "Reply": Reply(view=2, timestamp=7, client="client3", replica="replica1",
-                       result=b"OK", result_digest=D1, tentative=True, sender="replica1"),
+        "Reply": Reply(view=2, timestamp=7, client="client3", result=b"OK",
+                       result_digest=D1, tentative=True, sender="replica1"),
         "PrePrepare": pre_prepare(),
-        "Prepare": Prepare(view=2, seq=41, digest=D1, replica="replica3", sender="replica3"),
-        "Commit": Commit(view=2, seq=41, digest=D2, replica="replica1", sender="replica1"),
-        "Checkpoint": Checkpoint(seq=40, state_digest=D1, replica="replica0",
-                                 sender="replica0"),
+        "Prepare": Prepare(view=2, seq=41, digest=D1, sender="replica3"),
+        "Commit": Commit(view=2, seq=41, digest=D2, sender="replica1"),
+        "Checkpoint": Checkpoint(seq=40, state_digest=D1, sender="replica0"),
         "ViewChange": ViewChange(
             new_view=3, h=32, checkpoints=((32, D1), (40, D2)),
             prepared=(PSetEntry(seq=41, digest=D1, view=2),),
             pre_prepared=(QSetEntry(seq=41, digests=((D1, 2), (D2, 1))),),
-            replica="replica1", sender="replica1"),
-        "ViewChangeAck": ViewChangeAck(new_view=3, replica="replica2", origin="replica1",
+            sender="replica1"),
+        "ViewChangeAck": ViewChangeAck(new_view=3, origin="replica1",
                                        view_change_digest=D2, sender="replica2"),
         "NewView": NewView(new_view=3, view_change_digests=(("replica1", D1), ("replica2", D2)),
                            checkpoint_seq=40, checkpoint_digest=D1,
                            selections=((41, D2), (42, D1)), batches=(pre_prepare(),),
                            sender="replica3"),
         "StatusActive": StatusActive(view=2, last_stable=32, last_executed=40,
-                                     replica="replica0", prepared_seqs=(41, 42),
-                                     committed_seqs=(41,), sender="replica0"),
+                                     prepared_seqs=(41, 42), committed_seqs=(41,),
+                                     sender="replica0"),
         "StatusPending": StatusPending(view=3, last_stable=32, last_executed=40,
-                                       replica="replica1", has_new_view=True,
+                                       has_new_view=True,
                                        view_changes_from=("replica1", "replica2"),
                                        sender="replica1"),
-        "NewKey": NewKey(replica="replica2", keys=(("replica0", D1), ("client3", D2)),
-                         counter=5, sender="replica2"),
-        "QueryStable": QueryStable(replica="replica3", nonce=11, sender="replica3"),
-        "ReplyStable": ReplyStable(last_checkpoint=40, last_prepared=43, replica="replica0",
-                                   nonce=11, sender="replica0"),
+        "NewKey": NewKey(keys=(("replica0", D1), ("client3", D2)), counter=5,
+                         sender="replica2"),
+        "QueryStable": QueryStable(nonce=11, sender="replica3"),
+        "ReplyStable": ReplyStable(last_checkpoint=40, last_prepared=43, nonce=11,
+                                   sender="replica0"),
         "Fetch": Fetch(level=1, index=5, last_checkpoint=32, target_seq=40,
-                       designated_replier="replica2", replica="replica1", sender="replica1"),
+                       designated_replier="replica2", sender="replica1"),
         "MetaData": MetaData(seq=40, level=1, index=5, entries=((0, 33, D1), (1, 38, D2)),
-                             replica="replica2", reply_timestamps=(("client3", 7),),
-                             sender="replica2"),
+                             reply_timestamps=(("client3", 7),), sender="replica2"),
         "Data": Data(index=9, last_modified=38, page=b"page bytes", seq=40, sender="replica2"),
     }
 

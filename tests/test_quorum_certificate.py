@@ -101,12 +101,12 @@ def test_the_collecting_site_decides_what_a_second_vote_means():
 
 
 def test_an_attached_slot_holds_no_dict_for_either_phase():
-    request = Request(operation=b"op", timestamp=1, client="c", sender="c")
+    request = Request(operation=b"op", timestamp=1, sender="c")
     pre_prepare = PrePrepare(view=0, seq=1, requests=(request,), sender="replica0")
     digest = pre_prepare.batch_digest()
     slot = Slot(seq=1)
     for voter, named in enumerate((b"x" * 16, digest, b"y" * 16)):
-        slot.add_prepare(Prepare(view=0, seq=1, digest=named, replica="r", sender="r"),
+        slot.add_prepare(Prepare(view=0, seq=1, digest=named, sender="r"),
                          voter + 1)
     assert any(isinstance(ref, dict) for ref in gc.get_referents(slot.prepares))
     slot.attach(pre_prepare, digest)
@@ -118,7 +118,6 @@ def test_an_attached_slot_holds_no_dict_for_either_phase():
 def test_a_checkpoint_with_a_new_digest_replaces_the_replicas_earlier_one(replica_and_env):
     replica, _ = replica_and_env
     for digest in (b"a" * 16, b"b" * 16, b"b" * 16):
-        replica.receive(authed(Checkpoint(seq=4, state_digest=digest, replica="replica2",
-                                          sender="replica2")))
+        replica.receive(authed(Checkpoint(seq=4, state_digest=digest, sender="replica2")))
     votes = replica.log.checkpoints[4]
     assert list(votes) == [b"b" * 16] and votes.voters(b"b" * 16) == 1 << 2

@@ -64,7 +64,7 @@ def test_a_reply_resent_from_the_table_is_signed_under_the_current_key():
     client_auth.keys.inbound["replica1"] = fresh
 
     retransmission = Request(
-        operation=b"SET k v", timestamp=1, client=client.id, sender=client.id
+        operation=b"SET k v", timestamp=1, sender=client.id
     )
     client.node.external_call(
         lambda: client_auth.sign_multicast(retransmission, cluster.config.replica_ids)
@@ -91,7 +91,7 @@ def test_no_reply_message_is_held_by_the_table_the_undo_log_or_a_checkpoint():
 
     def request(client, timestamp, operation):
         return Request(operation=operation, timestamp=timestamp,
-                       client=client, sender=client)
+                       sender=client)
 
     _committed_batch(replica, 1, [request("client0", 1, b"SET a 1")])
     _committed_batch(replica, 2, [request("client0", 2, b"GET a"),
@@ -103,8 +103,7 @@ def test_no_reply_message_is_held_by_the_table_the_undo_log_or_a_checkpoint():
     replica.receive(tentative)
     for other in ("replica2", "replica3"):
         replica.receive(authed(Prepare(
-            view=0, seq=3, digest=tentative.batch_digest(), replica=other,
-            sender=other,
+            view=0, seq=3, digest=tentative.batch_digest(), sender=other,
         )))
     assert replica.last_tentative == 3 and replica.last_executed == 2
     assert replica._tentative_undo and 2 in replica.checkpoints
@@ -121,13 +120,12 @@ def test_a_rebuilt_reply_carries_the_executed_one_unchanged():
     result, tentative flag and view of the execution."""
     config = ReplicaSetConfig(n=4, checkpoint_interval=64)
     replica, env = make_replica(config, SignatureRegistry(), "replica1")
-    first = Request(operation=b"SET a 1", timestamp=1, client="client0",
-                    sender="client0", designated_replier="replica2")
+    first = Request(operation=b"SET a 1", timestamp=1, sender="client0", designated_replier="replica2")
     _committed_batch(replica, 1, [first])
     [executed] = [m for m in env.messages_of_type(Reply)]
     env.clear()
     replica.receive(authed(Request(operation=b"SET a 1", timestamp=1,
-                                   client="client0", sender="client0")))
+                                   sender="client0")))
     [resent] = env.messages_of_type(Reply)
     assert resent.payload_bytes() == executed.payload_bytes()
     assert resent.wire_size() == executed.wire_size()
@@ -136,5 +134,5 @@ def test_a_rebuilt_reply_carries_the_executed_one_unchanged():
 
 def test_reachable_replies_finds_a_reply_in_a_container():
     """The walk the table tests rely on does find a held message."""
-    message = Reply(client="client0", replica="replica1", sender="replica1")
+    message = Reply(client="client0", sender="replica1")
     assert reachable_replies({"client0": (1, [message])}) == [message]

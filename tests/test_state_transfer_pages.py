@@ -352,7 +352,7 @@ def test_forged_interior_metadata_is_evicted_and_refetched():
         (entries[1][0], entries[1][1], entries[0][2]),
     )
     forged = MetaData(seq=seq, level=1, index=index, entries=tuple(entries),
-                      replica="replica1", sender="replica1")
+                      sender="replica1")
     manager.handle(forged)
     assert (1, index) in manager._proven_children  # forgery accepted (sums ok)
     _pump_metadata(manager, server, seq)
@@ -520,7 +520,7 @@ def test_refused_whole_snapshot_leaves_nothing_behind(build, probe):
     )
     manager = replica.state_transfer = StateTransferManager(replica)
     replica._execute_batch(
-        [Request(operation=probe, timestamp=3, client="client0", sender="client0")],
+        [Request(operation=probe, timestamp=3, sender="client0")],
         b"", tentative=False,
     )
     target = build(b"/theirs")

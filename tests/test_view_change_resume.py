@@ -38,7 +38,7 @@ MISSING = b"\x5a" * 16
 
 def request(value: bytes, timestamp: int = 1, client: str = "client0",
             designated_replier=None) -> Request:
-    return authed(Request(operation=b"SET k " + value, timestamp=timestamp, client=client,
+    return authed(Request(operation=b"SET k " + value, timestamp=timestamp,
                           designated_replier=designated_replier, sender=client))
 
 
@@ -76,7 +76,7 @@ def enter_view(replica, view: int, prepared=(), batches=()) -> None:
         authed(ViewChange(new_view=view, h=0, checkpoints=checkpoints,
                           prepared=tuple(p for p, _ in entries),
                           pre_prepared=tuple(q for _, q in entries),
-                          replica=origin, sender=origin))
+                          sender=origin))
         for origin in origins
     ]
     for message in view_changes:
@@ -84,14 +84,14 @@ def enter_view(replica, view: int, prepared=(), batches=()) -> None:
     if replica.id == primary:
         for message, acker in zip(view_changes, reversed(origins)):
             replica.receive(authed(ViewChangeAck(
-                new_view=view, replica=acker, origin=message.replica,
+                new_view=view, origin=message.sender,
                 view_change_digest=message.payload_digest(), sender=acker)))
     else:
         selected = view_changes + [replica.view_change_states[view].view_changes[replica.id]]
         decision = compute_decision(selected, config, lambda _digest: True)
         replica.receive(authed(NewView(
             new_view=view,
-            view_change_digests=tuple((m.replica, m.payload_digest()) for m in selected),
+            view_change_digests=tuple((m.sender, m.payload_digest()) for m in selected),
             checkpoint_seq=decision.checkpoint_seq,
             checkpoint_digest=decision.checkpoint_digest,
             selections=tuple(sorted(decision.selections.items())),
@@ -106,7 +106,7 @@ def proposals(env) -> list:
 
 
 def votes_for(replica, env, kind, digest: bytes) -> list:
-    return [m for m in env.messages_of_type(kind) if m.digest == digest and m.replica == replica.id]
+    return [m for m in env.messages_of_type(kind) if m.digest == digest and m.sender == replica.id]
 
 
 def commit_slot(replica, seq: int) -> None:
@@ -121,7 +121,7 @@ def commit_slot(replica, seq: int) -> None:
             if kind is Prepare and other == primary:
                 continue
             replica.receive(authed(kind(view=slot.view, seq=seq, digest=slot.digest(),
-                                        replica=other, sender=other)))
+                                        sender=other)))
 
 
 # ------------------------------------------------- PRE-PREPAREs kept across the change
