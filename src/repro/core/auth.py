@@ -275,28 +275,25 @@ class Authentication:
             return False
         signed = message.payload_digest()
         kind = type(auth)
-        if kind is Authenticator:
-            owner = self.owner
-            if not self.real_crypto:
-                return owner not in auth.corrupt_for
-            key = self.keys.inbound.get(message.sender)
-            entry = auth.entry(owner)
-            if key is None or entry is None or owner in auth.corrupt_for:
-                return False
-            return compare_digest(compute_mac(key, signed), entry)
-        if kind is MACAuth:
-            if not self.real_crypto:
-                return True
-            key = self.keys.inbound.get(message.sender)
-            if key is None:
-                return False
-            return compare_digest(compute_mac(key, signed), auth.tag)
         if kind is Signature:
             registry = self.registry
             if registry.owner_of(auth.public_key) != message.sender:
                 return False
             return not self.real_crypto or registry.verify(signed, auth)
-        return False
+        if kind is Authenticator:
+            if self.owner in auth.corrupt_for:
+                return False
+            tag = auth.entry(self.owner)
+        elif kind is MACAuth:
+            tag = auth.tag
+        else:
+            return False
+        if not self.real_crypto:
+            return True
+        key = self.keys.inbound.get(message.sender)
+        if key is None or tag is None:
+            return False
+        return compare_digest(compute_mac(key, signed), tag)
 
 
 def build_session_keys(owner: str, peers: Iterable[str]) -> SessionKeyTable:

@@ -41,12 +41,12 @@ class Authenticator:
     """A vector of MAC entries, one per receiver in ``positions``.
 
     It names no sender: the receiver checks its entry under the key it
-    shares with the node the message says sent it.  ``vector`` is empty when the entries were never computed (simulations
-    with ``real_crypto`` off); the size on the wire is that of the full
-    vector either way.  ``corrupt_for`` lists receivers whose entries were
-    deliberately corrupted — used by the fault injector to model faulty
-    clients that send requests with partially-correct authenticators
-    (Section 3.2.2).
+    shares with the node the message says sent it.  ``vector`` is empty
+    when the entries were never computed (simulations with ``real_crypto``
+    off); the size on the wire is that of the full vector either way.
+    ``corrupt_for`` lists receivers whose entries were deliberately
+    corrupted — used by the fault injector to model faulty clients that
+    send requests with partially-correct authenticators (Section 3.2.2).
     """
 
     vector: bytes = b""

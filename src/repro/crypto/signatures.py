@@ -28,9 +28,9 @@ _key_counter = itertools.count(1)
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A public/secret key pair held by one principal."""
+    """A public/secret key pair held by one principal; the registry records
+    whose it is."""
 
-    owner: str
     public_key: str
     _secret: bytes
 
@@ -71,7 +71,7 @@ class SignatureRegistry:
         secret = hashlib.sha256(public_key.encode()).digest()
         self._secrets[public_key] = secret
         self._owners[public_key] = owner
-        return KeyPair(owner=owner, public_key=public_key, _secret=secret)
+        return KeyPair(public_key=public_key, _secret=secret)
 
     def owner_of(self, public_key: str) -> Optional[str]:
         return self._owners.get(public_key)
