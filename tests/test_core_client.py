@@ -190,6 +190,77 @@ def test_view_tracking_from_replies():
     assert env.sent[-1].destination == "replica3"
 
 
+@pytest.mark.xfail(strict=True, reason="the client adopts any reply's view")
+def test_one_reply_naming_a_view_does_not_redirect_the_client():
+    client, env, _ = make_client()
+    timestamp = client.invoke(b"op")
+    client.receive(reply("replica1", view=10**6 + 1))
+    client.receive(reply("replica2"))
+    client.receive(reply("replica3"))
+    assert client.is_complete(timestamp)
+    assert client.view == 0
+    client.invoke(b"next")
+    assert env.sent[-1].destination == "replica0"
+
+
+@pytest.mark.xfail(strict=True, reason="the client adopts any reply's view")
+def test_f_plus_one_replies_naming_a_view_redirect_the_client():
+    client, env, _ = make_client()
+    timestamp = client.invoke(b"op")
+    client.receive(reply("replica1", view=10**6 + 1))
+    assert client.view == 0
+    client.receive(reply("replica2", view=10**6 + 1))
+    assert client.view == 10**6 + 1
+    client.receive(reply("replica3"))
+    assert client.is_complete(timestamp)
+    client.invoke(b"next")
+    assert env.sent[-1].destination == "replica1"
+
+
+@pytest.mark.xfail(strict=True, reason="the client adopts any reply's view")
+def test_a_replicas_latest_reply_view_replaces_its_earlier_one():
+    client, _, _ = make_client()
+    client.invoke(b"op")
+    client.receive(reply("replica1", view=7, tentative=True))
+    client.receive(reply("replica1", view=0, tentative=False))
+    client.receive(reply("replica2", view=7))
+    assert client.view == 0
+
+
+def test_a_wrong_full_result_from_the_designated_replier_never_completes_a_read():
+    """A read whose designated replier returns a wrong result, with a
+    matching digest, gathers a quorum for the right digest but never holds
+    the right result: it waits, then retries on the read-write path."""
+    client, env, _ = make_client()
+    timestamp = client.invoke(b"GET x", read_only=True)
+    assert client.pending.request.designated_replier == "replica0"
+    client.receive(reply("replica0", tentative=False, result=b"evil" * 10))
+    for replica in ("replica1", "replica2", "replica3"):
+        client.receive(reply(replica, tentative=False, result=b"good" * 10,
+                             include_result=False))
+    assert not client.is_complete(timestamp)
+    client.on_timer(RETRANSMIT_TIMER)
+    assert not client.pending.read_only
+    assert client.pending.request.designated_replier is None
+
+
+@pytest.mark.xfail(strict=True, reason="the designated replier rotates over every replica")
+def test_the_designated_replier_rotates_among_the_last_results_voters():
+    client, _, _ = make_client()
+    timestamp = client.invoke(b"op")
+    for replica in ("replica0", "replica2", "replica3"):
+        client.receive(reply(replica))
+    assert client.is_complete(timestamp)
+    picks = []
+    for _ in range(6):
+        timestamp = client.invoke(b"op")
+        picks.append(client.pending.request.designated_replier)
+        for replica in ("replica0", "replica2", "replica3"):
+            client.receive(reply(replica, timestamp=timestamp))
+    assert "replica1" not in picks
+    assert set(picks) == {"replica0", "replica2", "replica3"}
+
+
 # ---------------------------------------------------------------------------
 # A reply counts for the replica that authenticated it, and no other
 # ---------------------------------------------------------------------------
