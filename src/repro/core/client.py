@@ -9,10 +9,20 @@ result once it holds a large-enough certificate of matching replies:
   tentatively (Section 5.1.2), and
 * a quorum certificate for read-only requests (Section 5.1.3).
 
+Under digest replies (Section 5.1.1) each request names a designated
+replier, the one replica that returns a large result in full; the others
+return its digest, on the read-write and the read-only path alike.  The
+client rotates the designation among the replicas that backed the result
+of its last completed request (among all of them before the first), so a
+replica that stopped answering is not designated; one that goes silent or
+wrong while designated costs one retransmission timeout.
+
 If replies do not arrive before the retransmission timeout, the client
-retransmits the request to all replicas with exponential backoff; a
-read-only request that cannot gather a quorum is retried through the
-normal read-write path.
+retransmits the request to all replicas with exponential backoff, asking
+every replica for the full result; a read-only request that cannot gather
+a quorum is retried through the normal read-write path.  The client sends
+to the primary of the highest view that f + 1 replicas named in their
+replies, so one faulty replica cannot redirect it.
 """
 
 from __future__ import annotations
@@ -58,6 +68,8 @@ class _PendingRequest:
     votes: Certificate = field(default_factory=Certificate)
     #: Full results seen, keyed by result digest.
     results: Dict[bytes, bytes] = field(default_factory=dict)
+    #: Each replica's latest reply view, by replica index.
+    reply_views: Dict[int, int] = field(default_factory=dict)
     retransmissions: int = 0
 
 
@@ -92,6 +104,9 @@ class Client:
         self.pending: Optional[_PendingRequest] = None
         self.last_completed: Optional[CompletedRequest] = None
         self._replier_rotation = 0
+        #: The voters for the winning result of the last completed request
+        #: (a bitmask of replica indexes); 0 before the first completion.
+        self._last_voters = 0
         self._timeout = config.client_retransmission_timeout
 
     # ------------------------------------------------------------------ API
@@ -133,11 +148,44 @@ class Client:
     def busy(self) -> bool:
         return self.pending is not None
 
+    def stall_report(self) -> str:
+        """Where the outstanding request stands: its timestamp, path,
+        designated replier and retransmissions, then one line per (result
+        digest, tentative) naming its voters and whether the full result is
+        held.  It reads state only."""
+        pending = self.pending
+        if pending is None:
+            return f"{self.id} idle"
+        request = pending.request
+        lines = [
+            f"{self.id} pending timestamp {request.timestamp} "
+            f"{'read-only' if pending.read_only else 'read-write'} "
+            f"designated {request.designated_replier or '-'} "
+            f"retransmissions {pending.retransmissions}"
+        ]
+        replicas = self.config.replica_ids
+        for result_digest, tentative in pending.votes:
+            voters = pending.votes.voters((result_digest, tentative))
+            lines.append(
+                f"  result {result_digest.hex()[:16]} "
+                f"{'tentative' if tentative else 'committed'} voters "
+                + ",".join(r for i, r in enumerate(replicas) if voters >> i & 1)
+                + (" full result held" if result_digest in pending.results
+                   else " full result not held")
+            )
+        return "\n".join(lines)
+
     # ---------------------------------------------------------------- sending
     def _pick_designated_replier(self) -> Optional[str]:
+        """Rotate the designated replier among the replicas that backed the
+        last completed result (every replica before the first completion):
+        one that stopped answering is not asked for the next full result."""
         if not self.options.digest_replies:
             return None
         replicas = self.config.replica_ids
+        voters = self._last_voters
+        if voters:
+            replicas = [r for i, r in enumerate(replicas) if voters >> i & 1]
         choice = replicas[self._replier_rotation % len(replicas)]
         self._replier_rotation += 1
         return choice
@@ -181,19 +229,27 @@ class Client:
             return
         if reply.client != self.id:
             return
-        # Track the view so future requests go to the right primary.
-        self.view = max(self.view, reply.view)
+        voter = self.config.replica_indexes[reply.sender]
+        pending.reply_views[voter] = reply.view
+        if reply.view > self.view:
+            self._adopt_view(pending)
 
-        pending.votes.add(
-            self.config.replica_indexes[reply.sender],
-            (reply.result_digest, reply.tentative),
-        )
+        pending.votes.add(voter, (reply.result_digest, reply.tentative))
         if reply.result is not None:
             if digest(reply.result) != reply.result_digest:
                 return
             pending.results[reply.result_digest] = reply.result
 
         self._check_complete()
+
+    def _adopt_view(self, pending: _PendingRequest) -> None:
+        """Send future requests to the primary of the highest view that
+        f + 1 replicas named, so at least one correct replica is in it: one
+        faulty replica's reply cannot redirect the client."""
+        views = sorted(pending.reply_views.values(), reverse=True)
+        f = self.config.f
+        if len(views) > f and views[f] > self.view:
+            self.view = views[f]
 
     def _required_votes(self, tentative: bool) -> int:
         if self.pending is not None and self.pending.read_only:
@@ -221,10 +277,10 @@ class Client:
                 # (digest replies): wait for the designated replier or for a
                 # retransmission to request full replies.
                 continue
-            self._complete(result_digest)
+            self._complete(result_digest, voters)
             return
 
-    def _complete(self, result_digest: bytes) -> None:
+    def _complete(self, result_digest: bytes, voters: int) -> None:
         pending = self.pending
         assert pending is not None
         now = self.env.now()
@@ -240,6 +296,7 @@ class Client:
             view=self.view,
         )
         self.last_completed = completed
+        self._last_voters = voters
         self.pending = None
         self.env.cancel_timer(RETRANSMIT_TIMER)
         self._timeout = self.config.client_retransmission_timeout

@@ -138,8 +138,10 @@ class ProtocolOptions:
     #: this many batches are outstanding, which is what makes batches form
     #: under load.
     pipeline_depth: int = 4
-    #: Digest replies (Section 5.1.1): only the designated replier returns
-    #: the full result, others return the digest.
+    #: Digest replies (Section 5.1.1): for a result of at least
+    #: ``digest_replies_threshold`` bytes only the request's designated
+    #: replier returns it in full and the others return its digest, on
+    #: the read-write and the read-only path (5.1.3) alike.
     digest_replies: bool = True
     digest_replies_threshold: int = 32
     #: Separate request transmission (Section 5.1.5): large requests are

@@ -67,8 +67,8 @@ from repro.statetransfer.transfer import (
 VIEW_CHANGE_TIMER = "view-change"
 STATUS_TIMER = "status"
 
-#: Bound on the batch pipeline's result-digest memo (result bytes ->
-#: digest); cleared wholesale when exceeded.  KV-style services return a
+#: Bound on the replies' result-digest memo (result bytes -> digest);
+#: cleared wholesale when exceeded.  KV-style services return a
 #: small set of distinct results (``OK``, ``MISSING``, read values), so
 #: the memo collapses one digest computation per reply to a dict hit.
 _RESULT_DIGEST_MEMO_LIMIT = 2048
@@ -238,7 +238,7 @@ class Replica:
         self.state_transfer = None
         self.recovery = None
 
-        #: Batch-pipeline memos (wall-clock only — both map pure functions,
+        #: Reply memos (wall-clock only — both map pure functions,
         #: so a stale entry can never change a value, only cost a recompute).
         #: ``_result_digest_memo``: result bytes -> digest(result).
         self._result_digest_memo: Dict[bytes, bytes] = {}
@@ -411,8 +411,40 @@ class Replica:
             self.params.execution_cost(len(request.operation), len(result))
         )
         self.metrics.read_only_executed += 1
-        reply = self._build_reply(request, result, tentative=False)
-        self._send_reply_message(reply)
+        self._send_reply_message(Reply(
+            view=self.view,
+            timestamp=request.timestamp,
+            client=request.sender,
+            result=result if self._carries_result(request, result) else None,
+            result_digest=self._result_digest(result),
+            tentative=False,
+            sender=self.id,
+        ))
+
+    def _carries_result(self, request: Request, result: bytes) -> bool:
+        """Digest replies (Section 5.1.1): a reply carries its result unless
+        the optimization applies to it (on, a result of at least
+        ``digest_replies_threshold`` bytes, a designated replier) and
+        another replica is the designated one.  Both reply paths ask this."""
+        designated = request.designated_replier
+        options = self.options
+        return (
+            not options.digest_replies
+            or len(result) < options.digest_replies_threshold
+            or designated is None
+            or designated == self.id
+        )
+
+    def _result_digest(self, result: bytes) -> bytes:
+        """``digest(result)``, through the memo both reply paths share."""
+        memo = self._result_digest_memo
+        result_digest = memo.get(result)
+        if result_digest is None:
+            result_digest = digest(result)
+            if len(memo) >= _RESULT_DIGEST_MEMO_LIMIT:
+                memo.clear()
+            memo[result] = result_digest
+        return result_digest
 
     # =====================================================================
     # Pre-prepare (primary side)
@@ -680,8 +712,8 @@ class Replica:
         ``execution_cost(len(operation), len(result))``, replaces the
         client's reply-table entry and reply record — with the full result,
         so a retransmission gets it whoever is designated then — and is
-        answered, with the result digest alone when digest replies apply
-        and another replica is the designated replier (Section 5.1.1).
+        answered, with the result digest alone when
+        :meth:`_carries_result` says so (Section 5.1.1).
         Under ``tentative`` every executed request logs what it overwrote,
         so a view change can undo the batch (Section 5.1.2).
 
@@ -731,11 +763,9 @@ class Replica:
         params = self.params
         exec_fixed = params.execution_fixed
         exec_per_byte = params.execution_per_byte
-        options = self.options
-        digest_replies = options.digest_replies
-        digest_threshold = options.digest_replies_threshold
+        carries_result = self._carries_result
+        result_digest_of = self._result_digest
         sign = self.auth.point_to_point_signer()
-        result_digests = self._result_digest_memo
         undo = self._tentative_undo
         awaited = self.awaited_requests
         view = self.view
@@ -792,28 +822,16 @@ class Replica:
             held = awaited.get(client)
             if held is not None and held.timestamp <= timestamp:
                 del awaited[client]
-            result_digest = result_digests.get(result)
-            if result_digest is None:
-                result_digest = digest(result)
-                if len(result_digests) >= _RESULT_DIGEST_MEMO_LIMIT:
-                    result_digests.clear()
-                result_digests[result] = result_digest
+            result_digest = result_digest_of(result)
             last_reply[client] = ReplyRecord(
                 view, result, result_digest, tentative, new_entry
             )
-            # Digest replies: only the designated replier sends a large
-            # result in full (``result`` is not part of the payload).
-            stripped = (
-                digest_replies
-                and len(result) >= digest_threshold
-                and request.designated_replier is not None
-                and request.designated_replier != own_id
-            )
+            # ``result`` is not part of the payload.
             reply = Reply(
                 view=view,
                 timestamp=timestamp,
                 client=client,
-                result=None if stripped else result,
+                result=result if carries_result(request, result) else None,
                 result_digest=result_digest,
                 tentative=tentative,
                 sender=own_id,
@@ -843,19 +861,6 @@ class Replica:
             send(client, reply)
         self.metrics.requests_executed += executed
         self._reply_digest = (self._reply_digest + reply_delta) % ADHASH_MODULUS
-
-    def _build_reply(
-        self, request: Request, result: bytes, tentative: bool
-    ) -> Reply:
-        return Reply(
-            view=self.view,
-            timestamp=request.timestamp,
-            client=request.sender,
-            result=result,
-            result_digest=digest(result),
-            tentative=tentative,
-            sender=self.id,
-        )
 
     def _rebuild_reply(self, client: str, record: ReplyRecord) -> Reply:
         """The reply ``record`` was made from, unsigned: its payload bytes

@@ -416,9 +416,10 @@ class SyncClient:
                 f"request {timestamp} from {self.id} did not complete within "
                 f"{timeout} simulated microseconds"
             )
-            stall_report = getattr(self.cluster, "stall_report", None)
-            if stall_report is not None:
-                message += "\n" + stall_report()
+            for side in (self.protocol, self.cluster):
+                stall_report = getattr(side, "stall_report", None)
+                if stall_report is not None:
+                    message += "\n" + stall_report()
             raise TimeoutError(message)
         return completed.result
 

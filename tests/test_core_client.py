@@ -190,7 +190,6 @@ def test_view_tracking_from_replies():
     assert env.sent[-1].destination == "replica3"
 
 
-@pytest.mark.xfail(strict=True, reason="the client adopts any reply's view")
 def test_one_reply_naming_a_view_does_not_redirect_the_client():
     client, env, _ = make_client()
     timestamp = client.invoke(b"op")
@@ -203,7 +202,6 @@ def test_one_reply_naming_a_view_does_not_redirect_the_client():
     assert env.sent[-1].destination == "replica0"
 
 
-@pytest.mark.xfail(strict=True, reason="the client adopts any reply's view")
 def test_f_plus_one_replies_naming_a_view_redirect_the_client():
     client, env, _ = make_client()
     timestamp = client.invoke(b"op")
@@ -217,7 +215,6 @@ def test_f_plus_one_replies_naming_a_view_redirect_the_client():
     assert env.sent[-1].destination == "replica1"
 
 
-@pytest.mark.xfail(strict=True, reason="the client adopts any reply's view")
 def test_a_replicas_latest_reply_view_replaces_its_earlier_one():
     client, _, _ = make_client()
     client.invoke(b"op")
@@ -244,7 +241,6 @@ def test_a_wrong_full_result_from_the_designated_replier_never_completes_a_read(
     assert client.pending.request.designated_replier is None
 
 
-@pytest.mark.xfail(strict=True, reason="the designated replier rotates over every replica")
 def test_the_designated_replier_rotates_among_the_last_results_voters():
     client, _, _ = make_client()
     timestamp = client.invoke(b"op")

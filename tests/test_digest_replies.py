@@ -21,10 +21,6 @@ from repro.sim.faults import FaultSpec, FaultType
 
 from tests.conftest import authed, make_replica
 
-#: Fails until the read-only path strips results by the digest-replies rule
-#: and the client designates only the last result's voters.
-PENDING = "read-only replies ignore the designated replier"
-
 LARGE = b"v" * 48
 AT_THRESHOLD = b"t" * 32
 SMALL = b"s" * 31
@@ -51,7 +47,6 @@ def _read_only_reply(value: bytes, designated, replica_id="replica1") -> Reply:
 
 
 # ---------------------------------------------------------------- replica side
-@pytest.mark.xfail(strict=True, reason=PENDING)
 @pytest.mark.parametrize("value", [LARGE, AT_THRESHOLD], ids=["48B", "32B"])
 def test_a_replica_that_is_not_designated_answers_a_read_with_the_digest(value):
     reply = _read_only_reply(value, designated="replica2")
@@ -73,12 +68,10 @@ def test_a_result_under_the_threshold_travels_in_full_from_every_replica(designa
 
 @pytest.mark.parametrize("value", [SMALL, AT_THRESHOLD, LARGE], ids=["31B", "32B", "48B"])
 @pytest.mark.parametrize("designated", [None, "replica1", "replica2"])
-def test_read_only_and_batch_replies_are_byte_identical(value, designated, request):
+def test_read_only_and_batch_replies_are_byte_identical(value, designated):
     """One request and one result make one reply, whichever path built it:
     the generic encoding of the read-only path equals the bulk encoder of
     ``_execute_batch``, and both carry or strip the result alike."""
-    if designated == "replica2" and value != SMALL:
-        request.applymarker(pytest.mark.xfail(strict=True, reason=PENDING))
     read_only = _read_only_reply(value, designated)
     replica, env = make_replica(ReplicaSetConfig(n=4, checkpoint_interval=4),
                                 SignatureRegistry(), "replica1",
@@ -107,7 +100,6 @@ def _note_designations(client, monkeypatch) -> list:
     return picks
 
 
-@pytest.mark.xfail(strict=True, reason=PENDING)
 def test_reads_never_designate_a_partitioned_replica(monkeypatch):
     cluster = _kv_cluster()
     client = cluster.new_client()
@@ -128,7 +120,6 @@ def test_reads_never_designate_a_partitioned_replica(monkeypatch):
     assert len(picks) == 24
 
 
-@pytest.mark.xfail(strict=True, reason=PENDING)
 def test_a_corrupt_designated_replier_sends_the_read_to_the_read_write_path(monkeypatch):
     cluster = _kv_cluster()
     cluster.inject_fault(
@@ -144,7 +135,6 @@ def test_a_corrupt_designated_replier_sends_the_read_to_the_read_write_path(monk
     assert completed.retransmissions == 1
 
 
-@pytest.mark.xfail(strict=True, reason=PENDING)
 def test_a_read_stuck_on_a_silent_designated_replier_explains_itself(monkeypatch):
     cluster = _kv_cluster()
     client = cluster.new_client()
