@@ -37,7 +37,11 @@ requests it already held; and, once read-only replies followed the
 digest-replies rule, the completion times, busy totals and (where a read
 returns a large value) payload bytes of ``kv_f2_checkpoints``,
 ``kv_f1_dropping_primary`` and ``sharded_g2``, from the first read whose
-designated replier was another replica on (each 18.4 µs earlier).  They
+designated replier was another replica on (each 18.4 µs earlier); and
+every literal but ``unreplicated_null``'s once a busy primary drained its
+input before proposing and a status stopped asking for slots still in
+flight at its sender, with ``kv_f1_dropping_primary`` moved from seed 25
+at drop probability 0.2 (which then wedged) to seed 23 at 0.25.  They
 must match to the bit.  MAC tag bytes are not part of the fingerprint (their
 size is, through the wire totals), so swapping the MAC primitive leaves it
 unchanged.
@@ -152,21 +156,23 @@ def _unreplicated_null() -> UnreplicatedCluster:
 
 
 #: When the dropping primary crashes, and the bound on the run: it finishes
-#: at ~36 ms, but two thirds of the neighbouring (seed, probability) pairs
-#: never do (ROADMAP: the view-change x tentative-execution wedge), so the
-#: loop must not be ``run_closed_loop``'s simulated hour.  The PR that fixes
-#: the wedge regenerates this configuration's literal and says why.
+#: at ~31 ms, but most neighbouring (seed, probability) pairs never do
+#: (ROADMAP: the view-change x tentative-execution wedge; at probability 0.2
+#: 48 of seeds 1-60 stop short, seed 25 among them, once the primary
+#: drains its input before proposing; 43 before), so the loop must not be
+#: ``run_closed_loop``'s simulated hour.  The change that fixes the wedge
+#: regenerates this configuration's literal and says why.
 DROPPING_PRIMARY_CRASH_US = 6_000.0
 DROPPING_PRIMARY_BOUND_US = 1_000_000.0
 
 
 def _kv_f1_dropping_primary() -> BFTCluster:
     cluster = BFTCluster.create(
-        f=1, service_factory=KeyValueStore, seed=25, checkpoint_interval=4,
+        f=1, service_factory=KeyValueStore, seed=23, checkpoint_interval=4,
         client_retransmission_timeout=1_500.0, view_change_timeout=20_000.0,
     )
     cluster.inject_fault(
-        FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES, probability=0.2,
+        FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES, probability=0.25,
                   end=DROPPING_PRIMARY_CRASH_US)
     )
     cluster.inject_fault(
@@ -252,7 +258,7 @@ def _drive_dropping_primary(
             stop_when=lambda: sum(per_client) >= clients * ops_per_client,
             duration=DROPPING_PRIMARY_BOUND_US,
         )
-    # 14 / 6 / 3 / 2 / 2 when the literal was captured.
+    # 14 / 6 / 45 / 2 / 2 when the literal was captured.
     assert all(counts.values()), counts
     return per_client
 
@@ -389,61 +395,61 @@ def fingerprint(name: str) -> Dict[str, Any]:
 
 GOLDEN: Dict[str, Dict[str, Any]] = {}
 GOLDEN["null_f1"] = \
-{'completion_times': [526.9569999999999, 901.0070000000002, 1139.7260000000003,
-                      1446.1300000000003, 1723.1910000000005, 2058.8730000000005,
-                      2335.9480000000017, 2671.6640000000025, 2919.437000000003,
-                      3200.2340000000036, 3532.3210000000036, 3813.1810000000037,
-                      4145.266000000003, 4409.563000000003, 4758.193000000002,
-                      5009.7530000000015, 5382.627999999997, 5606.651000000002,
-                      5943.545, 6250.015999999999, 6556.520999999998, 6846.997999999997,
-                      7170.539999999995, 7497.391999999988, 7802.557999999985,
-                      8126.082999999984, 8462.976999999977, 8813.465999999979,
-                      9136.815999999968, 9473.760999999962],
- 'cpu_busy_total': {'replica0': 10605.833999999986,
-                    'replica1': 9689.033999999987,
-                    'replica2': 9689.033999999987,
-                    'replica3': 9689.033999999987},
- 'dispatched': 918,
+{'completion_times': [455.3529999999999, 781.0069999999998, 796.8709999999999,
+                      812.7349999999999, 828.5989999999999, 1287.8850000000004,
+                      1613.5220000000006, 1629.3860000000006, 1645.2500000000007,
+                      1661.1140000000007, 2120.4170000000004, 2446.037000000001,
+                      2461.901000000001, 2477.7650000000012, 2493.6290000000013,
+                      2952.9490000000005, 3278.5520000000015, 3294.4160000000015,
+                      3310.2800000000016, 3326.1440000000016, 3785.481000000002,
+                      4111.1150000000025, 4126.979000000002, 4142.843000000003,
+                      4158.707000000002, 4617.443999999999, 4943.193999999998,
+                      4959.057999999997, 4974.921999999997, 4990.785999999996],
+ 'cpu_busy_total': {'replica0': 5446.313999999994,
+                    'replica1': 4529.514000000001,
+                    'replica2': 4529.514000000001,
+                    'replica3': 4529.514000000001},
+ 'dispatched': 497,
  'state_digests': {'replica0': 'd37d6f9b076d9f0b3014d28f98ca1ef0',
                    'replica1': 'd37d6f9b076d9f0b3014d28f98ca1ef0',
                    'replica2': 'd37d6f9b076d9f0b3014d28f98ca1ef0',
                    'replica3': 'd37d6f9b076d9f0b3014d28f98ca1ef0'},
- 'wire_totals': {'auth_bytes': 21024,
-                 'messages_sent': 906,
-                 'payload_bytes': 78312,
-                 'per_type': {'Commit': 360,
-                              'PrePrepare': 90,
-                              'Prepare': 270,
+ 'wire_totals': {'auth_bytes': 10656,
+                 'messages_sent': 474,
+                 'payload_bytes': 42456,
+                 'per_type': {'Commit': 144,
+                              'PrePrepare': 36,
+                              'Prepare': 108,
                               'Reply': 120,
                               'Request': 30,
                               'StatusActive': 36}}}
 GOLDEN["kv_f2_checkpoints"] = \
-{'completion_times': [798.4010000000004, 1507.1420000000012, 2247.967000000001,
-                      2651.420000000002, 3162.814000000003, 3178.702000000003,
-                      4093.959000000004, 4750.356, 5001.393999999997, 5339.482999999994,
-                      5765.036999999992, 6013.7259999999915, 6297.639999999988,
-                      6789.6779999999835, 6805.565999999983, 6946.227999999983,
-                      7530.756999999977, 7536.366999999978, 7617.988999999978,
-                      8186.0219999999745, 8861.64699999997, 9747.567999999961,
-                      10407.420999999953, 10840.806999999952, 10856.694999999952,
-                      11561.919999999947, 11643.381999999947, 12278.42399999994,
-                      12551.860999999939, 13067.413999999933, 13349.099999999933,
-                      13687.28499999993, 13798.35899999993, 14444.519999999926,
-                      14525.981999999925, 15076.903999999922, 15303.249999999918,
-                      15319.137999999919, 15946.102999999914, 16543.587999999905,
-                      17396.212999999883, 17964.097999999874, 18571.407999999865,
-                      18587.295999999864, 19046.485999999855, 19100.035999999855,
-                      19318.280999999857, 19777.594999999837, 20222.915999999837,
-                      20688.577999999823, 20872.41099999983, 21310.86099999981,
-                      21521.90599999982, 21868.135999999802],
- 'cpu_busy_total': {'replica0': 24223.907999999818,
-                    'replica1': 22456.883999999776,
-                    'replica2': 22442.48399999978,
-                    'replica3': 22449.68399999978,
-                    'replica4': 22456.883999999765,
-                    'replica5': 22442.48399999978,
-                    'replica6': 22442.48399999978},
- 'dispatched': 3585,
+{'completion_times': [715.1690000000002, 1351.7860000000003, 1367.6740000000002,
+                      1383.5620000000001, 1399.45, 1415.338, 2132.0309999999995,
+                      2460.8289999999993, 3097.3959999999993, 3113.283999999999,
+                      3129.171999999999, 3145.059999999999, 3160.947999999999,
+                      3556.2540000000004, 3716.9680000000008, 3806.828000000003,
+                      3888.306000000003, 3963.242000000001, 4300.850999999998,
+                      5572.613999999993, 5588.501999999993, 5604.389999999993,
+                      5620.277999999993, 5636.165999999993, 6092.494999999992,
+                      6610.248999999996, 7025.991999999992, 7041.879999999992,
+                      7057.767999999992, 7073.655999999992, 7089.543999999992,
+                      7573.025999999994, 7627.435999999994, 7681.845999999994,
+                      7736.255999999994, 7820.133999999994, 8262.754999999985,
+                      8889.618999999979, 8905.50699999998, 8921.39499999998,
+                      8937.282999999981, 9544.592999999975, 9560.480999999976,
+                      9864.158999999992, 10812.296999999995, 10828.184999999996,
+                      10844.072999999997, 10859.960999999998, 11536.889999999992,
+                      11607.139999999992, 11661.549999999992, 11745.571999999991,
+                      11799.98199999999, 12220.08399999999],
+ 'cpu_busy_total': {'replica0': 12799.147999999977,
+                    'replica1': 11003.323999999946,
+                    'replica2': 11003.323999999946,
+                    'replica3': 11012.923999999944,
+                    'replica4': 11015.323999999944,
+                    'replica5': 11003.323999999944,
+                    'replica6': 11003.323999999944},
+ 'dispatched': 1917,
  'state_digests': {'replica0': '09fcc58d70571dad79b3fee055acf80c',
                    'replica1': '09fcc58d70571dad79b3fee055acf80c',
                    'replica2': '09fcc58d70571dad79b3fee055acf80c',
@@ -451,112 +457,113 @@ GOLDEN["kv_f2_checkpoints"] = \
                    'replica4': '09fcc58d70571dad79b3fee055acf80c',
                    'replica5': '09fcc58d70571dad79b3fee055acf80c',
                    'replica6': '09fcc58d70571dad79b3fee055acf80c'},
- 'wire_totals': {'auth_bytes': 160272,
-                 'messages_sent': 3564,
-                 'payload_bytes': 422532,
-                 'per_type': {'Checkpoint': 294,
-                              'Commit': 1302,
-                              'PrePrepare': 186,
-                              'Prepare': 1116,
+ 'wire_totals': {'auth_bytes': 79632,
+                 'messages_sent': 1884,
+                 'payload_bytes': 248652,
+                 'per_type': {'Checkpoint': 126,
+                              'Commit': 546,
+                              'PrePrepare': 78,
+                              'Prepare': 468,
                               'Reply': 378,
                               'Request': 162,
                               'StatusActive': 126}}}
 GOLDEN["send_faults_f1"] = \
-{'completion_times': [592.653, 858.9430000000001, 1051.8020000000004,
-                      1373.8700000000001, 1796.3239999999998, 2104.067,
-                      2355.5430000000006, 2692.5000000000014, 3036.2070000000026,
-                      3385.2590000000027, 3691.752000000003, 3998.189000000003,
-                      4288.717000000002, 4800.098, 4988.119, 5278.6129999999985,
-                      5781.813999999995, 6010.985999999994, 6317.439999999993,
-                      6578.638999999992, 6976.621999999991, 7313.665999999989,
-                      7689.0499999999865, 7833.568999999988],
- 'cpu_busy_total': {'replica0': 8422.281999999988,
-                    'replica1': 7600.989999999994,
-                    'replica2': 7500.613999999988,
-                    'replica3': 7688.913999999994},
- 'dispatched': 723,
+{'completion_times': [484.5729999999999, 732.4939999999999, 748.358, 764.222,
+                      1276.2520000000002, 1480.228, 1496.092, 1511.9560000000001,
+                      2055.8749999999995, 2259.8409999999994, 2275.7049999999995,
+                      2291.5689999999995, 2776.821, 2995.7490000000007,
+                      3011.6130000000007, 3027.4770000000008, 3556.3260000000014,
+                      3760.308000000002, 3776.172000000002, 3792.036000000002,
+                      4335.8730000000005, 4539.893999999999, 4555.757999999999,
+                      4571.6219999999985],
+ 'cpu_busy_total': {'replica0': 5070.537999999994,
+                    'replica1': 4364.490000000002,
+                    'replica2': 4236.206000000002,
+                    'replica3': 4305.866000000002},
+ 'dispatched': 457,
  'state_digests': {'replica0': 'cf498596ff89a16278ba0f83a00201db',
                    'replica1': 'cf498596ff89a16278ba0f83a00201db',
                    'replica2': 'cf498596ff89a16278ba0f83a00201db',
                    'replica3': 'cf498596ff89a16278ba0f83a00201db'},
- 'wire_totals': {'auth_bytes': 16512,
-                 'messages_sent': 711,
-                 'payload_bytes': 61504,
-                 'per_type': {'Commit': 277,
-                              'PrePrepare': 72,
-                              'Prepare': 209,
-                              'Reply': 93,
+ 'wire_totals': {'auth_bytes': 9872,
+                 'messages_sent': 434,
+                 'payload_bytes': 38456,
+                 'per_type': {'Commit': 142,
+                              'PrePrepare': 36,
+                              'Prepare': 106,
+                              'Reply': 92,
                               'Request': 24,
-                              'StatusActive': 36}}}
+                              'StatusActive': 34}}}
 GOLDEN["lossy_f1"] = \
-{'completion_times': [526.9569999999999, 901.0070000000002, 1123.1660000000004,
-                      1328.7700000000002, 1635.1160000000004, 2133.355,
-                      2470.3070000000007, 2721.7760000000017, 100475.05900000002,
-                      100618.95200000002, 100634.81600000002, 101181.75700000006,
-                      101403.99000000008, 101801.5790000001, 102078.72100000014,
-                      102444.70700000013, 153176.601, 250930.59499999994,
-                      251458.48799999987, 251985.43299999982, 252551.20400000009,
-                      303342.0450000001, 303827.3160000002, 304354.3600000003],
- 'cpu_busy_total': {'replica0': 8929.261999999995,
-                    'replica1': 8610.581999999997,
-                    'replica2': 8597.822000000002,
-                    'replica3': 8351.673999999992},
- 'dispatched': 798,
+{'completion_times': [455.3529999999999, 773.9699999999998, 790.422, 805.6979999999999,
+                      1257.7560000000005, 100504.378, 100635.12500000001,
+                      100635.22100000002, 101058.88200000003, 101366.52700000007,
+                      101624.24300000015, 101930.6490000002, 102599.67100000018,
+                      103113.16400000025, 151229.26899999997, 151756.9249999999,
+                      152318.0099999998, 152825.12699999977, 153352.30899999972,
+                      251531.84300000008, 252016.26500000004, 252524.99999999997,
+                      252763.81499999994, 253174.12699999995],
+ 'cpu_busy_total': {'replica0': 8253.721999999982,
+                    'replica1': 7535.297999999992,
+                    'replica2': 7513.2619999999915,
+                    'replica3': 7601.161999999991},
+ 'dispatched': 726,
  'state_digests': {'replica0': 'cf498596ff89a16278ba0f83a00201db',
                    'replica1': 'cf498596ff89a16278ba0f83a00201db',
                    'replica2': 'cf498596ff89a16278ba0f83a00201db',
                    'replica3': 'cf498596ff89a16278ba0f83a00201db'},
- 'wire_totals': {'auth_bytes': 18848,
-                 'messages_sent': 814,
-                 'payload_bytes': 70706,
-                 'per_type': {'Commit': 303,
-                              'PrePrepare': 75,
-                              'Prepare': 224,
+ 'wire_totals': {'auth_bytes': 17008,
+                 'messages_sent': 733,
+                 'payload_bytes': 63632,
+                 'per_type': {'Commit': 267,
+                              'PrePrepare': 69,
+                              'Prepare': 201,
                               'Reply': 100,
-                              'Request': 40,
-                              'StatusActive': 72}}}
+                              'Request': 36,
+                              'StatusActive': 60}}}
 GOLDEN["impaired_f1"] = \
-{'completion_times': [627.0390210722584, 977.6789694934404, 1224.6175071006662,
-                      1588.437579005059, 2352.923407548321, 2747.2730511004092,
-                      3449.9428988577297, 3804.3471564072106, 4095.368602812629,
-                      4814.9023423219, 5182.558292461212, 5469.640461960036,
-                      5839.218253532374, 6282.912740153804, 6628.532142821591,
-                      6907.384495431061, 7348.699440273426, 7702.112501819788,
-                      8000.832669165024, 8384.813526861566, 8790.236023867832,
-                      9166.242853622334, 9431.683439467486, 9732.66566174261],
- 'cpu_busy_total': {'replica0': 10265.093999999975,
-                    'replica1': 9109.153999999986,
-                    'replica2': 9200.653999999988,
-                    'replica3': 9232.269999999995},
- 'dispatched': 907,
+{'completion_times': [521.3489563344807, 854.0737125617842, 869.7844551072059,
+                      891.2784244100403, 1330.1911883029138, 1653.3318655410865,
+                      1668.667446383609, 2021.6846688038966, 2429.247499581171,
+                      2805.693131461346, 2820.999223608769, 3174.8887952557584,
+                      3600.961136449409, 3951.3145813411875, 3975.983786966821,
+                      4343.128389381075, 4664.615787801739, 5106.8064773086135,
+                      5121.421668115995, 5480.981596965596, 5796.779618772345,
+                      6175.754927948861, 6187.424048332091, 6427.177178953685],
+ 'cpu_busy_total': {'replica0': 6949.357999999985,
+                    'replica1': 6155.073999999993,
+                    'replica2': 6127.321999999994,
+                    'replica3': 6128.425999999998},
+ 'dispatched': 647,
  'state_digests': {'replica0': 'cf498596ff89a16278ba0f83a00201db',
                    'replica1': 'cf498596ff89a16278ba0f83a00201db',
                    'replica2': 'cf498596ff89a16278ba0f83a00201db',
                    'replica3': 'cf498596ff89a16278ba0f83a00201db'},
- 'wire_totals': {'auth_bytes': 18912,
-                 'messages_sent': 816,
-                 'payload_bytes': 70648,
-                 'per_type': {'Commit': 324,
-                              'PrePrepare': 81,
-                              'Prepare': 243,
-                              'Reply': 108,
+ 'wire_totals': {'auth_bytes': 12960,
+                 'messages_sent': 564,
+                 'payload_bytes': 49384,
+                 'per_type': {'Commit': 204,
+                              'PrePrepare': 51,
+                              'Prepare': 153,
+                              'Reply': 96,
                               'Request': 24,
                               'StatusActive': 36}}}
 GOLDEN["tree_f2"] = \
-{'completion_times': [1788.5370000000003, 2971.7450000000003, 2987.6090000000004,
-                      3003.4730000000004, 3792.1330000000007, 4705.520999999997,
-                      5669.609999999999, 5685.473999999998, 5701.337999999998,
-                      6619.990000000002, 7551.147000000001, 8205.216, 8239.993,
-                      8255.857, 9052.025, 10178.337, 10215.938, 10778.875, 10794.739,
-                      11829.438999999997],
- 'cpu_busy_total': {'replica0': 10253.739999999985,
-                    'replica1': 7098.108000000002,
-                    'replica2': 6449.403999999997,
-                    'replica3': 5401.291999999997,
-                    'replica4': 5000.195999999999,
-                    'replica5': 5000.195999999999,
-                    'replica6': 5000.195999999999},
- 'dispatched': 989,
+{'completion_times': [1598.9370000000001, 2865.9030000000007, 2881.7670000000007,
+                      2897.6310000000008, 2913.495000000001, 4064.2060000000006,
+                      5292.4940000000015, 5308.358000000001, 5324.222000000001,
+                      5859.5700000000015, 6536.787000000001, 7805.747999999999,
+                      7821.611999999998, 8382.901999999998, 8398.765999999998,
+                      8932.219999999994, 9614.698999999991, 10322.325999999994,
+                      10338.189999999993, 11407.381999999992],
+ 'cpu_busy_total': {'replica0': 8975.104000000005,
+                    'replica1': 6388.952,
+                    'replica2': 5697.9599999999955,
+                    'replica3': 4748.800000000002,
+                    'replica4': 4416.368000000001,
+                    'replica5': 4416.368000000001,
+                    'replica6': 4416.368000000001},
+ 'dispatched': 943,
  'state_digests': {'replica0': '488fb1eb2493805ff2b343e106786047',
                    'replica1': '488fb1eb2493805ff2b343e106786047',
                    'replica2': '488fb1eb2493805ff2b343e106786047',
@@ -564,50 +571,50 @@ GOLDEN["tree_f2"] = \
                    'replica4': '488fb1eb2493805ff2b343e106786047',
                    'replica5': '488fb1eb2493805ff2b343e106786047',
                    'replica6': '488fb1eb2493805ff2b343e106786047'},
- 'wire_totals': {'auth_bytes': 52608,
-                 'messages_sent': 817,
-                 'payload_bytes': 201500,
-                 'per_type': {'PrePrepare': 120,
-                              'Relay': 411,
+ 'wire_totals': {'auth_bytes': 41808,
+                 'messages_sent': 770,
+                 'payload_bytes': 160832,
+                 'per_type': {'PrePrepare': 90,
+                              'Relay': 394,
                               'Reply': 140,
                               'Request': 20,
                               'StatusActive': 126}}}
 GOLDEN["null_f10"] = \
-{'completion_times': [2592.629000000003, 6334.155000000004, 8880.353999999987,
-                      12024.027999999946, 15771.970999999901, 18928.682999999895,
-                      21455.4779999999, 24599.305999999888, 27724.010999999875],
- 'cpu_busy_total': {'replica0': 33566.40299999976,
-                    'replica1': 33119.31899999981,
-                    'replica10': 33119.534999999785,
-                    'replica11': 33119.534999999785,
-                    'replica12': 33119.534999999785,
-                    'replica13': 33119.534999999785,
-                    'replica14': 33119.534999999785,
-                    'replica15': 33119.534999999785,
-                    'replica16': 33119.534999999785,
-                    'replica17': 33119.534999999785,
-                    'replica18': 33119.534999999785,
-                    'replica19': 33119.534999999785,
-                    'replica2': 33119.31899999981,
-                    'replica20': 33119.534999999785,
-                    'replica21': 33119.534999999785,
-                    'replica22': 33119.534999999785,
-                    'replica23': 33119.534999999785,
-                    'replica24': 33119.534999999785,
-                    'replica25': 33119.534999999785,
-                    'replica26': 33119.534999999785,
-                    'replica27': 33119.534999999785,
-                    'replica28': 33119.534999999785,
-                    'replica29': 33119.534999999785,
-                    'replica3': 33119.31899999981,
-                    'replica30': 33119.534999999785,
-                    'replica4': 33119.31899999981,
-                    'replica5': 33119.31899999981,
-                    'replica6': 33119.31899999981,
-                    'replica7': 33119.31899999981,
-                    'replica8': 33119.31899999981,
-                    'replica9': 33119.31899999981},
- 'dispatched': 19911,
+{'completion_times': [2592.629000000003, 5723.722, 5739.585999999999, 8883.379999999983,
+                      12033.646999999948, 12049.510999999948, 15193.321999999913,
+                      18343.62299999986, 18359.486999999863],
+ 'cpu_busy_total': {'replica0': 24148.742999999824,
+                    'replica1': 23701.658999999727,
+                    'replica10': 23701.874999999727,
+                    'replica11': 23701.874999999727,
+                    'replica12': 23701.874999999727,
+                    'replica13': 23701.874999999727,
+                    'replica14': 23701.874999999727,
+                    'replica15': 23701.874999999727,
+                    'replica16': 23701.874999999727,
+                    'replica17': 23701.874999999727,
+                    'replica18': 23701.874999999727,
+                    'replica19': 23701.874999999727,
+                    'replica2': 23701.658999999727,
+                    'replica20': 23701.874999999727,
+                    'replica21': 23701.874999999727,
+                    'replica22': 23701.874999999727,
+                    'replica23': 23701.874999999727,
+                    'replica24': 23701.874999999727,
+                    'replica25': 23701.874999999727,
+                    'replica26': 23701.874999999727,
+                    'replica27': 23701.874999999727,
+                    'replica28': 23701.874999999727,
+                    'replica29': 23701.874999999727,
+                    'replica3': 23701.658999999727,
+                    'replica30': 23701.874999999727,
+                    'replica4': 23701.658999999727,
+                    'replica5': 23701.658999999727,
+                    'replica6': 23701.658999999727,
+                    'replica7': 23701.658999999727,
+                    'replica8': 23701.658999999727,
+                    'replica9': 23701.658999999727},
+ 'dispatched': 14336,
  'state_digests': {'replica0': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
                    'replica1': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
                    'replica10': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
@@ -639,54 +646,51 @@ GOLDEN["null_f10"] = \
                    'replica7': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
                    'replica8': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a',
                    'replica9': 'a8aa6fdfd88d6cfe5224c9eb1d1ace3a'},
- 'wire_totals': {'auth_bytes': 4693896,
-                 'messages_sent': 19818,
-                 'payload_bytes': 5845401,
-                 'per_type': {'Commit': 8370,
-                              'PrePrepare': 270,
-                              'Prepare': 8100,
+ 'wire_totals': {'auth_bytes': 3354696,
+                 'messages_sent': 14238,
+                 'payload_bytes': 4176981,
+                 'per_type': {'Commit': 5580,
+                              'PrePrepare': 180,
+                              'Prepare': 5400,
                               'Reply': 279,
                               'Request': 9,
                               'StatusActive': 2790}}}
-
 GOLDEN["kv_f1_dropping_primary"] = \
-{'completion_times': [572.8689999999999, 921.0220000000002, 1209.0790000000004,
-                      1502.3080000000007, 1980.1249999999993, 24328.714999999946,
-                      24502.49999999994, 24660.285999999953, 24791.565999999966,
-                      25360.63899999998, 25673.669999999944, 26066.034999999993,
-                      26196.749, 26424.799000000003, 26936.65700000002,
-                      27430.714000000033, 27686.193000000003, 28076.67200000004,
-                      28368.101000000042, 28874.010000000053, 29321.299000000065,
-                      29568.772000000066, 29913.721000000074, 30215.114000000078,
-                      30633.41900000009, 31109.909000000105, 31357.343000000106,
-                      31741.665000000117, 31986.65100000012, 32484.973000000136,
-                      32976.182000000146, 33224.055000000146, 33569.00400000014,
-                      33816.47700000013, 34317.28600000013, 34867.15100000013,
-                      35061.10400000012, 35464.43700000012, 35711.91000000011,
-                      36013.30300000011],
- 'cpu_busy_total': {'replica0': 3417.022000000001,
-                    'replica1': 16825.166999999907,
-                    'replica2': 15649.046999999879,
-                    'replica3': 15653.853999999876},
- 'dispatched': 1524,
+{'completion_times': [505.8449999999999, 862.157, 878.0450000000001, 1691.356, 1744.876,
+                      24421.23799999995, 24660.41899999995, 24837.26399999995,
+                      25427.689999999973, 25443.577999999972, 25703.735999999975,
+                      25719.599999999977, 25735.463999999978, 26237.219999999976,
+                      26253.083999999977, 26517.09799999998, 26532.98599999998,
+                      26867.838999999978, 27263.172999999977, 27279.060999999976,
+                      27572.094999999972, 27587.98299999997, 28044.799999999977,
+                      28303.469999999976, 28319.357999999975, 28658.993999999984,
+                      28674.857999999986, 29043.93599999999, 29385.29599999999,
+                      29401.159999999993, 29699.309999999994, 29715.197999999993,
+                      30103.970999999994, 30503.76899999999, 30519.65699999999,
+                      30817.64699999999, 30833.53499999999, 31168.387999999988,
+                      31422.82199999999, 31438.70999999999],
+ 'cpu_busy_total': {'replica0': 2164.985999999999,
+                    'replica1': 10895.414000000002,
+                    'replica2': 9604.525999999989,
+                    'replica3': 9515.977999999994},
+ 'dispatched': 948,
  'state_digests': {'replica0': 'e8b01324a8e52cbffe07e92d24ddbaed',
                    'replica1': '9a985520f9c69528496910988706a725',
                    'replica2': '9a985520f9c69528496910988706a725',
                    'replica3': '9a985520f9c69528496910988706a725'},
- 'wire_totals': {'auth_bytes': 35088,
-                 'messages_sent': 1460,
-                 'payload_bytes': 195264,
-                 'per_type': {'Checkpoint': 93,
-                              'Commit': 427,
+ 'wire_totals': {'auth_bytes': 21184,
+                 'messages_sent': 891,
+                 'payload_bytes': 130925,
+                 'per_type': {'Checkpoint': 54,
+                              'Commit': 263,
                               'NewView': 3,
-                              'PrePrepare': 119,
-                              'Prepare': 300,
-                              'Reply': 234,
-                              'Request': 244,
+                              'PrePrepare': 68,
+                              'Prepare': 186,
+                              'Reply': 149,
+                              'Request': 128,
                               'StatusActive': 27,
                               'ViewChange': 9,
                               'ViewChangeAck': 4}}}
-
 GOLDEN["kv_f1_page_transfer"] = \
 {'completion_times': [587.9849999999999, 1248.1620000000003, 1908.3390000000009,
                       2568.5160000000014, 3228.693000000002, 3888.8700000000026,
@@ -702,11 +706,11 @@ GOLDEN["kv_f1_page_transfer"] = \
                       22706.816999999955, 23234.74499999996, 23894.645999999953,
                       24554.95499999995, 25215.26399999995, 25875.572999999946,
                       26549.297999999948, 27322.90699999994],
- 'cpu_busy_total': {'replica0': 15609.838999999949,
+ 'cpu_busy_total': {'replica0': 15609.838999999947,
                     'replica1': 15423.650999999914,
                     'replica2': 15425.294999999915,
                     'replica3': 8056.597999999993},
- 'dispatched': 1138,
+ 'dispatched': 1139,
  'state_digests': {'replica0': 'da69c0a84f10a3ab6452ff299e47913c',
                    'replica1': 'da69c0a84f10a3ab6452ff299e47913c',
                    'replica2': 'da69c0a84f10a3ab6452ff299e47913c',
@@ -729,24 +733,24 @@ GOLDEN["kv_f1_page_transfer"] = \
                               'Reply': 140,
                               'Request': 156,
                               'StatusActive': 36}}}
-
 GOLDEN["sharded_g2"] = \
-{'completion_times': [503.73299999999983, 558.0609999999999, 836.2060000000001,
-                      1095.4190000000003, 1486.6360000000009, 1741.0850000000012,
-                      1991.2310000000014, 2242.9240000000013, 2352.5180000000014,
-                      2656.8130000000006, 2790.203000000001, 2827.399000000002,
-                      2984.518, 2995.857000000002, 3407.531, 3459.399000000001,
-                      3770.1059999999998, 3783.635000000001, 4080.719, 4162.073,
-                      4505.059, 4780.961, 5046.3539999999975, 5301.775999999999],
+{'completion_times': [503.73299999999983, 506.7449999999999, 807.0949999999999, 822.983,
+                      1186.7080000000003, 1481.2770000000005, 1578.4470000000003,
+                      1907.9090000000008, 1988.0790000000006, 2035.4470000000003,
+                      2179.5250000000005, 2231.1290000000004, 2462.9600000000014,
+                      2609.396, 2919.9249999999997, 3084.277000000001,
+                      3201.0819999999994, 3416.9199999999996, 3649.4809999999993,
+                      3993.442999999999, 4099.931999999999, 4486.498999999998, 4496.495,
+                      4761.804999999999],
  'cpu_busy_total': {'g0:replica0': 1535.9529999999988,
                     'g0:replica1': 1414.824999999999,
                     'g0:replica2': 1414.824999999999,
                     'g0:replica3': 1414.824999999999,
-                    'g1:replica0': 5719.826999999995,
-                    'g1:replica1': 5167.834999999996,
-                    'g1:replica2': 5085.574999999997,
-                    'g1:replica3': 5109.078999999997},
- 'dispatched': 649,
+                    'g1:replica0': 4983.214999999996,
+                    'g1:replica1': 4519.950999999996,
+                    'g1:replica2': 4426.622999999998,
+                    'g1:replica3': 4490.578999999997},
+ 'dispatched': 602,
  'state_digests': {'g0:replica0': 'f4eb6a4c82a78356601e3025f9e925d1',
                    'g0:replica1': 'f4eb6a4c82a78356601e3025f9e925d1',
                    'g0:replica2': 'f4eb6a4c82a78356601e3025f9e925d1',
@@ -755,16 +759,16 @@ GOLDEN["sharded_g2"] = \
                    'g1:replica1': '7d2e2b746f099bbe7569d1d869cc4b98',
                    'g1:replica2': '7d2e2b746f099bbe7569d1d869cc4b98',
                    'g1:replica3': '7d2e2b746f099bbe7569d1d869cc4b98'},
- 'wire_totals': {'auth_bytes': 14624,
-                 'messages_sent': 625,
-                 'payload_bytes': 65546,
-                 'per_type': {'Checkpoint': 36,
-                              'Commit': 190,
-                              'PrePrepare': 48,
-                              'Prepare': 138,
-                              'Reply': 95,
+ 'wire_totals': {'auth_bytes': 13264,
+                 'messages_sent': 568,
+                 'payload_bytes': 61222,
+                 'per_type': {'Checkpoint': 24,
+                              'Commit': 165,
+                              'PrePrepare': 42,
+                              'Prepare': 124,
+                              'Reply': 94,
                               'Request': 48,
-                              'StatusActive': 70}}}
+                              'StatusActive': 71}}}
 GOLDEN["unreplicated_null"] = \
 {'completion_times': [161.149, 211.631, 262.142, 312.68199999999996, 363.16399999999993,
                       413.6749999999999, 464.21499999999986, 514.7839999999999,
@@ -780,6 +784,7 @@ GOLDEN["unreplicated_null"] = \
                  'messages_sent': 48,
                  'payload_bytes': 3526,
                  'per_type': {'Reply': 24, 'Request': 24}}}
+
 
 @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
 def test_fingerprint_matches_golden(name):

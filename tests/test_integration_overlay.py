@@ -83,19 +83,19 @@ def test_tree_matches_flat_across_fault_matrix(label, faults, exclude):
 #: simulated microseconds, to the bit, and the one state digest all seven
 #: replicas end on.
 TREE_RUN_LATENCIES = [
-    1789.181, 2972.3990000000003, 2988.2870000000003, 3004.175,
-    2003.4440000000027, 1733.9309999999969, 2692.9529999999986,
-    2692.9529999999986, 1920.390999999996, 2017.2799999999943,
-    1853.2539999999963, 3118.8449999999957, 3118.8449999999966,
-    2124.1390000000047, 2197.340000000013, 1945.8100000000086,
-    2595.5760000000064, 2602.968000000006, 1734.7709999999952,
-    1951.8350000000028, 1739.9180000000051, 2212.6040000000085,
-    2212.6040000000085, 1868.6500000000124, 2094.0090000000146,
-    1613.9310000000114, 2857.5990000000074, 1970.4279999999999,
-    1842.2450000000008, 2250.274999999994, 1726.6239999999998,
-    2933.579999999998, 2398.554999999993, 2737.483000000004,
-    2017.4660000000003, 1404.3950000000077, 2477.983000000011,
-    2314.569000000003, 2857.678999999993, 2263.793999999987,
+    1599.5810000000001, 2866.572, 2882.46, 2898.348, 1314.6549999999997,
+    1198.028999999999, 2410.443999999997, 2410.443999999997,
+    2410.443999999997, 1795.3689999999983, 1244.2780000000002,
+    2497.1269999999913, 2497.1269999999913, 2534.298999999988,
+    1872.9749999999894, 1248.7420000000047, 2286.082000000006,
+    2323.9240000000027, 2323.9240000000027, 2389.822000000011,
+    1913.191000000017, 1879.4840000000295, 2451.021000000035,
+    2334.640000000023, 2238.902000000009, 2294.070000000009,
+    2367.893000000002, 2230.104000000003, 2442.2600000000148,
+    1826.383000000007, 1853.6870000000217, 2439.7250000000076,
+    1762.5980000000018, 1762.5980000000018, 1632.9869999999828,
+    1229.7189999999937, 2189.5029999999897, 2189.5029999999897,
+    2309.3619999999937, 1686.2479999999923,
 ]
 TREE_RUN_STATE_DIGEST = "0385da20aecc05d4ce0ad1ffbc13ec70"
 
@@ -182,7 +182,10 @@ def test_batched_send_path_applies_relay_faults_in_flat_order():
 
     The literals are the run as every handler flush went out copy by copy,
     captured while that path was still selectable and this test showed the
-    two agree."""
+    two agree, and recaptured when a busy primary began to drain its input
+    before proposing: the first operation, alone in batch 1, then commits
+    only in the 200 ms status round (its COMMITs are relayed through the
+    dropping forwarder), 101,188.5 -> 200,691.4 µs."""
     drop = FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
                      probability=0.4, start=0.0)
     cluster, result, _ = _run(TREE, (drop,), clients=3, ops=8)
@@ -195,22 +198,22 @@ def test_batched_send_path_applies_relay_faults_in_flat_order():
         rid: state.hex() for rid, state in _state_of(cluster).items()
     } == {
         "replica0": "075a7e3d73d8ffe3612a5b50499e441e",
-        "replica1": "78968ce33a482bf21e9507861aca91e5",
-        "replica2": "a01f550c6dd61f13d463bbf6eeb03dd6",
+        "replica1": "075a7e3d73d8ffe3612a5b50499e441e",
+        "replica2": "d70319c56bd7f2bb464c55e638ac2ab6",
         "replica3": "075a7e3d73d8ffe3612a5b50499e441e",
-        "replica4": "78968ce33a482bf21e9507861aca91e5",
+        "replica4": "8a82e04857b2ba7ba858a141c290cace",
         "replica5": "075a7e3d73d8ffe3612a5b50499e441e",
         "replica6": "075a7e3d73d8ffe3612a5b50499e441e",
     }
 
 
 PER_MESSAGE_PATH_LATENCIES = [
-    101188.53000000006, 200525.554, 200541.442, 199570.50700000013,
-    200132.03200000018, 200371.88500000015, 100721.83700000017,
-    1696.7470000004978, 99870.44499999977, 100477.41800000024,
-    298338.6619999998, 199357.56400000036, 199334.02600000013,
-    300603.6649999998, 450189.98400000005, 599350.5979999985,
-    449796.0549999983, 1050207.7989999983, 199995.91200000024,
-    199995.91200000024, 150025.5910000007, 299879.812000002,
-    450172.75199999986, 299896.17700000014,
+    200691.4089999999, 200923.6309999999, 200939.5189999999,
+    101098.75200000076, 150172.75199999998, 98859.9259999994,
+    200194.6740000005, 50741.8860000007, 100062.76699999976,
+    100082.42900000006, 199335.1419999994, 100466.35699999955,
+    99571.97900000052, 199818.60900000017, 99823.07000000111,
+    199908.30099999963, 199902.11999999988, 199463.0779999994,
+    973.3610000004992, 300206.3999999997, 299280.7029999993,
+    100020.80599999987, 450172.75199999986, 687.6369999989402,
 ]
