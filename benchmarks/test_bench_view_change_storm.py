@@ -126,7 +126,9 @@ def _storm_run(
 def run_experiment() -> dict:
     workload = {
         "num_clients": 4,
-        "ops_per_client": 300,
+        #: Enough that the churn outlasts every planned mute: 300 drained
+        #: after five once a busy primary batched all it had queued.
+        "ops_per_client": 400,
         "key_space": 64,
         "value_size": 1024,
     }
@@ -142,10 +144,6 @@ def run_experiment() -> dict:
         ),
         "expected_ops": workload["num_clients"] * workload["ops_per_client"],
         "injections": injections,
-        #: The churn may drain before the driver gets every planned mute
-        #: in (the storm only targets a group still under load); this is
-        #: the floor that must fire for the scenario to count as a storm.
-        "min_injections": 3,
     }
 
 
@@ -173,9 +171,9 @@ def test_view_change_storm_under_load(benchmark):
     # Liveness: every operation completes, with and without the storm.
     assert calm["completed"] == report["expected_ops"]
     assert storm["completed"] == report["expected_ops"]
-    # The storm really stormed: every injection hit the then-current
-    # primary and the group moved through views.
-    assert report["min_injections"] <= storm["injections"] <= report["injections"]
+    # The storm really stormed: every planned mute fired while the churn
+    # was in flight, each on the then-current primary.
+    assert storm["injections"] == report["injections"]
     # Each mute hit the primary of a strictly later view, so the group
     # moved through at least one view per injection.
     assert storm["final_view"] >= storm["injections"]

@@ -51,6 +51,15 @@ class Env:
     def charge(self, micros: float) -> None:
         """Account ``micros`` of CPU time to the calling node."""
 
+    def cpu_backlog(self) -> float:
+        """Microseconds the node's CPU is still busy with events that
+        arrived before the running one; 0 when it took this event idle.
+
+        A handler runs when its message arrives, not when the CPU reaches
+        it, so input that arrived during the backlog has not been handled
+        yet (DESIGN.md, "When the primary proposes")."""
+        return 0.0
+
     def record(self, event: str, **details: Any) -> None:
         """Record a metrics event (optional)."""
 
@@ -72,6 +81,8 @@ class RecordingEnv(Env):
     timers: Dict[str, Optional[float]] = field(default_factory=dict)
     charged: float = 0.0
     events: List[Tuple[str, Dict[str, Any]]] = field(default_factory=list)
+    #: What :meth:`cpu_backlog` answers: idle unless a test sets it.
+    backlog: float = 0.0
 
     def now(self) -> float:
         return self.time
@@ -97,6 +108,9 @@ class RecordingEnv(Env):
 
     def charge(self, micros: float) -> None:
         self.charged += micros
+
+    def cpu_backlog(self) -> float:
+        return self.backlog
 
     def record(self, event: str, **details: Any) -> None:
         self.events.append((event, details))

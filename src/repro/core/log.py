@@ -122,9 +122,11 @@ class MessageLog:
         self.unexecuted_batches = 0
         #: CHECKPOINT votes per sequence number: state digest -> replicas.
         self.checkpoints: Dict[int, Certificate] = {}
-        #: Requests known to this replica, keyed by request digest.  Used to
-        #: execute batches whose requests travelled separately.  Entries
-        #: leave with the batch that carried them (:meth:`collect_garbage`).
+        #: Requests this replica received from their clients, keyed by
+        #: request digest.  Used to execute batches whose requests travelled
+        #: separately; a request a PRE-PREPARE inlines lives in the batch
+        #: and is not added.  Entries leave with the batch that carried them
+        #: (:meth:`collect_garbage`).
         self.requests: Dict[bytes, Request] = {}
         #: Batch contents keyed by batch digest.  Used to re-propose requests
         #: across view changes (condition A3 of the decision procedure needs

@@ -66,6 +66,9 @@ from repro.statetransfer.transfer import (
 
 VIEW_CHANGE_TIMER = "view-change"
 STATUS_TIMER = "status"
+#: Armed by a primary whose CPU is busy when it could propose: fires at the
+#: end of that backlog (:meth:`Replica._try_send_pre_prepare`).
+PROPOSE_TIMER = "propose"
 
 #: Bound on the replies' result-digest memo (result bytes -> digest);
 #: cleared wholesale when exceeded.  KV-style services return a
@@ -357,6 +360,8 @@ class Replica:
                 self.state_transfer.tick()
             self._send_status()
             self.env.set_timer(STATUS_TIMER, self.config.status_interval)
+        elif label == PROPOSE_TIMER:
+            self._try_send_pre_prepare(drained=True)
 
     # =====================================================================
     # Client requests
@@ -457,15 +462,34 @@ class Replica:
         self._queued[request.sender] = request.timestamp
         self.request_queue.append(request)
 
-    def _try_send_pre_prepare(self) -> None:
-        if not (self.is_primary and self.active_view):
-            return
-        queued = self._queued
-        while (
+    def _may_propose(self) -> bool:
+        """Whether a request waits and the window and ``pipeline_depth``
+        leave room for one more batch."""
+        return bool(
             self.request_queue
             and self.log.in_window(self.seqno + 1)
             and self.seqno - self.last_executed < self.options.pipeline_depth
-        ):
+        )
+
+    def _try_send_pre_prepare(self, drained: bool = False) -> None:
+        """Propose the queued requests, in batches of at most
+        ``max_batch_size`` while :meth:`_may_propose` (Section 5.1.4).
+
+        A primary whose CPU is still busy with earlier arrivals has not
+        handled the requests among them yet, so it first drains them: it
+        arms the propose timer for the end of that backlog, once, and the
+        timer proposes ``drained``, without asking again.  An idle primary
+        proposes at once (DESIGN.md, "When the primary proposes")."""
+        if not (self.is_primary and self.active_view and self._may_propose()):
+            return
+        if not drained:
+            backlog = self.env.cpu_backlog()
+            if backlog > 0.0:
+                if not self.env.timer_running(PROPOSE_TIMER):
+                    self.env.set_timer(PROPOSE_TIMER, backlog)
+                return
+        queued = self._queued
+        while self._may_propose():
             batch = self.request_queue[: self._max_batch]
             del self.request_queue[: len(batch)]
             for request in batch:
@@ -531,10 +555,8 @@ class Replica:
     def _have_all_requests(self, message: PrePrepare) -> bool:
         """A backup accepts a pre-prepare only when it can authenticate every
         request in the batch (Section 3.2.2): inlined requests carry their
-        own authentication; separately-transmitted ones must have arrived
-        from the client already."""
-        for request in message.requests:
-            self.log.remember_request(request)
+        own authentication, and their bodies live in the batch; separately
+        transmitted ones must have arrived from the client already."""
         for request_digest in message.separate_digests:
             if self.log.request_by_digest(request_digest) is None:
                 return False
@@ -1413,12 +1435,13 @@ class Replica:
             # primary to retransmit it.  An earlier "skip when idle"
             # fast-out here silenced exactly those replicas and wedged the
             # group under heavy batching load.
+            prepared, committed = self._status_seqs()
             message = StatusActive(
                 view=self.view,
                 last_stable=self.stable_checkpoint_seq,
                 last_executed=self.last_executed,
-                prepared_seqs=self.log.prepared_seqs(),
-                committed_seqs=self.log.committed_seqs(),
+                prepared_seqs=prepared,
+                committed_seqs=committed,
                 sender=self.id,
             )
         else:
@@ -1433,6 +1456,29 @@ class Replica:
             )
         self.auth.sign_multicast(message, self.others())
         self.env.broadcast(self.others(), message)
+
+    def _status_seqs(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The sequence numbers a STATUS lists as prepared and as committed:
+        those that are, plus every slot whose own last message is younger
+        than :meth:`_status_timeout`.  Such a slot is still in flight here,
+        so this replica asks for nothing for it yet (Section 5.2: the
+        receiver says what it misses).  A status is read after its
+        multicast and the reader's backlog, at n = 31 about half a batch's
+        round trip later, so the reader's clock alone cannot tell a slot
+        that was in flight when the status was built."""
+        now = self.env.now()
+        timeout = self._status_timeout()
+        waiting = {
+            seq
+            for seq, slot in self.log.slots.items()
+            if slot.pre_prepare is not None
+            and not slot.committed
+            and now - slot.sent_at < timeout
+        }
+        return (
+            tuple(sorted(waiting.union(self.log.prepared_seqs()))),
+            tuple(sorted(waiting.union(self.log.committed_seqs()))),
+        )
 
     def _retransmit_stable_checkpoint(self, peer: str) -> None:
         """Unicast our stable checkpoint to a peer whose status shows it

@@ -67,6 +67,11 @@ class SimEnv(Env):
     def charge(self, micros: float) -> None:
         self._node.pending_charge += micros
 
+    def cpu_backlog(self) -> float:
+        node = self._node
+        backlog = node.cpu_available_at - node.scheduler.clock.now
+        return backlog if backlog > 0.0 else 0.0
+
     def record(self, event: str, **details: Any) -> None:
         self._node.record(event, details)
 

@@ -261,6 +261,24 @@ def test_a_status_past_the_timeout_gets_the_resigned_copies(replica_and_env):
         assert type(copy.auth) is MACAuth and copy.auth.receiver == "replica3"
 
 
+def test_a_status_asks_for_nothing_for_a_slot_still_in_flight_at_its_sender(replica_and_env):
+    """The sender's side of the same timeout: a slot whose own last message
+    is younger than 12 ms is listed as prepared and committed, so no reader
+    re-sends for it however late it reads the status; from 12 ms on it is
+    listed as what it is (prepared, not committed)."""
+    replica, env = replica_and_env
+    _in_flight_slot(replica, env)
+    env.advance(12_000.0 - 1)
+    replica.on_timer("status")
+    [early] = {id(m): m for m in env.messages_of_type(StatusActive)}.values()
+    assert (early.prepared_seqs, early.committed_seqs) == ((1, 2), (1, 2))
+    env.clear()
+    env.advance(1.0)
+    replica.on_timer("status")
+    [late] = {id(m): m for m in env.messages_of_type(StatusActive)}.values()
+    assert (late.prepared_seqs, late.committed_seqs) == ((1, 2), (1,))
+
+
 def test_the_timeout_follows_rfc_6298_and_karns_rule(replica_and_env):
     """Samples of 4 ms and 8 ms give SRTT 4.5 ms and RTTVAR 2.5 ms, so a
     14.5 ms timeout; a slot that started before this replica's last STATUS
@@ -300,18 +318,22 @@ def test_slow_commits_never_hold_a_status_answer_past_a_quarter_interval(replica
 
 
 def test_a_status_round_at_n_31_resends_almost_nothing():
-    """f = 10, 8 closed-loop clients, 48 operations after a warm-up: all
+    """f = 10, 8 closed-loop clients, 240 operations after a warm-up: all
     31 status timers fire once inside, while nearly every slot a status
     lists is still in flight.  Answering every listed slot re-sent 3,840
-    PRE-PREPAREs, PREPAREs and COMMITs here; past each replica's timeout
-    only a few are due."""
+    PRE-PREPAREs, PREPAREs and COMMITs here (48 operations then); past each
+    replica's timeout only a few are due.  A status is read ~1 ms after it
+    was built at this size, so a reader that judged the slots it lists by
+    its own clock alone re-sent one slot's COMMIT to everyone: 873 copies."""
     cluster = BFTCluster.create(f=10, seed=1)
     operation = lambda _client, _index: (b"op", False)
     run_closed_loop(cluster, 8, 2, operation)
     replicas = cluster.replicas.values()
+    start = cluster.now
     before = sum(r.metrics.status_retransmissions for r in replicas)
-    run_closed_loop(cluster, 8, 6, operation)
-    assert cluster.now > STATUS_TICK
+    run_closed_loop(cluster, 8, 30, operation)
+    assert start < STATUS_TICK < cluster.now < 2 * STATUS_TICK
+    assert all(start < r._status_sent_at < cluster.now for r in replicas)
     assert sum(r.metrics.status_retransmissions for r in replicas) - before <= 100
 
 

@@ -154,9 +154,11 @@ def test_view_change_over_executed_slots_completes_every_request():
     """A backup loses a quarter of its messages: five SETs must complete
     within 5 s modeled.  Today one does, ``replica1`` (the view-1 primary)
     has executed nothing with the others queued, and ``replica2`` times
-    out view after view alone."""
+    out view after view alone.  Seeds 3, 4, 11, 13 and 20 reproduce it
+    whether the primary proposes at once or after draining its input;
+    seed 17 did only for the former."""
     cluster = BFTCluster.create(
-        f=1, service_factory=KeyValueStore, seed=17,
+        f=1, service_factory=KeyValueStore, seed=3,
         view_change_timeout=60_000.0, client_retransmission_timeout=30_000.0,
     )
     cluster.inject_fault(FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
@@ -168,12 +170,12 @@ def test_view_change_over_executed_slots_completes_every_request():
     assert all(done), cluster.stall_report()
 
 
-@pytest.mark.xfail(strict=True, reason="two correct replicas that time out into view 1 are "
-                   "never joined by the others, which stay in view 0")
 def test_no_correct_replica_is_stranded_under_loss():
     """``loss_sweep``'s set-up at f = 2, 5 % loss, seed 1: 8 clients x 20
-    null operations.  At the end every replica must be active in one view;
-    today ``replica4`` and ``replica5`` end inactive in view 1."""
+    null operations.  At the end every replica is active in one view.
+    While the primary proposed at once, ``replica4`` and ``replica5`` ended
+    inactive in view 1 here; the directed reproduction of that stranding
+    is the next test."""
     from repro.bench.workloads import micro_operation, run_closed_loop
     from repro.net.conditions import NetworkConditions
 
@@ -181,6 +183,36 @@ def test_no_correct_replica_is_stranded_under_loss():
         f=2, seed=1, conditions=NetworkConditions(drop_probability=0.05))
     operation = micro_operation(0, 0)
     run_closed_loop(cluster, 8, 20, lambda _c, _i: (operation, False))
+    ends = {(r.active_view, r.view) for r in cluster.replicas.values()}
+    assert len(ends) == 1 and ends.pop()[0], cluster.stall_report()
+
+
+@pytest.mark.xfail(strict=True, reason="two correct replicas that time out into a new view are "
+                   "never joined by the others, which stay in view 0")
+def test_replicas_that_timed_out_alone_are_not_stranded():
+    """f = 2: ``replica4`` and ``replica5`` drop every COMMIT while 8
+    clients run 40 null operations each, then sit idle until their
+    view-change timers fire; from then on they hear everything and the
+    clients run 40 more each.  At the end every replica must be active in
+    one view; today those two end inactive in view 5 and the other five
+    active in view 0, because two VIEW-CHANGEs are fewer than the f + 1
+    that make a replica join (Section 2.3.5)."""
+    from repro.bench.workloads import micro_operation, run_closed_loop
+    from repro.core.messages import Commit
+
+    cluster = BFTCluster.create(f=2, seed=1, view_change_timeout=60_000.0)
+    deaf = [cluster.replicas[r] for r in ("replica4", "replica5")]
+    handlers = [replica._handlers[Commit] for replica in deaf]
+    for replica in deaf:
+        replica._handlers[Commit] = lambda _commit: None
+    operation = micro_operation(0, 0)
+    run_closed_loop(cluster, 8, 40, lambda _c, _i: (operation, False))
+    cluster.run(duration=200_000.0)
+    assert all(not replica.active_view for replica in deaf)
+    for replica, handler in zip(deaf, handlers):
+        replica._handlers[Commit] = handler
+    run_closed_loop(cluster, 8, 40, lambda _c, _i: (operation, False))
+    cluster.run(duration=1_000_000.0)
     ends = {(r.active_view, r.view) for r in cluster.replicas.values()}
     assert len(ends) == 1 and ends.pop()[0], cluster.stall_report()
 

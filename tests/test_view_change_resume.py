@@ -275,7 +275,7 @@ def test_retransmissions_never_grow_the_primary_queue_past_the_client_count():
     """The set-up of ``test_view_change_over_executed_slots_completes_every_request``:
     five clients retransmitting to a primary that cannot order them."""
     cluster = BFTCluster.create(
-        f=1, service_factory=KeyValueStore, seed=17,
+        f=1, service_factory=KeyValueStore, seed=3,
         view_change_timeout=60_000.0, client_retransmission_timeout=30_000.0,
     )
     cluster.inject_fault(FaultSpec(node="replica0", fault=FaultType.DROP_MESSAGES,
