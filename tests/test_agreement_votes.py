@@ -321,10 +321,10 @@ def test_a_status_round_at_n_31_resends_almost_nothing():
     """f = 10, 8 closed-loop clients, 240 operations after a warm-up: all
     31 status timers fire once inside, while nearly every slot a status
     lists is still in flight.  Answering every listed slot re-sent 3,840
-    PRE-PREPAREs, PREPAREs and COMMITs here (48 operations then); past each
+    PRE-PREPAREs, PREPAREs and COMMITs over 48 such operations; past each
     replica's timeout only a few are due.  A status is read ~1 ms after it
-    was built at this size, so a reader that judged the slots it lists by
-    its own clock alone re-sent one slot's COMMIT to everyone: 873 copies."""
+    is built here, so a reader judging the listed slots by its own clock
+    alone re-sent one slot's COMMIT to everyone: 873 copies."""
     cluster = BFTCluster.create(f=10, seed=1)
     operation = lambda _client, _index: (b"op", False)
     run_closed_loop(cluster, 8, 2, operation)
