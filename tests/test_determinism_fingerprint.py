@@ -1,4 +1,4 @@
-"""Golden determinism fingerprint of eleven small end-to-end runs.
+"""Golden determinism fingerprint of twelve small end-to-end runs.
 
 Modeled results are the repo's contract: work on the simulator's own
 speed must leave every modeled charge, event sequence number, RNG draw and
@@ -24,6 +24,10 @@ identical under all four ``batch execution x caches`` switch settings, and for
 ``kv_f1_page_transfer`` from the commit before tree pages became payloads
 (parent of PR 22); that one also records the lagging replica's transfer
 counters, so the bytes of every META-DATA and DATA message are pinned.
+``kv_f1_wide_batches`` (48 closed-loop clients writing 512-byte values, so
+every request travels separately and the primary's queue outgrows
+``max_batch_size``) was captured before a batch was bounded by what its
+PRE-PREPARE carries rather than by its count of requests.
 ``impaired_f1`` (duplication and jitter on every link, a replica corrupting
 its replies) was captured at the commit before every send became a delivery
 train, when each of its copies still took a heap slot of its own.
@@ -269,6 +273,20 @@ def _kv_f1_page_transfer() -> BFTCluster:
     )
 
 
+def _kv_f1_wide_batches() -> BFTCluster:
+    return BFTCluster.create(
+        f=1, service_factory=KeyValueStore, seed=30, checkpoint_interval=4
+    )
+
+
+def _wide_batch_op(client: int, index: int) -> Tuple[bytes, bool]:
+    """Ordered SETs of 512-byte values over 32 keys: each request is over
+    the separate-transmission threshold, so a PRE-PREPARE carries only its
+    digest and a batch may name more requests than ``max_batch_size``."""
+    key = b"wide%02d" % ((client * 5 + index) % 32)
+    return b"SET " + key + b" " + bytes([65 + (client + index) % 26]) * 512, False
+
+
 def _page_transfer_op(_client: int, index: int) -> Tuple[bytes, bool]:
     """Ordered 1 KB SETs, every ninth operation a DEL: twelve keys written
     once each, then only the first seven over and over, so a replica that
@@ -327,6 +345,7 @@ CONFIGURATIONS: Dict[str, Tuple[Callable[[], Any], Callable, int, int]] = {
     "kv_f1_page_transfer": (
         _kv_f1_page_transfer, _page_transfer_op, 1, sum(PAGE_TRANSFER_PHASES)
     ),
+    "kv_f1_wide_batches": (_kv_f1_wide_batches, _wide_batch_op, 48, 4),
     "sharded_g2": (_sharded_g2, _kv_op, 4, 6),
     "unreplicated_null": (_unreplicated_null, _null_op, 4, 6),
 }
@@ -732,6 +751,87 @@ GOLDEN["kv_f1_page_transfer"] = \
                               'Prepare': 298,
                               'Reply': 140,
                               'Request': 156,
+                              'StatusActive': 36}}}
+GOLDEN["kv_f1_wide_batches"] = \
+{'completion_times': [2435.396999999999, 3017.397, 3033.285, 3049.173,
+                      3065.0609999999997, 3080.9489999999996, 3096.8369999999995,
+                      3112.7249999999995, 3128.6129999999994, 3144.5009999999993,
+                      3160.388999999999, 3176.276999999999, 3192.164999999999,
+                      3208.052999999999, 3223.940999999999, 3239.828999999999,
+                      3255.7169999999987, 3786.2569999999987, 3802.1449999999986,
+                      3818.0329999999985, 3833.9209999999985, 3849.8089999999984,
+                      3865.6969999999983, 3881.584999999998, 3897.472999999998,
+                      3913.360999999998, 3929.248999999998, 3945.136999999998,
+                      3961.024999999998, 3976.9129999999977, 3992.8009999999977,
+                      4008.6889999999976, 4024.5769999999975, 4714.547999999996,
+                      4730.435999999996, 4746.323999999996, 4762.211999999996,
+                      4778.099999999996, 4793.987999999996, 4809.875999999996,
+                      4825.763999999996, 4841.6519999999955, 4857.539999999995,
+                      4873.427999999995, 4889.315999999995, 4905.203999999995,
+                      4921.091999999995, 4936.979999999995, 6954.813, 6970.701,
+                      6986.589, 7002.477, 7018.365, 7034.253, 7050.141,
+                      7066.0289999999995, 7081.9169999999995, 7606.025000000001,
+                      7621.9130000000005, 7637.801, 7653.689, 7669.577, 7685.465,
+                      7701.353, 7717.241, 7733.129, 7749.017, 7764.905, 7780.793,
+                      7796.681, 7812.5689999999995, 7828.456999999999,
+                      7844.344999999999, 8584.812999999996, 8600.700999999997,
+                      8616.588999999998, 8632.476999999999, 8648.365, 8664.253,
+                      8680.141000000001, 8696.029000000002, 9706.867999999984,
+                      9722.755999999985, 9738.643999999986, 9754.531999999987,
+                      9770.419999999987, 9786.307999999988, 9802.195999999989,
+                      9818.08399999999, 9833.97199999999, 9849.859999999991,
+                      9865.747999999992, 9881.635999999993, 9897.523999999994,
+                      9913.411999999995, 9929.299999999996, 10943.336999999978,
+                      10959.224999999979, 10975.11299999998, 10991.00099999998,
+                      11006.888999999981, 11022.776999999982, 11038.664999999983,
+                      11054.552999999984, 11070.440999999984, 12268.220999999969,
+                      12284.10899999997, 12299.99699999997, 12315.884999999971,
+                      12331.772999999972, 12347.660999999973, 12363.548999999974,
+                      12379.436999999974, 12395.324999999975, 12411.212999999976,
+                      12427.100999999977, 12442.988999999978, 12458.876999999979,
+                      12474.76499999998, 12490.65299999998, 12506.540999999981,
+                      13100.451999999977, 13116.339999999978, 13132.22799999998,
+                      13148.11599999998, 13164.00399999998, 13179.891999999982,
+                      13195.779999999982, 13211.667999999983, 13227.555999999984,
+                      13243.443999999985, 13259.331999999986, 13275.219999999987,
+                      13291.107999999987, 13306.995999999988, 13322.88399999999,
+                      14303.467999999975, 14319.355999999976, 14335.243999999977,
+                      14351.131999999978, 14367.019999999979, 14382.90799999998,
+                      14398.79599999998, 14414.683999999981, 14430.571999999982,
+                      14446.459999999983, 14462.347999999984, 14478.235999999984,
+                      15624.724999999966, 15640.612999999967, 15656.500999999967,
+                      15672.388999999968, 15688.27699999997, 16505.656999999952,
+                      16521.54499999995, 16537.43299999995, 16553.32099999995,
+                      16569.208999999948, 16585.096999999947, 16600.984999999946,
+                      16616.872999999945, 16632.760999999944, 16648.648999999943,
+                      16664.536999999942, 16680.42499999994, 16696.31299999994,
+                      16712.20099999994, 16728.088999999938, 16743.976999999937,
+                      17067.438999999933, 17083.326999999932, 17430.146999999935,
+                      17446.034999999934, 17461.922999999933, 17477.810999999932,
+                      17493.69899999993, 17509.58699999993, 17525.47499999993,
+                      17541.36299999993, 17557.250999999927, 17573.138999999926,
+                      17589.026999999925, 17604.914999999924, 17620.802999999923,
+                      17636.690999999922, 17652.57899999992, 17668.46699999992,
+                      18064.167999999936, 18080.055999999935, 18095.943999999934,
+                      18111.831999999933, 18127.719999999932],
+ 'cpu_busy_total': {'replica0': 18589.783999999945,
+                    'replica1': 18516.055999999946,
+                    'replica2': 18516.055999999946,
+                    'replica3': 18516.055999999946},
+ 'dispatched': 2052,
+ 'state_digests': {'replica0': '6f127b5261cce0cf4b2f6f53faaf9a72',
+                   'replica1': '6f127b5261cce0cf4b2f6f53faaf9a72',
+                   'replica2': '6f127b5261cce0cf4b2f6f53faaf9a72',
+                   'replica3': '6f127b5261cce0cf4b2f6f53faaf9a72'},
+ 'wire_totals': {'auth_bytes': 48672,
+                 'messages_sent': 2028,
+                 'payload_bytes': 567912,
+                 'per_type': {'Checkpoint': 48,
+                              'Commit': 204,
+                              'PrePrepare': 51,
+                              'Prepare': 153,
+                              'Reply': 768,
+                              'Request': 768,
                               'StatusActive': 36}}}
 GOLDEN["sharded_g2"] = \
 {'completion_times': [503.73299999999983, 506.7449999999999, 807.0949999999999, 822.983,
