@@ -10,6 +10,13 @@ end-to-end metric: each side's q1 / median / q3, pairs the change won (ties
 count for neither), the parent's interquartile range and the
 choosing-metrics section 8 verdict.  Exits 1 if a ``modeled_*`` value or
 ``failed`` differs within a pair: those repeat exactly for a seed.
+``--expect NAME...`` names the ``modeled_*`` metrics a change is meant to
+move: those may differ (each named one that does not is printed as
+unchanged), and it exits 1 only if one it does not name, or ``failed``,
+differs.
+
+    python benchmarks/paired_perf.py PARENT CHANGE --workloads kv_churn_ckpt \
+        --seed 23 --pairs 10 --expect modeled_ops_per_s modeled_latency_p50_us
 
 With ``--counts`` it makes one ``--trace 1`` run per side and workload
 instead and compares every count-type per-layer metric ``BENCHMARK.json``
@@ -105,6 +112,42 @@ def differing_counts(args: argparse.Namespace, per_layer: Sequence[Dict[str, Any
     return differing
 
 
+def differing_pairs(args: argparse.Namespace, declared: Sequence[Dict[str, Any]]) -> int:
+    """``args.pairs`` alternating pairs per workload; prints each modeled
+    value that differs within a pair, each ``args.expect`` names that never
+    did, and each declared metric's quartiles and verdict, and returns how
+    many values differed unnamed."""
+    expected = set(args.expect)
+    differing = 0
+    for workload in args.workloads:
+        runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
+        moved = set()
+        for pair in range(args.pairs):
+            for side in (("parent", "change"), ("change", "parent"))[pair % 2]:
+                runs[side].append(
+                    run_once(getattr(args, side), workload, args.seed, args.seconds))
+            for name, value in runs["parent"][-1].items():
+                other = runs["change"][-1].get(name)
+                if (name.startswith("modeled_") or name == "failed") and other != value:
+                    moved.add(name)
+                    word = "EXPECTED" if name in expected else "DIFFERS"
+                    differing += name not in expected
+                    print(f"{word} {workload} pair {pair}: {name} {value!r} != {other!r}")
+        for name in sorted(expected - moved):
+            print(f"UNCHANGED {workload}: {name} {runs['parent'][-1].get(name)!r}")
+        print(f"{workload}  seed {args.seed}  {args.pairs} pairs x {args.seconds:g} s")
+        for metric in declared:
+            name = metric["name"]
+            parent = [run[name] for run in runs["parent"]]
+            change = [run[name] for run in runs["change"]]
+            won, word = verdict(parent, change, metric["better"], metric["bound"])
+            pq, cq = quartiles(parent), quartiles(change)
+            print(f"  {name:<24} parent {pq[0]:.6g} / {pq[1]:.6g} / {pq[2]:.6g}   "
+                  f"change {cq[0]:.6g} / {cq[1]:.6g} / {cq[2]:.6g}   won {won}/{args.pairs}"
+                  f"   parent IQR {pq[2] - pq[0]:.4g}   {word}")
+    return differing
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -116,7 +159,8 @@ def main() -> int:
     parser.add_argument("--counts", action="store_true",
                         help="compare the count-type per-layer metrics of one traced run per side")
     parser.add_argument("--expect", nargs="+", default=[], metavar="NAME",
-                        help="with --counts: count metrics the change is meant to move")
+                        help="the count metrics (with --counts) or modeled_* metrics "
+                             "(pairs) the change is meant to move")
     args = parser.parse_args()
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.counts:
@@ -124,30 +168,10 @@ def main() -> int:
         if unknown:
             parser.error(f"--expect names no count metric: {' '.join(sorted(unknown))}")
         return 1 if differing_counts(args, benchmark["per_layer"]) else 0
-    declared = benchmark["end_to_end"]
-    differing = 0
-    for workload in args.workloads:
-        runs: Dict[str, List[Dict[str, Any]]] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            for side in (("parent", "change"), ("change", "parent"))[pair % 2]:
-                runs[side].append(
-                    run_once(getattr(args, side), workload, args.seed, args.seconds))
-            for name, value in runs["parent"][-1].items():
-                other = runs["change"][-1].get(name)
-                if (name.startswith("modeled_") or name == "failed") and other != value:
-                    differing += 1
-                    print(f"DIFFERS {workload} pair {pair}: {name} {value!r} != {other!r}")
-        print(f"{workload}  seed {args.seed}  {args.pairs} pairs x {args.seconds:g} s")
-        for metric in declared:
-            name = metric["name"]
-            parent = [run[name] for run in runs["parent"]]
-            change = [run[name] for run in runs["change"]]
-            won, word = verdict(parent, change, metric["better"], metric["bound"])
-            pq, cq = quartiles(parent), quartiles(change)
-            print(f"  {name:<24} parent {pq[0]:.6g} / {pq[1]:.6g} / {pq[2]:.6g}   "
-                  f"change {cq[0]:.6g} / {cq[1]:.6g} / {cq[2]:.6g}   won {won}/{args.pairs}"
-                  f"   parent IQR {pq[2] - pq[0]:.4g}   {word}")
-    return 1 if differing else 0
+    unknown = [name for name in args.expect if not name.startswith("modeled_")]
+    if unknown:
+        parser.error(f"--expect names no modeled metric: {' '.join(sorted(unknown))}")
+    return 1 if differing_pairs(args, benchmark["end_to_end"]) else 0
 
 
 if __name__ == "__main__":

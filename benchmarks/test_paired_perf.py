@@ -1,4 +1,5 @@
-"""``paired_perf.py --counts``: which metrics it compares and what it reports."""
+"""``paired_perf.py``, pairs and ``--counts``: which metrics it compares and
+what it reports."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from pathlib import Path
 import paired_perf
 
 ROOT = Path(__file__).resolve().parent.parent
-PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+PER_LAYER = BENCHMARK["per_layer"]
+END_TO_END = BENCHMARK["end_to_end"]
 
 
 def _counts(monkeypatch, capsys, change_overrides, expect=()):
@@ -57,3 +60,50 @@ def test_counts_forgives_only_the_expected_differences(monkeypatch, capsys):
     differing, _ = _counts(monkeypatch, capsys, {"crypto.mac_calls_per_op": 2.0},
                            expect=["crypto.mac_calls_per_op"])
     assert differing == 0
+
+
+def _pairs(monkeypatch, capsys, change_overrides, expect=()):
+    base = {m["name"]: 100.0 for m in END_TO_END}
+    base["failed"] = 0
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        assert trace == 0
+        return {**base, **(change_overrides if checkout == Path("change") else {})}
+
+    monkeypatch.setattr(paired_perf, "run_once", run_once)
+    args = argparse.Namespace(parent=Path("parent"), change=Path("change"),
+                              workloads=["kv_churn_ckpt"], seed=1, seconds=1.0,
+                              pairs=2, expect=list(expect))
+    return paired_perf.differing_pairs(args, END_TO_END), capsys.readouterr().out
+
+
+def test_pairs_fail_on_every_modeled_difference_by_default(monkeypatch, capsys):
+    differing, out = _pairs(monkeypatch, capsys, {
+        "modeled_ops_per_s": 110.0, "cpu_us_per_op": 90.0,
+    })
+    assert differing == 2
+    for pair in (0, 1):
+        assert f"DIFFERS kv_churn_ckpt pair {pair}: modeled_ops_per_s 100.0 != 110.0" in out
+    assert "cpu_us_per_op" in out and "DIFFERS kv_churn_ckpt pair 0: cpu_us_per_op" not in out
+
+
+def test_pairs_forgive_only_the_expected_modeled_differences(monkeypatch, capsys):
+    differing, out = _pairs(monkeypatch, capsys, {
+        "modeled_ops_per_s": 110.0, "modeled_latency_p50_us": 90.0,
+    }, expect=["modeled_ops_per_s", "modeled_latency_p99_us"])
+    assert differing == 2
+    assert "EXPECTED kv_churn_ckpt pair 0: modeled_ops_per_s 100.0 != 110.0" in out
+    assert "DIFFERS kv_churn_ckpt pair 1: modeled_latency_p50_us 100.0 != 90.0" in out
+    assert "UNCHANGED kv_churn_ckpt: modeled_latency_p99_us 100.0" in out
+    assert "UNCHANGED kv_churn_ckpt: modeled_ops_per_s" not in out
+    differing, out = _pairs(monkeypatch, capsys, {"modeled_ops_per_s": 110.0},
+                            expect=["modeled_ops_per_s"])
+    assert differing == 0
+    assert "modeled_ops_per_s" in out and "won 2/2" in out
+
+
+def test_pairs_never_forgive_a_failed_operation(monkeypatch, capsys):
+    differing, out = _pairs(monkeypatch, capsys, {"failed": 3},
+                            expect=["modeled_ops_per_s"])
+    assert differing == 2
+    assert "DIFFERS kv_churn_ckpt pair 0: failed 0 != 3" in out
