@@ -130,13 +130,21 @@ class ProtocolOptions:
     tentative_execution: bool = True
     #: Read-only optimization (Section 5.1.3): reads answered in one round trip.
     read_only_optimization: bool = True
-    #: Request batching under load (Section 5.1.4): the most requests one
-    #: pre-prepare carries; ``1`` turns batching off.
+    #: Request batching under load (Section 5.1.4): the most inlined
+    #: requests one pre-prepare carries.  The batch's budget is this many
+    #: slots of ``separate_request_threshold + 1`` bytes; an inlined request
+    #: takes a slot, a separately transmitted one (Section 5.1.5) only its
+    #: 16-byte digest, so a slot holds sixteen of those.  ``1`` turns
+    #: batching off only with separate transmission off (DESIGN.md, "What
+    #: a batch holds").
     max_batch_size: int = 16
     #: Sliding-window bound on protocol instances running in parallel
     #: (Section 5.1.4): the primary stops assigning sequence numbers when
-    #: this many batches are outstanding, which is what makes batches form
-    #: under load.
+    #: this many batches are outstanding.  Batches form under load without
+    #: it: a busy primary drains its input before proposing (DESIGN.md,
+    #: "When the primary proposes").  A smaller depth makes them larger at
+    #: the price of latency (depth 1 took ``null_f1``'s p50 from 1,787 to
+    #: 2,120 µs).
     pipeline_depth: int = 4
     #: Digest replies (Section 5.1.1): for a result of at least
     #: ``digest_replies_threshold`` bytes only the request's designated

@@ -249,7 +249,12 @@ class Replica:
         #: reply encoder (clients repeat every batch).
         self._client_enc_memo: Dict[str, bytes] = {}
 
-        self._max_batch = max(1, self.options.max_batch_size)
+        #: What one PRE-PREPARE may spend on requests (Section 5.1.4):
+        #: ``max_batch_size`` slots of ``separate_request_threshold + 1``
+        #: bytes.  An inlined request takes a slot, a separately transmitted
+        #: one only its digest (DESIGN.md, "What a batch holds").
+        self._slot_bytes = self.options.separate_request_threshold + 1
+        self._batch_budget = max(1, self.options.max_batch_size) * self._slot_bytes
 
         self.env.set_timer(STATUS_TIMER, self.config.status_interval)
 
@@ -472,8 +477,8 @@ class Replica:
         )
 
     def _try_send_pre_prepare(self, drained: bool = False) -> None:
-        """Propose the queued requests, in batches of at most
-        ``max_batch_size`` while :meth:`_may_propose` (Section 5.1.4).
+        """Propose the queued requests, in batches :meth:`_take_batch`
+        bounds, while :meth:`_may_propose` (Section 5.1.4).
 
         A primary whose CPU is still busy with earlier arrivals has not
         handled the requests among them yet, so it first drains them: it
@@ -488,27 +493,45 @@ class Replica:
                 if not self.env.timer_running(PROPOSE_TIMER):
                     self.env.set_timer(PROPOSE_TIMER, backlog)
                 return
-        queued = self._queued
         while self._may_propose():
-            batch = self.request_queue[: self._max_batch]
-            del self.request_queue[: len(batch)]
-            for request in batch:
-                if queued.get(request.sender) == request.timestamp:
-                    del queued[request.sender]
+            inline, separate = self._take_batch()
             self.seqno += 1
-            self._send_pre_prepare(self.seqno, batch)
+            self._send_pre_prepare(self.seqno, inline, separate)
 
-    def _send_pre_prepare(self, seq: int, batch: List[Request]) -> None:
+    def _take_batch(self) -> Tuple[List[Request], List[bytes]]:
+        """Take requests from the head of the queue, in order, while they
+        fit the PRE-PREPARE's budget: an inlined request costs a whole slot,
+        one its client transmitted separately (Section 5.1.5) only its
+        digest.  Returns the inlined requests and the separate digests."""
+        options = self.options
+        threshold = (
+            options.separate_request_threshold
+            if options.separate_request_transmission else None
+        )
+        slot_bytes, budget = self._slot_bytes, self._batch_budget
         inline: List[Request] = []
         separate: List[bytes] = []
-        for request in batch:
-            if (
-                self.options.separate_request_transmission
-                and len(request.operation) > self.options.separate_request_threshold
-            ):
+        queued = self._queued
+        spent = taken = 0
+        for request in self.request_queue:
+            apart = threshold is not None and len(request.operation) > threshold
+            cost = DIGEST_SIZE if apart else slot_bytes
+            if spent + cost > budget and taken:
+                break
+            spent += cost
+            taken += 1
+            if apart:
                 separate.append(request.request_digest())
             else:
                 inline.append(request)
+            if queued.get(request.sender) == request.timestamp:
+                del queued[request.sender]
+        del self.request_queue[:taken]
+        return inline, separate
+
+    def _send_pre_prepare(
+        self, seq: int, inline: List[Request], separate: List[bytes]
+    ) -> None:
         nondet = self.service.propose_nondet(self.env.now())
         pre_prepare = PrePrepare(
             view=self.view,
@@ -524,7 +547,7 @@ class Replica:
         slot.started_at = slot.sent_at = self.env.now()
         self.auth.sign_multicast(pre_prepare, self.others())
         self.env.broadcast(self.others(), pre_prepare)
-        self.env.record("pre-prepare-sent", seq=seq, batch=len(batch))
+        self.env.record("pre-prepare-sent", seq=seq, batch=len(inline) + len(separate))
         self._check_prepared(slot)
 
     # =====================================================================

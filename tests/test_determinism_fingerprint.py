@@ -377,7 +377,9 @@ def _nodes_and_services(cluster: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     return nodes, services
 
 
-def fingerprint(name: str) -> Dict[str, Any]:
+def settled_run(name: str) -> Tuple[Any, List[Any]]:
+    """Run configuration ``name`` to the end of its loop and ``SETTLE_US``
+    past it; returns the cluster and every completion, in order."""
     build, make_op, clients, ops_per_client = CONFIGURATIONS[name]
     cluster = build()
     completions = record_completions(cluster)
@@ -391,6 +393,11 @@ def fingerprint(name: str) -> Dict[str, Any]:
         ).per_client
     assert per_client == [ops_per_client] * clients
     cluster.run(duration=SETTLE_US)
+    return cluster, completions
+
+
+def fingerprint(name: str) -> Dict[str, Any]:
+    cluster, completions = settled_run(name)
     assert_one_slot_per_timer(cluster.scheduler)
     nodes, services = _nodes_and_services(cluster)
     result = {
@@ -753,83 +760,85 @@ GOLDEN["kv_f1_page_transfer"] = \
                               'Request': 156,
                               'StatusActive': 36}}}
 GOLDEN["kv_f1_wide_batches"] = \
-{'completion_times': [2435.396999999999, 3017.397, 3033.285, 3049.173,
-                      3065.0609999999997, 3080.9489999999996, 3096.8369999999995,
-                      3112.7249999999995, 3128.6129999999994, 3144.5009999999993,
-                      3160.388999999999, 3176.276999999999, 3192.164999999999,
-                      3208.052999999999, 3223.940999999999, 3239.828999999999,
-                      3255.7169999999987, 3786.2569999999987, 3802.1449999999986,
-                      3818.0329999999985, 3833.9209999999985, 3849.8089999999984,
-                      3865.6969999999983, 3881.584999999998, 3897.472999999998,
-                      3913.360999999998, 3929.248999999998, 3945.136999999998,
-                      3961.024999999998, 3976.9129999999977, 3992.8009999999977,
-                      4008.6889999999976, 4024.5769999999975, 4714.547999999996,
-                      4730.435999999996, 4746.323999999996, 4762.211999999996,
-                      4778.099999999996, 4793.987999999996, 4809.875999999996,
-                      4825.763999999996, 4841.6519999999955, 4857.539999999995,
-                      4873.427999999995, 4889.315999999995, 4905.203999999995,
-                      4921.091999999995, 4936.979999999995, 6954.813, 6970.701,
-                      6986.589, 7002.477, 7018.365, 7034.253, 7050.141,
-                      7066.0289999999995, 7081.9169999999995, 7606.025000000001,
-                      7621.9130000000005, 7637.801, 7653.689, 7669.577, 7685.465,
-                      7701.353, 7717.241, 7733.129, 7749.017, 7764.905, 7780.793,
-                      7796.681, 7812.5689999999995, 7828.456999999999,
-                      7844.344999999999, 8584.812999999996, 8600.700999999997,
-                      8616.588999999998, 8632.476999999999, 8648.365, 8664.253,
-                      8680.141000000001, 8696.029000000002, 9706.867999999984,
-                      9722.755999999985, 9738.643999999986, 9754.531999999987,
-                      9770.419999999987, 9786.307999999988, 9802.195999999989,
-                      9818.08399999999, 9833.97199999999, 9849.859999999991,
-                      9865.747999999992, 9881.635999999993, 9897.523999999994,
-                      9913.411999999995, 9929.299999999996, 10943.336999999978,
-                      10959.224999999979, 10975.11299999998, 10991.00099999998,
-                      11006.888999999981, 11022.776999999982, 11038.664999999983,
-                      11054.552999999984, 11070.440999999984, 12268.220999999969,
-                      12284.10899999997, 12299.99699999997, 12315.884999999971,
-                      12331.772999999972, 12347.660999999973, 12363.548999999974,
-                      12379.436999999974, 12395.324999999975, 12411.212999999976,
-                      12427.100999999977, 12442.988999999978, 12458.876999999979,
-                      12474.76499999998, 12490.65299999998, 12506.540999999981,
-                      13100.451999999977, 13116.339999999978, 13132.22799999998,
-                      13148.11599999998, 13164.00399999998, 13179.891999999982,
-                      13195.779999999982, 13211.667999999983, 13227.555999999984,
-                      13243.443999999985, 13259.331999999986, 13275.219999999987,
-                      13291.107999999987, 13306.995999999988, 13322.88399999999,
-                      14303.467999999975, 14319.355999999976, 14335.243999999977,
-                      14351.131999999978, 14367.019999999979, 14382.90799999998,
-                      14398.79599999998, 14414.683999999981, 14430.571999999982,
-                      14446.459999999983, 14462.347999999984, 14478.235999999984,
-                      15624.724999999966, 15640.612999999967, 15656.500999999967,
-                      15672.388999999968, 15688.27699999997, 16505.656999999952,
-                      16521.54499999995, 16537.43299999995, 16553.32099999995,
-                      16569.208999999948, 16585.096999999947, 16600.984999999946,
-                      16616.872999999945, 16632.760999999944, 16648.648999999943,
-                      16664.536999999942, 16680.42499999994, 16696.31299999994,
-                      16712.20099999994, 16728.088999999938, 16743.976999999937,
-                      17067.438999999933, 17083.326999999932, 17430.146999999935,
-                      17446.034999999934, 17461.922999999933, 17477.810999999932,
-                      17493.69899999993, 17509.58699999993, 17525.47499999993,
-                      17541.36299999993, 17557.250999999927, 17573.138999999926,
-                      17589.026999999925, 17604.914999999924, 17620.802999999923,
-                      17636.690999999922, 17652.57899999992, 17668.46699999992,
-                      18064.167999999936, 18080.055999999935, 18095.943999999934,
-                      18111.831999999933, 18127.719999999932],
- 'cpu_busy_total': {'replica0': 18589.783999999945,
-                    'replica1': 18516.055999999946,
-                    'replica2': 18516.055999999946,
-                    'replica3': 18516.055999999946},
- 'dispatched': 2052,
+{'completion_times': [2435.396999999999, 3132.1159999999995, 3148.0039999999995,
+                      3163.8919999999994, 3179.7799999999993, 3195.667999999999,
+                      3211.555999999999, 3227.443999999999, 3243.331999999999,
+                      3259.219999999999, 3275.107999999999, 3290.9959999999987,
+                      3306.8839999999987, 3322.7719999999986, 3338.6599999999985,
+                      3354.5479999999984, 3370.4359999999983, 3386.3239999999983,
+                      3402.211999999998, 3418.099999999998, 3433.987999999998,
+                      3449.875999999998, 3465.763999999998, 3481.6519999999978,
+                      3497.5399999999977, 3513.4279999999976, 3529.3159999999975,
+                      3545.2039999999974, 3561.0919999999974, 3576.9799999999973,
+                      3592.867999999997, 3608.755999999997, 3624.643999999997,
+                      3640.531999999997, 3656.419999999997, 3672.307999999997,
+                      3688.1959999999967, 3704.0839999999966, 3719.9719999999966,
+                      3735.8599999999965, 3751.7479999999964, 3767.6359999999963,
+                      3783.5239999999962, 3799.411999999996, 3815.299999999996,
+                      3831.187999999996, 3847.075999999996, 3862.963999999996, 6475.173,
+                      6491.061, 6506.949, 6522.8369999999995, 6538.724999999999,
+                      6554.612999999999, 6570.500999999999, 6586.388999999999,
+                      6602.276999999999, 6618.164999999999, 6634.052999999999,
+                      6649.940999999999, 6665.828999999999, 6681.716999999999,
+                      6697.604999999999, 6713.492999999999, 6729.3809999999985,
+                      6745.268999999998, 6761.156999999998, 6777.044999999998,
+                      6792.932999999998, 6808.820999999998, 6824.708999999998,
+                      6840.596999999998, 6856.484999999998, 6872.372999999998,
+                      6888.260999999998, 6904.148999999998, 6920.0369999999975,
+                      6935.924999999997, 6951.812999999997, 6967.700999999997,
+                      6983.588999999997, 8349.327999999996, 8365.215999999997,
+                      8381.103999999998, 8396.991999999998, 8412.88, 8428.768, 8444.656,
+                      8460.544000000002, 8476.432000000003, 8492.320000000003,
+                      8508.208000000004, 8524.096000000005, 8539.984000000006,
+                      8555.872000000007, 8571.760000000007, 10380.160999999978,
+                      10396.048999999979, 10411.93699999998, 10427.82499999998,
+                      10443.712999999982, 10459.600999999982, 10475.488999999983,
+                      10491.376999999984, 10507.264999999985, 10523.152999999986,
+                      10539.040999999987, 10554.928999999987, 10570.816999999988,
+                      10586.704999999989, 10602.59299999999, 10618.48099999999,
+                      10634.368999999992, 10650.256999999992, 10666.144999999993,
+                      10682.032999999994, 10697.920999999995, 10713.808999999996,
+                      10729.696999999996, 10745.584999999997, 10761.472999999998,
+                      11202.393999999993, 11218.281999999994, 11234.169999999995,
+                      11250.057999999995, 11265.945999999996, 11281.833999999997,
+                      11297.721999999998, 11313.609999999999, 11329.498, 11345.386,
+                      11361.274000000001, 11377.162000000002, 11393.050000000003,
+                      11408.938000000004, 11424.826000000005, 11440.714000000005,
+                      11456.602000000006, 12622.087999999994, 12637.975999999995,
+                      12653.863999999996, 12669.751999999997, 12685.639999999998,
+                      12701.527999999998, 14345.05299999997, 14360.940999999972,
+                      14376.828999999972, 14392.716999999973, 14408.604999999974,
+                      14424.492999999975, 14440.380999999976, 14456.268999999977,
+                      14472.156999999977, 14488.044999999978, 14503.932999999979,
+                      14519.82099999998, 14535.70899999998, 14551.596999999982,
+                      14567.484999999982, 14583.372999999983, 14599.260999999984,
+                      14615.148999999985, 14631.036999999986, 14646.924999999987,
+                      14662.812999999987, 14678.700999999988, 14694.588999999989,
+                      14710.47699999999, 14726.36499999999, 15277.52799999998,
+                      15293.415999999981, 15309.303999999982, 15325.191999999983,
+                      15341.079999999984, 15356.967999999984, 15372.855999999985,
+                      15388.743999999986, 15404.631999999987, 15420.519999999988,
+                      15436.407999999989, 15452.29599999999, 15468.18399999999,
+                      15484.071999999991, 15499.959999999992, 15515.847999999993,
+                      15531.735999999994, 15547.623999999994, 15563.511999999995,
+                      15579.399999999996, 15595.287999999997, 15611.175999999998,
+                      15627.063999999998],
+ 'cpu_busy_total': {'replica0': 16032.680000000015,
+                    'replica1': 15958.952000000001,
+                    'replica2': 15958.951999999992,
+                    'replica3': 15958.951999999992},
+ 'dispatched': 1832,
  'state_digests': {'replica0': '6f127b5261cce0cf4b2f6f53faaf9a72',
                    'replica1': '6f127b5261cce0cf4b2f6f53faaf9a72',
                    'replica2': '6f127b5261cce0cf4b2f6f53faaf9a72',
                    'replica3': '6f127b5261cce0cf4b2f6f53faaf9a72'},
- 'wire_totals': {'auth_bytes': 48672,
-                 'messages_sent': 2028,
-                 'payload_bytes': 567912,
-                 'per_type': {'Checkpoint': 48,
-                              'Commit': 204,
-                              'PrePrepare': 51,
-                              'Prepare': 153,
+ 'wire_totals': {'auth_bytes': 43488,
+                 'messages_sent': 1812,
+                 'payload_bytes': 550824,
+                 'per_type': {'Checkpoint': 24,
+                              'Commit': 108,
+                              'PrePrepare': 27,
+                              'Prepare': 81,
                               'Reply': 768,
                               'Request': 768,
                               'StatusActive': 36}}}
@@ -893,6 +902,34 @@ def test_fingerprint_matches_golden(name):
     for key in golden:
         assert actual[key] == golden[key], f"{name}: {key} moved"
     assert actual.keys() == golden.keys()
+
+
+def test_wide_batches_leave_no_orphan_request_bodies():
+    """A batch may name up to 256 separately sent requests.  Once the wide
+    run has settled past a stable checkpoint, every body a replica's log
+    keeps is named by a batch it still holds or is not executed yet, and no
+    PRE-PREPARE waits for a body."""
+    cluster, completions = settled_run("kv_f1_wide_batches")
+    _build, _make_op, clients, ops_per_client = CONFIGURATIONS["kv_f1_wide_batches"]
+    pre_prepares = cluster.network.stats.wire_totals()["per_type"]["PrePrepare"]
+    batches = pre_prepares // (len(cluster.replicas) - 1)
+    assert batches < len(completions) / ProtocolOptions().max_batch_size
+    assert len(completions) == clients * ops_per_client
+    for replica in cluster.replicas.values():
+        assert replica.stable_checkpoint_seq > 0
+        named = {
+            request_digest
+            for batch in replica.log.batches.values()
+            for request_digest in batch.all_request_digests()
+        }
+        executed = replica.last_reply_timestamp
+        orphans = [
+            request for request_digest, request in replica.log.requests.items()
+            if request_digest not in named
+            and request.timestamp <= executed.get(request.sender, 0)
+        ]
+        assert orphans == [], replica.id
+        assert replica.pending_pre_prepares == {}, replica.id
 
 
 if __name__ == "__main__":

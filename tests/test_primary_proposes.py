@@ -7,18 +7,30 @@ them.  It drains them first: it arms the propose timer for the end of that
 backlog, once, and proposes when the timer fires.  An idle primary proposes
 at once.  ``RecordingEnv.backlog`` is what the environment reports as the
 CPU backlog.
+
+What one PRE-PREPARE holds (DESIGN.md, "What a batch holds"): a batch spends
+at most ``max_batch_size`` slots of ``separate_request_threshold + 1`` bytes.
+An inlined request takes a whole slot; a request its client transmitted
+separately (Section 5.1.5) takes only its ``DIGEST_SIZE``-byte digest.
 """
 
 from __future__ import annotations
 
 from repro.core.config import ProtocolOptions
-from repro.core.messages import PrePrepare, Request
+from repro.core.messages import Prepare, PrePrepare, Request
 from repro.core.replica import PROPOSE_TIMER
 from tests.conftest import authed, make_replica
 
 
 def request(index: int) -> Request:
     return authed(Request(operation=b"SET k%d v" % index, timestamp=1,
+                          sender="client%d" % index))
+
+
+def large(index: int) -> Request:
+    """A SET over the separate-transmission threshold: its PRE-PREPARE
+    names it by digest."""
+    return authed(Request(operation=b"SET k%d " % index + b"v" * 300, timestamp=1,
                           sender="client%d" % index))
 
 
@@ -94,3 +106,107 @@ def test_a_replica_that_stopped_being_primary_proposes_nothing(config, registry)
     env.timers[PROPOSE_TIMER] = None
     primary.on_timer(PROPOSE_TIMER)
     assert proposals(env) == []
+
+
+def drain(primary, env, requests) -> list:
+    """Queue ``requests`` at a busy primary, fire its propose timer, and
+    return the PRE-PREPAREs it sent."""
+    env.backlog = 300.0
+    for queued in requests:
+        primary.receive(queued)
+    assert proposals(env) == []
+    env.timers[PROPOSE_TIMER] = None
+    primary.on_timer(PROPOSE_TIMER)
+    return proposals(env)
+
+
+def shape(proposal: PrePrepare) -> tuple:
+    return len(proposal.requests), len(proposal.separate_digests)
+
+
+def test_separately_sent_requests_cost_a_digest_each(config, registry):
+    primary, env = make_replica(config, registry, "replica0")
+    requests = [large(index) for index in range(20)]
+    [proposal] = drain(primary, env, requests)
+    assert proposal.requests == ()
+    assert proposal.separate_digests == tuple(r.request_digest() for r in requests)
+    assert primary.request_queue == [] and primary._queued == {}
+
+
+def test_inlined_and_separate_requests_share_one_pre_prepare(config, registry):
+    primary, env = make_replica(config, registry, "replica0")
+    requests = [large(index) for index in range(23)]
+    for position in (0, 11, 22):
+        requests[position] = request(position)
+    [proposal] = drain(primary, env, requests)
+    assert proposal.requests == (requests[0], requests[11], requests[22])
+    assert proposal.separate_digests == tuple(
+        r.request_digest() for position, r in enumerate(requests)
+        if position not in (0, 11, 22)
+    )
+
+
+def test_inlined_requests_keep_the_sixteen_request_cap(config, registry):
+    primary, env = make_replica(config, registry, "replica0")
+    requests = [request(index) for index in range(17)]
+    first, second = drain(primary, env, requests)
+    assert list(first.requests) == requests[:16]
+    assert list(second.requests) == requests[16:]
+    assert (first.seq, second.seq) == (1, 2)
+
+
+def test_separate_requests_split_at_the_budget(config, registry):
+    primary, env = make_replica(config, registry, "replica0")
+    requests = [large(index) for index in range(300)]
+    first, second = drain(primary, env, requests)
+    assert (shape(first), shape(second)) == ((0, 256), (0, 44))
+    assert first.separate_digests + second.separate_digests == tuple(
+        r.request_digest() for r in requests
+    )
+
+
+def test_a_mix_fills_the_budget_in_queue_order(config, registry):
+    # 15 slots of 256 bytes leave 256 bytes: sixteen digests, then a new batch.
+    primary, env = make_replica(config, registry, "replica0")
+    requests = [request(index) for index in range(15)]
+    requests += [large(index) for index in range(15, 35)]
+    first, second = drain(primary, env, requests)
+    assert (shape(first), shape(second)) == ((15, 16), (0, 4))
+
+
+def test_batch_size_one_without_separate_transmission_turns_batching_off(
+    config, registry
+):
+    options = ProtocolOptions(max_batch_size=1, separate_request_transmission=False)
+    primary, env = make_replica(config, registry, "replica0", options=options)
+    requests = [large(index) for index in range(3)]
+    sent = drain(primary, env, requests)
+    assert [list(p.requests) for p in sent] == [[r] for r in requests]
+    assert all(p.separate_digests == () for p in sent)
+    # With separate transmission on, one slot still holds sixteen digests.
+    options = ProtocolOptions(max_batch_size=1)
+    primary, env = make_replica(config, registry, "replica0", options=options)
+    sent = drain(primary, env, [large(index) for index in range(20)])
+    assert [shape(p) for p in sent] == [(0, 16), (0, 4)]
+
+
+def test_a_backup_accepts_a_wide_pre_prepare_once_it_holds_every_body(
+    config, registry
+):
+    backup, env = make_replica(config, registry, "replica1")
+    requests = [large(index) for index in range(40)]
+    wide = authed(PrePrepare(view=0, seq=1, sender="replica0", separate_digests=tuple(
+        r.request_digest() for r in requests
+    )))
+    for held in requests[1:]:
+        backup.receive(held)
+    backup.receive(wide)
+    assert not backup._have_all_requests(wide)
+    assert env.messages_of_type(Prepare) == []
+    assert list(backup.pending_pre_prepares) == [(0, 1)]
+    backup.receive(requests[0])
+    assert backup._have_all_requests(wide)
+    assert backup.pending_pre_prepares == {}
+    assert backup.log.slots[1].pre_prepare is wide
+    [prepare] = {id(p): p for p in env.messages_of_type(Prepare)}.values()
+    assert prepare.digest == wide.batch_digest()
