@@ -196,10 +196,7 @@ class Client:
         broadcast = (
             request.read_only
             or not first
-            or (
-                self.options.separate_request_transmission
-                and len(request.operation) > self.options.separate_request_threshold
-            )
+            or self.options.transmits_separately(request.operation)
         )
         # A retransmission re-signs the pending request, whose first copy
         # may still be in flight: send the (possibly copied) return value.

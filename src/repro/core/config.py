@@ -187,6 +187,14 @@ class ProtocolOptions:
     #: remaining views (tree mode only).
     relay_watchdog_period: float = 50_000.0
 
+    def transmits_separately(self, operation: bytes) -> bool:
+        """Whether a request for ``operation`` goes from its client to every
+        replica and rides in pre-prepares as its digest (Section 5.1.5)."""
+        return (
+            self.separate_request_transmission
+            and len(operation) > self.separate_request_threshold
+        )
+
     def with_tree_dissemination(self, **changes) -> "ProtocolOptions":
         """The large-n overlay configuration (``dissemination="tree"``)."""
         return replace(self, dissemination="tree", **changes)

@@ -249,13 +249,6 @@ class Replica:
         #: reply encoder (clients repeat every batch).
         self._client_enc_memo: Dict[str, bytes] = {}
 
-        #: What one PRE-PREPARE may spend on requests (Section 5.1.4):
-        #: ``max_batch_size`` slots of ``separate_request_threshold + 1``
-        #: bytes.  An inlined request takes a slot, a separately transmitted
-        #: one only its digest (DESIGN.md, "What a batch holds").
-        self._slot_bytes = self.options.separate_request_threshold + 1
-        self._batch_budget = max(1, self.options.max_batch_size) * self._slot_bytes
-
         self.env.set_timer(STATUS_TIMER, self.config.status_interval)
 
     # ------------------------------------------------------------------ intro
@@ -500,21 +493,20 @@ class Replica:
 
     def _take_batch(self) -> Tuple[List[Request], List[bytes]]:
         """Take requests from the head of the queue, in order, while they
-        fit the PRE-PREPARE's budget: an inlined request costs a whole slot,
-        one its client transmitted separately (Section 5.1.5) only its
-        digest.  Returns the inlined requests and the separate digests."""
+        fit one PRE-PREPARE's budget of ``max_batch_size`` slots of
+        ``separate_request_threshold + 1`` bytes (Section 5.1.4): an inlined
+        request costs a whole slot, one its client transmitted separately
+        (Section 5.1.5) only its digest (DESIGN.md, "What a batch holds").
+        Returns the inlined requests and the separate digests."""
         options = self.options
-        threshold = (
-            options.separate_request_threshold
-            if options.separate_request_transmission else None
-        )
-        slot_bytes, budget = self._slot_bytes, self._batch_budget
+        slot_bytes = options.separate_request_threshold + 1
+        budget = max(1, options.max_batch_size) * slot_bytes
         inline: List[Request] = []
         separate: List[bytes] = []
         queued = self._queued
         spent = taken = 0
         for request in self.request_queue:
-            apart = threshold is not None and len(request.operation) > threshold
+            apart = options.transmits_separately(request.operation)
             cost = DIGEST_SIZE if apart else slot_bytes
             if spent + cost > budget and taken:
                 break
