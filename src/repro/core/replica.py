@@ -461,23 +461,47 @@ class Replica:
         self.request_queue.append(request)
 
     def _may_propose(self) -> bool:
-        """Whether a request waits and the window and ``pipeline_depth``
-        leave room for one more batch."""
+        """Whether a request waits, the window has room for one more batch
+        and the newest batch is answered (:meth:`_newest_batch_answered`)."""
         return bool(
             self.request_queue
             and self.log.in_window(self.seqno + 1)
-            and self.seqno - self.last_executed < self.options.pipeline_depth
+            and self._newest_batch_answered()
         )
 
+    def _newest_batch_answered(self) -> bool:
+        """Whether the newest batch this primary proposed in its view has
+        been acknowledged (a backup's PREPARE for its digest arrived) or has
+        executed, tentatively or committed.  Read from that batch's slot; a
+        slot that holds no batch of this view, or is gone with the
+        checkpoint below it, waits for nothing."""
+        slot = self.log.existing_slot(self.seqno)
+        if slot is None or slot.view != self.view or slot.pre_prepare is None:
+            return True
+        return (
+            slot.prepared
+            or slot.executed
+            or slot.executed_tentatively
+            or slot.prepares.count(slot.digest()) > 0
+        )
+
+    def _propose_if_newest(self, seq: int) -> None:
+        """Batch ``seq`` was just acknowledged or executed: if it is the
+        newest, propose what queued behind it at once, without draining."""
+        if seq == self.seqno:
+            self._try_send_pre_prepare(drained=True)
+
     def _try_send_pre_prepare(self, drained: bool = False) -> None:
-        """Propose the queued requests, in batches :meth:`_take_batch`
-        bounds, while :meth:`_may_propose` (Section 5.1.4).
+        """Propose the queued requests, as one batch :meth:`_take_batch`
+        bounds, when :meth:`_may_propose` (Section 5.1.4): one
+        unacknowledged PRE-PREPARE at a time.
 
         A primary whose CPU is still busy with earlier arrivals has not
         handled the requests among them yet, so it first drains them: it
         arms the propose timer for the end of that backlog, once, and the
         timer proposes ``drained``, without asking again.  An idle primary
-        proposes at once (DESIGN.md, "When the primary proposes")."""
+        proposes at once, and so does the acknowledgement or execution of
+        the newest batch (DESIGN.md, "When the primary proposes")."""
         if not (self.is_primary and self.active_view and self._may_propose()):
             return
         if not drained:
@@ -486,10 +510,9 @@ class Replica:
                 if not self.env.timer_running(PROPOSE_TIMER):
                     self.env.set_timer(PROPOSE_TIMER, backlog)
                 return
-        while self._may_propose():
-            inline, separate = self._take_batch()
-            self.seqno += 1
-            self._send_pre_prepare(self.seqno, inline, separate)
+        inline, separate = self._take_batch()
+        self.seqno += 1
+        self._send_pre_prepare(self.seqno, inline, separate)
 
     def _take_batch(self) -> Tuple[List[Request], List[bytes]]:
         """Take requests from the head of the queue, in order, while they
@@ -621,6 +644,8 @@ class Replica:
             # A buffered pre-prepare may become acceptable once f prepares
             # vouch for the batch digest (condition 2 of Section 3.2.2).
             self._maybe_accept_by_prepares(message)
+            # At the primary, a matching PREPARE acknowledges the batch.
+            self._propose_if_newest(message.seq)
 
     def _maybe_accept_by_prepares(self, prepare: Prepare) -> None:
         key = (prepare.view, prepare.seq)
@@ -698,6 +723,7 @@ class Replica:
         self._execute_slot(slot, tentative=True)
         slot.executed_tentatively = True
         self.last_tentative = seq
+        self._propose_if_newest(seq)
 
     def _try_execute(self) -> None:
         while True:
@@ -716,8 +742,7 @@ class Replica:
                 self._take_checkpoint(seq)
             if self.options.tentative_execution:
                 self._try_execute_tentative()
-            if self.is_primary:
-                self._try_send_pre_prepare()
+            self._propose_if_newest(seq)
 
     def _execute_slot(self, slot: Slot, tentative: bool) -> None:
         pre_prepare = slot.pre_prepare

@@ -198,6 +198,10 @@ def test_primary_rejects_prepare_claiming_to_be_from_primary(primary_and_env):
 def test_consecutive_requests_get_increasing_sequence_numbers(primary_and_env):
     primary, env = primary_and_env
     primary.receive(client_request(op=b"SET a 1", timestamp=1))
+    [first] = {id(pp): pp for pp in env.messages_of_type(PrePrepare)}.values()
+    # A backup's PREPARE acknowledges the first batch; the next may follow.
+    primary.receive(authed(Prepare(view=0, seq=1, digest=first.batch_digest(),
+                                   sender="replica1")))
     primary.receive(client_request(op=b"SET b 2", timestamp=2))
     seqs = [pp.seq for pp in env.messages_of_type(PrePrepare)]
     assert sorted(set(seqs)) == [1, 2]
