@@ -48,29 +48,24 @@ def main() -> None:
 def batched() -> None:
     """Throughput flavour: the batch-execution pipeline (Section 5.1.4).
 
-    Tuning notes — batches form under load with the defaults: a busy
-    primary drains its input before it proposes, so one pre-prepare
-    carries every request that queued meanwhile.
+    Tuning notes — batches form under load with the defaults: the primary
+    keeps one unacknowledged pre-prepare at a time, so requests queue until
+    a backup's prepare answers its last proposal, and a busy primary drains
+    its input before it proposes a new request; either way one pre-prepare
+    carries every request that queued meanwhile.  Below that makes 16.0
+    requests per batch and 12,964 modeled ops/s (11.6 and 11,868 while
+    up to four batches could be outstanding, with no option to tune).
     ``ProtocolOptions.max_batch_size`` bounds what one pre-prepare holds:
     that many inlined requests, or sixteen times as many requests sent
     separately (over ``separate_request_threshold`` bytes, like the
-    256-byte SETs here), which travel as digests.  ``pipeline_depth``
-    bounds how many batches run concurrently; depth 1 below makes batches
-    larger still (19.7 requests against 11.6 at the default 4, 13,167
-    against 11,868 modeled ops/s) but costs latency elsewhere: it took
-    ``null_f1``'s p50 from 1,787 to 2,120 µs.  The replica executes each
-    committed batch through one ``Service.execute_batch`` call (the
+    256-byte SETs here), which travel as digests.  The replica executes
+    each committed batch through one ``Service.execute_batch`` call (the
     service's ``execute`` once per operation), then builds and batch-signs
     the replies and sends the whole reply fan-out as one delivery train.
     """
-    import dataclasses
-
-    from repro.core.config import DEFAULT_OPTIONS
-
     print()
-    options = dataclasses.replace(DEFAULT_OPTIONS, pipeline_depth=1)
     cluster = BFTCluster.create(f=1, service_factory=KeyValueStore,
-                                checkpoint_interval=16, options=options)
+                                checkpoint_interval=16)
     from repro.bench import run_kv_value_churn
 
     result = run_kv_value_churn(cluster, num_clients=32,

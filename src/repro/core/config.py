@@ -138,14 +138,6 @@ class ProtocolOptions:
     #: batching off only with separate transmission off (DESIGN.md, "What
     #: a batch holds").
     max_batch_size: int = 16
-    #: Sliding-window bound on protocol instances running in parallel
-    #: (Section 5.1.4): the primary stops assigning sequence numbers when
-    #: this many batches are outstanding.  Batches form under load without
-    #: it: a busy primary drains its input before proposing (DESIGN.md,
-    #: "When the primary proposes").  A smaller depth makes them larger at
-    #: the price of latency (depth 1 took ``null_f1``'s p50 from 1,787 to
-    #: 2,120 µs).
-    pipeline_depth: int = 4
     #: Digest replies (Section 5.1.1): for a result of at least
     #: ``digest_replies_threshold`` bytes only the request's designated
     #: replier returns it in full and the others return its digest, on

@@ -104,7 +104,7 @@ def test_the_timer_proposes_everything_queued_without_asking_again(config, regis
 
 
 def test_a_drained_proposal_keeps_the_batch_and_pipeline_bounds(config, registry):
-    options = ProtocolOptions(max_batch_size=2, pipeline_depth=1)
+    options = ProtocolOptions(max_batch_size=2)
     primary, env = make_replica(config, registry, "replica0", options=options)
     env.backlog = 300.0
     requests = [request(index) for index in range(5)]
