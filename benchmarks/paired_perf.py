@@ -15,7 +15,7 @@ move: those may differ (each named one that does not is printed as
 unchanged), and it exits 1 only if one it does not name, or ``failed``,
 differs.
 
-    python benchmarks/paired_perf.py PARENT CHANGE --workloads kv_churn_ckpt \
+    python benchmarks/paired_perf.py PARENT CHANGE --workloads kv_churn_ckpt \\
         --seed 23 --pairs 10 --expect modeled_ops_per_s modeled_latency_p50_us
 
 With ``--counts`` it makes one ``--trace 1`` run per side and workload
@@ -27,8 +27,20 @@ repeat exactly too: it prints the ones that differ and exits 1 if any does.
 differ (each named one that does not is printed as unchanged), and it exits
 1 only if a count it does not name differs.
 
-    python benchmarks/paired_perf.py PARENT CHANGE --counts --seconds 1 \
+    python benchmarks/paired_perf.py PARENT CHANGE --counts --seconds 1 \\
         --workloads null_f10 --seed 41 --expect crypto.mac_calls_per_op
+
+With ``--seed-sweep S...`` it compares modeled values only, over seeds: one
+``--seconds 0`` run per side, workload and seed (modeled values repeat
+exactly for a seed, so any one seed, the benchmark's own included, is one
+draw of many).  Per workload and modeled end-to-end metric it prints the
+smallest, median and largest relative change over the seeds and the seed
+where the change is worst.  It exits 1 if a metric ``--expect`` does not
+name is worse than its ``BENCHMARK.json`` bound on any seed, or if more
+operations fail on any seed.
+
+    python benchmarks/paired_perf.py PARENT CHANGE --workloads kv_read90 \\
+        --seed-sweep 1 2 3 4 5 6 7 8 9 10
 """
 
 from __future__ import annotations
@@ -148,20 +160,69 @@ def differing_pairs(args: argparse.Namespace, declared: Sequence[Dict[str, Any]]
     return differing
 
 
+def seed_sweep(args: argparse.Namespace, declared: Sequence[Dict[str, Any]]) -> int:
+    """One ``--seconds 0`` run per side, workload and seed in
+    ``args.seed_sweep``; prints, per workload and modeled metric, the
+    smallest / median / largest relative change and the worst seed, and
+    returns how many metrics ``args.expect`` does not name were worse than
+    their bound on some seed, plus the workloads where more operations
+    failed on some seed."""
+    modeled = [m for m in declared if m["name"].startswith("modeled_")]
+    expected = set(args.expect)
+    worse = 0
+    for workload in args.workloads:
+        changes: Dict[str, Dict[int, float]] = {m["name"]: {} for m in modeled}
+        for seed in args.seed_sweep:
+            parent, change = (run_once(side, workload, seed, 0.0)
+                              for side in (args.parent, args.change))
+            if change["failed"] > parent["failed"]:
+                worse += 1
+                print(f"DIFFERS {workload} seed {seed}: failed "
+                      f"{parent['failed']!r} != {change['failed']!r}")
+            for metric in modeled:
+                name = metric["name"]
+                before, after = parent[name], change[name]
+                changes[name][seed] = (after - before) / abs(before) if before else 0.0
+        print(f"{workload}  seeds {' '.join(map(str, args.seed_sweep))}  modeled, --seconds 0")
+        for metric in modeled:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1.0 if metric["better"] == "higher" else -1.0
+            per_seed = changes[name]
+            values = sorted(per_seed.values())
+            worst = min(per_seed, key=lambda seed: sign * per_seed[seed])
+            over = [seed for seed, value in per_seed.items() if -sign * value > bound]
+            word = "ok"
+            if over:
+                word = "EXPECTED" if name in expected else "WORSE"
+                worse += name not in expected
+            print(f"  {name:<24} min {values[0]:+.2%}  median {statistics.median(values):+.2%}"
+                  f"  max {values[-1]:+.2%}  worst seed {worst} ({per_seed[worst]:+.2%})"
+                  f"  bound {bound:.0%}  {word}"
+                  + (f"  over it: seeds {' '.join(map(str, over))}" if over else ""))
+    return worse
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed-sweep", type=int, nargs="+", metavar="S",
+                        help="compare modeled values only: one --seconds 0 run per side "
+                             "and seed")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--counts", action="store_true",
                         help="compare the count-type per-layer metrics of one traced run per side")
     parser.add_argument("--expect", nargs="+", default=[], metavar="NAME",
                         help="the count metrics (with --counts) or modeled_* metrics "
-                             "(pairs) the change is meant to move")
+                             "(pairs, --seed-sweep) the change is meant to move")
     args = parser.parse_args()
+    if (args.seed is None) == (args.seed_sweep is None):
+        parser.error("give one of --seed and --seed-sweep")
+    if args.counts and args.seed_sweep:
+        parser.error("--counts takes one --seed")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.counts:
         unknown = set(args.expect).difference(counted_metrics(benchmark["per_layer"]), ["failed"])
@@ -171,6 +232,8 @@ def main() -> int:
     unknown = [name for name in args.expect if not name.startswith("modeled_")]
     if unknown:
         parser.error(f"--expect names no modeled metric: {' '.join(sorted(unknown))}")
+    if args.seed_sweep:
+        return 1 if seed_sweep(args, benchmark["end_to_end"]) else 0
     return 1 if differing_pairs(args, benchmark["end_to_end"]) else 0
 
 

@@ -1,5 +1,5 @@
-"""``paired_perf.py``, pairs and ``--counts``: which metrics it compares and
-what it reports."""
+"""``paired_perf.py``, pairs, ``--counts`` and ``--seed-sweep``: which
+metrics it compares and what it reports."""
 
 from __future__ import annotations
 
@@ -107,3 +107,63 @@ def test_pairs_never_forgive_a_failed_operation(monkeypatch, capsys):
                             expect=["modeled_ops_per_s"])
     assert differing == 2
     assert "DIFFERS kv_churn_ckpt pair 0: failed 0 != 3" in out
+
+
+def _sweep(monkeypatch, capsys, change_by_seed, expect=(), seeds=(3, 5, 9)):
+    """``change_by_seed``: seed -> the change side's overrides."""
+    base = {m["name"]: 100.0 for m in END_TO_END}
+    base["failed"] = 0
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout, seed, seconds, trace))
+        if checkout == Path("change"):
+            return {**base, **change_by_seed.get(seed, {})}
+        return dict(base)
+
+    monkeypatch.setattr(paired_perf, "run_once", run_once)
+    args = argparse.Namespace(parent=Path("parent"), change=Path("change"),
+                              workloads=["kv_read90"], seed_sweep=list(seeds),
+                              expect=list(expect))
+    worse = paired_perf.seed_sweep(args, END_TO_END)
+    assert sorted(calls) == sorted((side, seed, 0.0, 0) for seed in seeds
+                                   for side in (Path("parent"), Path("change")))
+    return worse, capsys.readouterr().out
+
+
+def test_sweep_prints_the_spread_and_the_worst_seed(monkeypatch, capsys):
+    worse, out = _sweep(monkeypatch, capsys, {
+        3: {"modeled_ops_per_s": 115.0, "modeled_latency_p99_us": 103.0},
+        5: {"modeled_ops_per_s": 117.0, "modeled_latency_p99_us": 108.0},
+        9: {"modeled_ops_per_s": 116.0, "modeled_latency_p99_us": 101.0},
+    })
+    assert worse == 0
+    assert "kv_read90  seeds 3 5 9  modeled, --seconds 0" in out
+    ops = next(line for line in out.splitlines() if "modeled_ops_per_s" in line)
+    assert "min +15.00%  median +16.00%  max +17.00%  worst seed 3 (+15.00%)" in ops
+    assert ops.endswith("bound 6%  ok")
+    p99 = next(line for line in out.splitlines() if "modeled_latency_p99_us" in line)
+    assert "max +8.00%  worst seed 5 (+8.00%)  bound 12%  ok" in p99
+    # Only modeled values are compared: the host's clocks vary run to run.
+    assert "cpu_us_per_op" not in out and "setup_s" not in out
+
+
+def test_sweep_fails_when_an_unnamed_metric_is_worse_than_its_bound_on_one_seed(
+    monkeypatch, capsys
+):
+    change = {5: {"modeled_latency_p99_us": 113.0}, 9: {"modeled_latency_p99_us": 112.0}}
+    worse, out = _sweep(monkeypatch, capsys, change)
+    assert worse == 1
+    assert "worst seed 5 (+13.00%)  bound 12%  WORSE  over it: seeds 5" in out
+    worse, out = _sweep(monkeypatch, capsys, change, expect=["modeled_latency_p99_us"])
+    assert worse == 0 and "EXPECTED  over it: seeds 5" in out
+    # A gain beyond the bound is no failure.
+    worse, _ = _sweep(monkeypatch, capsys, {3: {"modeled_latency_p99_us": 50.0}})
+    assert worse == 0
+
+
+def test_sweep_never_forgives_a_failed_operation(monkeypatch, capsys):
+    worse, out = _sweep(monkeypatch, capsys, {9: {"failed": 2}},
+                        expect=["modeled_ops_per_s"])
+    assert worse == 1
+    assert "DIFFERS kv_read90 seed 9: failed 0 != 2" in out
