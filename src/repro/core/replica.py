@@ -471,19 +471,15 @@ class Replica:
 
     def _newest_batch_answered(self) -> bool:
         """Whether the newest batch this primary proposed in its view has
-        been acknowledged (a backup's PREPARE for its digest arrived) or has
-        executed, tentatively or committed.  Read from that batch's slot; a
-        slot that holds no batch of this view, or is gone with the
-        checkpoint below it, waits for nothing."""
+        been acknowledged: a backup's PREPARE for its digest arrived.  A
+        batch that executed, tentatively or committed, has prepared, so it
+        counts too.  Read from that batch's slot; a slot that holds no
+        batch of this view, or is gone with the checkpoint below it, waits
+        for nothing."""
         slot = self.log.existing_slot(self.seqno)
         if slot is None or slot.view != self.view or slot.pre_prepare is None:
             return True
-        return (
-            slot.prepared
-            or slot.executed
-            or slot.executed_tentatively
-            or slot.prepares.count(slot.digest()) > 0
-        )
+        return slot.prepared or slot.prepares.count(slot.digest()) > 0
 
     def _propose_if_newest(self, seq: int) -> None:
         """Batch ``seq`` was just acknowledged or executed: if it is the
