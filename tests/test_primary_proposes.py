@@ -290,7 +290,7 @@ def test_one_matching_prepare_proposes_the_whole_queue_at_once(config, registry)
 def prepare_unheard(primary, seq: int) -> None:
     """Prepare batch ``seq`` at the primary with every backup PREPARE lost on
     the way: the votes go into the slot's certificate without passing through
-    ``handle_prepare``, so no acknowledgement opens the window; only the
+    ``handle_prepare``, so no acknowledgement proposes the queue; only the
     execution they lead to can."""
     slot = primary.log.existing_slot(seq)
     for voter in (2, 3):
@@ -354,6 +354,7 @@ def test_a_new_primary_proposes_once_its_highest_reproposal_is_answered(
     else:
         for seq in (1, 2):
             prepare_unheard(primary, seq)
+        assert proposals(env) == []
         commit(primary, 1)
         assert primary.last_tentative == 2
     [proposal] = proposals(env)
